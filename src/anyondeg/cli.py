@@ -1,8 +1,9 @@
 """Command-line interface: every operation as a subcommand.
 
 Output on stdout is deterministic (no timestamps); diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error.
-Big integers are emitted as decimal strings in JSON output.
+stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error,
+3 internal or numeric failure.  Big integers are emitted as decimal
+strings in JSON output.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ import argparse
 import json
 import sys
 
-from .genfunc import generating_function, system_det, verify_series
+from .genfunc import system_det, verify_series
 from .lattice import Vertex
 from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
-from .spectral import lambda_perron, lambda_trig, smallest_positive_root, \
-    spectral_report
+from .spectral import NoRootError, NonConvergenceError, lambda_perron, \
+    lambda_trig, smallest_positive_root, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
     hook_count, unrestricted_count
 
@@ -120,7 +121,7 @@ def _cmd_verify(args) -> int:
 def _cmd_qdim(args) -> int:
     _check_caps(args, k=args.k)
     if args.method == "trig":
-        print(repr(lambda_trig(args.k, args.N)))
+        print(repr(lambda_trig(args.k)))
     elif args.method == "eig":
         print(repr(lambda_perron(args.k, tol=args.tol)))
     elif args.method == "root":
@@ -132,14 +133,15 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_syt(args) -> int:
-    _check_caps(args, n=args.n)
     if args.paper_formula:
+        _check_caps(args, n=args.n)
         print(json.dumps(audit_published_formula(n_max=args.n)))
         return 0
     if args.shape:
         shape = _parse_shape(args.shape)
         count = hook_count(shape)
     else:
+        _check_caps(args, n=args.n)
         v = _parse_vertex(args.vertex)
         count = unrestricted_count(args.n, v)
         from .syt import shape_for_vertex
@@ -155,7 +157,7 @@ def _cmd_syt(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    report = reproduce(only=args.only, fault=args.inject_fault)
+    report = reproduce(only=args.only)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -210,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qdim", help="total quantum dimension")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", type=int, default=3)
     p.add_argument("--method", choices=("trig", "eig", "root", "all"),
                    default="all")
     p.add_argument("--tol", type=float, default=1e-6)
@@ -232,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the full golden suite")
     p.add_argument("--only", default=None,
                    help="run a single item (e.g. table1, table2)")
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)  # test hook for the failure path
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact counts may exceed 4300 digits
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -254,6 +255,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, NoRootError, NonConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _step(k: int, prev: dict[Vertex, int], pred_lists) -> dict[Vertex, int]:
+def _step(prev: dict[Vertex, int], pred_lists) -> dict[Vertex, int]:
     return {v: sum(prev[u] for u in preds) for v, preds in pred_lists.items()}
 
 
@@ -45,7 +45,7 @@ def count_paths(k: int, n: int) -> CountTable:
     counts = {v: 0 for v in pred_lists}
     counts[ORIGIN] = 1
     for _ in range(n):
-        counts = _step(k, counts, pred_lists)
+        counts = _step(counts, pred_lists)
     return CountTable(k=k, n=n, counts=counts)
 
 
@@ -62,23 +62,6 @@ def total_dimension(k: int, n: int) -> int:
     return count_paths(k, n).total()
 
 
-def counts_by_matrix_power(k: int, n: int) -> dict[Vertex, int]:
-    """Origin row of the n-th adjacency-matrix power, exact.
-
-    Slower alternative route to count_paths, kept for cross-checking.
-    """
-    from .lattice import adjacency
-
-    lat = build_lattice(k)
-    mat = adjacency(lat).tolist()
-    row = [0] * lat.dim
-    row[lat.index(ORIGIN)] = 1
-    for _ in range(n):
-        row = [sum(row[r] * mat[r][c] for r in range(lat.dim) if row[r])
-               for c in range(lat.dim)]
-    return {v: row[lat.index(v)] for v in lat.vertices}
-
-
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep."""
     v = Vertex(*v)
@@ -89,7 +72,7 @@ def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     counts[ORIGIN] = 1
     history = [counts[v]]
     for _ in range(n_max):
-        counts = _step(k, counts, pred_lists)
+        counts = _step(counts, pred_lists)
         history.append(counts[v])
     return history
 

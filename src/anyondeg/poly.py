@@ -212,18 +212,6 @@ class IntPoly:
         return IntPoly(q)
 
 
-def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def poly_sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p - q
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
 def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
     """Pseudo-remainder of p by q: rem(lc(q)^(dp-dq+1) * p, q), all in Z[t]."""
     lead = q.leading()

@@ -1,47 +1,40 @@
 """One-shot golden-suite harness: recompute every headline result and diff
-it against the reference values.  Each item is independent and pure, so
-they may run concurrently (bounded by ANYON_DEG_THREADS)."""
+it against the reference values.  Each item is independent and pure, and
+runs on its own with ``reproduce(only=name)``."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from . import reference
 from .genfunc import solve_system, system_det, verify_series
 from .lattice import Vertex
-from .pathcount import table
-from .poly import IntPoly, poly_to_text
-from .spectral import lambda_trig, spectral_report
+from .pathcount import count_paths, table
+from .poly import poly_to_text
+from .spectral import lambda_trig, smallest_positive_root, spectral_report
 from .syt import audit_published_formula, brute_force_count, hook_count, \
     Shape3, unrestricted_count
 
 
-def _check_table1(fault: bool = False) -> dict:
+def _check_table1() -> dict:
     grid = table(8, 27)
     bad = []
     for k, expected in reference.ORIGIN_COUNTS.items():
         got = grid.rows[k]
-        if fault:
-            got = tuple(c + (1 if i == 3 else 0) for i, c in enumerate(got))
         if got != expected:
             bad.append({"k": k, "got": [str(c) for c in got],
                         "expected": [str(c) for c in expected]})
     return {"ok": not bad, "mismatches": bad}
 
 
-def _check_table2(fault: bool = False) -> dict:
+def _check_table2() -> dict:
     bad = []
     for k in range(1, 9):
         det = system_det(k)
-        if fault and k == 5:
-            det = det + IntPoly.monomial(1, 6)
         if det != reference.determinant_poly(k):
             bad.append({"k": k, "got": poly_to_text(det)})
     return {"ok": not bad, "mismatches": bad}
 
 
-def _check_corollary(fault: bool = False) -> dict:
+def _check_corollary() -> dict:
     bad = []
     for k, spec in reference.ORIGIN_GENFUNCS.items():
         got = solve_system(k).solutions[Vertex(0, 0)]
@@ -56,7 +49,7 @@ def _check_corollary(fault: bool = False) -> dict:
     return {"ok": not bad, "mismatches": bad}
 
 
-def _check_series(fault: bool = False) -> dict:
+def _check_series() -> dict:
     bad = []
     for k in range(1, 7):
         for v, n, series, dp in verify_series(k, 24):
@@ -65,21 +58,24 @@ def _check_series(fault: bool = False) -> dict:
     return {"ok": not bad, "mismatches": bad}
 
 
-def _check_qdim(fault: bool = False) -> dict:
+def _check_qdim() -> dict:
     bad = []
     for k in range(1, 9):
         rep = spectral_report(k)
         if rep.agreement_gap >= 1e-6:
             bad.append(rep.to_dict())
-    # exact anchors: level 1 is trivial, level 3 has determinant root 1/2
-    if abs(lambda_trig(1) - 1.0) > 1e-12:
-        bad.append({"k": 1, "reason": "trig anchor"})
-    if system_det(3).sign_at(1, 2) != 0:
-        bad.append({"k": 3, "reason": "determinant does not vanish at 1/2"})
+    # exact anchors: det(M_1) and det(M_3) have smallest roots 1 and 1/2,
+    # so the growth factors at levels 1 and 3 are exactly 1 and 2
+    for k, den in ((1, 1), (3, 2)):
+        det = system_det(k)
+        if det.sign_at(1, den) != 0 or smallest_positive_root(det) != 1 / den:
+            bad.append({"k": k, "reason": f"determinant root is not 1/{den}"})
+        if abs(lambda_trig(k) - den) >= 1e-12:
+            bad.append({"k": k, "reason": "trig anchor"})
     return {"ok": not bad, "mismatches": bad}
 
 
-def _check_hooks(fault: bool = False) -> dict:
+def _check_hooks() -> dict:
     bad = []
     for r1 in range(13):
         for r2 in range(r1 + 1):
@@ -90,19 +86,13 @@ def _check_hooks(fault: bool = False) -> dict:
                 if hook_count(shape) != brute_force_count(shape):
                     bad.append({"shape": list(shape)})
     for n in range(13):
-        for v, count in pathcount_counts(n):
+        for v, count in count_paths(max(n, 1), n).counts.items():
             if unrestricted_count(n, v) != count:
                 bad.append({"n": n, "vertex": [v.i, v.j]})
     return {"ok": not bad, "mismatches": bad}
 
 
-def pathcount_counts(n: int):
-    from .pathcount import count_paths
-    k = max(n, 1)
-    return count_paths(k, n).counts.items()
-
-
-def _check_audit(fault: bool = False) -> dict:
+def _check_audit() -> dict:
     report = audit_published_formula()
     ok = report["origin_all_agree"] and len(report["disagreements"]) >= 1
     return {"ok": ok, "report": report}
@@ -119,16 +109,10 @@ _ITEMS = {
 }
 
 
-def reproduce(only: str | None = None, fault: bool = False) -> dict:
+def reproduce(only: str | None = None) -> dict:
     """Run the golden suite (or a single named item); JSON-ready report."""
     if only is not None and only not in _ITEMS:
         raise ValueError(f"unknown item {only!r}; choose from {sorted(_ITEMS)}")
     names = [only] if only else list(_ITEMS)
-    workers = int(os.environ.get("ANYON_DEG_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda nm: _ITEMS[nm](fault), names))
-    else:
-        results = [_ITEMS[nm](fault) for nm in names]
-    items = [{"name": nm, **res} for nm, res in zip(names, results)]
+    items = [{"name": nm, **_ITEMS[nm]()} for nm in names]
     return {"ok": all(item["ok"] for item in items), "items": items}

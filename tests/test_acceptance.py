@@ -1,29 +1,23 @@
 """Acceptance suite: every headline claim at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-live).  All integer comparisons are exact; float tolerances and runtime
-bounds are pinned in the individual tests.
+live).  All integer comparisons are exact.  Criteria 2, 3, 4, 7 and 8
+run the matching ``reproduce`` item, the one implementation of the golden
+checks; runtime bounds and the remaining tolerances are pinned in the
+individual tests.
 """
 
 import json
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from anyondeg.cli import main as cli_main
-from anyondeg.genfunc import solve_system, system_det, verify_series
-from anyondeg.lattice import Vertex, build_lattice
-from anyondeg.pathcount import count_paths, degeneracy
-from anyondeg.reference import (
-    LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_COUNTS, ORIGIN_GENFUNCS,
-    catalan3d, determinant_degree, determinant_poly, fibonacci,
-    genfunc_rational,
-)
-from anyondeg.spectral import growth_rate_estimate, lambda_trig, \
-    smallest_positive_root, spectral_report
-from anyondeg.syt import Shape3, brute_force_count, hook_count, \
-    unrestricted_count
+from anyondeg.genfunc import solve_system, system_det
+from anyondeg.pathcount import degeneracy
+from anyondeg.reference import ORIGIN_COUNTS, catalan3d, \
+    determinant_degree, fibonacci
+from anyondeg.reproduce import reproduce
+from anyondeg.spectral import growth_rate_estimate, lambda_trig
 
 
 @contextmanager
@@ -41,6 +35,11 @@ def criterion(number, name, budget_seconds=None):
     if budget_seconds is not None:
         assert elapsed < budget_seconds, \
             f"criterion {number} exceeded {budget_seconds}s ({elapsed:.2f}s)"
+
+
+def assert_reproduces(item):
+    report = reproduce(only=item)
+    assert report["ok"], json.dumps(report["items"], indent=2)
 
 
 def run_cli(capsys, *argv):
@@ -65,26 +64,18 @@ def test_criterion_02_determinant_table_reproduction():
     system_det.cache_clear()
     solve_system.cache_clear()
     with criterion(2, "determinants k=1..8", budget_seconds=60.0):
-        for k in range(1, 9):
-            assert system_det(k) == determinant_poly(k), f"k={k}"
+        assert_reproduces("table2")
 
 
 def test_criterion_03_closed_form_generating_functions():
     with criterion(3, "displayed generating functions"):
-        for k, spec in ORIGIN_GENFUNCS.items():
-            assert solve_system(k).solutions[Vertex(0, 0)] \
-                == genfunc_rational(spec), f"origin k={k}"
-        for k, display in ((1, LEVEL1_GENFUNCS), (2, LEVEL2_GENFUNCS)):
-            sol = solve_system(k).solutions
-            for v, spec in display.items():
-                assert sol[v] == genfunc_rational(spec), f"k={k} v={tuple(v)}"
+        assert_reproduces("corollary")
 
 
 def test_criterion_04_series_dp_equivalence():
     solve_system.cache_clear()
     with criterion(4, "series vs DP, k<=6 n<=24", budget_seconds=30.0):
-        for k in range(1, 7):
-            assert verify_series(k, 24) == [], f"k={k}"
+        assert_reproduces("series")
 
 
 def test_criterion_05_fibonacci_identity():
@@ -104,31 +95,12 @@ def test_criterion_06_catalan_diagonal():
 
 def test_criterion_07_hook_length_oracle():
     with criterion(7, "hook lengths vs brute force", budget_seconds=60.0):
-        for r1 in range(13):
-            for r2 in range(r1 + 1):
-                for r3 in range(r2 + 1):
-                    shape = Shape3(r1, r2, r3)
-                    if shape.n <= 12:
-                        assert hook_count(shape) == brute_force_count(shape)
-        for n in range(13):
-            counts = count_paths(max(n, 1), n).counts
-            for v, c in counts.items():
-                assert unrestricted_count(n, v) == c, f"n={n} v={tuple(v)}"
+        assert_reproduces("hooks")
 
 
 def test_criterion_08_quantum_dimension_triple_agreement():
     with criterion(8, "growth factor, three routes", budget_seconds=10.0):
-        for k in range(1, 9):
-            rep = spectral_report(k)
-            assert abs(rep.lambda_trig - rep.lambda_perron) < 1e-6, f"k={k}"
-            assert abs(rep.lambda_trig - rep.lambda_from_root) < 1e-6, f"k={k}"
-        # exact anchors by integer evaluation of the determinants
-        assert system_det(1).sign_at(1, 1) == 0
-        assert smallest_positive_root(system_det(1)) == 1.0
-        assert system_det(3).sign_at(1, 2) == 0
-        assert smallest_positive_root(system_det(3)) == 0.5
-        assert abs(lambda_trig(1) - 1.0) < 1e-12
-        assert abs(lambda_trig(3) - 2.0) < 1e-12
+        assert_reproduces("qdim")
 
 
 def test_criterion_09_determinant_structure_laws():

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
+import anyondeg.cli
+import anyondeg.pathcount
+import anyondeg.reproduce
+import anyondeg.spectral
+import anyondeg.syt
+from anyondeg import reference
 from anyondeg.cli import main
 from anyondeg.reference import ORIGIN_COUNTS
+from anyondeg.reproduce import _ITEMS, reproduce
+from anyondeg.spectral import NonConvergenceError
 
 
 def run(capsys, *argv):
@@ -30,6 +38,11 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--k", "70", "--n", "3",
                            "--cap-k", "70")
         assert code == 0 and out == "1\n"
+
+    def test_prints_more_than_4300_digits(self, capsys):
+        code, out, _ = run(capsys, "count", "--k", "12", "--n", "9999")
+        assert code == 0
+        assert out.strip().isdigit() and len(out.strip()) > 4300
 
 
 class TestTable:
@@ -103,6 +116,18 @@ class TestQdim:
             assert code == 0
             assert float(out) == pytest.approx(1.618033988749895, abs=1e-6)
 
+    def test_numeric_failure_exits_3(self, capsys, monkeypatch):
+        def no_convergence(k, tol):
+            raise NonConvergenceError("power iteration did not converge")
+
+        monkeypatch.setattr(anyondeg.cli, "lambda_perron", no_convergence)
+        code, out, err = run(capsys, "qdim", "--k", "2", "--method", "eig")
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: power iteration did not converge"]
+
+    def test_n_flag_is_gone(self, capsys):
+        assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2
+
 
 class TestSyt:
     def test_vertex_query(self, capsys):
@@ -113,12 +138,44 @@ class TestSyt:
         code, out, _ = run(capsys, "syt", "--shape", "2,2,2", "--oracle")
         assert code == 0 and out == "5\n"
 
+    def test_shape_query_ignores_n_cap(self, capsys):
+        code, out, _ = run(capsys, "syt", "--shape", "2,2,2", "--n", "20000")
+        assert code == 0 and out == "5\n"
+
     def test_formula_audit_mode(self, capsys):
         code, out, _ = run(capsys, "syt", "--n", "27", "--paper-formula")
         obj = json.loads(out)
         assert code == 0
         assert obj["origin_all_agree"]
         assert obj["disagreements"]
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Replace module.name by change(real result, *args)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: change(real(*args, **kw), *args))
+
+
+# One corrupted input per golden check: a reference value it compares
+# against, or one of the routes whose results it compares.
+CORRUPTIONS = {
+    "table1": lambda mp: mp.setitem(
+        reference.ORIGIN_COUNTS, 4, reference.ORIGIN_COUNTS[4][:-1] + (0,)),
+    "table2": lambda mp: mp.setitem(
+        reference.DETERMINANTS, 5, {**reference.DETERMINANTS[5], 6: 192}),
+    "corollary": lambda mp: mp.setitem(
+        reference.ORIGIN_GENFUNCS, 3,
+        ({0: 1, 3: -8, 6: 5, 9: -1}, reference.ORIGIN_GENFUNCS[3][1])),
+    "series": lambda mp: _wrap(mp, anyondeg.pathcount, "origin_history",
+                               lambda h, *args: h[:-1] + [h[-1] + 1]),
+    "qdim": lambda mp: _wrap(mp, anyondeg.spectral, "lambda_perron",
+                             lambda lam, *args: lam + 1e-3),
+    "hooks": lambda mp: _wrap(mp, anyondeg.reproduce, "hook_count",
+                              lambda c, shape: c + (shape == (2, 2, 2))),
+    "audit": lambda mp: _wrap(mp, anyondeg.syt, "hook_count",
+                              lambda c, shape: c + (shape == (3, 3, 3))),
+}
 
 
 class TestReproduce:
@@ -135,11 +192,13 @@ class TestReproduce:
         assert code == 0
         assert [item["name"] for item in obj["items"]] == ["table1"]
 
-    def test_injected_fault_fails(self, capsys):
-        code, out, _ = run(capsys, "reproduce", "--inject-fault",
-                           "--only", "table2")
-        obj = json.loads(out)
-        assert code == 1 and not obj["ok"]
+    @pytest.mark.parametrize("item", list(_ITEMS))
+    def test_corrupted_input_fails(self, capsys, monkeypatch, item):
+        CORRUPTIONS[item](monkeypatch)
+        assert reproduce(only=item)["ok"] is False
+        if item == "table2":
+            code, out, _ = run(capsys, "reproduce", "--only", "table2")
+            assert code == 1 and json.loads(out)["ok"] is False
 
 
 class TestUsageErrors:

@@ -2,12 +2,11 @@ import pytest
 
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice
 from anyondeg.pathcount import (
-    count_paths, counts_by_matrix_power, degeneracy, origin_history, table,
-    total_dimension,
+    count_paths, degeneracy, origin_history, table, total_dimension,
 )
 from anyondeg.reference import ORIGIN_COUNTS, catalan3d, fibonacci
 
-from oracles import dfs_walk_counts
+from oracles import counts_by_matrix_power, dfs_walk_counts
 
 
 class TestCountPaths:
