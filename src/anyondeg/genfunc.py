@@ -1,11 +1,12 @@
-"""Generating functions via the block-tridiagonal polynomial system.
+"""Generating functions via the polynomial linear system M_k x = e_1.
 
 The recurrence on walk counts packs into a linear system M_k x = e_1
 over Z[t], where x stacks the generating functions in canonical vertex
-order and M_k = I - t * A^T (A the adjacency matrix).  The system is
-solved exactly by fraction-free (Bareiss) elimination; the final pivot
-is det(M_k), and Cramer numerators come out of a division-exact back
-substitution.
+order and M_k = I - t * A^T (A the adjacency matrix).  M_k is filled
+straight from the lattice's predecessor rule; in the canonical order it
+is the paper's block-tridiagonal form.  The system is solved exactly
+by fraction-free (Bareiss) elimination; the final pivot is det(M_k),
+and Cramer numerators come out of a division-exact back substitution.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import Vertex, build_lattice
+from .lattice import ORIGIN, Vertex, build_lattice, predecessors
 from .poly import IntPoly, RationalFn
 
 PolyMatrix = list  # list of rows of IntPoly
@@ -27,54 +28,21 @@ def j_matrix(p: int, q: int, s: int) -> list[list[int]]:
             for r in range(1, p + 1)]
 
 
-def _diag_block(m: int) -> list[list[IntPoly]]:
-    """m x m block: identity minus t on the subdiagonal."""
-    one, neg_t = IntPoly.one(), IntPoly.monomial(-1, 1)
-    zero = IntPoly.zero()
-    return [[one if r == c else neg_t if r - c == 1 else zero
-             for c in range(m)] for r in range(m)]
-
-
-def _super_block(m: int) -> list[list[IntPoly]]:
-    """m x (m-1) block: -t on the main band."""
-    neg_t, zero = IntPoly.monomial(-1, 1), IntPoly.zero()
-    return [[neg_t if r == c else zero for c in range(m - 1)] for r in range(m)]
-
-
-def _sub_block(m: int) -> list[list[IntPoly]]:
-    """m x (m+1) block: -t one step right of the diagonal."""
-    neg_t, zero = IntPoly.monomial(-1, 1), IntPoly.zero()
-    return [[neg_t if c - r == 1 else zero for c in range(m + 1)] for r in range(m)]
-
-
 def build_system(k: int) -> PolyMatrix:
-    """System matrix of dimension (k+1)(k+2)/2 in canonical vertex order.
+    """System matrix I - t * A^T of dimension (k+1)(k+2)/2, canonical order.
 
-    Block rows run over i = 0..k with diagonal blocks of sizes
-    k+1, k, ..., 1; the right-hand side of the system is e_1, which
+    Row v holds 1 on the diagonal and -t in the column of every
+    predecessor of v; the right-hand side of the system is e_1, which
     lands on the origin's row (asserted)."""
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
-    sizes = list(range(k + 1, 0, -1))
-    dim = sum(sizes)
-    zero = IntPoly.zero()
-    mat = [[zero] * dim for _ in range(dim)]
-
-    def paste(block, r0, c0):
-        for r, row in enumerate(block):
-            for c, entry in enumerate(row):
-                mat[r0 + r][c0 + c] = entry
-
-    offsets = [0]
-    for m in sizes:
-        offsets.append(offsets[-1] + m)
-    for b, m in enumerate(sizes):
-        paste(_diag_block(m), offsets[b], offsets[b])
-        if b + 1 < len(sizes):
-            paste(_super_block(m), offsets[b], offsets[b + 1])
-            paste(_sub_block(m - 1), offsets[b + 1], offsets[b])
     lat = build_lattice(k)
-    assert lat.index(Vertex(0, 0)) == 0 and mat[0][0] == IntPoly.one()
+    zero, neg_t = IntPoly.zero(), IntPoly.monomial(-1, 1)
+    mat = [[zero] * lat.dim for _ in range(lat.dim)]
+    for v in lat.vertices:
+        r = lat.index(v)
+        mat[r][r] = IntPoly.one()
+        for u in predecessors(v, k):
+            mat[r][lat.index(u)] = neg_t
+    assert lat.index(ORIGIN) == 0 and mat[0][0] == IntPoly.one()
     return mat
 
 

@@ -8,7 +8,6 @@ admissible tableaux.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,22 +77,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return len(self.vertices)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k,
-            "vertices": [[v.i, v.j] for v in self.vertices],
-            "edges": sorted([[a.i, a.j], [b.i, b.j]] for a, b in self.edges),
-        })
-
-    @classmethod
-    def from_json(cls, s: str) -> "Lattice":
-        obj = json.loads(s)
-        return cls(
-            k=obj["k"],
-            vertices=tuple(Vertex(i, j) for i, j in obj["vertices"]),
-            edges=frozenset((Vertex(*a), Vertex(*b)) for a, b in obj["edges"]),
-        )
 
 
 def build_lattice(k: int) -> Lattice:

@@ -4,14 +4,19 @@ Dynamic programming over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
-with out-of-range terms zero.  Everything is a Python int; no floats.
+with out-of-range terms zero.  One sweep over flat count lists in the
+canonical vertex order serves every query.  Everything is a Python int;
+no floats.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .lattice import ORIGIN, Vertex, build_lattice, in_vertex_set, predecessors
+from .lattice import ORIGIN, Lattice, Vertex, build_lattice, in_vertex_set, \
+    predecessors
 
 
 @dataclass(frozen=True)
@@ -26,34 +31,43 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _step(prev: dict[Vertex, int], pred_lists) -> dict[Vertex, int]:
-    return {v: sum(prev[u] for u in preds) for v, preds in pred_lists.items()}
+def _sweep(lat: Lattice, n_max: int) -> Iterator[list[int]]:
+    """Counts after n = 0..n_max steps, as flat lists in canonical order.
 
-
-def _predecessor_lists(k: int) -> dict[Vertex, list[Vertex]]:
-    lat = build_lattice(k)
-    return {v: predecessors(v, k) for v in lat.vertices}
+    A trailing slot that stays 0 stands in for missing predecessors, so
+    every update sums exactly three entries.
+    """
+    if n_max < 0:
+        raise ValueError(f"step count n must be >= 0, got {n_max}")
+    zero = lat.dim  # index of the trailing slot
+    preds = [[lat.index(u) for u in predecessors(v, lat.k)] for v in lat.vertices]
+    preds = [p + [zero] * (3 - len(p)) for p in preds] + [[zero] * 3]
+    counts = [0] * (zero + 1)
+    counts[lat.index(ORIGIN)] = 1
+    yield counts
+    for _ in range(n_max):
+        counts = [counts[a] + counts[b] + counts[c] for a, b, c in preds]
+        yield counts
 
 
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
-    if k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
-    if n < 0:
-        raise ValueError(f"step count n must be >= 0, got {n}")
-    pred_lists = _predecessor_lists(k)
-    counts = {v: 0 for v in pred_lists}
-    counts[ORIGIN] = 1
-    for _ in range(n):
-        counts = _step(counts, pred_lists)
-    return CountTable(k=k, n=n, counts=counts)
+    lat = build_lattice(k)
+    last = deque(_sweep(lat, n), maxlen=1).pop()
+    return CountTable(k=k, n=n, counts=dict(zip(lat.vertices, last)))
 
 
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     """Number of n-step walks from the origin ending at v."""
     v = Vertex(*v)
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
+    if n < 0:
+        raise ValueError(f"step count n must be >= 0, got {n}")
     if not in_vertex_set(v, k):
         raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
+    if (n - 2 * v.i - v.j) % 3:
+        return 0  # every step raises 2i + j by 1 (mod 3)
     return count_paths(k, n).counts[v]
 
 
@@ -64,17 +78,9 @@ def total_dimension(k: int, n: int) -> int:
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep."""
-    v = Vertex(*v)
-    if not in_vertex_set(v, k):
-        raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
-    pred_lists = _predecessor_lists(k)
-    counts = {u: 0 for u in pred_lists}
-    counts[ORIGIN] = 1
-    history = [counts[v]]
-    for _ in range(n_max):
-        counts = _step(counts, pred_lists)
-        history.append(counts[v])
-    return history
+    lat = build_lattice(k)
+    idx = lat.index(Vertex(*v))
+    return [counts[idx] for counts in _sweep(lat, n_max)]
 
 
 @dataclass(frozen=True)

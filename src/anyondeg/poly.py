@@ -8,7 +8,6 @@ positive constant term).  No floating point anywhere in this module.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
@@ -116,16 +115,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shifted(self, power: int) -> "IntPoly":
         """Multiply by t^power."""
@@ -291,10 +280,6 @@ class RationalFn:
     def __repr__(self) -> str:
         return f"RationalFn({poly_to_text(self.num)!r}, {poly_to_text(self.den)!r})"
 
-    def __call__(self, x):
-        return Fraction(self.num(x), self.den(x)) if isinstance(x, (int, Fraction)) \
-            else self.num(x) / self.den(x)
-
     def series_coeffs(self, n_max: int) -> list[Fraction]:
         """First n_max+1 Taylor coefficients at t = 0, exact.
 
@@ -358,9 +343,3 @@ def poly_from_text(s: str) -> IntPoly:
 def poly_to_json(p: IntPoly) -> dict:
     """JSON form with decimal-string coefficients (64-bit-safe consumers)."""
     return {"coeffs": [str(c) for c in p.coeffs]}
-
-
-def poly_from_json(obj) -> IntPoly:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return IntPoly(int(c) for c in obj["coeffs"])

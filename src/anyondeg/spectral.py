@@ -139,16 +139,10 @@ def growth_rate_estimate(k: int, n: int) -> float:
     """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
     from .pathcount import degeneracy
 
+    if n < 3:
+        raise ValueError(f"step count n must be >= 3, got {n}")
     n3 = n - n % 3  # origin counts vanish off multiples of 3
     count = degeneracy(k, n3)
     if count <= 0:
         raise ValueError(f"no walks of length {n3} at level {k}")
-    return 2.0 ** (_log2_bigint(count) / n3)
-
-
-def _log2_bigint(value: int) -> float:
-    # math.log2 handles ints beyond float range since 3.11, but stay portable
-    bits = value.bit_length() - 53
-    if bits <= 0:
-        return math.log2(value)
-    return bits + math.log2(value >> bits)
+    return 2.0 ** (math.log2(count) / n3)

@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's DP / elimination code paths:
 walks are enumerated one at a time by depth-first search, or counted
-by powers of the adjacency matrix.
+by powers of the adjacency matrix; the system matrix is pasted from the
+paper's block display rather than from the lattice's edge rule.
 """
 
 from collections import Counter
 
+from anyondeg.genfunc import j_matrix
 from anyondeg.lattice import ORIGIN, Vertex, adjacency, build_lattice, \
     successors
+from anyondeg.poly import IntPoly
 
 
 def dfs_walk_counts(k: int, n: int) -> Counter:
@@ -36,3 +39,31 @@ def counts_by_matrix_power(k: int, n: int) -> dict[Vertex, int]:
         row = [sum(row[r] * mat[r][c] for r in range(lat.dim) if row[r])
                for c in range(lat.dim)]
     return {v: row[lat.index(v)] for v in lat.vertices}
+
+
+def paper_block_system(k: int) -> list[list[IntPoly]]:
+    """M_k as the paper displays it, in block rows i = 0..k.
+
+    Block row i has size m = k + 1 - i: I - t J(m,m,-1) on the diagonal,
+    -t J(m,m-1,0) to its right and -t J(m-1,m,1) below it.
+    """
+    sizes = range(k + 1, 0, -1)
+    dim = sum(sizes)
+    t = IntPoly.monomial(1, 1)
+    mat = [[IntPoly.one() if r == c else IntPoly.zero() for c in range(dim)]
+           for r in range(dim)]
+
+    def minus_t(block, r0, c0):
+        for r, row in enumerate(block):
+            for c, bit in enumerate(row):
+                if bit:
+                    mat[r0 + r][c0 + c] = mat[r0 + r][c0 + c] - t
+
+    offset = 0
+    for m in sizes:
+        minus_t(j_matrix(m, m, -1), offset, offset)
+        if m > 1:
+            minus_t(j_matrix(m, m - 1, 0), offset, offset + m)
+            minus_t(j_matrix(m - 1, m, 1), offset + m, offset)
+        offset += m
+    return mat

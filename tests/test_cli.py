@@ -44,6 +44,10 @@ class TestCount:
         assert code == 0
         assert out.strip().isdigit() and len(out.strip()) > 4300
 
+    def test_congruence_zero_at_the_caps(self, capsys):
+        code, out, _ = run(capsys, "count", "--k", "64", "--n", "10000")
+        assert code == 0 and out == "0\n"
+
 
 class TestTable:
     def test_csv_matches_reference(self, capsys):

@@ -12,6 +12,8 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
+from oracles import paper_block_system
+
 
 def P(terms):
     return IntPoly.from_terms(terms)
@@ -41,10 +43,12 @@ class TestBuildSystem:
             [zero, neg_t, one],
         ]
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_transfer_form(self, k):
-        # the system is exactly I - t * A^T in the canonical order
+        # the system is exactly the paper's block display and I - t * A^T
+        # in the canonical order
         mat = build_system(k)
+        assert mat == paper_block_system(k)
         adj = adjacency(build_lattice(k))
         n = len(mat)
         for r in range(n):

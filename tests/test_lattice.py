@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    Lattice, ORIGIN, Vertex, adjacency, build_lattice, in_vertex_set,
+    ORIGIN, Vertex, adjacency, build_lattice, in_vertex_set,
     is_edge, successors,
 )
 
@@ -104,13 +104,6 @@ def test_adjacency_row_sums(k):
     mat = adjacency(build_lattice(k))
     assert set(np.unique(mat)) <= {0, 1}
     assert mat.sum(axis=1).max() <= 3
-
-
-def test_json_round_trip():
-    lat = build_lattice(3)
-    again = Lattice.from_json(lat.to_json())
-    assert again == lat
-    assert list(again.vertices) == list(lat.vertices)
 
 
 def test_index_rejects_foreign_vertex():

@@ -1,5 +1,6 @@
 import pytest
 
+import anyondeg.pathcount
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice
 from anyondeg.pathcount import (
     count_paths, degeneracy, origin_history, table, total_dimension,
@@ -53,6 +54,18 @@ class TestDegeneracy:
         with pytest.raises(ValueError):
             degeneracy(2, 3, Vertex(2, 1))
 
+    def test_rejects_bad_level_before_congruence(self):
+        with pytest.raises(ValueError):
+            degeneracy(0, 1)
+
+    def test_congruence_zero_skips_the_dp(self, monkeypatch):
+        def no_dp(k, n):
+            raise AssertionError("the DP ran for a count forced to 0")
+
+        monkeypatch.setattr(anyondeg.pathcount, "count_paths", no_dp)
+        assert degeneracy(64, 10000) == 0
+        assert degeneracy(5, 4, (1, 1)) == 0
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_congruence(self, k):
         for n in range(12):
@@ -71,6 +84,12 @@ class TestDegeneracy:
             k = max(n, 1)
             for v in build_lattice(k).vertices:
                 assert degeneracy(k, n, v) == degeneracy(k + 1, n, v)
+
+
+@pytest.mark.parametrize("route", [count_paths, degeneracy, origin_history])
+def test_rejects_negative_step_count(route):
+    with pytest.raises(ValueError):
+        route(2, -1)
 
 
 class TestSequenceIdentities:

@@ -108,3 +108,8 @@ class TestGrowthRate:
         err600 = abs(growth_rate_estimate(k, 600) - lam) / lam
         assert err600 < err300
         assert err600 < 0.02
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rejects_fewer_than_three_steps(self, n):
+        with pytest.raises(ValueError):
+            growth_rate_estimate(2, n)
