@@ -1,9 +1,10 @@
 """Exact enumeration of level-restricted 3-row tableau walks.
 
 Counts n-step lattice walks with arbitrary-precision integers, derives
-their rational generating functions from a block-tridiagonal polynomial
-system via fraction-free elimination, and cross-validates the growth
-rate (total quantum dimension) three independent ways.
+their rational generating functions from the polynomial system
+M_k x = e_1, reduced to the origin's grade class in s = t^3 and solved
+by fraction-free elimination, and cross-validates the growth rate
+(total quantum dimension) three independent ways.
 """
 
 from .lattice import Lattice, ORIGIN, Vertex, adjacency, build_lattice, is_edge

@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .genfunc import system_det, verify_series
-from .lattice import Vertex
+from .genfunc import solve_system, system_det, verify_series
+from .lattice import Vertex, in_vertex_set
 from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
@@ -24,6 +24,14 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
+# The exact-algebra routes have lower default caps: at each cap a single
+# call took at most about 30 s on a 2-vCPU host with Python 3.11 --
+# system_det(21) 22 s (k=22: 34 s), solve_system(15) 12 s (k=16: 31 s),
+# verify_series(12, 1000) 29 s; verify's cost grows with k and n alike.
+CAP_K_DET = 21  # det, qdim --method root|all
+CAP_K_GENFUNC = 15
+CAP_K_VERIFY = 12
+CAP_N_VERIFY = 1000
 
 
 class UsageError(Exception):
@@ -80,13 +88,12 @@ def _cmd_table(args) -> int:
 def _cmd_genfunc(args) -> int:
     _check_caps(args, k=args.k)
     vertices = [_parse_vertex(args.vertex)] if args.vertex else None
-    from .genfunc import solve_system
-    sol = solve_system(args.k)
-    items = vertices or sorted(sol.solutions)
-    out = []
-    for v in items:
-        if v not in sol.solutions:
+    for v in vertices or ():
+        if not in_vertex_set(v, args.k):
             raise UsageError(f"vertex {tuple(v)} not in the level-{args.k} lattice")
+    sol = solve_system(args.k)
+    out = []
+    for v in vertices or sorted(sol.solutions):
         fn = sol.solutions[v]
         if args.format == "json":
             out.append({"vertex": [v.i, v.j], "num": poly_to_json(fn.num),
@@ -119,6 +126,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
+    if args.cap_k is None:  # root and all compute the determinant
+        args.cap_k = CAP_K_DET if args.method in ("root", "all") \
+            else DEFAULT_CAP_K
     _check_caps(args, k=args.k)
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))
@@ -169,11 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "rates for level-restricted 3-row tableaux.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_caps(p):
-        p.add_argument("--cap-n", type=int, default=DEFAULT_CAP_N,
-                       help="refuse n above this bound")
-        p.add_argument("--cap-k", type=int, default=DEFAULT_CAP_K,
-                       help="refuse k above this bound")
+    def add_caps(p, cap_k=DEFAULT_CAP_K, cap_n=DEFAULT_CAP_N):
+        p.add_argument("--cap-n", type=int, default=cap_n,
+                       help=f"refuse n above this bound (default {cap_n})")
+        k_default = cap_k if cap_k is not None else \
+            f"{DEFAULT_CAP_K}, or {CAP_K_DET} for --method root and all"
+        p.add_argument("--cap-k", type=int, default=cap_k,
+                       help=f"refuse k above this bound (default {k_default})")
 
     p = sub.add_parser("count", help="number of n-step walks to a vertex")
     p.add_argument("--k", type=int, required=True)
@@ -196,18 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_caps(p)
+    add_caps(p, cap_k=CAP_K_GENFUNC)
     p.set_defaults(func=_cmd_genfunc)
 
     p = sub.add_parser("det", help="system determinant polynomial")
     p.add_argument("--k", type=int, required=True)
-    add_caps(p)
+    add_caps(p, cap_k=CAP_K_DET)
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_caps(p)
+    add_caps(p, cap_k=CAP_K_VERIFY, cap_n=CAP_N_VERIFY)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("qdim", help="total quantum dimension")
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("trig", "eig", "root", "all"),
                    default="all")
     p.add_argument("--tol", type=float, default=1e-6)
-    add_caps(p)
+    add_caps(p, cap_k=None)
     p.set_defaults(func=_cmd_qdim)
 
     p = sub.add_parser("syt", help="standard-tableau counts")

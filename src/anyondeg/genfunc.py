@@ -2,11 +2,19 @@
 
 The recurrence on walk counts packs into a linear system M_k x = e_1
 over Z[t], where x stacks the generating functions in canonical vertex
-order and M_k = I - t * A^T (A the adjacency matrix).  M_k is filled
-straight from the lattice's predecessor rule; in the canonical order it
-is the paper's block-tridiagonal form.  The system is solved exactly
-by fraction-free (Bareiss) elimination; the final pivot is det(M_k),
-and Cramer numerators come out of a division-exact back substitution.
+order and M_k = I - t * A^T (A the adjacency matrix).  ``build_system``
+fills M_k straight from the lattice's predecessor rule; in the
+canonical order it is the paper's block-tridiagonal form.
+
+Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic in
+the grade classes C0, C1, C2 and the system is solved on C0 alone:
+(I - s B^T) x_0 = e_0 with s = t^3 and B = A_01 A_12 A_20, about a third
+of the dimension and a third of the degree.  Fraction-free (Bareiss)
+elimination solves it exactly; the final pivot is det(I - s B^T), which
+is det(M_k) at s = t^3, and the Cramer numerators come out of a
+division-exact back substitution.  Then x_1 = t A_01^T x_0 and
+x_2 = t A_12^T x_1, and each function is reduced in s before s = t^3
+is substituted.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ORIGIN, Vertex, build_lattice, predecessors
+from .lattice import ORIGIN, Vertex, build_lattice, grade_classes, \
+    predecessors
 from .poly import IntPoly, RationalFn
 
 PolyMatrix = list  # list of rows of IntPoly
@@ -56,11 +65,13 @@ class GenFnSolution:
 
 
 def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
-    """In-place fraction-free elimination; returns the determinant.
+    """Fraction-free elimination of mat x = rhs, in place.
 
-    Pivots are the leading principal minors; each has constant term 1
-    (the matrix is the identity at t = 0), so no pivoting is needed and
-    every division by the previous pivot is exact.
+    Returns (det, numerators): det(mat) and, when rhs is given, the
+    Cramer numerators N with x = N / det (None otherwise).  Pivots are
+    the leading principal minors; each has constant term 1 (the matrix
+    is the identity at 0), so no pivoting is needed and every division
+    by the previous pivot is exact.
     """
     n = len(mat)
     prev = IntPoly.one()
@@ -78,29 +89,10 @@ def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
     det = mat[n - 1][n - 1]
     if det.is_zero():
         raise ArithmeticError("system matrix is singular")
-    return det
+    assert det[0] == 1, "determinant lost its unit constant term"
+    if rhs is None:
+        return det, None
 
-
-@lru_cache(maxsize=None)
-def system_det(k: int) -> IntPoly:
-    """Determinant of the level-k system matrix, constant term +1."""
-    mat = build_system(k)
-    det = _bareiss(mat, None)
-    if det[0] < 0:
-        det = -det
-    return det
-
-
-@lru_cache(maxsize=None)
-def solve_system(k: int) -> GenFnSolution:
-    """Exact solution of M_k x = e_1: every generating function, reduced."""
-    mat = build_system(k)
-    n = len(mat)
-    rhs = [IntPoly.one()] + [IntPoly.zero()] * (n - 1)
-    det = _bareiss(mat, rhs)
-    sign = 1 if det[0] > 0 else -1
-
-    # Back substitution for the Cramer numerators N with x = N / det:
     # U[i][i] * N_i = rhs_i * det - sum_{j>i} U[i][j] * N_j, all exact.
     numerators: list[IntPoly] = [IntPoly.zero()] * n
     for i in range(n - 1, -1, -1):
@@ -109,16 +101,72 @@ def solve_system(k: int) -> GenFnSolution:
             if mat[i][j] and numerators[j]:
                 acc = acc - mat[i][j] * numerators[j]
         numerators[i] = acc.exact_div(mat[i][i])
+    return det, numerators
 
-    if sign < 0:
-        det = -det
-        numerators = [-p for p in numerators]
+
+def _graded_system(k: int):
+    """The grade classes, their predecessor lists and I - s * B^T on C0.
+
+    pred[g][r] lists the positions in class g - 1 of the predecessors of
+    the r-th vertex of class g.  B^T[v][z] counts the 3-step walks
+    z -> C1 -> C2 -> v between class-0 vertices, so x_0 = e_0 + s B^T x_0
+    with s = t^3; the right-hand side e_0 lands on the origin's row
+    (asserted).
+    """
     lat = build_lattice(k)
-    solutions = {v: RationalFn(numerators[lat.index(v)], det)
-                 for v in lat.vertices}
-    sol0 = solutions[Vertex(0, 0)]
+    classes = grade_classes(lat)
+    pos = {v: r for cls in classes for r, v in enumerate(cls)}
+    pred = [[[pos[u] for u in predecessors(v, k)] for v in cls]
+            for cls in classes]
+    n0 = len(classes[0])
+    walks = [[0] * n0 for _ in range(n0)]
+    for r, us in enumerate(pred[0]):
+        for u in us:
+            for w in pred[2][u]:
+                for z in pred[1][w]:
+                    walks[r][z] += 1
+    mat = [[IntPoly((int(r == c), -walks[r][c])) for c in range(n0)]
+           for r in range(n0)]
+    assert classes[0][0] == ORIGIN and mat[0][0][0] == 1
+    return lat, classes, pred, mat
+
+
+@lru_cache(maxsize=None)
+def system_det(k: int) -> IntPoly:
+    """det(I - t * A^T) at level k, constant term +1.
+
+    Computed as det(I - s * B^T) on the origin's grade class, then
+    s = t^3 (the two agree because A is 3-cyclic in the grade classes).
+    """
+    *_, mat = _graded_system(k)
+    det, _ = _bareiss(mat, None)
+    return det.substitute_power(3)
+
+
+@lru_cache(maxsize=None)
+def solve_system(k: int) -> GenFnSolution:
+    """Exact solution of M_k x = e_1: every generating function, reduced.
+
+    Solves (I - s B^T) x_0 = e_0 on class 0, then x_1 = t A_01^T x_0
+    and x_2 = t A_12^T x_1.  Each class-g function is t^g times a
+    function of s = t^3; it is reduced in s and then substituted, which
+    gives the same lowest terms as reducing in t.
+    """
+    lat, classes, pred, mat = _graded_system(k)
+    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
+    det, numerators = _bareiss(mat, rhs)
+    graded = {}
+    for g, cls in enumerate(classes):
+        if g:  # class-g numerators: sums over the class-(g-1) predecessors
+            numerators = [sum((numerators[u] for u in us), IntPoly.zero())
+                          for us in pred[g]]
+        for v, num in zip(cls, numerators):
+            graded[v] = RationalFn(num, det).substitute_power(3, g)
+    solutions = {v: graded[v] for v in lat.vertices}
+    sol0 = solutions[ORIGIN]
     assert sol0.num[0] == sol0.den[0], "origin series must start at 1"
-    return GenFnSolution(k=k, solutions=solutions, determinant=det)
+    return GenFnSolution(k=k, solutions=solutions,
+                         determinant=det.substitute_power(3))
 
 
 def generating_function(k: int, v: Vertex) -> RationalFn:

@@ -9,6 +9,7 @@ admissible tableaux.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +59,20 @@ def predecessors(v: Vertex, k: int) -> list[Vertex]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Level-k lattice with its canonical vertex order and edge set.
+    """Level-k lattice with its canonical vertex order.
 
     The canonical order lists (0,0),(0,1),...,(0,k),(1,0),...,(k,0);
     vertex (i, j) sits at index i*(2k - i + 3)//2 + j.  Immutable after
-    construction.
+    construction; the edge set is built on first use.
     """
 
     k: int
     vertices: tuple[Vertex, ...]
-    edges: frozenset[tuple[Vertex, Vertex]]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[Vertex, Vertex]]:
+        return frozenset((v, w) for v in self.vertices
+                         for w in successors(v, self.k))
 
     def index(self, v: Vertex) -> int:
         if not in_vertex_set(v, self.k):
@@ -80,13 +85,26 @@ class Lattice:
 
 
 def build_lattice(k: int) -> Lattice:
-    """All (k+1)(k+2)/2 vertices in canonical order, plus the edge set."""
+    """All (k+1)(k+2)/2 vertices in canonical order."""
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     vertices = tuple(Vertex(i, j)
                      for i in range(k + 1) for j in range(k + 1 - i))
-    edges = frozenset((v, w) for v in vertices for w in successors(v, k))
-    return Lattice(k=k, vertices=vertices, edges=edges)
+    return Lattice(k=k, vertices=vertices)
+
+
+def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
+    """The vertices of grade g = (2i + j) mod 3 for g = 0, 1, 2, each in
+    canonical order.
+
+    Every step raises the grade by 1, so every edge runs from class g to
+    class g + 1 (mod 3) and the adjacency matrix is 3-cyclic in these
+    blocks; the origin opens class 0.
+    """
+    classes: tuple[list[Vertex], ...] = ([], [], [])
+    for v in lattice.vertices:
+        classes[(2 * v.i + v.j) % 3].append(v)
+    return tuple(tuple(c) for c in classes)
 
 
 def adjacency(lattice: Lattice) -> np.ndarray:

@@ -122,6 +122,14 @@ class IntPoly:
             return IntPoly()
         return IntPoly((0,) * power + self.coeffs)
 
+    def substitute_power(self, m: int, shift: int = 0) -> "IntPoly":
+        """t^shift * p(t^m) for m >= 1."""
+        if not self.coeffs:
+            return IntPoly()
+        out = [0] * (shift + m * self.degree + 1)
+        out[shift::m] = self.coeffs
+        return IntPoly(out)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -269,6 +277,20 @@ class RationalFn:
             num, den = -num, -den
         self.num = num
         self.den = den
+
+    def substitute_power(self, m: int, shift: int = 0) -> "RationalFn":
+        """t^shift * f(t^m) for m >= 1, in lowest terms with no new gcd.
+
+        gcd commutes with t -> t^m, the contents and the constant terms
+        are unchanged, and t does not divide den(t^m) because den(0) != 0,
+        so the substituted pair is already reduced and normalized.
+        """
+        if self.den[0] == 0:
+            raise ValueError("denominator vanishes at 0")
+        out = RationalFn.__new__(RationalFn)
+        out.num = self.num.substitute_power(m, shift)
+        out.den = self.den.substitute_power(m)
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFn)

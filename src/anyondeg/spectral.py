@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lattice import adjacency, build_lattice
+from .lattice import adjacency, build_lattice, grade_classes
 from .poly import IntPoly
 
 
@@ -41,16 +41,24 @@ def lambda_trig(k: int, N: int = 3) -> float:
 def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
     """Dominant adjacency eigenvalue by power iteration.
 
-    Every cycle length is a multiple of 3, so the raw spectrum carries a
-    period-3 phase; iterating the cubed matrix collapses it and plain
-    power iteration converges.  The cube root of its dominant eigenvalue
-    is returned.
+    Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic
+    in the grade classes and its raw spectrum carries a period-3 phase.
+    The cube of A is block diagonal; its origin block
+    B = A[C0,C1] A[C1,C2] A[C2,C0] has the cube of the dominant
+    eigenvalue as its own, and plain power iteration on B converges.
+    The cube root of that eigenvalue is returned.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mat = adjacency(build_lattice(k)).astype(np.float64)
-    cubed = mat @ mat @ mat
-    vec = np.ones(mat.shape[0])
+    lat = build_lattice(k)
+    adj = adjacency(lat)
+    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in grade_classes(lat))
+
+    def block(rows, cols):
+        return adj[np.ix_(rows, cols)].astype(np.float64)
+
+    cubed = block(c0, c1) @ block(c1, c2) @ block(c2, c0)
+    vec = np.ones(cubed.shape[0])
     vec /= np.linalg.norm(vec)
     mu_prev = math.inf
     for _ in range(max_iter):

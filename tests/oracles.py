@@ -1,17 +1,20 @@
 """Independent brute-force oracles shared by the tests.
 
-These deliberately avoid the library's DP / elimination code paths:
-walks are enumerated one at a time by depth-first search, or counted
-by powers of the adjacency matrix; the system matrix is pasted from the
-paper's block display rather than from the lattice's edge rule.
+These deliberately avoid the library's production code paths: walks
+are enumerated one at a time by depth-first search, or counted by
+powers of the adjacency matrix; the system matrix is pasted from the
+paper's block display rather than from the lattice's edge rule; the
+generating functions come from the shared Bareiss routine on the full
+system in t, without the grade-class reduction; determinants at a
+point are taken mod p by Gaussian elimination on the adjacency matrix.
 """
 
 from collections import Counter
 
-from anyondeg.genfunc import j_matrix
+from anyondeg.genfunc import _bareiss, build_system, j_matrix
 from anyondeg.lattice import ORIGIN, Vertex, adjacency, build_lattice, \
     successors
-from anyondeg.poly import IntPoly
+from anyondeg.poly import IntPoly, RationalFn
 
 
 def dfs_walk_counts(k: int, n: int) -> Counter:
@@ -67,3 +70,38 @@ def paper_block_system(k: int) -> list[list[IntPoly]]:
             minus_t(j_matrix(m - 1, m, 1), offset + m, offset)
         offset += m
     return mat
+
+
+def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
+    """det(M_k) and every generating function, by Bareiss elimination on
+    the full (k+1)(k+2)/2-dimensional system M_k x = e_1 over Z[t]."""
+    mat = build_system(k)
+    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
+    det, numerators = _bareiss(mat, rhs)
+    lat = build_lattice(k)
+    return det, {v: RationalFn(numerators[lat.index(v)], det)
+                 for v in lat.vertices}
+
+
+def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
+    """det(I - t0 * A) mod a prime p, by Gaussian elimination on the
+    adjacency matrix."""
+    adj = adjacency(build_lattice(k)).tolist()
+    n = len(adj)
+    mat = [[((r == c) - t0 * adj[r][c]) % p for c in range(n)]
+           for r in range(n)]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det = det * mat[col][col] % p
+        inv = pow(mat[col][col], -1, p)
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv % p
+            if f:
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
+    return det % p

@@ -8,10 +8,13 @@ import anyondeg.reproduce
 import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
-from anyondeg.cli import main
+from anyondeg.cli import CAP_K_DET, CAP_K_GENFUNC, CAP_K_VERIFY, \
+    CAP_N_VERIFY, DEFAULT_CAP_K, main
+from anyondeg.genfunc import GenFnSolution
+from anyondeg.poly import IntPoly
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import _ITEMS, reproduce
-from anyondeg.spectral import NonConvergenceError
+from anyondeg.spectral import NonConvergenceError, SpectralReport
 
 
 def run(capsys, *argv):
@@ -203,6 +206,56 @@ class TestReproduce:
         if item == "table2":
             code, out, _ = run(capsys, "reproduce", "--only", "table2")
             assert code == 1 and json.loads(out)["ok"] is False
+
+
+# (command with the capped value left open, its default cap, the flag that
+# raises the cap)
+CAP_CORNERS = [
+    ("det --k {}", CAP_K_DET, "--cap-k"),
+    ("qdim --method root --k {}", CAP_K_DET, "--cap-k"),
+    ("qdim --method all --k {}", CAP_K_DET, "--cap-k"),
+    ("genfunc --k {}", CAP_K_GENFUNC, "--cap-k"),
+    ("verify --n 3 --k {}", CAP_K_VERIFY, "--cap-k"),
+    ("verify --k 2 --n {}", CAP_N_VERIFY, "--cap-n"),
+    ("qdim --method eig --k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("qdim --method trig --k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("count --n 3 --k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("table --max-n 3 --max-k {}", DEFAULT_CAP_K, "--cap-k"),
+]
+
+
+class TestCaps:
+    @pytest.fixture
+    def stub_heavy_routes(self, monkeypatch):
+        """Replace the exact-algebra and Perron routes by instant stubs, so
+        a call at the cap runs only the cap check and the printing."""
+        monkeypatch.setattr(anyondeg.cli, "system_det",
+                            lambda k: IntPoly((1, -1)))
+        monkeypatch.setattr(anyondeg.cli, "solve_system",
+                            lambda k: GenFnSolution(k, {}, IntPoly.one()))
+        monkeypatch.setattr(anyondeg.cli, "verify_series", lambda k, n: [])
+        monkeypatch.setattr(anyondeg.cli, "lambda_perron",
+                            lambda k, tol: 1.0)
+        monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k:
+                            SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("command,cap,flag", CAP_CORNERS)
+    def test_cap_corner(self, capsys, stub_heavy_routes, command, cap, flag):
+        assert run(capsys, *command.format(cap).split())[0] == 0
+        over = command.format(cap + 1).split()
+        code, _, err = run(capsys, *over)
+        assert code == 2 and f"={cap + 1} exceeds the cap {cap}" in err
+        assert run(capsys, *over, flag, str(cap + 1))[0] == 0
+
+    def test_genfunc_rejects_foreign_vertex_before_solving(
+            self, capsys, monkeypatch):
+        def no_solve(k):
+            raise AssertionError("solve_system ran")
+
+        monkeypatch.setattr(anyondeg.cli, "solve_system", no_solve)
+        code, out, err = run(capsys, "genfunc", "--k", "2", "--vertex", "3,0")
+        assert code == 2 and out == ""
+        assert "not in the level-2 lattice" in err
 
 
 class TestUsageErrors:

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from anyondeg.genfunc import (
     build_system, generating_function, j_matrix, solve_system, system_det,
     verify_series,
 )
-from anyondeg.lattice import Vertex, adjacency, build_lattice
+from anyondeg.lattice import Vertex, adjacency, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn, poly_gcd
 from anyondeg.reference import (
@@ -12,7 +14,8 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
-from oracles import paper_block_system
+from oracles import full_system_solution, paper_block_system, \
+    transfer_det_mod_p
 
 
 def P(terms):
@@ -135,13 +138,33 @@ class TestDeterminant:
     def test_reference_polynomials(self, k):
         assert system_det(k) == determinant_poly(k)
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_structure_laws(self, k):
+        # B = A_01 A_12 A_20 has rank at most min |C_g|, and the degree in
+        # s = t^3 reaches it; the smallest class is C1 (not C0: at k = 3,
+        # |C0| = 4 while the degree is 9)
         det = system_det(k)
+        sizes = [len(c) for c in grade_classes(build_lattice(k))]
+        assert det.degree == 3 * min(sizes) == 3 * sizes[1]
         assert det.degree == determinant_degree(k)
         assert det[0] == 1
         assert det[3] == -k * k
         assert all(c == 0 for e, c in enumerate(det.coeffs) if e % 3)
+
+
+class TestGradedReduction:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_full_system(self, k):
+        det, solutions = full_system_solution(k)
+        sol = solve_system(k)
+        assert system_det(k) == sol.determinant == det
+        assert list(sol.solutions.items()) == list(solutions.items())
+
+    @pytest.mark.parametrize("k", range(9, 15))
+    def test_determinant_mod_p(self, k):
+        p = 2 ** 61 - 1
+        t0 = random.Random(k).randrange(2, p)
+        assert system_det(k)(t0) % p == transfer_det_mod_p(k, t0, p)
 
 
 class TestSeriesConsistency:

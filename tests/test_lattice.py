@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    ORIGIN, Vertex, adjacency, build_lattice, in_vertex_set,
-    is_edge, successors,
+    ORIGIN, Vertex, adjacency, build_lattice, grade_classes, in_vertex_set,
+    is_edge, predecessors, successors,
 )
 
 
@@ -91,6 +91,26 @@ def test_strongly_connected(k):
 def test_step_grading_mod_3(k):
     for a, b in build_lattice(k).edges:
         assert (2 * b.i + b.j - 2 * a.i - a.j) % 3 == 1
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_grade_classes(k):
+    lat = build_lattice(k)
+    classes = grade_classes(lat)
+    assert classes[0][0] == ORIGIN
+    assert sorted(v for c in classes for v in c) == list(lat.vertices)
+    for g, cls in enumerate(classes):
+        assert list(cls) == sorted(cls, key=lat.index)
+        for v in cls:
+            assert all(u in classes[g - 1] for u in predecessors(v, k))
+
+
+def test_edges_built_on_first_use():
+    lat = build_lattice(2)
+    assert "edges" not in vars(lat)
+    assert lat.edges == {(v, w) for v in lat.vertices for w in successors(v, 2)}
+    assert "edges" in vars(lat)
+    assert lat == build_lattice(2)
 
 
 def test_adjacency_k1():

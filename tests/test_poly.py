@@ -106,6 +106,21 @@ class TestRationalFn:
         scaled = RationalFn(num * g, den * g).series_coeffs(8)
         assert base == scaled
 
+    @given(small_polys, nonzero_polys.filter(lambda p: p[0] != 0),
+           st.integers(1, 4), st.integers(0, 3))
+    def test_substitute_power_stays_reduced(self, num, den, m, shift):
+        # t^shift * f(t^m) needs no second gcd: it equals the pair
+        # substituted first and reduced afterwards
+        got = RationalFn(num, den).substitute_power(m, shift)
+        assert got == RationalFn(num.substitute_power(m, shift),
+                                 den.substitute_power(m))
+
+    def test_substitute_power_values(self):
+        assert P(1, -2, 3).substitute_power(3, 2) == P(0, 0, 1, 0, 0, -2, 0, 0, 3)
+        assert IntPoly.zero().substitute_power(3, 1) == IntPoly.zero()
+        with pytest.raises(ValueError):
+            RationalFn(P(1), P(0, 1)).substitute_power(3)
+
 
 class TestSeries:
     def test_simple_period_three(self):

@@ -42,7 +42,7 @@ class TestPerron:
     def test_permutation_matrix(self):
         assert lambda_perron(1) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
     def test_matches_trig(self, k):
         assert lambda_perron(k) == pytest.approx(lambda_trig(k), abs=1e-9)
 
