@@ -32,6 +32,9 @@ CAP_K_DET = 21  # det, qdim --method root|all
 CAP_K_GENFUNC = 15
 CAP_K_VERIFY = 12
 CAP_N_VERIFY = 1000
+# qdim's tolerance when --tol is not given: --method all keeps the
+# spectral report's own, the single methods a looser one.
+DEFAULT_TOL = {"all": 1e-12, "eig": 1e-6, "root": 1e-6}
 
 
 class UsageError(Exception):
@@ -130,15 +133,18 @@ def _cmd_qdim(args) -> int:
         args.cap_k = CAP_K_DET if args.method in ("root", "all") \
             else DEFAULT_CAP_K
     _check_caps(args, k=args.k)
+    if args.tol is not None and not args.tol > 0:  # before the determinant
+        raise UsageError(f"--tol must be positive, got {args.tol}")
+    tol = DEFAULT_TOL.get(args.method) if args.tol is None else args.tol
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))
     elif args.method == "eig":
-        print(repr(lambda_perron(args.k, tol=args.tol)))
+        print(repr(lambda_perron(args.k, tol=tol)))
     elif args.method == "root":
         print(repr(1.0 / smallest_positive_root(system_det(args.k),
-                                                tol=args.tol)))
+                                                tol=tol)))
     else:
-        print(json.dumps(spectral_report(args.k).to_dict()))
+        print(json.dumps(spectral_report(args.k, tol=tol).to_dict()))
     return 0
 
 
@@ -226,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("trig", "eig", "root", "all"),
                    default="all")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None,
+                   help="convergence tolerance (default 1e-6, or 1e-12 "
+                        "for --method all)")
     add_caps(p, cap_k=None)
     p.set_defaults(func=_cmd_qdim)
 

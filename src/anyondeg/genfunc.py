@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import ORIGIN, Vertex, build_lattice, grade_classes, \
+from .lattice import ORIGIN, Vertex, build_lattice, graded_walks, \
     predecessors
 from .poly import IntPoly, RationalFn
 
@@ -107,26 +107,16 @@ def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
 def _graded_system(k: int):
     """The grade classes, their predecessor lists and I - s * B^T on C0.
 
-    pred[g][r] lists the positions in class g - 1 of the predecessors of
-    the r-th vertex of class g.  B^T[v][z] counts the 3-step walks
-    z -> C1 -> C2 -> v between class-0 vertices, so x_0 = e_0 + s B^T x_0
+    Row r of B^T counts the 3-step walks z -> C1 -> C2 -> r between
+    class-0 vertices (``lattice.graded_walks``), so x_0 = e_0 + s B^T x_0
     with s = t^3; the right-hand side e_0 lands on the origin's row
     (asserted).
     """
     lat = build_lattice(k)
-    classes = grade_classes(lat)
-    pos = {v: r for cls in classes for r, v in enumerate(cls)}
-    pred = [[[pos[u] for u in predecessors(v, k)] for v in cls]
-            for cls in classes]
+    classes, pred, walks = graded_walks(lat)
     n0 = len(classes[0])
-    walks = [[0] * n0 for _ in range(n0)]
-    for r, us in enumerate(pred[0]):
-        for u in us:
-            for w in pred[2][u]:
-                for z in pred[1][w]:
-                    walks[r][z] += 1
-    mat = [[IntPoly((int(r == c), -walks[r][c])) for c in range(n0)]
-           for r in range(n0)]
+    mat = [[IntPoly((int(r == c), -row.get(c, 0))) for c in range(n0)]
+           for r, row in enumerate(walks)]
     assert classes[0][0] == ORIGIN and mat[0][0][0] == 1
     return lat, classes, pred, mat
 

@@ -1,9 +1,11 @@
-"""The restricted overhang lattice: vertices, edge rules, adjacency matrix.
+"""The restricted overhang lattice: vertices, edge rules, grade classes.
 
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
-admissible tableaux.
+admissible tableaux.  Pure Python: the walk counts between grade
+classes come from the predecessor lists, and no dense adjacency matrix
+is built.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 
 class Vertex(NamedTuple):
@@ -107,10 +107,26 @@ def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def adjacency(lattice: Lattice) -> np.ndarray:
-    """0/1 adjacency matrix in the canonical vertex order (row -> column)."""
-    n = lattice.dim
-    mat = np.zeros((n, n), dtype=np.int64)
-    for v, w in lattice.edges:
-        mat[lattice.index(v), lattice.index(w)] = 1
-    return mat
+def graded_walks(lattice: Lattice):
+    """The grade classes, their predecessor lists and the 3-step walk
+    counts between class-0 vertices.
+
+    pred[g][r] lists the positions in class g - 1 of the predecessors of
+    the r-th vertex of class g.  walks[r] maps the position z of each
+    class-0 vertex to the number of 3-step walks z -> C1 -> C2 -> r, so
+    walks[r][z] is the entry B[z, r] of the origin block
+    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0).
+    """
+    classes = grade_classes(lattice)
+    pos = {v: r for cls in classes for r, v in enumerate(cls)}
+    pred = [[[pos[u] for u in predecessors(v, lattice.k)] for v in cls]
+            for cls in classes]
+    walks = []
+    for us in pred[0]:
+        row: dict[int, int] = {}
+        for u in us:
+            for w in pred[2][u]:
+                for z in pred[1][w]:
+                    row[z] = row.get(z, 0) + 1
+        walks.append(row)
+    return classes, pred, walks

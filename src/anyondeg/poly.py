@@ -302,21 +302,24 @@ class RationalFn:
     def __repr__(self) -> str:
         return f"RationalFn({poly_to_text(self.num)!r}, {poly_to_text(self.den)!r})"
 
-    def series_coeffs(self, n_max: int) -> list[Fraction]:
+    def series_coeffs(self, n_max: int) -> list[int] | list[Fraction]:
         """First n_max+1 Taylor coefficients at t = 0, exact.
 
         Uses the linear recurrence induced by the denominator:
         den0 * c_n = num_n - sum_{m>=1} den_m * c_{n-m}.
+        When den0 is +1 or -1 every c_n is an integer and the recurrence
+        runs on ints (the list holds ints); otherwise on Fractions.
         """
         den0 = self.den[0]
         if den0 == 0:
             raise ValueError("singular at the origin (denominator vanishes at 0)")
-        coeffs: list[Fraction] = []
+        unit = den0 in (1, -1)  # then c_n = den0 * (...) is an int
+        terms = [(m, d) for m, d in enumerate(self.den.coeffs) if m and d]
+        coeffs: list = []
         for n in range(n_max + 1):
-            acc = Fraction(self.num[n])
-            for m in range(1, min(n, self.den.degree) + 1):
-                acc -= self.den[m] * coeffs[n - m]
-            coeffs.append(acc / den0)
+            acc = self.num[n] - sum(d * coeffs[n - m] for m, d in terms
+                                    if m <= n)
+            coeffs.append(acc * den0 if unit else Fraction(acc) / den0)
         return coeffs
 
 

@@ -7,7 +7,9 @@ The asymptotic growth factor (the total quantum dimension) is
   * the reciprocal of the smallest positive root of the system
     determinant.
 
-This is the only module that touches floating point.
+This is the only module that touches floating point.  Only the Perron
+route needs numpy, so it is imported inside ``lambda_perron`` alone: a
+process that never asks for the eigenvalue never loads it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .lattice import adjacency, build_lattice, grade_classes
+from .lattice import build_lattice, graded_walks
 from .poly import IntPoly
 
 
@@ -46,18 +46,19 @@ def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
     The cube of A is block diagonal; its origin block
     B = A[C0,C1] A[C1,C2] A[C2,C0] has the cube of the dominant
     eigenvalue as its own, and plain power iteration on B converges.
-    The cube root of that eigenvalue is returned.
+    The cube root of that eigenvalue is returned.  B is filled straight
+    from the 3-step walk counts between class-0 vertices, without the
+    dense N x N matrix A.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    lat = build_lattice(k)
-    adj = adjacency(lat)
-    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in grade_classes(lat))
+    import numpy as np
 
-    def block(rows, cols):
-        return adj[np.ix_(rows, cols)].astype(np.float64)
-
-    cubed = block(c0, c1) @ block(c1, c2) @ block(c2, c0)
+    *_, walks = graded_walks(build_lattice(k))
+    cubed = np.zeros((len(walks), len(walks)))
+    for r, row in enumerate(walks):
+        for z, count in row.items():
+            cubed[z, r] = count
     vec = np.ones(cubed.shape[0])
     vec /= np.linalg.norm(vec)
     mu_prev = math.inf
@@ -80,6 +81,8 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12,
     Signs are evaluated with integer arithmetic at rational points, so a
     bracket is never produced by rounding error.  Requires p(0) > 0.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if p.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
     steps = int(math.ceil(search_limit * grid))

@@ -2,19 +2,33 @@
 
 These deliberately avoid the library's production code paths: walks
 are enumerated one at a time by depth-first search, or counted by
-powers of the adjacency matrix; the system matrix is pasted from the
-paper's block display rather than from the lattice's edge rule; the
-generating functions come from the shared Bareiss routine on the full
-system in t, without the grade-class reduction; determinants at a
-point are taken mod p by Gaussian elimination on the adjacency matrix.
+powers of the dense adjacency matrix built here from the edge set; the
+system matrix is pasted from the paper's block display rather than from
+the lattice's edge rule; the generating functions come from the shared
+Bareiss routine on the full system in t, without the grade-class
+reduction; determinants at a point are taken mod p by Gaussian
+elimination on the adjacency matrix; the Perron block is sliced out of
+the adjacency matrix rather than counted from predecessor lists.
 """
 
+import math
 from collections import Counter
 
+import numpy as np
+
 from anyondeg.genfunc import _bareiss, build_system, j_matrix
-from anyondeg.lattice import ORIGIN, Vertex, adjacency, build_lattice, \
-    successors
+from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
+    grade_classes, successors
 from anyondeg.poly import IntPoly, RationalFn
+
+
+def adjacency(lattice: Lattice) -> np.ndarray:
+    """0/1 adjacency matrix in the canonical vertex order (row -> column)."""
+    n = lattice.dim
+    mat = np.zeros((n, n), dtype=np.int64)
+    for v, w in lattice.edges:
+        mat[lattice.index(v), lattice.index(w)] = 1
+    return mat
 
 
 def dfs_walk_counts(k: int, n: int) -> Counter:
@@ -105,3 +119,34 @@ def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
             if f:
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
     return det % p
+
+
+def dense_perron_block(k: int) -> np.ndarray:
+    """B = A[C0,C1] @ A[C1,C2] @ A[C2,C0], sliced out of the dense
+    adjacency matrix and multiplied in float64."""
+    lat = build_lattice(k)
+    adj = adjacency(lat)
+    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in grade_classes(lat))
+
+    def block(rows, cols):
+        return adj[np.ix_(rows, cols)].astype(np.float64)
+
+    return block(c0, c1) @ block(c1, c2) @ block(c2, c0)
+
+
+def dense_lambda_perron(k: int, tol: float = 1e-12,
+                        max_iter: int = 100_000) -> float:
+    """Power iteration on ``dense_perron_block(k)``; the cube root of its
+    dominant eigenvalue."""
+    cubed = dense_perron_block(k)
+    vec = np.ones(cubed.shape[0])
+    vec /= np.linalg.norm(vec)
+    mu_prev = math.inf
+    for _ in range(max_iter):
+        nxt = cubed @ vec
+        mu = float(vec @ nxt)
+        vec = nxt / np.linalg.norm(nxt)
+        if abs(mu - mu_prev) < tol:
+            return mu ** (1.0 / 3.0)
+        mu_prev = mu
+    raise RuntimeError(f"power iteration did not converge (k={k})")

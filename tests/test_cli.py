@@ -135,6 +135,24 @@ class TestQdim:
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2
 
+    def test_all_method_honours_tol(self, capsys):
+        default = run(capsys, "qdim", "--k", "5")
+        assert run(capsys, "qdim", "--k", "5", "--tol", "1e-12") == default
+        coarse = run(capsys, "qdim", "--k", "5", "--tol", "0.1")
+        assert coarse[0] == 0 and coarse[1] != default[1]
+
+    @pytest.mark.parametrize("method,tol", [
+        (method, tol) for method in ("eig", "root", "all")
+        for tol in ("0", "-1e-6", "nan")])
+    def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
+        def no_det(k):
+            raise AssertionError("system_det ran")
+
+        monkeypatch.setattr(anyondeg.cli, "system_det", no_det)
+        code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
+                             "--tol", tol)
+        assert code == 2 and out == "" and "tol" in err
+
 
 class TestSyt:
     def test_vertex_query(self, capsys):
@@ -236,7 +254,7 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.cli, "verify_series", lambda k, n: [])
         monkeypatch.setattr(anyondeg.cli, "lambda_perron",
                             lambda k, tol: 1.0)
-        monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k:
+        monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k, tol:
                             SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0))
 
     @pytest.mark.parametrize("command,cap,flag", CAP_CORNERS)

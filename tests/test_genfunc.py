@@ -6,7 +6,7 @@ from anyondeg.genfunc import (
     build_system, generating_function, j_matrix, solve_system, system_det,
     verify_series,
 )
-from anyondeg.lattice import Vertex, adjacency, build_lattice, grade_classes
+from anyondeg.lattice import Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn, poly_gcd
 from anyondeg.reference import (
@@ -14,7 +14,7 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
-from oracles import full_system_solution, paper_block_system, \
+from oracles import adjacency, full_system_solution, paper_block_system, \
     transfer_det_mod_p
 
 

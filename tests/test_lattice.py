@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    ORIGIN, Vertex, adjacency, build_lattice, grade_classes, in_vertex_set,
-    is_edge, predecessors, successors,
+    ORIGIN, Vertex, build_lattice, grade_classes, graded_walks,
+    in_vertex_set, is_edge, predecessors, successors,
 )
+
+from oracles import adjacency
 
 
 def test_is_edge_examples():
@@ -103,6 +105,18 @@ def test_grade_classes(k):
         assert list(cls) == sorted(cls, key=lat.index)
         for v in cls:
             assert all(u in classes[g - 1] for u in predecessors(v, k))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_graded_predecessor_positions(k):
+    # pred[g][r] points at the predecessors of the r-th class-g vertex
+    # (the walk counts are checked against the dense block in test_spectral)
+    lat = build_lattice(k)
+    classes, pred, _ = graded_walks(lat)
+    assert classes == grade_classes(lat)
+    for g, cls in enumerate(classes):
+        for v, us in zip(cls, pred[g]):
+            assert [classes[g - 1][u] for u in us] == predecessors(v, k)
 
 
 def test_edges_built_on_first_use():

@@ -12,6 +12,17 @@ def P(*coeffs):
     return IntPoly(coeffs)
 
 
+def fraction_series(fn, n_max):
+    """The Taylor recurrence run wholly in Fraction arithmetic."""
+    coeffs = []
+    for n in range(n_max + 1):
+        acc = Fraction(fn.num[n])
+        for m in range(1, min(n, fn.den.degree) + 1):
+            acc -= fn.den[m] * coeffs[n - m]
+        coeffs.append(acc / fn.den[0])
+    return coeffs
+
+
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = small_polys.filter(bool)
 
@@ -146,6 +157,18 @@ class TestSeries:
     def test_singular_at_origin_rejected(self):
         with pytest.raises(ValueError):
             RationalFn(P(1), P(0, 1)).series_coeffs(3)
+
+    @given(small_polys, small_polys)
+    def test_unit_constant_term_runs_on_ints(self, num, tail):
+        fn = RationalFn(num, IntPoly.one() + tail.shifted(1))
+        coeffs = fn.series_coeffs(12)
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == fraction_series(fn, 12)
+
+    @given(small_polys, nonzero_polys.filter(lambda p: abs(p[0]) > 1))
+    def test_other_constant_terms_match_fractions(self, num, den):
+        fn = RationalFn(num, den)
+        assert fn.series_coeffs(12) == fraction_series(fn, 12)
 
 
 class TestSerialization:

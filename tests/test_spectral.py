@@ -3,11 +3,14 @@ import math
 import pytest
 
 from anyondeg.genfunc import system_det
+from anyondeg.lattice import build_lattice, graded_walks
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
     NoRootError, growth_rate_estimate, lambda_perron, lambda_trig,
     smallest_positive_root, spectral_report,
 )
+
+from oracles import dense_lambda_perron, dense_perron_block
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -46,6 +49,23 @@ class TestPerron:
     def test_matches_trig(self, k):
         assert lambda_perron(k) == pytest.approx(lambda_trig(k), abs=1e-9)
 
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_walk_counts_are_the_dense_block(self, k):
+        # the entries B[z, r] = walks[r][z] that lambda_perron fills in,
+        # against B sliced out of the dense adjacency matrix and multiplied
+        *_, walks = graded_walks(build_lattice(k))
+        block = [[row.get(z, 0) for row in walks] for z in range(len(walks))]
+        assert block == dense_perron_block(k).tolist()
+
+    @pytest.mark.parametrize("k", [*range(1, 31), 48, 64])
+    def test_bit_identical_to_dense_route(self, k):
+        assert lambda_perron(k) == dense_lambda_perron(k)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError):
+            lambda_perron(2, tol=tol)
+
 
 class TestRootFinding:
     def test_exact_root_at_one(self):
@@ -69,6 +89,11 @@ class TestRootFinding:
     def test_requires_positive_at_zero(self):
         with pytest.raises(ValueError):
             smallest_positive_root(IntPoly.from_terms({0: -1, 1: 1}))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError):
+            smallest_positive_root(IntPoly.from_terms({0: 1, 3: -1}), tol=tol)
 
 
 class TestReport:

@@ -1,0 +1,55 @@
+"""numpy loads only on the Perron route.
+
+Each case runs in a fresh interpreter, so what earlier tests imported
+into this process does not count.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_RUN_MAIN = """
+import contextlib, io
+from anyondeg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+assert code == 0, code
+"""
+
+
+def numpy_loaded(body: str) -> bool:
+    """Run body in a fresh interpreter; whether numpy is loaded after it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = body + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["anyondeg", "anyondeg.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    assert not numpy_loaded(f"import {module}")
+
+
+@pytest.mark.parametrize("argv", [
+    "count --k 4 --n 12",
+    "det --k 4",
+    "verify --k 3 --n 12",
+    "syt --shape 2,2,2 --oracle",
+    "table --max-k 3 --max-n 9",
+    "reproduce --only table2",
+])
+def test_exact_subcommands_leave_numpy_unloaded(argv):
+    assert not numpy_loaded(_RUN_MAIN.format(argv=argv.split()))
+
+
+def test_perron_route_loads_numpy():
+    assert numpy_loaded(_RUN_MAIN.format(argv=["qdim", "--k", "3"]))
