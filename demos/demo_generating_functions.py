@@ -1,9 +1,8 @@
 """Exact rational generating functions from the polynomial linear system.
 
 The walk recurrence packs into M_k x = e_1 over Z[t] with
-M_k = I - t A^T; fraction-free elimination solves it exactly and the
-final pivot is det(M_k), the common denominator of every generating
-function.
+M_k = I - t A^T; it is solved exactly, and det(M_k) is the common
+denominator of every generating function.
 """
 
 from anyondeg import (

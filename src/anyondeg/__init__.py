@@ -3,7 +3,8 @@
 Counts n-step lattice walks with arbitrary-precision integers, derives
 their rational generating functions from the polynomial system
 M_k x = e_1, reduced to the origin's grade class in s = t^3 and solved
-by fraction-free elimination, and cross-validates the growth rate
+from the integer powers of its 3-step walk matrix (traces and Newton's
+identities), and cross-validates the growth rate
 (total quantum dimension) three independent ways.
 """
 

@@ -9,10 +9,11 @@ canonical order it is the paper's block-tridiagonal form.
 Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic in
 the grade classes C0, C1, C2 and the system is solved on C0 alone:
 (I - s B^T) x_0 = e_0 with s = t^3 and B = A_01 A_12 A_20, about a third
-of the dimension and a third of the degree.  Fraction-free (Bareiss)
-elimination solves it exactly; the final pivot is det(I - s B^T), which
-is det(M_k) at s = t^3, and the Cramer numerators come out of a
-division-exact back substitution.  Then x_1 = t A_01^T x_0 and
+of the dimension and a third of the degree.  No elimination runs: the
+integer powers B^m, m <= |C0|, give det(I - s B^T) (which is det(M_k)
+at s = t^3) from their traces by Newton's identities, and the series
+x_0 from their origin rows; the Cramer numerators are det(I - s B^T)
+times that series, truncated below s^|C0|.  Then x_1 = t A_01^T x_0 and
 x_2 = t A_12^T x_1, and each function is reduced in s before s = t^3
 is substituted.
 """
@@ -64,61 +65,49 @@ class GenFnSolution:
     determinant: IntPoly
 
 
-def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
-    """Fraction-free elimination of mat x = rhs, in place.
+def _solve_class0(walks: list[dict[int, int]]
+                  ) -> tuple[IntPoly, list[IntPoly]]:
+    """det(I - s B^T) and the Cramer numerators of (I - s B^T) x = e_0.
 
-    Returns (det, numerators): det(mat) and, when rhs is given, the
-    Cramer numerators N with x = N / det (None otherwise).  Pivots are
-    the leading principal minors; each has constant term 1 (the matrix
-    is the identity at 0), so no pivoting is needed and every division
-    by the previous pivot is exact.
+    B[z, r] = walks[r][z] (absent keys are 0), n0 = len(walks).  The
+    integer powers B^m for m <= n0 give everything:
+
+    * the power sums p_m = tr(B^m) give the coefficients of
+      D(s) = det(I - s B^T) by Newton's identities,
+      m c_m = -sum_{i=1..m} c_{m-i} p_i, each division exact;
+    * entry v of row 0 of B^m, the number of 3m-step walks from the
+      origin to v, is the s^m coefficient of the series F_v of x_0;
+    * the numerators are N_v = (D F_v) mod s^n0.  Each N_v is a minor of
+      size n0 - 1 with entries of degree <= 1, so the s^n0 coefficient
+      of D F_v must vanish, and the truncation is exact.
+
+    Both self-checks raise ArithmeticError.
     """
-    n = len(mat)
-    prev = IntPoly.one()
-    for p in range(n - 1):
-        piv = mat[p][p]
-        assert piv[0] == 1, "pivot lost its unit constant term"
-        for r in range(p + 1, n):
-            factor = mat[r][p]
-            for c in range(p + 1, n):
-                mat[r][c] = (piv * mat[r][c] - factor * mat[p][c]).exact_div(prev)
-            if rhs is not None:
-                rhs[r] = (piv * rhs[r] - factor * rhs[p]).exact_div(prev)
-            mat[r][p] = IntPoly.zero()
-        prev = piv
-    det = mat[n - 1][n - 1]
-    if det.is_zero():
-        raise ArithmeticError("system matrix is singular")
-    assert det[0] == 1, "determinant lost its unit constant term"
-    if rhs is None:
-        return det, None
-
-    # U[i][i] * N_i = rhs_i * det - sum_{j>i} U[i][j] * N_j, all exact.
-    numerators: list[IntPoly] = [IntPoly.zero()] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i] * det
-        for j in range(i + 1, n):
-            if mat[i][j] and numerators[j]:
-                acc = acc - mat[i][j] * numerators[j]
-        numerators[i] = acc.exact_div(mat[i][i])
-    return det, numerators
-
-
-def _graded_system(k: int):
-    """The grade classes, their predecessor lists and I - s * B^T on C0.
-
-    Row r of B^T counts the 3-step walks z -> C1 -> C2 -> r between
-    class-0 vertices (``lattice.graded_walks``), so x_0 = e_0 + s B^T x_0
-    with s = t^3; the right-hand side e_0 lands on the origin's row
-    (asserted).
-    """
-    lat = build_lattice(k)
-    classes, pred, walks = graded_walks(lat)
-    n0 = len(classes[0])
-    mat = [[IntPoly((int(r == c), -row.get(c, 0))) for c in range(n0)]
-           for r, row in enumerate(walks)]
-    assert classes[0][0] == ORIGIN and mat[0][0][0] == 1
-    return lat, classes, pred, mat
+    n0 = len(walks)
+    cols = [list(row.items()) for row in walks]
+    power = [[int(r == c) for c in range(n0)] for r in range(n0)]
+    sums, rows = [], [power[0]]  # rows[m] is row 0 of B^m
+    for _ in range(n0):
+        power = [[sum(row[z] * c for z, c in col) for col in cols]
+                 for row in power]
+        sums.append(sum(power[r][r] for r in range(n0)))
+        rows.append(power[0])
+    coeffs = [1]
+    for m in range(1, n0 + 1):
+        c, rem = divmod(-sum(coeffs[m - i] * sums[i - 1]
+                             for i in range(1, m + 1)), m)
+        if rem:
+            raise ArithmeticError(f"Newton identity not exact at s^{m}")
+        coeffs.append(c)
+    numerators = []
+    for v in range(n0):
+        prod = [sum(coeffs[i] * rows[m - i][v] for i in range(m + 1))
+                for m in range(n0 + 1)]
+        if prod[n0]:
+            raise ArithmeticError(
+                f"numerator {v} has a nonzero s^{n0} coefficient")
+        numerators.append(IntPoly(prod[:n0]))
+    return IntPoly(coeffs), numerators
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +117,8 @@ def system_det(k: int) -> IntPoly:
     Computed as det(I - s * B^T) on the origin's grade class, then
     s = t^3 (the two agree because A is 3-cyclic in the grade classes).
     """
-    *_, mat = _graded_system(k)
-    det, _ = _bareiss(mat, None)
+    *_, walks = graded_walks(build_lattice(k))
+    det, _ = _solve_class0(walks)
     return det.substitute_power(3)
 
 
@@ -142,9 +131,9 @@ def solve_system(k: int) -> GenFnSolution:
     function of s = t^3; it is reduced in s and then substituted, which
     gives the same lowest terms as reducing in t.
     """
-    lat, classes, pred, mat = _graded_system(k)
-    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
-    det, numerators = _bareiss(mat, rhs)
+    lat = build_lattice(k)
+    classes, pred, walks = graded_walks(lat)
+    det, numerators = _solve_class0(walks)
     graded = {}
     for g, cls in enumerate(classes):
         if g:  # class-g numerators: sums over the class-(g-1) predecessors

@@ -21,6 +21,12 @@ from .lattice import build_lattice, graded_walks
 from .poly import IntPoly
 
 
+# smallest_positive_root scans (0, SEARCH_LIMIT] in steps of 1/GRID for
+# the first sign change.
+SEARCH_LIMIT = 1.5
+GRID = 1024
+
+
 class NonConvergenceError(RuntimeError):
     pass
 
@@ -73,9 +79,7 @@ def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
         f"power iteration did not converge in {max_iter} steps (k={k})")
 
 
-def smallest_positive_root(p: IntPoly, tol: float = 1e-12,
-                           search_limit: float = 1.5,
-                           grid: int = 1024) -> float:
+def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     """Smallest positive real root by exact sign bracketing plus bisection.
 
     Signs are evaluated with integer arithmetic at rational points, so a
@@ -85,19 +89,19 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12,
         raise ValueError("tol must be positive")
     if p.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
-    steps = int(math.ceil(search_limit * grid))
+    steps = int(math.ceil(SEARCH_LIMIT * GRID))
     lo_num = 0
     for m in range(1, steps + 1):
-        s = p.sign_at(m, grid)
+        s = p.sign_at(m, GRID)
         if s == 0:
-            return m / grid
+            return m / GRID
         if s < 0:
-            lo_num, hi_num, den = m - 1, m, grid
+            lo_num, hi_num, den = m - 1, m, GRID
             break
         lo_num = m
     else:
         raise NoRootError(
-            f"no sign change in (0, {search_limit}] at grid step 1/{grid}")
+            f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
     while (hi_num - lo_num) / den > tol:
         mid = lo_num + hi_num
         lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den

@@ -4,11 +4,13 @@ These deliberately avoid the library's production code paths: walks
 are enumerated one at a time by depth-first search, or counted by
 powers of the dense adjacency matrix built here from the edge set; the
 system matrix is pasted from the paper's block display rather than from
-the lattice's edge rule; the generating functions come from the shared
-Bareiss routine on the full system in t, without the grade-class
-reduction; determinants at a point are taken mod p by Gaussian
-elimination on the adjacency matrix; the Perron block is sliced out of
-the adjacency matrix rather than counted from predecessor lists.
+the lattice's edge rule; determinants and generating functions come
+from fraction-free (Bareiss) elimination, which the library does not
+use: on the full system in t, and on the graded system I - s B^T over
+the origin's grade class; determinants at a point are taken mod p by
+Gaussian elimination on the adjacency matrix; the Perron block is
+sliced out of the adjacency matrix rather than counted from predecessor
+lists.
 """
 
 import math
@@ -16,10 +18,50 @@ from collections import Counter
 
 import numpy as np
 
-from anyondeg.genfunc import _bareiss, build_system, j_matrix
+from anyondeg.genfunc import PolyMatrix, build_system, j_matrix
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    grade_classes, successors
+    grade_classes, graded_walks, successors
 from anyondeg.poly import IntPoly, RationalFn
+
+
+def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
+    """Fraction-free elimination of mat x = rhs, in place.
+
+    Returns (det, numerators): det(mat) and, when rhs is given, the
+    Cramer numerators N with x = N / det (None otherwise).  Pivots are
+    the leading principal minors; each has constant term 1 (the matrix
+    is the identity at 0), so no pivoting is needed and every division
+    by the previous pivot is exact.
+    """
+    n = len(mat)
+    prev = IntPoly.one()
+    for p in range(n - 1):
+        piv = mat[p][p]
+        assert piv[0] == 1, "pivot lost its unit constant term"
+        for r in range(p + 1, n):
+            factor = mat[r][p]
+            for c in range(p + 1, n):
+                mat[r][c] = (piv * mat[r][c] - factor * mat[p][c]).exact_div(prev)
+            if rhs is not None:
+                rhs[r] = (piv * rhs[r] - factor * rhs[p]).exact_div(prev)
+            mat[r][p] = IntPoly.zero()
+        prev = piv
+    det = mat[n - 1][n - 1]
+    if det.is_zero():
+        raise ArithmeticError("system matrix is singular")
+    assert det[0] == 1, "determinant lost its unit constant term"
+    if rhs is None:
+        return det, None
+
+    # U[i][i] * N_i = rhs_i * det - sum_{j>i} U[i][j] * N_j, all exact.
+    numerators: list[IntPoly] = [IntPoly.zero()] * n
+    for i in range(n - 1, -1, -1):
+        acc = rhs[i] * det
+        for j in range(i + 1, n):
+            if mat[i][j] and numerators[j]:
+                acc = acc - mat[i][j] * numerators[j]
+        numerators[i] = acc.exact_div(mat[i][i])
+    return det, numerators
 
 
 def adjacency(lattice: Lattice) -> np.ndarray:
@@ -95,6 +137,36 @@ def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     lat = build_lattice(k)
     return det, {v: RationalFn(numerators[lat.index(v)], det)
                  for v in lat.vertices}
+
+
+def graded_system(walks: list[dict[int, int]]) -> PolyMatrix:
+    """I - s M^T over Z[s] for the square matrix M[z, r] = walks[r][z]."""
+    n = len(walks)
+    return [[IntPoly((int(r == c), -row.get(c, 0))) for c in range(n)]
+            for r, row in enumerate(walks)]
+
+
+def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
+    """det(M_k) and every generating function, by Bareiss elimination on
+    (I - s B^T) x_0 = e_0 over the origin's grade class, s = t^3.
+
+    Then x_1 = t A_01^T x_0 and x_2 = t A_12^T x_1 by summing the
+    predecessors' numerators; each function is reduced in s before
+    s = t^3 is substituted, in the canonical vertex order.
+    """
+    lat = build_lattice(k)
+    classes, pred, walks = graded_walks(lat)
+    mat = graded_system(walks)
+    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
+    det, numerators = _bareiss(mat, rhs)
+    graded = {}
+    for g, cls in enumerate(classes):
+        if g:
+            numerators = [sum((numerators[u] for u in us), IntPoly.zero())
+                          for us in pred[g]]
+        for v, num in zip(cls, numerators):
+            graded[v] = RationalFn(num, det).substitute_power(3, g)
+    return det.substitute_power(3), {v: graded[v] for v in lat.vertices}
 
 
 def transfer_det_mod_p(k: int, t0: int, p: int) -> int:

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import anyondeg.cli
+import anyondeg.genfunc
 import anyondeg.pathcount
 import anyondeg.reproduce
 import anyondeg.spectral
@@ -100,6 +102,22 @@ class TestDet:
         assert out.strip() == (
             "1 - 36*t^3 + 459*t^6 - 2655*t^9 + 7290*t^12 - 9801*t^15 "
             "+ 3429*t^18 + 6075*t^21 - 1458*t^24 + 729*t^27")
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        # a walk matrix with a non-integer entry fails the Newton division
+        def half_walks(lattice):
+            classes, pred, walks = real(lattice)
+            return classes, pred, [{0: Fraction(1, 2)}] + walks[1:]
+
+        real = anyondeg.genfunc.graded_walks
+        monkeypatch.setattr(anyondeg.genfunc, "graded_walks", half_walks)
+        anyondeg.genfunc.system_det.cache_clear()
+        try:
+            code, out, err = run(capsys, "det", "--k", "3")
+        finally:
+            anyondeg.genfunc.system_det.cache_clear()
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestVerify:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from anyondeg.genfunc import (
-    build_system, generating_function, j_matrix, solve_system, system_det,
-    verify_series,
+    _solve_class0, build_system, generating_function, j_matrix,
+    solve_system, system_det, verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
@@ -14,7 +15,8 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
-from oracles import adjacency, full_system_solution, paper_block_system, \
+from oracles import _bareiss, adjacency, full_system_solution, \
+    graded_bareiss_solution, graded_system, paper_block_system, \
     transfer_det_mod_p
 
 
@@ -160,11 +162,45 @@ class TestGradedReduction:
         assert system_det(k) == sol.determinant == det
         assert list(sol.solutions.items()) == list(solutions.items())
 
-    @pytest.mark.parametrize("k", range(9, 15))
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_matches_graded_bareiss(self, k):
+        det, solutions = graded_bareiss_solution(k)
+        sol = solve_system(k)
+        assert sol.determinant == det
+        assert list(sol.solutions.items()) == list(solutions.items())
+
+    @pytest.mark.parametrize("k", [*range(9, 15), 16, 21])
     def test_determinant_mod_p(self, k):
         p = 2 ** 61 - 1
         t0 = random.Random(k).randrange(2, p)
-        assert system_det(k)(t0) % p == transfer_det_mod_p(k, t0, p)
+        det = system_det(k)
+        assert det(t0) % p == transfer_det_mod_p(k, t0, p)
+        assert det.degree == determinant_degree(k)
+
+
+def _walks(matrix):
+    """The walks list of the square matrix M: walks[r][z] = M[z][r]."""
+    return [{z: row[r] for z, row in enumerate(matrix) if row[r]}
+            for r in range(len(matrix))]
+
+
+square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+class TestSolveClass0:
+    @given(square_matrices)
+    @example([[0, 0], [0, 0]])  # zero
+    @example([[0, 1, 2], [0, 0, 3], [0, 0, 0]])  # nilpotent
+    @example([[1, 2, 1], [2, 4, 2], [0, 0, 0]])  # rank 1
+    @example([[1, 1], [1, 1]])  # rank 1: deg N_0 = deg D = 1
+    @example([[0, 1], [1, 0]])  # permutation
+    @example([[5]])
+    def test_matches_bareiss(self, matrix):
+        walks = _walks(matrix)
+        rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(matrix) - 1)
+        assert _solve_class0(walks) == _bareiss(graded_system(walks), rhs)
 
 
 class TestSeriesConsistency:
