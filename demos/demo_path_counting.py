@@ -8,10 +8,13 @@ integer sequences.
 """
 
 from anyondeg import Vertex, build_lattice, degeneracy, table, total_dimension
+from anyondeg.lattice import predecessors
 
-# The lattice itself: level 3 has binom(5, 2) = 10 vertices.
+# The lattice itself: level 3 has binom(5, 2) = 10 vertices.  Each edge
+# is counted once, at its head, from the predecessor rule.
 lat = build_lattice(3)
-print(f"level 3: {lat.dim} vertices, {len(lat.edges)} edges")
+edges = sum(len(predecessors(v, lat.k)) for v in lat.vertices)
+print(f"level 3: {lat.dim} vertices, {edges} edges")
 print("successor structure is at most 3-regular:",
       sorted(lat.vertices)[:4], "...")
 

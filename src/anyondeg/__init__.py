@@ -8,7 +8,7 @@ identities), and cross-validates the growth rate
 (total quantum dimension) three independent ways.
 """
 
-from .lattice import Lattice, ORIGIN, Vertex, build_lattice, is_edge
+from .lattice import Lattice, ORIGIN, Vertex, build_lattice
 from .pathcount import CountGrid, CountTable, count_paths, degeneracy, \
     table, total_dimension
 from .poly import IntPoly, RationalFn, poly_gcd, poly_from_text, poly_to_text
@@ -22,7 +22,7 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "Lattice", "ORIGIN", "Vertex", "build_lattice", "is_edge",
+    "Lattice", "ORIGIN", "Vertex", "build_lattice",
     "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
     "total_dimension",
     "IntPoly", "RationalFn", "poly_gcd", "poly_from_text", "poly_to_text",

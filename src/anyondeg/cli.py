@@ -20,7 +20,7 @@ from .reproduce import reproduce
 from .spectral import NoRootError, NonConvergenceError, lambda_perron, \
     lambda_trig, smallest_positive_root, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
-    hook_count, unrestricted_count
+    hook_count, shape_for_vertex, unrestricted_count
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
@@ -162,7 +162,6 @@ def _cmd_syt(args) -> int:
         _check_caps(args, n=args.n)
         v = _parse_vertex(args.vertex)
         count = unrestricted_count(args.n, v)
-        from .syt import shape_for_vertex
         shape = shape_for_vertex(args.n, v)
     if args.oracle and shape is not None:
         oracle = brute_force_count(shape)
@@ -187,19 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "rates for level-restricted 3-row tableaux.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_caps(p, cap_k=DEFAULT_CAP_K, cap_n=DEFAULT_CAP_N):
-        p.add_argument("--cap-n", type=int, default=cap_n,
-                       help=f"refuse n above this bound (default {cap_n})")
-        k_default = cap_k if cap_k is not None else \
-            f"{DEFAULT_CAP_K}, or {CAP_K_DET} for --method root and all"
-        p.add_argument("--cap-k", type=int, default=cap_k,
-                       help=f"refuse k above this bound (default {k_default})")
+    def add_cap(p, var, default, shown=None):  # only bounds _check_caps gets
+        p.add_argument(f"--cap-{var}", type=int, default=default,
+                       help=f"refuse {var} above this bound "
+                            f"(default {shown or default})")
 
     p = sub.add_parser("count", help="number of n-step walks to a vertex")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vertex", default="0,0")
-    add_caps(p)
+    add_cap(p, "n", DEFAULT_CAP_N)
+    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("table", help="grid of walk counts")
@@ -209,25 +206,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-columns", action="store_true",
                    help="include columns with 3 not dividing n")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_caps(p)
+    add_cap(p, "n", DEFAULT_CAP_N)
+    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("genfunc", help="exact generating function(s)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_caps(p, cap_k=CAP_K_GENFUNC)
+    add_cap(p, "k", CAP_K_GENFUNC)
     p.set_defaults(func=_cmd_genfunc)
 
     p = sub.add_parser("det", help="system determinant polynomial")
     p.add_argument("--k", type=int, required=True)
-    add_caps(p, cap_k=CAP_K_DET)
+    add_cap(p, "k", CAP_K_DET)
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_caps(p, cap_k=CAP_K_VERIFY, cap_n=CAP_N_VERIFY)
+    add_cap(p, "n", CAP_N_VERIFY)
+    add_cap(p, "k", CAP_K_VERIFY)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("qdim", help="total quantum dimension")
@@ -237,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="convergence tolerance (default 1e-6, or 1e-12 "
                         "for --method all)")
-    add_caps(p, cap_k=None)
+    add_cap(p, "k", None,  # set by the handler from --method
+            f"{DEFAULT_CAP_K}, or {CAP_K_DET} for --method root and all")
     p.set_defaults(func=_cmd_qdim)
 
     p = sub.add_parser("syt", help="standard-tableau counts")
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against brute-force enumeration")
     p.add_argument("--paper-formula", action="store_true",
                    help="audit the printed closed form against hook lengths")
-    add_caps(p)
+    add_cap(p, "n", DEFAULT_CAP_N)
     p.set_defaults(func=_cmd_syt)
 
     p = sub.add_parser("reproduce", help="run the full golden suite")

@@ -43,7 +43,7 @@ def build_system(k: int) -> PolyMatrix:
 
     Row v holds 1 on the diagonal and -t in the column of every
     predecessor of v; the right-hand side of the system is e_1, which
-    lands on the origin's row (asserted)."""
+    lands on the origin's row (else ArithmeticError)."""
     lat = build_lattice(k)
     zero, neg_t = IntPoly.zero(), IntPoly.monomial(-1, 1)
     mat = [[zero] * lat.dim for _ in range(lat.dim)]
@@ -52,7 +52,8 @@ def build_system(k: int) -> PolyMatrix:
         mat[r][r] = IntPoly.one()
         for u in predecessors(v, k):
             mat[r][lat.index(u)] = neg_t
-    assert lat.index(ORIGIN) == 0 and mat[0][0] == IntPoly.one()
+    if lat.index(ORIGIN) != 0 or mat[0][0] != IntPoly.one():
+        raise ArithmeticError("e_1 does not land on the origin's row")
     return mat
 
 
@@ -65,23 +66,16 @@ class GenFnSolution:
     determinant: IntPoly
 
 
-def _solve_class0(walks: list[dict[int, int]]
-                  ) -> tuple[IntPoly, list[IntPoly]]:
-    """det(I - s B^T) and the Cramer numerators of (I - s B^T) x = e_0.
+def _class0_det(walks: list[dict[int, int]]
+                ) -> tuple[IntPoly, list[list[int]]]:
+    """D(s) = det(I - s B^T), and row 0 of B^m for m = 0..n0.
 
     B[z, r] = walks[r][z] (absent keys are 0), n0 = len(walks).  The
-    integer powers B^m for m <= n0 give everything:
-
-    * the power sums p_m = tr(B^m) give the coefficients of
-      D(s) = det(I - s B^T) by Newton's identities,
-      m c_m = -sum_{i=1..m} c_{m-i} p_i, each division exact;
-    * entry v of row 0 of B^m, the number of 3m-step walks from the
-      origin to v, is the s^m coefficient of the series F_v of x_0;
-    * the numerators are N_v = (D F_v) mod s^n0.  Each N_v is a minor of
-      size n0 - 1 with entries of degree <= 1, so the s^n0 coefficient
-      of D F_v must vanish, and the truncation is exact.
-
-    Both self-checks raise ArithmeticError.
+    power sums p_m = tr(B^m) of the integer powers B^m give D by
+    Newton's identities, m c_m = -sum_{i=1..m} c_{m-i} p_i, each
+    division exact (else ArithmeticError).  Entry v of row 0 of B^m
+    counts the 3m-step walks from the origin to v: the s^m coefficient
+    of the series F_v of x_0 in (I - s B^T) x_0 = e_0.
     """
     n0 = len(walks)
     cols = [list(row.items()) for row in walks]
@@ -99,6 +93,17 @@ def _solve_class0(walks: list[dict[int, int]]
         if rem:
             raise ArithmeticError(f"Newton identity not exact at s^{m}")
         coeffs.append(c)
+    return IntPoly(coeffs), rows
+
+
+def _class0_numerators(det: IntPoly, rows: list[list[int]]) -> list[IntPoly]:
+    """Cramer numerators N_v = (D F_v) mod s^n0 from ``_class0_det``.
+
+    Each N_v is a minor of size n0 - 1 with entries of degree <= 1, so
+    the s^n0 coefficient of D F_v must vanish (else ArithmeticError).
+    """
+    n0 = len(rows) - 1
+    coeffs = [det[i] for i in range(n0 + 1)]
     numerators = []
     for v in range(n0):
         prod = [sum(coeffs[i] * rows[m - i][v] for i in range(m + 1))
@@ -107,7 +112,7 @@ def _solve_class0(walks: list[dict[int, int]]
             raise ArithmeticError(
                 f"numerator {v} has a nonzero s^{n0} coefficient")
         numerators.append(IntPoly(prod[:n0]))
-    return IntPoly(coeffs), numerators
+    return numerators
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +120,11 @@ def system_det(k: int) -> IntPoly:
     """det(I - t * A^T) at level k, constant term +1.
 
     Computed as det(I - s * B^T) on the origin's grade class, then
-    s = t^3 (the two agree because A is 3-cyclic in the grade classes).
+    s = t^3 (the two agree because A is 3-cyclic in the grade classes);
+    no Cramer numerator is formed.
     """
     *_, walks = graded_walks(build_lattice(k))
-    det, _ = _solve_class0(walks)
+    det, _ = _class0_det(walks)
     return det.substitute_power(3)
 
 
@@ -133,7 +139,8 @@ def solve_system(k: int) -> GenFnSolution:
     """
     lat = build_lattice(k)
     classes, pred, walks = graded_walks(lat)
-    det, numerators = _solve_class0(walks)
+    det, rows = _class0_det(walks)
+    numerators = _class0_numerators(det, rows)
     graded = {}
     for g, cls in enumerate(classes):
         if g:  # class-g numerators: sums over the class-(g-1) predecessors
@@ -143,7 +150,8 @@ def solve_system(k: int) -> GenFnSolution:
             graded[v] = RationalFn(num, det).substitute_power(3, g)
     solutions = {v: graded[v] for v in lat.vertices}
     sol0 = solutions[ORIGIN]
-    assert sol0.num[0] == sol0.den[0], "origin series must start at 1"
+    if sol0.num[0] != sol0.den[0]:
+        raise ArithmeticError("origin series must start at 1")
     return GenFnSolution(k=k, solutions=solutions,
                          determinant=det.substitute_power(3))
 
@@ -164,6 +172,8 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     """
     from .pathcount import origin_history
 
+    if n_max < 0:  # before the costly solve
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     mismatches = []
     for v, fn in sol.solutions.items():

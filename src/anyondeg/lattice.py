@@ -1,17 +1,16 @@
-"""The restricted overhang lattice: vertices, edge rules, grade classes.
+"""The restricted overhang lattice: vertices, the edge rule, grade classes.
 
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
-admissible tableaux.  Pure Python: the walk counts between grade
-classes come from the predecessor lists, and no dense adjacency matrix
-is built.
+admissible tableaux.  ``predecessors`` is the one edge rule: every walk
+count, the 3-step counts between grade classes too, sums over it.  Pure
+Python; no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 
@@ -30,23 +29,6 @@ def in_vertex_set(v: Vertex, k: int) -> bool:
     return v.i >= 0 and v.j >= 0 and v.i + v.j <= k
 
 
-def is_edge(frm: Vertex, to: Vertex, k: int) -> bool:
-    """Directed edge test; total (out-of-range inputs just return False)."""
-    if not (in_vertex_set(frm, k) and in_vertex_set(to, k)):
-        return False
-    return (to.i - frm.i, to.j - frm.j) in _STEPS
-
-
-def successors(v: Vertex, k: int) -> list[Vertex]:
-    """In-range successors of v, at most three."""
-    out = []
-    for di, dj in _STEPS:
-        w = Vertex(v.i + di, v.j + dj)
-        if in_vertex_set(w, k):
-            out.append(w)
-    return out
-
-
 def predecessors(v: Vertex, k: int) -> list[Vertex]:
     """In-range predecessors of v: (i+1,j), (i-1,j+1), (i,j-1)."""
     out = []
@@ -62,17 +44,11 @@ class Lattice:
     """Level-k lattice with its canonical vertex order.
 
     The canonical order lists (0,0),(0,1),...,(0,k),(1,0),...,(k,0);
-    vertex (i, j) sits at index i*(2k - i + 3)//2 + j.  Immutable after
-    construction; the edge set is built on first use.
+    vertex (i, j) sits at index i*(2k - i + 3)//2 + j.  Immutable.
     """
 
     k: int
     vertices: tuple[Vertex, ...]
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[Vertex, Vertex]]:
-        return frozenset((v, w) for v in self.vertices
-                         for w in successors(v, self.k))
 
     def index(self, v: Vertex) -> int:
         if not in_vertex_set(v, self.k):

@@ -104,5 +104,6 @@ def catalan3d(n: int) -> int:
     m = n // 3
     num = 2 * factorial(n)
     den = factorial(m) * factorial(m + 1) * factorial(m + 2)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Catalan quotient not exact at n={n}")
     return num // den

@@ -3,13 +3,15 @@
 The asymptotic growth factor (the total quantum dimension) is
 
   * the closed trig form sin(pi*N/(N+k)) / sin(pi/(N+k)) with N = 3,
+    the row count of the tableaux and the only N the library counts,
   * the dominant eigenvalue of the lattice adjacency matrix,
   * the reciprocal of the smallest positive root of the system
     determinant.
 
 This is the only module that touches floating point.  Only the Perron
 route needs numpy, so it is imported inside ``lambda_perron`` alone: a
-process that never asks for the eigenvalue never loads it.
+process that never asks for the eigenvalue never loads it.  Numerical
+limits are module constants.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .poly import IntPoly
 # the first sign change.
 SEARCH_LIMIT = 1.5
 GRID = 1024
+PERRON_MAX_ITER = 100_000  # power-iteration steps before giving up
+ROWS = 3  # the N of SU(N): tableaux have three rows
 
 
 class NonConvergenceError(RuntimeError):
@@ -35,16 +39,15 @@ class NoRootError(RuntimeError):
     pass
 
 
-def lambda_trig(k: int, N: int = 3) -> float:
-    """Closed-form growth factor sin(pi*N/(N+k)) / sin(pi/(N+k))."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+def lambda_trig(k: int) -> float:
+    """Closed-form growth factor sin(pi*N/(N+k)) / sin(pi/(N+k)), N = ROWS."""
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
-    return math.sin(math.pi * N / (N + k)) / math.sin(math.pi / (N + k))
+    m = ROWS + k
+    return math.sin(math.pi * ROWS / m) / math.sin(math.pi / m)
 
 
-def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def lambda_perron(k: int, tol: float = 1e-12) -> float:
     """Dominant adjacency eigenvalue by power iteration.
 
     Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic
@@ -68,7 +71,7 @@ def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
     vec = np.ones(cubed.shape[0])
     vec /= np.linalg.norm(vec)
     mu_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         nxt = cubed @ vec
         mu = float(vec @ nxt)
         vec = nxt / np.linalg.norm(nxt)
@@ -76,7 +79,7 @@ def lambda_perron(k: int, tol: float = 1e-12, max_iter: int = 100_000) -> float:
             return mu ** (1.0 / 3.0)
         mu_prev = mu
     raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} steps (k={k})")
+        f"power iteration did not converge in {PERRON_MAX_ITER} steps (k={k})")
 
 
 def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:

@@ -13,6 +13,9 @@ from typing import NamedTuple
 
 from .lattice import Vertex
 
+BRUTE_FORCE_CAP = 18  # most boxes brute_force_count enumerates
+AUDIT_SCAN_N_MAX = 9  # most boxes of a shape the formula audit scans
+
 
 class Shape3(NamedTuple):
     r1: int
@@ -47,19 +50,21 @@ def hook_count(shape: Shape3) -> int:
         return 1
     num = factorial(n) * (r1 - r2 + 1) * (r2 - r3 + 1) * (r1 - r3 + 2)
     den = factorial(r1 + 2) * factorial(r2 + 1) * factorial(r3)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"hook quotient not exact at {r1, r2, r3}")
     return num // den
 
 
-def brute_force_count(shape: Shape3, cap: int = 18) -> int:
+def brute_force_count(shape: Shape3) -> int:
     """Exhaustive count of box-addition orders; oracle for hook_count.
 
     Recursively removes the last-added box, keeping a valid diagram at
     every step.  Exponential, hence the size cap.
     """
     shape = _check_shape(shape)
-    if shape.n > cap:
-        raise ValueError(f"shape has {shape.n} boxes, above the cap {cap}")
+    if shape.n > BRUTE_FORCE_CAP:
+        raise ValueError(f"shape has {shape.n} boxes, above the cap "
+                         f"{BRUTE_FORCE_CAP}")
 
     def ways(r1: int, r2: int, r3: int) -> int:
         if r1 == 0:
@@ -92,6 +97,8 @@ def shape_for_vertex(n: int, v: Vertex) -> Shape3 | None:
 
 def unrestricted_count(n: int, v: Vertex) -> int:
     """Walks of length n from the origin to v when the level is >= n."""
+    if n < 0:
+        raise ValueError(f"step count n must be >= 0, got {n}")
     shape = shape_for_vertex(n, v)
     if shape is None:
         return 0
@@ -117,13 +124,15 @@ def published_formula_count(n: int, i: int, j: int) -> int | None:
     return int(value)
 
 
-def audit_published_formula(n_max: int = 27, scan_n_max: int = 9) -> dict:
+def audit_published_formula(n_max: int = 27) -> dict:
     """Machine-generated comparison of the printed formula vs hook lengths.
 
     Checks agreement at the origin for every multiple of 3 up to n_max,
-    then scans all shapes with at most scan_n_max boxes and records every
-    endpoint where the printed expression and the true count differ.
+    then scans all shapes with at most AUDIT_SCAN_N_MAX boxes and records
+    every endpoint where the printed expression and the true count differ.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     origin = []
     for n in range(0, n_max + 1, 3):
         printed = published_formula_count(n, 0, 0)
@@ -132,11 +141,11 @@ def audit_published_formula(n_max: int = 27, scan_n_max: int = 9) -> dict:
                        "agree": printed == true})
     disagreements = []
     checked = 0
-    for r1 in range(scan_n_max + 1):
+    for r1 in range(AUDIT_SCAN_N_MAX + 1):
         for r2 in range(r1 + 1):
             for r3 in range(r2 + 1):
                 shape = Shape3(r1, r2, r3)
-                if shape.n == 0 or shape.n > scan_n_max:
+                if shape.n == 0 or shape.n > AUDIT_SCAN_N_MAX:
                     continue
                 checked += 1
                 v = shape.vertex

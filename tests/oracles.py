@@ -1,13 +1,16 @@
 """Independent brute-force oracles shared by the tests.
 
-These deliberately avoid the library's production code paths: walks
-are enumerated one at a time by depth-first search, or counted by
-powers of the dense adjacency matrix built here from the edge set; the
-system matrix is pasted from the paper's block display rather than from
-the lattice's edge rule; determinants and generating functions come
-from fraction-free (Bareiss) elimination, which the library does not
-use: on the full system in t, and on the graded system I - s B^T over
-the origin's grade class; determinants at a point are taken mod p by
+These deliberately avoid the library's production code paths.  The
+library reads edges backwards only (``lattice.predecessors``); here the
+forward rule ``successors`` is derived afresh from box addition on the
+vertex's 3-row shape and shares no step table with the library.  Walks
+are enumerated one at a time by depth-first search over it, or counted
+by powers of the dense adjacency matrix built from it; the system
+matrix is pasted from the paper's block display rather than from the
+lattice's edge rule; determinants and generating functions come from
+fraction-free (Bareiss) elimination, which the library does not use:
+on the full system in t, and on the graded system I - s B^T over the
+origin's grade class; determinants at a point are taken mod p by
 Gaussian elimination on the adjacency matrix; the Perron block is
 sliced out of the adjacency matrix rather than counted from predecessor
 lists.
@@ -20,7 +23,7 @@ import numpy as np
 
 from anyondeg.genfunc import PolyMatrix, build_system, j_matrix
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    grade_classes, graded_walks, successors
+    grade_classes, graded_walks
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -64,12 +67,27 @@ def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
     return det, numerators
 
 
+def successors(v: Vertex, k: int) -> list[Vertex]:
+    """Forward edge rule by box addition: the vertices reached from v by
+    adding one box to row 1, 2 or 3 of its shape (i + j, i, 0), where
+    the result is a partition with i + j <= k."""
+    out = []
+    for row in range(3):
+        shape = [v.i + v.j, v.i, 0]
+        shape[row] += 1
+        r1, r2, r3 = shape
+        if r1 >= r2 >= r3 and r1 - r3 <= k:
+            out.append(Vertex(r2 - r3, r1 - r2))
+    return out
+
+
 def adjacency(lattice: Lattice) -> np.ndarray:
     """0/1 adjacency matrix in the canonical vertex order (row -> column)."""
     n = lattice.dim
     mat = np.zeros((n, n), dtype=np.int64)
-    for v, w in lattice.edges:
-        mat[lattice.index(v), lattice.index(w)] = 1
+    for v in lattice.vertices:
+        for w in successors(v, lattice.k):
+            mat[lattice.index(v), lattice.index(w)] = 1
     return mat
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
 from anyondeg.cli import CAP_K_DET, CAP_K_GENFUNC, CAP_K_VERIFY, \
-    CAP_N_VERIFY, DEFAULT_CAP_K, main
+    CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution
 from anyondeg.poly import IntPoly
 from anyondeg.reference import ORIGIN_COUNTS
@@ -95,6 +96,20 @@ class TestGenfunc:
         }
 
 
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        # doubled numerators break "the origin series starts at 1"
+        real = anyondeg.genfunc._class0_numerators
+        monkeypatch.setattr(anyondeg.genfunc, "_class0_numerators",
+                            lambda *args: [2 * n for n in real(*args)])
+        anyondeg.genfunc.solve_system.cache_clear()
+        try:
+            code, out, err = run(capsys, "genfunc", "--k", "2")
+        finally:
+            anyondeg.genfunc.solve_system.cache_clear()
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: origin series must start at 1"]
+
+
 class TestDet:
     def test_level_six_golden_line(self, capsys):
         code, out, _ = run(capsys, "det", "--k", "6")
@@ -124,6 +139,15 @@ class TestVerify:
     def test_match_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "4", "--n", "21")
         assert code == 0 and out.startswith("ok")
+
+
+    def test_negative_n_exits_2_before_solving(self, capsys, monkeypatch):
+        def no_solve(k):
+            raise AssertionError("solve_system ran")
+
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system", no_solve)
+        code, out, err = run(capsys, "verify", "--k", "14", "--n", "-1")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestQdim:
@@ -184,6 +208,14 @@ class TestSyt:
     def test_shape_query_ignores_n_cap(self, capsys):
         code, out, _ = run(capsys, "syt", "--shape", "2,2,2", "--n", "20000")
         assert code == 0 and out == "5\n"
+        assert run(capsys, "syt", "--shape", "2,2,2", "--n", "-1")[:2] == \
+            (0, "5\n")
+
+    @pytest.mark.parametrize("argv", [
+        "syt --n -1 --vertex 0,0", "syt --n -3 --paper-formula"])
+    def test_negative_n_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_formula_audit_mode(self, capsys):
         code, out, _ = run(capsys, "syt", "--n", "27", "--paper-formula")
@@ -292,6 +324,41 @@ class TestCaps:
         code, out, err = run(capsys, "genfunc", "--k", "2", "--vertex", "3,0")
         assert code == 2 and out == ""
         assert "not in the level-2 lattice" in err
+
+
+# Every flag of every subcommand (without --help).  A cap flag appears only
+# where the handler checks that bound.
+FLAGS = {
+    "count": {"--k", "--n", "--vertex", "--cap-n", "--cap-k"},
+    "table": {"--max-k", "--max-n", "--vertex", "--all-columns", "--format",
+              "--cap-n", "--cap-k"},
+    "genfunc": {"--k", "--vertex", "--format", "--cap-k"},
+    "det": {"--k", "--cap-k"},
+    "verify": {"--k", "--n", "--cap-n", "--cap-k"},
+    "qdim": {"--k", "--method", "--tol", "--cap-k"},
+    "syt": {"--n", "--vertex", "--shape", "--oracle", "--paper-formula",
+            "--cap-n"},
+    "reproduce": {"--only"},
+}
+
+
+class TestSurface:
+    def test_flag_sets(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {name: [opt for action in p._actions
+                        for opt in action.option_strings
+                        if opt not in ("-h", "--help")]
+                 for name, p in sub.choices.items()}
+        assert {name: set(opts) for name, opts in flags.items()} == FLAGS
+        assert sum(len(opts) for opts in flags.values()) == 33
+
+    @pytest.mark.parametrize("argv", [
+        "det --k 1 --cap-n 1", "genfunc --k 1 --cap-n 1",
+        "qdim --k 1 --cap-n 1", "syt --n 3 --cap-k 1"])
+    def test_removed_cap_flags_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 class TestUsageErrors:

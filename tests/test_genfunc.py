@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _solve_class0, build_system, generating_function, j_matrix,
-    solve_system, system_det, verify_series,
+    _class0_det, _class0_numerators, build_system, generating_function,
+    j_matrix, solve_system, system_det, verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
@@ -200,7 +201,21 @@ class TestSolveClass0:
     def test_matches_bareiss(self, matrix):
         walks = _walks(matrix)
         rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(matrix) - 1)
-        assert _solve_class0(walks) == _bareiss(graded_system(walks), rhs)
+        det, rows = _class0_det(walks)
+        numerators = _class0_numerators(det, rows)
+        assert (det, numerators) == _bareiss(graded_system(walks), rhs)
+
+    def test_system_det_forms_no_numerators(self, monkeypatch):
+        def no_numerators(det, rows):
+            raise AssertionError("numerators formed")
+
+        monkeypatch.setattr(anyondeg.genfunc, "_class0_numerators",
+                            no_numerators)
+        system_det.cache_clear()
+        try:
+            assert system_det(5) == determinant_poly(5)
+        finally:
+            system_det.cache_clear()
 
 
 class TestSeriesConsistency:

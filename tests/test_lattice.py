@@ -3,32 +3,30 @@ import pytest
 
 from anyondeg.lattice import (
     ORIGIN, Vertex, build_lattice, grade_classes, graded_walks,
-    in_vertex_set, is_edge, predecessors, successors,
+    in_vertex_set, predecessors,
 )
 
-from oracles import adjacency
+from oracles import adjacency, successors
 
 
-def test_is_edge_examples():
-    assert is_edge(Vertex(0, 0), Vertex(0, 1), 1)
-    assert not is_edge(Vertex(0, 0), Vertex(1, 0), 3)
-    assert not is_edge(Vertex(0, 0), Vertex(0, 0), 3)
-    assert is_edge(Vertex(0, 1), Vertex(1, 0), 1)
-
-
-def test_is_edge_total_on_out_of_range_inputs():
-    assert not is_edge(Vertex(5, 5), Vertex(5, 6), 3)
-    assert not is_edge(Vertex(0, 0), Vertex(0, 4), 3)
+def forward(k):
+    """Successor lists read off the production rule, predecessors, reversed."""
+    lat = build_lattice(k)
+    fwd = {v: set() for v in lat.vertices}
+    for w in lat.vertices:
+        for v in predecessors(w, k):
+            fwd[v].add(w)
+    return fwd
 
 
 def test_build_lattice_k1_is_three_cycle():
     lat = build_lattice(1)
     assert set(lat.vertices) == {Vertex(0, 0), Vertex(0, 1), Vertex(1, 0)}
-    assert lat.edges == frozenset({
-        (Vertex(0, 0), Vertex(0, 1)),
-        (Vertex(0, 1), Vertex(1, 0)),
-        (Vertex(1, 0), Vertex(0, 0)),
-    })
+    assert forward(1) == {
+        Vertex(0, 0): {Vertex(0, 1)},
+        Vertex(0, 1): {Vertex(1, 0)},
+        Vertex(1, 0): {Vertex(0, 0)},
+    }
 
 
 @pytest.mark.parametrize("k,count", [(1, 3), (2, 6), (3, 10), (8, 45)])
@@ -55,25 +53,21 @@ def test_canonical_order_and_index_formula(k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_out_degree_rules(k):
-    lat = build_lattice(k)
-    for v in lat.vertices:
-        succ = set(successors(v, k))
+    for v, succ in forward(k).items():
         assert len(succ) <= 3
         assert (Vertex(v.i, v.j + 1) in succ) == (v.i + v.j + 1 <= k)
         assert (Vertex(v.i - 1, v.j) in succ) == (v.i >= 1)
         assert (Vertex(v.i + 1, v.j - 1) in succ) == \
             (v.j >= 1 and v.i + v.j <= k)
-        assert succ == {w for w in lat.vertices if is_edge(v, w, k)}
+        assert succ <= {Vertex(v.i, v.j + 1), Vertex(v.i - 1, v.j),
+                        Vertex(v.i + 1, v.j - 1)}
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_strongly_connected(k):
     lat = build_lattice(k)
-    fwd = {v: successors(v, k) for v in lat.vertices}
-    rev = {v: [] for v in lat.vertices}
-    for v, succ in fwd.items():
-        for w in succ:
-            rev[w].append(v)
+    fwd = forward(k)
+    rev = {v: predecessors(v, k) for v in lat.vertices}
 
     def reach(adjacency_lists):
         seen = {ORIGIN}
@@ -91,8 +85,19 @@ def test_strongly_connected(k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_step_grading_mod_3(k):
-    for a, b in build_lattice(k).edges:
-        assert (2 * b.i + b.j - 2 * a.i - a.j) % 3 == 1
+    for b in build_lattice(k).vertices:
+        for a in predecessors(b, k):
+            assert (2 * b.i + b.j - 2 * a.i - a.j) % 3 == 1
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_box_addition_oracle_reverses_predecessors(k):
+    # the oracle's forward rule comes from shapes, not from the library's
+    # step table; the two must give the same edge set
+    fwd = forward(k)
+    for v in build_lattice(k).vertices:
+        succ = successors(v, k)
+        assert len(succ) == len(set(succ)) and set(succ) == fwd[v]
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -117,14 +122,6 @@ def test_graded_predecessor_positions(k):
     for g, cls in enumerate(classes):
         for v, us in zip(cls, pred[g]):
             assert [classes[g - 1][u] for u in us] == predecessors(v, k)
-
-
-def test_edges_built_on_first_use():
-    lat = build_lattice(2)
-    assert "edges" not in vars(lat)
-    assert lat.edges == {(v, w) for v in lat.vertices for w in successors(v, 2)}
-    assert "edges" in vars(lat)
-    assert lat == build_lattice(2)
 
 
 def test_adjacency_k1():

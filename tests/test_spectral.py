@@ -37,8 +37,6 @@ class TestTrig:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             lambda_trig(0)
-        with pytest.raises(ValueError):
-            lambda_trig(2, N=1)
 
 
 class TestPerron:
