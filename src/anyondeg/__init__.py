@@ -2,10 +2,11 @@
 
 Counts n-step lattice walks with arbitrary-precision integers, derives
 their rational generating functions from the polynomial system
-M_k x = e_1, reduced to the origin's grade class in s = t^3 and solved
-from the integer powers of its 3-step walk matrix (traces and Newton's
-identities), and cross-validates the growth rate
-(total quantum dimension) three independent ways.
+M_k x = e_1, reduced to the origin's grade class in s = t^3: the
+determinant from the integer powers of its 3-step walk matrix (traces
+and Newton's identities), each numerator from the determinant and one
+walk-count sweep.  It cross-validates the growth rate (total quantum
+dimension) three independent ways.
 """
 
 from .lattice import Lattice, ORIGIN, Vertex, build_lattice
@@ -13,7 +14,7 @@ from .pathcount import CountGrid, CountTable, count_paths, degeneracy, \
     table, total_dimension
 from .poly import IntPoly, RationalFn, poly_gcd, poly_from_text, poly_to_text
 from .genfunc import GenFnSolution, build_system, generating_function, \
-    j_matrix, solve_system, system_det, verify_series
+    solve_system, system_det, verify_series
 from .spectral import SpectralReport, growth_rate_estimate, lambda_perron, \
     lambda_trig, smallest_positive_root, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
@@ -26,8 +27,8 @@ __all__ = [
     "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
     "total_dimension",
     "IntPoly", "RationalFn", "poly_gcd", "poly_from_text", "poly_to_text",
-    "GenFnSolution", "build_system", "generating_function", "j_matrix",
-    "solve_system", "system_det", "verify_series",
+    "GenFnSolution", "build_system", "generating_function", "solve_system",
+    "system_det", "verify_series",
     "SpectralReport", "growth_rate_estimate", "lambda_perron", "lambda_trig",
     "smallest_positive_root", "spectral_report",
     "Shape3", "audit_published_formula", "brute_force_count", "hook_count",

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .genfunc import solve_system, system_det, verify_series
-from .lattice import Vertex, in_vertex_set
+from .lattice import Vertex, check_vertex
 from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
@@ -93,9 +93,8 @@ def _cmd_table(args) -> int:
 def _cmd_genfunc(args) -> int:
     _check_caps(args, k=args.k)
     vertices = [_parse_vertex(args.vertex)] if args.vertex else None
-    for v in vertices or ():
-        if not in_vertex_set(v, args.k):
-            raise UsageError(f"vertex {tuple(v)} not in the level-{args.k} lattice")
+    for v in vertices or ():  # before the solve
+        check_vertex(v, args.k)
     sol = solve_system(args.k)
     out = []
     for v in vertices or sorted(sol.solutions):

@@ -29,6 +29,12 @@ def in_vertex_set(v: Vertex, k: int) -> bool:
     return v.i >= 0 and v.j >= 0 and v.i + v.j <= k
 
 
+def check_vertex(v: Vertex, k: int) -> None:
+    """ValueError if v lies outside the level-k lattice."""
+    if not in_vertex_set(v, k):
+        raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
+
+
 def predecessors(v: Vertex, k: int) -> list[Vertex]:
     """In-range predecessors of v: (i+1,j), (i-1,j+1), (i,j-1)."""
     out = []
@@ -51,8 +57,7 @@ class Lattice:
     vertices: tuple[Vertex, ...]
 
     def index(self, v: Vertex) -> int:
-        if not in_vertex_set(v, self.k):
-            raise ValueError(f"vertex {tuple(v)} not in the level-{self.k} lattice")
+        check_vertex(v, self.k)
         return v.i * (2 * self.k - v.i + 3) // 2 + v.j
 
     @property
@@ -83,15 +88,13 @@ def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def graded_walks(lattice: Lattice):
-    """The grade classes, their predecessor lists and the 3-step walk
-    counts between class-0 vertices.
+def graded_walks(lattice: Lattice) -> list[dict[int, int]]:
+    """The 3-step walk counts between class-0 vertices.
 
-    pred[g][r] lists the positions in class g - 1 of the predecessors of
-    the r-th vertex of class g.  walks[r] maps the position z of each
-    class-0 vertex to the number of 3-step walks z -> C1 -> C2 -> r, so
-    walks[r][z] is the entry B[z, r] of the origin block
-    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0).
+    walks[r][z] counts the 3-step walks z -> C1 -> C2 -> r from the z-th
+    to the r-th vertex of class 0: the entry B[z, r] of the origin block
+    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0).  The
+    powers of B give the system determinant and the Perron root.
     """
     classes = grade_classes(lattice)
     pos = {v: r for cls in classes for r, v in enumerate(cls)}
@@ -105,4 +108,4 @@ def graded_walks(lattice: Lattice):
                 for z in pred[1][w]:
                     row[z] = row.get(z, 0) + 1
         walks.append(row)
-    return classes, pred, walks
+    return walks

@@ -15,8 +15,8 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .lattice import ORIGIN, Lattice, Vertex, build_lattice, in_vertex_set, \
-    predecessors
+from .lattice import ORIGIN, Lattice, Vertex, build_lattice, check_vertex, \
+    in_vertex_set, predecessors
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
         raise ValueError(f"level k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"step count n must be >= 0, got {n}")
-    if not in_vertex_set(v, k):
-        raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
+    check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
     return count_paths(k, n).counts[v]

@@ -7,6 +7,8 @@ are stored as {power: coefficient} dicts over t.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .lattice import Vertex
 from .poly import IntPoly, RationalFn
 
@@ -98,7 +100,6 @@ def fibonacci(n: int) -> int:
 
 def catalan3d(n: int) -> int:
     """2 * n! / ((n/3)! (n/3+1)! (n/3+2)!) for 3 | n."""
-    from math import factorial
     if n % 3:
         raise ValueError("defined only for multiples of 3")
     m = n // 3

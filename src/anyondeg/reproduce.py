@@ -52,7 +52,7 @@ def _check_corollary() -> dict:
 def _check_series() -> dict:
     bad = []
     for k in range(1, 7):
-        for v, n, series, dp in verify_series(k, 24):
+        for v, n, series, dp in verify_series(k, 45):
             bad.append({"k": k, "vertex": [v.i, v.j], "n": n,
                         "series": str(series), "dp": str(dp)})
     return {"ok": not bad, "mismatches": bad}

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .genfunc import system_det
 from .lattice import build_lattice, graded_walks
+from .pathcount import degeneracy
 from .poly import IntPoly
 
 
@@ -63,7 +65,7 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
         raise ValueError("tol must be positive")
     import numpy as np
 
-    *_, walks = graded_walks(build_lattice(k))
+    walks = graded_walks(build_lattice(k))
     cubed = np.zeros((len(walks), len(walks)))
     for r, row in enumerate(walks):
         for z, count in row.items():
@@ -134,8 +136,6 @@ class SpectralReport:
 
 def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
     """All three growth-factor routes plus their maximum pairwise gap."""
-    from .genfunc import system_det
-
     trig = lambda_trig(k)
     perron = lambda_perron(k, tol=tol)
     rho = smallest_positive_root(system_det(k), tol=tol)
@@ -155,8 +155,6 @@ def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
 
 def growth_rate_estimate(k: int, n: int) -> float:
     """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
-    from .pathcount import degeneracy
-
     if n < 3:
         raise ValueError(f"step count n must be >= 3, got {n}")
     n3 = n - n % 3  # origin counts vanish off multiples of 3

@@ -21,9 +21,9 @@ from collections import Counter
 
 import numpy as np
 
-from anyondeg.genfunc import PolyMatrix, build_system, j_matrix
+from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    grade_classes, graded_walks
+    grade_classes, graded_walks, predecessors
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -118,6 +118,14 @@ def counts_by_matrix_power(k: int, n: int) -> dict[Vertex, int]:
     return {v: row[lat.index(v)] for v in lat.vertices}
 
 
+def j_matrix(p: int, q: int, s: int) -> list[list[int]]:
+    """p x q 0/1 band matrix: ones exactly where column - row = s (1-based)."""
+    if p < 1 or q < 1:
+        raise ValueError("matrix dimensions must be positive")
+    return [[1 if c - r == s else 0 for c in range(1, q + 1)]
+            for r in range(1, p + 1)]
+
+
 def paper_block_system(k: int) -> list[list[IntPoly]]:
     """M_k as the paper displays it, in block rows i = 0..k.
 
@@ -164,6 +172,15 @@ def graded_system(walks: list[dict[int, int]]) -> PolyMatrix:
             for r, row in enumerate(walks)]
 
 
+def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
+    """pred[g][r]: the positions in class g - 1 of the predecessors of
+    the r-th vertex of class g."""
+    classes = grade_classes(lat)
+    pos = {v: r for cls in classes for r, v in enumerate(cls)}
+    return [[[pos[u] for u in predecessors(v, lat.k)] for v in cls]
+            for cls in classes]
+
+
 def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """det(M_k) and every generating function, by Bareiss elimination on
     (I - s B^T) x_0 = e_0 over the origin's grade class, s = t^3.
@@ -173,8 +190,8 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     s = t^3 is substituted, in the canonical vertex order.
     """
     lat = build_lattice(k)
-    classes, pred, walks = graded_walks(lat)
-    mat = graded_system(walks)
+    classes, pred = grade_classes(lat), graded_predecessors(lat)
+    mat = graded_system(graded_walks(lat))
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
     graded = {}

@@ -14,7 +14,8 @@ from anyondeg import reference
 from anyondeg.cli import CAP_K_DET, CAP_K_GENFUNC, CAP_K_VERIFY, \
     CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution
-from anyondeg.poly import IntPoly
+from anyondeg.lattice import build_lattice, grade_classes
+from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport
@@ -98,9 +99,9 @@ class TestGenfunc:
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # doubled numerators break "the origin series starts at 1"
-        real = anyondeg.genfunc._class0_numerators
-        monkeypatch.setattr(anyondeg.genfunc, "_class0_numerators",
-                            lambda *args: [2 * n for n in real(*args)])
+        real = anyondeg.genfunc._numerator
+        monkeypatch.setattr(anyondeg.genfunc, "_numerator",
+                            lambda *args: 2 * real(*args))
         anyondeg.genfunc.solve_system.cache_clear()
         try:
             code, out, err = run(capsys, "genfunc", "--k", "2")
@@ -108,6 +109,30 @@ class TestGenfunc:
             anyondeg.genfunc.solve_system.cache_clear()
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: origin series must start at 1"]
+
+    def test_failed_class2_series_check_exits_3(self, capsys, monkeypatch):
+        # one walk too many to a class-2 vertex at the last step of the
+        # prefix leaves D G_v with a nonzero s^|C0| coefficient
+        classes = grade_classes(build_lattice(4))
+        last, v = 3 * len(classes[0]) + 2, classes[2][-1]
+        real = anyondeg.genfunc._sweep
+
+        def bumped(lat, n_max):
+            for n, counts in enumerate(real(lat, n_max)):
+                if n == last:
+                    counts = counts.copy()
+                    counts[lat.index(v)] += 1
+                yield counts
+
+        monkeypatch.setattr(anyondeg.genfunc, "_sweep", bumped)
+        anyondeg.genfunc.solve_system.cache_clear()
+        try:
+            code, out, err = run(capsys, "genfunc", "--k", "4")
+        finally:
+            anyondeg.genfunc.solve_system.cache_clear()
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: a numerator has a nonzero "
+                                    f"s^{len(classes[0])} coefficient"]
 
 
 class TestDet:
@@ -121,8 +146,7 @@ class TestDet:
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # a walk matrix with a non-integer entry fails the Newton division
         def half_walks(lattice):
-            classes, pred, walks = real(lattice)
-            return classes, pred, [{0: Fraction(1, 2)}] + walks[1:]
+            return [{0: Fraction(1, 2)}] + real(lattice)[1:]
 
         real = anyondeg.genfunc.graded_walks
         monkeypatch.setattr(anyondeg.genfunc, "graded_walks", half_walks)
@@ -242,8 +266,8 @@ CORRUPTIONS = {
     "corollary": lambda mp: mp.setitem(
         reference.ORIGIN_GENFUNCS, 3,
         ({0: 1, 3: -8, 6: 5, 9: -1}, reference.ORIGIN_GENFUNCS[3][1])),
-    "series": lambda mp: _wrap(mp, anyondeg.pathcount, "origin_history",
-                               lambda h, *args: h[:-1] + [h[-1] + 1]),
+    "series": lambda mp: _wrap(mp, RationalFn, "series_coeffs",
+                               lambda c, *args: c[:-1] + [c[-1] + 1]),
     "qdim": lambda mp: _wrap(mp, anyondeg.spectral, "lambda_perron",
                              lambda lam, *args: lam + 1e-3),
     "hooks": lambda mp: _wrap(mp, anyondeg.reproduce, "hook_count",
@@ -323,7 +347,7 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.cli, "solve_system", no_solve)
         code, out, err = run(capsys, "genfunc", "--k", "2", "--vertex", "3,0")
         assert code == 2 and out == ""
-        assert "not in the level-2 lattice" in err
+        assert err.startswith("error: ") and "not in the level-2 lattice" in err
 
 
 # Every flag of every subcommand (without --help).  A cap flag appears only

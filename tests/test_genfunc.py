@@ -5,8 +5,8 @@ from hypothesis import example, given, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _class0_det, _class0_numerators, build_system, generating_function,
-    j_matrix, solve_system, system_det, verify_series,
+    _class0_det, _numerator, build_system, generating_function,
+    solve_system, system_det, verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
@@ -17,7 +17,7 @@ from anyondeg.reference import (
 )
 
 from oracles import _bareiss, adjacency, full_system_solution, \
-    graded_bareiss_solution, graded_system, paper_block_system, \
+    graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
     transfer_det_mod_p
 
 
@@ -199,18 +199,25 @@ class TestSolveClass0:
     @example([[0, 1], [1, 0]])  # permutation
     @example([[5]])
     def test_matches_bareiss(self, matrix):
+        # G_v of (I - s M^T) x = e_0 has the s^m coefficient
+        # (row 0 of M^m)[v]
+        n0 = len(matrix)
+        rows = [[int(v == 0) for v in range(n0)]]
+        for _ in range(n0):
+            rows.append([sum(rows[-1][z] * matrix[z][v] for z in range(n0))
+                         for v in range(n0)])
         walks = _walks(matrix)
-        rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(matrix) - 1)
-        det, rows = _class0_det(walks)
-        numerators = _class0_numerators(det, rows)
+        rhs = [IntPoly.one()] + [IntPoly.zero()] * (n0 - 1)
+        det = _class0_det(walks)
+        numerators = [_numerator(det.coeffs, [row[v] for row in rows])
+                      for v in range(n0)]
         assert (det, numerators) == _bareiss(graded_system(walks), rhs)
 
     def test_system_det_forms_no_numerators(self, monkeypatch):
-        def no_numerators(det, rows):
+        def no_numerators(det, series):
             raise AssertionError("numerators formed")
 
-        monkeypatch.setattr(anyondeg.genfunc, "_class0_numerators",
-                            no_numerators)
+        monkeypatch.setattr(anyondeg.genfunc, "_numerator", no_numerators)
         system_det.cache_clear()
         try:
             assert system_det(5) == determinant_poly(5)
@@ -219,9 +226,11 @@ class TestSolveClass0:
 
 
 class TestSeriesConsistency:
-    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_series_equals_dp(self, k):
-        assert verify_series(k, 18) == []
+        # 28 steps past the prefix 0..3 |C0| + 2 the numerators are read from
+        n0 = len(grade_classes(build_lattice(k))[0])
+        assert verify_series(k, 3 * n0 + 30) == []
 
     def test_generating_function_accessor(self):
         fn = generating_function(2, Vertex(1, 1))
@@ -229,9 +238,13 @@ class TestSeriesConsistency:
         history = origin_history(2, 12, Vertex(1, 1))
         assert [int(c) for c in series] == history
 
-    def test_accessor_rejects_foreign_vertex(self):
-        with pytest.raises(ValueError):
-            generating_function(2, Vertex(3, 0))
+    def test_accessor_rejects_foreign_vertex(self, monkeypatch):
+        def no_solve(k):
+            raise AssertionError("solve_system ran")
+
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system", no_solve)
+        with pytest.raises(ValueError, match="not in the level-2 lattice"):
+            generating_function(2, (3, 0))
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_series_are_nonnegative_integers(self, k):

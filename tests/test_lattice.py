@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    ORIGIN, Vertex, build_lattice, grade_classes, graded_walks,
+    ORIGIN, Vertex, build_lattice, check_vertex, grade_classes,
     in_vertex_set, predecessors,
 )
 
-from oracles import adjacency, successors
+from oracles import adjacency, graded_predecessors, successors
 
 
 def forward(k):
@@ -114,13 +114,12 @@ def test_grade_classes(k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_graded_predecessor_positions(k):
-    # pred[g][r] points at the predecessors of the r-th class-g vertex
-    # (the walk counts are checked against the dense block in test_spectral)
+    # pred[g][r] points at the predecessors of the r-th class-g vertex;
+    # the graded Bareiss oracle sums numerators over these positions
     lat = build_lattice(k)
-    classes, pred, _ = graded_walks(lat)
-    assert classes == grade_classes(lat)
-    for g, cls in enumerate(classes):
-        for v, us in zip(cls, pred[g]):
+    classes = grade_classes(lat)
+    for g, (cls, pred) in enumerate(zip(classes, graded_predecessors(lat))):
+        for v, us in zip(cls, pred):
             assert [classes[g - 1][u] for u in us] == predecessors(v, k)
 
 
@@ -146,3 +145,10 @@ def test_in_vertex_set():
     assert in_vertex_set(Vertex(1, 2), 3)
     assert not in_vertex_set(Vertex(1, 3), 3)
     assert not in_vertex_set(Vertex(-1, 0), 3)
+
+
+def test_check_vertex():
+    check_vertex(Vertex(1, 2), 3)
+    for v in [Vertex(1, 3), Vertex(-1, 0), Vertex(0, -1)]:
+        with pytest.raises(ValueError, match=r"not in the level-3 lattice"):
+            check_vertex(v, 3)

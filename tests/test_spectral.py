@@ -51,7 +51,7 @@ class TestPerron:
     def test_walk_counts_are_the_dense_block(self, k):
         # the entries B[z, r] = walks[r][z] that lambda_perron fills in,
         # against B sliced out of the dense adjacency matrix and multiplied
-        *_, walks = graded_walks(build_lattice(k))
+        walks = graded_walks(build_lattice(k))
         block = [[row.get(z, 0) for row in walks] for z in range(len(walks))]
         assert block == dense_perron_block(k).tolist()
 
