@@ -15,9 +15,10 @@ m <= n0 = |C0|, by Newton's identities.  Every class-g function is
 t^g N(s) / D(s) with deg N < n0 (Cramer's rule on C0; x_1 = t A_01^T x_0
 and x_2 = t A_12^T x_1 keep that bound), so N = (D G) mod s^n0 for the
 walk series G of the vertex, which one ``pathcount._sweep`` to step
-3 n0 + 2 gives for every vertex at once; the s^n0 coefficient of D G
-must vanish.  Each function is reduced in s before s = t^3 is
-substituted.
+3 n0 + 2 gives for every vertex at once: its steps g, g + 3, ... are
+flat lists over class g, one series coefficient per vertex of that
+class.  The s^n0 coefficient of D G must vanish.  Each function is
+reduced in s before s = t^3 is substituted.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ def solve_system(k: int) -> GenFnSolution:
     steps = list(_sweep(lat, 3 * n0 + 2))
     graded = {}
     for g, cls in enumerate(classes):
-        for v in cls:
-            idx = lat.index(v)
-            series = [counts[idx] for counts in steps[g::3]]
+        # steps[g::3] are the class-g lists; zip drops the trailing slot
+        for v, series in zip(cls, zip(*steps[g::3])):
             graded[v] = RationalFn(_numerator(coeffs, series),
                                    det).substitute_power(3, g)
     solutions = {v: graded[v] for v in lat.vertices}
@@ -156,20 +156,26 @@ def generating_function(k: int, v: Vertex) -> RationalFn:
 def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     """Compare Taylor coefficients against the walk-count DP.
 
-    Returns a list of mismatches (vertex, n, series value, dp value);
-    empty means the two routes agree everywhere up to n_max.  One sweep
-    gives the counts of every vertex.
+    Returns a list of mismatches (vertex, n, series value, dp value) in
+    canonical vertex order, then by n; empty means the two routes agree
+    everywhere up to n_max.  Every series is expanded first; then each
+    step of one sweep is compared as it comes and dropped.  At step n
+    the vertices outside class n mod 3 are compared with 0.
     """
     if n_max < 0:  # before the costly solve
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     lat = build_lattice(k)
-    steps = list(_sweep(lat, n_max))
+    classes = grade_classes(lat)
+    series = [[sol.solutions[v].series_coeffs(n_max) for v in cls]
+              for cls in classes]
     mismatches = []
-    for v, fn in sol.solutions.items():
-        series = fn.series_coeffs(n_max)
-        idx = lat.index(v)
-        for n, counts in enumerate(steps):
-            if series[n] != counts[idx]:
-                mismatches.append((v, n, series[n], counts[idx]))
+    for n, counts in enumerate(_sweep(lat, n_max)):
+        for g, cls in enumerate(classes):
+            on_grade = g == n % 3
+            for r, (v, coeffs) in enumerate(zip(cls, series[g])):
+                dp = counts[r] if on_grade else 0
+                if coeffs[n] != dp:
+                    mismatches.append((v, n, coeffs[n], dp))
+    mismatches.sort(key=lambda m: (lat.index(m[0]), m[1]))
     return mismatches

@@ -3,9 +3,10 @@
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
-admissible tableaux.  ``predecessors`` is the one edge rule: every walk
-count, the 3-step counts between grade classes too, sums over it.  Pure
-Python; no dense adjacency matrix is built.
+admissible tableaux.  ``predecessors`` is the one edge rule, and
+``class_predecessors`` the one table built from it: every walk count,
+the 3-step counts between grade classes too, sums over that table.
+Pure Python; no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -88,18 +89,30 @@ def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
+def class_predecessors(lattice: Lattice) -> list[list[list[int]]]:
+    """The one per-class edge table: pred[g][r] lists the positions in
+    class g - 1 of the predecessors of the r-th vertex of class g.
+
+    Positions index the tuples of ``grade_classes``, so len(pred[g]) is
+    the size of class g.  The walk-count sweep and ``graded_walks`` both
+    read this table.
+    """
+    classes = grade_classes(lattice)
+    pos = {v: r for cls in classes for r, v in enumerate(cls)}
+    return [[[pos[u] for u in predecessors(v, lattice.k)] for v in cls]
+            for cls in classes]
+
+
 def graded_walks(lattice: Lattice) -> list[dict[int, int]]:
     """The 3-step walk counts between class-0 vertices.
 
     walks[r][z] counts the 3-step walks z -> C1 -> C2 -> r from the z-th
     to the r-th vertex of class 0: the entry B[z, r] of the origin block
-    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0).  The
-    powers of B give the system determinant and the Perron root.
+    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0), summed
+    over ``class_predecessors``.  The powers of B give the system
+    determinant and the Perron root.
     """
-    classes = grade_classes(lattice)
-    pos = {v: r for cls in classes for r, v in enumerate(cls)}
-    pred = [[[pos[u] for u in predecessors(v, lattice.k)] for v in cls]
-            for cls in classes]
+    pred = class_predecessors(lattice)
     walks = []
     for us in pred[0]:
         row: dict[int, int] = {}

@@ -4,9 +4,13 @@ Dynamic programming over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
-with out-of-range terms zero.  One sweep over flat count lists in the
-canonical vertex order serves every query.  Everything is a Python int;
-no floats.
+with out-of-range terms zero.  Every step raises the grade (2i + j) mod 3
+by 1, so after n steps only the vertices of class n mod 3 can hold a
+nonzero count, and every predecessor of a class-g vertex lies in class
+g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
+canonical order, and fills it from the previous step's list through
+``lattice.class_predecessors``; it serves every query.  Everything is a
+Python int; no floats.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .lattice import ORIGIN, Lattice, Vertex, build_lattice, check_vertex, \
-    in_vertex_set, predecessors
+    class_predecessors, grade_classes, in_vertex_set
 
 
 @dataclass(frozen=True)
@@ -32,29 +36,43 @@ class CountTable:
 
 
 def _sweep(lat: Lattice, n_max: int) -> Iterator[list[int]]:
-    """Counts after n = 0..n_max steps, as flat lists in canonical order.
+    """Counts after n = 0..n_max steps; step n covers class n mod 3 only.
 
-    A trailing slot that stays 0 stands in for missing predecessors, so
-    every update sums exactly three entries.
+    Each list is flat over the vertices of class n mod 3 in the order of
+    ``grade_classes`` (the other two classes hold 0 at step n).  A
+    trailing slot that stays 0 stands in for missing predecessors, so
+    every update sums exactly three entries of the previous list.
     """
     if n_max < 0:
         raise ValueError(f"step count n must be >= 0, got {n_max}")
-    zero = lat.dim  # index of the trailing slot
-    preds = [[lat.index(u) for u in predecessors(v, lat.k)] for v in lat.vertices]
-    preds = [p + [zero] * (3 - len(p)) for p in preds] + [[zero] * 3]
-    counts = [0] * (zero + 1)
-    counts[lat.index(ORIGIN)] = 1
+    pred = class_predecessors(lat)
+    padded = []
+    for g, cls in enumerate(pred):
+        zero = len(pred[g - 1])  # the trailing slot of class g - 1
+        padded.append([p + [zero] * (3 - len(p)) for p in cls])
+    counts = [0] * (len(pred[0]) + 1)
+    counts[0] = 1  # the origin opens class 0
     yield counts
-    for _ in range(n_max):
-        counts = [counts[a] + counts[b] + counts[c] for a, b, c in preds]
+    for n in range(1, n_max + 1):
+        counts = [counts[a] + counts[b] + counts[c] for a, b, c in padded[n % 3]]
+        counts.append(0)
         yield counts
+
+
+def _class_position(lat: Lattice, v: Vertex) -> tuple[int, int]:
+    """The grade class g of v and v's position in it."""
+    check_vertex(v, lat.k)
+    g = (2 * v.i + v.j) % 3
+    return g, grade_classes(lat)[g].index(v)
 
 
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
     lat = build_lattice(k)
     last = deque(_sweep(lat, n), maxlen=1).pop()
-    return CountTable(k=k, n=n, counts=dict(zip(lat.vertices, last)))
+    reached = dict(zip(grade_classes(lat)[n % 3], last))
+    return CountTable(k=k, n=n,
+                      counts={v: reached.get(v, 0) for v in lat.vertices})
 
 
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
@@ -67,7 +85,9 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
-    return count_paths(k, n).counts[v]
+    lat = build_lattice(k)
+    _, pos = _class_position(lat, v)
+    return deque(_sweep(lat, n), maxlen=1).pop()[pos]
 
 
 def total_dimension(k: int, n: int) -> int:
@@ -76,10 +96,12 @@ def total_dimension(k: int, n: int) -> int:
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
-    """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep."""
+    """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep; 0 at
+    the steps whose class is not v's."""
     lat = build_lattice(k)
-    idx = lat.index(Vertex(*v))
-    return [counts[idx] for counts in _sweep(lat, n_max)]
+    g, pos = _class_position(lat, Vertex(*v))
+    return [counts[pos] if n % 3 == g else 0
+            for n, counts in enumerate(_sweep(lat, n_max))]
 
 
 @dataclass(frozen=True)

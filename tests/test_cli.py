@@ -111,17 +111,19 @@ class TestGenfunc:
         assert err.splitlines() == ["error: origin series must start at 1"]
 
     def test_failed_class2_series_check_exits_3(self, capsys, monkeypatch):
-        # one walk too many to a class-2 vertex at the last step of the
-        # prefix leaves D G_v with a nonzero s^|C0| coefficient
+        # one walk too many to the last class-2 vertex at the last step of
+        # the prefix leaves D G_v with a nonzero s^|C0| coefficient; that
+        # step's list covers class 2, so the vertex sits at its position
+        # in the class
         classes = grade_classes(build_lattice(4))
-        last, v = 3 * len(classes[0]) + 2, classes[2][-1]
+        last, pos = 3 * len(classes[0]) + 2, len(classes[2]) - 1
         real = anyondeg.genfunc._sweep
 
         def bumped(lat, n_max):
             for n, counts in enumerate(real(lat, n_max)):
                 if n == last:
                     counts = counts.copy()
-                    counts[lat.index(v)] += 1
+                    counts[pos] += 1
                 yield counts
 
         monkeypatch.setattr(anyondeg.genfunc, "_sweep", bumped)

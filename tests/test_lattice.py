@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    ORIGIN, Vertex, build_lattice, check_vertex, grade_classes,
-    in_vertex_set, predecessors,
+    ORIGIN, Vertex, build_lattice, check_vertex, class_predecessors,
+    grade_classes, in_vertex_set, predecessors,
 )
 
 from oracles import adjacency, graded_predecessors, successors
@@ -116,11 +116,22 @@ def test_grade_classes(k):
 def test_graded_predecessor_positions(k):
     # pred[g][r] points at the predecessors of the r-th class-g vertex;
     # the graded Bareiss oracle sums numerators over these positions
-    lat = build_lattice(k)
+    check_class_positions(build_lattice(k), graded_predecessors)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_class_predecessor_positions(k):
+    # the production table that the sweep and graded_walks read
+    check_class_positions(build_lattice(k), class_predecessors)
+
+
+def check_class_positions(lat, table):
     classes = grade_classes(lat)
-    for g, (cls, pred) in enumerate(zip(classes, graded_predecessors(lat))):
-        for v, us in zip(cls, pred):
-            assert [classes[g - 1][u] for u in us] == predecessors(v, k)
+    pred = table(lat)
+    assert [len(p) for p in pred] == [len(c) for c in classes]
+    for g, (cls, pred_g) in enumerate(zip(classes, pred)):
+        for v, us in zip(cls, pred_g):
+            assert [classes[g - 1][u] for u in us] == predecessors(v, lat.k)
 
 
 def test_adjacency_k1():

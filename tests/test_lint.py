@@ -8,6 +8,11 @@ raise ArithmeticError instead.
 Imports sit at module top.  The one exception is numpy inside
 ``spectral.lambda_perron``, so that a process which never asks for the
 Perron eigenvalue never loads it.
+
+One edge table: ``lattice.predecessors`` is called only where
+``lattice.class_predecessors`` builds the table that every walk count
+reads, and where ``genfunc.build_system`` fills the full matrix, so no
+module grows a second predecessor list of its own.
 """
 
 import ast
@@ -41,3 +46,29 @@ def test_imports_at_module_top():
                 elif isinstance(node, ast.ImportFrom):
                     found += [(name, func.name, node.module or ".")]
     assert found == [("spectral.py", "lambda_perron", "numpy")]
+
+
+def _callers(tree, callee):
+    """Names of the innermost functions (``<module>`` at top level) that
+    call ``callee`` by name or as an attribute."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            target = node.func
+            if getattr(target, "id", getattr(target, "attr", None)) == callee:
+                found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_predecessors_called_only_by_the_edge_table():
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "predecessors")}
+    assert callers == {("lattice.py", "class_predecessors"),
+                       ("genfunc.py", "build_system")}

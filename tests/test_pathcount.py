@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
-from anyondeg.lattice import ORIGIN, Vertex, build_lattice
+from anyondeg.lattice import ORIGIN, Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import (
-    count_paths, degeneracy, origin_history, table, total_dimension,
+    _sweep, count_paths, degeneracy, origin_history, table, total_dimension,
 )
 from anyondeg.reference import ORIGIN_COUNTS, catalan3d, fibonacci
 
@@ -42,6 +43,45 @@ class TestCountPaths:
     def test_matches_matrix_power(self, k):
         for n in (0, 1, 7, 15):
             assert count_paths(k, n).counts == counts_by_matrix_power(k, n)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_counts_in_canonical_order(self, k):
+        # the sweep's lists are class-wise; the dict is canonical again
+        for n in (0, 1, 2, 9, 31):
+            assert list(count_paths(k, n).counts) == list(build_lattice(k).vertices)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_step_covers_one_class_plus_zero_slot(self, k):
+        lat = build_lattice(k)
+        sizes = [len(c) for c in grade_classes(lat)]
+        for n, counts in enumerate(_sweep(lat, 20)):
+            assert len(counts) == sizes[n % 3] + 1 and counts[-1] == 0
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_origin_history_matches_matrix_power(self, k):
+        # every vertex, every n <= 30: the zeros off v's grade come from
+        # the matrix power too, not from the congruence rule
+        rows = [counts_by_matrix_power(k, n) for n in range(31)]
+        for v in build_lattice(k).vertices:
+            assert origin_history(k, 30, v) == [row[v] for row in rows]
+
+
+@st.composite
+def level_step_vertex(draw):
+    k = draw(st.integers(1, 12))
+    i = draw(st.integers(0, k))
+    return k, draw(st.integers(0, 60)), Vertex(i, draw(st.integers(0, k - i)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_step_vertex())
+def test_count_routes_agree(case):
+    k, n, v = case
+    expected = degeneracy(k, n, v)
+    assert origin_history(k, n, v)[n] == expected
+    assert count_paths(k, n).counts[v] == expected
 
 
 class TestDegeneracy:
