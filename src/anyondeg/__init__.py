@@ -3,8 +3,8 @@
 Counts n-step lattice walks with arbitrary-precision integers, derives
 their rational generating functions from the polynomial system
 M_k x = e_1, reduced to the origin's grade class in s = t^3: the
-determinant from the integer powers of its 3-step walk matrix (traces
-and Newton's identities), each numerator from the determinant and one
+determinant from the closed walks on that class (power sums and
+Newton's identities), each numerator from the determinant and one
 walk-count sweep.  It cross-validates the growth rate (total quantum
 dimension) three independent ways.
 """

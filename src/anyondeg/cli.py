@@ -26,11 +26,11 @@ DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
 # The exact-algebra routes have lower default caps: at each cap a single
 # call took at most about 30 s on a 2-vCPU host with Python 3.11 (single
-# runs; one level more would leave no margin) -- det --k 34 21.5 s, qdim
-# --k 34 --method root 26.0 s and --method all 27.4 s (k=35: 29.8 s);
+# runs; one level more would leave no margin) -- det --k 51 24.7 s, qdim
+# --k 51 --method root 26.9 s and --method all 27.6 s (k=52: 31.3 s);
 # genfunc --k 15 9.5 s (k=16: 28.4 s); verify --k 15 --n 3000 26.3 s
 # (n=2000: 19.5 s); verify's cost grows with k and n alike.
-CAP_K_DET = 34  # det, qdim --method root|all
+CAP_K_DET = 51  # det, qdim --method root|all
 CAP_K_GENFUNC = 15
 CAP_K_VERIFY = 15
 CAP_N_VERIFY = 3000

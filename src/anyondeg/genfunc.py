@@ -10,25 +10,27 @@ Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic in
 the grade classes C0, C1, C2, and on C0 the system is
 (I - s B^T) x_0 = e_0 with s = t^3 and B = A_01 A_12 A_20.  No
 elimination runs.  ``system_det`` takes D(s) = det(I - s B^T), which
-is det(M_k) at s = t^3, from the traces of the integer powers B^m,
-m <= n0 = |C0|, by Newton's identities.  Every class-g function is
+is det(M_k) at s = t^3, from the closed 3m-step walks on C0, which
+sum to tr(B^m), m <= n0 = |C0|, by Newton's identities; each class-0
+vertex starts one ``pathcount._sweep``.  Every class-g function is
 t^g N(s) / D(s) with deg N < n0 (Cramer's rule on C0; x_1 = t A_01^T x_0
 and x_2 = t A_12^T x_1 keep that bound), so N = (D G) mod s^n0 for the
-walk series G of the vertex, which one ``pathcount._sweep`` to step
-3 n0 + 2 gives for every vertex at once: its steps g, g + 3, ... are
-flat lists over class g, one series coefficient per vertex of that
-class.  The s^n0 coefficient of D G must vanish.  Each function is
-reduced in s before s = t^3 is substituted.
+walk series G of the vertex, which one origin sweep to step 3 n0 + 2
+gives for every vertex at once: its steps g, g + 3, ... are flat lists
+over class g, one series coefficient per vertex of that class.  The
+s^n0 coefficient of D G must vanish.  Each function is reduced in s
+before s = t^3 is substituted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    grade_classes, graded_walks, predecessors
+    class_predecessors, grade_classes, predecessors
 from .pathcount import _sweep
 from .poly import IntPoly, RationalFn
 
@@ -63,24 +65,13 @@ class GenFnSolution:
     determinant: IntPoly
 
 
-def _class0_det(walks: list[dict[int, int]]) -> IntPoly:
-    """D(s) = det(I - s B^T) for B[z, r] = walks[r][z] (absent keys are 0).
-
-    With n0 = len(walks), the power sums p_m = tr(B^m) of the integer
-    powers B^m, m <= n0, give D by Newton's identities,
+def _newton(sums: list[int]) -> IntPoly:
+    """D(s) = det(I - s B^T) from the power sums p_m = sums[m - 1] =
+    tr(B^m), m <= n0, of an n0 x n0 matrix B by Newton's identities,
     m c_m = -sum_{i=1..m} c_{m-i} p_i, each division exact (else
-    ArithmeticError).
-    """
-    n0 = len(walks)
-    cols = [list(row.items()) for row in walks]
-    power = [[int(r == c) for c in range(n0)] for r in range(n0)]
-    sums = []
-    for _ in range(n0):
-        power = [[sum(row[z] * c for z, c in col) for col in cols]
-                 for row in power]
-        sums.append(sum(power[r][r] for r in range(n0)))
+    ArithmeticError)."""
     coeffs = [1]
-    for m in range(1, n0 + 1):
+    for m in range(1, len(sums) + 1):
         c, rem = divmod(-sum(coeffs[m - i] * sums[i - 1]
                              for i in range(1, m + 1)), m)
         if rem:
@@ -110,9 +101,17 @@ def system_det(k: int) -> IntPoly:
 
     Computed as det(I - s * B^T) on the origin's grade class, then
     s = t^3 (the two agree because A is 3-cyclic in the grade classes);
-    no numerator is formed.
+    no numerator is formed.  The sweep from the z-th class-0 vertex
+    adds the closed walks at z to tr(B^m) at step 3m.
     """
-    return _class0_det(graded_walks(build_lattice(k))).substitute_power(3)
+    pred = class_predecessors(build_lattice(k))
+    n0 = len(pred[0])
+    sums = [0] * n0
+    for z in range(n0):
+        steps = _sweep(pred, 3 * n0, z)  # class 0 at steps 3, 6, ..., 3 n0
+        for m, counts in enumerate(islice(steps, 3, None, 3)):
+            sums[m] += counts[z]
+    return _newton(sums).substitute_power(3)
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +130,7 @@ def solve_system(k: int) -> GenFnSolution:
     det_t = system_det(k)
     coeffs = det_t.coeffs[::3]
     det = IntPoly(coeffs)
-    steps = list(_sweep(lat, 3 * n0 + 2))
+    steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2))
     graded = {}
     for g, cls in enumerate(classes):
         # steps[g::3] are the class-g lists; zip drops the trailing slot
@@ -170,7 +169,7 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     series = [[sol.solutions[v].series_coeffs(n_max) for v in cls]
               for cls in classes]
     mismatches = []
-    for n, counts in enumerate(_sweep(lat, n_max)):
+    for n, counts in enumerate(_sweep(class_predecessors(lat), n_max)):
         for g, cls in enumerate(classes):
             on_grade = g == n % 3
             for r, (v, coeffs) in enumerate(zip(cls, series[g])):

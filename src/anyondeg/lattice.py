@@ -5,8 +5,8 @@ diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
 admissible tableaux.  ``predecessors`` is the one edge rule, and
 ``class_predecessors`` the one table built from it: every walk count,
-the 3-step counts between grade classes too, sums over that table.
-Pure Python; no dense adjacency matrix is built.
+the Perron route's 3-step matrix B too, sums over that table.  Pure
+Python; no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def graded_walks(lattice: Lattice) -> list[dict[int, int]]:
     walks[r][z] counts the 3-step walks z -> C1 -> C2 -> r from the z-th
     to the r-th vertex of class 0: the entry B[z, r] of the origin block
     B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0), summed
-    over ``class_predecessors``.  The powers of B give the system
-    determinant and the Perron root.
+    over ``class_predecessors``.  Only the Perron route needs B as a
+    matrix; the determinant counts B's closed walks by sweeps.
     """
     pred = class_predecessors(lattice)
     walks = []

@@ -9,8 +9,8 @@ by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
 canonical order, and fills it from the previous step's list through
-``lattice.class_predecessors``; it serves every query.  Everything is a
-Python int; no floats.
+``lattice.class_predecessors``; it serves every query, the system
+determinant's closed walks too.  Everything is a Python int; no floats.
 """
 
 from __future__ import annotations
@@ -35,23 +35,24 @@ class CountTable:
         return sum(self.counts.values())
 
 
-def _sweep(lat: Lattice, n_max: int) -> Iterator[list[int]]:
-    """Counts after n = 0..n_max steps; step n covers class n mod 3 only.
+def _sweep(pred: list[list[list[int]]], n_max: int,
+           start: int = 0) -> Iterator[list[int]]:
+    """Counts after n = 0..n_max steps from the start-th class-0 vertex
+    (0 is the origin); step n covers class n mod 3 only.
 
-    Each list is flat over the vertices of class n mod 3 in the order of
-    ``grade_classes`` (the other two classes hold 0 at step n).  A
-    trailing slot that stays 0 stands in for missing predecessors, so
-    every update sums exactly three entries of the previous list.
+    ``pred`` is the lattice's ``class_predecessors``, built once per
+    caller.  Each list is flat over class n mod 3 in ``grade_classes``
+    order, plus a trailing slot that stays 0 and stands in for missing
+    predecessors, so every update sums exactly three previous entries.
     """
     if n_max < 0:
         raise ValueError(f"step count n must be >= 0, got {n_max}")
-    pred = class_predecessors(lat)
     padded = []
     for g, cls in enumerate(pred):
         zero = len(pred[g - 1])  # the trailing slot of class g - 1
         padded.append([p + [zero] * (3 - len(p)) for p in cls])
     counts = [0] * (len(pred[0]) + 1)
-    counts[0] = 1  # the origin opens class 0
+    counts[start] = 1  # the start vertex opens class 0
     yield counts
     for n in range(1, n_max + 1):
         counts = [counts[a] + counts[b] + counts[c] for a, b, c in padded[n % 3]]
@@ -69,7 +70,7 @@ def _class_position(lat: Lattice, v: Vertex) -> tuple[int, int]:
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
     lat = build_lattice(k)
-    last = deque(_sweep(lat, n), maxlen=1).pop()
+    last = deque(_sweep(class_predecessors(lat), n), maxlen=1).pop()
     reached = dict(zip(grade_classes(lat)[n % 3], last))
     return CountTable(k=k, n=n,
                       counts={v: reached.get(v, 0) for v in lat.vertices})
@@ -87,7 +88,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
         return 0  # every step raises 2i + j by 1 (mod 3)
     lat = build_lattice(k)
     _, pos = _class_position(lat, v)
-    return deque(_sweep(lat, n), maxlen=1).pop()[pos]
+    return deque(_sweep(class_predecessors(lat), n), maxlen=1).pop()[pos]
 
 
 def total_dimension(k: int, n: int) -> int:
@@ -101,7 +102,7 @@ def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     lat = build_lattice(k)
     g, pos = _class_position(lat, Vertex(*v))
     return [counts[pos] if n % 3 == g else 0
-            for n, counts in enumerate(_sweep(lat, n_max))]
+            for n, counts in enumerate(_sweep(class_predecessors(lat), n_max))]
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,15 @@ def table(k_max: int, n_max: int, v: Vertex = ORIGIN,
     """Counts at v for k = 1..k_max, n = 0..n_max.
 
     At the origin only the n with 3 | n are emitted (the rest vanish by
-    the congruence invariant) unless all_columns is set.
+    the congruence invariant) unless all_columns is set.  v must lie in
+    the level-k_max lattice; the rows of the levels below it hold 0.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     v = Vertex(*v)
+    check_vertex(v, k_max)  # before any sweep
     stride3 = v == ORIGIN and not all_columns
     columns = tuple(n for n in range(n_max + 1) if not stride3 or n % 3 == 0)
     rows = {}

@@ -96,9 +96,14 @@ def shape_for_vertex(n: int, v: Vertex) -> Shape3 | None:
 
 
 def unrestricted_count(n: int, v: Vertex) -> int:
-    """Walks of length n from the origin to v when the level is >= n."""
+    """Walks of length n from the origin to v when the level is >= n.
+
+    With no level, any v with i, j >= 0 is a vertex (else ValueError)."""
     if n < 0:
         raise ValueError(f"step count n must be >= 0, got {n}")
+    if min(v) < 0:
+        raise ValueError(f"vertex {tuple(v)} lies in no lattice: "
+                         f"i, j must be >= 0")
     shape = shape_for_vertex(n, v)
     if shape is None:
         return 0

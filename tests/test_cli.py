@@ -78,6 +78,14 @@ class TestTable:
         _, second, _ = run(capsys, "table", "--max-k", "4", "--max-n", "12")
         assert first == second
 
+    @pytest.mark.parametrize("vertex", ["-1,0", "9,9"])
+    def test_rejects_vertex_outside_the_lattice(self, capsys, vertex):
+        # count exits 2 for the same vertex; zeros would hide the typo
+        code, out, err = run(capsys, "table", "--max-k", "3", "--max-n", "6",
+                             f"--vertex={vertex}")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestGenfunc:
     def test_text_output(self, capsys):
@@ -119,8 +127,10 @@ class TestGenfunc:
         last, pos = 3 * len(classes[0]) + 2, len(classes[2]) - 1
         real = anyondeg.genfunc._sweep
 
-        def bumped(lat, n_max):
-            for n, counts in enumerate(real(lat, n_max)):
+        def bumped(pred, n_max, start=0):
+            # only solve_system's origin sweep reaches the last step;
+            # system_det's closed-walk sweeps stop at 3 |C0|
+            for n, counts in enumerate(real(pred, n_max, start)):
                 if n == last:
                     counts = counts.copy()
                     counts[pos] += 1
@@ -146,12 +156,15 @@ class TestDet:
             "+ 3429*t^18 + 6075*t^21 - 1458*t^24 + 729*t^27")
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
-        # a walk matrix with a non-integer entry fails the Newton division
-        def half_walks(lattice):
-            return [{0: Fraction(1, 2)}] + real(lattice)[1:]
+        # a non-integer closed-walk count fails the Newton division
+        def half_walks(pred, n_max, start=0):
+            for n, counts in enumerate(real(pred, n_max, start)):
+                if n == 3 and start == 0:
+                    counts = [Fraction(1, 2)] + counts[1:]
+                yield counts
 
-        real = anyondeg.genfunc.graded_walks
-        monkeypatch.setattr(anyondeg.genfunc, "graded_walks", half_walks)
+        real = anyondeg.genfunc._sweep
+        monkeypatch.setattr(anyondeg.genfunc, "_sweep", half_walks)
         anyondeg.genfunc.system_det.cache_clear()
         try:
             code, out, err = run(capsys, "det", "--k", "3")
@@ -242,6 +255,11 @@ class TestSyt:
     def test_negative_n_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_negative_vertex_exits_2(self, capsys):
+        code, out, err = run(capsys, "syt", "--n", "9", "--vertex=-1,0")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_formula_audit_mode(self, capsys):
         code, out, _ = run(capsys, "syt", "--n", "27", "--paper-formula")

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _class0_det, _numerator, build_system, generating_function,
+    _newton, _numerator, build_system, generating_function,
     solve_system, system_det, verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, grade_classes
@@ -200,15 +200,18 @@ class TestSolveClass0:
     @example([[5]])
     def test_matches_bareiss(self, matrix):
         # G_v of (I - s M^T) x = e_0 has the s^m coefficient
-        # (row 0 of M^m)[v]
+        # (row 0 of M^m)[v]; D comes from the traces of M^m, m <= n0
         n0 = len(matrix)
-        rows = [[int(v == 0) for v in range(n0)]]
+        power = [[int(r == c) for c in range(n0)] for r in range(n0)]
+        rows, sums = [power[0]], []
         for _ in range(n0):
-            rows.append([sum(rows[-1][z] * matrix[z][v] for z in range(n0))
-                         for v in range(n0)])
+            power = [[sum(row[z] * matrix[z][c] for z in range(n0))
+                      for c in range(n0)] for row in power]
+            rows.append(power[0])
+            sums.append(sum(power[r][r] for r in range(n0)))
         walks = _walks(matrix)
         rhs = [IntPoly.one()] + [IntPoly.zero()] * (n0 - 1)
-        det = _class0_det(walks)
+        det = _newton(sums)
         numerators = [_numerator(det.coeffs, [row[v] for row in rows])
                       for v in range(n0)]
         assert (det, numerators) == _bareiss(graded_system(walks), rhs)

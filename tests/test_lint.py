@@ -13,6 +13,11 @@ One edge table: ``lattice.predecessors`` is called only where
 ``lattice.class_predecessors`` builds the table that every walk count
 reads, and where ``genfunc.build_system`` fills the full matrix, so no
 module grows a second predecessor list of its own.
+
+One walk-count loop: ``lattice.graded_walks``, which fills the 3-step
+walk matrix B, is called only by ``spectral.lambda_perron``, the one
+route that needs B as a matrix; every other walk count, the system
+determinant's closed walks too, comes from ``pathcount._sweep``.
 """
 
 import ast
@@ -72,3 +77,9 @@ def test_predecessors_called_only_by_the_edge_table():
                for func in _callers(tree, "predecessors")}
     assert callers == {("lattice.py", "class_predecessors"),
                        ("genfunc.py", "build_system")}
+
+
+def test_graded_walks_called_only_by_perron():
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "graded_walks")}
+    assert callers == {("spectral.py", "lambda_perron")}

@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
-from anyondeg.lattice import ORIGIN, Vertex, build_lattice, grade_classes
+from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
+    class_predecessors, grade_classes
 from anyondeg.pathcount import (
     _sweep, count_paths, degeneracy, origin_history, table, total_dimension,
 )
 from anyondeg.reference import ORIGIN_COUNTS, catalan3d, fibonacci
 
-from oracles import counts_by_matrix_power, dfs_walk_counts
+from oracles import counts_by_matrix_power, dense_perron_block, \
+    dfs_walk_counts
 
 
 class TestCountPaths:
@@ -56,8 +59,20 @@ class TestSweep:
     def test_step_covers_one_class_plus_zero_slot(self, k):
         lat = build_lattice(k)
         sizes = [len(c) for c in grade_classes(lat)]
-        for n, counts in enumerate(_sweep(lat, 20)):
+        for n, counts in enumerate(_sweep(class_predecessors(lat), 20)):
             assert len(counts) == sizes[n % 3] + 1 and counts[-1] == 0
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_start_position_matches_perron_block_power(self, k):
+        # from the z-th class-0 vertex, step 3m holds row z of B^m; B is
+        # sliced out of the dense adjacency matrix, not counted
+        pred = class_predecessors(build_lattice(k))
+        block = dense_perron_block(k)
+        for z in range(len(pred[0])):
+            steps = list(_sweep(pred, 12, z))
+            for m in range(5):
+                row = np.linalg.matrix_power(block, m)[z]
+                assert steps[3 * m][:-1] == [int(c) for c in row]
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_origin_history_matches_matrix_power(self, k):
@@ -170,6 +185,15 @@ class TestTable:
                 expected = dfs_walk_counts(k, n).get(Vertex(1, 1), 0) \
                     if k >= 2 else 0
                 assert grid.rows[k][ci] == expected
+
+    @pytest.mark.parametrize("v", [Vertex(-1, 0), Vertex(9, 9)])
+    def test_rejects_vertex_outside_the_top_level(self, monkeypatch, v):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        with pytest.raises(ValueError, match="not in the level-3 lattice"):
+            table(3, 6, v)
 
     def test_all_columns_flag(self):
         grid = table(2, 6, all_columns=True)

@@ -74,6 +74,16 @@ class TestUnrestrictedCount:
         assert unrestricted_count(2, Vertex(1, 0)) == 1
         assert unrestricted_count(2, Vertex(0, 0)) == 0
 
+    @pytest.mark.parametrize("v", [Vertex(-1, 0), Vertex(0, -2)])
+    def test_rejects_negative_overhang(self, v):
+        with pytest.raises(ValueError, match="lies in no lattice"):
+            unrestricted_count(9, v)
+
+    def test_accepts_any_vertex_with_nonnegative_overhangs(self):
+        assert unrestricted_count(9, Vertex(9, 9)) == 0
+        assert unrestricted_count(27, Vertex(9, 9)) == hook_count(
+            Shape3(18, 9, 0))
+
     @pytest.mark.parametrize("n", range(0, 13))
     def test_matches_saturated_walk_counts(self, n):
         k = max(n, 1)
