@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .genfunc import solve_system, system_det, verify_series
@@ -134,8 +135,8 @@ def _cmd_qdim(args) -> int:
         args.cap_k = CAP_K_DET if args.method in ("root", "all") \
             else DEFAULT_CAP_K
     _check_caps(args, k=args.k)
-    if args.tol is not None and not args.tol > 0:  # before the determinant
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if args.tol is not None and not 0 < args.tol < math.inf:  # before det
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     tol = DEFAULT_TOL.get(args.method) if args.tol is None else args.tol
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))
@@ -156,6 +157,7 @@ def _cmd_syt(args) -> int:
         return 0
     if args.shape:
         shape = _parse_shape(args.shape)
+        _check_caps(args, n=shape.n)
         count = hook_count(shape)
     else:
         _check_caps(args, n=args.n)

@@ -4,9 +4,9 @@ A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
 admissible tableaux.  ``predecessors`` is the one edge rule, and
-``class_predecessors`` the one table built from it: every walk count,
-the Perron route's 3-step matrix B too, sums over that table.  Pure
-Python; no dense adjacency matrix is built.
+``class_predecessors`` the one padded table built from it: every walk
+count, the Perron route's block B too, reads that table.  Pure Python;
+no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -90,35 +90,16 @@ def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
 
 
 def class_predecessors(lattice: Lattice) -> list[list[list[int]]]:
-    """The one per-class edge table: pred[g][r] lists the positions in
+    """The one per-class edge table: pred[g][r] holds the positions in
     class g - 1 of the predecessors of the r-th vertex of class g.
 
     Positions index the tuples of ``grade_classes``, so len(pred[g]) is
-    the size of class g.  The walk-count sweep and ``graded_walks`` both
-    read this table.
+    the size of class g.  Every row has three entries: the real positions
+    in ``predecessors`` order, then one pad len(pred[g - 1]) per missing
+    predecessor, the slot just past class g - 1 where a reader keeps 0.
     """
     classes = grade_classes(lattice)
     pos = {v: r for cls in classes for r, v in enumerate(cls)}
-    return [[[pos[u] for u in predecessors(v, lattice.k)] for v in cls]
-            for cls in classes]
-
-
-def graded_walks(lattice: Lattice) -> list[dict[int, int]]:
-    """The 3-step walk counts between class-0 vertices.
-
-    walks[r][z] counts the 3-step walks z -> C1 -> C2 -> r from the z-th
-    to the r-th vertex of class 0: the entry B[z, r] of the origin block
-    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 (absent keys are 0), summed
-    over ``class_predecessors``.  Only the Perron route needs B as a
-    matrix; the determinant counts B's closed walks by sweeps.
-    """
-    pred = class_predecessors(lattice)
-    walks = []
-    for us in pred[0]:
-        row: dict[int, int] = {}
-        for u in us:
-            for w in pred[2][u]:
-                for z in pred[1][w]:
-                    row[z] = row.get(z, 0) + 1
-        walks.append(row)
-    return walks
+    return [[([pos[u] for u in predecessors(v, lattice.k)]
+              + [len(classes[g - 1])] * 3)[:3] for v in cls]
+            for g, cls in enumerate(classes)]

@@ -42,20 +42,16 @@ def _sweep(pred: list[list[list[int]]], n_max: int,
 
     ``pred`` is the lattice's ``class_predecessors``, built once per
     caller.  Each list is flat over class n mod 3 in ``grade_classes``
-    order, plus a trailing slot that stays 0 and stands in for missing
-    predecessors, so every update sums exactly three previous entries.
+    order, plus a trailing slot that stays 0: the table's pads point
+    there, so every update sums exactly three previous entries.
     """
     if n_max < 0:
         raise ValueError(f"step count n must be >= 0, got {n_max}")
-    padded = []
-    for g, cls in enumerate(pred):
-        zero = len(pred[g - 1])  # the trailing slot of class g - 1
-        padded.append([p + [zero] * (3 - len(p)) for p in cls])
     counts = [0] * (len(pred[0]) + 1)
     counts[start] = 1  # the start vertex opens class 0
     yield counts
     for n in range(1, n_max + 1):
-        counts = [counts[a] + counts[b] + counts[c] for a, b, c in padded[n % 3]]
+        counts = [counts[a] + counts[b] + counts[c] for a, b, c in pred[n % 3]]
         counts.append(0)
         yield counts
 

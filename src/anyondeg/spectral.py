@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .genfunc import system_det
-from .lattice import build_lattice, graded_walks
+from .lattice import build_lattice, class_predecessors
 from .pathcount import degeneracy
 from .poly import IntPoly
 
@@ -49,6 +49,21 @@ def lambda_trig(k: int) -> float:
     return math.sin(math.pi * ROWS / m) / math.sin(math.pi / m)
 
 
+def _perron_block(np, pred):
+    """B = A[C0,C1] A[C1,C2] A[C2,C0] in float64: B[z, r] counts the
+    walks z -> C1 -> C2 -> r, chained through the rows of the padded
+    ``class_predecessors`` table ``pred``.  An all-pad row appended to
+    classes 2 and 1 carries a walk through a pad on to row n0, dropped.
+    """
+    n0, n1 = len(pred[0]), len(pred[1])
+    p2 = np.array(pred[2] + [[n1] * 3])  # row n2: the pad of class 0's rows
+    p1 = np.array(pred[1] + [[n0] * 3])  # row n1: the pad of class 2's rows
+    starts = p1[p2[np.array(pred[0])]]  # [r, a, b, c]: z of one walk to r
+    block = np.zeros((n0 + 1, n0))
+    np.add.at(block, (starts, np.arange(n0)[:, None, None, None]), 1)
+    return block[:n0]
+
+
 def lambda_perron(k: int, tol: float = 1e-12) -> float:
     """Dominant adjacency eigenvalue by power iteration.
 
@@ -57,19 +72,15 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     The cube of A is block diagonal; its origin block
     B = A[C0,C1] A[C1,C2] A[C2,C0] has the cube of the dominant
     eigenvalue as its own, and plain power iteration on B converges.
-    The cube root of that eigenvalue is returned.  B is filled straight
-    from the 3-step walk counts between class-0 vertices, without the
-    dense N x N matrix A.
+    The cube root of that eigenvalue is returned.  B is filled from the
+    lattice's one edge table, ``class_predecessors``, without the dense
+    N x N matrix A.  tol must be positive and finite.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     import numpy as np
 
-    walks = graded_walks(build_lattice(k))
-    cubed = np.zeros((len(walks), len(walks)))
-    for r, row in enumerate(walks):
-        for z, count in row.items():
-            cubed[z, r] = count
+    cubed = _perron_block(np, class_predecessors(build_lattice(k)))
     vec = np.ones(cubed.shape[0])
     vec /= np.linalg.norm(vec)
     mu_prev = math.inf
@@ -88,10 +99,12 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     """Smallest positive real root by exact sign bracketing plus bisection.
 
     Signs are evaluated with integer arithmetic at rational points, so a
-    bracket is never produced by rounding error.  Requires p(0) > 0.
+    bracket is never produced by rounding error.  Requires p(0) > 0 and
+    a positive, finite tol.  Bisection stops at width tol, or once both
+    ends round to one float, which every later midpoint rounds to too.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if p.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
     steps = int(math.ceil(SEARCH_LIMIT * GRID))
@@ -107,7 +120,7 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     else:
         raise NoRootError(
             f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
-    while (hi_num - lo_num) / den > tol:
+    while (hi_num - lo_num) / den > tol and lo_num / den != hi_num / den:
         mid = lo_num + hi_num
         lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den
         s = p.sign_at(mid, den)

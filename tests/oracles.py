@@ -11,9 +11,10 @@ lattice's edge rule; determinants and generating functions come from
 fraction-free (Bareiss) elimination, which the library does not use:
 on the full system in t, and on the graded system I - s B^T over the
 origin's grade class; determinants at a point are taken mod p by
-Gaussian elimination on the adjacency matrix; the Perron block is
-sliced out of the adjacency matrix rather than counted from predecessor
-lists.
+Gaussian elimination on the adjacency matrix; the Perron block B, for
+the power iteration and for the graded system alike, is sliced out of
+the adjacency matrix and multiplied rather than chained from the
+library's predecessor table.
 """
 
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    grade_classes, graded_walks, predecessors
+    grade_classes, predecessors
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -165,11 +166,11 @@ def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
                  for v in lat.vertices}
 
 
-def graded_system(walks: list[dict[int, int]]) -> PolyMatrix:
-    """I - s M^T over Z[s] for the square matrix M[z, r] = walks[r][z]."""
-    n = len(walks)
-    return [[IntPoly((int(r == c), -row.get(c, 0))) for c in range(n)]
-            for r, row in enumerate(walks)]
+def graded_system(matrix: list[list[int]]) -> PolyMatrix:
+    """I - s M^T over Z[s] for the square integer matrix M."""
+    n = len(matrix)
+    return [[IntPoly((int(r == c), -matrix[c][r])) for c in range(n)]
+            for r in range(n)]
 
 
 def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
@@ -183,7 +184,8 @@ def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
 
 def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """det(M_k) and every generating function, by Bareiss elimination on
-    (I - s B^T) x_0 = e_0 over the origin's grade class, s = t^3.
+    (I - s B^T) x_0 = e_0 over the origin's grade class, s = t^3, with
+    B from ``dense_perron_block``.
 
     Then x_1 = t A_01^T x_0 and x_2 = t A_12^T x_1 by summing the
     predecessors' numerators; each function is reduced in s before
@@ -191,7 +193,7 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """
     lat = build_lattice(k)
     classes, pred = grade_classes(lat), graded_predecessors(lat)
-    mat = graded_system(graded_walks(lat))
+    mat = graded_system(dense_perron_block(k).astype(int).tolist())
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
     graded = {}

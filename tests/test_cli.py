@@ -224,7 +224,7 @@ class TestQdim:
 
     @pytest.mark.parametrize("method,tol", [
         (method, tol) for method in ("eig", "root", "all")
-        for tol in ("0", "-1e-6", "nan")])
+        for tol in ("0", "-1e-6", "nan", "inf")])
     def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
         def no_det(k):
             raise AssertionError("system_det ran")
@@ -249,6 +249,15 @@ class TestSyt:
         assert code == 0 and out == "5\n"
         assert run(capsys, "syt", "--shape", "2,2,2", "--n", "-1")[:2] == \
             (0, "5\n")
+
+    def test_shape_query_honours_n_cap(self, capsys):
+        code, out, err = run(capsys, "syt", "--shape", "10001,0,0")
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == \
+            ["error: n=10001 exceeds the cap 10000 (--cap-n to raise)"]
+        assert run(capsys, "syt", "--shape", "10001,0,0",
+                   "--cap-n", "10001")[:2] == (0, "1\n")
 
     @pytest.mark.parametrize("argv", [
         "syt --n -1 --vertex 0,0", "syt --n -3 --paper-formula"])

@@ -179,12 +179,6 @@ class TestGradedReduction:
         assert det.degree == determinant_degree(k)
 
 
-def _walks(matrix):
-    """The walks list of the square matrix M: walks[r][z] = M[z][r]."""
-    return [{z: row[r] for z, row in enumerate(matrix) if row[r]}
-            for r in range(len(matrix))]
-
-
 square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 4), min_size=n, max_size=n),
     min_size=n, max_size=n))
@@ -209,12 +203,11 @@ class TestSolveClass0:
                       for c in range(n0)] for row in power]
             rows.append(power[0])
             sums.append(sum(power[r][r] for r in range(n0)))
-        walks = _walks(matrix)
         rhs = [IntPoly.one()] + [IntPoly.zero()] * (n0 - 1)
         det = _newton(sums)
         numerators = [_numerator(det.coeffs, [row[v] for row in rows])
                       for v in range(n0)]
-        assert (det, numerators) == _bareiss(graded_system(walks), rhs)
+        assert (det, numerators) == _bareiss(graded_system(matrix), rhs)
 
     def test_system_det_forms_no_numerators(self, monkeypatch):
         def no_numerators(det, series):

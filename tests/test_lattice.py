@@ -121,8 +121,29 @@ def test_graded_predecessor_positions(k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_class_predecessor_positions(k):
-    # the production table that the sweep and graded_walks read
-    check_class_positions(build_lattice(k), class_predecessors)
+    # the production table that the sweep and the Perron block read,
+    # its pads dropped
+    def real_positions(lat):
+        pred = class_predecessors(lat)
+        return [[[u for u in us if u < len(pred[g - 1])] for us in rows]
+                for g, rows in enumerate(pred)]
+
+    check_class_positions(build_lattice(k), real_positions)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_class_predecessor_rows_are_padded(k):
+    # three entries per row: the real positions first, then the pad
+    # len(class g - 1), the zero slot of the sweep's previous list
+    lat = build_lattice(k)
+    classes = grade_classes(lat)
+    for g, (cls, rows) in enumerate(zip(classes, class_predecessors(lat))):
+        pad = len(classes[g - 1])
+        for v, us in zip(cls, rows):
+            real = len(predecessors(v, k))
+            assert len(us) == 3
+            assert all(u < pad for u in us[:real])
+            assert us[real:] == [pad] * (3 - real)
 
 
 def check_class_positions(lat, table):
@@ -138,6 +159,15 @@ def test_adjacency_k1():
     mat = adjacency(build_lattice(1))
     assert mat.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     assert np.array_equal(np.linalg.matrix_power(mat, 3), np.eye(3, dtype=int))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_adjacency_is_normal(k):
+    # A commutes with its transpose (A is the fusion matrix of the
+    # fundamental representation), exactly, in int64
+    mat = adjacency(build_lattice(k))
+    assert mat.dtype == np.int64
+    assert np.array_equal(mat @ mat.T, mat.T @ mat)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -14,10 +14,10 @@ One edge table: ``lattice.predecessors`` is called only where
 reads, and where ``genfunc.build_system`` fills the full matrix, so no
 module grows a second predecessor list of its own.
 
-One walk-count loop: ``lattice.graded_walks``, which fills the 3-step
-walk matrix B, is called only by ``spectral.lambda_perron``, the one
-route that needs B as a matrix; every other walk count, the system
-determinant's closed walks too, comes from ``pathcount._sweep``.
+One walk-count loop: every walk count, the system determinant's closed
+walks too, comes from ``pathcount._sweep`` over that table, padded to
+three predecessors per vertex; only ``spectral._perron_block`` reads
+the same rows as index arrays, to fill the Perron block B for numpy.
 """
 
 import ast
@@ -77,9 +77,3 @@ def test_predecessors_called_only_by_the_edge_table():
                for func in _callers(tree, "predecessors")}
     assert callers == {("lattice.py", "class_predecessors"),
                        ("genfunc.py", "build_system")}
-
-
-def test_graded_walks_called_only_by_perron():
-    callers = {(name, func) for name, tree in _trees()
-               for func in _callers(tree, "graded_walks")}
-    assert callers == {("spectral.py", "lambda_perron")}

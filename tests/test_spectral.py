@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from anyondeg.genfunc import system_det
-from anyondeg.lattice import build_lattice, graded_walks
+from anyondeg.lattice import build_lattice, class_predecessors
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    NoRootError, growth_rate_estimate, lambda_perron, lambda_trig,
-    smallest_positive_root, spectral_report,
+    GRID, NoRootError, _perron_block, growth_rate_estimate, lambda_perron,
+    lambda_trig, smallest_positive_root, spectral_report,
 )
 
 from oracles import dense_lambda_perron, dense_perron_block
@@ -49,17 +50,17 @@ class TestPerron:
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_walk_counts_are_the_dense_block(self, k):
-        # the entries B[z, r] = walks[r][z] that lambda_perron fills in,
-        # against B sliced out of the dense adjacency matrix and multiplied
-        walks = graded_walks(build_lattice(k))
-        block = [[row.get(z, 0) for row in walks] for z in range(len(walks))]
-        assert block == dense_perron_block(k).tolist()
+        # the B that lambda_perron iterates on, chained from the padded
+        # edge table, against B sliced out of the dense adjacency matrix
+        # and multiplied
+        block = _perron_block(np, class_predecessors(build_lattice(k)))
+        assert block.tolist() == dense_perron_block(k).tolist()
 
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 64])
     def test_bit_identical_to_dense_route(self, k):
         assert lambda_perron(k) == dense_lambda_perron(k)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
             lambda_perron(2, tol=tol)
@@ -88,10 +89,28 @@ class TestRootFinding:
         with pytest.raises(ValueError):
             smallest_positive_root(IntPoly.from_terms({0: -1, 1: 1}))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
             smallest_positive_root(IntPoly.from_terms({0: 1, 3: -1}), tol=tol)
+
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
+        # below float resolution the returned value cannot change, so a
+        # tiny tol costs no more steps than the float needs
+        calls = 0
+        real = IntPoly.sign_at
+
+        def counted(self, num, den):
+            nonlocal calls
+            calls += 1
+            return real(self, num, den)
+
+        monkeypatch.setattr(IntPoly, "sign_at", counted)
+        rho = smallest_positive_root(IntPoly.from_terms({0: 1, 2: -2}),
+                                     tol=1e-300)
+        grid_scan = 1 + math.ceil(GRID / math.sqrt(2))  # p(0), then m/GRID
+        assert calls <= grid_scan + 64
+        assert abs(rho - 1 / math.sqrt(2)) <= math.ulp(1 / math.sqrt(2))
 
 
 class TestReport:
