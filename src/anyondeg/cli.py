@@ -30,11 +30,15 @@ DEFAULT_CAP_K = 64
 # runs; one level more would leave no margin) -- det --k 51 24.7 s, qdim
 # --k 51 --method root 26.9 s and --method all 27.6 s (k=52: 31.3 s);
 # genfunc --k 15 9.5 s (k=16: 28.4 s); verify --k 15 --n 3000 26.3 s
-# (n=2000: 19.5 s); verify's cost grows with k and n alike.
+# (n=2000: 19.5 s); verify's cost grows with k and n alike.  table sums
+# one sweep per level and prints every count, about as n^2: --max-k 64
+# --max-n 3000 --all-columns --format json 19.7 s (--max-n 4000 at the
+# origin, a third of the columns: 33.1 s).
 CAP_K_DET = 51  # det, qdim --method root|all
 CAP_K_GENFUNC = 15
 CAP_K_VERIFY = 15
 CAP_N_VERIFY = 3000
+CAP_N_TABLE = 3000
 # qdim's tolerance when --tol is not given: --method all keeps the
 # spectral report's own, the single methods a looser one.
 DEFAULT_TOL = {"all": 1e-12, "eig": 1e-6, "root": 1e-6}
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-columns", action="store_true",
                    help="include columns with 3 not dividing n")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_cap(p, "n", DEFAULT_CAP_N)
+    add_cap(p, "n", CAP_N_TABLE)
     add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_table)
 

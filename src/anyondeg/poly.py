@@ -346,10 +346,9 @@ _TERM_RE = re.compile(
 
 
 def poly_from_text(s: str) -> IntPoly:
-    """Inverse of poly_to_text."""
+    """Inverse of poly_to_text: ValueError on any string, surrounding
+    whitespace aside, that poly_to_text does not print."""
     s = s.strip()
-    if s == "0":
-        return IntPoly()
     tokens = s.replace("+ ", "+").replace("- ", "-").split()
     terms = []
     for tok in tokens:
@@ -362,7 +361,10 @@ def poly_from_text(s: str) -> IntPoly:
             raise ValueError(f"bad polynomial term: {tok!r}")
         power = int(m.group("power") or 0)
         terms.append((power, sign * int(m.group("coeff"))))
-    return IntPoly.from_terms(terms)
+    p = IntPoly.from_terms(terms)
+    if poly_to_text(p) != s:
+        raise ValueError(f"not in poly_to_text form: {s!r}")
+    return p
 
 
 def poly_to_json(p: IntPoly) -> dict:

@@ -8,19 +8,19 @@ The asymptotic growth factor (the total quantum dimension) is
   * the reciprocal of the smallest positive root of the system
     determinant.
 
-This is the only module that touches floating point.  Only the Perron
-route needs numpy, so it is imported inside ``lambda_perron`` alone: a
-process that never asks for the eigenvalue never loads it.  Numerical
-limits are module constants.
+This is the only module that touches floating point, and it needs only
+the standard library.  Numerical limits are module constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import mul
 
 from .genfunc import system_det
-from .lattice import build_lattice, class_predecessors
+from .lattice import Lattice, Vertex, build_lattice, class_predecessors, \
+    grade_classes
 from .pathcount import degeneracy
 from .poly import IntPoly
 
@@ -29,7 +29,8 @@ from .poly import IntPoly
 # the first sign change.
 SEARCH_LIMIT = 1.5
 GRID = 1024
-PERRON_MAX_ITER = 100_000  # power-iteration steps before giving up
+PERRON_MAX_ITER = 1_000  # Lanczos steps before giving up
+PERRON_THETA_MAX = 54.0  # B + B^T >= 0 has row sums <= 2 * 3^3
 ROWS = 3  # the N of SU(N): tableaux have three rows
 
 
@@ -49,50 +50,89 @@ def lambda_trig(k: int) -> float:
     return math.sin(math.pi * ROWS / m) / math.sin(math.pi / m)
 
 
-def _perron_block(np, pred):
-    """B = A[C0,C1] A[C1,C2] A[C2,C0] in float64: B[z, r] counts the
-    walks z -> C1 -> C2 -> r, chained through the rows of the padded
-    ``class_predecessors`` table ``pred``.  An all-pad row appended to
-    classes 2 and 1 carries a walk through a pad on to row n0, dropped.
-    """
-    n0, n1 = len(pred[0]), len(pred[1])
-    p2 = np.array(pred[2] + [[n1] * 3])  # row n2: the pad of class 0's rows
-    p1 = np.array(pred[1] + [[n0] * 3])  # row n1: the pad of class 2's rows
-    starts = p1[p2[np.array(pred[0])]]  # [r, a, b, c]: z of one walk to r
-    block = np.zeros((n0 + 1, n0))
-    np.add.at(block, (starts, np.arange(n0)[:, None, None, None]), 1)
-    return block[:n0]
+def _mirror_positions(lat: Lattice) -> list[int]:
+    """mirror[r]: the class-0 position of (j, i) for the r-th class-0
+    vertex (i, j).  The mirror P keeps class 0 and reverses every edge,
+    so B^T = P B P."""
+    c0 = grade_classes(lat)[0]
+    pos = {v: r for r, v in enumerate(c0)}
+    return [pos[Vertex(v.j, v.i)] for v in c0]
+
+
+def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
+    """B^T x, plus the trailing zero slot: x carried three steps along
+    the padded edge table, as ``pathcount._sweep`` carries walk counts."""
+    x = x + [0.0]  # the slot the table's pads point to
+    for g in (1, 2, 0):
+        x = [x[a] + x[b] + x[c] for a, b, c in pred[g]]
+        x.append(0.0)
+    return x
+
+
+def _perron_apply(pred: list[list[list[int]]], mirror: list[int],
+                  x: list[float]) -> list[float]:
+    """(B + B^T) x over class 0, with B x = P B^T P x."""
+    back = _three_steps(pred, x)
+    fwd = _three_steps(pred, [x[m] for m in mirror])
+    return [b + fwd[m] for b, m in zip(back, mirror)]
+
+
+def _top_at_least(alphas: list[float], sq_betas: list[float],
+                  x: float) -> bool:
+    """Whether the symmetric tridiagonal T (diagonal alphas, squared
+    off-diagonal sq_betas) has an eigenvalue >= x: not every LDL^T pivot
+    of T - x is negative (Sturm count)."""
+    d = alphas[0] - x
+    for a, b2 in zip(alphas[1:], sq_betas):
+        if d >= 0:
+            return True
+        d = a - x - b2 / d
+    return d >= 0
 
 
 def lambda_perron(k: int, tol: float = 1e-12) -> float:
-    """Dominant adjacency eigenvalue by power iteration.
+    """Dominant adjacency eigenvalue by Lanczos on B + B^T.
 
     Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic
-    in the grade classes and its raw spectrum carries a period-3 phase.
-    The cube of A is block diagonal; its origin block
-    B = A[C0,C1] A[C1,C2] A[C2,C0] has the cube of the dominant
-    eigenvalue as its own, and plain power iteration on B converges.
-    The cube root of that eigenvalue is returned.  B is filled from the
-    lattice's one edge table, ``class_predecessors``, without the dense
-    N x N matrix A.  tol must be positive and finite.
+    in the grade classes, and the origin block
+    B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 has the cube of the dominant
+    eigenvalue as its own.  A is the SU(3)_k fusion matrix, which is
+    normal, and so is B, so the top eigenvalue theta of B + B^T is twice
+    that cube.  theta is the top Ritz value of the Lanczos tridiagonal,
+    bisected up from the previous one.  The loop stops once
+    (theta / 2)^(1/3) moves by less than tol, which must be positive and
+    finite, or when the Krylov space runs out: a zero residual, or as
+    many steps as class 0 has vertices.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    import numpy as np
-
-    cubed = _perron_block(np, class_predecessors(build_lattice(k)))
-    vec = np.ones(cubed.shape[0])
-    vec /= np.linalg.norm(vec)
-    mu_prev = math.inf
-    for _ in range(PERRON_MAX_ITER):
-        nxt = cubed @ vec
-        mu = float(vec @ nxt)
-        vec = nxt / np.linalg.norm(nxt)
-        if abs(mu - mu_prev) < tol:
-            return mu ** (1.0 / 3.0)
-        mu_prev = mu
+    lat = build_lattice(k)
+    pred, mirror = class_predecessors(lat), _mirror_positions(lat)
+    n0 = len(mirror)
+    q, q_prev = [n0 ** -0.5] * n0, [0.0] * n0
+    alphas, sq_betas = [], []  # T's diagonal and squared off-diagonal
+    beta, theta, lam_prev = 0.0, 0.0, math.inf
+    for step in range(1, PERRON_MAX_ITER + 1):
+        w = _perron_apply(pred, mirror, q)
+        alpha = sum(map(mul, w, q))
+        alphas.append(alpha)
+        lo, hi = theta, PERRON_THETA_MAX
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if _top_at_least(alphas, sq_betas, mid):
+                lo = mid
+            else:
+                hi = mid
+        theta = lo
+        lam = (theta / 2) ** (1.0 / 3.0)
+        w = [a - alpha * b - beta * c for a, b, c in zip(w, q, q_prev)]
+        beta = math.hypot(*w)
+        if abs(lam - lam_prev) < tol or beta == 0 or step == n0:
+            return lam
+        sq_betas.append(beta * beta)
+        q_prev, q = q, [a / beta for a in w]
+        lam_prev = lam
     raise NonConvergenceError(
-        f"power iteration did not converge in {PERRON_MAX_ITER} steps (k={k})")
+        f"Lanczos did not converge in {PERRON_MAX_ITER} steps (k={k})")
 
 
 def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:

@@ -12,7 +12,7 @@ import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
 from anyondeg.cli import CAP_K_DET, CAP_K_GENFUNC, CAP_K_VERIFY, \
-    CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
+    CAP_N_TABLE, CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution
 from anyondeg.lattice import build_lattice, grade_classes
 from anyondeg.poly import IntPoly, RationalFn
@@ -206,12 +206,12 @@ class TestQdim:
 
     def test_numeric_failure_exits_3(self, capsys, monkeypatch):
         def no_convergence(k, tol):
-            raise NonConvergenceError("power iteration did not converge")
+            raise NonConvergenceError("Lanczos did not converge")
 
         monkeypatch.setattr(anyondeg.cli, "lambda_perron", no_convergence)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", "eig")
         assert code == 3 and out == ""
-        assert err.splitlines() == ["error: power iteration did not converge"]
+        assert err.splitlines() == ["error: Lanczos did not converge"]
 
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2
@@ -342,6 +342,7 @@ CAP_CORNERS = [
     ("qdim --method trig --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("count --n 3 --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("table --max-n 3 --max-k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("table --max-k 1 --max-n {}", CAP_N_TABLE, "--cap-n"),
 ]
 
 

@@ -5,9 +5,9 @@ self-check written as one would vanish there, and where it stays it
 ends in a traceback rather than the CLI's exit code 3.  Self-checks
 raise ArithmeticError instead.
 
-Imports sit at module top.  The one exception is numpy inside
-``spectral.lambda_perron``, so that a process which never asks for the
-Perron eigenvalue never loads it.
+Imports sit at module top, with no exception, and no module imports
+numpy: the library runs on the standard library alone, and numpy is
+left to the test oracles.
 
 One edge table: ``lattice.predecessors`` is called only where
 ``lattice.class_predecessors`` builds the table that every walk count
@@ -16,8 +16,9 @@ module grows a second predecessor list of its own.
 
 One walk-count loop: every walk count, the system determinant's closed
 walks too, comes from ``pathcount._sweep`` over that table, padded to
-three predecessors per vertex; only ``spectral._perron_block`` reads
-the same rows as index arrays, to fill the Perron block B for numpy.
+three predecessors per vertex; ``spectral._perron_apply`` takes the same
+three padded steps on float vectors, to apply the Perron block B and
+its transpose for Lanczos.
 """
 
 import ast
@@ -39,18 +40,28 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def _imported(node):
+    """The module names an import statement names; [] for other nodes."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "."]
+    return []
+
+
 def test_imports_at_module_top():
-    found = []
-    for name, tree in _trees():
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.Import):
-                    found += [(name, func.name, a.name) for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    found += [(name, func.name, node.module or ".")]
-    assert found == [("spectral.py", "lambda_perron", "numpy")]
+    found = [(name, func.name, module) for name, tree in _trees()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) for module in _imported(node)]
+    assert found == []
+
+
+def test_no_numpy_imports():
+    found = [(name, module) for name, tree in _trees()
+             for node in ast.walk(tree) for module in _imported(node)
+             if module.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def _callers(tree, callee):

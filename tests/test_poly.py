@@ -181,6 +181,17 @@ class TestSerialization:
     def test_text_round_trip(self, p):
         assert poly_from_text(poly_to_text(p)) == p
 
+    @pytest.mark.parametrize("text", [
+        "", "1 2", "1*t^0", "0*t^3", "1 + 0", "-0", "+1", "01", "1 +2*t^1",
+        "1*t^2 + 1", "1*t^1 + 1*t^1", "t^2",
+    ])
+    def test_text_rejects_what_is_never_printed(self, text):
+        with pytest.raises(ValueError):
+            poly_from_text(text)
+
+    def test_text_ignores_surrounding_whitespace(self):
+        assert poly_from_text("  1 - 4*t^3\n") == P(1, 0, 0, -4)
+
     def test_json_decimal_strings(self):
         obj = poly_to_json(P(1, 0, 0, -4, 0, 0, -1))
         assert obj == {"coeffs": ["1", "0", "0", "-4", "0", "0", "-1"]}

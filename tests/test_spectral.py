@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import anyondeg.spectral
 from anyondeg.genfunc import system_det
-from anyondeg.lattice import build_lattice, class_predecessors
+from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
+    grade_classes
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, NoRootError, _perron_block, growth_rate_estimate, lambda_perron,
-    lambda_trig, smallest_positive_root, spectral_report,
+    GRID, NoRootError, NonConvergenceError, _mirror_positions, _perron_apply,
+    _three_steps, growth_rate_estimate, lambda_perron, lambda_trig,
+    smallest_positive_root, spectral_report,
 )
 
-from oracles import dense_lambda_perron, dense_perron_block
+from oracles import adjacency, dense_lambda_perron, dense_perron_block
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -40,6 +43,10 @@ class TestTrig:
             lambda_trig(0)
 
 
+def _unit(r: int, n: int) -> list[float]:
+    return [float(c == r) for c in range(n)]
+
+
 class TestPerron:
     def test_permutation_matrix(self):
         assert lambda_perron(1) == pytest.approx(1.0, abs=1e-9)
@@ -50,15 +57,61 @@ class TestPerron:
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_walk_counts_are_the_dense_block(self, k):
-        # the B that lambda_perron iterates on, chained from the padded
-        # edge table, against B sliced out of the dense adjacency matrix
-        # and multiplied
-        block = _perron_block(np, class_predecessors(build_lattice(k)))
-        assert block.tolist() == dense_perron_block(k).tolist()
+        # three padded steps from each class-0 vertex, against B sliced
+        # out of the dense adjacency matrix and multiplied
+        pred = class_predecessors(build_lattice(k))
+        n0 = len(pred[0])
+        rows = [_three_steps(pred, _unit(r, n0))[:n0] for r in range(n0)]
+        assert rows == dense_perron_block(k).tolist()
 
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 64])
     def test_bit_identical_to_dense_route(self, k):
-        assert lambda_perron(k) == dense_lambda_perron(k)
+        # the operator Lanczos runs on, applied to each unit vector of
+        # class 0, is bit for bit the dense B + B^T
+        lat = build_lattice(k)
+        pred, mirror = class_predecessors(lat), _mirror_positions(lat)
+        n0 = len(mirror)
+        columns = [_perron_apply(pred, mirror, _unit(c, n0))
+                   for c in range(n0)]
+        block = dense_perron_block(k)
+        assert np.array(columns).T.tolist() == (block + block.T).tolist()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_mirror_transposes_adjacency(self, k):
+        # (i, j) -> (j, i) reverses every edge: P A P = A^T exactly
+        lat = build_lattice(k)
+        adj = adjacency(lat)
+        perm = [lat.index(Vertex(v.j, v.i)) for v in lat.vertices]
+        assert np.array_equal(adj[np.ix_(perm, perm)], adj.T)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_within_1e13_of_trig(self, k):
+        assert abs(lambda_perron(k) - lambda_trig(k)) < 1e-13
+
+    @pytest.mark.parametrize("k", [*range(1, 31), 48, 64])
+    def test_within_1e12_of_dense_route(self, k):
+        assert abs(lambda_perron(k) - dense_lambda_perron(k)) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_stops_at_float_resolution(self, k, monkeypatch):
+        # tol below float resolution: the value stops moving, or the
+        # Krylov space runs out (k = 1, 2), within |C0| Lanczos steps
+        steps = 0
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return _perron_apply(*args)
+
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
+        lam = lambda_perron(k, tol=1e-300)
+        assert abs(lam - lambda_trig(k)) < 1e-13
+        assert steps <= len(grade_classes(build_lattice(k))[0])
+
+    def test_step_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(anyondeg.spectral, "PERRON_MAX_ITER", 2)
+        with pytest.raises(NonConvergenceError):
+            lambda_perron(64)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_tol(self, tol):

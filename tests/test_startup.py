@@ -1,4 +1,5 @@
-"""numpy loads only on the Perron route.
+"""The library never loads numpy: not on import, and not in any
+subcommand, the Perron route and the full reproduce included.
 
 Each case runs in a fresh interpreter, so what earlier tests imported
 into this process does not count.
@@ -42,6 +43,7 @@ def test_import_leaves_numpy_unloaded(module):
 @pytest.mark.parametrize("argv", [
     "count --k 4 --n 12",
     "det --k 4",
+    "genfunc --k 3",
     "verify --k 3 --n 12",
     "syt --shape 2,2,2 --oracle",
     "table --max-k 3 --max-n 9",
@@ -51,5 +53,10 @@ def test_exact_subcommands_leave_numpy_unloaded(argv):
     assert not numpy_loaded(_RUN_MAIN.format(argv=argv.split()))
 
 
-def test_perron_route_loads_numpy():
-    assert numpy_loaded(_RUN_MAIN.format(argv=["qdim", "--k", "3"]))
+@pytest.mark.parametrize("argv", [
+    *(f"qdim --k 3 --method {method}"
+      for method in ("trig", "eig", "root", "all")),
+    "reproduce",
+])
+def test_spectral_subcommands_leave_numpy_unloaded(argv):
+    assert not numpy_loaded(_RUN_MAIN.format(argv=argv.split()))
