@@ -5,14 +5,16 @@ their rational generating functions from the polynomial system
 M_k x = e_1, reduced to the origin's grade class in s = t^3: the
 determinant from the closed walks on that class (power sums and
 Newton's identities), each numerator from the determinant and one
-walk-count sweep.  It cross-validates the growth rate (total quantum
+walk-count sweep, and lowest terms by dividing out the determinant's
+Galois-orbit factors, read off the fusion spectrum mod primes, with no
+polynomial gcd.  It cross-validates the growth rate (total quantum
 dimension) three independent ways.
 """
 
 from .lattice import Lattice, ORIGIN, Vertex, build_lattice
 from .pathcount import CountGrid, CountTable, count_paths, degeneracy, \
     table, total_dimension
-from .poly import IntPoly, RationalFn, poly_gcd, poly_from_text, poly_to_text
+from .poly import IntPoly, RationalFn, poly_from_text, poly_to_text
 from .genfunc import GenFnSolution, build_system, generating_function, \
     solve_system, system_det, verify_series
 from .spectral import SpectralReport, growth_rate_estimate, lambda_perron, \
@@ -26,7 +28,7 @@ __all__ = [
     "Lattice", "ORIGIN", "Vertex", "build_lattice",
     "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
     "total_dimension",
-    "IntPoly", "RationalFn", "poly_gcd", "poly_from_text", "poly_to_text",
+    "IntPoly", "RationalFn", "poly_from_text", "poly_to_text",
     "GenFnSolution", "build_system", "generating_function", "solve_system",
     "system_det", "verify_series",
     "SpectralReport", "growth_rate_estimate", "lambda_perron", "lambda_trig",

@@ -29,14 +29,15 @@ DEFAULT_CAP_K = 64
 # call took at most about 30 s on a 2-vCPU host with Python 3.11 (single
 # runs; one level more would leave no margin) -- det --k 51 24.7 s, qdim
 # --k 51 --method root 26.9 s and --method all 27.6 s (k=52: 31.3 s);
-# genfunc --k 15 9.5 s (k=16: 28.4 s); verify --k 15 --n 3000 26.3 s
-# (n=2000: 19.5 s); verify's cost grows with k and n alike.  table sums
-# one sweep per level and prints every count, about as n^2: --max-k 64
-# --max-n 3000 --all-columns --format json 19.7 s (--max-n 4000 at the
-# origin, a third of the columns: 33.1 s).
+# genfunc --k 44 over every vertex 27.7 s (k=45: 39.9 s), most of it the
+# numerators and the determinant; verify --k 26 --n 3000 27.7 s (k=27:
+# 30.1 s), most of it the series recurrences; verify's cost grows with k
+# and n alike.  table sums one sweep per level and prints every count,
+# about as n^2: --max-k 64 --max-n 3000 --all-columns --format json
+# 19.7 s (--max-n 4000 at the origin, a third of the columns: 33.1 s).
 CAP_K_DET = 51  # det, qdim --method root|all
-CAP_K_GENFUNC = 15
-CAP_K_VERIFY = 15
+CAP_K_GENFUNC = 44
+CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
 CAP_N_TABLE = 3000
 # qdim's tolerance when --tol is not given: --method all keeps the

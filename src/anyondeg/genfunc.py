@@ -18,15 +18,28 @@ and x_2 = t A_12^T x_1 keep that bound), so N = (D G) mod s^n0 for the
 walk series G of the vertex, which one origin sweep to step 3 n0 + 2
 gives for every vertex at once: its steps g, g + 3, ... are flat lists
 over class g, one series coefficient per vertex of that class.  The
-s^n0 coefficient of D G must vanish.  Each function is reduced in s
-before s = t^3 is substituted.
+s^n0 coefficient of D G must vanish.
+
+Lowest terms come from the spectrum, with no polynomial gcd.  The
+lattice is the SU(3)_k fusion graph, so D(s) = prod (1 - s chi_mu^3)
+over one alcove point mu per rotation orbit of size 3, with chi_mu an
+eigenvalue of A in Q(zeta), zeta of order 3(k + 3).  D is squarefree and
+splits over Q into one irreducible factor F_O per Galois orbit O of the
+chi_mu^3.  ``_orbit_factors`` builds every F_O mod primes p = 1 mod
+3(k + 3), lifts it by CRT and checks that their product is D.  N / D is
+reduced by dividing out exactly the F_O that divide N: a nonzero
+residue of N at one root 1/chi^3 of F_O mod p proves F_O does not, and
+where the residue is 0 ``exact_div`` decides.  Each function is reduced
+in s before s = t^3 is substituted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
+from math import gcd, prod
 from operator import mul
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
@@ -88,11 +101,168 @@ def _numerator(det: tuple[int, ...], series: list[int]) -> IntPoly:
     (else ArithmeticError).
     """
     n0 = len(series) - 1
-    prod = [sum(map(mul, det, series[m::-1])) for m in range(n0 + 1)]
-    if prod[n0]:
+    product = [sum(map(mul, det, series[m::-1])) for m in range(n0 + 1)]
+    if product[n0]:
         raise ArithmeticError(
             f"a numerator has a nonzero s^{n0} coefficient")
-    return IntPoly(prod[:n0])
+    return IntPoly(product[:n0])
+
+
+# Miller-Rabin with these bases is deterministic for every n < 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 3.18e23."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _unit_roots(order: int) -> Iterator[tuple[int, list[int]]]:
+    """Pairs (p, powers) for the primes p = 1 (mod order) below 2^62,
+    descending: powers lists zeta^0 .. zeta^(order - 1) mod p for an
+    element zeta of exact multiplicative order ``order``."""
+    factors = [q for q in range(2, order + 1)
+               if order % q == 0 and _is_prime(q)]
+    for p in range((2 ** 62 - 2) // order * order + 1, order, -order):
+        if not _is_prime(p):
+            continue
+        for g in count(2):
+            zeta = pow(g, (p - 1) // order, p)
+            if all(pow(zeta, order // q, p) != 1 for q in factors):
+                break
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * zeta % p)
+        yield p, powers
+
+
+def _alcove_exponents(k: int) -> list[tuple[int, int, int]]:
+    """e_j = 3 l_j - (l_0 + l_1 + l_2) mod 3(k + 3), l = (a+b+2, b+1, 0),
+    for one alcove point (a, b) per rotation orbit of size 3, so that
+    chi = sum_j zeta^(e_j).  The rotation (a, b) -> (k - a - b, a)
+    multiplies chi by a cube root of unity, and its fixed point, which
+    exists when 3 | k, has chi = 0."""
+    order = 3 * (k + 3)
+    seen, reps = set(), []
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            if (a, b) in seen:
+                continue
+            orbit = {(a, b), (k - a - b, a), (b, k - a - b)}
+            seen |= orbit
+            if len(orbit) == 3:
+                ell = (a + b + 2, b + 1, 0)
+                reps.append(tuple((3 * x - sum(ell)) % order for x in ell))
+    return reps
+
+
+def _cube(exps: tuple[int, ...], powers: list[int], p: int,
+          a: int = 1) -> int:
+    """sigma_a(chi)^3 mod p for chi = sum_j zeta^(e_j), ``exps`` the e_j
+    and ``powers`` the powers of zeta mod p; sigma_a maps zeta to zeta^a."""
+    return pow(sum(powers[a * e % len(powers)] for e in exps), 3, p)
+
+
+def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """D's irreducible factors over Q, one per Galois orbit O of the
+    chi^3, as pairs (F_O, chi^3 mod p of one member of O), with the prime
+    p of those residues.
+
+    F_O = prod_{mu in O} (1 - s chi_mu^3).  The orbits come from the
+    first prime: the chi^3 must be distinct and nonzero mod p, and every
+    Galois conjugate of one must be another (else ArithmeticError).  A
+    coefficient of F_O is at most 28^|O| in size since |chi| <= 3, which
+    sets how many primes the CRT lift takes.
+    """
+    order = 3 * (k + 3)
+    reps = _alcove_exponents(k)
+    roots = _unit_roots(order)
+    p, powers = next(roots)
+    values = [_cube(exps, powers, p) for exps in reps]
+    where = {x: r for r, x in enumerate(values)}
+    if len(where) < len(values) or 0 in where:
+        raise ArithmeticError(
+            f"the character cubes are not distinct and nonzero mod {p}")
+    orbits, done = [], set()
+    for r, exps in enumerate(reps):
+        if r in done:
+            continue
+        images = {_cube(exps, powers, p, a)
+                  for a in range(1, order) if gcd(a, order) == 1}
+        if not where.keys() >= images:
+            raise ArithmeticError(
+                "a Galois conjugate of a character cube is not one")
+        orbit = sorted(where[x] for x in images)
+        done.update(orbit)
+        orbits.append(orbit)
+    first, residues = p, [values[orbit[0]] for orbit in orbits]
+    bound = 2 * 28 ** max(map(len, orbits), default=0)
+    modulus, lifts = 1, [[0] * (len(orbit) + 1) for orbit in orbits]
+    while True:
+        inverse = pow(modulus, -1, p)
+        for lift, orbit in zip(lifts, orbits):
+            poly = [1]
+            for r in orbit:  # times (1 - chi_r^3 s)
+                poly = [(c - values[r] * d) % p
+                        for c, d in zip(poly + [0], [0] + poly)]
+            lift[:] = [c + modulus * ((d - c) * inverse % p)
+                       for c, d in zip(lift, poly)]
+        modulus *= p
+        if modulus > bound:
+            break
+        p, powers = next(roots)
+        values = [_cube(exps, powers, p) for exps in reps]
+    factors = [IntPoly(c - modulus if 2 * c > modulus else c for c in lift)
+               for lift in lifts]
+    return first, list(zip(factors, residues))
+
+
+def _residue(coeffs: tuple[int, ...], x: int, p: int) -> int:
+    """x^d N(1/x) mod p for the coefficients of N, d = len(coeffs) - 1;
+    for x != 0 mod p it is 0 exactly when N(1/x) is."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _lowest_terms(num: IntPoly, factors: list[tuple[IntPoly, int]],
+                  p: int) -> tuple[IntPoly, tuple[int, ...]]:
+    """num / D in lowest terms: num with every factor F_O of D that
+    divides it divided out, and the positions of the factors kept.
+
+    F_O is irreducible, so it divides num iff num vanishes at its root
+    1/x, x = chi^3: a nonzero residue mod p proves it does not, and at a
+    zero residue ``exact_div`` decides; a false zero keeps the factor.
+    """
+    kept = []
+    for pos, (factor, x) in enumerate(factors):
+        if not _residue(num.coeffs, x, p):
+            try:
+                num = num.exact_div(factor)
+                continue
+            except ValueError:
+                pass
+        kept.append(pos)
+    return num, tuple(kept)
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +291,10 @@ def solve_system(k: int) -> GenFnSolution:
     Every class-g function is t^g G(s) with G = N / D, D(s) the
     determinant in s = t^3 and deg N < n0 = |C0|.  One walk-count sweep
     to step 3 n0 + 2 gives each G to s^n0, and N = (D G) mod s^n0.  G
-    is reduced in s and then substituted, which gives the same lowest
-    terms as reducing in t.
+    is put in lowest terms by D's Galois-orbit factors and then
+    substituted, which gives the same lowest terms as reducing in t.
+    Every denominator is a product of those factors, each with constant
+    term 1, so it is primitive and positive at 0.
     """
     lat = build_lattice(k)
     classes = grade_classes(lat)
@@ -130,13 +302,21 @@ def solve_system(k: int) -> GenFnSolution:
     det_t = system_det(k)
     coeffs = det_t.coeffs[::3]
     det = IntPoly(coeffs)
+    p, factors = _orbit_factors(k)
+    if prod((f for f, _ in factors), start=IntPoly.one()) != det:
+        # the closed-walk D certifies the spectrum's CRT lift
+        raise ArithmeticError("the Galois-orbit factors do not multiply to D")
+    dens = {tuple(range(len(factors))): det}  # kept positions -> product
     steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2))
     graded = {}
     for g, cls in enumerate(classes):
         # steps[g::3] are the class-g lists; zip drops the trailing slot
         for v, series in zip(cls, zip(*steps[g::3])):
-            graded[v] = RationalFn(_numerator(coeffs, series),
-                                   det).substitute_power(3, g)
+            num, kept = _lowest_terms(_numerator(coeffs, series), factors, p)
+            if kept not in dens:
+                dens[kept] = prod((factors[pos][0] for pos in kept),
+                                  start=IntPoly.one())
+            graded[v] = RationalFn(num, dens[kept]).substitute_power(3, g)
     solutions = {v: graded[v] for v in lat.vertices}
     sol0 = solutions[ORIGIN]
     if sol0.num[0] != sol0.den[0]:
@@ -157,24 +337,25 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
 
     Returns a list of mismatches (vertex, n, series value, dp value) in
     canonical vertex order, then by n; empty means the two routes agree
-    everywhere up to n_max.  Every series is expanded first; then each
-    step of one sweep is compared as it comes and dropped.  At step n
-    the vertices outside class n mod 3 are compared with 0.
+    everywhere up to n_max.  Every function's ``series`` advances one
+    coefficient per step of one sweep, and each step is compared as it
+    comes and dropped, so only deg(den) coefficients per vertex are
+    kept.  At step n the vertices outside class n mod 3 are compared
+    with 0.
     """
     if n_max < 0:  # before the costly solve
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     lat = build_lattice(k)
     classes = grade_classes(lat)
-    series = [[sol.solutions[v].series_coeffs(n_max) for v in cls]
-              for cls in classes]
+    series = [[sol.solutions[v].series() for v in cls] for cls in classes]
     mismatches = []
     for n, counts in enumerate(_sweep(class_predecessors(lat), n_max)):
         for g, cls in enumerate(classes):
             on_grade = g == n % 3
             for r, (v, coeffs) in enumerate(zip(cls, series[g])):
-                dp = counts[r] if on_grade else 0
-                if coeffs[n] != dp:
-                    mismatches.append((v, n, coeffs[n], dp))
+                c, dp = next(coeffs), counts[r] if on_grade else 0
+                if c != dp:
+                    mismatches.append((v, n, c, dp))
     mismatches.sort(key=lambda m: (lat.index(m[0]), m[1]))
     return mismatches

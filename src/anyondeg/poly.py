@@ -1,16 +1,20 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
 Polynomials live in Z[t] with dense coefficient storage and Python's
-arbitrary-precision integers.  Rational functions are kept reduced
-(coprime numerator/denominator, content-free, denominator normalized to
-positive constant term).  No floating point anywhere in this module.
+arbitrary-precision integers.  A rational function holds the pair its
+caller gives, in lowest terms, with the denominator's sign normalized
+to a positive constant term; no polynomial gcd runs here.  Its Taylor
+series comes from the denominator's recurrence.  No floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import count, islice
 
 
 class IntPoly:
@@ -165,23 +169,7 @@ class IntPoly:
                 pw_den //= den
         return (total > 0) - (total < 0)
 
-    # -- integer content / exact division ------------------------------
-
-    def content(self) -> int:
-        """gcd of the coefficients (nonnegative; 0 for the zero poly)."""
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, c)
-            if g == 1:
-                break
-        return g
-
-    def primitive(self) -> "IntPoly":
-        """Divide out the content; sign of the leading coefficient kept."""
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return IntPoly(tuple(c // g for c in self.coeffs))
+    # -- exact division -----------------------------------------------
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
         """Exact quotient self / divisor in Z[t]; raises if not exact."""
@@ -209,51 +197,14 @@ class IntPoly:
         return IntPoly(q)
 
 
-def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Pseudo-remainder of p by q: rem(lc(q)^(dp-dq+1) * p, q), all in Z[t]."""
-    lead = q.leading()
-    rem = p
-    scale = p.degree - q.degree + 1
-    while not rem.is_zero() and rem.degree >= q.degree:
-        shift = rem.degree - q.degree
-        rem = rem * lead - q.shifted(shift) * rem.leading()
-        scale -= 1
-    if scale > 0:
-        rem = rem * (lead ** scale)
-    return rem
-
-
-def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t], positive leading coefficient.
-
-    Primitive-PRS Euclidean scheme: contents are handled over Z, the
-    polynomial part runs on primitive parts with pseudo-remainders, so
-    no rational arithmetic and no coefficient blowup.
-    """
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero() or q.is_zero():
-        g = q if p.is_zero() else p
-        g = g.primitive()
-        return -g if g.leading() < 0 else g
-    content = _int_gcd(p.content(), q.content())
-    a, b = p.primitive(), q.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b).primitive()
-        a, b = b, r
-    if a.leading() < 0:
-        a = -a
-    return a * content if content != 1 else a
-
-
 class RationalFn:
-    """Reduced quotient of two integer polynomials.
+    """Quotient num / den of two integer polynomials, as given.
 
-    Normalization: numerator and denominator are coprime in Q[t] with no
-    common integer content, and the denominator has positive constant
-    term (positive leading coefficient when it vanishes at 0).
+    The caller passes the pair in lowest terms: coprime in Q[t] with no
+    common integer content (``genfunc.solve_system`` reduces by the
+    determinant's factors).  The constructor only normalizes the sign,
+    to a positive constant term of den (a positive leading coefficient
+    when it vanishes at 0), and writes a zero function as 0 / 1.
     """
 
     __slots__ = ("num", "den")
@@ -263,15 +214,6 @@ class RationalFn:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             num, den = IntPoly(), IntPoly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or g.leading() != 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            c = _int_gcd(num.content(), den.content())
-            if c > 1:
-                num = IntPoly(tuple(x // c for x in num.coeffs))
-                den = IntPoly(tuple(x // c for x in den.coeffs))
         anchor = den[0] if den[0] != 0 else den.leading()
         if anchor < 0:
             num, den = -num, -den
@@ -279,11 +221,11 @@ class RationalFn:
         self.den = den
 
     def substitute_power(self, m: int, shift: int = 0) -> "RationalFn":
-        """t^shift * f(t^m) for m >= 1, in lowest terms with no new gcd.
+        """t^shift * f(t^m) for m >= 1; a pair in lowest terms stays so.
 
         gcd commutes with t -> t^m, the contents and the constant terms
         are unchanged, and t does not divide den(t^m) because den(0) != 0,
-        so the substituted pair is already reduced and normalized.
+        so the substituted pair is reduced and normalized as it stands.
         """
         if self.den[0] == 0:
             raise ValueError("denominator vanishes at 0")
@@ -302,25 +244,30 @@ class RationalFn:
     def __repr__(self) -> str:
         return f"RationalFn({poly_to_text(self.num)!r}, {poly_to_text(self.den)!r})"
 
-    def series_coeffs(self, n_max: int) -> list[int] | list[Fraction]:
-        """First n_max+1 Taylor coefficients at t = 0, exact.
+    def series(self) -> Iterator[int] | Iterator[Fraction]:
+        """The Taylor coefficients c_0, c_1, ... at t = 0, exact, without end.
 
-        Uses the linear recurrence induced by the denominator:
-        den0 * c_n = num_n - sum_{m>=1} den_m * c_{n-m}.
-        When den0 is +1 or -1 every c_n is an integer and the recurrence
-        runs on ints (the list holds ints); otherwise on Fractions.
+        Uses the linear recurrence induced by the denominator,
+        den0 * c_n = num_n - sum_{m>=1} den_m * c_{n-m}, and keeps only
+        the deg(den) latest coefficients.  When den0 is +1 or -1 every
+        c_n is an int; otherwise a Fraction.
         """
         den0 = self.den[0]
         if den0 == 0:
             raise ValueError("singular at the origin (denominator vanishes at 0)")
         unit = den0 in (1, -1)  # then c_n = den0 * (...) is an int
-        terms = [(m, d) for m, d in enumerate(self.den.coeffs) if m and d]
-        coeffs: list = []
-        for n in range(n_max + 1):
-            acc = self.num[n] - sum(d * coeffs[n - m] for m, d in terms
-                                    if m <= n)
-            coeffs.append(acc * den0 if unit else Fraction(acc) / den0)
-        return coeffs
+        terms = [(-m, d) for m, d in enumerate(self.den.coeffs) if m and d]
+        # c_{n - deg} .. c_{n - 1}; the coefficients before c_0 are 0
+        recent = deque([0] * self.den.degree, maxlen=self.den.degree)
+        for n in count():
+            acc = self.num[n] - sum(d * recent[m] for m, d in terms)
+            c = acc * den0 if unit else Fraction(acc) / den0
+            recent.append(c)
+            yield c
+
+    def series_coeffs(self, n_max: int) -> list[int] | list[Fraction]:
+        """The first n_max + 1 coefficients of ``series``."""
+        return list(islice(self.series(), n_max + 1))
 
 
 # -- text / JSON serialization ----------------------------------------

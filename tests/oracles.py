@@ -10,15 +10,20 @@ matrix is pasted from the paper's block display rather than from the
 lattice's edge rule; determinants and generating functions come from
 fraction-free (Bareiss) elimination, which the library does not use:
 on the full system in t, and on the graded system I - s B^T over the
-origin's grade class; determinants at a point are taken mod p by
+origin's grade class; they are put in lowest terms by the primitive-PRS
+gcd, where the library divides by the determinant's Galois-orbit
+factors; determinants at a point are taken mod p by
 Gaussian elimination on the adjacency matrix; the Perron block B, for
 the power iteration and for the graded system alike, is sliced out of
 the adjacency matrix and multiplied rather than chained from the
-library's predecessor table.
+library's predecessor table.  Origin counts past the golden tables are
+checked mod primes by the Verlinde formula over the SU(3)_k spectrum,
+which uses no walk at all.
 """
 
 import math
 from collections import Counter
+from math import gcd
 
 import numpy as np
 
@@ -155,6 +160,68 @@ def paper_block_system(k: int) -> list[list[IntPoly]]:
     return mat
 
 
+def content(p: IntPoly) -> int:
+    """gcd of the coefficients (nonnegative; 0 for the zero poly)."""
+    return gcd(*p.coeffs)
+
+
+def primitive(p: IntPoly) -> IntPoly:
+    """Divide out the content; sign of the leading coefficient kept."""
+    g = content(p)
+    return p if g in (0, 1) else IntPoly(c // g for c in p.coeffs)
+
+
+def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Pseudo-remainder of p by q: rem(lc(q)^(dp-dq+1) * p, q), all in Z[t]."""
+    lead = q.leading()
+    rem = p
+    scale = p.degree - q.degree + 1
+    while not rem.is_zero() and rem.degree >= q.degree:
+        shift = rem.degree - q.degree
+        rem = rem * lead - q.shifted(shift) * rem.leading()
+        scale -= 1
+    if scale > 0:
+        rem = rem * (lead ** scale)
+    return rem
+
+
+def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Primitive gcd in Z[t], positive leading coefficient.
+
+    Primitive-PRS Euclidean scheme: contents are handled over Z, the
+    polynomial part runs on primitive parts with pseudo-remainders, so
+    no rational arithmetic and no coefficient blowup.
+    """
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if p.is_zero() or q.is_zero():
+        g = primitive(q if p.is_zero() else p)
+        return -g if g.leading() < 0 else g
+    common = gcd(content(p), content(q))
+    a, b = primitive(p), primitive(q)
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, primitive(_pseudo_rem(a, b))
+    if a.leading() < 0:
+        a = -a
+    return a * common if common != 1 else a
+
+
+def reduced(num: IntPoly, den: IntPoly) -> RationalFn:
+    """num / den in lowest terms by the PRS gcd: coprime in Q[t], no
+    common integer content, sign normalized by ``RationalFn``."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if not num.is_zero():
+        g = poly_gcd(num, den)
+        num, den = num.exact_div(g), den.exact_div(g)
+        c = gcd(content(num), content(den))
+        num = IntPoly(x // c for x in num.coeffs)
+        den = IntPoly(x // c for x in den.coeffs)
+    return RationalFn(num, den)
+
+
 def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """det(M_k) and every generating function, by Bareiss elimination on
     the full (k+1)(k+2)/2-dimensional system M_k x = e_1 over Z[t]."""
@@ -162,7 +229,7 @@ def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
     lat = build_lattice(k)
-    return det, {v: RationalFn(numerators[lat.index(v)], det)
+    return det, {v: reduced(numerators[lat.index(v)], det)
                  for v in lat.vertices}
 
 
@@ -202,7 +269,7 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
             numerators = [sum((numerators[u] for u in us), IntPoly.zero())
                           for us in pred[g]]
         for v, num in zip(cls, numerators):
-            graded[v] = RationalFn(num, det).substitute_power(3, g)
+            graded[v] = reduced(num, det).substitute_power(3, g)
     return det.substitute_power(3), {v: graded[v] for v in lat.vertices}
 
 
@@ -259,3 +326,49 @@ def dense_lambda_perron(k: int, tol: float = 1e-12,
             return mu ** (1.0 / 3.0)
         mu_prev = mu
     raise RuntimeError(f"power iteration did not converge (k={k})")
+
+
+def primes_1_mod(modulus: int, count: int) -> list[int]:
+    """The ``count`` largest primes p = 1 (mod modulus) below 2^31, by
+    trial division."""
+    out = []
+    p = (2 ** 31 - 2) // modulus * modulus + 1
+    while len(out) < count:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+        p -= modulus
+    return out
+
+
+def verlinde_origin_count(k: int, n: int, p: int) -> int:
+    """f_0(n, k) mod p by the Verlinde formula, for a prime p = 1 mod 6m,
+    m = k + 3.
+
+    The walks from the origin back to it number
+    sum_mu w_mu chi_mu^n / sum_mu w_mu over the alcove points mu = (a, b),
+    a + b <= k, with w_mu = prod_x (2 sin(pi x / m))^2 over
+    x in {a + 1, b + 1, a + b + 2} and chi_mu = sum_j e^(2 pi i (l_j -
+    |l| / 3) / m), l = (a + b + 2, b + 1, 0).  Mod p, with zeta of order
+    6m, 2 sin(pi x / m) = -i (zeta^(3x) - zeta^(-3x)), so
+    w_mu = -prod_x (zeta^(3x) - zeta^(-3x))^2, and chi_mu is
+    sum_j zeta^(2 (3 l_j - |l|)).
+    """
+    order = 6 * (k + 3)
+    if (p - 1) % order:
+        raise ValueError(f"{p} is not 1 mod {order}")
+    factors = [q for q in range(2, order + 1)
+               if order % q == 0 and all(q % r for r in range(2, q))]
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // order, p)
+        if all(pow(zeta, order // q, p) != 1 for q in factors):
+            break
+    total = weights = 0
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            w = -math.prod((pow(zeta, 3 * x, p) - pow(zeta, -3 * x, p)) ** 2
+                           for x in (a + 1, b + 1, a + b + 2)) % p
+            ell = (a + b + 2, b + 1, 0)
+            chi = sum(pow(zeta, 2 * (3 * x - sum(ell)), p) for x in ell)
+            total += w * pow(chi, n, p)
+            weights += w
+    return total * pow(weights, -1, p) % p

@@ -295,8 +295,8 @@ CORRUPTIONS = {
     "corollary": lambda mp: mp.setitem(
         reference.ORIGIN_GENFUNCS, 3,
         ({0: 1, 3: -8, 6: 5, 9: -1}, reference.ORIGIN_GENFUNCS[3][1])),
-    "series": lambda mp: _wrap(mp, RationalFn, "series_coeffs",
-                               lambda c, *args: c[:-1] + [c[-1] + 1]),
+    "series": lambda mp: _wrap(mp, RationalFn, "series",
+                               lambda c, *args: (x + 1 for x in c)),
     "qdim": lambda mp: _wrap(mp, anyondeg.spectral, "lambda_perron",
                              lambda lam, *args: lam + 1e-3),
     "hooks": lambda mp: _wrap(mp, anyondeg.reproduce, "hook_count",

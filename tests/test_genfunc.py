@@ -1,16 +1,19 @@
 import random
+import tracemalloc
+from math import prod
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _newton, _numerator, build_system, generating_function,
-    solve_system, system_det, verify_series,
+    _alcove_exponents, _cube, _is_prime, _newton, _numerator, _orbit_factors,
+    _unit_roots, build_system, generating_function, solve_system, system_det,
+    verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, grade_classes
 from anyondeg.pathcount import origin_history
-from anyondeg.poly import IntPoly, RationalFn, poly_gcd
+from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
     LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_degree,
     determinant_poly, genfunc_rational,
@@ -18,7 +21,7 @@ from anyondeg.reference import (
 
 from oracles import _bareiss, adjacency, full_system_solution, \
     graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
-    transfer_det_mod_p
+    poly_gcd, reduced, transfer_det_mod_p
 
 
 def P(terms):
@@ -102,6 +105,14 @@ class TestSolveSystem:
             g = poly_gcd(sol.determinant, fn.den)
             assert g.degree == fn.den.degree
 
+    @pytest.mark.parametrize("spec", [
+        *LEVEL1_GENFUNCS.values(), *LEVEL2_GENFUNCS.values(),
+        *ORIGIN_GENFUNCS.values()])
+    def test_reference_specs_are_in_lowest_terms(self, spec):
+        # so genfunc_rational needs no reducing constructor
+        num, den = (IntPoly.from_terms(terms) for terms in spec)
+        assert reduced(num, den) == genfunc_rational(spec)
+
     def test_level_one_inverse_identity(self):
         # (1 - t^3) * M_1^{-1} has the cyclic power pattern
         sol = solve_system(1).solutions
@@ -179,6 +190,95 @@ class TestGradedReduction:
         assert det.degree == determinant_degree(k)
 
 
+def _det_s(k):
+    return IntPoly(system_det(k).coeffs[::3])
+
+
+class TestGaloisFactors:
+    def test_is_prime(self):
+        small = [n for n in range(2000) if n > 1
+                 and all(n % q for q in range(2, int(n ** 0.5) + 1))]
+        assert [n for n in range(2000) if _is_prime(n)] == small
+        assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 62 - 1)
+        # the strong pseudoprime to every prime base up to 31, and a
+        # Carmichael number
+        assert not _is_prime(3825123056546413051)
+        assert not _is_prime(561)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_cubes_distinct_and_degrees_sum_to_det(self, k):
+        order = 3 * (k + 3)
+        p, powers = next(_unit_roots(order))
+        # zeta = powers[1] has exact order 3(k + 3) mod a prime p = 1 mod it
+        primes = [q for q in range(2, order + 1)
+                  if order % q == 0 and all(q % r for r in range(2, q))]
+        assert p % order == 1 and p < 2 ** 62 and _is_prime(p)
+        assert len(powers) == order and pow(powers[1], order, p) == 1
+        assert all(pow(powers[1], order // q, p) != 1 for q in primes)
+        cubes = [_cube(exps, powers, p) for exps in _alcove_exponents(k)]
+        assert len(set(cubes)) == len(cubes) and 0 not in cubes
+        first, factors = _orbit_factors(k)
+        assert first == p
+        assert sum(f.degree for f, _ in factors) == len(cubes) \
+            == determinant_degree(k) // 3
+        assert all(f[0] == 1 for f, _ in factors)
+        assert {x for _, x in factors} <= set(cubes)
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_product_is_the_determinant(self, k):
+        _, factors = _orbit_factors(k)
+        assert prod((f for f, _ in factors), start=IntPoly.one()) == _det_s(k)
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_root_residues(self, k):
+        # each factor vanishes at 1/x mod p for its residue x
+        p, factors = _orbit_factors(k)
+        for f, x in factors:
+            assert f(pow(x, -1, p)) % p == 0
+
+    def test_product_mismatch_raises(self, monkeypatch):
+        real = anyondeg.genfunc._orbit_factors
+        monkeypatch.setattr(anyondeg.genfunc, "_orbit_factors",
+                            lambda k: (lambda p, fs: (p, fs[1:]))(*real(k)))
+        solve_system.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="multiply to D"):
+                solve_system(5)
+        finally:
+            solve_system.cache_clear()
+
+    @pytest.mark.parametrize("k", [3, 6, 9, 12])
+    def test_forced_false_zero_keeps_the_result(self, monkeypatch, k):
+        # every residue read as 0: exact_div then tries every factor, and
+        # the ones it cannot divide out stay in the denominator
+        expected = solve_system(k)
+        monkeypatch.setattr(anyondeg.genfunc, "_residue", lambda *args: 0)
+        solve_system.cache_clear()
+        try:
+            got = solve_system(k)
+        finally:
+            solve_system.cache_clear()
+        assert got is not expected
+        assert list(got.solutions.items()) == list(expected.solutions.items())
+        assert any(fn.den != expected.determinant
+                   for fn in got.solutions.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, (k + 1) * (k + 2) // 2 - 1))))
+    def test_matches_prs_reduction(self, case):
+        # the reduced pair is the PRS oracle's reduction of (N_v, D)
+        k, index = case
+        v = build_lattice(k).vertices[index]
+        g = (2 * v.i + v.j) % 3
+        n0 = len(grade_classes(build_lattice(k))[0])
+        series = origin_history(k, 3 * n0 + 2, v)[g::3]
+        det = _det_s(k)
+        num = _numerator(det.coeffs, series)
+        assert solve_system(k).solutions[v] \
+            == reduced(num, det).substitute_power(3, g)
+
+
 square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 4), min_size=n, max_size=n),
     min_size=n, max_size=n))
@@ -227,6 +327,21 @@ class TestSeriesConsistency:
         # 28 steps past the prefix 0..3 |C0| + 2 the numerators are read from
         n0 = len(grade_classes(build_lattice(k))[0])
         assert verify_series(k, 3 * n0 + 30) == []
+
+    def test_memory_grows_linearly_in_n(self):
+        # each coefficient has O(n) bits, and only deg(den) of them are
+        # kept per vertex, so doubling n about doubles the peak; holding
+        # every series would make it about four times
+        solve_system(6)
+        peaks = []
+        for n in (1500, 3000):
+            tracemalloc.start()
+            try:
+                assert verify_series(6, n) == []
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.5 * peaks[0]
 
     def test_generating_function_accessor(self):
         fn = generating_function(2, Vertex(1, 1))

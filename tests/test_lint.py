@@ -19,6 +19,14 @@ walks too, comes from ``pathcount._sweep`` over that table, padded to
 three predecessors per vertex; ``spectral._perron_apply`` takes the same
 three padded steps on float vectors, to apply the Perron block B and
 its transpose for Lanczos.
+
+Two caches: ``lru_cache`` decorates ``system_det`` and ``solve_system``
+alone, the two caches a caller can clear, so no hidden per-k memo keeps
+a cleared solve warm.
+
+No polynomial gcd: lowest terms come from the determinant's
+Galois-orbit factors, and the primitive-PRS ``poly_gcd`` with its
+``_pseudo_rem`` is left to the test oracles.
 """
 
 import ast
@@ -64,18 +72,23 @@ def test_no_numpy_imports():
     assert found == []
 
 
-def _callers(tree, callee):
+def _name(node):
+    """The name a Name, Attribute or function definition node carries."""
+    return getattr(node, "id", getattr(node, "attr",
+                                       getattr(node, "name", None)))
+
+
+def _enclosing(tree, match):
     """Names of the innermost functions (``<module>`` at top level) that
-    call ``callee`` by name or as an attribute."""
+    hold a node for which ``match`` is true; a function's decorators and
+    its own definition count as inside it."""
     found = set()
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call):
-            target = node.func
-            if getattr(target, "id", getattr(target, "attr", None)) == callee:
-                found.add(func)
+        if match(node):
+            found.add(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -83,8 +96,37 @@ def _callers(tree, callee):
     return found
 
 
+def _callers(tree, callee):
+    """Names of the innermost functions that call ``callee`` by name or
+    as an attribute."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call)
+                      and _name(node.func) == callee)
+
+
 def test_predecessors_called_only_by_the_edge_table():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "predecessors")}
     assert callers == {("lattice.py", "class_predecessors"),
                        ("genfunc.py", "build_system")}
+
+
+def test_lru_cache_only_on_the_two_clearable_solvers():
+    memo = {"lru_cache", "cache", "cached_property"}
+    found = {(name, func) for name, tree in _trees()
+             for func in _enclosing(tree, lambda node: isinstance(
+                 node, (ast.Name, ast.Attribute)) and _name(node) in memo)}
+    assert found == {("genfunc.py", "system_det"),
+                     ("genfunc.py", "solve_system")}
+
+
+def test_no_polynomial_gcd_in_the_library():
+    gcd = {"poly_gcd", "_pseudo_rem"}
+    found = {(name, func) for name, tree in _trees()
+             for func in _enclosing(tree, lambda node: isinstance(
+                 node, (ast.Name, ast.Attribute, ast.FunctionDef))
+                 and _name(node) in gcd)}
+    imported = {(name, alias.name) for name, tree in _trees()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in gcd}
+    assert found == set() and imported == set()

@@ -11,7 +11,7 @@ from anyondeg.pathcount import (
 from anyondeg.reference import ORIGIN_COUNTS, catalan3d, fibonacci
 
 from oracles import counts_by_matrix_power, dense_perron_block, \
-    dfs_walk_counts
+    dfs_walk_counts, primes_1_mod, verlinde_origin_count
 
 
 class TestCountPaths:
@@ -139,6 +139,21 @@ class TestDegeneracy:
             k = max(n, 1)
             for v in build_lattice(k).vertices:
                 assert degeneracy(k, n, v) == degeneracy(k + 1, n, v)
+
+
+class TestVerlindeOracle:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_golden_counts(self, k):
+        p = primes_1_mod(6 * (k + 3), 1)[0]
+        for n, count in zip(range(0, 28, 3), ORIGIN_COUNTS[k]):
+            assert verlinde_origin_count(k, n, p) == count % p
+
+    @pytest.mark.parametrize("k,n", [(7, 2997), (20, 3000), (64, 3000)])
+    def test_counts_past_the_golden_tables(self, k, n):
+        count = degeneracy(k, n)
+        assert count.bit_length() > 1000
+        for p in primes_1_mod(6 * (k + 3), 2):
+            assert verlinde_origin_count(k, n, p) == count % p
 
 
 @pytest.mark.parametrize("route", [count_paths, degeneracy, origin_history])

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
 from anyondeg.poly import (
-    IntPoly, RationalFn, poly_from_text, poly_gcd, poly_to_json, poly_to_text,
+    IntPoly, RationalFn, poly_from_text, poly_to_json, poly_to_text,
 )
+
+from oracles import poly_gcd, reduced
 
 
 def P(*coeffs):
@@ -62,6 +65,7 @@ class TestArithmetic:
 
 
 class TestGcd:
+    # the PRS gcd is the test oracle for lowest terms
     def test_cyclotomic_like(self):
         assert poly_gcd(P(1, 0, 0, 0, 0, 0, -1), P(1, 0, 0, -1)) \
             == P(-1, 0, 0, 1)
@@ -93,27 +97,30 @@ def test_gcd_sign_is_normalized():
 
 class TestRationalFn:
     def test_reduction(self):
-        f = RationalFn(P(0, 0, 2, 0, 0, -2), P(2, 0, 0, -2))
+        # the oracle reduces; RationalFn keeps the pair it is given
+        f = reduced(P(0, 0, 2, 0, 0, -2), P(2, 0, 0, -2))
         assert f == RationalFn(P(0, 0, 1), IntPoly.one())
+        assert RationalFn(P(0, 2), P(2)).num == P(0, 2)
 
     def test_den_constant_term_positive(self):
         f = RationalFn(P(0, 1), P(-1, 0, 0, 1))
         assert f.den[0] > 0
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFn(P(1), IntPoly.zero())
+        for build in (RationalFn, reduced):
+            with pytest.raises(ZeroDivisionError):
+                build(P(1), IntPoly.zero())
 
     @given(small_polys, nonzero_polys, nonzero_polys)
     def test_common_factor_invariance(self, num, den, g):
-        assert RationalFn(num * g, den * g) == RationalFn(num, den)
+        assert reduced(num * g, den * g) == reduced(num, den)
 
     @given(small_polys, nonzero_polys.filter(lambda p: p[0] != 0),
            nonzero_polys)
     def test_series_unchanged_by_scaling(self, num, den, g):
         if g[0] == 0:
             g = g + IntPoly.one()
-        base = RationalFn(num, den).series_coeffs(8)
+        base = reduced(num, den).series_coeffs(8)
         scaled = RationalFn(num * g, den * g).series_coeffs(8)
         assert base == scaled
 
@@ -122,9 +129,9 @@ class TestRationalFn:
     def test_substitute_power_stays_reduced(self, num, den, m, shift):
         # t^shift * f(t^m) needs no second gcd: it equals the pair
         # substituted first and reduced afterwards
-        got = RationalFn(num, den).substitute_power(m, shift)
-        assert got == RationalFn(num.substitute_power(m, shift),
-                                 den.substitute_power(m))
+        got = reduced(num, den).substitute_power(m, shift)
+        assert got == reduced(num.substitute_power(m, shift),
+                              den.substitute_power(m))
 
     def test_substitute_power_values(self):
         assert P(1, -2, 3).substitute_power(3, 2) == P(0, 0, 1, 0, 0, -2, 0, 0, 3)
@@ -153,6 +160,12 @@ class TestSeries:
         f = RationalFn(P(1), P(2, 1))
         assert f.series_coeffs(2) == [
             Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]
+
+    def test_series_runs_past_any_bound(self):
+        f = RationalFn(P(1, 0, 0, -3), P(1, 0, 0, -4, 0, 0, -1))
+        coeffs = list(islice(f.series(), 40))
+        assert coeffs == f.series_coeffs(39)
+        assert coeffs[39] == 4 * coeffs[36] + coeffs[33]
 
     def test_singular_at_origin_rejected(self):
         with pytest.raises(ValueError):
