@@ -12,8 +12,10 @@ fraction-free (Bareiss) elimination, which the library does not use:
 on the full system in t, and on the graded system I - s B^T over the
 origin's grade class; they are put in lowest terms by the primitive-PRS
 gcd, where the library divides by the determinant's Galois-orbit
-factors; determinants at a point are taken mod p by
-Gaussian elimination on the adjacency matrix; the Perron block B, for
+factors, and past the PRS gcd's reach coprimality is certified by
+Euclid's algorithm mod a prime; determinants at a point are taken mod p
+by Gaussian elimination on the adjacency matrix or on I - s B; the
+Perron block B, for
 the power iteration and for the graded system alike, is sliced out of
 the adjacency matrix and multiplied rather than chained from the
 library's predecessor table.  Origin counts past the golden tables are
@@ -273,13 +275,35 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     return det.substitute_power(3), {v: graded[v] for v in lat.vertices}
 
 
-def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
-    """det(I - t0 * A) mod a prime p, by Gaussian elimination on the
-    adjacency matrix."""
-    adj = adjacency(build_lattice(k)).tolist()
-    n = len(adj)
-    mat = [[((r == c) - t0 * adj[r][c]) % p for c in range(n)]
-           for r in range(n)]
+def coprime_mod_p(f: IntPoly, g: IntPoly, p: int) -> bool:
+    """True when Euclid's algorithm over Z/p proves f and g coprime in
+    Q[t]; False when it cannot.
+
+    A common factor h in Z[t] of positive degree has p prime to its
+    leading coefficient when p is prime to f's, so h mod p would divide
+    the gcd mod p; a constant gcd mod p thus rules h out.
+    """
+    if f.leading() % p == 0:
+        return False
+    a, b = ([c % p for c in x.coeffs] for x in (f, g))
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _det_mod_p(mat: list[list[int]], p: int) -> int:
+    """Determinant mod a prime p by Gaussian elimination; mat is
+    overwritten."""
+    n = len(mat)
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if mat[r][col]), None)
@@ -295,6 +319,23 @@ def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
             if f:
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
     return det % p
+
+
+def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
+    """det(I - t0 * A) mod a prime p, on the adjacency matrix."""
+    adj = adjacency(build_lattice(k)).tolist()
+    n = len(adj)
+    return _det_mod_p([[((r == c) - t0 * adj[r][c]) % p for c in range(n)]
+                       for r in range(n)], p)
+
+
+def block_det_mod_p(k: int, s0: int, p: int) -> int:
+    """det(I - s0 * B) mod a prime p, on ``dense_perron_block``: the
+    determinant D(s) of the graded system at s = s0."""
+    block = dense_perron_block(k).astype(int).tolist()
+    n = len(block)
+    return _det_mod_p([[((r == c) - s0 * block[r][c]) % p for c in range(n)]
+                       for r in range(n)], p)
 
 
 def dense_perron_block(k: int) -> np.ndarray:

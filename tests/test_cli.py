@@ -17,7 +17,7 @@ from anyondeg.genfunc import GenFnSolution
 from anyondeg.lattice import build_lattice, grade_classes
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import ORIGIN_COUNTS
-from anyondeg.reproduce import _ITEMS, reproduce
+from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport
 
 
@@ -295,8 +295,10 @@ CORRUPTIONS = {
     "corollary": lambda mp: mp.setitem(
         reference.ORIGIN_GENFUNCS, 3,
         ({0: 1, 3: -8, 6: 5, 9: -1}, reference.ORIGIN_GENFUNCS[3][1])),
-    "series": lambda mp: _wrap(mp, RationalFn, "series",
-                               lambda c, *args: (x + 1 for x in c)),
+    # only the last coefficient the item compares
+    "series": lambda mp: _wrap(
+        mp, RationalFn, "series",
+        lambda c, *args: (x + (n == SERIES_N_MAX) for n, x in enumerate(c))),
     "qdim": lambda mp: _wrap(mp, anyondeg.spectral, "lambda_perron",
                              lambda lam, *args: lam + 1e-3),
     "hooks": lambda mp: _wrap(mp, anyondeg.reproduce, "hook_count",
@@ -323,7 +325,11 @@ class TestReproduce:
     @pytest.mark.parametrize("item", list(_ITEMS))
     def test_corrupted_input_fails(self, capsys, monkeypatch, item):
         CORRUPTIONS[item](monkeypatch)
-        assert reproduce(only=item)["ok"] is False
+        report = reproduce(only=item)
+        assert report["ok"] is False
+        if item == "series":
+            assert {m["n"] for m in report["items"][0]["mismatches"]} \
+                == {SERIES_N_MAX}
         if item == "table2":
             code, out, _ = run(capsys, "reproduce", "--only", "table2")
             assert code == 1 and json.loads(out)["ok"] is False

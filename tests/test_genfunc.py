@@ -19,9 +19,9 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
-from oracles import _bareiss, adjacency, full_system_solution, \
-    graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
-    poly_gcd, reduced, transfer_det_mod_p
+from oracles import _bareiss, adjacency, block_det_mod_p, coprime_mod_p, \
+    full_system_solution, graded_bareiss_solution, graded_system, j_matrix, \
+    paper_block_system, poly_gcd, reduced, transfer_det_mod_p
 
 
 def P(terms):
@@ -228,6 +228,50 @@ class TestGaloisFactors:
     def test_product_is_the_determinant(self, k):
         _, factors = _orbit_factors(k)
         assert prod((f for f, _ in factors), start=IntPoly.one()) == _det_s(k)
+
+    @pytest.mark.parametrize("k", [33, 44])
+    def test_product_is_the_block_determinant_mod_p(self, k):
+        # up to the genfunc cap, where the exact D is costly: D(s0) mod p
+        # by elimination on I - s0 B, which shares nothing with the
+        # closed-walk D or with the factors
+        p = 2 ** 61 - 1
+        s0 = random.Random(k).randrange(2, p)
+        _, factors = _orbit_factors(k)
+        assert prod(f(s0) for f, _ in factors) % p \
+            == block_det_mod_p(k, s0, p)
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_lowest_terms_by_prs(self, k):
+        # a vertex of each grade class, and at k = 17 one whose
+        # denominator shed a factor (none does at k = 16)
+        sol = solve_system(k)
+        shed = [v for v, fn in sol.solutions.items()
+                if fn.den != sol.determinant]
+        assert bool(shed) == (k == 17)
+        for v in [Vertex(0, 0), Vertex(1, 0), Vertex(0, 1)] + shed[:1]:
+            fn = sol.solutions[v]
+            assert poly_gcd(fn.num, fn.den).degree == 0
+
+    @pytest.mark.parametrize("k", [13, 15, 22, 24])
+    def test_lowest_terms_mod_p(self, k):
+        # past the PRS checks (3 s a vertex at k = 22): every vertex, in
+        # s = t^3, certified coprime by Euclid mod p
+        sol = solve_system(k)
+        assert any(fn.den != sol.determinant for fn in sol.solutions.values())
+        p = 2 ** 61 - 1
+        for v, fn in sol.solutions.items():
+            g = (2 * v.i + v.j) % 3
+            assert coprime_mod_p(IntPoly(fn.den.coeffs[::3]),
+                                 IntPoly(fn.num.coeffs[g::3]), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*[st.lists(st.integers(-9, 9), min_size=1, max_size=5)] * 3)
+    def test_coprime_mod_p_agrees_with_prs(self, f, g, h):
+        # |Res(f, g)| < 10^14 < p here, so mod p decides exactly
+        p = 2 ** 61 - 1
+        f, g, h = IntPoly(f + [1]), IntPoly(g + [1]), IntPoly(h + [1])
+        assert coprime_mod_p(f, g, p) == (poly_gcd(f, g).degree == 0)
+        assert not coprime_mod_p(f * h, g * h, p)
 
     @pytest.mark.parametrize("k", [3, 9])
     def test_root_residues(self, k):
