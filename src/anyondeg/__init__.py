@@ -3,11 +3,10 @@
 Counts n-step lattice walks with arbitrary-precision integers, derives
 their rational generating functions from the polynomial system
 M_k x = e_1, reduced to the origin's grade class in s = t^3: the
-determinant from the closed walks on that class (power sums and
-Newton's identities), each numerator from the determinant and one
-walk-count sweep, and lowest terms by dividing out the determinant's
-Galois-orbit factors, read off the fusion spectrum mod primes, with no
-polynomial gcd.  It cross-validates the growth rate (total quantum
+determinant as the product of its Galois-orbit factors, read off the
+fusion spectrum mod primes, each numerator from the determinant and one
+walk-count sweep, and lowest terms by dividing out those factors, with
+no polynomial gcd.  It cross-validates the growth rate (total quantum
 dimension) three independent ways.
 """
 

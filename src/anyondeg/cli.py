@@ -25,17 +25,13 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
-# The exact-algebra routes have lower default caps: at each cap a single
-# call took at most about 30 s on a 2-vCPU host with Python 3.11 (single
-# runs; one level more would leave no margin) -- det --k 51 24.7 s, qdim
-# --k 51 --method root 26.9 s and --method all 27.6 s (k=52: 31.3 s);
-# genfunc --k 44 over every vertex 27.7 s (k=45: 39.9 s), most of it the
-# numerators and the determinant; verify --k 26 --n 3000 27.7 s (k=27:
-# 30.1 s), most of it the series recurrences; verify's cost grows with k
-# and n alike.  table sums one sweep per level and prints every count,
-# about as n^2: --max-k 64 --max-n 3000 --all-columns --format json
-# 19.7 s (--max-n 4000 at the origin, a third of the columns: 33.1 s).
-CAP_K_DET = 51  # det, qdim --method root|all
+# Single CLI runs, 2-vCPU host, Python 3.11: det --k 64 0.47 s, qdim --k
+# 64 --method root 1.45 s and --method all 2.31 s.  The lower caps keep
+# one call to about 30 s (one level more would leave no margin): genfunc
+# --k 44 over every vertex 27.7 s (k=45: 39.9 s), most of it the
+# numerators; verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), most of it
+# the series recurrences; table prints every count, about as n^2:
+# --max-k 64 --max-n 3000 --all-columns --format json 19.7 s.
 CAP_K_GENFUNC = 44
 CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
@@ -136,9 +132,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
-    if args.cap_k is None:  # root and all compute the determinant
-        args.cap_k = CAP_K_DET if args.method in ("root", "all") \
-            else DEFAULT_CAP_K
     _check_caps(args, k=args.k)
     if args.tol is not None and not 0 < args.tol < math.inf:  # before det
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
@@ -192,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "rates for level-restricted 3-row tableaux.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_cap(p, var, default, shown=None):  # only bounds _check_caps gets
+    def add_cap(p, var, default):  # only bounds _check_caps gets
         p.add_argument(f"--cap-{var}", type=int, default=default,
                        help=f"refuse {var} above this bound "
-                            f"(default {shown or default})")
+                            f"(default {default})")
 
     p = sub.add_parser("count", help="number of n-step walks to a vertex")
     p.add_argument("--k", type=int, required=True)
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("det", help="system determinant polynomial")
     p.add_argument("--k", type=int, required=True)
-    add_cap(p, "k", CAP_K_DET)
+    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
@@ -242,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="convergence tolerance (default 1e-6, or 1e-12 "
                         "for --method all)")
-    add_cap(p, "k", None,  # set by the handler from --method
-            f"{DEFAULT_CAP_K}, or {CAP_K_DET} for --method root and all")
+    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_qdim)
 
     p = sub.add_parser("syt", help="standard-tableau counts")

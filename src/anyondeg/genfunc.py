@@ -9,24 +9,23 @@ canonical order it is the paper's block-tridiagonal form.
 Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic in
 the grade classes C0, C1, C2, and on C0 the system is
 (I - s B^T) x_0 = e_0 with s = t^3 and B = A_01 A_12 A_20.  No
-elimination runs.  ``system_det`` takes D(s) = det(I - s B^T), which
-is det(M_k) at s = t^3, from the closed 3m-step walks on C0, which
-sum to tr(B^m), m <= n0 = |C0|, by Newton's identities; each class-0
-vertex starts one ``pathcount._sweep``.  Every class-g function is
-t^g N(s) / D(s) with deg N < n0 (Cramer's rule on C0; x_1 = t A_01^T x_0
-and x_2 = t A_12^T x_1 keep that bound), so N = (D G) mod s^n0 for the
-walk series G of the vertex, which one origin sweep to step 3 n0 + 2
-gives for every vertex at once: its steps g, g + 3, ... are flat lists
-over class g, one series coefficient per vertex of that class.  The
-s^n0 coefficient of D G must vanish.
+elimination runs.  Every class-g function is t^g N(s) / D(s) with
+D(s) = det(I - s B^T), which is det(M_k) at s = t^3, and deg N < n0 =
+|C0| (Cramer's rule on C0; x_1 = t A_01^T x_0 and x_2 = t A_12^T x_1
+keep that bound), so N = (D G) mod s^n0 for the walk series G of the
+vertex, which one origin sweep to step 3 n0 + 2 gives for every vertex
+at once: its steps g, g + 3, ... are flat lists over class g, one
+series coefficient per vertex of that class.  The s^n0 coefficient of
+D G must vanish.
 
-Lowest terms come from the spectrum, with no polynomial gcd.  The
-lattice is the SU(3)_k fusion graph, so D(s) = prod (1 - s chi_mu^3)
-over one alcove point mu per rotation orbit of size 3, with chi_mu an
-eigenvalue of A in Q(zeta), zeta of order 3(k + 3).  D is squarefree and
-splits over Q into one irreducible factor F_O per Galois orbit O of the
-chi_mu^3.  ``_orbit_factors`` builds every F_O mod primes p = 1 mod
-3(k + 3), lifts it by CRT and checks that their product is D.  N / D is
+D comes from the spectrum, and lowest terms too, with no walk and no
+polynomial gcd.  The lattice is the SU(3)_k fusion graph, so
+D(s) = prod (1 - s chi_mu^3) over one alcove point mu per rotation
+orbit of size 3, with chi_mu an eigenvalue of A in Q(zeta), zeta of
+order 3(k + 3).  D is squarefree and splits over Q into one irreducible
+factor F_O per Galois orbit O of the chi_mu^3.  ``_orbit_factors``
+builds every F_O mod primes p = 1 mod 3(k + 3), lifts it by CRT and
+checks the lift mod one further prime; D is their product.  N / D is
 reduced by dividing out exactly the F_O that divide N: a nonzero
 residue of N at one root 1/chi^3 of F_O mod p proves F_O does not, and
 where the residue is 0 ``exact_div`` decides.  Each function is reduced
@@ -38,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from math import gcd, prod
 from operator import mul
 
@@ -78,21 +77,6 @@ class GenFnSolution:
     determinant: IntPoly
 
 
-def _newton(sums: list[int]) -> IntPoly:
-    """D(s) = det(I - s B^T) from the power sums p_m = sums[m - 1] =
-    tr(B^m), m <= n0, of an n0 x n0 matrix B by Newton's identities,
-    m c_m = -sum_{i=1..m} c_{m-i} p_i, each division exact (else
-    ArithmeticError)."""
-    coeffs = [1]
-    for m in range(1, len(sums) + 1):
-        c, rem = divmod(-sum(coeffs[m - i] * sums[i - 1]
-                             for i in range(1, m + 1)), m)
-        if rem:
-            raise ArithmeticError(f"Newton identity not exact at s^{m}")
-        coeffs.append(c)
-    return IntPoly(coeffs)
-
-
 def _numerator(det: tuple[int, ...], series: list[int]) -> IntPoly:
     """N = (D G) mod s^n0 for D's coefficients ``det`` and the first
     n0 + 1 coefficients ``series`` of a function G = N / D.
@@ -108,15 +92,19 @@ def _numerator(det: tuple[int, ...], series: list[int]) -> IntPoly:
     return IntPoly(product[:n0])
 
 
-# Miller-Rabin with these bases is deterministic for every n < 3.18e23.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with these bases is deterministic for every n < 2^64
+# (Sinclair's set; a base that is 0 mod n passes).  Trial division
+# first rejects most composites for less than one modular power.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SMALL_PRIMES = tuple(q for q in range(3, 100, 2)
+                      if all(q % r for r in range(3, q, 2)))
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 3.18e23."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
+    """Deterministic primality test for n < 2^64."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, r = n - 1, 0
@@ -124,7 +112,7 @@ def _is_prime(n: int) -> bool:
         d, r = d // 2, r + 1
     for a in _MR_BASES:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if a % n == 0 or x in (1, n - 1):
             continue
         for _ in range(r - 1):
             x = x * x % n
@@ -181,6 +169,14 @@ def _cube(exps: tuple[int, ...], powers: list[int], p: int,
     return pow(sum(powers[a * e % len(powers)] for e in exps), 3, p)
 
 
+def _factor_mod(values: list[int], orbit: list[int], p: int) -> list[int]:
+    """prod_{r in orbit} (1 - values[r] s) mod p, ascending coefficients."""
+    poly = [1]
+    for r in orbit:
+        poly = [(c - values[r] * d) % p for c, d in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     """D's irreducible factors over Q, one per Galois orbit O of the
     chi^3, as pairs (F_O, chi^3 mod p of one member of O), with the prime
@@ -190,8 +186,12 @@ def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     first prime: the chi^3 must be distinct and nonzero mod p, and every
     Galois conjugate of one must be another (else ArithmeticError).  A
     coefficient of F_O is at most 28^|O| in size since |chi| <= 3, which
-    sets how many primes the CRT lift takes.
+    sets how many primes the CRT lift takes.  Every lifted F_O must then
+    agree with the product mod the next prime, which the lift did not use
+    (else ArithmeticError).
     """
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
     order = 3 * (k + 3)
     reps = _alcove_exponents(k)
     roots = _unit_roots(order)
@@ -216,22 +216,21 @@ def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     first, residues = p, [values[orbit[0]] for orbit in orbits]
     bound = 2 * 28 ** max(map(len, orbits), default=0)
     modulus, lifts = 1, [[0] * (len(orbit) + 1) for orbit in orbits]
-    while True:
+    while modulus <= bound:
         inverse = pow(modulus, -1, p)
         for lift, orbit in zip(lifts, orbits):
-            poly = [1]
-            for r in orbit:  # times (1 - chi_r^3 s)
-                poly = [(c - values[r] * d) % p
-                        for c, d in zip(poly + [0], [0] + poly)]
             lift[:] = [c + modulus * ((d - c) * inverse % p)
-                       for c, d in zip(lift, poly)]
+                       for c, d in zip(lift, _factor_mod(values, orbit, p))]
         modulus *= p
-        if modulus > bound:
-            break
         p, powers = next(roots)
         values = [_cube(exps, powers, p) for exps in reps]
-    factors = [IntPoly(c - modulus if 2 * c > modulus else c for c in lift)
-               for lift in lifts]
+    factors = []
+    for lift, orbit in zip(lifts, orbits):
+        coeffs = [c - modulus if 2 * c > modulus else c for c in lift]
+        if [c % p for c in coeffs] != _factor_mod(values, orbit, p):
+            raise ArithmeticError(
+                f"a Galois-orbit factor fails the check prime {p}")
+        factors.append(IntPoly(coeffs))
     return first, list(zip(factors, residues))
 
 
@@ -269,19 +268,14 @@ def _lowest_terms(num: IntPoly, factors: list[tuple[IntPoly, int]],
 def system_det(k: int) -> IntPoly:
     """det(I - t * A^T) at level k, constant term +1.
 
-    Computed as det(I - s * B^T) on the origin's grade class, then
-    s = t^3 (the two agree because A is 3-cyclic in the grade classes);
-    no numerator is formed.  The sweep from the z-th class-0 vertex
-    adds the closed walks at z to tr(B^m) at step 3m.
+    The product of D's Galois-orbit factors, D(s) = det(I - s * B^T) on
+    the origin's grade class, at s = t^3 (the two agree because A is
+    3-cyclic in the grade classes); no walk is counted and no numerator
+    is formed.
     """
-    pred = class_predecessors(build_lattice(k))
-    n0 = len(pred[0])
-    sums = [0] * n0
-    for z in range(n0):
-        steps = _sweep(pred, 3 * n0, z)  # class 0 at steps 3, 6, ..., 3 n0
-        for m, counts in enumerate(islice(steps, 3, None, 3)):
-            sums[m] += counts[z]
-    return _newton(sums).substitute_power(3)
+    _, factors = _orbit_factors(k)
+    return prod((f for f, _ in factors), start=IntPoly.one()) \
+        .substitute_power(3)
 
 
 @lru_cache(maxsize=None)
@@ -289,30 +283,27 @@ def solve_system(k: int) -> GenFnSolution:
     """Exact solution of M_k x = e_1: every generating function, reduced.
 
     Every class-g function is t^g G(s) with G = N / D, D(s) the
-    determinant in s = t^3 and deg N < n0 = |C0|.  One walk-count sweep
-    to step 3 n0 + 2 gives each G to s^n0, and N = (D G) mod s^n0.  G
-    is put in lowest terms by D's Galois-orbit factors and then
-    substituted, which gives the same lowest terms as reducing in t.
-    Every denominator is a product of those factors, each with constant
-    term 1, so it is primitive and positive at 0.
+    determinant in s = t^3 and deg N < n0 = |C0|.  D is the product of
+    its Galois-orbit factors.  One walk-count sweep to step 3 n0 + 2
+    gives each G to s^n0, and N = (D G) mod s^n0.  G is put in lowest
+    terms by those factors and then substituted, which gives the same
+    lowest terms as reducing in t.  Every denominator is a product of
+    the factors, each with constant term 1, so it is primitive and
+    positive at 0.
     """
     lat = build_lattice(k)
     classes = grade_classes(lat)
     n0 = len(classes[0])
-    det_t = system_det(k)
-    coeffs = det_t.coeffs[::3]
-    det = IntPoly(coeffs)
     p, factors = _orbit_factors(k)
-    if prod((f for f, _ in factors), start=IntPoly.one()) != det:
-        # the closed-walk D certifies the spectrum's CRT lift
-        raise ArithmeticError("the Galois-orbit factors do not multiply to D")
+    det = prod((f for f, _ in factors), start=IntPoly.one())
     dens = {tuple(range(len(factors))): det}  # kept positions -> product
     steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2))
     graded = {}
     for g, cls in enumerate(classes):
         # steps[g::3] are the class-g lists; zip drops the trailing slot
         for v, series in zip(cls, zip(*steps[g::3])):
-            num, kept = _lowest_terms(_numerator(coeffs, series), factors, p)
+            num, kept = _lowest_terms(_numerator(det.coeffs, series),
+                                      factors, p)
             if kept not in dens:
                 dens[kept] = prod((factors[pos][0] for pos in kept),
                                   start=IntPoly.one())
@@ -321,7 +312,8 @@ def solve_system(k: int) -> GenFnSolution:
     sol0 = solutions[ORIGIN]
     if sol0.num[0] != sol0.den[0]:
         raise ArithmeticError("origin series must start at 1")
-    return GenFnSolution(k=k, solutions=solutions, determinant=det_t)
+    return GenFnSolution(k=k, solutions=solutions,
+                         determinant=det.substitute_power(3))
 
 
 def generating_function(k: int, v: Vertex) -> RationalFn:

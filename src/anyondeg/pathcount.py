@@ -9,8 +9,8 @@ by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
 canonical order, and fills it from the previous step's list through
-``lattice.class_predecessors``; it serves every query, the system
-determinant's closed walks too.  Everything is a Python int; no floats.
+``lattice.class_predecessors``; it serves every query.  Everything is a
+Python int; no floats.
 """
 
 from __future__ import annotations

@@ -153,20 +153,15 @@ class IntPoly:
         return acc
 
     def sign_at(self, num: int, den: int) -> int:
-        """Exact sign of p(num/den) for den > 0, using integers only."""
+        """Exact sign of p(num/den) for den > 0, using integers only:
+        Horner's rule on den^d p(num/den), every product by a factor no
+        bigger than num, den or a coefficient."""
         if den <= 0:
             raise ValueError("den must be positive")
-        d = self.degree
-        if d < 0:
-            return 0
-        total = 0
-        pw_num = 1
-        pw_den = den ** d
-        for c in self.coeffs:
-            total += c * pw_num * pw_den
-            pw_num *= num
-            if pw_den:
-                pw_den //= den
+        total, scale = 0, 1
+        for c in reversed(self.coeffs):
+            total = total * num + c * scale
+            scale *= den
         return (total > 0) - (total < 0)
 
     # -- exact division -----------------------------------------------

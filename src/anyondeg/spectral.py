@@ -6,7 +6,8 @@ The asymptotic growth factor (the total quantum dimension) is
     the row count of the tableaux and the only N the library counts,
   * the dominant eigenvalue of the lattice adjacency matrix,
   * the reciprocal of the smallest positive root of the system
-    determinant.
+    determinant, isolated in s = t^3 and certified by Descartes' rule
+    of signs.
 
 This is the only module that touches floating point, and it needs only
 the standard library.  Numerical limits are module constants.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .genfunc import system_det
@@ -25,8 +28,8 @@ from .pathcount import degeneracy
 from .poly import IntPoly
 
 
-# smallest_positive_root scans (0, SEARCH_LIMIT] in steps of 1/GRID for
-# the first sign change.
+# smallest_positive_root scans t in (0, SEARCH_LIMIT] for the first sign
+# change, in steps of 1/GRID in u = t^g up to u = 1 and in t beyond.
 SEARCH_LIMIT = 1.5
 GRID = 1024
 PERRON_MAX_ITER = 1_000  # Lanczos steps before giving up
@@ -135,42 +138,111 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
         f"Lanczos did not converge in {PERRON_MAX_ITER} steps (k={k})")
 
 
-def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
-    """Smallest positive real root by exact sign bracketing plus bisection.
+def _iroot(n: int, g: int) -> int:
+    """floor(n^(1/g)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // g)  # above the root
+    while (y := ((g - 1) * x + n // x ** (g - 1)) // g) < x:
+        x = y
+    return x
 
-    Signs are evaluated with integer arithmetic at rational points, so a
-    bracket is never produced by rounding error.  Requires p(0) > 0 and
-    a positive, finite tol.  Bisection stops at width tol, or once both
-    ends round to one float, which every later midpoint rounds to too.
+
+def _exact_root(num: int, den: int, g: int) -> float:
+    """(num / den)^(1/g) for num, den >= 1, exact when it is rational:
+    the float power of 1/27 is not 1/3."""
+    f = Fraction(num, den)
+    a, b = _iroot(f.numerator, g), _iroot(f.denominator, g)
+    if a ** g == f.numerator and b ** g == f.denominator:
+        return a / b
+    return (num / den) ** (1 / g)
+
+
+def _taylor_shift(c: list[int], shift: int) -> None:
+    """Replace the coefficients c of f(x) by those of f(x + shift)."""
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += shift * c[j + 1]
+
+
+def _descartes(q: tuple[int, ...], a: int, b: int, den: int) -> int:
+    """Sign variations of (1 + x)^d q((a x + b) / (den (1 + x))), d = deg q:
+    a bound of the same parity on the roots of q in (a / den, b / den),
+    so 0 proves none and 1 exactly one (Collins-Akritas)."""
+    d = len(q) - 1
+    c = [x * den ** (d - i) for i, x in enumerate(q)]  # den^d q(y / den)
+    if a:
+        _taylor_shift(c, a)
+    c = [x * (b - a) ** j for j, x in enumerate(c)][::-1]
+    _taylor_shift(c, 1)
+    signs = [x > 0 for x in c if x]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
+    """Smallest positive real root of p, which must be positive at 0.
+
+    p(t) = q(t^g), g the gcd of its exponents (3 for det(M_k)), and the
+    root is isolated in u = t^g: the grid scan above, then bisection,
+    with exact signs at rational points, until the bracket in t is at
+    most tol (positive and finite) or at float resolution; an exact zero
+    gives the exact float.  Descartes' rule then proves that no root
+    hides in (0, lo) below the bracket, as two in one scan step would.
+    For D(s) that count is always 0: by Perron-Frobenius every root has
+    modulus at least rho_s > lo.  Otherwise (0, lo) is split until each
+    piece counts 0 or 1, which ends for a squarefree q, and the first
+    piece with one root is bisected instead.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if p.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
-    steps = int(math.ceil(SEARCH_LIMIT * GRID))
-    lo_num = 0
-    for m in range(1, steps + 1):
-        s = p.sign_at(m, GRID)
-        if s == 0:
-            return m / GRID
-        if s < 0:
-            lo_num, hi_num, den = m - 1, m, GRID
+    g = math.gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
+    q = IntPoly(p.coeffs[::g])
+    grid = chain(((m, GRID) for m in range(1, GRID + 1)),
+                 ((m ** g, GRID ** g) for m in
+                  range(GRID + 1, math.ceil(SEARCH_LIMIT * GRID) + 1)))
+    last = (0, 1)
+    for hi, den in grid:
+        if (sign := q.sign_at(hi, den)) <= 0:
             break
-        lo_num = m
+        last = (hi, den)
     else:
         raise NoRootError(
             f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
-    while (hi_num - lo_num) / den > tol and lo_num / den != hi_num / den:
-        mid = lo_num + hi_num
-        lo_num, hi_num, den = 2 * lo_num, 2 * hi_num, 2 * den
-        s = p.sign_at(mid, den)
-        if s == 0:
-            return mid / den
-        if s < 0:
-            hi_num = mid
-        else:
-            lo_num = mid
-    return (lo_num + hi_num) / (2 * den)
+
+    def resolved(lo: int, hi: int, den: int) -> bool:
+        t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
+        return t_hi - t_lo <= tol or t_lo == t_hi
+
+    def bisect(lo: int, hi: int, den: int) -> tuple[int, int, int]:
+        """Narrow (lo, hi) / den, q(lo) > 0 and q < 0 just below hi,
+        to tol in t; lo == hi on an exact zero."""
+        while lo < hi and not resolved(lo, hi, den):
+            lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+            sign = q.sign_at(mid, den)
+            if sign == 0:
+                return mid, mid, den
+            lo, hi = (mid, hi) if sign > 0 else (lo, mid)
+        return lo, hi, den
+
+    lo = hi if sign == 0 else last[0] * den // last[1]
+    lo, hi, den = bracket = bisect(lo, hi, den)
+    pieces = [(0, lo, den)] if _descartes(q.coeffs, 0, lo, den) else []
+    while pieces:  # open intervals, and zeros as (x, x, den); last first
+        a, b, den = pieces.pop()
+        count = 1 if a == b else _descartes(q.coeffs, a, b, den)
+        if count == 1:
+            bracket = bisect(a, b, den)
+            break
+        if count:
+            if resolved(a, b, den):
+                raise ArithmeticError("roots closer than float resolution")
+            mid = a + b
+            pieces.append((mid, 2 * b, 2 * den))
+            if q.sign_at(mid, 2 * den) == 0:
+                pieces.append((mid, mid, 2 * den))
+            pieces.append((2 * a, mid, 2 * den))
+    lo, hi, den = bracket
+    return _exact_root(lo + hi, 2 * den, g)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,24 @@ by Gaussian elimination on the adjacency matrix or on I - s B; the
 Perron block B, for
 the power iteration and for the graded system alike, is sliced out of
 the adjacency matrix and multiplied rather than chained from the
-library's predecessor table.  Origin counts past the golden tables are
-checked mod primes by the Verlinde formula over the SU(3)_k spectrum,
-which uses no walk at all.
+library's predecessor table.  The determinant, which the library takes
+from the SU(3)_k spectrum, is rebuilt from closed walks by Newton's
+identities.  Origin counts past the golden tables are checked mod
+primes by the Verlinde formula over the SU(3)_k spectrum, which uses no
+walk at all.
 """
 
 import math
 from collections import Counter
+from itertools import islice
 from math import gcd
 
 import numpy as np
 
 from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    grade_classes, predecessors
+    class_predecessors, grade_classes, predecessors
+from anyondeg.pathcount import _sweep
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -273,6 +277,36 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
         for v, num in zip(cls, numerators):
             graded[v] = reduced(num, det).substitute_power(3, g)
     return det.substitute_power(3), {v: graded[v] for v in lat.vertices}
+
+
+def _newton(sums: list[int]) -> IntPoly:
+    """D(s) = det(I - s B^T) from the power sums p_m = sums[m - 1] =
+    tr(B^m), m <= n0, of an n0 x n0 matrix B by Newton's identities,
+    m c_m = -sum_{i=1..m} c_{m-i} p_i, each division exact (else
+    ArithmeticError)."""
+    coeffs = [1]
+    for m in range(1, len(sums) + 1):
+        c, rem = divmod(-sum(coeffs[m - i] * sums[i - 1]
+                             for i in range(1, m + 1)), m)
+        if rem:
+            raise ArithmeticError(f"Newton identity not exact at s^{m}")
+        coeffs.append(c)
+    return IntPoly(coeffs)
+
+
+def closed_walk_det(k: int) -> IntPoly:
+    """det(I - t * A^T) from closed walks, with no spectrum: tr(B^m)
+    counts the closed 3m-step walks at the class-0 vertices, one sweep
+    from each, and Newton's identities turn the sums into D(s), then
+    s = t^3."""
+    pred = class_predecessors(build_lattice(k))
+    n0 = len(pred[0])
+    sums = [0] * n0
+    for z in range(n0):
+        steps = _sweep(pred, 3 * n0, z)  # class 0 at steps 3, 6, ..., 3 n0
+        for m, counts in enumerate(islice(steps, 3, None, 3)):
+            sums[m] += counts[z]
+    return _newton(sums).substitute_power(3)
 
 
 def coprime_mod_p(f: IntPoly, g: IntPoly, p: int) -> bool:

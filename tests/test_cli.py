@@ -1,6 +1,5 @@
 import argparse
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -11,8 +10,8 @@ import anyondeg.reproduce
 import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
-from anyondeg.cli import CAP_K_DET, CAP_K_GENFUNC, CAP_K_VERIFY, \
-    CAP_N_TABLE, CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
+from anyondeg.cli import CAP_K_GENFUNC, CAP_K_VERIFY, CAP_N_TABLE, \
+    CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution
 from anyondeg.lattice import build_lattice, grade_classes
 from anyondeg.poly import IntPoly, RationalFn
@@ -128,8 +127,6 @@ class TestGenfunc:
         real = anyondeg.genfunc._sweep
 
         def bumped(pred, n_max, start=0):
-            # only solve_system's origin sweep reaches the last step;
-            # system_det's closed-walk sweeps stop at 3 |C0|
             for n, counts in enumerate(real(pred, n_max, start)):
                 if n == last:
                     counts = counts.copy()
@@ -156,22 +153,24 @@ class TestDet:
             "+ 3429*t^18 + 6075*t^21 - 1458*t^24 + 729*t^27")
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
-        # a non-integer closed-walk count fails the Newton division
-        def half_walks(pred, n_max, start=0):
-            for n, counts in enumerate(real(pred, n_max, start)):
-                if n == 3 and start == 0:
-                    counts = [Fraction(1, 2)] + counts[1:]
-                yield counts
+        # wrong zeta powers mod the check prime, which k = 3 reaches after
+        # lifting with the first prime alone, fail the factors' re-check
+        def corrupted(order):
+            pairs = real(order)
+            yield next(pairs)
+            for p, powers in pairs:
+                yield p, [(x + 1) % p for x in powers]
 
-        real = anyondeg.genfunc._sweep
-        monkeypatch.setattr(anyondeg.genfunc, "_sweep", half_walks)
+        real = anyondeg.genfunc._unit_roots
+        monkeypatch.setattr(anyondeg.genfunc, "_unit_roots", corrupted)
         anyondeg.genfunc.system_det.cache_clear()
         try:
             code, out, err = run(capsys, "det", "--k", "3")
         finally:
             anyondeg.genfunc.system_det.cache_clear()
         assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a Galois-orbit factor fails the check")
 
 
 class TestVerify:
@@ -338,9 +337,9 @@ class TestReproduce:
 # (command with the capped value left open, its default cap, the flag that
 # raises the cap)
 CAP_CORNERS = [
-    ("det --k {}", CAP_K_DET, "--cap-k"),
-    ("qdim --method root --k {}", CAP_K_DET, "--cap-k"),
-    ("qdim --method all --k {}", CAP_K_DET, "--cap-k"),
+    ("det --k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("qdim --method root --k {}", DEFAULT_CAP_K, "--cap-k"),
+    ("qdim --method all --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("genfunc --k {}", CAP_K_GENFUNC, "--cap-k"),
     ("verify --n 3 --k {}", CAP_K_VERIFY, "--cap-k"),
     ("verify --k 2 --n {}", CAP_N_VERIFY, "--cap-n"),

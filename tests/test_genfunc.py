@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _alcove_exponents, _cube, _is_prime, _newton, _numerator, _orbit_factors,
+    _alcove_exponents, _cube, _is_prime, _numerator, _orbit_factors,
     _unit_roots, build_system, generating_function, solve_system, system_det,
     verify_series,
 )
@@ -19,9 +19,10 @@ from anyondeg.reference import (
     determinant_poly, genfunc_rational,
 )
 
-from oracles import _bareiss, adjacency, block_det_mod_p, coprime_mod_p, \
-    full_system_solution, graded_bareiss_solution, graded_system, j_matrix, \
-    paper_block_system, poly_gcd, reduced, transfer_det_mod_p
+from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
+    closed_walk_det, coprime_mod_p, full_system_solution, \
+    graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
+    poly_gcd, reduced, transfer_det_mod_p
 
 
 def P(terms):
@@ -165,6 +166,14 @@ class TestDeterminant:
         assert det[3] == -k * k
         assert all(c == 0 for e, c in enumerate(det.coeffs) if e % 3)
 
+    @pytest.mark.parametrize("k", [48, 64])
+    def test_block_determinant_mod_p(self, k):
+        # past the closed-walk oracle's reach: D(t0^3) mod p by elimination
+        # on I - s0 B, which uses no spectrum
+        p = 2 ** 61 - 1
+        t0 = random.Random(k).randrange(2, p)
+        assert system_det(k)(t0) % p == block_det_mod_p(k, pow(t0, 3, p), p)
+
 
 class TestGradedReduction:
     @pytest.mark.parametrize("k", range(1, 9))
@@ -194,6 +203,41 @@ def _det_s(k):
     return IntPoly(system_det(k).coeffs[::3])
 
 
+def _is_prime_12_bases(n):
+    """Miller-Rabin with the prime bases up to 37, deterministic for
+    n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def corrupt_check_prime(unit_roots):
+    """``_unit_roots`` with every pair after the first corrupted."""
+    def roots(order):
+        pairs = unit_roots(order)
+        yield next(pairs)
+        for p, powers in pairs:
+            yield p, [(x + 1) % p for x in powers]
+    return roots
+
+
 class TestGaloisFactors:
     def test_is_prime(self):
         small = [n for n in range(2000) if n > 1
@@ -204,6 +248,20 @@ class TestGaloisFactors:
         # Carmichael number
         assert not _is_prime(3825123056546413051)
         assert not _is_prime(561)
+
+    def test_is_prime_matches_twelve_bases_below_a_million(self):
+        assert [n for n in range(10 ** 6) if _is_prime(n)] \
+            == [n for n in range(10 ** 6) if _is_prime_12_bases(n)]
+
+    @pytest.mark.parametrize("order", range(6, 202))
+    def test_unit_roots_yield_every_prime(self, order):
+        # the first two primes the factors use, and every candidate
+        # between them, agree with the twelve-base test
+        start = (2 ** 62 - 2) // order * order + 1
+        roots = _unit_roots(order)
+        primes = [next(roots)[0], next(roots)[0]]
+        assert primes == [n for n in range(start, primes[1] - 1, -order)
+                          if _is_prime_12_bases(n)]
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_cubes_distinct_and_degrees_sum_to_det(self, k):
@@ -224,10 +282,13 @@ class TestGaloisFactors:
         assert all(f[0] == 1 for f, _ in factors)
         assert {x for _, x in factors} <= set(cubes)
 
-    @pytest.mark.parametrize("k", range(1, 22))
+    @pytest.mark.parametrize("k", [*range(1, 22), 28])
     def test_product_is_the_determinant(self, k):
+        # the product of the factors against closed walks, which use no
+        # spectrum (1.5 s at k = 28)
         _, factors = _orbit_factors(k)
-        assert prod((f for f, _ in factors), start=IntPoly.one()) == _det_s(k)
+        det = prod((f for f, _ in factors), start=IntPoly.one())
+        assert system_det(k) == det.substitute_power(3) == closed_walk_det(k)
 
     @pytest.mark.parametrize("k", [33, 44])
     def test_product_is_the_block_determinant_mod_p(self, k):
@@ -281,12 +342,13 @@ class TestGaloisFactors:
             assert f(pow(x, -1, p)) % p == 0
 
     def test_product_mismatch_raises(self, monkeypatch):
-        real = anyondeg.genfunc._orbit_factors
-        monkeypatch.setattr(anyondeg.genfunc, "_orbit_factors",
-                            lambda k: (lambda p, fs: (p, fs[1:]))(*real(k)))
+        # k = 5 lifts with the first prime alone, so the second, whose
+        # zeta powers are shifted here, is the check prime
+        monkeypatch.setattr(anyondeg.genfunc, "_unit_roots",
+                            corrupt_check_prime(_unit_roots))
         solve_system.cache_clear()
         try:
-            with pytest.raises(ArithmeticError, match="multiply to D"):
+            with pytest.raises(ArithmeticError, match="check prime"):
                 solve_system(5)
         finally:
             solve_system.cache_clear()

@@ -14,11 +14,13 @@ One edge table: ``lattice.predecessors`` is called only where
 reads, and where ``genfunc.build_system`` fills the full matrix, so no
 module grows a second predecessor list of its own.
 
-One walk-count loop: every walk count, the system determinant's closed
-walks too, comes from ``pathcount._sweep`` over that table, padded to
-three predecessors per vertex; ``spectral._perron_apply`` takes the same
-three padded steps on float vectors, to apply the Perron block B and
-its transpose for Lanczos.
+One walk-count loop: every walk count comes from ``pathcount._sweep``
+over that table, padded to three predecessors per vertex;
+``spectral._perron_apply`` takes the same three padded steps on float
+vectors, to apply the Perron block B and its transpose for Lanczos.
+The determinant does not walk: ``system_det`` multiplies the Galois-orbit
+factors of the spectrum, and no call it makes, however deep, reaches a
+sweep or any other ``pathcount`` function.
 
 Two caches: ``lru_cache`` decorates ``system_det`` and ``solve_system``
 alone, the two caches a caller can clear, so no hidden per-k memo keeps
@@ -108,6 +110,27 @@ def test_predecessors_called_only_by_the_edge_table():
                for func in _callers(tree, "predecessors")}
     assert callers == {("lattice.py", "class_predecessors"),
                        ("genfunc.py", "build_system")}
+
+
+def test_system_det_reaches_no_walk_sweep():
+    # every library function of each name system_det calls, followed to
+    # any depth
+    defined = {}
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, []).append((name, node))
+    reached, todo = set(), ["system_det"]
+    while todo:
+        func = todo.pop()
+        for name, node in defined.get(func, ()):
+            if (name, func) not in reached:
+                reached.add((name, func))
+                todo += [_name(call.func) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)]
+    assert ("genfunc.py", "_orbit_factors") in reached
+    assert {(name, func) for name, func in reached
+            if name == "pathcount.py" or func == "_sweep"} == set()
 
 
 def test_lru_cache_only_on_the_two_clearable_solvers():

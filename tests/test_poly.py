@@ -63,6 +63,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             P(1, 1).exact_div(P(0, 1))
 
+    @given(small_polys, st.integers(-50, 50), st.integers(1, 50))
+    def test_sign_at_matches_fraction_value(self, p, num, den):
+        value = p(Fraction(num, den))
+        assert p.sign_at(num, den) == (value > 0) - (value < 0)
+
+    def test_sign_at_rejects_non_positive_den(self):
+        with pytest.raises(ValueError):
+            P(1, 1).sign_at(1, 0)
+
 
 class TestGcd:
     # the PRS gcd is the test oracle for lowest terms

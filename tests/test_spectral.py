@@ -9,14 +9,18 @@ from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
     grade_classes
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, NoRootError, NonConvergenceError, _mirror_positions, _perron_apply,
-    _three_steps, growth_rate_estimate, lambda_perron, lambda_trig,
-    smallest_positive_root, spectral_report,
+    GRID, NoRootError, NonConvergenceError, _descartes, _mirror_positions,
+    _perron_apply, _three_steps, growth_rate_estimate, lambda_perron,
+    lambda_trig, smallest_positive_root, spectral_report,
 )
 
 from oracles import adjacency, dense_lambda_perron, dense_perron_block
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+
+def P(terms):
+    return IntPoly.from_terms(terms)
 
 
 class TestTrig:
@@ -165,6 +169,92 @@ class TestRootFinding:
         assert calls <= grid_scan + 64
         assert abs(rho - 1 / math.sqrt(2)) <= math.ulp(1 / math.sqrt(2))
 
+    def test_two_roots_in_one_grid_step(self):
+        # 0.0997 and 0.1003 share the step (102/1024, 103/1024], so the
+        # sign stays positive at every grid point below the root 1/2
+        p = -(P({0: -997, 1: 10000}) * P({0: -1003, 1: 10000})
+              * P({0: -1, 1: 2}))
+        assert all(p.sign_at(m, GRID) > 0 for m in range(GRID // 2))
+        assert abs(smallest_positive_root(p) - 0.0997) <= 1e-12
+
+    def test_three_roots_in_one_grid_step(self):
+        # the scan's sign change holds all three: the bracket's
+        # certificate sends the search back to the first
+        roots = [P({0: -r, 1: 10000}) for r in (9971, 9973, 9975)]
+        p = -(roots[0] * roots[1] * roots[2])
+        assert abs(smallest_positive_root(p, tol=1e-14) - 0.9971) <= 1e-14
+
+    @pytest.mark.parametrize("p", [
+        system_det(2), system_det(5), system_det(9),
+        P({0: 1, 2: -5, 4: 3}), P({0: 7, 6: -2, 12: -1})])
+    def test_power_substitution_keeps_the_root(self, p):
+        # p(t) = q(t^g) is solved in u = t^g; times 1 + t, which adds no
+        # positive root, it has g = 1 and is solved in t
+        expanded = p * P({0: 1, 1: 1})
+        assert abs(smallest_positive_root(p)
+                   - smallest_positive_root(expanded)) <= 1e-12
+
+    @pytest.mark.parametrize("p,root", [
+        (P({0: 3, 2: -2}), 1.5 ** 0.5), (P({0: 2 ** 58, 100: -1}), 2 ** 0.58)])
+    def test_roots_past_one_are_scanned_in_t(self, p, root, monkeypatch):
+        # past u = 1 the scan steps by 1/GRID in t, so it never takes more
+        # than the parent's SEARCH_LIMIT * GRID points, however large g is
+        calls = 0
+        real = IntPoly.sign_at
+
+        def counted(self, num, den):
+            nonlocal calls
+            calls += 1
+            return real(self, num, den)
+
+        monkeypatch.setattr(IntPoly, "sign_at", counted)
+        assert abs(smallest_positive_root(p) - root) <= 1e-12
+        with pytest.raises(NoRootError):
+            smallest_positive_root(P({0: 1, 100: 1}))
+        assert calls <= 2 * (1 + math.ceil(1.5 * GRID)) + 64
+
+    @pytest.mark.parametrize("p,root", [
+        (system_det(1), 1.0), (system_det(3), 0.5),
+        (P({0: 1, 3: -512}), 0.125), (P({0: 1, 3: -2 ** 30}), 2 ** -10)])
+    def test_exact_zeros_return_the_exact_float(self, p, root):
+        # the float cube root of 1/512 is 0.12500000000000003
+        assert smallest_positive_root(p) == root
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_determinant_certificate_is_one_count(self, k, monkeypatch):
+        # every root of D(s) has modulus at least rho_s, so the count
+        # below the bracket is 0 and nothing is split
+        counts = []
+
+        def counted(*args):
+            counts.append(_descartes(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
+        rho = smallest_positive_root(system_det(k))
+        assert counts == [0]
+        assert abs(1 / rho - lambda_trig(k)) < 1e-10
+
+    def test_double_root_below_the_bracket_raises(self):
+        # the scan steps over the double root 1/10 and stops at the zero
+        # 1/2; below it the count stays 2 down to float resolution
+        p = P({0: -1, 1: 10}) * P({0: -1, 1: 10}) * P({0: 1, 1: -2})
+        with pytest.raises(ArithmeticError, match="float resolution"):
+            smallest_positive_root(p)
+
+    @pytest.mark.parametrize("roots,a,b,den,count", [
+        ((1, 2, 3), 0, 4, 1, 3),     # all three of 1/2, 1, 3/2
+        ((1, 2, 3), 3, 5, 4, 1),     # 1 alone in (3/4, 5/4)
+        ((1, 2, 3), 0, 1, 4, 0),     # below every root
+        ((1, 2, 3), 5, 7, 4, 1),     # 3/2 alone in (5/4, 7/4)
+        ((5, 5, 7), 2, 3, 1, 2),     # the double root 5/2 counts twice
+    ])
+    def test_descartes_counts(self, roots, a, b, den, count):
+        q = IntPoly.one()
+        for r in roots:
+            q = q * P({0: -r, 1: 2})  # root r/2
+        assert _descartes(q.coeffs, a, b, den) == count
+
 
 class TestReport:
     def test_level_one(self):
@@ -181,6 +271,11 @@ class TestReport:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_three_way_agreement(self, k):
+        assert spectral_report(k).agreement_gap < 1e-6
+
+    @pytest.mark.parametrize("k", [48, 56, 64])
+    def test_three_way_agreement_at_the_perron_levels(self, k):
+        # the benchmark's Perron levels, up to the det cap
         assert spectral_report(k).agreement_gap < 1e-6
 
     @pytest.mark.parametrize("k", range(1, 13))
