@@ -19,7 +19,7 @@ from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
 from .spectral import NoRootError, NonConvergenceError, lambda_perron, \
-    lambda_trig, smallest_positive_root, spectral_report
+    lambda_trig, root_rho, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
     hook_count, shape_for_vertex, unrestricted_count
 
@@ -28,11 +28,12 @@ DEFAULT_CAP_K = 64
 # Single CLI runs, 2-vCPU host, Python 3.11: det --k 64 0.47 s, qdim --k
 # 64 --method root 1.45 s and --method all 2.31 s.  The lower caps keep
 # one call to about 30 s (one level more would leave no margin): genfunc
-# --k 44 over every vertex 27.7 s (k=45: 39.9 s), most of it the
-# numerators; verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), most of it
-# the series recurrences; table prints every count, about as n^2:
-# --max-k 64 --max-n 3000 --all-columns --format json 19.7 s.
-CAP_K_GENFUNC = 44
+# --k 50 > /dev/null 10.0 s, 115 MB peak RSS; k=45, 46 Galois-orbit
+# factors to test (9 at k=50), 24.2 s; k=51 34.4 s, mostly the residues;
+# verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the series
+# recurrences; table prints every count, about as n^2: --max-k 64
+# --max-n 3000 --all-columns --format json 19.7 s.
+CAP_K_GENFUNC = 50
 CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
 CAP_N_TABLE = 3000
@@ -141,8 +142,7 @@ def _cmd_qdim(args) -> int:
     elif args.method == "eig":
         print(repr(lambda_perron(args.k, tol=tol)))
     elif args.method == "root":
-        print(repr(1.0 / smallest_positive_root(system_det(args.k),
-                                                tol=tol)))
+        print(repr(1.0 / root_rho(args.k, tol=tol)))
     else:
         print(json.dumps(spectral_report(args.k, tol=tol).to_dict()))
     return 0

@@ -13,10 +13,9 @@ elimination runs.  Every class-g function is t^g N(s) / D(s) with
 D(s) = det(I - s B^T), which is det(M_k) at s = t^3, and deg N < n0 =
 |C0| (Cramer's rule on C0; x_1 = t A_01^T x_0 and x_2 = t A_12^T x_1
 keep that bound), so N = (D G) mod s^n0 for the walk series G of the
-vertex, which one origin sweep to step 3 n0 + 2 gives for every vertex
-at once: its steps g, g + 3, ... are flat lists over class g, one
-series coefficient per vertex of that class.  The s^n0 coefficient of
-D G must vanish.
+vertex.  One sweep that starts D_m walks at the origin at step 3m
+gives D G at every vertex: step 3m + g holds its s^m coefficients over
+class g, and the s^n0 ones must vanish (Cayley-Hamilton).
 
 D comes from the spectrum, and lowest terms too, with no walk and no
 polynomial gcd.  The lattice is the SU(3)_k fusion graph, so
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import gcd, prod
-from operator import mul
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
     class_predecessors, grade_classes, predecessors
@@ -75,21 +73,6 @@ class GenFnSolution:
     k: int
     solutions: dict[Vertex, RationalFn]
     determinant: IntPoly
-
-
-def _numerator(det: tuple[int, ...], series: list[int]) -> IntPoly:
-    """N = (D G) mod s^n0 for D's coefficients ``det`` and the first
-    n0 + 1 coefficients ``series`` of a function G = N / D.
-
-    N has degree below n0, so the s^n0 coefficient of D G must vanish
-    (else ArithmeticError).
-    """
-    n0 = len(series) - 1
-    product = [sum(map(mul, det, series[m::-1])) for m in range(n0 + 1)]
-    if product[n0]:
-        raise ArithmeticError(
-            f"a numerator has a nonzero s^{n0} coefficient")
-    return IntPoly(product[:n0])
 
 
 # Miller-Rabin with these bases is deterministic for every n < 2^64
@@ -284,11 +267,11 @@ def solve_system(k: int) -> GenFnSolution:
 
     Every class-g function is t^g G(s) with G = N / D, D(s) the
     determinant in s = t^3 and deg N < n0 = |C0|.  D is the product of
-    its Galois-orbit factors.  One walk-count sweep to step 3 n0 + 2
-    gives each G to s^n0, and N = (D G) mod s^n0.  G is put in lowest
-    terms by those factors and then substituted, which gives the same
-    lowest terms as reducing in t.  Every denominator is a product of
-    the factors, each with constant term 1, so it is primitive and
+    its Galois-orbit factors.  One sweep fed D at the origin gives D G
+    to s^n0 at every vertex, N below it and 0 at s^n0.  G is put in
+    lowest terms by those factors and then substituted, which gives the
+    same lowest terms as reducing in t.  Every denominator is a product
+    of the factors, each with constant term 1, so it is primitive and
     positive at 0.
     """
     lat = build_lattice(k)
@@ -297,13 +280,19 @@ def solve_system(k: int) -> GenFnSolution:
     p, factors = _orbit_factors(k)
     det = prod((f for f, _ in factors), start=IntPoly.one())
     dens = {tuple(range(len(factors))): det}  # kept positions -> product
-    steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2))
+    coeffs = [[[] for _ in cls] for cls in classes]
+    for n, counts in enumerate(_sweep(class_predecessors(lat), 3 * n0 + 2,
+                                      det.coeffs)):
+        if n < 3 * n0:
+            for cs, c in zip(coeffs[n % 3], counts):  # drops the zero slot
+                cs.append(c)
+        elif any(counts):
+            raise ArithmeticError(
+                f"a numerator has a nonzero s^{n0} coefficient")
     graded = {}
     for g, cls in enumerate(classes):
-        # steps[g::3] are the class-g lists; zip drops the trailing slot
-        for v, series in zip(cls, zip(*steps[g::3])):
-            num, kept = _lowest_terms(_numerator(det.coeffs, series),
-                                      factors, p)
+        for v, cs in zip(cls, coeffs[g]):
+            num, kept = _lowest_terms(IntPoly(cs), factors, p)
             if kept not in dens:
                 dens[kept] = prod((factors[pos][0] for pos in kept),
                                   start=IntPoly.one())

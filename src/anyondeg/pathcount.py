@@ -9,8 +9,8 @@ by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
 canonical order, and fills it from the previous step's list through
-``lattice.class_predecessors``; it serves every query.  Everything is a
-Python int; no floats.
+``lattice.class_predecessors``; it serves every query, the numerators
+of ``genfunc`` too.  Everything is a Python int; no floats.
 """
 
 from __future__ import annotations
@@ -36,23 +36,27 @@ class CountTable:
 
 
 def _sweep(pred: list[list[list[int]]], n_max: int,
-           start: int = 0) -> Iterator[list[int]]:
-    """Counts after n = 0..n_max steps from the start-th class-0 vertex
-    (0 is the origin); step n covers class n mod 3 only.
+           source: tuple[int, ...] = (1,)) -> Iterator[list[int]]:
+    """Counts after n = 0..n_max steps of walks from the origin, where
+    source[m] walks start at step 3m; step n covers class n mod 3 only.
 
-    ``pred`` is the lattice's ``class_predecessors``, built once per
-    caller.  Each list is flat over class n mod 3 in ``grade_classes``
-    order, plus a trailing slot that stays 0: the table's pads point
-    there, so every update sums exactly three previous entries.
+    For source the coefficients of S(s), step 3m + g holds the s^m
+    coefficient of S G_v at each class-g vertex v, G_v its walk series
+    in s = t^3.  ``pred`` is the lattice's ``class_predecessors``.  Each
+    list is flat over class n mod 3 in ``grade_classes`` order, plus a
+    trailing slot that stays 0: the table's pads point there, so every
+    update sums exactly three previous entries.
     """
     if n_max < 0:
         raise ValueError(f"step count n must be >= 0, got {n_max}")
     counts = [0] * (len(pred[0]) + 1)
-    counts[start] = 1  # the start vertex opens class 0
+    counts[0] = source[0]
     yield counts
     for n in range(1, n_max + 1):
         counts = [counts[a] + counts[b] + counts[c] for a, b, c in pred[n % 3]]
         counts.append(0)
+        if n % 3 == 0 and n < 3 * len(source):
+            counts[0] += source[n // 3]
         yield counts
 
 

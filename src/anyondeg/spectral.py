@@ -245,6 +245,12 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     return _exact_root(lo + hi, 2 * den, g)
 
 
+def root_rho(k: int, tol: float = 1e-12) -> float:
+    """Smallest positive root rho of det(M_k), bracketed to 2 tol / ROWS^2
+    so that 1/rho is within tol of lambda < ROWS: d lambda = lambda^2 d rho."""
+    return smallest_positive_root(system_det(k), tol=2 * tol / ROWS ** 2)
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     k: int
@@ -263,7 +269,7 @@ def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
     """All three growth-factor routes plus their maximum pairwise gap."""
     trig = lambda_trig(k)
     perron = lambda_perron(k, tol=tol)
-    rho = smallest_positive_root(system_det(k), tol=tol)
+    rho = root_rho(k, tol=tol)
     from_root = 1.0 / rho
     values = (trig, perron, from_root)
     gap = max(abs(a - b) for a in values for b in values)

@@ -27,7 +27,6 @@ walk at all.
 
 import math
 from collections import Counter
-from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -35,7 +34,6 @@ import numpy as np
 from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
     class_predecessors, grade_classes, predecessors
-from anyondeg.pathcount import _sweep
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -296,16 +294,19 @@ def _newton(sums: list[int]) -> IntPoly:
 
 def closed_walk_det(k: int) -> IntPoly:
     """det(I - t * A^T) from closed walks, with no spectrum: tr(B^m)
-    counts the closed 3m-step walks at the class-0 vertices, one sweep
-    from each, and Newton's identities turn the sums into D(s), then
-    s = t^3."""
+    counts the closed 3m-step walks at the class-0 vertices, one walk
+    count from each along the padded per-class table, and Newton's
+    identities turn the sums into D(s), then s = t^3."""
     pred = class_predecessors(build_lattice(k))
     n0 = len(pred[0])
     sums = [0] * n0
     for z in range(n0):
-        steps = _sweep(pred, 3 * n0, z)  # class 0 at steps 3, 6, ..., 3 n0
-        for m, counts in enumerate(islice(steps, 3, None, 3)):
-            sums[m] += counts[z]
+        counts = [int(r == z) for r in range(n0 + 1)]  # plus the zero slot
+        for n in range(1, 3 * n0 + 1):
+            counts = [counts[a] + counts[b] + counts[c]
+                      for a, b, c in pred[n % 3]] + [0]
+            if n % 3 == 0:
+                sums[n // 3 - 1] += counts[z]
     return _newton(sums).substitute_power(3)
 
 

@@ -17,7 +17,7 @@ from anyondeg.lattice import build_lattice, grade_classes
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
-from anyondeg.spectral import NonConvergenceError, SpectralReport
+from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
 
 
 def run(capsys, *argv):
@@ -105,10 +105,14 @@ class TestGenfunc:
 
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
-        # doubled numerators break "the origin series starts at 1"
-        real = anyondeg.genfunc._numerator
-        monkeypatch.setattr(anyondeg.genfunc, "_numerator",
-                            lambda *args: 2 * real(*args))
+        # doubled sweep lists double every numerator, which breaks "the
+        # origin series starts at 1"
+        real = anyondeg.genfunc._sweep
+
+        def doubled(*args):
+            return ([2 * c for c in counts] for counts in real(*args))
+
+        monkeypatch.setattr(anyondeg.genfunc, "_sweep", doubled)
         anyondeg.genfunc.solve_system.cache_clear()
         try:
             code, out, err = run(capsys, "genfunc", "--k", "2")
@@ -126,8 +130,8 @@ class TestGenfunc:
         last, pos = 3 * len(classes[0]) + 2, len(classes[2]) - 1
         real = anyondeg.genfunc._sweep
 
-        def bumped(pred, n_max, start=0):
-            for n, counts in enumerate(real(pred, n_max, start)):
+        def bumped(pred, n_max, source=(1,)):
+            for n, counts in enumerate(real(pred, n_max, source)):
                 if n == last:
                     counts = counts.copy()
                     counts[pos] += 1
@@ -221,6 +225,13 @@ class TestQdim:
         coarse = run(capsys, "qdim", "--k", "5", "--tol", "0.1")
         assert coarse[0] == 0 and coarse[1] != default[1]
 
+    @pytest.mark.parametrize("k", range(1, 35))
+    def test_root_tol_bounds_lambda(self, capsys, k):
+        # tol bounds the printed lambda = 1/rho, not the bracket on rho
+        code, out, _ = run(capsys, "qdim", "--k", str(k), "--method", "root",
+                           "--tol", "1e-6")
+        assert code == 0 and abs(float(out) - lambda_trig(k)) <= 1e-6
+
     @pytest.mark.parametrize("method,tol", [
         (method, tol) for method in ("eig", "root", "all")
         for tol in ("0", "-1e-6", "nan", "inf")])
@@ -229,6 +240,7 @@ class TestQdim:
             raise AssertionError("system_det ran")
 
         monkeypatch.setattr(anyondeg.cli, "system_det", no_det)
+        monkeypatch.setattr(anyondeg.spectral, "system_det", no_det)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
                              "--tol", tol)
         assert code == 2 and out == "" and "tol" in err
@@ -363,6 +375,7 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.cli, "verify_series", lambda k, n: [])
         monkeypatch.setattr(anyondeg.cli, "lambda_perron",
                             lambda k, tol: 1.0)
+        monkeypatch.setattr(anyondeg.cli, "root_rho", lambda k, tol: 1.0)
         monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k, tol:
                             SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0))
 

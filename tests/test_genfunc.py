@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _alcove_exponents, _cube, _is_prime, _numerator, _orbit_factors,
+    _alcove_exponents, _cube, _is_prime, _orbit_factors,
     _unit_roots, build_system, generating_function, solve_system, system_det,
     verify_series,
 )
-from anyondeg.lattice import Vertex, build_lattice, grade_classes
-from anyondeg.pathcount import origin_history
+from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
+    grade_classes
+from anyondeg.pathcount import _sweep, origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
     LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_degree,
@@ -203,6 +204,13 @@ def _det_s(k):
     return IntPoly(system_det(k).coeffs[::3])
 
 
+def _times(det, series):
+    """The first len(series) coefficients of D G, for D's coefficients
+    det and G's leading coefficients series."""
+    return [sum(d * series[m - j] for j, d in enumerate(det[:m + 1]))
+            for m in range(len(series))]
+
+
 def _is_prime_12_bases(n):
     """Miller-Rabin with the prime bases up to 37, deterministic for
     n < 3.18e23."""
@@ -290,7 +298,7 @@ class TestGaloisFactors:
         det = prod((f for f, _ in factors), start=IntPoly.one())
         assert system_det(k) == det.substitute_power(3) == closed_walk_det(k)
 
-    @pytest.mark.parametrize("k", [33, 44])
+    @pytest.mark.parametrize("k", [33, 44, 50])
     def test_product_is_the_block_determinant_mod_p(self, k):
         # up to the genfunc cap, where the exact D is costly: D(s0) mod p
         # by elimination on I - s0 B, which shares nothing with the
@@ -380,9 +388,28 @@ class TestGaloisFactors:
         n0 = len(grade_classes(build_lattice(k))[0])
         series = origin_history(k, 3 * n0 + 2, v)[g::3]
         det = _det_s(k)
-        num = _numerator(det.coeffs, series)
+        *num, top = _times(det.coeffs, series)  # D G to s^n0
+        assert top == 0
         assert solve_system(k).solutions[v] \
-            == reduced(num, det).substitute_power(3, g)
+            == reduced(IntPoly(num), det).substitute_power(3, g)
+
+
+class TestNumeratorSweep:
+    @pytest.mark.parametrize("k", [*range(1, 17), 21])
+    def test_fed_sweep_gives_every_numerator(self, k):
+        # the sweep fed D at the origin holds (D G_v) to s^n0 at every
+        # vertex, its s^n0 coefficient 0; here D G_v is multiplied out
+        # from each vertex's own walk counts
+        lat = build_lattice(k)
+        classes = grade_classes(lat)
+        n0, det = len(classes[0]), _det_s(k).coeffs
+        steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2, det))
+        for g, cls in enumerate(classes):
+            for r, v in enumerate(cls):
+                series = origin_history(k, 3 * n0 + 2, v)[g::3]
+                product = _times(det, series)
+                assert product[n0] == 0
+                assert [step[r] for step in steps[g::3]] == product
 
 
 square_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -411,20 +438,11 @@ class TestSolveClass0:
             sums.append(sum(power[r][r] for r in range(n0)))
         rhs = [IntPoly.one()] + [IntPoly.zero()] * (n0 - 1)
         det = _newton(sums)
-        numerators = [_numerator(det.coeffs, [row[v] for row in rows])
-                      for v in range(n0)]
+        products = [_times(det.coeffs, [row[v] for row in rows])
+                    for v in range(n0)]  # D G_v to s^n0
+        assert all(product[n0] == 0 for product in products)
+        numerators = [IntPoly(product[:n0]) for product in products]
         assert (det, numerators) == _bareiss(graded_system(matrix), rhs)
-
-    def test_system_det_forms_no_numerators(self, monkeypatch):
-        def no_numerators(det, series):
-            raise AssertionError("numerators formed")
-
-        monkeypatch.setattr(anyondeg.genfunc, "_numerator", no_numerators)
-        system_det.cache_clear()
-        try:
-            assert system_det(5) == determinant_poly(5)
-        finally:
-            system_det.cache_clear()
 
 
 class TestSeriesConsistency:

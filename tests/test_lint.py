@@ -15,9 +15,12 @@ reads, and where ``genfunc.build_system`` fills the full matrix, so no
 module grows a second predecessor list of its own.
 
 One walk-count loop: every walk count comes from ``pathcount._sweep``
-over that table, padded to three predecessors per vertex;
-``spectral._perron_apply`` takes the same three padded steps on float
-vectors, to apply the Perron block B and its transpose for Lanczos.
+over that table, padded to three predecessors per vertex, and so does
+every numerator of ``solve_system``, from one sweep fed the
+determinant's coefficients at the origin; ``spectral._perron_apply``
+takes the same three padded steps on float vectors, to apply the Perron
+block B and its transpose for Lanczos.  The test oracles keep their own
+loops: ``tests/oracles.py`` imports no ``_``-prefixed library name.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.
@@ -35,6 +38,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anyondeg"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _trees():
@@ -153,3 +157,20 @@ def test_no_polynomial_gcd_in_the_library():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names if alias.name in gcd}
     assert found == set() and imported == set()
+
+
+def test_oracles_import_no_private_library_name():
+    tree = ast.parse(ORACLES.read_text(), str(ORACLES))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "anyondeg":
+            names = node.module.split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names if a.name.startswith("anyondeg")
+                     for part in a.name.split(".")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_")]
+    assert found == []

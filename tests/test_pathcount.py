@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
+from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_predecessors, grade_classes
 from anyondeg.pathcount import (
@@ -64,15 +64,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_start_position_matches_perron_block_power(self, k):
-        # from the z-th class-0 vertex, step 3m holds row z of B^m; B is
-        # sliced out of the dense adjacency matrix, not counted
+        # fed D_j walks at the origin at step 3j, the sweep holds
+        # sum_j D_j (row 0 of B^(m - j)) at step 3m; B is sliced out of
+        # the dense adjacency matrix, not counted, and from m = |C0| on
+        # the sum is 0 (Cayley-Hamilton)
         pred = class_predecessors(build_lattice(k))
-        block = dense_perron_block(k)
-        for z in range(len(pred[0])):
-            steps = list(_sweep(pred, 12, z))
-            for m in range(5):
-                row = np.linalg.matrix_power(block, m)[z]
-                assert steps[3 * m][:-1] == [int(c) for c in row]
+        det = system_det(k).coeffs[::3]
+        block = [[round(x) for x in row] for row in dense_perron_block(k)]
+        n0 = len(block)
+        rows = [[int(c == 0) for c in range(n0)]]  # row 0 of B^m
+        for _ in range(n0 + 1):
+            rows.append([sum(x * block[z][c] for z, x in enumerate(rows[-1]))
+                         for c in range(n0)])
+        steps = list(_sweep(pred, 3 * n0 + 3, det))
+        for m in range(n0 + 2):
+            expected = [sum(d * rows[m - j][c]
+                            for j, d in enumerate(det[:m + 1]))
+                        for c in range(n0)]
+            assert steps[3 * m][:-1] == expected
+            assert m < n0 or not any(expected)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_origin_history_matches_matrix_power(self, k):
