@@ -7,7 +7,7 @@ reproduces the headline count table and a couple of its embedded
 integer sequences.
 """
 
-from anyondeg import Vertex, build_lattice, degeneracy, table, total_dimension
+from anyondeg import Vertex, build_lattice, count_paths, degeneracy, table
 from anyondeg.lattice import predecessors
 
 # The lattice itself: level 3 has binom(5, 2) = 10 vertices.  Each edge
@@ -36,5 +36,6 @@ print("saturated diag:", [degeneracy(n, n) for n in range(3, 22, 3)])
 # The total dimension (summed over endpoints) is exact at any size.
 print()
 n = 120
-print(f"total dimension at level 4, n={n}:", total_dimension(4, n))
+print(f"total dimension at level 4, n={n}:",
+      sum(count_paths(4, n).counts.values()))
 print("endpoint (1, 1) share:          ", degeneracy(4, n, Vertex(1, 1)))

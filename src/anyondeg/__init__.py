@@ -11,8 +11,7 @@ dimension) three independent ways.
 """
 
 from .lattice import Lattice, ORIGIN, Vertex, build_lattice
-from .pathcount import CountGrid, CountTable, count_paths, degeneracy, \
-    table, total_dimension
+from .pathcount import CountGrid, CountTable, count_paths, degeneracy, table
 from .poly import IntPoly, RationalFn, poly_from_text, poly_to_text
 from .genfunc import GenFnSolution, build_system, generating_function, \
     solve_system, system_det, verify_series
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Lattice", "ORIGIN", "Vertex", "build_lattice",
     "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
-    "total_dimension",
     "IntPoly", "RationalFn", "poly_from_text", "poly_to_text",
     "GenFnSolution", "build_system", "generating_function", "solve_system",
     "system_det", "verify_series",

@@ -2,8 +2,9 @@
 
 Output on stdout is deterministic (no timestamps); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 internal or numeric failure.  Big integers are emitted as decimal
-strings in JSON output.
+3 internal or numeric failure.  When the reader of stdout closes
+early, the next write ends the process by SIGPIPE, with nothing on
+stderr.  Big integers are emitted as decimal strings in JSON output.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 
 from .genfunc import solve_system, system_det, verify_series
@@ -32,7 +34,8 @@ DEFAULT_CAP_K = 64
 # factors to test (9 at k=50), 24.2 s; k=51 34.4 s, mostly the residues;
 # verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the series
 # recurrences; table prints every count, about as n^2: --max-k 64
-# --max-n 3000 --all-columns --format json 19.7 s.
+# --max-n 3000 --all-columns --format json 19.7 s; syt --paper-formula
+# takes the table's n cap: --n 3000 1.3 s, 6000 8.4 s, 10000 37.5 s.
 CAP_K_GENFUNC = 50
 CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
@@ -149,6 +152,8 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_syt(args) -> int:
+    if args.cap_n is None:
+        args.cap_n = CAP_N_TABLE if args.paper_formula else DEFAULT_CAP_N
     if args.paper_formula:
         _check_caps(args, n=args.n)
         print(json.dumps(audit_published_formula(n_max=args.n)))
@@ -247,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against brute-force enumeration")
     p.add_argument("--paper-formula", action="store_true",
                    help="audit the printed closed form against hook lengths")
-    add_cap(p, "n", DEFAULT_CAP_N)
+    p.add_argument("--cap-n", type=int, default=None,
+                   help=f"refuse n above this bound (default {DEFAULT_CAP_N}, "
+                        f"or {CAP_N_TABLE} with --paper-formula)")
     p.set_defaults(func=_cmd_syt)
 
     p = sub.add_parser("reproduce", help="run the full golden suite")
@@ -259,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(signal, "SIGPIPE"):  # no traceback when stdout closes early
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts may exceed 4300 digits
     parser = build_parser()

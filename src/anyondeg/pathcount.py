@@ -31,9 +31,6 @@ class CountTable:
     n: int
     counts: dict[Vertex, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def _sweep(pred: list[list[list[int]]], n_max: int,
            source: tuple[int, ...] = (1,)) -> Iterator[list[int]]:
@@ -89,11 +86,6 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     lat = build_lattice(k)
     _, pos = _class_position(lat, v)
     return deque(_sweep(class_predecessors(lat), n), maxlen=1).pop()[pos]
-
-
-def total_dimension(k: int, n: int) -> int:
-    """Total number of n-step walks from the origin, summed over endpoints."""
-    return count_paths(k, n).total()
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:

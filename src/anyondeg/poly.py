@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import count, islice
 
 
@@ -119,12 +118,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def shifted(self, power: int) -> "IntPoly":
-        """Multiply by t^power."""
-        if not self.coeffs:
-            return IntPoly()
-        return IntPoly((0,) * power + self.coeffs)
 
     def substitute_power(self, m: int, shift: int = 0) -> "IntPoly":
         """t^shift * p(t^m) for m >= 1."""
@@ -239,28 +232,26 @@ class RationalFn:
     def __repr__(self) -> str:
         return f"RationalFn({poly_to_text(self.num)!r}, {poly_to_text(self.den)!r})"
 
-    def series(self) -> Iterator[int] | Iterator[Fraction]:
+    def series(self) -> Iterator[int]:
         """The Taylor coefficients c_0, c_1, ... at t = 0, exact, without end.
 
         Uses the linear recurrence induced by the denominator,
-        den0 * c_n = num_n - sum_{m>=1} den_m * c_{n-m}, and keeps only
-        the deg(den) latest coefficients.  When den0 is +1 or -1 every
-        c_n is an int; otherwise a Fraction.
+        c_n = num_n - sum_{m>=1} den_m * c_{n-m}, and keeps only the
+        deg(den) latest coefficients.  Every library denominator is a
+        product of Galois-orbit factors, each with constant term 1, so
+        den(0) must be 1 (ValueError otherwise) and every c_n is an int.
         """
-        den0 = self.den[0]
-        if den0 == 0:
-            raise ValueError("singular at the origin (denominator vanishes at 0)")
-        unit = den0 in (1, -1)  # then c_n = den0 * (...) is an int
+        if self.den[0] != 1:
+            raise ValueError(f"series needs den(0) = 1, got {self.den[0]}")
         terms = [(-m, d) for m, d in enumerate(self.den.coeffs) if m and d]
         # c_{n - deg} .. c_{n - 1}; the coefficients before c_0 are 0
         recent = deque([0] * self.den.degree, maxlen=self.den.degree)
         for n in count():
-            acc = self.num[n] - sum(d * recent[m] for m, d in terms)
-            c = acc * den0 if unit else Fraction(acc) / den0
+            c = self.num[n] - sum(d * recent[m] for m, d in terms)
             recent.append(c)
             yield c
 
-    def series_coeffs(self, n_max: int) -> list[int] | list[Fraction]:
+    def series_coeffs(self, n_max: int) -> list[int]:
         """The first n_max + 1 coefficients of ``series``."""
         return list(islice(self.series(), n_max + 1))
 

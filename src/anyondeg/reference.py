@@ -7,8 +7,6 @@ are stored as {power: coefficient} dicts over t.
 
 from __future__ import annotations
 
-from math import factorial
-
 from .lattice import Vertex
 from .poly import IntPoly, RationalFn
 
@@ -80,31 +78,3 @@ def genfunc_rational(spec: tuple[dict, dict]) -> RationalFn:
     num, den = spec
     return RationalFn(IntPoly.from_terms(num), IntPoly.from_terms(den))
 
-
-def determinant_degree(k: int) -> int:
-    """Degree law for the system determinant, by residue of k mod 3."""
-    m, r = divmod(k, 3)
-    if r == 2:  # k = 3(m+1) - 1
-        return 3 * (m + 1) * (3 * (m + 1) + 1) // 2
-    if r == 0:  # k = 3m
-        return 9 * m * (m + 1) // 2
-    return 3 * (m + 1) * (3 * m + 2) // 2  # k = 3m + 1
-
-
-def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def catalan3d(n: int) -> int:
-    """2 * n! / ((n/3)! (n/3+1)! (n/3+2)!) for 3 | n."""
-    if n % 3:
-        raise ValueError("defined only for multiples of 3")
-    m = n // 3
-    num = 2 * factorial(n)
-    den = factorial(m) * factorial(m + 1) * factorial(m + 2)
-    if num % den:
-        raise ArithmeticError(f"Catalan quotient not exact at n={n}")
-    return num // den

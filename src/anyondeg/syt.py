@@ -7,8 +7,7 @@ and walk counts reduce to plain tableau counts.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .lattice import Vertex
@@ -121,12 +120,11 @@ def published_formula_count(n: int, i: int, j: int) -> int | None:
     args3 = (n - i + 2 * j + 6, n + 2 * i - j + 3, n - i - j)
     if any(a % 3 or a < 0 for a in args3):
         return None
-    value = Fraction((i + 1) * (j + 2) * (j - i + 1) * factorial(n))
-    for a in args3:
-        value /= factorial(a // 3)
-    if value.denominator != 1:
+    num = (i + 1) * (j + 2) * (j - i + 1) * factorial(n)
+    den = prod(factorial(a // 3) for a in args3)
+    if num % den:
         return None
-    return int(value)
+    return num // den
 
 
 def audit_published_formula(n_max: int = 27) -> dict:

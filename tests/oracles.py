@@ -22,7 +22,9 @@ library's predecessor table.  The determinant, which the library takes
 from the SU(3)_k spectrum, is rebuilt from closed walks by Newton's
 identities.  Origin counts past the golden tables are checked mod
 primes by the Verlinde formula over the SU(3)_k spectrum, which uses no
-walk at all.
+walk at all.  The closed forms the counts and determinants are checked
+against, the Fibonacci and 3-dimensional Catalan sequences and the
+determinant degree law, live here too.
 """
 
 import math
@@ -182,7 +184,7 @@ def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
     scale = p.degree - q.degree + 1
     while not rem.is_zero() and rem.degree >= q.degree:
         shift = rem.degree - q.degree
-        rem = rem * lead - q.shifted(shift) * rem.leading()
+        rem = rem * lead - q * IntPoly.monomial(rem.leading(), shift)
         scale -= 1
     if scale > 0:
         rem = rem * (lead ** scale)
@@ -448,3 +450,32 @@ def verlinde_origin_count(k: int, n: int, p: int) -> int:
             total += w * pow(chi, n, p)
             weights += w
     return total * pow(weights, -1, p) % p
+
+
+def determinant_degree(k: int) -> int:
+    """Degree law for the system determinant, by residue of k mod 3."""
+    m, r = divmod(k, 3)
+    if r == 2:  # k = 3(m+1) - 1
+        return 3 * (m + 1) * (3 * (m + 1) + 1) // 2
+    if r == 0:  # k = 3m
+        return 9 * m * (m + 1) // 2
+    return 3 * (m + 1) * (3 * m + 2) // 2  # k = 3m + 1
+
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def catalan3d(n: int) -> int:
+    """2 * n! / ((n/3)! (n/3+1)! (n/3+2)!) for 3 | n."""
+    if n % 3:
+        raise ValueError("defined only for multiples of 3")
+    m = n // 3
+    num = 2 * math.factorial(n)
+    den = math.factorial(m) * math.factorial(m + 1) * math.factorial(m + 2)
+    if num % den:
+        raise ArithmeticError(f"Catalan quotient not exact at n={n}")
+    return num // den

@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +365,7 @@ CAP_CORNERS = [
     ("count --n 3 --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("table --max-n 3 --max-k {}", DEFAULT_CAP_K, "--cap-k"),
     ("table --max-k 1 --max-n {}", CAP_N_TABLE, "--cap-n"),
+    ("syt --paper-formula --n {}", CAP_N_TABLE, "--cap-n"),
 ]
 
 
@@ -378,6 +384,8 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.cli, "root_rho", lambda k, tol: 1.0)
         monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k, tol:
                             SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0))
+        monkeypatch.setattr(anyondeg.cli, "audit_published_formula",
+                            lambda n_max: {})
 
     @pytest.mark.parametrize("command,cap,flag", CAP_CORNERS)
     def test_cap_corner(self, capsys, stub_heavy_routes, command, cap, flag):
@@ -447,3 +455,21 @@ class TestUsageErrors:
 
     def test_bad_level_value(self, capsys):
         assert run(capsys, "det", "--k", "0")[0] == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        "reproduce", "table --max-k 8 --max-n 3000"])
+    def test_reader_closing_early_leaves_stderr_empty(self, argv):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "anyondeg.cli", *argv.split()],
+            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode in (0, -signal.SIGPIPE)

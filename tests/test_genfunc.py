@@ -16,12 +16,12 @@ from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
 from anyondeg.pathcount import _sweep, origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
-    LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_degree,
-    determinant_poly, genfunc_rational,
+    LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_poly,
+    genfunc_rational,
 )
 
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
-    closed_walk_det, coprime_mod_p, full_system_solution, \
+    closed_walk_det, coprime_mod_p, determinant_degree, full_system_solution, \
     graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
     poly_gcd, reduced, transfer_det_mod_p
 
@@ -173,7 +173,15 @@ class TestDeterminant:
         # on I - s0 B, which uses no spectrum
         p = 2 ** 61 - 1
         t0 = random.Random(k).randrange(2, p)
-        assert system_det(k)(t0) % p == block_det_mod_p(k, pow(t0, 3, p), p)
+        det = system_det(k)
+        assert det.degree == determinant_degree(k)
+        assert det(t0) % p == block_det_mod_p(k, pow(t0, 3, p), p)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_degree_law_counts_rotation_orbits(self, k):
+        # D(s) is the product of 1 - s chi^3 over one alcove point per
+        # free rotation orbit, so its degree in t is three times their number
+        assert 3 * len(_alcove_exponents(k)) == determinant_degree(k)
 
 
 class TestGradedReduction:

@@ -32,12 +32,19 @@ a cleared solve warm.
 No polynomial gcd: lowest terms come from the determinant's
 Galois-orbit factors, and the primitive-PRS ``poly_gcd`` with its
 ``_pseudo_rem`` is left to the test oracles.
+
+Library code only: every module-level function or class is named
+somewhere else in the library or exported in ``anyondeg.__all__``, so a
+fixture only the tests call lives in ``tests/oracles.py``.  Every
+``__all__`` name is bound in ``__init__.py``, and every public name it
+imports is exported.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "anyondeg"
+INIT = SRC / "__init__.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
@@ -174,3 +181,43 @@ def test_oracles_import_no_private_library_name():
         found += [(node.lineno, name) for name in names
                   if name.startswith("_")]
     assert found == []
+
+
+def _exported():
+    """The names ``__init__.py`` lists in ``__all__``."""
+    tree = ast.parse(INIT.read_text(), str(INIT))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [_name(t) for t in node.targets] == ["__all__"])
+
+
+def test_every_definition_is_used_in_the_library_or_exported():
+    defs, uses = [], set()  # uses: (module, enclosing definition, name)
+    for name, tree in _trees():
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = stmt.name
+                defs.append((name, owner))
+            uses |= {(name, owner, _name(node)) for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = set(_exported())
+    unused = [(name, func) for name, func in defs if func not in exported
+              and not any(used == func and (module, owner) != (name, func)
+                          for module, owner, used in uses)]
+    assert unused == []
+
+
+def test_all_is_bound_and_covers_every_public_import():
+    tree = ast.parse(INIT.read_text(), str(INIT))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound = imported | {_name(target) for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        for target in node.targets}
+    exported = _exported()
+    assert len(set(exported)) == len(exported)
+    assert sorted(set(exported) - bound) == []
+    assert sorted(name for name in imported
+                  if not name.startswith("_") and name not in exported) == []

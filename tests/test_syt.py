@@ -1,7 +1,7 @@
 import pytest
 
 from anyondeg.lattice import Vertex
-from anyondeg.pathcount import count_paths, degeneracy, total_dimension
+from anyondeg.pathcount import count_paths, degeneracy
 from anyondeg.syt import (
     Shape3, audit_published_formula, brute_force_count, hook_count,
     published_formula_count, shape_for_vertex, unrestricted_count,
@@ -95,9 +95,9 @@ class TestUnrestrictedCount:
     @pytest.mark.parametrize("n", range(0, 13))
     def test_total_dimension_identity(self, n):
         k = max(n, 1)
-        lattice_total = total_dimension(k, n)
-        shape_total = sum(unrestricted_count(n, v)
-                          for v in count_paths(k, n).counts)
+        counts = count_paths(k, n).counts
+        lattice_total = sum(counts.values())
+        shape_total = sum(unrestricted_count(n, v) for v in counts)
         assert shape_total == lattice_total
 
 
