@@ -171,6 +171,13 @@ class TestSeries:
         with pytest.raises(ValueError, match=r"den\(0\) = 1, got 2"):
             RationalFn(P(1), P(2, 1)).series_coeffs(2)
 
+    @given(nonzero_polys, nonzero_polys.filter(lambda p: abs(p[0]) > 1))
+    def test_other_constant_terms_rejected(self, num, den):
+        # den(0) is made positive, so |den(0)| > 1 leaves it above 1;
+        # num is nonzero because a zero function is written 0 / 1
+        with pytest.raises(ValueError, match=r"needs den\(0\) = 1"):
+            RationalFn(num, den).series_coeffs(12)
+
     def test_series_runs_past_any_bound(self):
         f = RationalFn(P(1, 0, 0, -3), P(1, 0, 0, -4, 0, 0, -1))
         coeffs = list(islice(f.series(), 40))
