@@ -5,9 +5,10 @@ their rational generating functions from the polynomial system
 M_k x = e_1, reduced to the origin's grade class in s = t^3: the
 determinant as the product of its Galois-orbit factors, read off the
 fusion spectrum mod primes, each numerator from the determinant and one
-walk-count sweep, and lowest terms by dividing out those factors, with
-no polynomial gcd.  It cross-validates the growth rate (total quantum
-dimension) three independent ways.
+walk-count sweep, and lowest terms by dividing out the factors whose
+modular S-matrix entry at the vertex vanishes, with no polynomial gcd.
+It cross-validates the growth rate (total quantum dimension) three
+independent ways.
 """
 
 from .lattice import Lattice, ORIGIN, Vertex, build_lattice

@@ -28,15 +28,15 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
 # Single CLI runs, 2-vCPU host, Python 3.11: det --k 64 0.47 s, qdim --k
-# 64 --method root 1.45 s and --method all 2.31 s.  The lower caps keep
-# one call to about 30 s (one level more would leave no margin): genfunc
-# --k 50 > /dev/null 10.0 s, 115 MB peak RSS; k=45, 46 Galois-orbit
-# factors to test (9 at k=50), 24.2 s; k=51 34.4 s, mostly the residues;
-# verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the series
-# recurrences; table prints every count, about as n^2: --max-k 64
+# 64 --method root 1.45 s and --method all 2.31 s.  genfunc takes the
+# default cap too; the time follows the factors the numerators shed, and
+# its slowest levels are k=57 (> /dev/null 25.2 s, 288 MB peak RSS) and
+# k=63 (26.6 s, 425 MB; 31.4 s with --format json), against 8.5 s at 64.
+# The lower caps keep one call to about 30 s (one level more would leave
+# no margin): verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the
+# series recurrences; table prints every count, about as n^2: --max-k 64
 # --max-n 3000 --all-columns --format json 19.7 s; syt --paper-formula
 # takes the table's n cap: --n 3000 1.3 s, 6000 8.4 s, 10000 37.5 s.
-CAP_K_GENFUNC = 50
 CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
 CAP_N_TABLE = 3000
@@ -102,17 +102,23 @@ def _cmd_genfunc(args) -> int:
     for v in vertices or ():  # before the solve
         check_vertex(v, args.k)
     sol = solve_system(args.k)
-    out = []
-    for v in vertices or sorted(sol.solutions):
+    as_json = args.format == "json"
+    dens = {}  # each distinct denominator is formatted once
+    if as_json:  # item by item, the bytes json.dumps gives the whole
+        print(f'{{"k": {args.k}, "genfuncs": [', end="")
+    for n, v in enumerate(vertices or sorted(sol.solutions)):
         fn = sol.solutions[v]
-        if args.format == "json":
-            out.append({"vertex": [v.i, v.j], "num": poly_to_json(fn.num),
-                        "den": poly_to_json(fn.den)})
+        if fn.den not in dens:
+            dens[fn.den] = (poly_to_json if as_json else poly_to_text)(fn.den)
+        if as_json:
+            print(", " * (n > 0) + json.dumps({
+                "vertex": [v.i, v.j], "num": poly_to_json(fn.num),
+                "den": dens[fn.den]}), end="")
         else:
             print(f"F[{v.i},{v.j}] = ({poly_to_text(fn.num)})"
-                  f" / ({poly_to_text(fn.den)})")
-    if args.format == "json":
-        print(json.dumps({"k": args.k, "genfuncs": out}))
+                  f" / ({dens[fn.den]})")
+    if as_json:
+        print("]}")
     return 0
 
 
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_cap(p, "k", CAP_K_GENFUNC)
+    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_genfunc)
 
     p = sub.add_parser("det", help="system determinant polynomial")

@@ -24,11 +24,15 @@ orbit of size 3, with chi_mu an eigenvalue of A in Q(zeta), zeta of
 order 3(k + 3).  D is squarefree and splits over Q into one irreducible
 factor F_O per Galois orbit O of the chi_mu^3.  ``_orbit_factors``
 builds every F_O mod primes p = 1 mod 3(k + 3), lifts it by CRT and
-checks the lift mod one further prime; D is their product.  N / D is
-reduced by dividing out exactly the F_O that divide N: a nonzero
-residue of N at one root 1/chi^3 of F_O mod p proves F_O does not, and
-where the residue is 0 ``exact_div`` decides.  Each function is reduced
-in s before s = t^3 is substituted.
+checks the lift mod one further prime; D is their product.  The
+modular S-matrix diagonalizes A (Verlinde), so the class-g vertex v
+has G = sum_mu c_mu / (1 - s chi_mu^3) plus a polynomial, with
+c_mu = 3 S_{0 mu} conj(S_{v mu}) chi_mu^g and S_{0 mu} != 0, and F_O
+stays in its denominator exactly when S_{v mu} != 0 for one, and then
+every, mu in O (Coste-Gannon).  N / D
+is reduced by that test mod p: a nonzero S_{v mu} keeps F_O, and where
+it is 0 ``exact_div`` decides.  Each function is reduced in s, and each
+distinct denominator is substituted s = t^3 once.
 """
 
 from __future__ import annotations
@@ -125,13 +129,11 @@ def _unit_roots(order: int) -> Iterator[tuple[int, list[int]]]:
         yield p, powers
 
 
-def _alcove_exponents(k: int) -> list[tuple[int, int, int]]:
-    """e_j = 3 l_j - (l_0 + l_1 + l_2) mod 3(k + 3), l = (a+b+2, b+1, 0),
-    for one alcove point (a, b) per rotation orbit of size 3, so that
-    chi = sum_j zeta^(e_j).  The rotation (a, b) -> (k - a - b, a)
-    multiplies chi by a cube root of unity, and its fixed point, which
-    exists when 3 | k, has chi = 0."""
-    order = 3 * (k + 3)
+def _alcove_points(k: int) -> list[tuple[int, int, int]]:
+    """l = (a+b+2, b+1, 0) for one alcove point (a, b) per rotation orbit
+    of size 3; chi = sum_j zeta^(3 l_j - |l|) is its eigenvalue of A.
+    The rotation (a, b) -> (k - a - b, a) multiplies chi by a cube root
+    of unity, and its fixed point, which exists when 3 | k, has chi = 0."""
     seen, reps = set(), []
     for a in range(k + 1):
         for b in range(k + 1 - a):
@@ -140,16 +142,28 @@ def _alcove_exponents(k: int) -> list[tuple[int, int, int]]:
             orbit = {(a, b), (k - a - b, a), (b, k - a - b)}
             seen |= orbit
             if len(orbit) == 3:
-                ell = (a + b + 2, b + 1, 0)
-                reps.append(tuple((3 * x - sum(ell)) % order for x in ell))
+                reps.append((a + b + 2, b + 1, 0))
     return reps
 
 
-def _cube(exps: tuple[int, ...], powers: list[int], p: int,
+def _cube(ell: tuple[int, ...], powers: list[int], p: int,
           a: int = 1) -> int:
-    """sigma_a(chi)^3 mod p for chi = sum_j zeta^(e_j), ``exps`` the e_j
-    and ``powers`` the powers of zeta mod p; sigma_a maps zeta to zeta^a."""
-    return pow(sum(powers[a * e % len(powers)] for e in exps), 3, p)
+    """sigma_a(chi)^3 mod p for chi = sum_j zeta^(3 l_j - |l|), ``ell``
+    the l_j and ``powers`` the powers of zeta mod p; sigma_a maps zeta to
+    zeta^a."""
+    return pow(sum(powers[a * (3 * x - sum(ell)) % len(powers)]
+                   for x in ell), 3, p)
+
+
+def _s_entry(ell: tuple, rep: tuple, powers: list[int], p: int) -> int:
+    """The alternant det[omega^(l^v_a l^mu_b)] mod p, omega = zeta^3 read
+    from the powers of zeta, for l^v = ``ell`` and l^mu = ``rep``.  It is
+    S_{v mu} up to a nonzero factor and complex conjugation, so it is 0
+    exactly when S_{v mu} is.  With l_3 = 0 on both sides it is
+    ad - a - bc + b + c - d on the four entries of its top-left block."""
+    a, b, c, d = (powers[3 * x * y % len(powers)]
+                  for x in ell[:2] for y in rep[:2])
+    return (a * d - a - b * c + b + c - d) % p
 
 
 def _factor_mod(values: list[int], orbit: list[int], p: int) -> list[int]:
@@ -160,10 +174,11 @@ def _factor_mod(values: list[int], orbit: list[int], p: int) -> list[int]:
     return poly
 
 
-def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
+def _orbit_factors(k: int) -> tuple[int, list[int],
+                                    list[tuple[IntPoly, tuple[int, ...]]]]:
     """D's irreducible factors over Q, one per Galois orbit O of the
-    chi^3, as pairs (F_O, chi^3 mod p of one member of O), with the prime
-    p of those residues.
+    chi^3, as (p, powers, [(F_O, l of one member of O)]), with p the first
+    prime and ``powers`` its powers of zeta.
 
     F_O = prod_{mu in O} (1 - s chi_mu^3).  The orbits come from the
     first prime: the chi^3 must be distinct and nonzero mod p, and every
@@ -176,19 +191,19 @@ def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     order = 3 * (k + 3)
-    reps = _alcove_exponents(k)
+    reps = _alcove_points(k)
     roots = _unit_roots(order)
     p, powers = next(roots)
-    values = [_cube(exps, powers, p) for exps in reps]
+    values = [_cube(ell, powers, p) for ell in reps]
     where = {x: r for r, x in enumerate(values)}
     if len(where) < len(values) or 0 in where:
         raise ArithmeticError(
             f"the character cubes are not distinct and nonzero mod {p}")
     orbits, done = [], set()
-    for r, exps in enumerate(reps):
+    for r, ell in enumerate(reps):
         if r in done:
             continue
-        images = {_cube(exps, powers, p, a)
+        images = {_cube(ell, powers, p, a)
                   for a in range(1, order) if gcd(a, order) == 1}
         if not where.keys() >= images:
             raise ArithmeticError(
@@ -196,7 +211,7 @@ def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
         orbit = sorted(where[x] for x in images)
         done.update(orbit)
         orbits.append(orbit)
-    first, residues = p, [values[orbit[0]] for orbit in orbits]
+    first = p, powers
     bound = 2 * 28 ** max(map(len, orbits), default=0)
     modulus, lifts = 1, [[0] * (len(orbit) + 1) for orbit in orbits]
     while modulus <= bound:
@@ -206,38 +221,31 @@ def _orbit_factors(k: int) -> tuple[int, list[tuple[IntPoly, int]]]:
                        for c, d in zip(lift, _factor_mod(values, orbit, p))]
         modulus *= p
         p, powers = next(roots)
-        values = [_cube(exps, powers, p) for exps in reps]
+        values = [_cube(ell, powers, p) for ell in reps]
     factors = []
     for lift, orbit in zip(lifts, orbits):
         coeffs = [c - modulus if 2 * c > modulus else c for c in lift]
         if [c % p for c in coeffs] != _factor_mod(values, orbit, p):
             raise ArithmeticError(
                 f"a Galois-orbit factor fails the check prime {p}")
-        factors.append(IntPoly(coeffs))
-    return first, list(zip(factors, residues))
+        factors.append((IntPoly(coeffs), reps[orbit[0]]))
+    return *first, factors
 
 
-def _residue(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    """x^d N(1/x) mod p for the coefficients of N, d = len(coeffs) - 1;
-    for x != 0 mod p it is 0 exactly when N(1/x) is."""
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x + c) % p
-    return acc
+def _lowest_terms(num: IntPoly, v: Vertex, factors: list, p: int,
+                  powers: list[int]) -> tuple[IntPoly, tuple[int, ...]]:
+    """num / D in lowest terms for vertex v: num with every factor F_O of
+    D that divides it divided out, and the positions of the factors kept.
 
-
-def _lowest_terms(num: IntPoly, factors: list[tuple[IntPoly, int]],
-                  p: int) -> tuple[IntPoly, tuple[int, ...]]:
-    """num / D in lowest terms: num with every factor F_O of D that
-    divides it divided out, and the positions of the factors kept.
-
-    F_O is irreducible, so it divides num iff num vanishes at its root
-    1/x, x = chi^3: a nonzero residue mod p proves it does not, and at a
-    zero residue ``exact_div`` decides; a false zero keeps the factor.
+    F_O divides num exactly when S_{v mu} = 0 for its member mu (the
+    module docstring), so a nonzero S_{v mu} mod p proves it does not,
+    and at a zero ``exact_div`` decides and proves every factor it
+    divides out; a false zero keeps the factor.
     """
+    ell = (v.i + v.j + 2, v.i + 1, 0)
     kept = []
-    for pos, (factor, x) in enumerate(factors):
-        if not _residue(num.coeffs, x, p):
+    for pos, (factor, rep) in enumerate(factors):
+        if not _s_entry(ell, rep, powers, p):
             try:
                 num = num.exact_div(factor)
                 continue
@@ -256,7 +264,7 @@ def system_det(k: int) -> IntPoly:
     3-cyclic in the grade classes); no walk is counted and no numerator
     is formed.
     """
-    _, factors = _orbit_factors(k)
+    *_, factors = _orbit_factors(k)
     return prod((f for f, _ in factors), start=IntPoly.one()) \
         .substitute_power(3)
 
@@ -270,33 +278,30 @@ def solve_system(k: int) -> GenFnSolution:
     its Galois-orbit factors.  One sweep fed D at the origin gives D G
     to s^n0 at every vertex, N below it and 0 at s^n0.  G is put in
     lowest terms by those factors and then substituted, which gives the
-    same lowest terms as reducing in t.  Every denominator is a product
-    of the factors, each with constant term 1, so it is primitive and
-    positive at 0.
+    same lowest terms as reducing in t; the vertices that keep the same
+    factors share one denominator object.  Every denominator is a
+    product of the factors, each with constant term 1, so it is
+    primitive and positive at 0.
     """
     lat = build_lattice(k)
     classes = grade_classes(lat)
     n0 = len(classes[0])
-    p, factors = _orbit_factors(k)
+    p, powers, factors = _orbit_factors(k)
     det = prod((f for f, _ in factors), start=IntPoly.one())
-    dens = {tuple(range(len(factors))): det}  # kept positions -> product
-    coeffs = [[[] for _ in cls] for cls in classes]
-    for n, counts in enumerate(_sweep(class_predecessors(lat), 3 * n0 + 2,
-                                      det.coeffs)):
-        if n < 3 * n0:
-            for cs, c in zip(coeffs[n % 3], counts):  # drops the zero slot
-                cs.append(c)
-        elif any(counts):
-            raise ArithmeticError(
-                f"a numerator has a nonzero s^{n0} coefficient")
+    # kept positions -> their product in t, one object shared by vertices
+    dens = {tuple(range(len(factors))): det.substitute_power(3)}
+    steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2, det.coeffs))
+    if any(map(any, steps[3 * n0:])):
+        raise ArithmeticError(f"a numerator has a nonzero s^{n0} coefficient")
     graded = {}
     for g, cls in enumerate(classes):
-        for v, cs in zip(cls, coeffs[g]):
-            num, kept = _lowest_terms(IntPoly(cs), factors, p)
+        for r, v in enumerate(cls):
+            num = IntPoly([step[r] for step in steps[g:3 * n0:3]])
+            num, kept = _lowest_terms(num, v, factors, p, powers)
             if kept not in dens:
                 dens[kept] = prod((factors[pos][0] for pos in kept),
-                                  start=IntPoly.one())
-            graded[v] = RationalFn(num, dens[kept]).substitute_power(3, g)
+                                  start=IntPoly.one()).substitute_power(3)
+            graded[v] = RationalFn(num.substitute_power(3, g), dens[kept])
     solutions = {v: graded[v] for v in lat.vertices}
     sol0 = solutions[ORIGIN]
     if sol0.num[0] != sol0.den[0]:

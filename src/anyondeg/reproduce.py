@@ -15,7 +15,7 @@ from .syt import audit_published_formula, brute_force_count, hook_count, \
 
 
 def _check_table1() -> dict:
-    grid = table(8, 27)
+    grid = table(8, reference.ORIGIN_COUNT_COLUMNS[-1])
     bad = []
     for k, expected in reference.ORIGIN_COUNTS.items():
         got = grid.rows[k]

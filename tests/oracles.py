@@ -5,26 +5,28 @@ library reads edges backwards only (``lattice.predecessors``); here the
 forward rule ``successors`` is derived afresh from box addition on the
 vertex's 3-row shape and shares no step table with the library.  Walks
 are enumerated one at a time by depth-first search over it, or counted
-by powers of the dense adjacency matrix built from it; the system
-matrix is pasted from the paper's block display rather than from the
-lattice's edge rule; determinants and generating functions come from
-fraction-free (Bareiss) elimination, which the library does not use:
-on the full system in t, and on the graded system I - s B^T over the
-origin's grade class; they are put in lowest terms by the primitive-PRS
-gcd, where the library divides by the determinant's Galois-orbit
-factors, and past the PRS gcd's reach coprimality is certified by
-Euclid's algorithm mod a prime; determinants at a point are taken mod p
-by Gaussian elimination on the adjacency matrix or on I - s B; the
-Perron block B, for
-the power iteration and for the graded system alike, is sliced out of
-the adjacency matrix and multiplied rather than chained from the
-library's predecessor table.  The determinant, which the library takes
-from the SU(3)_k spectrum, is rebuilt from closed walks by Newton's
-identities.  Origin counts past the golden tables are checked mod
-primes by the Verlinde formula over the SU(3)_k spectrum, which uses no
-walk at all.  The closed forms the counts and determinants are checked
-against, the Fibonacci and 3-dimensional Catalan sequences and the
-determinant degree law, live here too.
+by powers of the dense adjacency matrix built from it; the system matrix
+is pasted from the paper's block display rather than from the lattice's
+edge rule; determinants and generating functions come from fraction-free
+(Bareiss) elimination, which the library does not use: on the full
+system in t, and on the graded system I - s B^T over the origin's grade
+class; they are put in lowest terms by the primitive-PRS gcd, where the
+library divides by the determinant's Galois-orbit factors, and past the
+PRS gcd's reach coprimality is certified by Euclid's algorithm mod a
+prime; which factors a numerator keeps is decided by its residues at the
+factors' roots, where the library reads the S-matrix; determinants at a
+point are taken mod p by Gaussian elimination on the adjacency matrix or
+on I - s B; the Perron block B, for the power iteration and for the
+graded system alike, is sliced out of the adjacency matrix and
+multiplied rather than chained from the library's predecessor table.
+The determinant, which the library takes from the SU(3)_k spectrum, is
+rebuilt from closed walks by Newton's identities.  Walk counts past the
+golden tables, to any endpoint, are checked mod primes by the Verlinde
+formula over the SU(3)_k spectrum, which uses no walk at all; its
+characters are Schur polynomials by Jacobi-Trudi, where the library
+takes S-matrix entries as alternants.  The closed forms the counts and
+determinants are checked against, the Fibonacci and 3-dimensional
+Catalan sequences and the determinant degree law, live here too.
 """
 
 import math
@@ -418,19 +420,8 @@ def primes_1_mod(modulus: int, count: int) -> list[int]:
     return out
 
 
-def verlinde_origin_count(k: int, n: int, p: int) -> int:
-    """f_0(n, k) mod p by the Verlinde formula, for a prime p = 1 mod 6m,
-    m = k + 3.
-
-    The walks from the origin back to it number
-    sum_mu w_mu chi_mu^n / sum_mu w_mu over the alcove points mu = (a, b),
-    a + b <= k, with w_mu = prod_x (2 sin(pi x / m))^2 over
-    x in {a + 1, b + 1, a + b + 2} and chi_mu = sum_j e^(2 pi i (l_j -
-    |l| / 3) / m), l = (a + b + 2, b + 1, 0).  Mod p, with zeta of order
-    6m, 2 sin(pi x / m) = -i (zeta^(3x) - zeta^(-3x)), so
-    w_mu = -prod_x (zeta^(3x) - zeta^(-3x))^2, and chi_mu is
-    sum_j zeta^(2 (3 l_j - |l|)).
-    """
+def _zeta(k: int, p: int) -> int:
+    """An element of exact order 6m mod a prime p = 1 mod 6m, m = k + 3."""
     order = 6 * (k + 3)
     if (p - 1) % order:
         raise ValueError(f"{p} is not 1 mod {order}")
@@ -439,17 +430,104 @@ def verlinde_origin_count(k: int, n: int, p: int) -> int:
     for g in range(2, p):
         zeta = pow(g, (p - 1) // order, p)
         if all(pow(zeta, order // q, p) != 1 for q in factors):
-            break
-    total = weights = 0
+            return zeta
+    raise ArithmeticError(f"no element of order {order} mod {p}")
+
+
+def _alcove_point(ell: tuple[int, int, int], zeta: int, p: int) -> list[int]:
+    """x_j = e^(2 pi i (l_j - |l| / 3) / m) mod p, as zeta^(2 (3 l_j - |l|))
+    for zeta of order 6m: the point at which the characters are read for
+    the alcove point with l = (a + b + 2, b + 1, 0)."""
+    return [pow(zeta, 2 * (3 * x - sum(ell)), p) for x in ell]
+
+
+def schur_mod_p(v: Vertex, xs: list[int], p: int) -> int:
+    """s_lambda(x_1, x_2, x_3) mod p for v's shape lambda = (i + j, i, 0),
+    by Jacobi-Trudi, h_(l1) h_(l2) - h_(l1 + 1) h_(l2 - 1); the complete
+    homogeneous h_m come from h_m(x, rest) = h_m(rest) + x h_(m-1)(x, rest),
+    one variable at a time."""
+    r1, r2 = v.i + v.j, v.i
+    h = [1] + [0] * (r1 + 1)
+    for x in xs:
+        for m in range(1, r1 + 2):
+            h[m] = (h[m] + x * h[m - 1]) % p
+    return (h[r1] * h[r2] - h[r1 + 1] * (h[r2 - 1] if r2 else 0)) % p
+
+
+def schur_at_alcove_point(k: int, v: Vertex, ell: tuple[int, int, int],
+                          p: int) -> int:
+    """s_v at the alcove point with l = ``ell``, mod p = 1 mod 6(k + 3):
+    S_(v mu) / S_(0 mu) for that point mu, up to a Galois conjugation."""
+    return schur_mod_p(v, _alcove_point(ell, _zeta(k, p), p), p)
+
+
+def verlinde_origin_count(k: int, n: int, p: int, v: Vertex = ORIGIN) -> int:
+    """The number of n-step walks from the origin to v, mod a prime
+    p = 1 mod 6m, m = k + 3, by the Verlinde formula; see
+    ``verlinde_counts``."""
+    return verlinde_counts(k, [n], p, v)[0]
+
+
+def verlinde_counts(k: int, ns: list[int], p: int,
+                    v: Vertex = ORIGIN) -> list[int]:
+    """The numbers of n-step walks from the origin to v for each n in
+    ``ns``, mod a prime p = 1 mod 6m, m = k + 3, by the Verlinde formula.
+
+    Each is sum_mu w_mu chi_mu^n s_v(conj x_mu) / sum_mu w_mu over the
+    alcove points mu = (a, b), a + b <= k: w_mu = |S_(0 mu)|^2 up to a
+    constant, chi_mu = x_1 + x_2 + x_3 the fundamental character at the
+    point x_mu of ``_alcove_point``, and s_v the Schur polynomial of v's
+    shape, so that s_v(x_mu) = S_(v mu) / S_(0 mu).  Here
+    w_mu = prod_x (2 sin(pi x / m))^2 over x in {a + 1, b + 1, a + b + 2};
+    mod p, with zeta of order 6m, 2 sin(pi x / m) = -i (zeta^(3x) -
+    zeta^(-3x)), so w_mu = -prod_x (zeta^(3x) - zeta^(-3x))^2.
+    """
+    zeta = _zeta(k, p)
+    totals, weights = [0] * len(ns), 0
     for a in range(k + 1):
         for b in range(k + 1 - a):
             w = -math.prod((pow(zeta, 3 * x, p) - pow(zeta, -3 * x, p)) ** 2
                            for x in (a + 1, b + 1, a + b + 2)) % p
-            ell = (a + b + 2, b + 1, 0)
-            chi = sum(pow(zeta, 2 * (3 * x - sum(ell)), p) for x in ell)
-            total += w * pow(chi, n, p)
+            xs = _alcove_point((a + b + 2, b + 1, 0), zeta, p)
+            term = w * schur_mod_p(v, [pow(x, -1, p) for x in xs], p)
+            totals = [(total + term * pow(sum(xs), n, p)) % p
+                      for total, n in zip(totals, ns)]
             weights += w
-    return total * pow(weights, -1, p) % p
+    inverse = pow(weights, -1, p)
+    return [total * inverse % p for total in totals]
+
+
+def _residue(coeffs: tuple[int, ...], x: int, p: int) -> int:
+    """x^d N(1/x) mod p for the coefficients of N, d = len(coeffs) - 1;
+    for x != 0 mod p it is 0 exactly when N(1/x) is."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % p
+    return acc
+
+
+def residue_lowest_terms(num: IntPoly, factors: list[tuple[IntPoly, int]],
+                         p: int) -> tuple[IntPoly, tuple[int, ...]]:
+    """num / D in lowest terms, for D the product of the irreducible
+    ``factors`` given as pairs (F_O, chi^3 mod p of one root of O): num
+    with every F_O that divides it divided out, and the positions of the
+    factors kept.
+
+    F_O divides num iff num vanishes at its root 1/x, x = chi^3: a
+    nonzero residue mod p proves it does not, and at a zero residue
+    ``exact_div`` decides; a false zero keeps the factor.  The
+    coefficients are reduced mod p once, before the factors' residues.
+    """
+    kept, coeffs = [], [c % p for c in num.coeffs]
+    for pos, (factor, x) in enumerate(factors):
+        if not _residue(coeffs, x, p):
+            try:
+                num = num.exact_div(factor)
+                continue
+            except ValueError:
+                pass
+        kept.append(pos)
+    return num, tuple(kept)
 
 
 def determinant_degree(k: int) -> int:

@@ -15,11 +15,11 @@ import anyondeg.reproduce
 import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
-from anyondeg.cli import CAP_K_GENFUNC, CAP_K_VERIFY, CAP_N_TABLE, \
-    CAP_N_VERIFY, DEFAULT_CAP_K, build_parser, main
-from anyondeg.genfunc import GenFnSolution
+from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, CAP_N_VERIFY, \
+    DEFAULT_CAP_K, build_parser, main
+from anyondeg.genfunc import GenFnSolution, solve_system
 from anyondeg.lattice import build_lattice, grade_classes
-from anyondeg.poly import IntPoly, RationalFn
+from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
@@ -108,6 +108,27 @@ class TestGenfunc:
             "den": {"coeffs": ["1", "0", "0", "-1"]},
         }
 
+    @pytest.mark.parametrize("vertex", [None, "last"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_streamed_output_matches_the_collected_document(
+            self, capsys, k, vertex):
+        # json is printed item by item, and each distinct denominator is
+        # formatted once; both must print what formatting every item would
+        sol = solve_system(k).solutions
+        flags = []
+        vertices = sorted(sol)
+        if vertex:
+            vertices = vertices[-1:]
+            flags = ["--vertex", f"{vertices[0].i},{vertices[0].j}"]
+        code, out, _ = run(capsys, "genfunc", "--k", str(k), "--format",
+                           "json", *flags)
+        assert code == 0 and out == json.dumps({"k": k, "genfuncs": [
+            {"vertex": [v.i, v.j], "num": poly_to_json(sol[v].num),
+             "den": poly_to_json(sol[v].den)} for v in vertices]}) + "\n"
+        code, out, _ = run(capsys, "genfunc", "--k", str(k), *flags)
+        assert code == 0 and out == "".join(
+            f"F[{v.i},{v.j}] = ({poly_to_text(sol[v].num)})"
+            f" / ({poly_to_text(sol[v].den)})\n" for v in vertices)
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # doubled sweep lists double every numerator, which breaks "the
@@ -357,7 +378,7 @@ CAP_CORNERS = [
     ("det --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("qdim --method root --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("qdim --method all --k {}", DEFAULT_CAP_K, "--cap-k"),
-    ("genfunc --k {}", CAP_K_GENFUNC, "--cap-k"),
+    ("genfunc --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("verify --n 3 --k {}", CAP_K_VERIFY, "--cap-k"),
     ("verify --k 2 --n {}", CAP_N_VERIFY, "--cap-n"),
     ("qdim --method eig --k {}", DEFAULT_CAP_K, "--cap-k"),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _alcove_exponents, _cube, _is_prime, _orbit_factors,
+    _alcove_points, _cube, _is_prime, _orbit_factors,
     _unit_roots, build_system, generating_function, solve_system, system_det,
     verify_series,
 )
@@ -23,7 +23,8 @@ from anyondeg.reference import (
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     closed_walk_det, coprime_mod_p, determinant_degree, full_system_solution, \
     graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
-    poly_gcd, reduced, transfer_det_mod_p
+    poly_gcd, primes_1_mod, reduced, residue_lowest_terms, \
+    schur_at_alcove_point, transfer_det_mod_p
 
 
 def P(terms):
@@ -181,7 +182,7 @@ class TestDeterminant:
     def test_degree_law_counts_rotation_orbits(self, k):
         # D(s) is the product of 1 - s chi^3 over one alcove point per
         # free rotation orbit, so its degree in t is three times their number
-        assert 3 * len(_alcove_exponents(k)) == determinant_degree(k)
+        assert 3 * len(_alcove_points(k)) == determinant_degree(k)
 
 
 class TestGradedReduction:
@@ -289,31 +290,31 @@ class TestGaloisFactors:
         assert p % order == 1 and p < 2 ** 62 and _is_prime(p)
         assert len(powers) == order and pow(powers[1], order, p) == 1
         assert all(pow(powers[1], order // q, p) != 1 for q in primes)
-        cubes = [_cube(exps, powers, p) for exps in _alcove_exponents(k)]
+        cubes = [_cube(ell, powers, p) for ell in _alcove_points(k)]
         assert len(set(cubes)) == len(cubes) and 0 not in cubes
-        first, factors = _orbit_factors(k)
-        assert first == p
+        first, first_powers, factors = _orbit_factors(k)
+        assert (first, first_powers) == (p, powers)
         assert sum(f.degree for f, _ in factors) == len(cubes) \
             == determinant_degree(k) // 3
         assert all(f[0] == 1 for f, _ in factors)
-        assert {x for _, x in factors} <= set(cubes)
+        assert {_cube(ell, powers, p) for _, ell in factors} <= set(cubes)
 
     @pytest.mark.parametrize("k", [*range(1, 22), 28])
     def test_product_is_the_determinant(self, k):
         # the product of the factors against closed walks, which use no
         # spectrum (1.5 s at k = 28)
-        _, factors = _orbit_factors(k)
+        *_, factors = _orbit_factors(k)
         det = prod((f for f, _ in factors), start=IntPoly.one())
         assert system_det(k) == det.substitute_power(3) == closed_walk_det(k)
 
     @pytest.mark.parametrize("k", [33, 44, 50])
     def test_product_is_the_block_determinant_mod_p(self, k):
-        # up to the genfunc cap, where the exact D is costly: D(s0) mod p
-        # by elimination on I - s0 B, which shares nothing with the
-        # closed-walk D or with the factors
+        # past the closed-walk oracle's reach, where the exact D is
+        # costly: D(s0) mod p by elimination on I - s0 B, which shares
+        # nothing with the closed-walk D or with the factors
         p = 2 ** 61 - 1
         s0 = random.Random(k).randrange(2, p)
-        _, factors = _orbit_factors(k)
+        *_, factors = _orbit_factors(k)
         assert prod(f(s0) for f, _ in factors) % p \
             == block_det_mod_p(k, s0, p)
 
@@ -341,6 +342,44 @@ class TestGaloisFactors:
             assert coprime_mod_p(IntPoly(fn.den.coeffs[::3]),
                                  IntPoly(fn.num.coeffs[g::3]), p)
 
+    @pytest.mark.parametrize("k", [*range(1, 25), 32])
+    def test_kept_sets_match_the_residue_route(self, k):
+        # each unreduced N_v from the fed sweep, reduced by its residues at
+        # the factors' roots, where the library reads S_{v mu}
+        lat = build_lattice(k)
+        classes = grade_classes(lat)
+        p, powers, factors = _orbit_factors(k)
+        det = prod((f for f, _ in factors), start=IntPoly.one())
+        steps = list(_sweep(class_predecessors(lat), 3 * len(classes[0]) - 1,
+                            det.coeffs))
+        roots = [(f, _cube(ell, powers, p)) for f, ell in factors]
+        sol, dens = solve_system(k), {}
+        for g, cls in enumerate(classes):
+            for r, v in enumerate(cls):
+                num = IntPoly([step[r] for step in steps[g::3]])
+                num, kept = residue_lowest_terms(num, roots, p)
+                if kept not in dens:
+                    dens[kept] = prod((factors[pos][0] for pos in kept),
+                                      start=IntPoly.one())
+                assert sol.solutions[v] \
+                    == RationalFn(num, dens[kept]).substitute_power(3, g)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_schur_vanishes_exactly_where_a_factor_is_shed(self, k):
+        # s_v(x_mu) = S_{v mu} / S_{0 mu} by Jacobi-Trudi, not by the
+        # library's alternant, at the member mu of each factor
+        *_, factors = _orbit_factors(k)
+        p = primes_1_mod(6 * (k + 3), 1)[0]
+        for v, fn in solve_system(k).solutions.items():
+            den = IntPoly(fn.den.coeffs[::3])
+            for f, ell in factors:
+                try:
+                    den.exact_div(f)
+                    shed = False
+                except ValueError:
+                    shed = True
+                assert (schur_at_alcove_point(k, v, ell, p) == 0) == shed
+
     @settings(max_examples=60, deadline=None)
     @given(*[st.lists(st.integers(-9, 9), min_size=1, max_size=5)] * 3)
     def test_coprime_mod_p_agrees_with_prs(self, f, g, h):
@@ -352,10 +391,10 @@ class TestGaloisFactors:
 
     @pytest.mark.parametrize("k", [3, 9])
     def test_root_residues(self, k):
-        # each factor vanishes at 1/x mod p for its residue x
-        p, factors = _orbit_factors(k)
-        for f, x in factors:
-            assert f(pow(x, -1, p)) % p == 0
+        # each factor vanishes at 1/x mod p for x = chi^3 of its member
+        p, powers, factors = _orbit_factors(k)
+        for f, ell in factors:
+            assert f(pow(_cube(ell, powers, p), -1, p)) % p == 0
 
     def test_product_mismatch_raises(self, monkeypatch):
         # k = 5 lifts with the first prime alone, so the second, whose
@@ -371,10 +410,10 @@ class TestGaloisFactors:
 
     @pytest.mark.parametrize("k", [3, 6, 9, 12])
     def test_forced_false_zero_keeps_the_result(self, monkeypatch, k):
-        # every residue read as 0: exact_div then tries every factor, and
-        # the ones it cannot divide out stay in the denominator
+        # every S-matrix entry read as 0: exact_div then tries every
+        # factor, and the ones it cannot divide out stay in the denominator
         expected = solve_system(k)
-        monkeypatch.setattr(anyondeg.genfunc, "_residue", lambda *args: 0)
+        monkeypatch.setattr(anyondeg.genfunc, "_s_entry", lambda *args: 0)
         solve_system.cache_clear()
         try:
             got = solve_system(k)

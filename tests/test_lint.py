@@ -30,14 +30,17 @@ alone, the two caches a caller can clear, so no hidden per-k memo keeps
 a cleared solve warm.
 
 No polynomial gcd: lowest terms come from the determinant's
-Galois-orbit factors, and the primitive-PRS ``poly_gcd`` with its
-``_pseudo_rem`` is left to the test oracles.
+Galois-orbit factors, each kept or divided out by one S-matrix entry
+per vertex, and the primitive-PRS ``poly_gcd`` with its ``_pseudo_rem``
+is left to the test oracles, as are the numerator residues at the
+factors' roots that cross-check the kept factors.
 
-Library code only: every module-level function or class is named
-somewhere else in the library or exported in ``anyondeg.__all__``, so a
-fixture only the tests call lives in ``tests/oracles.py``.  Every
-``__all__`` name is bound in ``__init__.py``, and every public name it
-imports is exported.
+Library code only: every module-level function, class or constant
+(dunder names aside) is named somewhere else in the library or
+exported in ``anyondeg.__all__``, so a fixture or a reference value
+only the tests read lives in ``tests/oracles.py`` or is used where the
+library checks against it.  Every ``__all__`` name is bound in
+``__init__.py``, and every public name it imports is exported.
 """
 
 import ast
@@ -191,21 +194,34 @@ def _exported():
                 and [_name(t) for t in node.targets] == ["__all__"])
 
 
+def _defined(stmt):
+    """The names a module-level statement defines: a function or class,
+    or the plain names an assignment binds, dunder names aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
 def test_every_definition_is_used_in_the_library_or_exported():
-    defs, uses = [], set()  # uses: (module, enclosing definition, name)
+    defs, uses = [], set()  # uses: (module, defining statement, name)
     for name, tree in _trees():
-        for stmt in tree.body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                owner = stmt.name
-                defs.append((name, owner))
-            uses |= {(name, owner, _name(node)) for node in ast.walk(stmt)
+        for pos, stmt in enumerate(tree.body):
+            defs += [(name, pos, defined) for defined in _defined(stmt)]
+            uses |= {(name, pos, _name(node)) for node in ast.walk(stmt)
                      if isinstance(node, (ast.Name, ast.Attribute))}
     exported = set(_exported())
-    unused = [(name, func) for name, func in defs if func not in exported
-              and not any(used == func and (module, owner) != (name, func)
-                          for module, owner, used in uses)]
+    unused = [(name, defined) for name, pos, defined in defs
+              if defined not in exported
+              and not any(used == defined and (module, at) != (name, pos)
+                          for module, at, used in uses)]
     assert unused == []
 
 

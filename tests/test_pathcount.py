@@ -11,7 +11,8 @@ from anyondeg.pathcount import (
 from anyondeg.reference import ORIGIN_COUNTS
 
 from oracles import catalan3d, counts_by_matrix_power, dense_perron_block, \
-    dfs_walk_counts, fibonacci, primes_1_mod, verlinde_origin_count
+    dfs_walk_counts, fibonacci, primes_1_mod, verlinde_counts, \
+    verlinde_origin_count
 
 
 class TestCountPaths:
@@ -164,6 +165,26 @@ class TestVerlindeOracle:
         assert count.bit_length() > 1000
         for p in primes_1_mod(6 * (k + 3), 2):
             assert verlinde_origin_count(k, n, p) == count % p
+
+    @pytest.mark.parametrize("k", [5, 12, 30])
+    def test_endpoint_counts(self, k):
+        # the middle vertex of each grade class, which the walks reach at
+        # n = g mod 3 only: weights S_{0 mu} conj(S_{v mu}) from Schur
+        # polynomials against the walk DP, so a wrong S convention fails
+        # against the walks
+        p = primes_1_mod(6 * (k + 3), 1)[0]
+        for g, cls in enumerate(grade_classes(build_lattice(k))):
+            v = cls[len(cls) // 2]
+            history = origin_history(k, 72, v)
+            ns = [*range(g, 73, 3), (g + 1) % 3]
+            assert verlinde_counts(k, ns, p, v) == [history[n] % p for n in ns]
+
+    def test_endpoint_counts_past_the_golden_tables(self):
+        v = Vertex(10, 13)
+        count = degeneracy(64, 3000, v)
+        assert count.bit_length() > 1000
+        for p in primes_1_mod(6 * 67, 2):
+            assert verlinde_origin_count(64, 3000, p, v) == count % p
 
 
 @pytest.mark.parametrize("route", [count_paths, degeneracy, origin_history])
