@@ -1,12 +1,14 @@
-"""The restricted overhang lattice: vertices, the edge rule, grade classes.
+"""The restricted overhang lattice: vertices, the edge rule, the walk table.
 
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
-admissible tableaux.  ``predecessors`` is the one edge rule, and
-``class_predecessors`` the one padded table built from it: every walk
-count, the Perron route's block B too, reads that table.  Pure Python;
-no dense adjacency matrix is built.
+admissible tableaux.  The edge rule is ``_STEPS``: ``predecessors``
+lists a vertex's in-range predecessors, and ``walk_table`` builds the
+one padded per-class table from it by position lookup, in one pass.
+Every walk, the Perron route's block B too, reads that table, and
+``step`` is the one loop that takes a step along it.  Pure Python; no
+dense adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -75,31 +77,38 @@ def build_lattice(k: int) -> Lattice:
     return Lattice(k=k, vertices=vertices)
 
 
-def grade_classes(lattice: Lattice) -> tuple[tuple[Vertex, ...], ...]:
-    """The vertices of grade g = (2i + j) mod 3 for g = 0, 1, 2, each in
-    canonical order.
+def walk_table(lat: Lattice) -> tuple[tuple[list[Vertex], ...],
+                                      dict[Vertex, int],
+                                      list[list[list[int]]]]:
+    """The one per-class edge table, as (classes, pos, pred).
 
-    Every step raises the grade by 1, so every edge runs from class g to
-    class g + 1 (mod 3) and the adjacency matrix is 3-cyclic in these
-    blocks; the origin opens class 0.
+    classes[g] lists the vertices of grade g = (2i + j) mod 3 in
+    canonical order, the origin first in class 0, and pos[v] is v's
+    position in its class.  Every step raises the grade by 1, so every
+    predecessor of a class-g vertex lies in class g - 1, and
+    pred[g][r][s] is the class-(g - 1) position of v - _STEPS[s] for the
+    r-th class-g vertex v, or the pad len(classes[g - 1]) where that
+    point leaves the lattice: the slot just past class g - 1 where
+    ``step`` keeps 0.
     """
     classes: tuple[list[Vertex], ...] = ([], [], [])
-    for v in lattice.vertices:
-        classes[(2 * v.i + v.j) % 3].append(v)
-    return tuple(tuple(c) for c in classes)
+    pos = {}
+    for v in lat.vertices:
+        cls = classes[(2 * v.i + v.j) % 3]
+        pos[v] = len(cls)
+        cls.append(v)
+    pred = []
+    for g, cls in enumerate(classes):
+        pad = len(classes[g - 1])
+        pred.append([[pos.get((i - di, j - dj), pad) for di, dj in _STEPS]
+                     for i, j in cls])
+    return classes, pos, pred
 
 
-def class_predecessors(lattice: Lattice) -> list[list[list[int]]]:
-    """The one per-class edge table: pred[g][r] holds the positions in
-    class g - 1 of the predecessors of the r-th vertex of class g.
-
-    Positions index the tuples of ``grade_classes``, so len(pred[g]) is
-    the size of class g.  Every row has three entries: the real positions
-    in ``predecessors`` order, then one pad len(pred[g - 1]) per missing
-    predecessor, the slot just past class g - 1 where a reader keeps 0.
-    """
-    classes = grade_classes(lattice)
-    pos = {v: r for cls in classes for r, v in enumerate(cls)}
-    return [[([pos[u] for u in predecessors(v, lattice.k)]
-              + [len(classes[g - 1])] * 3)[:3] for v in cls]
-            for g, cls in enumerate(classes)]
+def step(rows: list[list[int]], x: list) -> list:
+    """One step along ``walk_table``'s rows for one class: the sum of the
+    three entries of x that each row names, then the trailing 0 slot
+    that the next class's pads point to."""
+    y = [x[a] + x[b] + x[c] for a, b, c in rows]
+    y.append(0)
+    return y

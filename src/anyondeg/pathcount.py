@@ -8,9 +8,10 @@ with out-of-range terms zero.  Every step raises the grade (2i + j) mod 3
 by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
-canonical order, and fills it from the previous step's list through
-``lattice.class_predecessors``; it serves every query, the numerators
-of ``genfunc`` too.  Everything is a Python int; no floats.
+canonical order, and fills it from the previous step's list by
+``lattice.step`` over the class's rows of ``lattice.walk_table``; it
+serves every query, the numerators of ``genfunc`` too.  Everything is a
+Python int; no floats.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .lattice import ORIGIN, Lattice, Vertex, build_lattice, check_vertex, \
-    class_predecessors, grade_classes, in_vertex_set
+from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
+    in_vertex_set, step, walk_table
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,9 @@ def _sweep(pred: list[list[list[int]]], n_max: int,
 
     For source the coefficients of S(s), step 3m + g holds the s^m
     coefficient of S G_v at each class-g vertex v, G_v its walk series
-    in s = t^3.  ``pred`` is the lattice's ``class_predecessors``.  Each
-    list is flat over class n mod 3 in ``grade_classes`` order, plus a
-    trailing slot that stays 0: the table's pads point there, so every
-    update sums exactly three previous entries.
+    in s = t^3.  ``pred`` is the table of ``walk_table``.  Each list is
+    flat over class n mod 3 in class order, plus the trailing 0 slot of
+    ``step``.
     """
     if n_max < 0:
         raise ValueError(f"step count n must be >= 0, got {n_max}")
@@ -50,25 +50,18 @@ def _sweep(pred: list[list[list[int]]], n_max: int,
     counts[0] = source[0]
     yield counts
     for n in range(1, n_max + 1):
-        counts = [counts[a] + counts[b] + counts[c] for a, b, c in pred[n % 3]]
-        counts.append(0)
+        counts = step(pred[n % 3], counts)
         if n % 3 == 0 and n < 3 * len(source):
             counts[0] += source[n // 3]
         yield counts
 
 
-def _class_position(lat: Lattice, v: Vertex) -> tuple[int, int]:
-    """The grade class g of v and v's position in it."""
-    check_vertex(v, lat.k)
-    g = (2 * v.i + v.j) % 3
-    return g, grade_classes(lat)[g].index(v)
-
-
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
     lat = build_lattice(k)
-    last = deque(_sweep(class_predecessors(lat), n), maxlen=1).pop()
-    reached = dict(zip(grade_classes(lat)[n % 3], last))
+    classes, _, pred = walk_table(lat)
+    last = deque(_sweep(pred, n), maxlen=1).pop()
+    reached = dict(zip(classes[n % 3], last))
     return CountTable(k=k, n=n,
                       counts={v: reached.get(v, 0) for v in lat.vertices})
 
@@ -83,18 +76,20 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
-    lat = build_lattice(k)
-    _, pos = _class_position(lat, v)
-    return deque(_sweep(class_predecessors(lat), n), maxlen=1).pop()[pos]
+    _, pos, pred = walk_table(build_lattice(k))
+    return deque(_sweep(pred, n), maxlen=1).pop()[pos[v]]
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep; 0 at
     the steps whose class is not v's."""
     lat = build_lattice(k)
-    g, pos = _class_position(lat, Vertex(*v))
-    return [counts[pos] if n % 3 == g else 0
-            for n, counts in enumerate(_sweep(class_predecessors(lat), n_max))]
+    v = Vertex(*v)
+    check_vertex(v, k)
+    _, pos, pred = walk_table(lat)
+    g, r = (2 * v.i + v.j) % 3, pos[v]
+    return [counts[r] if n % 3 == g else 0
+            for n, counts in enumerate(_sweep(pred, n_max))]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import re
 from collections import deque
 from collections.abc import Iterator
 from itertools import count, islice
+from operator import index
 
 
 class IntPoly:
@@ -27,7 +28,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -207,20 +208,6 @@ class RationalFn:
             num, den = -num, -den
         self.num = num
         self.den = den
-
-    def substitute_power(self, m: int, shift: int = 0) -> "RationalFn":
-        """t^shift * f(t^m) for m >= 1; a pair in lowest terms stays so.
-
-        gcd commutes with t -> t^m, the contents and the constant terms
-        are unchanged, and t does not divide den(t^m) because den(0) != 0,
-        so the substituted pair is reduced and normalized as it stands.
-        """
-        if self.den[0] == 0:
-            raise ValueError("denominator vanishes at 0")
-        out = RationalFn.__new__(RationalFn)
-        out.num = self.num.substitute_power(m, shift)
-        out.den = self.den.substitute_power(m)
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFn)

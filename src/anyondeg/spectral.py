@@ -4,7 +4,9 @@ The asymptotic growth factor (the total quantum dimension) is
 
   * the closed trig form sin(pi*N/(N+k)) / sin(pi/(N+k)) with N = 3,
     the row count of the tableaux and the only N the library counts,
-  * the dominant eigenvalue of the lattice adjacency matrix,
+  * the dominant eigenvalue of the lattice adjacency matrix, by Lanczos
+    on the origin block B of A^3, applied by ``lattice.step`` along
+    ``lattice.walk_table``,
   * the reciprocal of the smallest positive root of the system
     determinant, isolated in s = t^3 and certified by Descartes' rule
     of signs.
@@ -17,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 
 from .genfunc import system_det
-from .lattice import Lattice, Vertex, build_lattice, class_predecessors, \
-    grade_classes
+from .lattice import Vertex, build_lattice, step, walk_table
 from .pathcount import degeneracy
 from .poly import IntPoly
 
@@ -53,28 +53,21 @@ def lambda_trig(k: int) -> float:
     return math.sin(math.pi * ROWS / m) / math.sin(math.pi / m)
 
 
-def _mirror_positions(lat: Lattice) -> list[int]:
-    """mirror[r]: the class-0 position of (j, i) for the r-th class-0
-    vertex (i, j).  The mirror P keeps class 0 and reverses every edge,
-    so B^T = P B P."""
-    c0 = grade_classes(lat)[0]
-    pos = {v: r for r, v in enumerate(c0)}
-    return [pos[Vertex(v.j, v.i)] for v in c0]
-
-
 def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
     """B^T x, plus the trailing zero slot: x carried three steps along
-    the padded edge table, as ``pathcount._sweep`` carries walk counts."""
+    ``walk_table``'s rows by ``step``, as ``pathcount._sweep`` carries
+    walk counts."""
     x = x + [0.0]  # the slot the table's pads point to
     for g in (1, 2, 0):
-        x = [x[a] + x[b] + x[c] for a, b, c in pred[g]]
-        x.append(0.0)
+        x = step(pred[g], x)
     return x
 
 
 def _perron_apply(pred: list[list[list[int]]], mirror: list[int],
                   x: list[float]) -> list[float]:
-    """(B + B^T) x over class 0, with B x = P B^T P x."""
+    """(B + B^T) x over class 0, with B x = P B^T P x: mirror[r] is the
+    class-0 position of (j, i) for the r-th class-0 vertex (i, j), and
+    the mirror P keeps class 0 and reverses every edge, so B^T = P B P."""
     back = _three_steps(pred, x)
     fwd = _three_steps(pred, [x[m] for m in mirror])
     return [b + fwd[m] for b, m in zip(back, mirror)]
@@ -109,8 +102,8 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    lat = build_lattice(k)
-    pred, mirror = class_predecessors(lat), _mirror_positions(lat)
+    classes, pos, pred = walk_table(build_lattice(k))
+    mirror = [pos[Vertex(v.j, v.i)] for v in classes[0]]
     n0 = len(mirror)
     q, q_prev = [n0 ** -0.5] * n0, [0.0] * n0
     alphas, sq_betas = [], []  # T's diagonal and squared off-diagonal
@@ -149,9 +142,10 @@ def _iroot(n: int, g: int) -> int:
 def _exact_root(num: int, den: int, g: int) -> float:
     """(num / den)^(1/g) for num, den >= 1, exact when it is rational:
     the float power of 1/27 is not 1/3."""
-    f = Fraction(num, den)
-    a, b = _iroot(f.numerator, g), _iroot(f.denominator, g)
-    if a ** g == f.numerator and b ** g == f.denominator:
+    d = math.gcd(num, den)
+    num, den = num // d, den // d
+    a, b = _iroot(num, g), _iroot(den, g)
+    if a ** g == num and b ** g == den:
         return a / b
     return (num / den) ** (1 / g)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    class_predecessors, grade_classes, predecessors
+    predecessors, walk_table
 from anyondeg.poly import IntPoly, RationalFn
 
 
@@ -251,8 +251,7 @@ def graded_system(matrix: list[list[int]]) -> PolyMatrix:
 def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
     """pred[g][r]: the positions in class g - 1 of the predecessors of
     the r-th vertex of class g."""
-    classes = grade_classes(lat)
-    pos = {v: r for cls in classes for r, v in enumerate(cls)}
+    classes, pos, _ = walk_table(lat)
     return [[[pos[u] for u in predecessors(v, lat.k)] for v in cls]
             for cls in classes]
 
@@ -267,7 +266,7 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     s = t^3 is substituted, in the canonical vertex order.
     """
     lat = build_lattice(k)
-    classes, pred = grade_classes(lat), graded_predecessors(lat)
+    classes, pred = walk_table(lat)[0], graded_predecessors(lat)
     mat = graded_system(dense_perron_block(k).astype(int).tolist())
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
@@ -277,7 +276,9 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
             numerators = [sum((numerators[u] for u in us), IntPoly.zero())
                           for us in pred[g]]
         for v, num in zip(cls, numerators):
-            graded[v] = reduced(num, det).substitute_power(3, g)
+            fn = reduced(num, det)
+            graded[v] = RationalFn(fn.num.substitute_power(3, g),
+                                   fn.den.substitute_power(3))
     return det.substitute_power(3), {v: graded[v] for v in lat.vertices}
 
 
@@ -301,7 +302,7 @@ def closed_walk_det(k: int) -> IntPoly:
     counts the closed 3m-step walks at the class-0 vertices, one walk
     count from each along the padded per-class table, and Newton's
     identities turn the sums into D(s), then s = t^3."""
-    pred = class_predecessors(build_lattice(k))
+    pred = walk_table(build_lattice(k))[2]
     n0 = len(pred[0])
     sums = [0] * n0
     for z in range(n0):
@@ -382,7 +383,7 @@ def dense_perron_block(k: int) -> np.ndarray:
     adjacency matrix and multiplied in float64."""
     lat = build_lattice(k)
     adj = adjacency(lat)
-    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in grade_classes(lat))
+    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in walk_table(lat)[0])
 
     def block(rows, cols):
         return adj[np.ix_(rows, cols)].astype(np.float64)

@@ -11,8 +11,7 @@ from anyondeg.genfunc import (
     _unit_roots, build_system, generating_function, solve_system, system_det,
     verify_series,
 )
-from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
-    grade_classes
+from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.pathcount import _sweep, origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
@@ -161,7 +160,7 @@ class TestDeterminant:
         # s = t^3 reaches it; the smallest class is C1 (not C0: at k = 3,
         # |C0| = 4 while the degree is 9)
         det = system_det(k)
-        sizes = [len(c) for c in grade_classes(build_lattice(k))]
+        sizes = [len(c) for c in walk_table(build_lattice(k))[0]]
         assert det.degree == 3 * min(sizes) == 3 * sizes[1]
         assert det.degree == determinant_degree(k)
         assert det[0] == 1
@@ -346,12 +345,10 @@ class TestGaloisFactors:
     def test_kept_sets_match_the_residue_route(self, k):
         # each unreduced N_v from the fed sweep, reduced by its residues at
         # the factors' roots, where the library reads S_{v mu}
-        lat = build_lattice(k)
-        classes = grade_classes(lat)
+        classes, _, pred = walk_table(build_lattice(k))
         p, powers, factors = _orbit_factors(k)
         det = prod((f for f, _ in factors), start=IntPoly.one())
-        steps = list(_sweep(class_predecessors(lat), 3 * len(classes[0]) - 1,
-                            det.coeffs))
+        steps = list(_sweep(pred, 3 * len(classes[0]) - 1, det.coeffs))
         roots = [(f, _cube(ell, powers, p)) for f, ell in factors]
         sol, dens = solve_system(k), {}
         for g, cls in enumerate(classes):
@@ -361,8 +358,8 @@ class TestGaloisFactors:
                 if kept not in dens:
                     dens[kept] = prod((factors[pos][0] for pos in kept),
                                       start=IntPoly.one())
-                assert sol.solutions[v] \
-                    == RationalFn(num, dens[kept]).substitute_power(3, g)
+                assert sol.solutions[v] == RationalFn(
+                    num.substitute_power(3, g), dens[kept].substitute_power(3))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_schur_vanishes_exactly_where_a_factor_is_shed(self, k):
@@ -432,13 +429,14 @@ class TestGaloisFactors:
         k, index = case
         v = build_lattice(k).vertices[index]
         g = (2 * v.i + v.j) % 3
-        n0 = len(grade_classes(build_lattice(k))[0])
+        n0 = len(walk_table(build_lattice(k))[0][0])
         series = origin_history(k, 3 * n0 + 2, v)[g::3]
         det = _det_s(k)
         *num, top = _times(det.coeffs, series)  # D G to s^n0
         assert top == 0
-        assert solve_system(k).solutions[v] \
-            == reduced(IntPoly(num), det).substitute_power(3, g)
+        fn = reduced(IntPoly(num), det)
+        assert solve_system(k).solutions[v] == RationalFn(
+            fn.num.substitute_power(3, g), fn.den.substitute_power(3))
 
 
 class TestNumeratorSweep:
@@ -447,10 +445,9 @@ class TestNumeratorSweep:
         # the sweep fed D at the origin holds (D G_v) to s^n0 at every
         # vertex, its s^n0 coefficient 0; here D G_v is multiplied out
         # from each vertex's own walk counts
-        lat = build_lattice(k)
-        classes = grade_classes(lat)
+        classes, _, pred = walk_table(build_lattice(k))
         n0, det = len(classes[0]), _det_s(k).coeffs
-        steps = list(_sweep(class_predecessors(lat), 3 * n0 + 2, det))
+        steps = list(_sweep(pred, 3 * n0 + 2, det))
         for g, cls in enumerate(classes):
             for r, v in enumerate(cls):
                 series = origin_history(k, 3 * n0 + 2, v)[g::3]
@@ -496,7 +493,7 @@ class TestSeriesConsistency:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_series_equals_dp(self, k):
         # 28 steps past the prefix 0..3 |C0| + 2 the numerators are read from
-        n0 = len(grade_classes(build_lattice(k))[0])
+        n0 = len(walk_table(build_lattice(k))[0][0])
         assert verify_series(k, 3 * n0 + 30) == []
 
     def test_memory_grows_linearly_in_n(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    ORIGIN, Vertex, build_lattice, check_vertex, class_predecessors,
-    grade_classes, in_vertex_set, predecessors,
+    _STEPS, ORIGIN, Vertex, build_lattice, check_vertex, in_vertex_set,
+    predecessors, walk_table,
 )
 
 from oracles import adjacency, graded_predecessors, successors
@@ -103,12 +103,14 @@ def test_box_addition_oracle_reverses_predecessors(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_grade_classes(k):
     lat = build_lattice(k)
-    classes = grade_classes(lat)
+    classes, pos, _ = walk_table(lat)
     assert classes[0][0] == ORIGIN
     assert sorted(v for c in classes for v in c) == list(lat.vertices)
+    assert len(pos) == lat.dim
     for g, cls in enumerate(classes):
         assert list(cls) == sorted(cls, key=lat.index)
-        for v in cls:
+        for r, v in enumerate(cls):
+            assert (2 * v.i + v.j) % 3 == g and pos[v] == r
             assert all(u in classes[g - 1] for u in predecessors(v, k))
 
 
@@ -124,30 +126,34 @@ def test_class_predecessor_positions(k):
     # the production table that the sweep and the Perron block read,
     # its pads dropped
     def real_positions(lat):
-        pred = class_predecessors(lat)
+        pred = walk_table(lat)[2]
         return [[[u for u in us if u < len(pred[g - 1])] for us in rows]
                 for g, rows in enumerate(pred)]
 
     check_class_positions(build_lattice(k), real_positions)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 65))
 def test_class_predecessor_rows_are_padded(k):
-    # three entries per row: the real positions first, then the pad
+    # slot s of row r of class g: the class-(g - 1) position of
+    # v - _STEPS[s] when that point is a predecessor of v, else the pad
     # len(class g - 1), the zero slot of the sweep's previous list
     lat = build_lattice(k)
-    classes = grade_classes(lat)
-    for g, (cls, rows) in enumerate(zip(classes, class_predecessors(lat))):
-        pad = len(classes[g - 1])
+    classes, _, pred = walk_table(lat)
+    assert len(pred) == 3
+    for g, (cls, rows) in enumerate(zip(classes, pred)):
+        prev, pad = classes[g - 1], len(classes[g - 1])
+        assert len(rows) == len(cls)
         for v, us in zip(cls, rows):
-            real = len(predecessors(v, k))
-            assert len(us) == 3
-            assert all(u < pad for u in us[:real])
-            assert us[real:] == [pad] * (3 - real)
+            real = predecessors(v, k)
+            assert len(us) == len(_STEPS) == 3
+            for (di, dj), u in zip(_STEPS, us):
+                w = Vertex(v.i - di, v.j - dj)
+                assert u == (prev.index(w) if w in real else pad)
 
 
 def check_class_positions(lat, table):
-    classes = grade_classes(lat)
+    classes = walk_table(lat)[0]
     pred = table(lat)
     assert [len(p) for p in pred] == [len(c) for c in classes]
     for g, (cls, pred_g) in enumerate(zip(classes, pred)):

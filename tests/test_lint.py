@@ -9,18 +9,20 @@ Imports sit at module top, with no exception, and no module imports
 numpy: the library runs on the standard library alone, and numpy is
 left to the test oracles.
 
-One edge table: ``lattice.predecessors`` is called only where
-``lattice.class_predecessors`` builds the table that every walk count
-reads, and where ``genfunc.build_system`` fills the full matrix, so no
-module grows a second predecessor list of its own.
+One edge table: the step deltas ``lattice._STEPS`` are read only in
+``lattice.predecessors`` and in ``lattice.walk_table``, which builds the
+padded per-class table that every walk reads by position lookup, and
+``predecessors`` is called only where ``genfunc.build_system`` fills the
+full matrix, so no module grows a second predecessor list of its own.
 
-One walk-count loop: every walk count comes from ``pathcount._sweep``
-over that table, padded to three predecessors per vertex, and so does
-every numerator of ``solve_system``, from one sweep fed the
-determinant's coefficients at the origin; ``spectral._perron_apply``
-takes the same three padded steps on float vectors, to apply the Perron
-block B and its transpose for Lanczos.  The test oracles keep their own
-loops: ``tests/oracles.py`` imports no ``_``-prefixed library name.
+One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
+written only in ``lattice.step``.  Every walk count comes from
+``pathcount._sweep`` stepping along that table, and so does every
+numerator of ``solve_system``, from one sweep fed the determinant's
+coefficients at the origin; ``spectral._three_steps`` takes the same
+steps on float vectors, to apply the Perron block B and its transpose
+for Lanczos.  The test oracles keep their own loops:
+``tests/oracles.py`` imports no ``_``-prefixed library name.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.
@@ -122,8 +124,31 @@ def _callers(tree, callee):
 def test_predecessors_called_only_by_the_edge_table():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "predecessors")}
-    assert callers == {("lattice.py", "class_predecessors"),
-                       ("genfunc.py", "build_system")}
+    assert callers == {("genfunc.py", "build_system")}
+    readers = {(name, func) for name, tree in _trees()
+               for func in _enclosing(tree, lambda node: isinstance(
+                   node, (ast.Name, ast.Attribute)) and _name(node) == "_STEPS"
+                   and isinstance(node.ctx, ast.Load))}
+    assert readers == {("lattice.py", "predecessors"),
+                       ("lattice.py", "walk_table")}
+
+
+def _three_entry_sum(node):
+    """Whether node is x[a] + x[b] + x[c]: three entries of one
+    sequence, added."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add)):
+        return False
+    terms = [node.left.left, node.left.right, node.right]
+    return all(isinstance(t, ast.Subscript) for t in terms) \
+        and len({ast.dump(t.value) for t in terms}) == 1
+
+
+def test_one_step_loop():
+    found = {(name, func) for name, tree in _trees()
+             for func in _enclosing(tree, _three_entry_sum)}
+    assert found == {("lattice.py", "step")}
 
 
 def test_system_det_reaches_no_walk_sweep():

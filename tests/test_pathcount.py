@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
 from anyondeg.genfunc import system_det
-from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
-    class_predecessors, grade_classes
+from anyondeg.lattice import ORIGIN, Vertex, build_lattice, walk_table
 from anyondeg.pathcount import (
     _sweep, count_paths, degeneracy, origin_history, table,
 )
@@ -58,9 +57,9 @@ class TestCountPaths:
 class TestSweep:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_step_covers_one_class_plus_zero_slot(self, k):
-        lat = build_lattice(k)
-        sizes = [len(c) for c in grade_classes(lat)]
-        for n, counts in enumerate(_sweep(class_predecessors(lat), 20)):
+        classes, _, pred = walk_table(build_lattice(k))
+        sizes = [len(c) for c in classes]
+        for n, counts in enumerate(_sweep(pred, 20)):
             assert len(counts) == sizes[n % 3] + 1 and counts[-1] == 0
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -69,7 +68,7 @@ class TestSweep:
         # sum_j D_j (row 0 of B^(m - j)) at step 3m; B is sliced out of
         # the dense adjacency matrix, not counted, and from m = |C0| on
         # the sum is 0 (Cayley-Hamilton)
-        pred = class_predecessors(build_lattice(k))
+        pred = walk_table(build_lattice(k))[2]
         det = system_det(k).coeffs[::3]
         block = [[round(x) for x in row] for row in dense_perron_block(k)]
         n0 = len(block)
@@ -173,7 +172,7 @@ class TestVerlindeOracle:
         # polynomials against the walk DP, so a wrong S convention fails
         # against the walks
         p = primes_1_mod(6 * (k + 3), 1)[0]
-        for g, cls in enumerate(grade_classes(build_lattice(k))):
+        for g, cls in enumerate(walk_table(build_lattice(k))[0]):
             v = cls[len(cls) // 2]
             history = origin_history(k, 72, v)
             ns = [*range(g, 73, 3), (g + 1) % 3]

@@ -5,12 +5,11 @@ import pytest
 
 import anyondeg.spectral
 from anyondeg.genfunc import system_det
-from anyondeg.lattice import Vertex, build_lattice, class_predecessors, \
-    grade_classes
+from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, NoRootError, NonConvergenceError, _descartes, _mirror_positions,
-    _perron_apply, _three_steps, growth_rate_estimate, lambda_perron,
+    GRID, NoRootError, NonConvergenceError, _descartes, _perron_apply,
+    _three_steps, growth_rate_estimate, lambda_perron,
     lambda_trig, smallest_positive_root, spectral_report,
 )
 
@@ -63,7 +62,7 @@ class TestPerron:
     def test_walk_counts_are_the_dense_block(self, k):
         # three padded steps from each class-0 vertex, against B sliced
         # out of the dense adjacency matrix and multiplied
-        pred = class_predecessors(build_lattice(k))
+        pred = walk_table(build_lattice(k))[2]
         n0 = len(pred[0])
         rows = [_three_steps(pred, _unit(r, n0))[:n0] for r in range(n0)]
         assert rows == dense_perron_block(k).tolist()
@@ -72,8 +71,8 @@ class TestPerron:
     def test_bit_identical_to_dense_route(self, k):
         # the operator Lanczos runs on, applied to each unit vector of
         # class 0, is bit for bit the dense B + B^T
-        lat = build_lattice(k)
-        pred, mirror = class_predecessors(lat), _mirror_positions(lat)
+        classes, pos, pred = walk_table(build_lattice(k))
+        mirror = [pos[Vertex(v.j, v.i)] for v in classes[0]]
         n0 = len(mirror)
         columns = [_perron_apply(pred, mirror, _unit(c, n0))
                    for c in range(n0)]
@@ -110,7 +109,7 @@ class TestPerron:
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
         lam = lambda_perron(k, tol=1e-300)
         assert abs(lam - lambda_trig(k)) < 1e-13
-        assert steps <= len(grade_classes(build_lattice(k))[0])
+        assert steps <= len(walk_table(build_lattice(k))[0][0])
 
     def test_step_limit_raises(self, monkeypatch):
         monkeypatch.setattr(anyondeg.spectral, "PERRON_MAX_ITER", 2)

@@ -1,5 +1,7 @@
 """The library never loads numpy: not on import, and not in any
-subcommand, the Perron route and the full reproduce included.
+subcommand, the Perron route and the full reproduce included.  Nor does
+importing the CLI load ``fractions``: the exact kernel is integer only,
+and every CLI process would pay for its import.
 
 Each case runs in a fresh interpreter, so what earlier tests imported
 into this process does not count.
@@ -23,12 +25,12 @@ assert code == 0, code
 """
 
 
-def numpy_loaded(body: str) -> bool:
-    """Run body in a fresh interpreter; whether numpy is loaded after it."""
+def module_loaded(body: str, module: str = "numpy") -> bool:
+    """Run body in a fresh interpreter; whether module is loaded after it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = body + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    code = body + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -37,7 +39,11 @@ def numpy_loaded(body: str) -> bool:
 
 @pytest.mark.parametrize("module", ["anyondeg", "anyondeg.cli"])
 def test_import_leaves_numpy_unloaded(module):
-    assert not numpy_loaded(f"import {module}")
+    assert not module_loaded(f"import {module}")
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    assert not module_loaded("import anyondeg.cli", "fractions")
 
 
 @pytest.mark.parametrize("argv", [
@@ -50,7 +56,7 @@ def test_import_leaves_numpy_unloaded(module):
     "reproduce --only table2",
 ])
 def test_exact_subcommands_leave_numpy_unloaded(argv):
-    assert not numpy_loaded(_RUN_MAIN.format(argv=argv.split()))
+    assert not module_loaded(_RUN_MAIN.format(argv=argv.split()))
 
 
 @pytest.mark.parametrize("argv", [
@@ -59,4 +65,4 @@ def test_exact_subcommands_leave_numpy_unloaded(argv):
     "reproduce",
 ])
 def test_spectral_subcommands_leave_numpy_unloaded(argv):
-    assert not numpy_loaded(_RUN_MAIN.format(argv=argv.split()))
+    assert not module_loaded(_RUN_MAIN.format(argv=argv.split()))
