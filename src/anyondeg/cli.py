@@ -27,11 +27,12 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
-# Single CLI runs, 2-vCPU host, Python 3.11: det --k 64 0.47 s, qdim --k
-# 64 --method root 1.45 s and --method all 2.31 s.  genfunc takes the
+# CLI processes, 2-vCPU host, Python 3.11, medians of 4 runs on a noisy
+# host: det --k 64 0.29 s (0.21-0.34 s); single runs: qdim --k 64
+# --method root 1.45 s and --method all 2.31 s.  genfunc takes the
 # default cap too; the time follows the factors the numerators shed, and
-# its slowest levels are k=57 (> /dev/null 25.2 s, 288 MB peak RSS) and
-# k=63 (26.6 s, 425 MB; 31.4 s with --format json), against 8.5 s at 64.
+# its slowest levels are k=57 (> /dev/null 23.3 s, 288 MB peak RSS) and
+# k=63 (24.8 s, 425 MB; 28.2 s with --format json), against 9.1 s at 64.
 # The lower caps keep one call to about 30 s (one level more would leave
 # no margin): verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the
 # series recurrences; table prints every count, about as n^2: --max-k 64

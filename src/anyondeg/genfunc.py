@@ -23,8 +23,11 @@ D(s) = prod (1 - s chi_mu^3) over one alcove point mu per rotation
 orbit of size 3, with chi_mu an eigenvalue of A in Q(zeta), zeta of
 order 3(k + 3).  D is squarefree and splits over Q into one irreducible
 factor F_O per Galois orbit O of the chi_mu^3.  ``_orbit_factors``
-builds every F_O mod primes p = 1 mod 3(k + 3), lifts it by CRT and
-checks the lift mod one further prime; D is their product.  The
+builds every F_O mod primes p = 1 mod 3(k + 3) below 2^30, lifts it by
+CRT and checks the lift mod one further prime; D is their product.
+Below 2^30 a residue is one CPython digit and a three-base Miller-Rabin
+test is proven, so the prime search costs little; the lift only takes
+more primes where the bound on F_O's coefficients needs them.  The
 modular S-matrix diagonalizes A (Verlinde), so the class-g vertex v
 has G = sum_mu c_mu / (1 - s chi_mu^3) plus a polynomial, with
 c_mu = 3 S_{0 mu} conj(S_{v mu}) chi_mu^g and S_{0 mu} != 0, and F_O
@@ -79,16 +82,21 @@ class GenFnSolution:
     determinant: IntPoly
 
 
-# Miller-Rabin with these bases is deterministic for every n < 2^64
-# (Sinclair's set; a base that is 0 mod n passes).  Trial division
-# first rejects most composites for less than one modular power.
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# Miller-Rabin with the bases 2, 7, 61 is deterministic for every
+# n < 4 759 123 141 (Jaeschke, Math. Comp. 61 (1993) 915), and
+# _is_prime answers for n < 2^32 only.  Trial division first rejects most
+# composites for less than one modular power, and leaves n > 97, so no
+# base is 0 mod n.
+_MR_BASES = (2, 7, 61)
 _SMALL_PRIMES = tuple(q for q in range(3, 100, 2)
                       if all(q % r for r in range(3, q, 2)))
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2^64."""
+    """Deterministic primality test for n < 2^32, where the bases 2, 7,
+    61 are proven; ValueError from 2^32 on."""
+    if n >= 2 ** 32:
+        raise ValueError(f"_is_prime is proven for n < 2^32, got {n}")
     if n < 2 or n % 2 == 0:
         return n == 2
     for q in _SMALL_PRIMES:
@@ -99,7 +107,7 @@ def _is_prime(n: int) -> bool:
         d, r = d // 2, r + 1
     for a in _MR_BASES:
         x = pow(a, d, n)
-        if a % n == 0 or x in (1, n - 1):
+        if x in (1, n - 1):
             continue
         for _ in range(r - 1):
             x = x * x % n
@@ -111,12 +119,14 @@ def _is_prime(n: int) -> bool:
 
 
 def _unit_roots(order: int) -> Iterator[tuple[int, list[int]]]:
-    """Pairs (p, powers) for the primes p = 1 (mod order) below 2^62,
+    """Pairs (p, powers) for the primes p = 1 (mod order) below 2^30,
     descending: powers lists zeta^0 .. zeta^(order - 1) mod p for an
-    element zeta of exact multiplicative order ``order``."""
+    element zeta of exact multiplicative order ``order``.  Below 2^30
+    every residue is one CPython digit, so each product and modular
+    power is cheap, and the primality test is a three-base one."""
     factors = [q for q in range(2, order + 1)
                if order % q == 0 and _is_prime(q)]
-    for p in range((2 ** 62 - 2) // order * order + 1, order, -order):
+    for p in range((2 ** 30 - 2) // order * order + 1, order, -order):
         if not _is_prime(p):
             continue
         for g in count(2):
@@ -186,7 +196,8 @@ def _orbit_factors(k: int) -> tuple[int, list[int],
     coefficient of F_O is at most 28^|O| in size since |chi| <= 3, which
     sets how many primes the CRT lift takes.  Every lifted F_O must then
     agree with the product mod the next prime, which the lift did not use
-    (else ArithmeticError).
+    (else ArithmeticError).  The primes come from ``_unit_roots``, below
+    2^30.
     """
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")

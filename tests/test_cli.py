@@ -184,14 +184,14 @@ class TestDet:
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # wrong zeta powers mod the check prime, which k = 3 reaches after
-        # lifting with the first prime alone, fail the factors' re-check
+        # lifting with the first prime alone, fail the factors' re-check;
+        # two pairs drawn show that premise
         def corrupted(order):
-            pairs = real(order)
-            yield next(pairs)
-            for p, powers in pairs:
-                yield p, [(x + 1) % p for x in powers]
+            for n, (p, powers) in enumerate(real(order)):
+                drawn.append(p)
+                yield p, powers if n == 0 else [(x + 1) % p for x in powers]
 
-        real = anyondeg.genfunc._unit_roots
+        real, drawn = anyondeg.genfunc._unit_roots, []
         monkeypatch.setattr(anyondeg.genfunc, "_unit_roots", corrupted)
         anyondeg.genfunc.system_det.cache_clear()
         try:
@@ -201,6 +201,7 @@ class TestDet:
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: a Galois-orbit factor fails the check")
+        assert len(drawn) == 2
 
 
 class TestVerify:

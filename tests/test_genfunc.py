@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import islice
 from math import prod
 
 import pytest
@@ -244,13 +245,13 @@ def _is_prime_12_bases(n):
     return True
 
 
-def corrupt_check_prime(unit_roots):
-    """``_unit_roots`` with every pair after the first corrupted."""
+def corrupt_check_prime(unit_roots, drawn):
+    """``_unit_roots`` with every pair after the first corrupted; the
+    prime of every pair drawn is appended to ``drawn``."""
     def roots(order):
-        pairs = unit_roots(order)
-        yield next(pairs)
-        for p, powers in pairs:
-            yield p, [(x + 1) % p for x in powers]
+        for n, (p, powers) in enumerate(unit_roots(order)):
+            drawn.append(p)
+            yield p, powers if n == 0 else [(x + 1) % p for x in powers]
     return roots
 
 
@@ -259,25 +260,43 @@ class TestGaloisFactors:
         small = [n for n in range(2000) if n > 1
                  and all(n % q for q in range(2, int(n ** 0.5) + 1))]
         assert [n for n in range(2000) if _is_prime(n)] == small
-        assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 62 - 1)
-        # the strong pseudoprime to every prime base up to 31, and a
+        assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 32 - 5)
+        # the strong pseudoprime to the bases 2, 3, 5 and 7, and a
         # Carmichael number
-        assert not _is_prime(3825123056546413051)
+        assert not _is_prime(3215031751)
         assert not _is_prime(561)
+        # refused from 2^32 on, where the test does not answer: two
+        # Mersenne numbers, the strong pseudoprime to every prime base up
+        # to 31, and the first one to 2, 7 and 61
+        for n in (2 ** 32, 2 ** 61 - 1, 2 ** 62 - 1, 3825123056546413051,
+                  4759123141):
+            with pytest.raises(ValueError):
+                _is_prime(n)
 
     def test_is_prime_matches_twelve_bases_below_a_million(self):
         assert [n for n in range(10 ** 6) if _is_prime(n)] \
             == [n for n in range(10 ** 6) if _is_prime_12_bases(n)]
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(2 ** 32 - 1)
+    @example(2 ** 32 - 5)
+    @example(3215031751)
+    def test_is_prime_matches_twelve_bases_below_2_to_32(self, n):
+        assert _is_prime(n) == _is_prime_12_bases(n)
+
     @pytest.mark.parametrize("order", range(6, 202))
     def test_unit_roots_yield_every_prime(self, order):
         # the first two primes the factors use, and every candidate
-        # between them, agree with the twelve-base test
-        start = (2 ** 62 - 2) // order * order + 1
+        # between them, agree with the twelve-base test; the walk from
+        # the expected start is cut at 2000 candidates, so a library that
+        # starts elsewhere fails here instead of sending the walk on
+        start = (2 ** 30 - 2) // order * order + 1
+        candidates = range(start, start - 2000 * order, -order)
         roots = _unit_roots(order)
         primes = [next(roots)[0], next(roots)[0]]
-        assert primes == [n for n in range(start, primes[1] - 1, -order)
-                          if _is_prime_12_bases(n)]
+        assert primes == list(islice(filter(_is_prime_12_bases, candidates),
+                                     2))
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_cubes_distinct_and_degrees_sum_to_det(self, k):
@@ -286,7 +305,7 @@ class TestGaloisFactors:
         # zeta = powers[1] has exact order 3(k + 3) mod a prime p = 1 mod it
         primes = [q for q in range(2, order + 1)
                   if order % q == 0 and all(q % r for r in range(2, q))]
-        assert p % order == 1 and p < 2 ** 62 and _is_prime(p)
+        assert p % order == 1 and p < 2 ** 30 and _is_prime(p)
         assert len(powers) == order and pow(powers[1], order, p) == 1
         assert all(pow(powers[1], order // q, p) != 1 for q in primes)
         cubes = [_cube(ell, powers, p) for ell in _alcove_points(k)]
@@ -395,15 +414,35 @@ class TestGaloisFactors:
 
     def test_product_mismatch_raises(self, monkeypatch):
         # k = 5 lifts with the first prime alone, so the second, whose
-        # zeta powers are shifted here, is the check prime
+        # zeta powers are shifted here, is the check prime: two pairs drawn
+        drawn = []
         monkeypatch.setattr(anyondeg.genfunc, "_unit_roots",
-                            corrupt_check_prime(_unit_roots))
+                            corrupt_check_prime(_unit_roots, drawn))
         solve_system.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="check prime"):
                 solve_system(5)
         finally:
             solve_system.cache_clear()
+        assert len(drawn) == 2
+
+    def test_library_and_oracle_primes_never_meet(self, monkeypatch):
+        # the factors are built below 2^30 and the mod-p oracles work
+        # above it, so block_det_mod_p, verlinde_origin_count and the
+        # Schur check never share a modulus with the route they check
+        drawn = set()
+
+        def recorded(order):
+            for p, powers in _unit_roots(order):
+                drawn.add(p)
+                yield p, powers
+
+        monkeypatch.setattr(anyondeg.genfunc, "_unit_roots", recorded)
+        for k in range(1, 65):
+            _orbit_factors(k)
+        oracle = {p for k in range(1, 65)
+                  for p in primes_1_mod(6 * (k + 3), 2)} | {2 ** 61 - 1}
+        assert max(drawn) < 2 ** 30 < min(oracle)
 
     @pytest.mark.parametrize("k", [3, 6, 9, 12])
     def test_forced_false_zero_keeps_the_result(self, monkeypatch, k):
