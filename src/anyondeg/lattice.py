@@ -97,11 +97,12 @@ def walk_table(lat: Lattice) -> tuple[tuple[list[Vertex], ...],
         cls = classes[(2 * v.i + v.j) % 3]
         pos[v] = len(cls)
         cls.append(v)
+    (ai, aj), (bi, bj), (ci, cj) = _STEPS
     pred = []
     for g, cls in enumerate(classes):
-        pad = len(classes[g - 1])
-        pred.append([[pos.get((i - di, j - dj), pad) for di, dj in _STEPS]
-                     for i, j in cls])
+        pad, get = len(classes[g - 1]), pos.get
+        pred.append([[get((i - ai, j - aj), pad), get((i - bi, j - bj), pad),
+                      get((i - ci, j - cj), pad)] for i, j in cls])
     return classes, pos, pred
 
 

@@ -5,8 +5,10 @@ The asymptotic growth factor (the total quantum dimension) is
   * the closed trig form sin(pi*N/(N+k)) / sin(pi/(N+k)) with N = 3,
     the row count of the tableaux and the only N the library counts,
   * the dominant eigenvalue of the lattice adjacency matrix, by Lanczos
-    on the origin block B of A^3, applied by ``lattice.step`` along
-    ``lattice.walk_table``,
+    on B + B^T, B the origin block of A^3.  Started from the uniform
+    vector, every Krylov vector is exactly symmetric under the mirror
+    P, (i, j) -> (j, i), so the operator is applied as (I + P) B^T: one
+    pass of ``lattice.step`` along ``lattice.walk_table`` per step,
   * the reciprocal of the smallest positive root of the system
     determinant, isolated in s = t^3 and certified by Descartes' rule
     of signs.
@@ -65,12 +67,13 @@ def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
 
 def _perron_apply(pred: list[list[list[int]]], mirror: list[int],
                   x: list[float]) -> list[float]:
-    """(B + B^T) x over class 0, with B x = P B^T P x: mirror[r] is the
-    class-0 position of (j, i) for the r-th class-0 vertex (i, j), and
-    the mirror P keeps class 0 and reverses every edge, so B^T = P B P."""
-    back = _three_steps(pred, x)
-    fwd = _three_steps(pred, [x[m] for m in mirror])
-    return [b + fwd[m] for b, m in zip(back, mirror)]
+    """(I + P) B^T x over class 0, in one pass: mirror[r] is the class-0
+    position of (j, i) for the r-th class-0 vertex (i, j).  The mirror P
+    keeps class 0 and reverses every edge, so B = P B^T P, and on a
+    P-symmetric x (x == P x) this is (B + B^T) x.  Lanczos passes only
+    such x, bit for bit (see ``lambda_perron``)."""
+    y = _three_steps(pred, x)
+    return [a + y[m] for a, m in zip(y, mirror)]
 
 
 def _top_at_least(alphas: list[float], sq_betas: list[float],
@@ -99,6 +102,15 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     (theta / 2)^(1/3) moves by less than tol, which must be positive and
     finite, or when the Krylov space runs out: a zero residual, or as
     many steps as class 0 has vertices.
+
+    The mirror P, (i, j) -> (j, i), has P A P = A^T, so B + B^T commutes
+    with P and the Krylov space of the uniform start vector is
+    P-symmetric.  That holds bit for bit: the start is exactly
+    symmetric, every update (w - alpha q - beta q_prev, w / beta) is
+    elementwise, and ``_perron_apply``'s y[r] + y[P r] is the same float
+    at r and at P r.  On such q, B q = P B^T P q = P B^T q, so
+    (B + B^T) q is (I + P) B^T q: one B^T pass instead of two, and the
+    same floats, since B^T (P q) is then the list B^T q itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")

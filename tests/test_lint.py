@@ -20,9 +20,10 @@ written only in ``lattice.step``.  Every walk count comes from
 ``pathcount._sweep`` stepping along that table, and so does every
 numerator of ``solve_system``, from one sweep fed the determinant's
 coefficients at the origin; ``spectral._three_steps`` takes the same
-steps on float vectors, to apply the Perron block B and its transpose
-for Lanczos.  The test oracles keep their own loops:
-``tests/oracles.py`` imports no ``_``-prefixed library name.
+steps on float vectors, to apply the transpose of the Perron block B
+once per Lanczos step, as (I + P) B^T on the mirror-symmetric Krylov
+vectors.  The test oracles keep their own loops: ``tests/oracles.py``
+imports no ``_``-prefixed library name.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.

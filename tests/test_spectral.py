@@ -50,6 +50,21 @@ def _unit(r: int, n: int) -> list[float]:
     return [float(c == r) for c in range(n)]
 
 
+def _mirror_and_table(k: int) -> tuple[list[int], list[list[list[int]]]]:
+    """The class-0 mirror positions and the walk table, as
+    ``lambda_perron`` builds them."""
+    classes, pos, pred = walk_table(build_lattice(k))
+    return [pos[Vertex(v.j, v.i)] for v in classes[0]], pred
+
+
+def _two_pass_apply(pred, mirror, x):
+    """(B + B^T) x by two B^T passes, B x = P B^T P x: the operator
+    before the one-pass form, kept to pin that form's floats."""
+    back = _three_steps(pred, x)
+    fwd = _three_steps(pred, [x[m] for m in mirror])
+    return [b + fwd[m] for b, m in zip(back, mirror)]
+
+
 class TestPerron:
     def test_permutation_matrix(self):
         assert lambda_perron(1) == pytest.approx(1.0, abs=1e-9)
@@ -69,15 +84,35 @@ class TestPerron:
 
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 64])
     def test_bit_identical_to_dense_route(self, k):
-        # the operator Lanczos runs on, applied to each unit vector of
-        # class 0, is bit for bit the dense B + B^T
-        classes, pos, pred = walk_table(build_lattice(k))
-        mirror = [pos[Vertex(v.j, v.i)] for v in classes[0]]
+        # on its domain, the mirror-symmetric vectors e_c + e_{P c}
+        # (c <= P c), the operator Lanczos runs on is bit for bit the
+        # dense B + B^T
+        mirror, pred = _mirror_and_table(k)
         n0 = len(mirror)
-        columns = [_perron_apply(pred, mirror, _unit(c, n0))
-                   for c in range(n0)]
         block = dense_perron_block(k)
-        assert np.array(columns).T.tolist() == (block + block.T).tolist()
+        dense = block + block.T
+        for c, m in enumerate(mirror):
+            if c <= m:
+                x = [float(r in (c, m)) for r in range(n0)]
+                assert _perron_apply(pred, mirror, x) == (dense @ x).tolist()
+
+    @pytest.mark.parametrize("k", [3, 5, 12])
+    def test_off_the_domain_it_is_one_transpose_pass(self, k):
+        # on a unit vector e_c with c != P c the result is (I + P) B^T e_c,
+        # not (B + B^T) e_c
+        mirror, pred = _mirror_and_table(k)
+        n0 = len(mirror)
+        bt = dense_perron_block(k).T
+        perm = np.eye(n0)[mirror]
+        asymmetric = [c for c, m in enumerate(mirror) if c != m]
+        assert asymmetric
+        for c in asymmetric:
+            x = _unit(c, n0)
+            got = _perron_apply(pred, mirror, x)
+            assert got == ((np.eye(n0) + perm) @ bt @ x).tolist()
+        assert any(_perron_apply(pred, mirror, _unit(c, n0))
+                   != ((bt + bt.T) @ _unit(c, n0)).tolist()
+                   for c in asymmetric)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_mirror_transposes_adjacency(self, k):
@@ -110,6 +145,51 @@ class TestPerron:
         lam = lambda_perron(k, tol=1e-300)
         assert abs(lam - lambda_trig(k)) < 1e-13
         assert steps <= len(walk_table(build_lattice(k))[0][0])
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    @pytest.mark.parametrize("k", [*range(1, 31), 48, 56, 64])
+    def test_bit_identical_to_two_passes(self, k, tol, monkeypatch):
+        # every Lanczos vector is mirror-symmetric, so one B^T pass
+        # gives the floats of two, and the same value to the last bit
+        lam = lambda_perron(k, tol)
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply",
+                            _two_pass_apply)
+        assert lambda_perron(k, tol) == lam
+
+    @pytest.mark.parametrize("k", [2, 12, 33, 64])
+    def test_lanczos_vectors_are_mirror_symmetric(self, k, monkeypatch):
+        mirror = _mirror_and_table(k)[0]
+        seen = []
+
+        def recorded(*args):
+            seen.append(args[-1])
+            return _perron_apply(*args)
+
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply", recorded)
+        lambda_perron(k, tol=1e-300)
+        assert seen
+        assert all(x == [x[m] for m in mirror] for x in seen)
+
+    @pytest.mark.parametrize("k", [2, 12, 48])
+    def test_one_transpose_pass_per_step(self, k, monkeypatch):
+        # a second pass per operator call would double the Perron time
+        applies = passes = 0
+
+        def counted_apply(*args):
+            nonlocal applies
+            applies += 1
+            return _perron_apply(*args)
+
+        def counted_steps(*args):
+            nonlocal passes
+            passes += 1
+            return _three_steps(*args)
+
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted_apply)
+        monkeypatch.setattr(anyondeg.spectral, "_three_steps", counted_steps)
+        lambda_perron(k)
+        assert applies > 0
+        assert passes == applies
 
     def test_step_limit_raises(self, monkeypatch):
         monkeypatch.setattr(anyondeg.spectral, "PERRON_MAX_ITER", 2)
