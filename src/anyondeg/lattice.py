@@ -98,9 +98,9 @@ def walk_table(lat: Lattice) -> tuple[tuple[list[Vertex], ...],
         pos[v] = len(cls)
         cls.append(v)
     (ai, aj), (bi, bj), (ci, cj) = _STEPS
-    pred = []
+    get, pred = pos.get, []
     for g, cls in enumerate(classes):
-        pad, get = len(classes[g - 1]), pos.get
+        pad = len(classes[g - 1])
         pred.append([[get((i - ai, j - aj), pad), get((i - bi, j - bj), pad),
                       get((i - ci, j - cj), pad)] for i, j in cls])
     return classes, pos, pred
