@@ -28,7 +28,10 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
 # CLI processes, 2-vCPU host, Python 3.11, medians of 4 runs on a noisy
-# host: det --k 64 0.29 s (0.21-0.34 s); single runs: qdim --k 64
+# host: det --k 64 0.29 s (0.21-0.34 s); count at the default caps,
+# --k 64 --n 10000 --vertex 10,14, 0.46 s (0.41-0.47 s) by the
+# reflection sum, against 6.97 s by the whole-lattice sweep (--n 9999 at
+# the origin: 0.42 s against 7.00 s); single runs: qdim --k 64
 # --method root 1.45 s and --method all 2.31 s.  genfunc takes the
 # default cap too; the time follows the factors the numerators shed, and
 # its slowest levels are k=57 (> /dev/null 23.3 s, 288 MB peak RSS) and

@@ -10,8 +10,11 @@ nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
 canonical order, and fills it from the previous step's list by
 ``lattice.step`` over the class's rows of ``lattice.walk_table``; it
-serves every query, the numerators of ``genfunc`` too.  Everything is a
-Python int; no floats.
+serves every query, the numerators of ``genfunc`` too, but one:
+``degeneracy`` from level ``REFLECTION_MIN_K`` up, which wants a single
+count and takes it from the affine reflection sum of
+``_reflection_count``, about n (k + 3) additions instead of the sweep's
+n (k + 1)(k + 2) / 6.  Everything is a Python int; no floats.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
     in_vertex_set, step, walk_table
@@ -66,8 +70,56 @@ def count_paths(k: int, n: int) -> CountTable:
                       counts={v: reached.get(v, 0) for v in lat.vertices})
 
 
+# The lowest level from which ``degeneracy`` takes the reflection sum:
+# on a 2-vCPU host, in process, the sum is nowhere slower than the sweep
+# there for n <= 10000 (the CLI cap); at k = 10, n = 9999 it lost a
+# quarter of 14 alternating pairs (see CHANGES.md).
+REFLECTION_MIN_K = 11
+
+# The six permutations sigma of S3 as (sign, sigma(1), sigma(2)), 0-based.
+_S3 = ((1, 0, 1), (-1, 1, 0), (-1, 0, 2), (1, 1, 2), (1, 2, 0), (-1, 2, 1))
+
+
+def _reflection_count(k: int, n: int, v: Vertex) -> int:
+    """Number of n-step walks from the origin ending at v, by the affine
+    reflection principle (Gessel-Zeilberger; Grabiner).
+
+    A walk is a 3-row tableau; in b = (r1 + 2, r2 + 1, r3) it starts at
+    (2, 1, 0), adds 1 to one coordinate per step and stays in the alcove
+    b1 > b2 > b3 > b1 - m, m = k + 3.  So the count is the signed sum
+    over sigma in S3 and the translations by m of the unrestricted
+    multinomials C(n, c1) C(n - c1, c2), c1 = b_sigma1 - 2 and
+    c2 = b_sigma2 - 1 (mod m):  sum_sigma sgn sigma sum_c1 C(n, c1)
+    S(n - c1, b_sigma2 - 1), where S(q, r) sums C(q, c) over c = r
+    (mod m).  S(q) steps up from q = 0 by S(q + 1, r) = S(q, r) +
+    S(q, r - 1), m additions a step, in lockstep with C(n, n - q); the
+    two sigma with the same sigma(1) have opposite signs and share one
+    product.  Needs n = 2i + j (mod 3).
+    """
+    m = k + 3
+    r3 = (n - 2 * v.i - v.j) // 3
+    b = (r3 + v.i + v.j + 2, r3 + v.i + 1, r3)
+    pairs = {}  # c1 mod m -> [c2 mod m of the + sigma, of the - sigma]
+    for sign, s1, s2 in _S3:
+        pairs.setdefault((b[s1] - 2) % m, [0, 0])[sign < 0] = (b[s2] - 1) % m
+    s, c, total = [1] + [0] * (m - 1), 1, 0  # S(0), C(n, n)
+    for q in range(n + 1):
+        if q:
+            s = [s[0] + s[-1], *map(add, s[1:], s)]
+            c = c * (n - q + 1) // q
+        pair = pairs.get((n - q) % m)
+        if pair:
+            total += c * (s[pair[0]] - s[pair[1]])
+    return total
+
+
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
-    """Number of n-step walks from the origin ending at v."""
+    """Number of n-step walks from the origin ending at v.
+
+    0 at once off v's grade class; otherwise one DP sweep below level
+    ``REFLECTION_MIN_K`` and the reflection sum of ``_reflection_count``
+    from it up, the faster route there for every n up to 10000.
+    """
     v = Vertex(*v)
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
@@ -76,6 +128,8 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
+    if k >= REFLECTION_MIN_K:
+        return _reflection_count(k, n, v)
     _, pos, pred = walk_table(build_lattice(k))
     return deque(_sweep(pred, n), maxlen=1).pop()[pos[v]]
 

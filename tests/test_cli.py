@@ -18,17 +18,31 @@ from anyondeg import reference
 from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, CAP_N_VERIFY, \
     DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution, solve_system
-from anyondeg.lattice import build_lattice, walk_table
+from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
+
+from oracles import primes_1_mod, verlinde_origin_count
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(argv: str) -> subprocess.Popen:
+    """An ``anyondeg`` process on this checkout's sources, with pipes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "anyondeg.cli", *argv.split()],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 class TestCount:
@@ -58,6 +72,19 @@ class TestCount:
     def test_congruence_zero_at_the_caps(self, capsys):
         code, out, _ = run(capsys, "count", "--k", "64", "--n", "10000")
         assert code == 0 and out == "0\n"
+
+    @pytest.mark.parametrize("vertex,reached", [("10,13", False),
+                                                ("10,14", True)])
+    def test_process_at_the_caps_agrees_mod_p(self, vertex, reached):
+        # at n = 10000 the congruence forces 0 at (10, 13), and (10, 14)
+        # runs the reflection sum; the Verlinde formula checks both
+        proc = cli_process(f"count --k 64 --n 10000 --vertex {vertex}")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == b""
+        count, v = int(out), Vertex(*map(int, vertex.split(",")))
+        assert (count.bit_length() > 15000) == reached
+        for p in primes_1_mod(6 * 67, 2):
+            assert verlinde_origin_count(64, 10000, p, v) == count % p
 
 
 class TestTable:
@@ -483,13 +510,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         "reproduce", "table --max-k 8 --max-n 3000"])
     def test_reader_closing_early_leaves_stderr_empty(self, argv):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "anyondeg.cli", *argv.split()],
-            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = cli_process(argv)
         assert proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)

@@ -17,8 +17,12 @@ full matrix, so no module grows a second predecessor list of its own.
 
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  Every walk count comes from
-``pathcount._sweep`` stepping along that table, and so does every
-numerator of ``solve_system``, from one sweep fed the determinant's
+``pathcount._sweep`` stepping along that table but one: the single
+count ``degeneracy`` returns from level ``REFLECTION_MIN_K`` up, which
+comes from the affine reflection sum ``pathcount._reflection_count``,
+and ``degeneracy`` is that sum's one caller, so every other quantity
+keeps the sweep as its one production route.  Every numerator of
+``solve_system`` comes from one sweep fed the determinant's
 coefficients at the origin; ``spectral._three_steps`` takes the same
 steps on float vectors, to apply the transpose of the Perron block B
 once per Lanczos step, as (I + P) B^T on the mirror-symmetric Krylov
@@ -150,6 +154,12 @@ def test_one_step_loop():
     found = {(name, func) for name, tree in _trees()
              for func in _enclosing(tree, _three_entry_sum)}
     assert found == {("lattice.py", "step")}
+
+
+def test_reflection_sum_called_only_by_degeneracy():
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "_reflection_count")}
+    assert callers == {("pathcount.py", "degeneracy")}
 
 
 def test_system_det_reaches_no_walk_sweep():

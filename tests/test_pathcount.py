@@ -5,9 +5,11 @@ import anyondeg.pathcount
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, walk_table
 from anyondeg.pathcount import (
-    _sweep, count_paths, degeneracy, origin_history, table,
+    REFLECTION_MIN_K, _reflection_count, _sweep, count_paths, degeneracy,
+    origin_history, table,
 )
 from anyondeg.reference import ORIGIN_COUNTS
+from anyondeg.syt import unrestricted_count
 
 from oracles import catalan3d, counts_by_matrix_power, dense_perron_block, \
     dfs_walk_counts, fibonacci, primes_1_mod, verlinde_counts, \
@@ -95,7 +97,7 @@ class TestSweep:
 
 @st.composite
 def level_step_vertex(draw):
-    k = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 24))  # spans REFLECTION_MIN_K
     i = draw(st.integers(0, k))
     return k, draw(st.integers(0, 60)), Vertex(i, draw(st.integers(0, k - i)))
 
@@ -124,12 +126,29 @@ class TestDegeneracy:
             degeneracy(0, 1)
 
     def test_congruence_zero_skips_the_dp(self, monkeypatch):
-        def no_dp(k, n):
-            raise AssertionError("the DP ran for a count forced to 0")
+        # neither the sweep nor the reflection sum runs
+        def no_route(*args):
+            raise AssertionError("a count forced to 0 ran a route")
 
-        monkeypatch.setattr(anyondeg.pathcount, "count_paths", no_dp)
+        monkeypatch.setattr(anyondeg.pathcount, "_sweep", no_route)
+        monkeypatch.setattr(anyondeg.pathcount, "_reflection_count", no_route)
         assert degeneracy(64, 10000) == 0
         assert degeneracy(5, 4, (1, 1)) == 0
+        # one step on, each level's route runs and the patch catches it
+        for k, n, v in [(64, 9999, ORIGIN), (5, 3, (1, 1))]:
+            with pytest.raises(AssertionError, match="ran a route"):
+                degeneracy(k, n, v)
+
+    @pytest.mark.parametrize("k,route", [
+        (1, "_sweep"), (REFLECTION_MIN_K - 1, "_sweep"),
+        (REFLECTION_MIN_K, "_reflection_count"), (64, "_reflection_count")])
+    def test_level_picks_the_route(self, monkeypatch, k, route):
+        expected, calls = count_paths(k, 30).counts[ORIGIN], []
+        real = getattr(anyondeg.pathcount, route)
+        monkeypatch.setattr(anyondeg.pathcount, route,
+                            lambda *args: calls.append(args) or real(*args))
+        assert degeneracy(k, 30) == expected
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_congruence(self, k):
@@ -139,16 +158,42 @@ class TestDegeneracy:
                     assert c == 0
 
     def test_monotone_in_level(self):
-        for k in range(1, 7):
-            for n in range(0, 13):
+        # k -> k + 1 crosses from the sweep to the reflection sum at
+        # REFLECTION_MIN_K - 1; the level bites once n >= k + 2
+        edge = range(REFLECTION_MIN_K - 2, REFLECTION_MIN_K + 1)
+        for k, n_max in [*((k, 12) for k in range(1, 7)),
+                         *((k, 36) for k in edge)]:
+            grew = False
+            for n in range(0, n_max + 1):
                 for v in build_lattice(k).vertices:
-                    assert degeneracy(k, n, v) <= degeneracy(k + 1, n, v)
+                    low, high = degeneracy(k, n, v), degeneracy(k + 1, n, v)
+                    assert low <= high
+                    grew |= low < high
+            assert grew, k
 
     def test_saturation_at_high_level(self):
         for n in range(0, 10):
             k = max(n, 1)
             for v in build_lattice(k).vertices:
                 assert degeneracy(k, n, v) == degeneracy(k + 1, n, v)
+
+
+class TestReflectionCount:
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_the_sweep_at_every_vertex(self, k):
+        # every vertex of class n mod 3, those with no n-box shape too
+        for n in range(46):
+            for v, count in count_paths(k, n).counts.items():
+                if (n - 2 * v.i - v.j) % 3 == 0:
+                    assert _reflection_count(k, n, v) == count
+
+    @pytest.mark.parametrize("k", [20, 45, 64])
+    def test_hook_lengths_where_the_level_is_inert(self, k):
+        for n in range(k - 8, k + 1):
+            for v in build_lattice(k).vertices:
+                if (n - 2 * v.i - v.j) % 3 == 0:
+                    assert _reflection_count(k, n, v) \
+                        == unrestricted_count(n, v)
 
 
 class TestVerlindeOracle:
@@ -177,6 +222,22 @@ class TestVerlindeOracle:
             history = origin_history(k, 72, v)
             ns = [*range(g, 73, 3), (g + 1) % 3]
             assert verlinde_counts(k, ns, p, v) == [history[n] % p for n in ns]
+
+    @pytest.mark.parametrize("k", [REFLECTION_MIN_K, 64])
+    @pytest.mark.parametrize("n", [9999, 10000])
+    def test_counts_at_the_step_cap(self, k, n):
+        # the reflection sum's lowest and highest level at the CLI's step
+        # cap, at vertices of n's grade class, the lattice's corners too
+        vertices = [v for v in map(Vertex._make, [
+            (0, 0), (1, 1), (5, 5), (0, 1), (4, 5), (0, k), (k, 0)])
+            if (n - 2 * v.i - v.j) % 3 == 0]
+        assert len(vertices) >= 2
+        primes = primes_1_mod(6 * (k + 3), 2)
+        for v in vertices:
+            count = degeneracy(k, n, v)
+            assert count.bit_length() > 10000
+            for p in primes:
+                assert verlinde_origin_count(k, n, p, v) == count % p
 
     def test_endpoint_counts_past_the_golden_tables(self):
         v = Vertex(10, 13)
