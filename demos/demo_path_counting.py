@@ -8,12 +8,15 @@ integer sequences.
 """
 
 from anyondeg import Vertex, build_lattice, count_paths, degeneracy, table
-from anyondeg.lattice import predecessors
+from anyondeg.lattice import walk_table
 
 # The lattice itself: level 3 has binom(5, 2) = 10 vertices.  Each edge
-# is counted once, at its head, from the predecessor rule.
+# is counted once, at its head, from the walk table, pads (positions
+# past the previous class) left out.
 lat = build_lattice(3)
-edges = sum(len(predecessors(v, lat.k)) for v in lat.vertices)
+classes, _, pred = walk_table(lat)
+edges = sum(u < len(classes[g - 1])
+            for g, rows in enumerate(pred) for row in rows for u in row)
 print(f"level 3: {lat.dim} vertices, {edges} edges")
 print("successor structure is at most 3-regular:",
       sorted(lat.vertices)[:4], "...")

@@ -1,10 +1,9 @@
 """Generating functions via the polynomial linear system M_k x = e_1.
 
-The recurrence on walk counts packs into a linear system M_k x = e_1
-over Z[t], where x stacks the generating functions in canonical vertex
-order and M_k = I - t * A^T (A the adjacency matrix).  ``build_system``
-fills M_k straight from the lattice's predecessor rule; in the
-canonical order it is the paper's block-tridiagonal form.
+x stacks the generating functions in canonical vertex order, and
+M_k = I - t * A^T over Z[t] (A the adjacency matrix) is the paper's
+block-tridiagonal form.  M_k is never built here; only the test
+oracles solve the full system.
 
 Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic in
 the grade classes C0, C1, C2, and on C0 the system is
@@ -46,31 +45,9 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, prod
 
-from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    predecessors, walk_table
+from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, walk_table
 from .pathcount import _sweep
 from .poly import IntPoly, RationalFn
-
-PolyMatrix = list  # list of rows of IntPoly
-
-
-def build_system(k: int) -> PolyMatrix:
-    """System matrix I - t * A^T of dimension (k+1)(k+2)/2, canonical order.
-
-    Row v holds 1 on the diagonal and -t in the column of every
-    predecessor of v; the right-hand side of the system is e_1, which
-    lands on the origin's row (else ArithmeticError)."""
-    lat = build_lattice(k)
-    zero, neg_t = IntPoly.zero(), IntPoly.monomial(-1, 1)
-    mat = [[zero] * lat.dim for _ in range(lat.dim)]
-    for v in lat.vertices:
-        r = lat.index(v)
-        mat[r][r] = IntPoly.one()
-        for u in predecessors(v, k):
-            mat[r][lat.index(u)] = neg_t
-    if lat.index(ORIGIN) != 0 or mat[0][0] != IntPoly.one():
-        raise ArithmeticError("e_1 does not land on the origin's row")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -354,5 +331,6 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
                 c, dp = next(coeffs), counts[r] if on_grade else 0
                 if c != dp:
                     mismatches.append((v, n, c, dp))
-    mismatches.sort(key=lambda m: (lat.index(m[0]), m[1]))
+    canonical = {v: r for r, v in enumerate(lat.vertices)}
+    mismatches.sort(key=lambda m: (canonical[m[0]], m[1]))
     return mismatches

@@ -3,12 +3,12 @@
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
-admissible tableaux.  The edge rule is ``_STEPS``: ``predecessors``
-lists a vertex's in-range predecessors, and ``walk_table`` builds the
-one padded per-class table from it by position lookup, in one pass.
-Every walk, the Perron route's block B too, reads that table, and
-``step`` is the one loop that takes a step along it.  Pure Python; no
-dense adjacency matrix is built.
+admissible tableaux.  The edge rule is ``_STEPS``, and ``walk_table``,
+its one reader, builds the one padded per-class table from it by
+position lookup, in one pass.  Every walk, the Perron route's block B
+and the numerator sweep too, reads that table, and ``step`` is the one
+loop that takes a step along it.  Pure Python; no dense adjacency
+matrix is built.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ def check_vertex(v: Vertex, k: int) -> None:
         raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
 
 
-def predecessors(v: Vertex, k: int) -> list[Vertex]:
-    """In-range predecessors of v: (i+1,j), (i-1,j+1), (i,j-1)."""
-    out = []
-    for di, dj in _STEPS:
-        u = Vertex(v.i - di, v.j - dj)
-        if in_vertex_set(u, k):
-            out.append(u)
-    return out
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Level-k lattice with its canonical vertex order.
@@ -58,10 +48,6 @@ class Lattice:
 
     k: int
     vertices: tuple[Vertex, ...]
-
-    def index(self, v: Vertex) -> int:
-        check_vertex(v, self.k)
-        return v.i * (2 * self.k - v.i + 3) // 2 + v.j
 
     @property
     def dim(self) -> int:

@@ -45,19 +45,24 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, coeff: int, power: int) -> "IntPoly":
-        """coeff * t^power"""
+        """coeff * t^power; ValueError on a negative power."""
+        if power < 0:
+            raise ValueError(f"negative power {power}")
         if coeff == 0:
             return cls()
         return cls((0,) * power + (coeff,))
 
     @classmethod
     def from_terms(cls, terms) -> "IntPoly":
-        """Build from an iterable of (power, coeff) pairs or a dict."""
+        """Build from an iterable of (power, coeff) pairs or a dict;
+        ValueError on a negative power."""
         if isinstance(terms, dict):
             terms = terms.items()
         terms = list(terms)
         if not terms:
             return cls()
+        if min(p for p, _ in terms) < 0:
+            raise ValueError(f"negative power in {terms}")
         size = max(p for p, _ in terms) + 1
         cs = [0] * size
         for p, c in terms:

@@ -1,32 +1,36 @@
 """Independent brute-force oracles shared by the tests.
 
 These deliberately avoid the library's production code paths.  The
-library reads edges backwards only (``lattice.predecessors``); here the
-forward rule ``successors`` is derived afresh from box addition on the
-vertex's 3-row shape and shares no step table with the library.  Walks
-are enumerated one at a time by depth-first search over it, or counted
-by powers of the dense adjacency matrix built from it; the system matrix
-is pasted from the paper's block display rather than from the lattice's
-edge rule; determinants and generating functions come from fraction-free
-(Bareiss) elimination, which the library does not use: on the full
-system in t, and on the graded system I - s B^T over the origin's grade
-class; they are put in lowest terms by the primitive-PRS gcd, where the
-library divides by the determinant's Galois-orbit factors, and past the
-PRS gcd's reach coprimality is certified by Euclid's algorithm mod a
-prime; which factors a numerator keeps is decided by its residues at the
-factors' roots, where the library reads the S-matrix; determinants at a
-point are taken mod p by Gaussian elimination on the adjacency matrix or
-on I - s B; the Perron block B, for the power iteration and for the
-graded system alike, is sliced out of the adjacency matrix and
-multiplied rather than chained from the library's predecessor table.
-The determinant, which the library takes from the SU(3)_k spectrum, is
+library reads edges backwards only, from the step table ``_STEPS``
+through ``lattice.walk_table``; here the forward rule ``successors`` is
+derived afresh from box addition on the vertex's 3-row shape and shares
+no step table with the library, and the predecessor lists are that rule
+reversed.  Walks are enumerated one at a time by depth-first search over
+it, or counted by powers of the dense adjacency matrix built from it;
+the system matrix M_k, which the library never builds, is pasted from
+the paper's block display rather than from an edge rule; determinants
+and generating functions come from fraction-free (Bareiss) elimination,
+which the library does not use: on the full system in t, and on the
+graded system I - s B^T over the origin's grade class; they are put in
+lowest terms by the primitive-PRS gcd, where the library divides by the
+determinant's Galois-orbit factors, and past the PRS gcd's reach
+coprimality is certified by Euclid's algorithm mod a prime; which
+factors a numerator keeps is decided by its residues at the factors'
+roots, where the library reads the S-matrix; determinants at a point are
+taken mod p by Gaussian elimination on the adjacency matrix or on
+I - s B; the Perron block B, for the power iteration and for the graded
+system alike, is sliced out of the adjacency matrix and multiplied
+rather than chained from the library's predecessor table.  The
+determinant, which the library takes from the SU(3)_k spectrum, is
 rebuilt from closed walks by Newton's identities.  Walk counts past the
 golden tables, to any endpoint, are checked mod primes by the Verlinde
 formula over the SU(3)_k spectrum, which uses no walk at all; its
 characters are Schur polynomials by Jacobi-Trudi, where the library
-takes S-matrix entries as alternants.  The closed forms the counts and
-determinants are checked against, the Fibonacci and 3-dimensional
-Catalan sequences and the determinant degree law, live here too.
+takes S-matrix entries as alternants.  Past level 32 it checks the
+generating functions too, by their series mod p (``series_mod_p``).  The
+closed forms the counts and determinants are checked against, the
+Fibonacci and 3-dimensional Catalan sequences and the determinant degree
+law, live here too.
 """
 
 import math
@@ -35,13 +39,12 @@ from math import gcd
 
 import numpy as np
 
-from anyondeg.genfunc import PolyMatrix, build_system
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    predecessors, walk_table
+    walk_table
 from anyondeg.poly import IntPoly, RationalFn
 
 
-def _bareiss(mat: PolyMatrix, rhs: list[IntPoly] | None):
+def _bareiss(mat: list[list[IntPoly]], rhs: list[IntPoly] | None):
     """Fraction-free elimination of mat x = rhs, in place.
 
     Returns (det, numerators): det(mat) and, when rhs is given, the
@@ -95,13 +98,18 @@ def successors(v: Vertex, k: int) -> list[Vertex]:
     return out
 
 
+def canonical_positions(lattice: Lattice) -> dict[Vertex, int]:
+    """Each vertex's position in the canonical vertex order."""
+    return {v: r for r, v in enumerate(lattice.vertices)}
+
+
 def adjacency(lattice: Lattice) -> np.ndarray:
     """0/1 adjacency matrix in the canonical vertex order (row -> column)."""
-    n = lattice.dim
+    n, pos = lattice.dim, canonical_positions(lattice)
     mat = np.zeros((n, n), dtype=np.int64)
     for v in lattice.vertices:
         for w in successors(v, lattice.k):
-            mat[lattice.index(v), lattice.index(w)] = 1
+            mat[pos[v], pos[w]] = 1
     return mat
 
 
@@ -123,13 +131,13 @@ def dfs_walk_counts(k: int, n: int) -> Counter:
 def counts_by_matrix_power(k: int, n: int) -> dict[Vertex, int]:
     """Origin row of the n-th adjacency-matrix power, exact."""
     lat = build_lattice(k)
-    mat = adjacency(lat).tolist()
+    mat, pos = adjacency(lat).tolist(), canonical_positions(lat)
     row = [0] * lat.dim
-    row[lat.index(ORIGIN)] = 1
+    row[pos[ORIGIN]] = 1
     for _ in range(n):
         row = [sum(row[r] * mat[r][c] for r in range(lat.dim) if row[r])
                for c in range(lat.dim)]
-    return {v: row[lat.index(v)] for v in lat.vertices}
+    return {v: row[pos[v]] for v in lat.vertices}
 
 
 def j_matrix(p: int, q: int, s: int) -> list[list[int]]:
@@ -232,16 +240,15 @@ def reduced(num: IntPoly, den: IntPoly) -> RationalFn:
 
 def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """det(M_k) and every generating function, by Bareiss elimination on
-    the full (k+1)(k+2)/2-dimensional system M_k x = e_1 over Z[t]."""
-    mat = build_system(k)
+    the full system M_k x = e_1 over Z[t] of ``paper_block_system``."""
+    mat = paper_block_system(k)
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
-    lat = build_lattice(k)
-    return det, {v: reduced(numerators[lat.index(v)], det)
-                 for v in lat.vertices}
+    return det, {v: reduced(num, det)
+                 for v, num in zip(build_lattice(k).vertices, numerators)}
 
 
-def graded_system(matrix: list[list[int]]) -> PolyMatrix:
+def graded_system(matrix: list[list[int]]) -> list[list[IntPoly]]:
     """I - s M^T over Z[s] for the square integer matrix M."""
     n = len(matrix)
     return [[IntPoly((int(r == c), -matrix[c][r])) for c in range(n)]
@@ -250,10 +257,13 @@ def graded_system(matrix: list[list[int]]) -> PolyMatrix:
 
 def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
     """pred[g][r]: the positions in class g - 1 of the predecessors of
-    the r-th vertex of class g."""
+    the r-th vertex of class g: ``successors`` reversed, in one pass."""
     classes, pos, _ = walk_table(lat)
-    return [[[pos[u] for u in predecessors(v, lat.k)] for v in cls]
-            for cls in classes]
+    pred = [[[] for _ in cls] for cls in classes]
+    for u in lat.vertices:
+        for w in successors(u, lat.k):
+            pred[(2 * w.i + w.j) % 3][pos[w]].append(pos[u])
+    return pred
 
 
 def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
@@ -340,10 +350,12 @@ def coprime_mod_p(f: IntPoly, g: IntPoly, p: int) -> bool:
     return len(a) == 1
 
 
-def _det_mod_p(mat: list[list[int]], p: int) -> int:
-    """Determinant mod a prime p by Gaussian elimination; mat is
-    overwritten."""
-    n = len(mat)
+def _det_mod_p(matrix: list[list[int]], x: int, p: int) -> int:
+    """det(I - x M) mod a prime p for the square integer matrix M, by
+    Gaussian elimination."""
+    n = len(matrix)
+    mat = [[((r == c) - x * matrix[r][c]) % p for c in range(n)]
+           for r in range(n)]
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if mat[r][col]), None)
@@ -363,27 +375,21 @@ def _det_mod_p(mat: list[list[int]], p: int) -> int:
 
 def transfer_det_mod_p(k: int, t0: int, p: int) -> int:
     """det(I - t0 * A) mod a prime p, on the adjacency matrix."""
-    adj = adjacency(build_lattice(k)).tolist()
-    n = len(adj)
-    return _det_mod_p([[((r == c) - t0 * adj[r][c]) % p for c in range(n)]
-                       for r in range(n)], p)
+    return _det_mod_p(adjacency(build_lattice(k)).tolist(), t0, p)
 
 
 def block_det_mod_p(k: int, s0: int, p: int) -> int:
     """det(I - s0 * B) mod a prime p, on ``dense_perron_block``: the
     determinant D(s) of the graded system at s = s0."""
-    block = dense_perron_block(k).astype(int).tolist()
-    n = len(block)
-    return _det_mod_p([[((r == c) - s0 * block[r][c]) % p for c in range(n)]
-                       for r in range(n)], p)
+    return _det_mod_p(dense_perron_block(k).astype(int).tolist(), s0, p)
 
 
 def dense_perron_block(k: int) -> np.ndarray:
     """B = A[C0,C1] @ A[C1,C2] @ A[C2,C0], sliced out of the dense
     adjacency matrix and multiplied in float64."""
     lat = build_lattice(k)
-    adj = adjacency(lat)
-    c0, c1, c2 = ([lat.index(v) for v in cls] for cls in walk_table(lat)[0])
+    adj, pos = adjacency(lat), canonical_positions(lat)
+    c0, c1, c2 = ([pos[v] for v in cls] for cls in walk_table(lat)[0])
 
     def block(rows, cols):
         return adj[np.ix_(rows, cols)].astype(np.float64)
@@ -462,13 +468,6 @@ def schur_at_alcove_point(k: int, v: Vertex, ell: tuple[int, int, int],
     return schur_mod_p(v, _alcove_point(ell, _zeta(k, p), p), p)
 
 
-def verlinde_origin_count(k: int, n: int, p: int, v: Vertex = ORIGIN) -> int:
-    """The number of n-step walks from the origin to v, mod a prime
-    p = 1 mod 6m, m = k + 3, by the Verlinde formula; see
-    ``verlinde_counts``."""
-    return verlinde_counts(k, [n], p, v)[0]
-
-
 def verlinde_counts(k: int, ns: list[int], p: int,
                     v: Vertex = ORIGIN) -> list[int]:
     """The numbers of n-step walks from the origin to v for each n in
@@ -496,6 +495,20 @@ def verlinde_counts(k: int, ns: list[int], p: int,
             weights += w
     inverse = pow(weights, -1, p)
     return [total * inverse % p for total in totals]
+
+
+def series_mod_p(fn: RationalFn, n_max: int, p: int) -> list[int]:
+    """The Taylor coefficients c_0 .. c_(n_max) of fn mod a prime p, by
+    the recurrence c_n = num_n - sum_(m >= 1) den_m c_(n - m) mod p, for
+    den(0) = 1; the terms of den that vanish mod p are skipped."""
+    if fn.den[0] != 1:
+        raise ValueError("den(0) must be 1")
+    den = [(m, d % p) for m, d in enumerate(fn.den.coeffs) if m and d % p]
+    out = []
+    for n in range(n_max + 1):
+        out.append((fn.num[n] - sum(d * out[n - m] for m, d in den
+                                    if m <= n)) % p)
+    return out
 
 
 def _residue(coeffs: tuple[int, ...], x: int, p: int) -> int:

@@ -24,7 +24,7 @@ from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
 
-from oracles import primes_1_mod, verlinde_origin_count
+from oracles import primes_1_mod, verlinde_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,7 +84,7 @@ class TestCount:
         count, v = int(out), Vertex(*map(int, vertex.split(",")))
         assert (count.bit_length() > 15000) == reached
         for p in primes_1_mod(6 * 67, 2):
-            assert verlinde_origin_count(64, 10000, p, v) == count % p
+            assert verlinde_counts(64, [10000], p, v) == [count % p]
 
 
 class TestTable:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from math import prod
 
@@ -9,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import anyondeg.genfunc
 from anyondeg.genfunc import (
     _alcove_points, _cube, _is_prime, _orbit_factors,
-    _unit_roots, build_system, generating_function, solve_system, system_det,
-    verify_series,
+    _unit_roots, generating_function, solve_system, system_det, verify_series,
 )
 from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.pathcount import _sweep, origin_history
@@ -24,7 +24,7 @@ from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     closed_walk_det, coprime_mod_p, determinant_degree, full_system_solution, \
     graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
     poly_gcd, primes_1_mod, reduced, residue_lowest_terms, \
-    schur_at_alcove_point, transfer_det_mod_p
+    schur_at_alcove_point, series_mod_p, transfer_det_mod_p, verlinde_counts
 
 
 def P(terms):
@@ -47,9 +47,10 @@ class TestJMatrix:
 
 
 class TestBuildSystem:
+    # M_k as the oracle pastes it from the paper's block display
     def test_level_one_matrix(self):
         one, neg_t, zero = IntPoly.one(), P({1: -1}), IntPoly.zero()
-        assert build_system(1) == [
+        assert paper_block_system(1) == [
             [one, zero, neg_t],
             [neg_t, one, zero],
             [zero, neg_t, one],
@@ -57,25 +58,14 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_transfer_form(self, k):
-        # the system is exactly the paper's block display and I - t * A^T
-        # in the canonical order
-        mat = build_system(k)
-        assert mat == paper_block_system(k)
-        adj = adjacency(build_lattice(k))
-        n = len(mat)
-        for r in range(n):
-            for c in range(n):
-                expected = (IntPoly.one() if r == c else IntPoly.zero())
-                if adj[c][r]:
-                    expected = expected - P({1: 1})
-                assert mat[r][c] == expected
-
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            build_system(0)
+        # the paper's block display is exactly I - t * A^T in the
+        # canonical order, A from the box-addition rule (graded_system
+        # builds I - t M^T entry by entry)
+        adj = adjacency(build_lattice(k)).tolist()
+        assert paper_block_system(k) == graded_system(adj)
 
     def test_dimension(self):
-        assert len(build_system(4)) == 15
+        assert len(paper_block_system(4)) == 15
 
 
 class TestSolveSystem:
@@ -140,7 +130,7 @@ class TestG2Identity:
             [two_t3, two_t2, t * y, z, y, t * z],
             [two_t4, two_t3, t * t * y, t * z, t * y, c],
         ]
-        mat = build_system(2)
+        mat = paper_block_system(2)
         det = system_det(2)
         for r in range(6):
             for cidx in range(6):
@@ -428,7 +418,7 @@ class TestGaloisFactors:
 
     def test_library_and_oracle_primes_never_meet(self, monkeypatch):
         # the factors are built below 2^30 and the mod-p oracles work
-        # above it, so block_det_mod_p, verlinde_origin_count and the
+        # above it, so block_det_mod_p, verlinde_counts and the
         # Schur check never share a modulus with the route they check
         drawn = set()
 
@@ -534,6 +524,36 @@ class TestSeriesConsistency:
         # 28 steps past the prefix 0..3 |C0| + 2 the numerators are read from
         n0 = len(walk_table(build_lattice(k))[0][0])
         assert verify_series(k, 3 * n0 + 30) == []
+
+    def test_mismatches_in_canonical_order_then_by_n(self, monkeypatch):
+        # (0, 1), (0, 2), (1, 1) lie in classes 1, 2, 0, so the sweep meets
+        # (1, 1) first; doubled numerators make every nonzero term wrong
+        k, n_max = 3, 20
+        wrong = [Vertex(0, 1), Vertex(0, 2), Vertex(1, 1)]
+        sol = solve_system(k)
+        solutions = {v: RationalFn(fn.num + fn.num, fn.den) if v in wrong
+                     else fn for v, fn in sol.solutions.items()}
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system",
+                            lambda k: replace(sol, solutions=solutions))
+        expected = [(v, n, 2 * c, c) for v in wrong
+                    for n, c in enumerate(origin_history(k, n_max, v)) if c]
+        assert {v for v, *_ in expected} == set(wrong)
+        assert verify_series(k, n_max) == expected
+
+    @pytest.mark.parametrize("k,distinct", [(33, 22), (37, 19), (45, 29)])
+    def test_series_match_verlinde(self, k, distinct):
+        # past the other oracles' reach: at one vertex per denominator,
+        # three coefficients on its grade class past the 3 |C0| + 3 that
+        # the numerator sweep fixes, mod p, against the walk-free Verlinde
+        n0 = len(walk_table(build_lattice(k))[0][0])
+        sol = solve_system(k).solutions
+        one_each = {fn.den: (v, fn) for v, fn in sol.items()}
+        assert len(one_each) == distinct
+        p = primes_1_mod(6 * (k + 3), 1)[0]
+        for v, fn in one_each.values():
+            ns = [3 * n0 + 3 + (2 * v.i + v.j) % 3 + 3 * m for m in (0, 1, 20)]
+            series = series_mod_p(fn, ns[-1], p)
+            assert [series[n] for n in ns] == verlinde_counts(k, ns, p, v)
 
     def test_memory_grows_linearly_in_n(self):
         # each coefficient has O(n) bits, and only deg(den) of them are

@@ -3,20 +3,25 @@ import pytest
 
 from anyondeg.lattice import (
     _STEPS, ORIGIN, Vertex, build_lattice, check_vertex, in_vertex_set,
-    predecessors, walk_table,
+    walk_table,
 )
 
-from oracles import adjacency, graded_predecessors, successors
+from oracles import adjacency, canonical_positions, graded_predecessors, \
+    successors
+
+
+def named_edges(classes, pred):
+    """The edges (u, v) a per-class position table names, pads left out."""
+    return [(classes[g - 1][u], v) for g, rows in enumerate(pred)
+            for v, us in zip(classes[g], rows)
+            for u in us if u < len(classes[g - 1])]
 
 
 def forward(k):
-    """Successor lists read off the production rule, predecessors, reversed."""
-    lat = build_lattice(k)
-    fwd = {v: set() for v in lat.vertices}
-    for w in lat.vertices:
-        for v in predecessors(w, k):
-            fwd[v].add(w)
-    return fwd
+    """Successor sets read off the production table, ``walk_table``."""
+    classes, _, pred = walk_table(build_lattice(k))
+    edges = named_edges(classes, pred)
+    return {u: {w for v, w in edges if v == u} for cls in classes for u in cls}
 
 
 def test_build_lattice_k1_is_three_cycle():
@@ -46,7 +51,6 @@ def test_canonical_order_and_index_formula(k):
     expected = [Vertex(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
     assert list(lat.vertices) == expected
     for pos, v in enumerate(lat.vertices):
-        assert lat.index(v) == pos
         # 1-based published index: i(2k - i + 3)/2 + j + 1
         assert v.i * (2 * k - v.i + 3) // 2 + v.j + 1 == pos + 1
 
@@ -67,7 +71,7 @@ def test_out_degree_rules(k):
 def test_strongly_connected(k):
     lat = build_lattice(k)
     fwd = forward(k)
-    rev = {v: predecessors(v, k) for v in lat.vertices}
+    rev = {v: [u for u in fwd if v in fwd[u]] for v in fwd}
 
     def reach(adjacency_lists):
         seen = {ORIGIN}
@@ -85,8 +89,8 @@ def test_strongly_connected(k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_step_grading_mod_3(k):
-    for b in build_lattice(k).vertices:
-        for a in predecessors(b, k):
+    for a, succ in forward(k).items():
+        for b in succ:
             assert (2 * b.i + b.j - 2 * a.i - a.j) % 3 == 1
 
 
@@ -108,10 +112,10 @@ def test_grade_classes(k):
     assert sorted(v for c in classes for v in c) == list(lat.vertices)
     assert len(pos) == lat.dim
     for g, cls in enumerate(classes):
-        assert list(cls) == sorted(cls, key=lat.index)
+        assert list(cls) == sorted(cls, key=canonical_positions(lat).get)
         for r, v in enumerate(cls):
             assert (2 * v.i + v.j) % 3 == g and pos[v] == r
-            assert all(u in classes[g - 1] for u in predecessors(v, k))
+            assert all(w in classes[(g + 1) % 3] for w in successors(v, k))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -123,21 +127,15 @@ def test_graded_predecessor_positions(k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_class_predecessor_positions(k):
-    # the production table that the sweep and the Perron block read,
-    # its pads dropped
-    def real_positions(lat):
-        pred = walk_table(lat)[2]
-        return [[[u for u in us if u < len(pred[g - 1])] for us in rows]
-                for g, rows in enumerate(pred)]
-
-    check_class_positions(build_lattice(k), real_positions)
+    # the production table that the sweep and the Perron block read
+    check_class_positions(build_lattice(k), lambda lat: walk_table(lat)[2])
 
 
 @pytest.mark.parametrize("k", range(1, 65))
 def test_class_predecessor_rows_are_padded(k):
     # slot s of row r of class g: the class-(g - 1) position of
-    # v - _STEPS[s] when that point is a predecessor of v, else the pad
-    # len(class g - 1), the zero slot of the sweep's previous list
+    # v - _STEPS[s] when box addition leads from that point to v, else
+    # the pad len(class g - 1), the zero slot of the sweep's previous list
     lat = build_lattice(k)
     classes, _, pred = walk_table(lat)
     assert len(pred) == 3
@@ -145,20 +143,19 @@ def test_class_predecessor_rows_are_padded(k):
         prev, pad = classes[g - 1], len(classes[g - 1])
         assert len(rows) == len(cls)
         for v, us in zip(cls, rows):
-            real = predecessors(v, k)
             assert len(us) == len(_STEPS) == 3
             for (di, dj), u in zip(_STEPS, us):
                 w = Vertex(v.i - di, v.j - dj)
-                assert u == (prev.index(w) if w in real else pad)
+                edge = w in prev and v in successors(w, k)
+                assert u == (prev.index(w) if edge else pad)
 
 
 def check_class_positions(lat, table):
-    classes = walk_table(lat)[0]
-    pred = table(lat)
+    # every edge by box addition named once, at its head
+    classes, pred = walk_table(lat)[0], table(lat)
     assert [len(p) for p in pred] == [len(c) for c in classes]
-    for g, (cls, pred_g) in enumerate(zip(classes, pred)):
-        for v, us in zip(cls, pred_g):
-            assert [classes[g - 1][u] for u in us] == predecessors(v, lat.k)
+    assert sorted(named_edges(classes, pred)) == sorted(
+        (v, w) for v in lat.vertices for w in successors(v, lat.k))
 
 
 def test_adjacency_k1():
@@ -181,11 +178,6 @@ def test_adjacency_row_sums(k):
     mat = adjacency(build_lattice(k))
     assert set(np.unique(mat)) <= {0, 1}
     assert mat.sum(axis=1).max() <= 3
-
-
-def test_index_rejects_foreign_vertex():
-    with pytest.raises(ValueError):
-        build_lattice(2).index(Vertex(2, 1))
 
 
 def test_in_vertex_set():

@@ -12,8 +12,7 @@ from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
 
 from oracles import catalan3d, counts_by_matrix_power, dense_perron_block, \
-    dfs_walk_counts, fibonacci, primes_1_mod, verlinde_counts, \
-    verlinde_origin_count
+    dfs_walk_counts, fibonacci, primes_1_mod, verlinde_counts
 
 
 class TestCountPaths:
@@ -201,14 +200,14 @@ class TestVerlindeOracle:
     def test_golden_counts(self, k):
         p = primes_1_mod(6 * (k + 3), 1)[0]
         for n, count in zip(range(0, 28, 3), ORIGIN_COUNTS[k]):
-            assert verlinde_origin_count(k, n, p) == count % p
+            assert verlinde_counts(k, [n], p) == [count % p]
 
     @pytest.mark.parametrize("k,n", [(7, 2997), (20, 3000), (64, 3000)])
     def test_counts_past_the_golden_tables(self, k, n):
         count = degeneracy(k, n)
         assert count.bit_length() > 1000
         for p in primes_1_mod(6 * (k + 3), 2):
-            assert verlinde_origin_count(k, n, p) == count % p
+            assert verlinde_counts(k, [n], p) == [count % p]
 
     @pytest.mark.parametrize("k", [5, 12, 30])
     def test_endpoint_counts(self, k):
@@ -237,14 +236,14 @@ class TestVerlindeOracle:
             count = degeneracy(k, n, v)
             assert count.bit_length() > 10000
             for p in primes:
-                assert verlinde_origin_count(k, n, p, v) == count % p
+                assert verlinde_counts(k, [n], p, v) == [count % p]
 
     def test_endpoint_counts_past_the_golden_tables(self):
         v = Vertex(10, 13)
         count = degeneracy(64, 3000, v)
         assert count.bit_length() > 1000
         for p in primes_1_mod(6 * 67, 2):
-            assert verlinde_origin_count(64, 3000, p, v) == count % p
+            assert verlinde_counts(64, [3000], p, v) == [count % p]
 
 
 @pytest.mark.parametrize("route", [count_paths, degeneracy, origin_history])

@@ -70,6 +70,17 @@ class TestArithmetic:
         got = IntPoly(coeffs).coeffs
         assert got == expected and all(type(c) is int for c in got)
 
+    def test_negative_power_rejected(self):
+        # a negative power would index the coefficients from the top
+        assert IntPoly.from_terms([(2, 1), (0, 5), (2, 3)]) == P(5, 0, 4)
+        assert IntPoly.monomial(-1, 2) == P(0, 0, -1)
+        for build in (lambda: IntPoly.from_terms([(2, 1), (-1, 5)]),
+                      lambda: IntPoly.from_terms({-1: 0}),
+                      lambda: IntPoly.monomial(5, -1),
+                      lambda: IntPoly.monomial(0, -1)):
+            with pytest.raises(ValueError, match="negative power"):
+                build()
+
     @given(small_polys, small_polys, small_polys)
     def test_ring_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)

@@ -13,7 +13,8 @@ from anyondeg.spectral import (
     lambda_trig, smallest_positive_root, spectral_report,
 )
 
-from oracles import adjacency, dense_lambda_perron, dense_perron_block
+from oracles import adjacency, canonical_positions, dense_lambda_perron, \
+    dense_perron_block
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -118,8 +119,8 @@ class TestPerron:
     def test_mirror_transposes_adjacency(self, k):
         # (i, j) -> (j, i) reverses every edge: P A P = A^T exactly
         lat = build_lattice(k)
-        adj = adjacency(lat)
-        perm = [lat.index(Vertex(v.j, v.i)) for v in lat.vertices]
+        adj, pos = adjacency(lat), canonical_positions(lat)
+        perm = [pos[Vertex(v.j, v.i)] for v in lat.vertices]
         assert np.array_equal(adj[np.ix_(perm, perm)], adj.T)
 
     @pytest.mark.parametrize("k", range(1, 65))
