@@ -14,8 +14,8 @@ from anyondeg.lattice import walk_table
 # is counted once, at its head, from the walk table, pads (positions
 # past the previous class) left out.
 lat = build_lattice(3)
-classes, _, pred = walk_table(lat)
-edges = sum(u < len(classes[g - 1])
+pred = walk_table(3)
+edges = sum(u < len(pred[g - 1])
             for g, rows in enumerate(pred) for row in rows for u in row)
 print(f"level 3: {lat.dim} vertices, {edges} edges")
 print("successor structure is at most 3-regular:",

@@ -272,13 +272,13 @@ def solve_system(k: int) -> GenFnSolution:
     primitive and positive at 0.
     """
     lat = build_lattice(k)
-    classes, _, pred = walk_table(lat)
+    classes = [lat.grade_class(g) for g in range(3)]
     n0 = len(classes[0])
     p, powers, factors = _orbit_factors(k)
     det = prod((f for f, _ in factors), start=IntPoly.one())
     # kept positions -> their product in t, one object shared by vertices
     dens = {tuple(range(len(factors))): det.substitute_power(3)}
-    steps = list(_sweep(pred, 3 * n0 + 2, det.coeffs))
+    steps = list(_sweep(walk_table(k), 3 * n0 + 2, det.coeffs))
     if any(map(any, steps[3 * n0:])):
         raise ArithmeticError(f"a numerator has a nonzero s^{n0} coefficient")
     graded = {}
@@ -321,10 +321,10 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     lat = build_lattice(k)
-    classes, _, pred = walk_table(lat)
+    classes = [lat.grade_class(g) for g in range(3)]
     series = [[sol.solutions[v].series() for v in cls] for cls in classes]
     mismatches = []
-    for n, counts in enumerate(_sweep(pred, n_max)):
+    for n, counts in enumerate(_sweep(walk_table(k), n_max)):
         for g, cls in enumerate(classes):
             on_grade = g == n % 3
             for r, (v, coeffs) in enumerate(zip(cls, series[g])):

@@ -5,10 +5,10 @@ diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
 admissible tableaux.  The edge rule is ``_STEPS``, and ``walk_table``,
 its one reader, builds the one padded per-class table from it by
-position lookup, in one pass.  Every walk, the Perron route's block B
-and the numerator sweep too, reads that table, and ``step`` is the one
-loop that takes a step along it.  Pure Python; no dense adjacency
-matrix is built.
+position arithmetic (``class_offsets``), with no vertex object or dict.
+Every walk, the Perron route's block B and the numerator sweep too,
+reads that table, and ``step`` is the one loop that takes a step along
+it.  Pure Python; no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ class Lattice:
     def dim(self) -> int:
         return len(self.vertices)
 
+    def grade_class(self, g: int) -> list[Vertex]:
+        """The vertices of grade (2i + j) = g (mod 3), in class order."""
+        return [v for v in self.vertices if (2 * v.i + v.j - g) % 3 == 0]
+
 
 def build_lattice(k: int) -> Lattice:
     """All (k+1)(k+2)/2 vertices in canonical order."""
@@ -63,33 +67,42 @@ def build_lattice(k: int) -> Lattice:
     return Lattice(k=k, vertices=vertices)
 
 
-def walk_table(lat: Lattice) -> tuple[tuple[list[Vertex], ...],
-                                      dict[Vertex, int],
-                                      list[list[list[int]]]]:
-    """The one per-class edge table, as (classes, pos, pred).
+def class_offsets(k: int) -> list[list[int]]:
+    """off[g][i], i = 0..k + 1: the number of vertices of grade
+    g = (2i + j) mod 3 above row i.  Row i holds those with j = g + i
+    (mod 3), so in class order (canonical order within the class), (i, j)
+    sits at off[g][i] + j // 3, and off[g][k + 1] is the class size."""
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
+    off = [[0], [0], [0]]
+    for i in range(k + 1):
+        for g, row in enumerate(off):
+            row.append(row[-1] + (k - i - (g + i) % 3) // 3 + 1)
+    return off
 
-    classes[g] lists the vertices of grade g = (2i + j) mod 3 in
-    canonical order, the origin first in class 0, and pos[v] is v's
-    position in its class.  Every step raises the grade by 1, so every
-    predecessor of a class-g vertex lies in class g - 1, and
-    pred[g][r][s] is the class-(g - 1) position of v - _STEPS[s] for the
-    r-th class-g vertex v, or the pad len(classes[g - 1]) where that
-    point leaves the lattice: the slot just past class g - 1 where
-    ``step`` keeps 0.
-    """
-    classes: tuple[list[Vertex], ...] = ([], [], [])
-    pos = {}
-    for v in lat.vertices:
-        cls = classes[(2 * v.i + v.j) % 3]
-        pos[v] = len(cls)
-        cls.append(v)
+
+def walk_table(k: int) -> list[list[list[int]]]:
+    """The one per-class edge table: every step raises the grade by 1, so
+    pred[g][r][s] is the class-(g - 1) position (``class_offsets``) of
+    v - _STEPS[s] = (i - di, j - dj) for the r-th class-g vertex v, or the
+    pad |C_{g-1}|, the slot past class g - 1 where ``step`` keeps 0, where
+    that point leaves the lattice: unless i >= di, dj <= j <= k-i+di+dj."""
     (ai, aj), (bi, bj), (ci, cj) = _STEPS
-    get, pred = pos.get, []
-    for g, cls in enumerate(classes):
-        pad = len(classes[g - 1])
-        pred.append([[get((i - ai, j - aj), pad), get((i - bi, j - bj), pad),
-                      get((i - ci, j - cj), pad)] for i, j in cls])
-    return classes, pos, pred
+    off, pred = class_offsets(k), []
+    for g in range(3):
+        prev, rows = off[g - 1], []
+        pad = prev[-1]
+        for i in range(k + 1):
+            a, b, c = prev[i - ai], prev[i - bi], prev[i - ci]
+            a_hi = k - i + ai + aj if i >= ai else -1
+            b_hi = k - i + bi + bj if i >= bi else -1
+            c_hi = k - i + ci + cj if i >= ci else -1
+            rows += [[a + (j - aj) // 3 if aj <= j <= a_hi else pad,
+                      b + (j - bj) // 3 if bj <= j <= b_hi else pad,
+                      c + (j - cj) // 3 if cj <= j <= c_hi else pad]
+                     for j in range((g + i) % 3, k - i + 1, 3)]
+        pred.append(rows)
+    return pred
 
 
 def step(rows: list[list[int]], x: list) -> list:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    in_vertex_set, step, walk_table
+    class_offsets, in_vertex_set, step, walk_table
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,10 @@ def _sweep(pred: list[list[list[int]]], n_max: int,
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
     lat = build_lattice(k)
-    classes, _, pred = walk_table(lat)
-    last = deque(_sweep(pred, n), maxlen=1).pop()
-    reached = dict(zip(classes[n % 3], last))
-    return CountTable(k=k, n=n,
-                      counts={v: reached.get(v, 0) for v in lat.vertices})
+    last = deque(_sweep(walk_table(k), n), maxlen=1).pop()
+    counts = dict.fromkeys(lat.vertices, 0)
+    counts.update(zip(lat.grade_class(n % 3), last))
+    return CountTable(k=k, n=n, counts=counts)
 
 
 # The lowest level from which ``degeneracy`` takes the reflection sum:
@@ -130,18 +129,17 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
         return 0  # every step raises 2i + j by 1 (mod 3)
     if k >= REFLECTION_MIN_K:
         return _reflection_count(k, n, v)
-    _, pos, pred = walk_table(build_lattice(k))
-    return deque(_sweep(pred, n), maxlen=1).pop()[pos[v]]
+    last = deque(_sweep(walk_table(k), n), maxlen=1).pop()
+    return last[class_offsets(k)[n % 3][v.i] + v.j // 3]
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep; 0 at
     the steps whose class is not v's."""
-    lat = build_lattice(k)
-    v = Vertex(*v)
+    pred, v = walk_table(k), Vertex(*v)
     check_vertex(v, k)
-    _, pos, pred = walk_table(lat)
-    g, r = (2 * v.i + v.j) % 3, pos[v]
+    g = (2 * v.i + v.j) % 3
+    r = class_offsets(k)[g][v.i] + v.j // 3
     return [counts[r] if n % 3 == g else 0
             for n, counts in enumerate(_sweep(pred, n_max))]
 

@@ -6,9 +6,9 @@ The asymptotic growth factor (the total quantum dimension) is
     the row count of the tableaux and the only N the library counts,
   * the dominant eigenvalue of the lattice adjacency matrix, by Lanczos
     on B + B^T, B the origin block of A^3.  Started from the uniform
-    vector, every Krylov vector is exactly symmetric under the mirror
-    P, (i, j) -> (j, i), so the operator is applied as (I + P) B^T: one
-    pass of ``lattice.step`` along ``lattice.walk_table`` per step,
+    vector, every Krylov vector is constant on the rotation orbits that
+    Lanczos runs on and symmetric under the mirror P, (i, j) -> (j, i),
+    so it applies (I + P) B^T: one pass of ``lattice.step`` per step,
   * the reciprocal of the smallest positive root of the system
     determinant, isolated in s = t^3 and certified by Descartes' rule
     of signs.
@@ -25,7 +25,7 @@ from itertools import chain
 from operator import mul
 
 from .genfunc import system_det
-from .lattice import Vertex, build_lattice, step, walk_table
+from .lattice import class_offsets, step, walk_table
 from .pathcount import degeneracy
 from .poly import IntPoly
 
@@ -55,10 +55,37 @@ def lambda_trig(k: int) -> float:
     return math.sin(math.pi * ROWS / m) / math.sin(math.pi / m)
 
 
+def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
+    """(rows, mirror, weight): ``walk_table`` on one representative, the
+    first point in class order, per orbit of the rotations that keep the
+    grade classes: J, (i, j) -> (k - i - j, i), which maps each step onto
+    the next and adds 2k to the grade, when 3 | k (orbits of 3 points but
+    the fixed point (k/3, k/3)), else the identity.  A row's positions are
+    replaced by their orbits' indices, the pad by the pad; mirror[r] is
+    the orbit of the r-th class-0 orbit's mirror image (P J P = J^-1) and
+    weight[r] its size."""
+    off, pred = class_offsets(k), walk_table(k)
+    turns = [[at[k - i - j] + i // 3 for i in range(k + 1)
+              for j in range((g + i) % 3, k - i + 1, 3)]
+             if k % 3 == 0 else range(at[-1]) for g, at in enumerate(off)]
+    reps = [[p for p, q in enumerate(turn) if p <= q and p <= turn[q]]
+            for turn in turns]
+    index = [[len(rep)] * (len(turn) + 1) for turn, rep in zip(turns, reps)]
+    for turn, rep, idx in zip(turns, reps, index):
+        for r, p in enumerate(rep):
+            idx[p] = idx[turn[p]] = idx[turn[turn[p]]] = r
+    rows = [[[u[a], u[b], u[c]] for a, b, c in map(table.__getitem__, rep)]
+            for table, rep, u in zip(pred, reps, index[-1:] + index[:-1])]
+    flip = [index[0][off[0][j] + i // 3] for i in range(k + 1)
+            for j in range(i % 3, k - i + 1, 3)]  # orbit of (j, i) in C0
+    mirror = [flip[p] for p in reps[0]]
+    weight = [1 if turns[0][p] == p else 3 for p in reps[0]]  # J^3 = 1
+    return rows, mirror, weight
+
+
 def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
-    """B^T x, plus the trailing zero slot: x carried three steps along
-    ``walk_table``'s rows by ``step``, as ``pathcount._sweep`` carries
-    walk counts."""
+    """B^T x, plus the trailing zero slot: x carried three steps along a
+    walk table's rows by ``step``, as ``pathcount._sweep`` carries counts."""
     x = x + [0.0]  # the slot the table's pads point to
     for g in (1, 2, 0):
         x = step(pred[g], x)
@@ -67,11 +94,10 @@ def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
 
 def _perron_apply(pred: list[list[list[int]]], mirror: list[int],
                   x: list[float]) -> list[float]:
-    """(I + P) B^T x over class 0, in one pass: mirror[r] is the class-0
-    position of (j, i) for the r-th class-0 vertex (i, j).  The mirror P
-    keeps class 0 and reverses every edge, so B = P B^T P, and on a
-    P-symmetric x (x == P x) this is (B + B^T) x.  Lanczos passes only
-    such x, bit for bit (see ``lambda_perron``)."""
+    """(I + P) B^T x over class 0, in one pass: mirror[r] indexes the
+    mirror image of entry r.  P keeps class 0 and reverses every edge, so
+    B = P B^T P, and on a P-symmetric x (x == P x) this is (B + B^T) x.
+    Lanczos passes only such x, bit for bit (see ``lambda_perron``)."""
     y = _three_steps(pred, x)
     return [a + y[m] for a, m in zip(y, mirror)]
 
@@ -101,28 +127,29 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     bisected up from the previous one.  The loop stops once
     (theta / 2)^(1/3) moves by less than tol, which must be positive and
     finite, or when the Krylov space runs out: a zero residual, or as
-    many steps as class 0 has vertices.
+    many steps as it has dimensions.
 
-    The mirror P, (i, j) -> (j, i), has P A P = A^T, so B + B^T commutes
-    with P and the Krylov space of the uniform start vector is
-    P-symmetric.  That holds bit for bit: the start is exactly
-    symmetric, every update (w - alpha q - beta q_prev, w / beta) is
-    elementwise, and ``_perron_apply``'s y[r] + y[P r] is the same float
-    at r and at P r.  On such q, B q = P B^T P q = P B^T q, so
-    (B + B^T) q is (I + P) B^T q: one B^T pass instead of two, and the
-    same floats, since B^T (P q) is then the list B^T q itself.
+    The rotations that keep the classes commute with A, so Lanczos runs
+    on one entry per orbit (``_perron_tables``), inner products weighted
+    by orbit size relative to the largest; only J's fixed point weighs
+    less, so if 3 does not divide k, the floats are class 0's, bit for bit.
+
+    The mirror P, (i, j) -> (j, i), has P A P = A^T, and the Krylov space
+    is P-symmetric bit for bit (the updates are elementwise, and
+    ``_perron_apply``'s y[r] + y[P r] is one float at r and P r), so
+    (B + B^T) q = P B^T P q + B^T q is (I + P) B^T q: one B^T pass.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    classes, pos, pred = walk_table(build_lattice(k))
-    mirror = [pos[Vertex(v.j, v.i)] for v in classes[0]]
-    n0 = len(mirror)
-    q, q_prev = [n0 ** -0.5] * n0, [0.0] * n0
+    rows, mirror, weight = _perron_tables(k)
+    n, top = len(weight), max(weight)
+    light = [(r, s / top - 1) for r, s in enumerate(weight) if s < top]
+    q, q_prev = [(sum(weight) / top) ** -0.5] * n, [0.0] * n
     alphas, sq_betas = [], []  # T's diagonal and squared off-diagonal
     beta, theta, lam_prev = 0.0, 0.0, math.inf
     for step in range(1, PERRON_MAX_ITER + 1):
-        w = _perron_apply(pred, mirror, q)
-        alpha = sum(map(mul, w, q))
+        w = _perron_apply(rows, mirror, q)
+        alpha = sum(map(mul, w, q)) + sum(c * w[r] * q[r] for r, c in light)
         alphas.append(alpha)
         lo, hi = theta, PERRON_THETA_MAX
         while lo < (mid := (lo + hi) / 2) < hi:
@@ -134,7 +161,9 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
         lam = (theta / 2) ** (1.0 / 3.0)
         w = [a - alpha * b - beta * c for a, b, c in zip(w, q, q_prev)]
         beta = math.hypot(*w)
-        if abs(lam - lam_prev) < tol or beta == 0 or step == n0:
+        for r, c in light:
+            beta = math.sqrt(beta * beta + c * w[r] * w[r])
+        if abs(lam - lam_prev) < tol or beta == 0 or step == n:
             return lam
         sq_betas.append(beta * beta)
         q_prev, q = q, [a / beta for a in w]

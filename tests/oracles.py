@@ -30,7 +30,9 @@ takes S-matrix entries as alternants.  Past level 32 it checks the
 generating functions too, by their series mod p (``series_mod_p``).  The
 closed forms the counts and determinants are checked against, the
 Fibonacci and 3-dimensional Catalan sequences and the determinant degree
-law, live here too.
+law, live here too, and the simple current J (``rotate``), written from
+its formula, against which the Perron route's rotation orbits are
+checked.
 """
 
 import math
@@ -98,9 +100,28 @@ def successors(v: Vertex, k: int) -> list[Vertex]:
     return out
 
 
+def rotate(v: Vertex, k: int) -> Vertex:
+    """The simple current J of SU(3)_k, (i, j) -> (k - i - j, i): the
+    rotation of the level-k alcove (Schellekens-Yankielowicz)."""
+    return Vertex(k - v.i - v.j, v.i)
+
+
 def canonical_positions(lattice: Lattice) -> dict[Vertex, int]:
     """Each vertex's position in the canonical vertex order."""
     return {v: r for r, v in enumerate(lattice.vertices)}
+
+
+def class_positions(lattice: Lattice) -> tuple[list[list[Vertex]],
+                                               dict[Vertex, int]]:
+    """(classes, pos) by plain enumeration: classes[g] lists the vertices
+    of grade (2i + j) mod 3 = g in canonical order, and pos[v] is v's
+    position in its class."""
+    classes, pos = [[], [], []], {}
+    for v in lattice.vertices:
+        cls = classes[(2 * v.i + v.j) % 3]
+        pos[v] = len(cls)
+        cls.append(v)
+    return classes, pos
 
 
 def adjacency(lattice: Lattice) -> np.ndarray:
@@ -258,7 +279,7 @@ def graded_system(matrix: list[list[int]]) -> list[list[IntPoly]]:
 def graded_predecessors(lat: Lattice) -> list[list[list[int]]]:
     """pred[g][r]: the positions in class g - 1 of the predecessors of
     the r-th vertex of class g: ``successors`` reversed, in one pass."""
-    classes, pos, _ = walk_table(lat)
+    classes, pos = class_positions(lat)
     pred = [[[] for _ in cls] for cls in classes]
     for u in lat.vertices:
         for w in successors(u, lat.k):
@@ -276,7 +297,7 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     s = t^3 is substituted, in the canonical vertex order.
     """
     lat = build_lattice(k)
-    classes, pred = walk_table(lat)[0], graded_predecessors(lat)
+    classes, pred = class_positions(lat)[0], graded_predecessors(lat)
     mat = graded_system(dense_perron_block(k).astype(int).tolist())
     rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
@@ -312,7 +333,7 @@ def closed_walk_det(k: int) -> IntPoly:
     counts the closed 3m-step walks at the class-0 vertices, one walk
     count from each along the padded per-class table, and Newton's
     identities turn the sums into D(s), then s = t^3."""
-    pred = walk_table(build_lattice(k))[2]
+    pred = walk_table(k)
     n0 = len(pred[0])
     sums = [0] * n0
     for z in range(n0):
@@ -389,7 +410,8 @@ def dense_perron_block(k: int) -> np.ndarray:
     adjacency matrix and multiplied in float64."""
     lat = build_lattice(k)
     adj, pos = adjacency(lat), canonical_positions(lat)
-    c0, c1, c2 = ([pos[v] for v in cls] for cls in walk_table(lat)[0])
+    c0, c1, c2 = ([pos[v] for v in cls]
+                  for cls in class_positions(lat)[0])
 
     def block(rows, cols):
         return adj[np.ix_(rows, cols)].astype(np.float64)

@@ -18,13 +18,13 @@ from anyondeg import reference
 from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, CAP_N_VERIFY, \
     DEFAULT_CAP_K, build_parser, main
 from anyondeg.genfunc import GenFnSolution, solve_system
-from anyondeg.lattice import Vertex, build_lattice, walk_table
+from anyondeg.lattice import Vertex, build_lattice
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
 
-from oracles import primes_1_mod, verlinde_counts
+from oracles import class_positions, primes_1_mod, verlinde_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -179,7 +179,7 @@ class TestGenfunc:
         # the prefix leaves D G_v with a nonzero s^|C0| coefficient; that
         # step's list covers class 2, so the vertex sits at its position
         # in the class
-        classes = walk_table(build_lattice(4))[0]
+        classes = class_positions(build_lattice(4))[0]
         last, pos = 3 * len(classes[0]) + 2, len(classes[2]) - 1
         real = anyondeg.genfunc._sweep
 

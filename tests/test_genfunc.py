@@ -21,10 +21,11 @@ from anyondeg.reference import (
 )
 
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
-    closed_walk_det, coprime_mod_p, determinant_degree, full_system_solution, \
-    graded_bareiss_solution, graded_system, j_matrix, paper_block_system, \
-    poly_gcd, primes_1_mod, reduced, residue_lowest_terms, \
-    schur_at_alcove_point, series_mod_p, transfer_det_mod_p, verlinde_counts
+    class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
+    full_system_solution, graded_bareiss_solution, graded_system, \
+    j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
+    residue_lowest_terms, schur_at_alcove_point, series_mod_p, \
+    transfer_det_mod_p, verlinde_counts
 
 
 def P(terms):
@@ -151,7 +152,7 @@ class TestDeterminant:
         # s = t^3 reaches it; the smallest class is C1 (not C0: at k = 3,
         # |C0| = 4 while the degree is 9)
         det = system_det(k)
-        sizes = [len(c) for c in walk_table(build_lattice(k))[0]]
+        sizes = [len(c) for c in class_positions(build_lattice(k))[0]]
         assert det.degree == 3 * min(sizes) == 3 * sizes[1]
         assert det.degree == determinant_degree(k)
         assert det[0] == 1
@@ -354,7 +355,7 @@ class TestGaloisFactors:
     def test_kept_sets_match_the_residue_route(self, k):
         # each unreduced N_v from the fed sweep, reduced by its residues at
         # the factors' roots, where the library reads S_{v mu}
-        classes, _, pred = walk_table(build_lattice(k))
+        classes, pred = class_positions(build_lattice(k))[0], walk_table(k)
         p, powers, factors = _orbit_factors(k)
         det = prod((f for f, _ in factors), start=IntPoly.one())
         steps = list(_sweep(pred, 3 * len(classes[0]) - 1, det.coeffs))
@@ -458,7 +459,7 @@ class TestGaloisFactors:
         k, index = case
         v = build_lattice(k).vertices[index]
         g = (2 * v.i + v.j) % 3
-        n0 = len(walk_table(build_lattice(k))[0][0])
+        n0 = len(class_positions(build_lattice(k))[0][0])
         series = origin_history(k, 3 * n0 + 2, v)[g::3]
         det = _det_s(k)
         *num, top = _times(det.coeffs, series)  # D G to s^n0
@@ -474,7 +475,7 @@ class TestNumeratorSweep:
         # the sweep fed D at the origin holds (D G_v) to s^n0 at every
         # vertex, its s^n0 coefficient 0; here D G_v is multiplied out
         # from each vertex's own walk counts
-        classes, _, pred = walk_table(build_lattice(k))
+        classes, pred = class_positions(build_lattice(k))[0], walk_table(k)
         n0, det = len(classes[0]), _det_s(k).coeffs
         steps = list(_sweep(pred, 3 * n0 + 2, det))
         for g, cls in enumerate(classes):
@@ -522,7 +523,7 @@ class TestSeriesConsistency:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_series_equals_dp(self, k):
         # 28 steps past the prefix 0..3 |C0| + 2 the numerators are read from
-        n0 = len(walk_table(build_lattice(k))[0][0])
+        n0 = len(class_positions(build_lattice(k))[0][0])
         assert verify_series(k, 3 * n0 + 30) == []
 
     def test_mismatches_in_canonical_order_then_by_n(self, monkeypatch):
@@ -545,7 +546,7 @@ class TestSeriesConsistency:
         # past the other oracles' reach: at one vertex per denominator,
         # three coefficients on its grade class past the 3 |C0| + 3 that
         # the numerator sweep fixes, mod p, against the walk-free Verlinde
-        n0 = len(walk_table(build_lattice(k))[0][0])
+        n0 = len(class_positions(build_lattice(k))[0][0])
         sol = solve_system(k).solutions
         one_each = {fn.den: (v, fn) for v, fn in sol.items()}
         assert len(one_each) == distinct

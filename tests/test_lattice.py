@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    _STEPS, ORIGIN, Vertex, build_lattice, check_vertex, in_vertex_set,
-    walk_table,
+    _STEPS, ORIGIN, Vertex, build_lattice, check_vertex, class_offsets,
+    in_vertex_set, walk_table,
 )
 
-from oracles import adjacency, canonical_positions, graded_predecessors, \
-    successors
+from oracles import adjacency, canonical_positions, class_positions, \
+    graded_predecessors, rotate, successors
 
 
 def named_edges(classes, pred):
@@ -19,8 +19,8 @@ def named_edges(classes, pred):
 
 def forward(k):
     """Successor sets read off the production table, ``walk_table``."""
-    classes, _, pred = walk_table(build_lattice(k))
-    edges = named_edges(classes, pred)
+    classes = class_positions(build_lattice(k))[0]
+    edges = named_edges(classes, walk_table(k))
     return {u: {w for v, w in edges if v == u} for cls in classes for u in cls}
 
 
@@ -107,7 +107,8 @@ def test_box_addition_oracle_reverses_predecessors(k):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_grade_classes(k):
     lat = build_lattice(k)
-    classes, pos, _ = walk_table(lat)
+    classes, pos = class_positions(lat)
+    assert [lat.grade_class(g) for g in range(3)] == classes
     assert classes[0][0] == ORIGIN
     assert sorted(v for c in classes for v in c) == list(lat.vertices)
     assert len(pos) == lat.dim
@@ -125,10 +126,23 @@ def test_graded_predecessor_positions(k):
     check_class_positions(build_lattice(k), graded_predecessors)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 65))
 def test_class_predecessor_positions(k):
-    # the production table that the sweep and the Perron block read
-    check_class_positions(build_lattice(k), lambda lat: walk_table(lat)[2])
+    # what the arithmetic construction rests on, with no edge oracle:
+    # off[g][i] + j // 3 is (i, j)'s position in a plain enumeration of
+    # its class, and slot s of v's row is the position of v - _STEPS[s],
+    # or the pad off the lattice
+    lat = build_lattice(k)
+    classes, pos = class_positions(lat)
+    off = class_offsets(k)
+    assert [row[-1] for row in off] == [len(c) for c in classes]
+    assert all(off[(2 * v.i + v.j) % 3][v.i] + v.j // 3 == pos[v]
+               for v in lat.vertices)
+    for g, rows in enumerate(walk_table(k)):
+        for v, row in zip(classes[g], rows):
+            assert row == [pos[w] if in_vertex_set(w, k) else
+                           len(classes[g - 1]) for w in
+                           (Vertex(v.i - di, v.j - dj) for di, dj in _STEPS)]
 
 
 @pytest.mark.parametrize("k", range(1, 65))
@@ -136,8 +150,8 @@ def test_class_predecessor_rows_are_padded(k):
     # slot s of row r of class g: the class-(g - 1) position of
     # v - _STEPS[s] when box addition leads from that point to v, else
     # the pad len(class g - 1), the zero slot of the sweep's previous list
-    lat = build_lattice(k)
-    classes, _, pred = walk_table(lat)
+    classes = class_positions(build_lattice(k))[0]
+    pred = walk_table(k)
     assert len(pred) == 3
     for g, (cls, rows) in enumerate(zip(classes, pred)):
         prev, pad = classes[g - 1], len(classes[g - 1])
@@ -152,10 +166,34 @@ def test_class_predecessor_rows_are_padded(k):
 
 def check_class_positions(lat, table):
     # every edge by box addition named once, at its head
-    classes, pred = walk_table(lat)[0], table(lat)
+    classes, pred = class_positions(lat)[0], table(lat)
     assert [len(p) for p in pred] == [len(c) for c in classes]
     assert sorted(named_edges(classes, pred)) == sorted(
         (v, w) for v in lat.vertices for w in successors(v, lat.k))
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_rotation_maps_the_edges_onto_themselves(k):
+    # J, the simple current, permutes the vertices and the box-addition
+    # edges: an automorphism of the walk graph
+    vertices = build_lattice(k).vertices
+    edges = {(v, w) for v in vertices for w in successors(v, k)}
+    assert sorted(rotate(v, k) for v in vertices) == list(vertices)
+    assert {(rotate(v, k), rotate(w, k)) for v, w in edges} == edges
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_rotation_keeps_the_classes_iff_3_divides_k(k):
+    # then its only fixed point is (k/3, k/3)
+    vertices = build_lattice(k).vertices
+
+    def grade(v):
+        return (2 * v.i + v.j) % 3
+
+    keeps = all(grade(rotate(v, k)) == grade(v) for v in vertices)
+    assert keeps == (k % 3 == 0)
+    fixed = [v for v in vertices if rotate(v, k) == v]
+    assert fixed == ([Vertex(k // 3, k // 3)] if keeps else [])
 
 
 def test_adjacency_k1():

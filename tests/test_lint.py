@@ -11,10 +11,12 @@ left to the test oracles.
 
 One edge table: the step deltas ``lattice._STEPS`` are read only in
 ``lattice.walk_table``, which builds the padded per-class table that
-every walk, the Perron block and the numerator sweep read by position
-lookup, so no module grows a second predecessor list of its own.  The
-full system M_k is not built in the library; the test oracles paste it
-from the paper's block display.
+every walk, the Perron block and the numerator sweep read, by position
+arithmetic, so no module grows a second predecessor list of its own.
+The full system M_k is not built in the library; the test oracles paste
+it from the paper's block display.  The Perron route needs positions
+only: no call ``lambda_perron`` makes, however deep, builds the lattice
+or a ``Vertex``, so its set-up cost cannot come back unnoticed.
 
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  Every walk count comes from
@@ -159,25 +161,41 @@ def test_reflection_sum_called_only_by_degeneracy():
     assert callers == {("pathcount.py", "degeneracy")}
 
 
-def test_system_det_reaches_no_walk_sweep():
-    # every library function of each name system_det calls, followed to
-    # any depth
+def _reached(root):
+    """{(module, function): node} for every library function of each name
+    that ``root`` calls, followed to any depth, ``root`` included."""
     defined = {}
     for name, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.setdefault(node.name, []).append((name, node))
-    reached, todo = set(), ["system_det"]
+    reached, todo = {}, [root]
     while todo:
         func = todo.pop()
         for name, node in defined.get(func, ()):
             if (name, func) not in reached:
-                reached.add((name, func))
+                reached[name, func] = node
                 todo += [_name(call.func) for call in ast.walk(node)
                          if isinstance(call, ast.Call)]
+    return reached
+
+
+def test_system_det_reaches_no_walk_sweep():
+    reached = _reached("system_det")
     assert ("genfunc.py", "_orbit_factors") in reached
     assert {(name, func) for name, func in reached
             if name == "pathcount.py" or func == "_sweep"} == set()
+
+
+def test_perron_route_builds_no_lattice_or_vertex():
+    reached = _reached("lambda_perron")
+    assert ("lattice.py", "walk_table") in reached
+    banned = {"build_lattice", "Vertex"}
+    found = {(name, func) for (name, func), node in reached.items()
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and (_name(call.func) in banned
+                  or _name(getattr(call.func, "value", None)) in banned)}
+    assert found == set()
 
 
 def test_lru_cache_only_on_the_two_clearable_solvers():

@@ -11,8 +11,9 @@ from anyondeg.pathcount import (
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
 
-from oracles import catalan3d, counts_by_matrix_power, dense_perron_block, \
-    dfs_walk_counts, fibonacci, primes_1_mod, verlinde_counts
+from oracles import catalan3d, class_positions, counts_by_matrix_power, \
+    dense_perron_block, dfs_walk_counts, fibonacci, primes_1_mod, \
+    verlinde_counts
 
 
 class TestCountPaths:
@@ -58,9 +59,8 @@ class TestCountPaths:
 class TestSweep:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_step_covers_one_class_plus_zero_slot(self, k):
-        classes, _, pred = walk_table(build_lattice(k))
-        sizes = [len(c) for c in classes]
-        for n, counts in enumerate(_sweep(pred, 20)):
+        sizes = [len(c) for c in class_positions(build_lattice(k))[0]]
+        for n, counts in enumerate(_sweep(walk_table(k), 20)):
             assert len(counts) == sizes[n % 3] + 1 and counts[-1] == 0
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -69,7 +69,7 @@ class TestSweep:
         # sum_j D_j (row 0 of B^(m - j)) at step 3m; B is sliced out of
         # the dense adjacency matrix, not counted, and from m = |C0| on
         # the sum is 0 (Cayley-Hamilton)
-        pred = walk_table(build_lattice(k))[2]
+        pred = walk_table(k)
         det = system_det(k).coeffs[::3]
         block = [[round(x) for x in row] for row in dense_perron_block(k)]
         n0 = len(block)
@@ -216,7 +216,7 @@ class TestVerlindeOracle:
         # polynomials against the walk DP, so a wrong S convention fails
         # against the walks
         p = primes_1_mod(6 * (k + 3), 1)[0]
-        for g, cls in enumerate(walk_table(build_lattice(k))[0]):
+        for g, cls in enumerate(class_positions(build_lattice(k))[0]):
             v = cls[len(cls) // 2]
             history = origin_history(k, 72, v)
             ns = [*range(g, 73, 3), (g + 1) % 3]

@@ -9,12 +9,12 @@ from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
     GRID, NoRootError, NonConvergenceError, _descartes, _perron_apply,
-    _three_steps, growth_rate_estimate, lambda_perron,
+    _perron_tables, _three_steps, growth_rate_estimate, lambda_perron,
     lambda_trig, smallest_positive_root, spectral_report,
 )
 
-from oracles import adjacency, canonical_positions, dense_lambda_perron, \
-    dense_perron_block
+from oracles import adjacency, canonical_positions, class_positions, \
+    dense_lambda_perron, dense_perron_block, rotate
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -52,10 +52,23 @@ def _unit(r: int, n: int) -> list[float]:
 
 
 def _mirror_and_table(k: int) -> tuple[list[int], list[list[list[int]]]]:
-    """The class-0 mirror positions and the walk table, as
-    ``lambda_perron`` builds them."""
-    classes, pos, pred = walk_table(build_lattice(k))
-    return [pos[Vertex(v.j, v.i)] for v in classes[0]], pred
+    """The class-0 mirror positions and the walk table over whole classes,
+    which are ``lambda_perron``'s tables when 3 does not divide k."""
+    classes, pos = class_positions(build_lattice(k))
+    return [pos[Vertex(v.j, v.i)] for v in classes[0]], walk_table(k)
+
+
+def _orbit_index(k: int, cls: list[Vertex]) -> dict[Vertex, int]:
+    """Each vertex of one grade class mapped to the number of its orbit
+    under the rotations that keep the classes (J when 3 | k, else none),
+    orbits numbered in the class order of their first vertex."""
+    index, count = {}, 0
+    for v in cls:
+        if v not in index:
+            orbit = [v, rotate(v, k), rotate(rotate(v, k), k)]
+            index.update(dict.fromkeys(orbit[:3 if k % 3 == 0 else 1], count))
+            count += 1
+    return index
 
 
 def _two_pass_apply(pred, mirror, x):
@@ -78,7 +91,7 @@ class TestPerron:
     def test_walk_counts_are_the_dense_block(self, k):
         # three padded steps from each class-0 vertex, against B sliced
         # out of the dense adjacency matrix and multiplied
-        pred = walk_table(build_lattice(k))[2]
+        pred = walk_table(k)
         n0 = len(pred[0])
         rows = [_three_steps(pred, _unit(r, n0))[:n0] for r in range(n0)]
         assert rows == dense_perron_block(k).tolist()
@@ -131,10 +144,11 @@ class TestPerron:
     def test_within_1e12_of_dense_route(self, k):
         assert abs(lambda_perron(k) - dense_lambda_perron(k)) < 1e-12
 
-    @pytest.mark.parametrize("k", [1, 2, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64])
     def test_stops_at_float_resolution(self, k, monkeypatch):
         # tol below float resolution: the value stops moving, or the
-        # Krylov space runs out (k = 1, 2), within |C0| Lanczos steps
+        # Krylov space runs out (k = 1, 2, 3), within as many Lanczos
+        # steps as there are orbit representatives
         steps = 0
 
         def counted(*args):
@@ -145,7 +159,7 @@ class TestPerron:
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
         lam = lambda_perron(k, tol=1e-300)
         assert abs(lam - lambda_trig(k)) < 1e-13
-        assert steps <= len(walk_table(build_lattice(k))[0][0])
+        assert steps <= len(_perron_tables(k)[2])
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 56, 64])
@@ -159,7 +173,8 @@ class TestPerron:
 
     @pytest.mark.parametrize("k", [2, 12, 33, 64])
     def test_lanczos_vectors_are_mirror_symmetric(self, k, monkeypatch):
-        mirror = _mirror_and_table(k)[0]
+        # the quotient's own mirror: the vectors live on orbits
+        mirror = _perron_tables(k)[1]
         seen = []
 
         def recorded(*args):
@@ -201,6 +216,66 @@ class TestPerron:
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
             lambda_perron(2, tol=tol)
+
+
+class TestOrbits:
+    """``_perron_tables``: the walk table on the orbits of the rotations
+    that keep the grade classes, checked against whole-class tables and
+    orbits numbered here from ``oracles.rotate``."""
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_class0_weights_sum_to_its_size(self, k):
+        _, mirror, weight = _perron_tables(k)
+        n0 = len(class_positions(build_lattice(k))[0][0])
+        assert len(mirror) == len(weight) and sum(weight) == n0
+        assert set(weight) == ({3, 1} if k % 3 == 0 else {1})
+
+    @pytest.mark.parametrize("k", [k for k in range(1, 65) if k % 3])
+    def test_whole_classes_when_3_does_not_divide_k(self, k):
+        rows, mirror, weight = _perron_tables(k)
+        assert (mirror, rows) == _mirror_and_table(k)
+        assert weight == [1] * len(mirror)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 9, 12, 33])
+    def test_orbit_indices_and_weights(self, k):
+        # rows, mirror and weight against orbits numbered here
+        classes = class_positions(build_lattice(k))[0]
+        index = [_orbit_index(k, cls) for cls in classes]
+        rows, mirror, weight = _perron_tables(k)
+        # each orbit's first vertex, in orbit order
+        firsts = [[v for _, v in sorted({i[v]: v for v in cls[::-1]}.items())]
+                  for cls, i in zip(classes, index)]
+        assert [len(f) for f in firsts] == [len(r) for r in rows]
+        for g, (table, first) in enumerate(zip(rows, firsts)):
+            prev, pad = index[g - 1], len(firsts[g - 1])
+            for row, v in zip(table, first):
+                preds = (Vertex(v.i - di, v.j - dj)
+                         for di, dj in ((0, 1), (-1, 0), (1, -1)))
+                assert row == [prev.get(w, pad) for w in preds]
+        assert mirror == [index[0][Vertex(v.j, v.i)] for v in firsts[0]]
+        assert weight == [list(index[0].values()).count(r)
+                          for r in range(len(weight))]
+
+    @pytest.mark.parametrize("k", [3, 6, 12, 33, 48])
+    def test_rows_carry_rotation_invariant_vectors(self, k):
+        # B^T on the orbits, lifted, is B^T on whole classes of the
+        # lifted vector, exactly (small integers as floats)
+        cls = class_positions(build_lattice(k))[0][0]
+        index = _orbit_index(k, cls)
+        rows = _perron_tables(k)[0]
+        full = walk_table(k)
+        x = [float((7 * r) % 11 - 5) for r in range(len(rows[0]))]
+        lifted = [x[index[v]] for v in cls]
+        y = _three_steps(rows, x)
+        assert _three_steps(full, lifted) == [y[index[v]] for v in cls] + [0]
+
+    @pytest.mark.parametrize("k,bits", [
+        (2, "0x1.9e3779b97f4a8p+0"), (5, "0x1.3504f333f9de6p+1"),
+        (56, "0x1.7e8cb9b82d5eep+1"), (64, "0x1.7ee0089c7c6b2p+1")])
+    def test_floats_of_the_whole_class_route(self, k, bits):
+        # recorded from the route before the orbit tables, which
+        # Lanczos-ran over all of class 0
+        assert lambda_perron(k).hex() == bits
 
 
 class TestRootFinding:
