@@ -8,7 +8,11 @@ The asymptotic growth factor (the total quantum dimension) is
     on B + B^T, B the origin block of A^3.  Started from the uniform
     vector, every Krylov vector is constant on the rotation orbits that
     Lanczos runs on and symmetric under the mirror P, (i, j) -> (j, i),
-    so it applies (I + P) B^T: one pass of ``lattice.step`` per step,
+    so it applies (I + P) B^T: one pass of ``lattice.step`` per step;
+    each step's top Ritz value is the float a full-width bisection of
+    the Sturm count ends on, replayed inside a bracket that Newton's
+    method finds and two counts verify (the count is monotone in x
+    under IEEE rounding, so the float is the same, bit for bit),
   * the reciprocal of the smallest positive root of the system
     determinant, isolated in s = t^3 and certified by Descartes' rule
     of signs.
@@ -60,14 +64,18 @@ def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
     first point in class order, per orbit of the rotations that keep the
     grade classes: J, (i, j) -> (k - i - j, i), which maps each step onto
     the next and adds 2k to the grade, when 3 | k (orbits of 3 points but
-    the fixed point (k/3, k/3)), else the identity.  A row's positions are
-    replaced by their orbits' indices, the pad by the pad; mirror[r] is
-    the orbit of the r-th class-0 orbit's mirror image (P J P = J^-1) and
-    weight[r] its size."""
+    the fixed point (k/3, k/3)), else the identity, whose tables are the
+    walk table itself.  A row's positions are replaced by their orbits'
+    indices, the pad by the pad; mirror[r] is the orbit of the r-th
+    class-0 orbit's mirror image (P J P = J^-1) and weight[r] its size."""
     off, pred = class_offsets(k), walk_table(k)
+    flip = [off[0][j] + i // 3 for i in range(k + 1)
+            for j in range(i % 3, k - i + 1, 3)]  # position of (j, i) in C0
+    if k % 3:
+        return pred, flip, [1] * len(flip)
     turns = [[at[k - i - j] + i // 3 for i in range(k + 1)
               for j in range((g + i) % 3, k - i + 1, 3)]
-             if k % 3 == 0 else range(at[-1]) for g, at in enumerate(off)]
+             for g, at in enumerate(off)]
     reps = [[p for p, q in enumerate(turn) if p <= q and p <= turn[q]]
             for turn in turns]
     index = [[len(rep)] * (len(turn) + 1) for turn, rep in zip(turns, reps)]
@@ -76,9 +84,7 @@ def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
             idx[p] = idx[turn[p]] = idx[turn[turn[p]]] = r
     rows = [[[u[a], u[b], u[c]] for a, b, c in map(table.__getitem__, rep)]
             for table, rep, u in zip(pred, reps, index[-1:] + index[:-1])]
-    flip = [index[0][off[0][j] + i // 3] for i in range(k + 1)
-            for j in range(i % 3, k - i + 1, 3)]  # orbit of (j, i) in C0
-    mirror = [flip[p] for p in reps[0]]
+    mirror = [index[0][flip[p]] for p in reps[0]]
     weight = [1 if turns[0][p] == p else 3 for p in reps[0]]  # J^3 = 1
     return rows, mirror, weight
 
@@ -115,6 +121,69 @@ def _top_at_least(alphas: list[float], sq_betas: list[float],
     return d >= 0
 
 
+def _newton_step(alphas: list[float], sq_betas: list[float],
+                 x: float) -> float:
+    """det(T - x) / det(T - x)' = 1 / sum d_i' / d_i over the LDL^T pivots
+    d_i of T - x (T as in ``_top_at_least``), or 0.0 once a pivot is
+    nonnegative, where T has an eigenvalue >= x."""
+    d, dd = alphas[0] - x, -1.0  # d_0 and its derivative in x
+    if d >= 0:
+        return 0.0
+    s = dd / d
+    for a, b2 in zip(alphas[1:], sq_betas):
+        t = b2 / d
+        dd = t / d * dd - 1.0
+        d = a - x - t
+        if d >= 0:
+            return 0.0
+        s += dd / d
+    return 1.0 / s
+
+
+def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
+              guess: float) -> float:
+    """The float that bisecting ``_top_at_least`` from
+    (floor, PERRON_THETA_MAX) to float resolution ends on, with few counts.
+
+    Newton on det(T - x) runs down from guess, if that lies below the
+    Weyl bound max(floor, alpha_n) + beta_{n-1} and no pivot there is
+    nonnegative (Lanczos's Ritz values rise by shrinking amounts, so
+    the last rise added to floor is mostly just above the top root),
+    else from the bound, and stops at or next to the top eigenvalue.
+    The bracket (lo, hi) around it is widened, by 1 ulp doubling, until
+    the counts prove one at lo (or lo is floor) and none at hi (or hi
+    is the cap).  The bisection then replays its own midpoints, counting
+    only strictly inside (lo, hi).  Under monotone rounding each pivot
+    of T - x is non-increasing in x, so the count is monotone in x
+    (Kahan; Demmel, Dhillon and Ren, ETNA 3 (1995) 116): every answer
+    taken from the bracket is the one the count gives, and the float is
+    the same."""
+    beta = math.sqrt(sq_betas[-1]) if sq_betas else 0.0
+    bound = min(max(floor, alphas[-1]) + beta, PERRON_THETA_MAX)
+    for start in (guess, bound) if floor < guess < bound else (bound,):
+        x = start
+        while (y := x - _newton_step(alphas, sq_betas, x)) < x:
+            x = y
+        if x < start:
+            break
+    x = max(x, floor)
+    w = math.ulp(x)
+    while floor < (lo := max(x - w, floor)) \
+            and not _top_at_least(alphas, sq_betas, lo):
+        w *= 2
+    w = math.ulp(x)
+    while (hi := min(x + w, PERRON_THETA_MAX)) < PERRON_THETA_MAX \
+            and _top_at_least(alphas, sq_betas, hi):
+        w *= 2
+    a, b = floor, PERRON_THETA_MAX
+    while a < (mid := (a + b) / 2) < b:
+        if mid <= lo or mid < hi and _top_at_least(alphas, sq_betas, mid):
+            a = mid
+        else:
+            b = mid
+    return a
+
+
 def lambda_perron(k: int, tol: float = 1e-12) -> float:
     """Dominant adjacency eigenvalue by Lanczos on B + B^T.
 
@@ -123,8 +192,13 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     B = A[C0,C1] A[C1,C2] A[C2,C0] of A^3 has the cube of the dominant
     eigenvalue as its own.  A is the SU(3)_k fusion matrix, which is
     normal, and so is B, so the top eigenvalue theta of B + B^T is twice
-    that cube.  theta is the top Ritz value of the Lanczos tridiagonal,
-    bisected up from the previous one.  The loop stops once
+    that cube.  theta is the top Ritz value of the Lanczos tridiagonal
+    T: the float that bisecting the Sturm count ``_top_at_least`` from
+    (previous theta, PERRON_THETA_MAX) to float resolution ends on.
+    ``_top_ritz`` finds that float, bit for bit, with about three counts
+    in place of about 47, from a bracket that Newton's method finds and
+    the monotone count verifies; Newton first tries theta plus its last
+    rise.  The loop stops once
     (theta / 2)^(1/3) moves by less than tol, which must be positive and
     finite, or when the Krylov space runs out: a zero residual, or as
     many steps as it has dimensions.
@@ -146,18 +220,13 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     light = [(r, s / top - 1) for r, s in enumerate(weight) if s < top]
     q, q_prev = [(sum(weight) / top) ** -0.5] * n, [0.0] * n
     alphas, sq_betas = [], []  # T's diagonal and squared off-diagonal
-    beta, theta, lam_prev = 0.0, 0.0, math.inf
+    beta, theta, theta_prev, lam_prev = 0.0, 0.0, math.inf, math.inf
     for step in range(1, PERRON_MAX_ITER + 1):
         w = _perron_apply(rows, mirror, q)
         alpha = sum(map(mul, w, q)) + sum(c * w[r] * q[r] for r, c in light)
         alphas.append(alpha)
-        lo, hi = theta, PERRON_THETA_MAX
-        while lo < (mid := (lo + hi) / 2) < hi:
-            if _top_at_least(alphas, sq_betas, mid):
-                lo = mid
-            else:
-                hi = mid
-        theta = lo
+        theta_prev, theta = theta, _top_ritz(alphas, sq_betas, theta,
+                                             2 * theta - theta_prev)
         lam = (theta / 2) ** (1.0 / 3.0)
         w = [a - alpha * b - beta * c for a, b, c in zip(w, q, q_prev)]
         beta = math.hypot(*w)

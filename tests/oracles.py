@@ -32,7 +32,9 @@ closed forms the counts and determinants are checked against, the
 Fibonacci and 3-dimensional Catalan sequences and the determinant degree
 law, live here too, and the simple current J (``rotate``), written from
 its formula, against which the Perron route's rotation orbits are
-checked.
+checked.  The Perron route's top Ritz value is checked against the plain
+full-width bisection of a Sturm count written here (``bisected_top_ritz``),
+where the library brackets it by Newton's method first.
 """
 
 import math
@@ -44,6 +46,7 @@ import numpy as np
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
     walk_table
 from anyondeg.poly import IntPoly, RationalFn
+from anyondeg.spectral import PERRON_THETA_MAX
 
 
 def _bareiss(mat: list[list[IntPoly]], rhs: list[IntPoly] | None):
@@ -435,6 +438,35 @@ def dense_lambda_perron(k: int, tol: float = 1e-12,
             return mu ** (1.0 / 3.0)
         mu_prev = mu
     raise RuntimeError(f"power iteration did not converge (k={k})")
+
+
+def _eigenvalue_at_least(alphas: list[float], sq_betas: list[float],
+                         x: float) -> bool:
+    """Whether the symmetric tridiagonal with diagonal alphas and squared
+    off-diagonal sq_betas has an eigenvalue >= x: the LDL^T pivots of
+    T - x, d_0 = alphas[0] - x, d_i = alphas[i] - x - sq_betas[i-1] /
+    d_{i-1}, are not all negative."""
+    d = alphas[0] - x
+    for i in range(1, len(alphas)):
+        if d >= 0:
+            return True
+        d = alphas[i] - x - sq_betas[i - 1] / d
+    return d >= 0
+
+
+def bisected_top_ritz(alphas: list[float], sq_betas: list[float],
+                      floor: float) -> float:
+    """The top eigenvalue of that tridiagonal, bisected by the Sturm count
+    from (floor, PERRON_THETA_MAX) over the whole width, one count per
+    midpoint, until no float lies strictly between the ends; the lower
+    end."""
+    lo, hi = floor, PERRON_THETA_MAX
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _eigenvalue_at_least(alphas, sq_betas, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def primes_1_mod(modulus: int, count: int) -> list[int]:

@@ -31,6 +31,11 @@ steps on float vectors, to apply the transpose of the Perron block B
 once per Lanczos step, as (I + P) B^T on the mirror-symmetric Krylov
 vectors.  The test oracles keep their own loops: ``tests/oracles.py``
 imports no ``_``-prefixed library name.
+One bisection: the Sturm count ``spectral._top_at_least`` has one
+caller, ``spectral._top_ritz``, which asks it only inside a bracket that
+Newton's method found and the count verified, so a second loop that
+bisects the whole bracket (theta_prev, PERRON_THETA_MAX) one count per
+midpoint cannot come back unnoticed.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.
@@ -159,6 +164,12 @@ def test_reflection_sum_called_only_by_degeneracy():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "_reflection_count")}
     assert callers == {("pathcount.py", "degeneracy")}
+
+
+def test_sturm_count_called_only_by_the_top_ritz_bracket():
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "_top_at_least")}
+    assert callers == {("spectral.py", "_top_ritz")}
 
 
 def _reached(root):

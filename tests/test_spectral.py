@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anyondeg.spectral
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, NoRootError, NonConvergenceError, _descartes, _perron_apply,
-    _perron_tables, _three_steps, growth_rate_estimate, lambda_perron,
-    lambda_trig, smallest_positive_root, spectral_report,
+    GRID, PERRON_THETA_MAX, NoRootError, NonConvergenceError, _descartes,
+    _newton_step, _perron_apply, _perron_tables, _three_steps, _top_at_least,
+    _top_ritz, growth_rate_estimate, lambda_perron, lambda_trig,
+    smallest_positive_root, spectral_report,
 )
 
-from oracles import adjacency, canonical_positions, class_positions, \
-    dense_lambda_perron, dense_perron_block, rotate
+from oracles import adjacency, bisected_top_ritz, canonical_positions, \
+    class_positions, dense_lambda_perron, dense_perron_block, rotate
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -276,6 +278,113 @@ class TestOrbits:
         # recorded from the route before the orbit tables, which
         # Lanczos-ran over all of class 0
         assert lambda_perron(k).hex() == bits
+
+    @pytest.mark.parametrize("k,bits", [
+        (3, "0x1.fffffffffffffp+0"), (48, "0x1.7e0f4540ebad8p+1"),
+        (63, "0x1.7ed73f7789a32p+1")])
+    def test_floats_of_the_orbit_route(self, k, bits):
+        # recorded from the orbit route while it still bisected each top
+        # Ritz value over the whole bracket (theta_prev, PERRON_THETA_MAX)
+        assert lambda_perron(k).hex() == bits
+
+
+def _ritz_calls(k: int, tol: float, monkeypatch) -> list[tuple]:
+    """(alphas, sq_betas, theta_prev, theta) of every Lanczos step of
+    ``lambda_perron(k, tol)``, as ``_top_ritz`` was called and answered."""
+    seen = []
+
+    def recorded(alphas, sq_betas, floor, guess):
+        theta = _top_ritz(alphas, sq_betas, floor, guess)
+        seen.append((list(alphas), list(sq_betas), floor, theta))
+        return theta
+
+    monkeypatch.setattr(anyondeg.spectral, "_top_ritz", recorded)
+    lambda_perron(k, tol)
+    return seen
+
+
+@st.composite
+def tridiagonals(draw):
+    """(alphas, sq_betas, floor, guess): diagonals clustered round one
+    centre, couplings that may be 0 or 1e-300, a floor that is 0, any
+    float below the cap, or the top of the leading block, as in Lanczos,
+    and any guess, next to the floor or not."""
+    n = draw(st.integers(1, 24))
+    centre = draw(st.floats(-54, 54))
+    spread = draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 1.0, 30.0]))
+    alphas = [centre + spread * draw(st.floats(-1, 1)) for _ in range(n)]
+    sq_betas = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-300, 1e-24]), st.floats(0, 400)),
+        min_size=n - 1, max_size=n - 1))
+    floor = draw(st.one_of(
+        st.just(0.0), st.floats(0, PERRON_THETA_MAX, exclude_max=True),
+        st.just(None)))
+    if floor is None:
+        floor = bisected_top_ritz(alphas[:-1], sq_betas[:-1], 0.0) \
+            if n > 1 else 0.0
+    guess = draw(st.one_of(st.floats(), st.floats(0, 1e-6).map(
+        lambda rise: floor + rise)))
+    return alphas, sq_betas, floor, guess
+
+
+class TestTopRitz:
+    """``_top_ritz`` against ``oracles.bisected_top_ritz``, the plain
+    full-width bisection of the Sturm count: the same float, from a few
+    counts per Lanczos step."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_every_step_is_the_plain_bisection(self, k, tol, monkeypatch):
+        seen = _ritz_calls(k, tol, monkeypatch)
+        assert seen
+        for alphas, sq_betas, floor, theta in seen:
+            expected = bisected_top_ritz(alphas, sq_betas, floor)
+            assert theta.hex() == expected.hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(tridiagonals())
+    def test_fuzzed_tridiagonals(self, case):
+        # the guess moves where Newton starts, never the float
+        alphas, sq_betas, floor, guess = case
+        assert _top_ritz(alphas, sq_betas, floor, guess).hex() \
+            == bisected_top_ritz(alphas, sq_betas, floor).hex()
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    def test_newton_step_is_det_over_its_derivative(self, x):
+        # T = [[2, 1], [1, 2]]: det(T - x) = (x - 1)(x - 3), a pivot
+        # turns nonnegative at or below the top eigenvalue 3
+        step = _newton_step([2.0, 2.0], [1.0], x)
+        if x > 3:
+            assert step == pytest.approx((x - 1) * (x - 3) / (2 * x - 4))
+        else:
+            assert step == 0.0 and _top_at_least([2.0, 2.0], [1.0], x)
+
+    @pytest.mark.parametrize("k", [48, 64])
+    def test_few_counts_per_lanczos_step(self, k, monkeypatch):
+        # the full-width bisection made about 47 Sturm counts a step at
+        # these levels; measured here: at most 4 counts and 7 Newton
+        # passes in any step of k = 1..64 at tol 1e-12, 1e-6 and 1e-300
+        steps = []
+
+        def counted_apply(*args):
+            steps.append([0, 0])
+            return _perron_apply(*args)
+
+        def counted_count(*args):
+            steps[-1][0] += 1
+            return _top_at_least(*args)
+
+        def counted_pass(*args):
+            steps[-1][1] += 1
+            return _newton_step(*args)
+
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted_apply)
+        monkeypatch.setattr(anyondeg.spectral, "_top_at_least", counted_count)
+        monkeypatch.setattr(anyondeg.spectral, "_newton_step", counted_pass)
+        lambda_perron(k)
+        assert len(steps) > 10
+        assert max(counts for counts, _ in steps) <= 6
+        assert max(passes for _, passes in steps) <= 9
 
 
 class TestRootFinding:
