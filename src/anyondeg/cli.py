@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", default="0,0")
     add_cap(p, "n", DEFAULT_CAP_N)
     add_cap(p, "k", DEFAULT_CAP_K)
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, parser=p)
 
     p = sub.add_parser("table", help="grid of walk counts")
     p.add_argument("--max-k", type=int, required=True)
@@ -222,26 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_cap(p, "n", CAP_N_TABLE)
     add_cap(p, "k", DEFAULT_CAP_K)
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_table, parser=p)
 
     p = sub.add_parser("genfunc", help="exact generating function(s)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     add_cap(p, "k", DEFAULT_CAP_K)
-    p.set_defaults(func=_cmd_genfunc)
+    p.set_defaults(func=_cmd_genfunc, parser=p)
 
     p = sub.add_parser("det", help="system determinant polynomial")
     p.add_argument("--k", type=int, required=True)
     add_cap(p, "k", DEFAULT_CAP_K)
-    p.set_defaults(func=_cmd_det)
+    p.set_defaults(func=_cmd_det, parser=p)
 
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     add_cap(p, "n", CAP_N_VERIFY)
     add_cap(p, "k", CAP_K_VERIFY)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("qdim", help="total quantum dimension")
     p.add_argument("--k", type=int, required=True)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="convergence tolerance (default 1e-6, or 1e-12 "
                         "for --method all)")
     add_cap(p, "k", DEFAULT_CAP_K)
-    p.set_defaults(func=_cmd_qdim)
+    p.set_defaults(func=_cmd_qdim, parser=p)
 
     p = sub.add_parser("syt", help="standard-tableau counts")
     p.add_argument("--n", type=int, default=0)
@@ -265,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-n", type=int, default=None,
                    help=f"refuse n above this bound (default {DEFAULT_CAP_N}, "
                         f"or {CAP_N_TABLE} with --paper-formula)")
-    p.set_defaults(func=_cmd_syt)
+    p.set_defaults(func=_cmd_syt, parser=p)
 
     p = sub.add_parser("reproduce", help="run the full golden suite")
     p.add_argument("--only", default=None,
                    help="run a single item (e.g. table1, table2)")
-    p.set_defaults(func=_cmd_reproduce)
+    p.set_defaults(func=_cmd_reproduce, parser=p)
 
     return parser
 
@@ -280,16 +280,15 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts may exceed 4300 digits
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        args.parser.print_usage(sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

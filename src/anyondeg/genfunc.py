@@ -19,8 +19,9 @@ class g, and the s^n0 ones must vanish (Cayley-Hamilton).
 D comes from the spectrum, and lowest terms too, with no walk and no
 polynomial gcd.  The lattice is the SU(3)_k fusion graph, so
 D(s) = prod (1 - s chi_mu^3) over one alcove point mu per rotation
-orbit of size 3, with chi_mu an eigenvalue of A in Q(zeta), zeta of
-order 3(k + 3).  D is squarefree and splits over Q into one irreducible
+orbit of size 3, its first in (i, j) order: the closed form i <= j,
+2i + j < k.  chi_mu is an eigenvalue of A in Q(zeta), zeta of order
+3(k + 3).  D is squarefree and splits over Q into one irreducible
 factor F_O per Galois orbit O of the chi_mu^3.  ``_orbit_factors``
 builds every F_O mod primes p = 1 mod 3(k + 3) below 2^30, lifts it by
 CRT and checks the lift mod one further prime; D is their product.
@@ -45,7 +46,8 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, prod
 
-from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, walk_table
+from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
+    class_offsets, walk_table
 from .pathcount import _sweep
 from .poly import IntPoly, RationalFn
 
@@ -117,20 +119,16 @@ def _unit_roots(order: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def _alcove_points(k: int) -> list[tuple[int, int, int]]:
-    """l = (a+b+2, b+1, 0) for one alcove point (a, b) per rotation orbit
-    of size 3; chi = sum_j zeta^(3 l_j - |l|) is its eigenvalue of A.
-    The rotation (a, b) -> (k - a - b, a) multiplies chi by a cube root
-    of unity, and its fixed point, which exists when 3 | k, has chi = 0."""
-    seen, reps = set(), []
-    for a in range(k + 1):
-        for b in range(k + 1 - a):
-            if (a, b) in seen:
-                continue
-            orbit = {(a, b), (k - a - b, a), (b, k - a - b)}
-            seen |= orbit
-            if len(orbit) == 3:
-                reps.append((a + b + 2, b + 1, 0))
-    return reps
+    """l = (i+j+2, i+1, 0) for one alcove point (i, j) per rotation orbit
+    of size 3, as ``_lowest_terms`` maps a vertex; chi = sum_j
+    zeta^(3 l_j - |l|) is its eigenvalue of A.  The rotation J,
+    (i, j) -> (k - i - j, i), multiplies chi by a cube root of unity and
+    cycles the labels (k - i - j, i, j), so an orbit's three i values are
+    its three labels, and its first point in (i, j) order is the one with
+    i < k - i - j and i <= j: i <= j, 2i + j < k.  J's fixed point
+    (k/3, k/3), when 3 | k, has chi = 0 and fails 2i + j < k."""
+    return [(i + j + 2, i + 1, 0) for i in range(k + 1)
+            for j in range(i, k - 2 * i)]
 
 
 def _cube(ell: tuple[int, ...], powers: list[int], p: int,
@@ -271,9 +269,8 @@ def solve_system(k: int) -> GenFnSolution:
     product of the factors, each with constant term 1, so it is
     primitive and positive at 0.
     """
-    lat = build_lattice(k)
-    classes = [lat.grade_class(g) for g in range(3)]
-    n0 = len(classes[0])
+    off = class_offsets(k)
+    n0 = off[0][-1]
     p, powers, factors = _orbit_factors(k)
     det = prod((f for f, _ in factors), start=IntPoly.one())
     # kept positions -> their product in t, one object shared by vertices
@@ -281,16 +278,16 @@ def solve_system(k: int) -> GenFnSolution:
     steps = list(_sweep(walk_table(k), 3 * n0 + 2, det.coeffs))
     if any(map(any, steps[3 * n0:])):
         raise ArithmeticError(f"a numerator has a nonzero s^{n0} coefficient")
-    graded = {}
-    for g, cls in enumerate(classes):
-        for r, v in enumerate(cls):
-            num = IntPoly([step[r] for step in steps[g:3 * n0:3]])
-            num, kept = _lowest_terms(num, v, factors, p, powers)
-            if kept not in dens:
-                dens[kept] = prod((factors[pos][0] for pos in kept),
-                                  start=IntPoly.one()).substitute_power(3)
-            graded[v] = RationalFn(num.substitute_power(3, g), dens[kept])
-    solutions = {v: graded[v] for v in lat.vertices}
+    solutions = {}
+    for v in build_lattice(k).vertices:
+        g = (2 * v.i + v.j) % 3
+        r = off[g][v.i] + v.j // 3
+        num = IntPoly([step[r] for step in steps[g:3 * n0:3]])
+        num, kept = _lowest_terms(num, v, factors, p, powers)
+        if kept not in dens:
+            dens[kept] = prod((factors[pos][0] for pos in kept),
+                              start=IntPoly.one()).substitute_power(3)
+        solutions[v] = RationalFn(num.substitute_power(3, g), dens[kept])
     sol0 = solutions[ORIGIN]
     if sol0.num[0] != sol0.den[0]:
         raise ArithmeticError("origin series must start at 1")
@@ -320,8 +317,7 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     if n_max < 0:  # before the costly solve
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
-    lat = build_lattice(k)
-    classes = [lat.grade_class(g) for g in range(3)]
+    classes = list(map(build_lattice(k).grade_class, range(3)))
     series = [[sol.solutions[v].series() for v in cls] for cls in classes]
     mismatches = []
     for n, counts in enumerate(_sweep(walk_table(k), n_max)):
@@ -331,6 +327,5 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
                 c, dp = next(coeffs), counts[r] if on_grade else 0
                 if c != dp:
                     mismatches.append((v, n, c, dp))
-    canonical = {v: r for r, v in enumerate(lat.vertices)}
-    mismatches.sort(key=lambda m: (canonical[m[0]], m[1]))
+    mismatches.sort(key=lambda m: m[:2])  # (i, j) order is canonical
     return mismatches

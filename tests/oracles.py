@@ -31,8 +31,8 @@ generating functions too, by their series mod p (``series_mod_p``).  The
 closed forms the counts and determinants are checked against, the
 Fibonacci and 3-dimensional Catalan sequences and the determinant degree
 law, live here too, and the simple current J (``rotate``), written from
-its formula, against which the Perron route's rotation orbits are
-checked.  The Perron route's top Ritz value is checked against the plain
+its formula, against which the Perron route's rotation orbits and the
+determinant's closed-form orbit representatives are checked.  The Perron route's top Ritz value is checked against the plain
 full-width bisection of a Sturm count written here (``bisected_top_ritz``),
 where the library brackets it by Newton's method first.
 """

@@ -505,6 +505,13 @@ class TestUsageErrors:
     def test_bad_level_value(self, capsys):
         assert run(capsys, "det", "--k", "0")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        "count --k 3 --n 3 --vertex 1,1,1", "count --k 100 --n 3"])
+    def test_usage_line_is_the_subcommand_s(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.splitlines()[1].startswith("usage: anyondeg count")
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [

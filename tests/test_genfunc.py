@@ -24,7 +24,7 @@ from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
     full_system_solution, graded_bareiss_solution, graded_system, \
     j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
-    residue_lowest_terms, schur_at_alcove_point, series_mod_p, \
+    residue_lowest_terms, rotate, schur_at_alcove_point, series_mod_p, \
     transfer_det_mod_p, verlinde_counts
 
 
@@ -174,6 +174,19 @@ class TestDeterminant:
         # D(s) is the product of 1 - s chi^3 over one alcove point per
         # free rotation orbit, so its degree in t is three times their number
         assert 3 * len(_alcove_points(k)) == determinant_degree(k)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_alcove_points_are_orbit_firsts(self, k):
+        # the closed form against J-orbits built here: each 3-point orbit
+        # gives its first point in (i, j) order, as l = (i + j + 2, i + 1, 0),
+        # and J's fixed point gives none
+        orbits = {frozenset({v, rotate(v, k), rotate(rotate(v, k), k)})
+                  for v in build_lattice(k).vertices}
+        assert {len(o) for o in orbits} <= {1, 3}
+        firsts = sorted(min(o) for o in orbits if len(o) == 3)
+        fixed = [v for o in orbits if len(o) == 1 for v in o]
+        assert fixed == ([Vertex(k // 3, k // 3)] if k % 3 == 0 else [])
+        assert _alcove_points(k) == [(i + j + 2, i + 1, 0) for i, j in firsts]
 
 
 class TestGradedReduction:

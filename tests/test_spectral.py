@@ -232,6 +232,14 @@ class TestOrbits:
         assert len(mirror) == len(weight) and sum(weight) == n0
         assert set(weight) == ({3, 1} if k % 3 == 0 else {1})
 
+    @pytest.mark.parametrize("k", range(3, 65, 3))
+    def test_fixed_point_weighs_last(self, k):
+        # representatives are their orbits' first points in class order, the
+        # rule genfunc._alcove_points follows; every 3-point orbit's first
+        # has i < k/3, so J's fixed point (k/3, k/3) comes last
+        weight = _perron_tables(k)[2]
+        assert weight[-1] == 1 and set(weight[:-1]) == {3}
+
     @pytest.mark.parametrize("k", [k for k in range(1, 65) if k % 3])
     def test_whole_classes_when_3_does_not_divide_k(self, k):
         rows, mirror, weight = _perron_tables(k)
