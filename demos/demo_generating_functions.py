@@ -12,7 +12,7 @@ from anyondeg import (
 
 # The level-1 system is 3x3 and its solution is the plain period-3 cycle.
 sol1 = solve_system(1)
-for v, fn in sorted(sol1.solutions.items()):
+for v, fn in sol1.items():
     print(f"level 1, F[{v.i},{v.j}] =",
           f"({poly_to_text(fn.num)}) / ({poly_to_text(fn.den)})")
 
@@ -20,7 +20,7 @@ for v, fn in sorted(sol1.solutions.items()):
 # 1 - 4t^3 - t^6; the origin series is every third Fibonacci number.
 print()
 sol2 = solve_system(2)
-origin = sol2.solutions[Vertex(0, 0)]
+origin = sol2[Vertex(0, 0)]
 print("level 2, origin:",
       f"({poly_to_text(origin.num)}) / ({poly_to_text(origin.den)})")
 print("series:", [int(c) for c in origin.series_coeffs(21)][::3])

@@ -14,8 +14,8 @@ dimension) three independent ways.
 from .lattice import Lattice, ORIGIN, Vertex, build_lattice
 from .pathcount import CountGrid, CountTable, count_paths, degeneracy, table
 from .poly import IntPoly, RationalFn, poly_from_text, poly_to_text
-from .genfunc import GenFnSolution, generating_function, solve_system, \
-    system_det, verify_series
+from .genfunc import generating_function, solve_system, system_det, \
+    verify_series
 from .spectral import SpectralReport, growth_rate_estimate, lambda_perron, \
     lambda_trig, smallest_positive_root, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
@@ -27,8 +27,7 @@ __all__ = [
     "Lattice", "ORIGIN", "Vertex", "build_lattice",
     "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
     "IntPoly", "RationalFn", "poly_from_text", "poly_to_text",
-    "GenFnSolution", "generating_function", "solve_system", "system_det",
-    "verify_series",
+    "generating_function", "solve_system", "system_det", "verify_series",
     "SpectralReport", "growth_rate_estimate", "lambda_perron", "lambda_trig",
     "smallest_positive_root", "spectral_report",
     "Shape3", "audit_published_formula", "brute_force_count", "hook_count",

@@ -110,8 +110,8 @@ def _cmd_genfunc(args) -> int:
     dens = {}  # each distinct denominator is formatted once
     if as_json:  # item by item, the bytes json.dumps gives the whole
         print(f'{{"k": {args.k}, "genfuncs": [', end="")
-    for n, v in enumerate(vertices or sorted(sol.solutions)):
-        fn = sol.solutions[v]
+    for n, v in enumerate(vertices or sol):
+        fn = sol[v]
         if fn.den not in dens:
             dens[fn.den] = (poly_to_json if as_json else poly_to_text)(fn.den)
         if as_json:

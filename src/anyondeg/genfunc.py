@@ -41,7 +41,6 @@ distinct denominator is substituted s = t^3 once.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import gcd, prod
@@ -50,15 +49,6 @@ from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
     class_offsets, walk_table
 from .pathcount import _sweep
 from .poly import IntPoly, RationalFn
-
-
-@dataclass(frozen=True)
-class GenFnSolution:
-    """All generating functions at level k plus the system determinant."""
-
-    k: int
-    solutions: dict[Vertex, RationalFn]
-    determinant: IntPoly
 
 
 # Miller-Rabin with the bases 2, 7, 61 is deterministic for every
@@ -256,8 +246,9 @@ def system_det(k: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def solve_system(k: int) -> GenFnSolution:
-    """Exact solution of M_k x = e_1: every generating function, reduced.
+def solve_system(k: int) -> dict[Vertex, RationalFn]:
+    """Exact solution of M_k x = e_1: every generating function, reduced,
+    as a dict from each vertex, in canonical order, to its function.
 
     Every class-g function is t^g G(s) with G = N / D, D(s) the
     determinant in s = t^3 and deg N < n0 = |C0|.  D is the product of
@@ -267,7 +258,9 @@ def solve_system(k: int) -> GenFnSolution:
     same lowest terms as reducing in t; the vertices that keep the same
     factors share one denominator object.  Every denominator is a
     product of the factors, each with constant term 1, so it is
-    primitive and positive at 0.
+    primitive and positive at 0.  The dict is the cached object itself,
+    so a caller must not change it; its common denominator is
+    ``system_det(k)``.
     """
     off = class_offsets(k)
     n0 = off[0][-1]
@@ -291,16 +284,16 @@ def solve_system(k: int) -> GenFnSolution:
     sol0 = solutions[ORIGIN]
     if sol0.num[0] != sol0.den[0]:
         raise ArithmeticError("origin series must start at 1")
-    return GenFnSolution(k=k, solutions=solutions,
-                         determinant=det.substitute_power(3))
+    return solutions
 
 
 def generating_function(k: int, v: Vertex) -> RationalFn:
-    """The generating function of the walks from the origin to v; a
-    vertex outside the lattice is rejected before the solve."""
+    """The generating function of the walks from the origin to v, read
+    from ``solve_system(k)``; a vertex outside the lattice is rejected
+    before the solve."""
     v = Vertex(*v)
     check_vertex(v, k)
-    return solve_system(k).solutions[v]
+    return solve_system(k)[v]
 
 
 def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
@@ -318,7 +311,7 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     classes = list(map(build_lattice(k).grade_class, range(3)))
-    series = [[sol.solutions[v].series() for v in cls] for cls in classes]
+    series = [[sol[v].series() for v in cls] for cls in classes]
     mismatches = []
     for n, counts in enumerate(_sweep(walk_table(k), n_max)):
         for g, cls in enumerate(classes):

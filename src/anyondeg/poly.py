@@ -36,10 +36,6 @@ class IntPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
 
@@ -76,9 +72,6 @@ class IntPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -95,6 +88,8 @@ class IntPoly:
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -106,12 +101,9 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(other * c for c in self.coeffs))
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -122,8 +114,6 @@ class IntPoly:
                     if cb:
                         out[i + j] += ca * cb
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def substitute_power(self, m: int, shift: int = 0) -> "IntPoly":
         """t^shift * p(t^m) for m >= 1."""
@@ -167,9 +157,9 @@ class IntPoly:
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
         """Exact quotient self / divisor in Z[t]; raises if not exact."""
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return IntPoly()
         dn, dd = self.degree, divisor.degree
         if dn < dd:
@@ -204,9 +194,9 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly = IntPoly((1,))):
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        if not num:
             num, den = IntPoly(), IntPoly.one()
         anchor = den[0] if den[0] != 0 else den.leading()
         if anchor < 0:
@@ -217,9 +207,6 @@ class RationalFn:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalFn)
                 and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalFn({poly_to_text(self.num)!r}, {poly_to_text(self.den)!r})"
@@ -252,7 +239,7 @@ class RationalFn:
 
 def poly_to_text(p: IntPoly) -> str:
     """Bit-exact ASCII form, increasing powers: ``1 - 4*t^3 - 1*t^6``."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for e, c in enumerate(p.coeffs):

@@ -34,12 +34,12 @@ def _check_table2() -> Iterator[dict]:
 
 def _check_corollary() -> Iterator[dict]:
     for k, spec in reference.ORIGIN_GENFUNCS.items():
-        got = solve_system(k).solutions[Vertex(0, 0)]
+        got = solve_system(k)[Vertex(0, 0)]
         if got != reference.genfunc_rational(spec):
             yield {"k": k, "vertex": [0, 0]}
     for k, table_ in ((1, reference.LEVEL1_GENFUNCS),
                       (2, reference.LEVEL2_GENFUNCS)):
-        sol = solve_system(k).solutions
+        sol = solve_system(k)
         for v, spec in table_.items():
             if sol[v] != reference.genfunc_rational(spec):
                 yield {"k": k, "vertex": [v.i, v.j]}

@@ -66,25 +66,25 @@ def _bareiss(mat: list[list[IntPoly]], rhs: list[IntPoly] | None):
         for r in range(p + 1, n):
             factor = mat[r][p]
             for c in range(p + 1, n):
-                mat[r][c] = (piv * mat[r][c] - factor * mat[p][c]).exact_div(prev)
+                mat[r][c] = (piv * mat[r][c] + -factor * mat[p][c]).exact_div(prev)
             if rhs is not None:
-                rhs[r] = (piv * rhs[r] - factor * rhs[p]).exact_div(prev)
-            mat[r][p] = IntPoly.zero()
+                rhs[r] = (piv * rhs[r] + -factor * rhs[p]).exact_div(prev)
+            mat[r][p] = IntPoly()
         prev = piv
     det = mat[n - 1][n - 1]
-    if det.is_zero():
+    if not det:
         raise ArithmeticError("system matrix is singular")
     assert det[0] == 1, "determinant lost its unit constant term"
     if rhs is None:
         return det, None
 
     # U[i][i] * N_i = rhs_i * det - sum_{j>i} U[i][j] * N_j, all exact.
-    numerators: list[IntPoly] = [IntPoly.zero()] * n
+    numerators: list[IntPoly] = [IntPoly()] * n
     for i in range(n - 1, -1, -1):
         acc = rhs[i] * det
         for j in range(i + 1, n):
             if mat[i][j] and numerators[j]:
-                acc = acc - mat[i][j] * numerators[j]
+                acc = acc + -mat[i][j] * numerators[j]
         numerators[i] = acc.exact_div(mat[i][i])
     return det, numerators
 
@@ -181,14 +181,14 @@ def paper_block_system(k: int) -> list[list[IntPoly]]:
     sizes = range(k + 1, 0, -1)
     dim = sum(sizes)
     t = IntPoly.monomial(1, 1)
-    mat = [[IntPoly.one() if r == c else IntPoly.zero() for c in range(dim)]
+    mat = [[IntPoly.one() if r == c else IntPoly() for c in range(dim)]
            for r in range(dim)]
 
     def minus_t(block, r0, c0):
         for r, row in enumerate(block):
             for c, bit in enumerate(row):
                 if bit:
-                    mat[r0 + r][c0 + c] = mat[r0 + r][c0 + c] - t
+                    mat[r0 + r][c0 + c] = mat[r0 + r][c0 + c] + -t
 
     offset = 0
     for m in sizes:
@@ -216,12 +216,12 @@ def _pseudo_rem(p: IntPoly, q: IntPoly) -> IntPoly:
     lead = q.leading()
     rem = p
     scale = p.degree - q.degree + 1
-    while not rem.is_zero() and rem.degree >= q.degree:
+    while rem and rem.degree >= q.degree:
         shift = rem.degree - q.degree
-        rem = rem * lead - q * IntPoly.monomial(rem.leading(), shift)
+        rem = rem * IntPoly((lead,)) + q * IntPoly.monomial(-rem.leading(), shift)
         scale -= 1
     if scale > 0:
-        rem = rem * (lead ** scale)
+        rem = rem * IntPoly((lead ** scale,))
     return rem
 
 
@@ -232,28 +232,28 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     polynomial part runs on primitive parts with pseudo-remainders, so
     no rational arithmetic and no coefficient blowup.
     """
-    if p.is_zero() and q.is_zero():
+    if not p and not q:
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero() or q.is_zero():
-        g = primitive(q if p.is_zero() else p)
+    if not p or not q:
+        g = primitive(p or q)
         return -g if g.leading() < 0 else g
     common = gcd(content(p), content(q))
     a, b = primitive(p), primitive(q)
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
+    while b:
         a, b = b, primitive(_pseudo_rem(a, b))
     if a.leading() < 0:
         a = -a
-    return a * common if common != 1 else a
+    return a * IntPoly((common,))
 
 
 def reduced(num: IntPoly, den: IntPoly) -> RationalFn:
     """num / den in lowest terms by the PRS gcd: coprime in Q[t], no
     common integer content, sign normalized by ``RationalFn``."""
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("zero denominator")
-    if not num.is_zero():
+    if num:
         g = poly_gcd(num, den)
         num, den = num.exact_div(g), den.exact_div(g)
         c = gcd(content(num), content(den))
@@ -266,7 +266,7 @@ def full_system_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     """det(M_k) and every generating function, by Bareiss elimination on
     the full system M_k x = e_1 over Z[t] of ``paper_block_system``."""
     mat = paper_block_system(k)
-    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
+    rhs = [IntPoly.one()] + [IntPoly()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
     return det, {v: reduced(num, det)
                  for v, num in zip(build_lattice(k).vertices, numerators)}
@@ -302,12 +302,12 @@ def graded_bareiss_solution(k: int) -> tuple[IntPoly, dict[Vertex, RationalFn]]:
     lat = build_lattice(k)
     classes, pred = class_positions(lat)[0], graded_predecessors(lat)
     mat = graded_system(dense_perron_block(k).astype(int).tolist())
-    rhs = [IntPoly.one()] + [IntPoly.zero()] * (len(mat) - 1)
+    rhs = [IntPoly.one()] + [IntPoly()] * (len(mat) - 1)
     det, numerators = _bareiss(mat, rhs)
     graded = {}
     for g, cls in enumerate(classes):
         if g:
-            numerators = [sum((numerators[u] for u in us), IntPoly.zero())
+            numerators = [sum((numerators[u] for u in us), IntPoly())
                           for us in pred[g]]
         for v, num in zip(cls, numerators):
             fn = reduced(num, det)

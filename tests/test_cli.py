@@ -17,7 +17,7 @@ import anyondeg.syt
 from anyondeg import reference
 from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, CAP_N_VERIFY, \
     DEFAULT_CAP_K, build_parser, main
-from anyondeg.genfunc import GenFnSolution, solve_system
+from anyondeg.genfunc import solve_system
 from anyondeg.lattice import Vertex, build_lattice
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
@@ -141,7 +141,7 @@ class TestGenfunc:
             self, capsys, k, vertex):
         # json is printed item by item, and each distinct denominator is
         # formatted once; both must print what formatting every item would
-        sol = solve_system(k).solutions
+        sol = solve_system(k)
         flags = []
         vertices = sorted(sol)
         if vertex:
@@ -426,7 +426,7 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.cli, "system_det",
                             lambda k: IntPoly((1, -1)))
         monkeypatch.setattr(anyondeg.cli, "solve_system",
-                            lambda k: GenFnSolution(k, {}, IntPoly.one()))
+                            lambda k: {})
         monkeypatch.setattr(anyondeg.cli, "verify_series", lambda k, n: [])
         monkeypatch.setattr(anyondeg.cli, "lambda_perron",
                             lambda k, tol: 1.0)

@@ -55,15 +55,54 @@ Library code only: every module-level function, class or constant
 exported in ``anyondeg.__all__``, so a fixture or a reference value
 only the tests read lives in ``tests/oracles.py`` or is used where the
 library checks against it.  Every ``__all__`` name is bound in
-``__init__.py``, and every public name it imports is exported.
+``__init__.py``, and every public name it imports is exported.  The
+same holds for class members: every method, property and classmethod
+is read as an attribute, ``x.name``, in the library outside its own
+definition, in ``perfbench/*.py`` or in ``demos/*.py``, so a member
+only the tests call leaves the library; every dunder a class defines
+or assigns is on ``PROTOCOL`` with the caller that needs it.
+
+The clients resolve: every name ``perfbench/*.py`` and ``demos/*.py``
+import from ``anyondeg``, and every attribute chain they read on an
+imported ``anyondeg`` module (``ad.build_lattice``,
+``ad.syt.shape_for_vertex``), exists on a freshly imported package,
+including the ones in code paths no test runs.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "anyondeg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "anyondeg"
 INIT = SRC / "__init__.py"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+CLIENTS = sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "demos").glob("*.py"))
+
+# (class, dunder) -> what needs it; every dunder a library class binds
+PROTOCOL = {
+    ("IntPoly", "__slots__"): "the interpreter: one coeffs slot, no __dict__",
+    ("IntPoly", "__init__"): "IntPoly(coeffs) throughout",
+    ("IntPoly", "__bool__"): "`not p` in exact_div, RationalFn, "
+                             "poly_to_text and the oracles' `if p:`",
+    ("IntPoly", "__getitem__"): "den[0] and num[n] in RationalFn",
+    ("IntPoly", "__add__"): "perfbench/test_bench_checks.py and the "
+                            "oracles' Bareiss and PRS routes",
+    ("IntPoly", "__neg__"): "RationalFn's sign normalization",
+    ("IntPoly", "__mul__"): "prod in genfunc.system_det and solve_system",
+    ("IntPoly", "__eq__"): "reproduce's golden determinant check",
+    ("IntPoly", "__hash__"): "the denominator dicts of cli._cmd_genfunc",
+    ("IntPoly", "__repr__"): "assertion and interactive output",
+    ("IntPoly", "__call__"): "det(t0) in perfbench/checks.py check_det",
+    ("RationalFn", "__slots__"): "the interpreter: num and den slots only",
+    ("RationalFn", "__init__"): "RationalFn(num, den) in solve_system",
+    ("RationalFn", "__eq__"): "reproduce's golden generating functions",
+    ("RationalFn", "__repr__"): "assertion and interactive output",
+}
 
 
 def _trees():
@@ -299,3 +338,130 @@ def test_all_is_bound_and_covers_every_public_import():
     assert sorted(set(exported) - bound) == []
     assert sorted(name for name in imported
                   if not name.startswith("_") and name not in exported) == []
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(tree):
+    """(class, name, statement) for every name a class body binds: the
+    ``_defined`` names and the dunders it assigns."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                names = _defined(stmt) + [
+                    target.id for target in getattr(stmt, "targets", ())
+                    if isinstance(target, ast.Name) and _dunder(target.id)]
+                yield from ((cls.name, name, stmt) for name in names)
+
+
+def _attribute_reads(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)]
+
+
+def _member_findings(trees, clients):
+    """The methods of library classes that no library module, outside
+    their own definition, and no client reads as an attribute; and the
+    dunders that are not on ``PROTOCOL`` or are there for no class that
+    binds them."""
+    reads = [node for _, tree in trees for node in _attribute_reads(tree)]
+    outside = {node.attr for tree in clients for node in _attribute_reads(tree)}
+    unread, dunders = [], set()
+    for module, tree in trees:
+        for cls, name, node in _members(tree):
+            if _dunder(name):
+                dunders.add((cls, name))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = set(map(id, ast.walk(node)))
+                if name not in outside and not any(
+                        read.attr == name and id(read) not in own
+                        for read in reads):
+                    unread.append((module, cls, name))
+    return unread, sorted(dunders ^ PROTOCOL.keys())
+
+
+def _client_trees():
+    return [(path, ast.parse(path.read_text(), str(path))) for path in CLIENTS]
+
+
+def test_every_class_member_has_a_caller():
+    clients = [tree for _, tree in _client_trees()]
+    assert _member_findings(_trees(), clients) == ([], [])
+
+
+def test_member_rule_reads_attributes_only():
+    # a local variable named like a member is no read of it, and a
+    # dunder assigned in the class body needs a PROTOCOL entry too
+    tree = ast.parse("class IntPoly:\n"
+                     "    def zero(self):\n        return self.zero()\n"
+                     "    def one(self):\n        return 1\n"
+                     "    __rmul__ = one\n")
+    client = ast.parse("zero = 0\nIntPoly.one()\n")
+    unread, dunders = _member_findings([("poly.py", tree)], [client])
+    assert unread == [("poly.py", "IntPoly", "zero")]
+    assert ("IntPoly", "__rmul__") in dunders
+
+
+def _client_reads(tree):
+    """(line, module, names, from) for every name a client imports from
+    an ``anyondeg`` module, every module it imports, and every attribute
+    chain it reads on a name that an ``import anyondeg...`` statement
+    binds; ``from`` marks an import-from, which may name a submodule."""
+    bound, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "anyondeg":
+            found += [(node.lineno, node.module, [alias.name], True)
+                      for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "anyondeg":
+                    found.append((node.lineno, alias.name, [], False))
+                    bound[alias.asname or "anyondeg"] = \
+                        alias.name if alias.asname else "anyondeg"
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append((node.lineno, bound[base.id], chain, False))
+    return found
+
+
+_RESOLVE = """
+import importlib, json, sys
+missing = []
+for where, module, names, from_import in json.load(sys.stdin):
+    try:
+        obj = importlib.import_module(module)
+        for name in names:
+            if from_import and not hasattr(obj, name):
+                importlib.import_module(f"{module}.{name}")
+            else:
+                obj = getattr(obj, name)
+    except (ImportError, AttributeError) as exc:
+        missing.append([where, module, names, repr(exc)])
+print(json.dumps(missing))
+"""
+
+
+def test_client_reads_resolve_on_the_package():
+    reads = []
+    for path, tree in _client_trees():
+        reads += [(f"{path.relative_to(ROOT)}:{line}", *read)
+                  for line, *read in _client_reads(tree)]
+    chains = [names for _, _, names, _ in reads]
+    assert ["syt", "shape_for_vertex"] in chains
+    assert ["build_lattice"] in chains
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _RESOLVE],
+                         input=json.dumps(reads), capture_output=True,
+                         text=True, env=env, check=True, timeout=60).stdout
+    assert json.loads(out) == []

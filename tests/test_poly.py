@@ -42,11 +42,19 @@ class TestArithmetic:
     def test_mul(self):
         assert P(1, 0, 0, -1) * P(1, 0, 0, 1) == P(1, 0, 0, 0, 0, 0, -1)
 
+    @pytest.mark.parametrize("op", [
+        lambda p: p * 3, lambda p: 3 * p, lambda p: p + 1,
+    ], ids=["p*3", "3*p", "p+1"])
+    def test_int_operand_rejected(self, op):
+        # ring operations take IntPoly operands only; scale by IntPoly((c,))
+        with pytest.raises(TypeError):
+            op(P(1, 2))
+
     def test_mul_identity(self):
         assert P(1, 0, 0, -3) * IntPoly.one() == P(1, 0, 0, -3)
 
     def test_zero_degree_sentinel(self):
-        assert IntPoly.zero().degree == -1
+        assert IntPoly().degree == -1
         assert P(7).degree == 0
         assert not IntPoly((0, 0))
 
@@ -121,15 +129,15 @@ class TestGcd:
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            poly_gcd(IntPoly.zero(), IntPoly.zero())
+            poly_gcd(IntPoly(), IntPoly())
 
     @given(small_polys, nonzero_polys)
     def test_gcd_divides_both(self, a, b):
         g = poly_gcd(a, b)
         assert g.leading() > 0
         for p in (a, b):
-            if not p.is_zero():
-                scaled = p * (g.leading() ** (p.degree + 1))
+            if p:
+                scaled = p * P(g.leading() ** (p.degree + 1))
                 assert scaled.exact_div(g) * g == scaled
 
 
@@ -151,7 +159,7 @@ class TestRationalFn:
     def test_zero_denominator_rejected(self):
         for build in (RationalFn, reduced):
             with pytest.raises(ZeroDivisionError):
-                build(P(1), IntPoly.zero())
+                build(P(1), IntPoly())
 
     @given(small_polys, nonzero_polys, nonzero_polys)
     def test_common_factor_invariance(self, num, den, g):
@@ -176,7 +184,7 @@ class TestRationalFn:
 
     def test_substitute_power_values(self):
         assert P(1, -2, 3).substitute_power(3, 2) == P(0, 0, 1, 0, 0, -2, 0, 0, 3)
-        assert IntPoly.zero().substitute_power(3, 1) == IntPoly.zero()
+        assert IntPoly().substitute_power(3, 1) == IntPoly()
 
 
 class TestSeries:
@@ -228,7 +236,7 @@ class TestSeries:
 class TestSerialization:
     def test_text_format(self):
         assert poly_to_text(P(1, 0, 0, -4, 0, 0, -1)) == "1 - 4*t^3 - 1*t^6"
-        assert poly_to_text(IntPoly.zero()) == "0"
+        assert poly_to_text(IntPoly()) == "0"
         assert poly_to_text(P(-2, 1)) == "-2 + 1*t^1"
 
     @given(small_polys)
