@@ -15,8 +15,9 @@ import math
 import signal
 import sys
 
-from .genfunc import solve_system, system_det, verify_series
-from .lattice import Vertex, check_vertex
+from .genfunc import generating_function, solve_system, system_det, \
+    verify_series
+from .lattice import Vertex
 from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
@@ -53,20 +54,17 @@ class UsageError(Exception):
     pass
 
 
-def _parse_vertex(text: str) -> Vertex:
+def _parse(text: str, kind: type, name: str):
+    """Comma-separated integers as a ``kind`` (Vertex or Shape3), one per
+    field, else a UsageError naming the fields."""
     try:
-        i, j = (int(part) for part in text.split(","))
+        values = [int(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad vertex {text!r}; expected I,J") from None
-    return Vertex(i, j)
-
-
-def _parse_shape(text: str) -> Shape3:
-    try:
-        r1, r2, r3 = (int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad shape {text!r}; expected R1,R2,R3") from None
-    return Shape3(r1, r2, r3)
+        values = []
+    if len(values) != len(kind._fields):
+        raise UsageError(f"bad {name} {text!r}; expected "
+                         f"{','.join(kind._fields).upper()}")
+    return kind(*values)
 
 
 def _check_caps(args, k: int | None = None, n: int | None = None) -> None:
@@ -78,13 +76,13 @@ def _check_caps(args, k: int | None = None, n: int | None = None) -> None:
 
 def _cmd_count(args) -> int:
     _check_caps(args, k=args.k, n=args.n)
-    print(degeneracy(args.k, args.n, _parse_vertex(args.vertex)))
+    print(degeneracy(args.k, args.n, _parse(args.vertex, Vertex, "vertex")))
     return 0
 
 
 def _cmd_table(args) -> int:
     _check_caps(args, k=args.max_k, n=args.max_n)
-    grid = table(args.max_k, args.max_n, _parse_vertex(args.vertex),
+    grid = table(args.max_k, args.max_n, _parse(args.vertex, Vertex, "vertex"),
                  all_columns=args.all_columns)
     if args.format == "csv":
         print("k\\n," + ",".join(str(n) for n in grid.columns))
@@ -102,16 +100,16 @@ def _cmd_table(args) -> int:
 
 def _cmd_genfunc(args) -> int:
     _check_caps(args, k=args.k)
-    vertices = [_parse_vertex(args.vertex)] if args.vertex else None
-    for v in vertices or ():  # before the solve
-        check_vertex(v, args.k)
-    sol = solve_system(args.k)
+    if args.vertex:
+        v = _parse(args.vertex, Vertex, "vertex")
+        sol = {v: generating_function(args.k, v)}
+    else:
+        sol = solve_system(args.k)
     as_json = args.format == "json"
     dens = {}  # each distinct denominator is formatted once
     if as_json:  # item by item, the bytes json.dumps gives the whole
         print(f'{{"k": {args.k}, "genfuncs": [', end="")
-    for n, v in enumerate(vertices or sol):
-        fn = sol[v]
+    for n, (v, fn) in enumerate(sol.items()):
         if fn.den not in dens:
             dens[fn.den] = (poly_to_json if as_json else poly_to_text)(fn.den)
         if as_json:
@@ -169,12 +167,12 @@ def _cmd_syt(args) -> int:
         print(json.dumps(audit_published_formula(n_max=args.n)))
         return 0
     if args.shape:
-        shape = _parse_shape(args.shape)
+        shape = _parse(args.shape, Shape3, "shape")
         _check_caps(args, n=shape.n)
         count = hook_count(shape)
     else:
         _check_caps(args, n=args.n)
-        v = _parse_vertex(args.vertex)
+        v = _parse(args.vertex, Vertex, "vertex")
         count = unrestricted_count(args.n, v)
         shape = shape_for_vertex(args.n, v)
     if args.oracle and shape is not None:

@@ -19,12 +19,13 @@ class g, and the s^n0 ones must vanish (Cayley-Hamilton).
 D comes from the spectrum, and lowest terms too, with no walk and no
 polynomial gcd.  The lattice is the SU(3)_k fusion graph, so
 D(s) = prod (1 - s chi_mu^3) over one alcove point mu per rotation
-orbit of size 3, its first in (i, j) order: the closed form i <= j,
-2i + j < k.  chi_mu is an eigenvalue of A in Q(zeta), zeta of order
-3(k + 3).  D is squarefree and splits over Q into one irreducible
-factor F_O per Galois orbit O of the chi_mu^3.  ``_orbit_factors``
-builds every F_O mod primes p = 1 mod 3(k + 3) below 2^30, lifts it by
-CRT and checks the lift mod one further prime; D is their product.
+orbit of size 3, its first in (i, j) order: ``lattice.orbit_firsts``,
+the one rule the Perron tables read too.  chi_mu is an eigenvalue of A
+in Q(zeta), zeta of order 3(k + 3).  D is squarefree and splits over Q
+into one irreducible factor F_O per Galois orbit O of the chi_mu^3.
+``_orbit_factors`` builds every F_O mod primes p = 1 mod 3(k + 3)
+below 2^30, lifts it by CRT and checks the lift mod one further prime;
+D is their product.
 Below 2^30 a residue is one CPython digit and a three-base Miller-Rabin
 test is proven, so the prime search costs little; the lift only takes
 more primes where the bound on F_O's coefficients needs them.  The
@@ -46,7 +47,7 @@ from itertools import count
 from math import gcd, prod
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    class_offsets, walk_table
+    class_offsets, orbit_firsts, walk_table
 from .pathcount import _sweep
 from .poly import IntPoly, RationalFn
 
@@ -108,17 +109,13 @@ def _unit_roots(order: int) -> Iterator[tuple[int, list[int]]]:
         yield p, powers
 
 
-def _alcove_points(k: int) -> list[tuple[int, int, int]]:
-    """l = (i+j+2, i+1, 0) for one alcove point (i, j) per rotation orbit
-    of size 3, as ``_lowest_terms`` maps a vertex; chi = sum_j
-    zeta^(3 l_j - |l|) is its eigenvalue of A.  The rotation J,
-    (i, j) -> (k - i - j, i), multiplies chi by a cube root of unity and
-    cycles the labels (k - i - j, i, j), so an orbit's three i values are
-    its three labels, and its first point in (i, j) order is the one with
-    i < k - i - j and i <= j: i <= j, 2i + j < k.  J's fixed point
-    (k/3, k/3), when 3 | k, has chi = 0 and fails 2i + j < k."""
-    return [(i + j + 2, i + 1, 0) for i in range(k + 1)
-            for j in range(i, k - 2 * i)]
+def _label(i: int, j: int) -> tuple[int, int, int]:
+    """l = (i+j+2, i+1, 0) for the point (i, j); chi = sum_j
+    zeta^(3 l_j - |l|) is its eigenvalue of A.  The rotation J
+    (``lattice.orbit_firsts``) multiplies chi by a cube root of unity,
+    so chi^3 is one value per orbit, and J's fixed point (k/3, k/3),
+    when 3 | k, has chi = 0."""
+    return i + j + 2, i + 1, 0
 
 
 def _cube(ell: tuple[int, ...], powers: list[int], p: int,
@@ -167,7 +164,7 @@ def _orbit_factors(k: int) -> tuple[int, list[int],
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     order = 3 * (k + 3)
-    reps = _alcove_points(k)
+    reps = [_label(i, j) for i, j in orbit_firsts(k)]
     roots = _unit_roots(order)
     p, powers = next(roots)
     values = [_cube(ell, powers, p) for ell in reps]
@@ -218,7 +215,7 @@ def _lowest_terms(num: IntPoly, v: Vertex, factors: list, p: int,
     and at a zero ``exact_div`` decides and proves every factor it
     divides out; a false zero keeps the factor.
     """
-    ell = (v.i + v.j + 2, v.i + 1, 0)
+    ell = _label(*v)
     kept = []
     for pos, (factor, rep) in enumerate(factors):
         if not _s_entry(ell, rep, powers, p):

@@ -8,7 +8,10 @@ its one reader, builds the one padded per-class table from it by
 position arithmetic (``class_offsets``), with no vertex object or dict.
 Every walk, the Perron route's block B and the numerator sweep too,
 reads that table, and ``step`` is the one loop that takes a step along
-it.  Pure Python; no dense adjacency matrix is built.
+it.  The simple current J, (i, j) -> (k - i - j, i), has one rule for
+its orbit representatives, ``orbit_firsts``, which the determinant's
+factors and the Perron tables both read.  Pure Python; no dense
+adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -79,6 +82,16 @@ def class_offsets(k: int) -> list[list[int]]:
         for g, row in enumerate(off):
             row.append(row[-1] + (k - i - (g + i) % 3) // 3 + 1)
     return off
+
+
+def orbit_firsts(k: int) -> list[tuple[int, int]]:
+    """(i, j) of the first point, in (i, j) order, of every 3-point orbit
+    of J, (i, j) -> (k - i - j, i), listed in (i, j) order.  J cycles the
+    labels (k - i - j, i, j), so an orbit's three i values are its three
+    labels, and its first point is the one with i < k - i - j and
+    i <= j: i <= j, 2i + j < k, so i < k/3.  J's fixed point (k/3, k/3),
+    when 3 | k, fails 2i + j < k and comes after them all."""
+    return [(i, j) for i in range(k + 1) for j in range(i, k - 2 * i)]
 
 
 def walk_table(k: int) -> list[list[list[int]]]:

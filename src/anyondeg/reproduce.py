@@ -13,7 +13,7 @@ from .pathcount import count_paths, table
 from .poly import poly_to_text
 from .spectral import lambda_trig, smallest_positive_root, spectral_report
 from .syt import audit_published_formula, brute_force_count, hook_count, \
-    Shape3, unrestricted_count
+    shapes, unrestricted_count
 
 
 def _check_table1() -> Iterator[dict]:
@@ -71,14 +71,9 @@ def _check_qdim() -> Iterator[dict]:
 
 
 def _check_hooks() -> Iterator[dict]:
-    for r1 in range(13):
-        for r2 in range(r1 + 1):
-            for r3 in range(r2 + 1):
-                shape = Shape3(r1, r2, r3)
-                if shape.n > 12:
-                    continue
-                if hook_count(shape) != brute_force_count(shape):
-                    yield {"shape": list(shape)}
+    for shape in shapes(12):
+        if hook_count(shape) != brute_force_count(shape):
+            yield {"shape": list(shape)}
     for n in range(13):
         for v, count in count_paths(max(n, 1), n).counts.items():
             if unrestricted_count(n, v) != count:

@@ -29,7 +29,7 @@ from itertools import chain
 from operator import mul
 
 from .genfunc import system_det
-from .lattice import class_offsets, step, walk_table
+from .lattice import class_offsets, orbit_firsts, step, walk_table
 from .pathcount import degeneracy
 from .poly import IntPoly
 
@@ -60,33 +60,36 @@ def lambda_trig(k: int) -> float:
 
 
 def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
-    """(rows, mirror, weight): ``walk_table`` on one representative, the
-    first point in class order, per orbit of the rotations that keep the
-    grade classes: J, (i, j) -> (k - i - j, i), which maps each step onto
-    the next and adds 2k to the grade, when 3 | k (orbits of 3 points but
-    the fixed point (k/3, k/3)), else the identity, whose tables are the
-    walk table itself.  A row's positions are replaced by their orbits'
-    indices, the pad by the pad; mirror[r] is the orbit of the r-th
-    class-0 orbit's mirror image (P J P = J^-1) and weight[r] its size."""
+    """(rows, mirror, weight): ``walk_table`` on one representative per
+    orbit of the rotations that keep the grade classes: J,
+    (i, j) -> (k - i - j, i), which maps each step onto the next and
+    adds 2k to the grade, when 3 | k, else the identity, whose tables
+    are the walk table itself.  When 3 | k the representatives are
+    ``lattice.orbit_firsts`` split by class, then J's fixed point
+    (k/3, k/3) in class 0; each orbit's index is written at J's three
+    images of its representative, and a row's positions are replaced by
+    their orbits' indices, the pad by the pad.  mirror[r] is the orbit
+    of the r-th class-0 orbit's mirror image (P J P = J^-1) and
+    weight[r] its size: 3, and 1 for the fixed point."""
     off, pred = class_offsets(k), walk_table(k)
-    flip = [off[0][j] + i // 3 for i in range(k + 1)
-            for j in range(i % 3, k - i + 1, 3)]  # position of (j, i) in C0
     if k % 3:
+        flip = [off[0][j] + i // 3 for i in range(k + 1)  # (j, i) in C0
+                for j in range(i % 3, k - i + 1, 3)]
         return pred, flip, [1] * len(flip)
-    turns = [[at[k - i - j] + i // 3 for i in range(k + 1)
-              for j in range((g + i) % 3, k - i + 1, 3)]
-             for g, at in enumerate(off)]
-    reps = [[p for p, q in enumerate(turn) if p <= q and p <= turn[q]]
-            for turn in turns]
-    index = [[len(rep)] * (len(turn) + 1) for turn, rep in zip(turns, reps)]
-    for turn, rep, idx in zip(turns, reps, index):
-        for r, p in enumerate(rep):
-            idx[p] = idx[turn[p]] = idx[turn[turn[p]]] = r
-    rows = [[[u[a], u[b], u[c]] for a, b, c in map(table.__getitem__, rep)]
-            for table, rep, u in zip(pred, reps, index[-1:] + index[:-1])]
-    mirror = [index[0][flip[p]] for p in reps[0]]
-    weight = [1 if turns[0][p] == p else 3 for p in reps[0]]  # J^3 = 1
-    return rows, mirror, weight
+    reps = [[], [], []]
+    for i, j in orbit_firsts(k) + [(k // 3, k // 3)]:
+        reps[(2 * i + j) % 3].append((i, j))
+    index = [[len(rep)] * (at[-1] + 1) for at, rep in zip(off, reps)]
+    for at, rep, idx in zip(off, reps, index):
+        for r, (i, j) in enumerate(rep):
+            for a, b in ((i, j), (k - i - j, i), (j, k - i - j)):
+                idx[at[a] + b // 3] = r
+    rows = [[[u[a], u[b], u[c]] for a, b, c in
+             (table[at[i] + j // 3] for i, j in rep)]
+            for table, at, rep, u in zip(pred, off, reps,
+                                         index[-1:] + index[:-1])]
+    mirror = [index[0][off[0][j] + i // 3] for i, j in reps[0]]
+    return rows, mirror, [3] * (len(mirror) - 1) + [1]
 
 
 def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:

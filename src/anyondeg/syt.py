@@ -7,6 +7,7 @@ and walk counts reduce to plain tableau counts.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -35,6 +36,15 @@ def _check_shape(shape: Shape3) -> Shape3:
     if not (shape.r1 >= shape.r2 >= shape.r3 >= 0):
         raise ValueError(f"not a valid 3-row shape: {tuple(shape)}")
     return shape
+
+
+def shapes(n_max: int) -> Iterator[Shape3]:
+    """Every 3-row shape with at most n_max boxes, the empty one
+    included, in (r1, r2, r3) order."""
+    for r1 in range(n_max + 1):
+        for r2 in range(min(r1, n_max - r1) + 1):
+            for r3 in range(min(r2, n_max - r1 - r2) + 1):
+                yield Shape3(r1, r2, r3)
 
 
 def hook_count(shape: Shape3) -> int:
@@ -144,22 +154,18 @@ def audit_published_formula(n_max: int = 27) -> dict:
                        "agree": printed == true})
     disagreements = []
     checked = 0
-    for r1 in range(AUDIT_SCAN_N_MAX + 1):
-        for r2 in range(r1 + 1):
-            for r3 in range(r2 + 1):
-                shape = Shape3(r1, r2, r3)
-                if shape.n == 0 or shape.n > AUDIT_SCAN_N_MAX:
-                    continue
-                checked += 1
-                v = shape.vertex
-                printed = published_formula_count(shape.n, v.i, v.j)
-                true = hook_count(shape)
-                if printed != true:
-                    disagreements.append({
-                        "shape": list(shape), "n": shape.n,
-                        "vertex": [v.i, v.j],
-                        "printed": printed, "hook": true,
-                    })
+    for shape in shapes(AUDIT_SCAN_N_MAX):
+        if shape.n == 0:
+            continue
+        checked += 1
+        v = shape.vertex
+        printed = published_formula_count(shape.n, v.i, v.j)
+        true = hook_count(shape)
+        if printed != true:
+            disagreements.append({
+                "shape": list(shape), "n": shape.n, "vertex": [v.i, v.j],
+                "printed": printed, "hook": true,
+            })
     return {
         "origin": origin,
         "origin_all_agree": all(row["agree"] for row in origin),

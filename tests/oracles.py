@@ -31,10 +31,12 @@ generating functions too, by their series mod p (``series_mod_p``).  The
 closed forms the counts and determinants are checked against, the
 Fibonacci and 3-dimensional Catalan sequences and the determinant degree
 law, live here too, and the simple current J (``rotate``), written from
-its formula, against which the Perron route's rotation orbits and the
-determinant's closed-form orbit representatives are checked.  The Perron route's top Ritz value is checked against the plain
-full-width bisection of a Sturm count written here (``bisected_top_ritz``),
-where the library brackets it by Newton's method first.
+its formula, with the orbit representatives it gives
+(``rotation_orbit_firsts``), against which the Perron route's rotation
+orbits and ``lattice.orbit_firsts`` are checked.  The Perron route's
+top Ritz value is checked against the plain full-width bisection of a
+Sturm count written here (``bisected_top_ritz``), where the library
+brackets it by Newton's method first.
 """
 
 import math
@@ -107,6 +109,14 @@ def rotate(v: Vertex, k: int) -> Vertex:
     """The simple current J of SU(3)_k, (i, j) -> (k - i - j, i): the
     rotation of the level-k alcove (Schellekens-Yankielowicz)."""
     return Vertex(k - v.i - v.j, v.i)
+
+
+def rotation_orbit_firsts(k: int) -> list[Vertex]:
+    """The first point, in (i, j) order, of every 3-point orbit of J,
+    in (i, j) order: every lattice point's orbit built by ``rotate``."""
+    orbits = {frozenset({v, rotate(v, k), rotate(rotate(v, k), k)})
+              for v in build_lattice(k).vertices}
+    return sorted(min(o) for o in orbits if len(o) == 3)
 
 
 def canonical_positions(lattice: Lattice) -> dict[Vertex, int]:

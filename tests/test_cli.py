@@ -450,6 +450,7 @@ class TestCaps:
             raise AssertionError("solve_system ran")
 
         monkeypatch.setattr(anyondeg.cli, "solve_system", no_solve)
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system", no_solve)
         code, out, err = run(capsys, "genfunc", "--k", "2", "--vertex", "3,0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not in the level-2 lattice" in err
@@ -511,6 +512,14 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
         assert err.splitlines()[1].startswith("usage: anyondeg count")
+
+    @pytest.mark.parametrize("shape", ["1,2", "1,x,0"])
+    def test_bad_shape_string(self, capsys, shape):
+        code, out, err = run(capsys, "syt", "--shape", shape)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0] == f"error: bad shape {shape!r}; expected R1,R2,R3"
+        assert lines[1].startswith("usage: anyondeg syt")
 
 
 class TestClosedStdout:

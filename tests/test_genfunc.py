@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.genfunc
 from anyondeg.genfunc import (
-    _alcove_points, _cube, _is_prime, _orbit_factors,
+    _cube, _is_prime, _orbit_factors,
     _unit_roots, generating_function, solve_system, system_det, verify_series,
 )
-from anyondeg.lattice import Vertex, build_lattice, walk_table
+from anyondeg.lattice import Vertex, build_lattice, orbit_firsts, walk_table
 from anyondeg.pathcount import _sweep, origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
@@ -23,8 +23,8 @@ from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
     full_system_solution, graded_bareiss_solution, graded_system, \
     j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
-    residue_lowest_terms, rotate, schur_at_alcove_point, series_mod_p, \
-    transfer_det_mod_p, verlinde_counts
+    residue_lowest_terms, rotate, rotation_orbit_firsts, \
+    schur_at_alcove_point, series_mod_p, transfer_det_mod_p, verlinde_counts
 
 
 def P(terms):
@@ -172,20 +172,20 @@ class TestDeterminant:
     def test_degree_law_counts_rotation_orbits(self, k):
         # D(s) is the product of 1 - s chi^3 over one alcove point per
         # free rotation orbit, so its degree in t is three times their number
-        assert 3 * len(_alcove_points(k)) == determinant_degree(k)
+        assert 3 * len(orbit_firsts(k)) == determinant_degree(k) \
+            == 3 * len(rotation_orbit_firsts(k))
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_alcove_points_are_orbit_firsts(self, k):
-        # the closed form against J-orbits built here: each 3-point orbit
-        # gives its first point in (i, j) order, as l = (i + j + 2, i + 1, 0),
-        # and J's fixed point gives none
-        orbits = {frozenset({v, rotate(v, k), rotate(rotate(v, k), k)})
-                  for v in build_lattice(k).vertices}
-        assert {len(o) for o in orbits} <= {1, 3}
-        firsts = sorted(min(o) for o in orbits if len(o) == 3)
-        fixed = [v for o in orbits if len(o) == 1 for v in o]
+        # lattice.orbit_firsts, the one rule the factors and the Perron
+        # tables read, against J-orbits built from oracles.rotate: each
+        # 3-point orbit gives its first point in (i, j) order, and J's
+        # fixed point gives none
+        vertices = build_lattice(k).vertices
+        fixed = [v for v in vertices if rotate(v, k) == v]
         assert fixed == ([Vertex(k // 3, k // 3)] if k % 3 == 0 else [])
-        assert _alcove_points(k) == [(i + j + 2, i + 1, 0) for i, j in firsts]
+        assert 3 * len(orbit_firsts(k)) + len(fixed) == len(vertices)
+        assert orbit_firsts(k) == rotation_orbit_firsts(k)
 
 
 class TestGradedReduction:
@@ -313,7 +313,8 @@ class TestGaloisFactors:
         assert p % order == 1 and p < 2 ** 30 and _is_prime(p)
         assert len(powers) == order and pow(powers[1], order, p) == 1
         assert all(pow(powers[1], order // q, p) != 1 for q in primes)
-        cubes = [_cube(ell, powers, p) for ell in _alcove_points(k)]
+        cubes = [_cube((i + j + 2, i + 1, 0), powers, p)
+                 for i, j in rotation_orbit_firsts(k)]
         assert len(set(cubes)) == len(cubes) and 0 not in cubes
         first, first_powers, factors = _orbit_factors(k)
         assert (first, first_powers) == (p, powers)

@@ -40,6 +40,14 @@ The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.
 
+One rotation-orbit rule: the first points of the 3-point orbits of the
+simple current J, (i, j) -> (k - i - j, i), come from the closed form
+``range(i, k - 2 * i)``, written once, in ``lattice.orbit_firsts``, and
+both readers, ``genfunc._orbit_factors`` and ``spectral._perron_tables``,
+call it.  J's image ``k - i - j`` is computed only where
+``orbit_firsts`` supplies the points, so no module maps every class
+position under J and searches that map for representatives.
+
 Two caches: ``lru_cache`` decorates ``system_det`` and ``solve_system``
 alone, the two caches a caller can clear, so no hidden per-k memo keeps
 a cleared solve warm.
@@ -246,6 +254,58 @@ def test_perron_route_builds_no_lattice_or_vertex():
              and (_name(call.func) in banned
                   or _name(getattr(call.func, "value", None)) in banned)}
     assert found == set()
+
+
+def _expression(source):
+    return ast.dump(ast.parse(source, mode="eval").body)
+
+
+def _orbit_rule_findings(trees):
+    """(where the closed form is written, one entry per copy; who calls
+    ``orbit_firsts``; who computes J's image ``k - i - j`` without
+    calling it), as (module, function) pairs."""
+    closed = _expression("range(i, k - 2 * i)")
+    image = _expression("k - i - j")
+    written, callers, unfed = [], set(), set()
+    for name, tree in trees:
+        copies = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.dump(node) == closed]
+        written += [(name, func) for copy in copies
+                    for func in _enclosing(tree, lambda node: node is copy)]
+        called = _callers(tree, "orbit_firsts")
+        callers |= {(name, func) for func in called}
+        unfed |= {(name, func) for func in _enclosing(
+            tree, lambda node: isinstance(node, ast.BinOp)
+            and ast.dump(node) == image) - called}
+    return written, callers, unfed
+
+
+def test_one_rotation_orbit_rule():
+    written, callers, unfed = _orbit_rule_findings(_trees())
+    assert written == [("lattice.py", "orbit_firsts")]
+    assert callers == {("genfunc.py", "_orbit_factors"),
+                       ("spectral.py", "_perron_tables")}
+    assert unfed == set()
+
+
+def test_orbit_rule_flags_a_representative_search():
+    # J's position map over a whole class, searched for the orbit firsts,
+    # and a second copy of the closed form
+    spectral = ast.parse(
+        "def _perron_tables(k):\n"
+        "    turn = [at[k - i - j] + i // 3 for i in range(k + 1)\n"
+        "            for j in range(i % 3, k - i + 1, 3)]\n"
+        "    return [p for p, q in enumerate(turn)\n"
+        "            if p <= q and p <= turn[q]]\n")
+    genfunc = ast.parse(
+        "def _orbit_factors(k):\n"
+        "    return [(i, j) for i in range(k + 1)\n"
+        "            for j in range(i, k - 2 * i)]\n")
+    written, callers, unfed = _orbit_rule_findings(
+        [("genfunc.py", genfunc), ("spectral.py", spectral)])
+    assert written == [("genfunc.py", "_orbit_factors")]
+    assert callers == set()
+    assert unfed == {("spectral.py", "_perron_tables")}
 
 
 def test_lru_cache_only_on_the_two_clearable_solvers():

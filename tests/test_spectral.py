@@ -234,9 +234,10 @@ class TestOrbits:
 
     @pytest.mark.parametrize("k", range(3, 65, 3))
     def test_fixed_point_weighs_last(self, k):
-        # representatives are their orbits' first points in class order, the
-        # rule genfunc._alcove_points follows; every 3-point orbit's first
-        # has i < k/3, so J's fixed point (k/3, k/3) comes last
+        # representatives are their orbits' first points in class order,
+        # lattice.orbit_firsts, which the factors of D read too; every
+        # 3-point orbit's first has i < k/3, so J's fixed point (k/3, k/3)
+        # comes last
         weight = _perron_tables(k)[2]
         assert weight[-1] == 1 and set(weight[:-1]) == {3}
 
@@ -246,7 +247,7 @@ class TestOrbits:
         assert (mirror, rows) == _mirror_and_table(k)
         assert weight == [1] * len(mirror)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 6, 9, 12, 33])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 9, 12, 33, 48, 63])
     def test_orbit_indices_and_weights(self, k):
         # rows, mirror and weight against orbits numbered here
         classes = class_positions(build_lattice(k))[0]

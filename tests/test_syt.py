@@ -4,7 +4,7 @@ from anyondeg.lattice import Vertex
 from anyondeg.pathcount import count_paths, degeneracy
 from anyondeg.syt import (
     Shape3, audit_published_formula, brute_force_count, hook_count,
-    published_formula_count, shape_for_vertex, unrestricted_count,
+    published_formula_count, shape_for_vertex, shapes, unrestricted_count,
 )
 
 
@@ -14,6 +14,12 @@ def all_shapes(n_max):
             for r3 in range(r2 + 1):
                 if r1 + r2 + r3 <= n_max:
                     yield Shape3(r1, r2, r3)
+
+
+@pytest.mark.parametrize("n_max", range(15))
+def test_shapes_in_row_order(n_max):
+    # the library's enumeration against the plain triple loop here
+    assert list(shapes(n_max)) == list(all_shapes(n_max))
 
 
 class TestHookCount:
