@@ -28,20 +28,8 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
-# CLI processes, 2-vCPU host, Python 3.11, medians of 4 runs on a noisy
-# host: det --k 64 0.29 s (0.21-0.34 s); count at the default caps,
-# --k 64 --n 10000 --vertex 10,14, 0.46 s (0.41-0.47 s) by the
-# reflection sum, against 6.97 s by the whole-lattice sweep (--n 9999 at
-# the origin: 0.42 s against 7.00 s); single runs: qdim --k 64
-# --method root 1.45 s and --method all 2.31 s.  genfunc takes the
-# default cap too; the time follows the factors the numerators shed, and
-# its slowest levels are k=57 (> /dev/null 23.3 s, 288 MB peak RSS) and
-# k=63 (24.8 s, 425 MB; 28.2 s with --format json), against 9.1 s at 64.
-# The lower caps keep one call to about 30 s (one level more would leave
-# no margin): verify --k 26 --n 3000 27.7 s (k=27: 30.1 s), mostly the
-# series recurrences; table prints every count, about as n^2: --max-k 64
-# --max-n 3000 --all-columns --format json 19.7 s; syt --paper-formula
-# takes the table's n cap: --n 3000 1.3 s, 6000 8.4 s, 10000 37.5 s.
+# The lower caps keep one call to about 30 s on a 2-vCPU host; the
+# measured times are in README's "Resource caps" paragraph.
 CAP_K_VERIFY = 26
 CAP_N_VERIFY = 3000
 CAP_N_TABLE = 3000

@@ -35,8 +35,9 @@ its formula, with the orbit representatives it gives
 (``rotation_orbit_firsts``), against which the Perron route's rotation
 orbits and ``lattice.orbit_firsts`` are checked.  The Perron route's
 top Ritz value is checked against the plain full-width bisection of a
-Sturm count written here (``bisected_top_ritz``), where the library
-brackets it by Newton's method first.
+Sturm count written here (``eigenvalue_at_least``, bisected by
+``bisected_top_ritz``), where the library brackets it by Newton's
+method first and reads the count off Newton's early exit.
 """
 
 import math
@@ -450,8 +451,8 @@ def dense_lambda_perron(k: int, tol: float = 1e-12,
     raise RuntimeError(f"power iteration did not converge (k={k})")
 
 
-def _eigenvalue_at_least(alphas: list[float], sq_betas: list[float],
-                         x: float) -> bool:
+def eigenvalue_at_least(alphas: list[float], sq_betas: list[float],
+                        x: float) -> bool:
     """Whether the symmetric tridiagonal with diagonal alphas and squared
     off-diagonal sq_betas has an eigenvalue >= x: the LDL^T pivots of
     T - x, d_0 = alphas[0] - x, d_i = alphas[i] - x - sq_betas[i-1] /
@@ -472,7 +473,7 @@ def bisected_top_ritz(alphas: list[float], sq_betas: list[float],
     end."""
     lo, hi = floor, PERRON_THETA_MAX
     while lo < (mid := (lo + hi) / 2) < hi:
-        if _eigenvalue_at_least(alphas, sq_betas, mid):
+        if eigenvalue_at_least(alphas, sq_betas, mid):
             lo = mid
         else:
             hi = mid

@@ -31,11 +31,13 @@ steps on float vectors, to apply the transpose of the Perron block B
 once per Lanczos step, as (I + P) B^T on the mirror-symmetric Krylov
 vectors.  The test oracles keep their own loops: ``tests/oracles.py``
 imports no ``_``-prefixed library name.
-One bisection: the Sturm count ``spectral._top_at_least`` has one
-caller, ``spectral._top_ritz``, which asks it only inside a bracket that
-Newton's method found and the count verified, so a second loop that
-bisects the whole bracket (theta_prev, PERRON_THETA_MAX) one count per
-midpoint cannot come back unnoticed.
+One pivot loop: the LDL^T pivots of T - x, ``zip(alphas[1:],
+sq_betas)``, are iterated in one loop, in ``spectral._newton_step``,
+whose early exit at the first nonnegative pivot is the Sturm count, and
+its one caller is ``spectral._top_ritz``, which counts only inside a
+bracket that Newton's passes found.  So a second count loop beside
+Newton's, or a caller that bisects the whole bracket (theta_prev,
+PERRON_THETA_MAX) one count per midpoint, cannot come back unnoticed.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches a
 sweep or any other ``pathcount`` function.
@@ -213,10 +215,50 @@ def test_reflection_sum_called_only_by_degeneracy():
     assert callers == {("pathcount.py", "degeneracy")}
 
 
-def test_sturm_count_called_only_by_the_top_ritz_bracket():
-    callers = {(name, func) for name, tree in _trees()
-               for func in _callers(tree, "_top_at_least")}
+def _pivot_loop_findings(trees):
+    """(where ``zip(alphas[1:], sq_betas)`` is iterated, one entry per
+    loop, sorted; who calls ``_newton_step``), as (module, function)
+    pairs."""
+    pivots = _expression("zip(alphas[1:], sq_betas)")
+    loops, callers = [], set()
+    for name, tree in trees:
+        iters = [node.iter for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.comprehension))
+                 and ast.dump(node.iter) == pivots]
+        loops += [(name, func) for loop in iters
+                  for func in _enclosing(tree, lambda node: node is loop)]
+        callers |= {(name, func) for func in _callers(tree, "_newton_step")}
+    return sorted(loops), callers
+
+
+def test_one_ldlt_pivot_loop():
+    loops, callers = _pivot_loop_findings(_trees())
+    assert loops == [("spectral.py", "_newton_step")]
     assert callers == {("spectral.py", "_top_ritz")}
+
+
+def test_pivot_rule_flags_a_second_count():
+    # a Sturm count of its own beside Newton's pass, and a caller
+    # outside the bracket search
+    spectral = ast.parse(
+        "def _top_at_least(alphas, sq_betas, x):\n"
+        "    d = alphas[0] - x\n"
+        "    for a, b2 in zip(alphas[1:], sq_betas):\n"
+        "        if d >= 0:\n"
+        "            return True\n"
+        "        d = a - x - b2 / d\n"
+        "    return d >= 0\n"
+        "def _newton_step(alphas, sq_betas, x):\n"
+        "    return sum(b2 / a for a, b2 in zip(alphas[1:], sq_betas))\n"
+        "def _top_ritz(alphas, sq_betas, floor, guess):\n"
+        "    return _newton_step(alphas, sq_betas, guess)\n"
+        "def lambda_perron(k):\n"
+        "    return _newton_step([1.0], [], 0.5) is None\n")
+    loops, callers = _pivot_loop_findings([("spectral.py", spectral)])
+    assert loops == [("spectral.py", "_newton_step"),
+                     ("spectral.py", "_top_at_least")]
+    assert callers == {("spectral.py", "_top_ritz"),
+                       ("spectral.py", "lambda_perron")}
 
 
 def _reached(root):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.spectral
 from anyondeg.genfunc import system_det
@@ -10,13 +10,14 @@ from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
     GRID, PERRON_THETA_MAX, NoRootError, NonConvergenceError, _descartes,
-    _newton_step, _perron_apply, _perron_tables, _three_steps, _top_at_least,
-    _top_ritz, growth_rate_estimate, lambda_perron, lambda_trig,
+    _newton_step, _perron_apply, _perron_tables, _three_steps, _top_ritz,
+    growth_rate_estimate, lambda_perron, lambda_trig,
     smallest_positive_root, spectral_report,
 )
 
 from oracles import adjacency, bisected_top_ritz, canonical_positions, \
-    class_positions, dense_lambda_perron, dense_perron_block, rotate
+    class_positions, dense_lambda_perron, dense_perron_block, \
+    eigenvalue_at_least, rotate
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -352,6 +353,12 @@ class TestTopRitz:
 
     @settings(max_examples=400, deadline=None)
     @given(tridiagonals())
+    # Newton stops next to the float, not on it: an ulp below, where hi
+    # takes a count; 2 ulps above, where lo does; an ulp above, where
+    # its stop is hi, not lo
+    @example(([-0.5, -0.5], [4.0], 0.0, 0.0))
+    @example(([-0.5, -2.0, -1.0], [4.0, 1.0], 0.5, 1.0))
+    @example(([2.0, 3.0], [1.0], 0.5, 0.501))
     def test_fuzzed_tridiagonals(self, case):
         # the guess moves where Newton starts, never the float
         alphas, sq_betas, floor, guess = case
@@ -366,34 +373,45 @@ class TestTopRitz:
         if x > 3:
             assert step == pytest.approx((x - 1) * (x - 3) / (2 * x - 4))
         else:
-            assert step == 0.0 and _top_at_least([2.0, 2.0], [1.0], x)
+            assert step is None and eigenvalue_at_least([2.0, 2.0], [1.0], x)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tridiagonals(), st.integers(-64, 64), st.floats(-1, 1))
+    # pivots of -5e-324 overflow s, and the step 0.0 is no early exit
+    @example(([0.0], [], 0.0, 0.0), 1, 0.0)
+    @example(([0.0, 0.0], [0.0], 0.0, 0.0), 1, 0.0)
+    def test_newton_step_exits_early_just_where_the_count_is_set(
+            self, case, ulps, shift):
+        # x a few ulps from, or within 1 of, the top eigenvalue
+        alphas, sq_betas, _, _ = case
+        top = float(np.linalg.eigvalsh(
+            np.diag(alphas) + np.diag(np.sqrt(sq_betas), 1)
+            + np.diag(np.sqrt(sq_betas), -1))[-1])
+        for x in (top + ulps * math.ulp(top), top + shift):
+            assert (_newton_step(alphas, sq_betas, x) is None) \
+                == eigenvalue_at_least(alphas, sq_betas, x)
 
     @pytest.mark.parametrize("k", [48, 64])
     def test_few_counts_per_lanczos_step(self, k, monkeypatch):
         # the full-width bisection made about 47 Sturm counts a step at
-        # these levels; measured here: at most 4 counts and 7 Newton
-        # passes in any step of k = 1..64 at tol 1e-12, 1e-6 and 1e-300
+        # these levels; one LDL^T pass is one count, and measured here:
+        # 4.95 passes a step on average and at most 8 in any step of
+        # k = 1..64 at tol 1e-12, 1e-6 and 1e-300 (at most 6 at 48, 64)
         steps = []
 
         def counted_apply(*args):
-            steps.append([0, 0])
+            steps.append(0)
             return _perron_apply(*args)
 
-        def counted_count(*args):
-            steps[-1][0] += 1
-            return _top_at_least(*args)
-
         def counted_pass(*args):
-            steps[-1][1] += 1
+            steps[-1] += 1
             return _newton_step(*args)
 
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted_apply)
-        monkeypatch.setattr(anyondeg.spectral, "_top_at_least", counted_count)
         monkeypatch.setattr(anyondeg.spectral, "_newton_step", counted_pass)
         lambda_perron(k)
         assert len(steps) > 10
-        assert max(counts for counts, _ in steps) <= 6
-        assert max(passes for _, passes in steps) <= 9
+        assert max(steps) <= 8
 
 
 class TestRootFinding:
