@@ -1,10 +1,12 @@
 """Command-line interface: every operation as a subcommand.
 
 Output on stdout is deterministic (no timestamps); diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 internal or numeric failure.  When the reader of stdout closes
-early, the next write ends the process by SIGPIPE, with nothing on
-stderr.  Big integers are emitted as decimal strings in JSON output.
+stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error
+(or a ValueError), 3 internal or numeric failure (an ArithmeticError,
+the library's one family of numeric failures).  When the reader of
+stdout closes early, the next write ends the process by SIGPIPE, with
+nothing on stderr.  Big integers are emitted as decimal strings in JSON
+output.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .lattice import Vertex
 from .pathcount import degeneracy, table
 from .poly import poly_to_json, poly_to_text
 from .reproduce import reproduce
-from .spectral import NoRootError, NonConvergenceError, lambda_perron, \
-    lambda_trig, root_rho, spectral_report
+from .spectral import lambda_perron, lambda_trig, root_rho, spectral_report
 from .syt import Shape3, audit_published_formula, brute_force_count, \
     hook_count, shape_for_vertex, unrestricted_count
 
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, NoRootError, NonConvergenceError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

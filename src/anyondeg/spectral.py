@@ -8,10 +8,12 @@ The asymptotic growth factor (the total quantum dimension) is
     on B + B^T, B the origin block of A^3.  Started from the uniform
     vector, every Krylov vector is constant on the rotation orbits that
     Lanczos runs on and symmetric under the mirror P, (i, j) -> (j, i),
-    so it applies (I + P) B^T: one pass of ``lattice.step`` per step;
-    each step's top Ritz value is the float a full-width bisection of
-    the Sturm count ends on, replayed inside a bracket that Newton's
-    method finds on the LDL^T pivots of T - x: one pivot pass, one
+    so it applies (I + P) B^T: one pass of ``lattice.step`` per step,
+    and it ends within as many steps as there are orbits, the Krylov
+    dimension; each step's top Ritz value is the float a full-width
+    bisection of the Sturm count ends on, replayed inside a bracket
+    that Newton's method finds on the LDL^T pivots of T - x, stopping
+    at the previous Ritz value at the lowest: one pivot pass, one
     count, so Newton's own passes bound the bracket, in about five
     passes a step (the count is monotone in x under IEEE rounding, so
     the float is the same, bit for bit),
@@ -20,14 +22,16 @@ The asymptotic growth factor (the total quantum dimension) is
     of signs.
 
 This is the only module that touches floating point, and it needs only
-the standard library.  Numerical limits are module constants.
+the standard library.  Its numerical limits are module constants: the
+root scan's SEARCH_LIMIT and GRID, and the Ritz values' cap
+PERRON_THETA_MAX.  Lanczos has no step cap: its dimension bounds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, count
 from operator import mul
 
 from .genfunc import system_det
@@ -40,16 +44,11 @@ from .poly import IntPoly
 # change, in steps of 1/GRID in u = t^g up to u = 1 and in t beyond.
 SEARCH_LIMIT = 1.5
 GRID = 1024
-PERRON_MAX_ITER = 1_000  # Lanczos steps before giving up
 PERRON_THETA_MAX = 54.0  # B + B^T >= 0 has row sums <= 2 * 3^3
 ROWS = 3  # the N of SU(N): tableaux have three rows
 
 
-class NonConvergenceError(RuntimeError):
-    pass
-
-
-class NoRootError(RuntimeError):
+class NoRootError(ArithmeticError):
     pass
 
 
@@ -144,34 +143,36 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
     Weyl bound max(floor, alpha_n) + beta_{n-1} and no pivot there is
     nonnegative (Lanczos's Ritz values rise by shrinking amounts, so
     the last rise added to floor is mostly just above the top root),
-    else from the bound, and stops at or next to the top eigenvalue.
-    Every x it passes down from has no eigenvalue >= x.  If its last
-    pass exited early, the x it stopped at (or floor) is the bracket's
-    lo, and hi is widened, by 1 ulp doubling, until a count finds no
-    eigenvalue there or hi is the last x Newton passed down from (or
-    the cap); else that x is hi, and lo is widened until a count finds
-    one (or lo is floor).  The bisection then replays its own
-    midpoints, counting only strictly inside (lo, hi).  Under monotone
-    rounding each pivot of T - x is non-increasing in x, so the count
-    is monotone in x (Kahan; Demmel, Dhillon and Ren, ETNA 3 (1995)
-    116): every answer taken from the bracket is the one the count
-    gives, and the float is the same."""
+    else from the bound, and stops at or next to the top eigenvalue,
+    or at floor, which the float cannot lie below.  Every x it passes
+    down from has no eigenvalue >= x.  If its last pass exited early,
+    or it stopped at floor, the x it stopped at is the bracket's lo,
+    else that x is hi.  Counts then gallop away from it, 1, 2, 4, ...
+    ulps at a time, and the near end moves with each count on its
+    side, so no float is counted twice; the first count on the far
+    side is the far end, else floor or the last x Newton passed down
+    from (or the cap), where the gallop stops.  The bisection then
+    replays its own midpoints, counting only strictly inside (lo, hi).
+    Under monotone rounding each pivot of T - x is non-increasing in
+    x, so the count is monotone in x (Kahan; Demmel, Dhillon and Ren,
+    ETNA 3 (1995) 116): every answer taken from the bracket is the one
+    the count gives, and the float is the same."""
     beta = math.sqrt(sq_betas[-1]) if sq_betas else 0.0
     bound = min(max(floor, alphas[-1]) + beta, PERRON_THETA_MAX)
-    hi = PERRON_THETA_MAX  # the cap, then each x Newton passes down from
+    # hi: the cap, then each x Newton passes down from
+    hi, step = PERRON_THETA_MAX, None
     for start in (guess, bound) if floor < guess < bound else (bound,):
         x = start
-        while (step := _newton_step(alphas, sq_betas, x)) is not None \
-                and x - step < x:
-            x, hi = x - step, x
+        while x > floor and (step := _newton_step(alphas, sq_betas, x)) \
+                is not None and x - step < x:
+            x, hi = max(x - step, floor), x
         if x < start:
             break
-    x = max(x, floor)
-    up = step is None  # x is lo: widen hi, else x is hi: widen lo
+    up = x == floor or step is None  # x is lo: move hi, else x is hi: move lo
     w = math.ulp(x) if up else -math.ulp(x)
     while floor < (end := min(max(x + w, floor), hi)) < hi \
             and (_newton_step(alphas, sq_betas, end) is None) == up:
-        w *= 2
+        x, w = end, 2 * w
     lo, hi = (x, end) if up else (end, x)
     a, b = floor, PERRON_THETA_MAX
     while a < (mid := (a + b) / 2) < b:
@@ -196,12 +197,12 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     None) from (previous theta, PERRON_THETA_MAX) to float resolution
     ends on.  ``_top_ritz`` finds that float, bit for bit, from a
     bracket that Newton's method finds: one pivot pass, one count, so
-    about five LDL^T passes a step (4.95 on average, at most 8, over
-    k = 1..64 at tol 1e-12, 1e-6 and 1e-300) in place of about 47;
-    Newton first tries theta plus its last rise.  The loop stops once
-    (theta / 2)^(1/3) moves by less than tol, which must be positive and
-    finite, or when the Krylov space runs out: a zero residual, or as
-    many steps as it has dimensions.
+    about five LDL^T passes a step; Newton first tries theta plus its
+    last rise.  The loop stops once (theta / 2)^(1/3) moves by less
+    than tol, which must be positive and finite, or when the Krylov
+    space runs out: a zero residual, or as many steps as it has
+    dimensions, one per orbit.  That dimension bounds Lanczos, so it
+    has no step cap of its own.
 
     The rotations that keep the classes commute with A, so Lanczos runs
     on one entry per orbit (``_perron_tables``), inner products weighted
@@ -221,7 +222,7 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     q, q_prev = [(sum(weight) / top) ** -0.5] * n, [0.0] * n
     alphas, sq_betas = [], []  # T's diagonal and squared off-diagonal
     beta, theta, theta_prev, lam_prev = 0.0, 0.0, math.inf, math.inf
-    for step in range(1, PERRON_MAX_ITER + 1):
+    for step in count(1):
         w = _perron_apply(rows, mirror, q)
         alpha = sum(map(mul, w, q)) + sum(c * w[r] * q[r] for r, c in light)
         alphas.append(alpha)
@@ -237,8 +238,6 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
         sq_betas.append(beta * beta)
         q_prev, q = q, [a / beta for a in w]
         lam_prev = lam
-    raise NonConvergenceError(
-        f"Lanczos did not converge in {PERRON_MAX_ITER} steps (k={k})")
 
 
 def _iroot(n: int, g: int) -> int:
@@ -393,7 +392,4 @@ def growth_rate_estimate(k: int, n: int) -> float:
     if n < 3:
         raise ValueError(f"step count n must be >= 3, got {n}")
     n3 = n - n % 3  # origin counts vanish off multiples of 3
-    count = degeneracy(k, n3)
-    if count <= 0:
-        raise ValueError(f"no walks of length {n3} at level {k}")
-    return 2.0 ** (math.log2(count) / n3)
+    return 2.0 ** (math.log2(degeneracy(k, n3)) / n3)

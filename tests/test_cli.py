@@ -22,7 +22,7 @@ from anyondeg.lattice import Vertex, build_lattice
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
-from anyondeg.spectral import NonConvergenceError, SpectralReport, lambda_trig
+from anyondeg.spectral import NoRootError, SpectralReport, lambda_trig
 
 from oracles import class_positions, primes_1_mod, verlinde_counts
 
@@ -262,13 +262,13 @@ class TestQdim:
             assert float(out) == pytest.approx(1.618033988749895, abs=1e-6)
 
     def test_numeric_failure_exits_3(self, capsys, monkeypatch):
-        def no_convergence(k, tol):
-            raise NonConvergenceError("Lanczos did not converge")
+        def no_root(k, tol):
+            raise NoRootError("no sign change in (0, 1.5]")
 
-        monkeypatch.setattr(anyondeg.cli, "lambda_perron", no_convergence)
-        code, out, err = run(capsys, "qdim", "--k", "2", "--method", "eig")
+        monkeypatch.setattr(anyondeg.cli, "root_rho", no_root)
+        code, out, err = run(capsys, "qdim", "--k", "2", "--method", "root")
         assert code == 3 and out == ""
-        assert err.splitlines() == ["error: Lanczos did not converge"]
+        assert err.splitlines() == ["error: no sign change in (0, 1.5]"]
 
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2

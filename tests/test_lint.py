@@ -5,6 +5,13 @@ self-check written as one would vanish there, and where it stays it
 ends in a traceback rather than the CLI's exit code 3.  Self-checks
 raise ArithmeticError instead.
 
+Two failure families: every ``raise`` in src/anyondeg names
+``ValueError``, ``ArithmeticError`` or a subclass of one, a builtin
+or a library class that derives from one, so every library failure
+reaches the CLI's exit code 2 (a bad input) or 3 (a numeric failure)
+and none ends in a traceback.  cli's own ``UsageError``, which exits 2
+with the subcommand's usage line, is the one exception.
+
 Imports sit at module top, with no exception, and no module imports
 numpy: the library runs on the standard library alone, and numpy is
 left to the test oracles.
@@ -80,6 +87,7 @@ including the ones in code paths no test runs.
 """
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -126,6 +134,63 @@ def test_no_assert_statements_in_the_library():
     found = [f"{name}:{node.lineno}" for name, tree in _trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _raise_findings(trees):
+    """(module, line, name) for every ``raise`` whose exception is not
+    ValueError, ArithmeticError or a subclass of one, by the bases the
+    library's own classes name; cli's ``UsageError`` is exempt."""
+    bases = {node.name: [_name(base) for base in node.bases]
+             for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def numeric(name):
+        if name in bases:
+            return any(numeric(base) for base in bases[name])
+        cls = getattr(builtins, name or "", None)
+        return isinstance(cls, type) \
+            and issubclass(cls, (ValueError, ArithmeticError))
+
+    found = []
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                name = _name(exc) if exc is not None else None
+                if not numeric(name) \
+                        and (module, name) != ("cli.py", "UsageError"):
+                    found.append((module, node.lineno, name))
+    return sorted(found, key=lambda entry: entry[:2])
+
+
+def test_every_raise_is_a_value_or_arithmetic_error():
+    assert _raise_findings(_trees()) == []
+
+
+def test_raise_rule_flags_other_families():
+    # a numeric failure derived from RuntimeError, a bare Exception, a
+    # re-raise and another module's UsageError are reported; the
+    # subclasses of ValueError and ArithmeticError are not
+    spectral = ast.parse(
+        "class NonConvergenceError(RuntimeError):\n    pass\n"
+        "class NoRootError(ArithmeticError):\n    pass\n"
+        "def f(x):\n"
+        "    if x == 0:\n        raise NonConvergenceError('no')\n"
+        "    if x == 1:\n        raise NoRootError('no')\n"
+        "    if x == 2:\n        raise ZeroDivisionError\n"
+        "    if x == 3:\n        raise KeyError(x)\n"
+        "    if x == 4:\n        raise UsageError(x)\n"
+        "    try:\n        raise Exception(x)\n"
+        "    except Exception:\n        raise\n")
+    cli = ast.parse("class UsageError(Exception):\n    pass\n"
+                    "def g():\n    raise UsageError('bad')\n")
+    found = _raise_findings([("cli.py", cli), ("spectral.py", spectral)])
+    assert found == [("spectral.py", 7, "NonConvergenceError"),
+                     ("spectral.py", 13, "KeyError"),
+                     ("spectral.py", 15, "UsageError"),
+                     ("spectral.py", 17, "Exception"),
+                     ("spectral.py", 19, None)]
 
 
 def _imported(node):

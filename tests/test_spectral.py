@@ -9,7 +9,7 @@ from anyondeg.genfunc import system_det
 from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, PERRON_THETA_MAX, NoRootError, NonConvergenceError, _descartes,
+    GRID, PERRON_THETA_MAX, NoRootError, _descartes,
     _newton_step, _perron_apply, _perron_tables, _three_steps, _top_ritz,
     growth_rate_estimate, lambda_perron, lambda_trig,
     smallest_positive_root, spectral_report,
@@ -210,10 +210,23 @@ class TestPerron:
         assert applies > 0
         assert passes == applies
 
-    def test_step_limit_raises(self, monkeypatch):
-        monkeypatch.setattr(anyondeg.spectral, "PERRON_MAX_ITER", 2)
-        with pytest.raises(NonConvergenceError):
-            lambda_perron(64)
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_steps_bounded_by_the_krylov_dimension(self, k, monkeypatch):
+        # one B^T pass a step, and at most one step per orbit
+        # representative, the dimension of the Krylov space
+        applies = 0
+
+        def counted(*args):
+            nonlocal applies
+            applies += 1
+            return _perron_apply(*args)
+
+        monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
+        n = len(_perron_tables(k)[2])
+        for tol in (1e-12, 1e-6, 1e-300):
+            applies = 0
+            lambda_perron(k, tol)
+            assert 0 < applies <= n
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_tol(self, tol):
@@ -313,6 +326,18 @@ def _ritz_calls(k: int, tol: float, monkeypatch) -> list[tuple]:
     return seen
 
 
+def _counted_passes(monkeypatch) -> list[float]:
+    """The x of every ``_newton_step`` pass from here on, in order."""
+    passes = []
+
+    def counted(alphas, sq_betas, x):
+        passes.append(x)
+        return _newton_step(alphas, sq_betas, x)
+
+    monkeypatch.setattr(anyondeg.spectral, "_newton_step", counted)
+    return passes
+
+
 @st.composite
 def tridiagonals(draw):
     """(alphas, sq_betas, floor, guess): diagonals clustered round one
@@ -365,6 +390,23 @@ class TestTopRitz:
         assert _top_ritz(alphas, sq_betas, floor, guess).hex() \
             == bisected_top_ritz(alphas, sq_betas, floor).hex()
 
+    def test_newton_stops_at_floor(self, monkeypatch):
+        # T = 0 has the triple eigenvalue 0 below floor, where Newton
+        # only cuts x by a third a pass; it took 1748 passes down to 0
+        passes = _counted_passes(monkeypatch)
+        case = ([0.0] * 3, [0.0] * 2, 0.5)
+        assert _top_ritz(*case, 0.5) == 0.5 == bisected_top_ritz(*case)
+        assert len(passes) <= 2
+
+    def test_no_float_counted_twice(self, monkeypatch):
+        # the gallop moves its near end, so the replay cannot count
+        # again a float the gallop already counted on that side
+        passes = _counted_passes(monkeypatch)
+        case = ([-0.5, -2.0, -1.0], [4.0, 1.0], 0.5)
+        assert _top_ritz(*case, 1.0).hex() == bisected_top_ritz(*case).hex()
+        assert passes
+        assert len(set(passes)) == len(passes)
+
     @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     def test_newton_step_is_det_over_its_derivative(self, x):
         # T = [[2, 1], [1, 2]]: det(T - x) = (x - 1)(x - 3), a pivot
@@ -395,7 +437,7 @@ class TestTopRitz:
     def test_few_counts_per_lanczos_step(self, k, monkeypatch):
         # the full-width bisection made about 47 Sturm counts a step at
         # these levels; one LDL^T pass is one count, and measured here:
-        # 4.95 passes a step on average and at most 8 in any step of
+        # 4.94 passes a step on average and at most 8 in any step of
         # k = 1..64 at tol 1e-12, 1e-6 and 1e-300 (at most 6 at 48, 64)
         steps = []
 
