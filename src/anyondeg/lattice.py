@@ -5,12 +5,14 @@ diagram; level k restricts i + j <= k.  Adding one box moves the state
 along a directed edge, so n-step walks from the origin count the
 admissible tableaux.  The edge rule is ``_STEPS``, and ``walk_table``,
 its one reader, builds the one padded per-class table from it by
-position arithmetic (``class_offsets``), with no vertex object or dict.
-Every walk, the Perron route's block B and the numerator sweep too,
-reads that table, and ``step`` is the one loop that takes a step along
-it.  The simple current J, (i, j) -> (k - i - j, i), has one rule for
-its orbit representatives, ``orbit_firsts``, which the determinant's
-factors and the Perron tables both read.  Pure Python; no dense
+position arithmetic (``class_offsets``), with no vertex object or dict:
+every vertex's row, or given points' rows alone.  Every walk, the Perron
+route's block B and the numerator sweep too, reads that table, the
+Perron route only its orbit representatives' rows when 3 | k, and
+``step`` is the one loop that takes a step along it.  The simple
+current J, (i, j) -> (k - i - j, i), has one rule for its orbit
+representatives, ``orbit_firsts``, which the determinant's factors and
+the Perron tables both read.  Pure Python; no dense
 adjacency matrix is built.
 """
 
@@ -94,17 +96,26 @@ def orbit_firsts(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k + 1) for j in range(i, k - 2 * i)]
 
 
-def walk_table(k: int) -> list[list[list[int]]]:
+def walk_table(k: int, points: list[list[tuple[int, int]]] | None = None
+               ) -> list[list[list[int]]]:
     """The one per-class edge table: every step raises the grade by 1, so
     pred[g][r][s] is the class-(g - 1) position (``class_offsets``) of
     v - _STEPS[s] = (i - di, j - dj) for the r-th class-g vertex v, or the
     pad |C_{g-1}|, the slot past class g - 1 where ``step`` keeps 0, where
-    that point leaves the lattice: unless i >= di, dj <= j <= k-i+di+dj."""
+    that point leaves the lattice: unless i >= di, dj <= j <= k-i+di+dj.
+    Given points, points[g] lists class-g vertices (i, j) in class order,
+    and pred[g] holds their rows alone, in that order; the positions they
+    name are still whole-class ones.  Either way the bounds are taken
+    once per row i."""
     (ai, aj), (bi, bj), (ci, cj) = _STEPS
     off, pred = class_offsets(k), []
     for g in range(3):
         prev, rows = off[g - 1], []
         pad = prev[-1]
+        if points is not None:
+            js = [[] for _ in range(k + 1)]
+            for i, j in points[g]:
+                js[i].append(j)
         for i in range(k + 1):
             a, b, c = prev[i - ai], prev[i - bi], prev[i - ci]
             a_hi = k - i + ai + aj if i >= ai else -1
@@ -113,7 +124,8 @@ def walk_table(k: int) -> list[list[list[int]]]:
             rows += [[a + (j - aj) // 3 if aj <= j <= a_hi else pad,
                       b + (j - bj) // 3 if bj <= j <= b_hi else pad,
                       c + (j - cj) // 3 if cj <= j <= c_hi else pad]
-                     for j in range((g + i) % 3, k - i + 1, 3)]
+                     for j in (range((g + i) % 3, k - i + 1, 3)
+                               if points is None else js[i])]
         pred.append(rows)
     return pred
 

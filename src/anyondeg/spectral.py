@@ -68,27 +68,28 @@ def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
     are the walk table itself.  When 3 | k the representatives are
     ``lattice.orbit_firsts`` split by class, then J's fixed point
     (k/3, k/3) in class 0; each orbit's index is written at J's three
-    images of its representative, and a row's positions are replaced by
-    their orbits' indices, the pad by the pad.  mirror[r] is the orbit
-    of the r-th class-0 orbit's mirror image (P J P = J^-1) and
-    weight[r] its size: 3, and 1 for the fixed point."""
-    off, pred = class_offsets(k), walk_table(k)
+    images of its representative, ``walk_table`` builds the
+    representatives' rows alone, never the whole table, and their
+    positions are replaced by their orbits' indices, the pad by the
+    pad.  mirror[r] is the orbit of the r-th class-0 orbit's mirror
+    image (P J P = J^-1) and weight[r] its size: 3, and 1 for the fixed
+    point."""
+    off = class_offsets(k)
     if k % 3:
         flip = [off[0][j] + i // 3 for i in range(k + 1)  # (j, i) in C0
                 for j in range(i % 3, k - i + 1, 3)]
-        return pred, flip, [1] * len(flip)
+        return walk_table(k), flip, [1] * len(flip)
     reps = [[], [], []]
     for i, j in orbit_firsts(k) + [(k // 3, k // 3)]:
         reps[(2 * i + j) % 3].append((i, j))
     index = [[len(rep)] * (at[-1] + 1) for at, rep in zip(off, reps)]
     for at, rep, idx in zip(off, reps, index):
         for r, (i, j) in enumerate(rep):
-            for a, b in ((i, j), (k - i - j, i), (j, k - i - j)):
-                idx[at[a] + b // 3] = r
-    rows = [[[u[a], u[b], u[c]] for a, b, c in
-             (table[at[i] + j // 3] for i, j in rep)]
-            for table, at, rep, u in zip(pred, off, reps,
-                                         index[-1:] + index[:-1])]
+            h = k - i - j
+            idx[at[i] + j // 3] = idx[at[h] + i // 3] = r
+            idx[at[j] + h // 3] = r
+    rows = [[[u[a], u[b], u[c]] for a, b, c in table]
+            for table, u in zip(walk_table(k, reps), index[-1:] + index[:-1])]
     mirror = [index[0][off[0][j] + i // 3] for i, j in reps[0]]
     return rows, mirror, [3] * (len(mirror) - 1) + [1]
 
@@ -139,38 +140,49 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
     None) from (floor, PERRON_THETA_MAX) to float resolution ends on,
     with few LDL^T pivot passes: one pivot pass, one count.
 
-    Newton on det(T - x) runs down from guess, if that lies below the
-    Weyl bound max(floor, alpha_n) + beta_{n-1} and no pivot there is
-    nonnegative (Lanczos's Ritz values rise by shrinking amounts, so
-    the last rise added to floor is mostly just above the top root),
-    else from the bound, and stops at or next to the top eigenvalue,
-    or at floor, which the float cannot lie below.  Every x it passes
-    down from has no eigenvalue >= x.  If its last pass exited early,
-    or it stopped at floor, the x it stopped at is the bracket's lo,
-    else that x is hi.  Counts then gallop away from it, 1, 2, 4, ...
-    ulps at a time, and the near end moves with each count on its
-    side, so no float is counted twice; the first count on the far
-    side is the far end, else floor or the last x Newton passed down
-    from (or the cap), where the gallop stops.  The bisection then
-    replays its own midpoints, counting only strictly inside (lo, hi).
-    Under monotone rounding each pivot of T - x is non-increasing in
-    x, so the count is monotone in x (Kahan; Demmel, Dhillon and Ren,
-    ETNA 3 (1995) 116): every answer taken from the bracket is the one
-    the count gives, and the float is the same."""
+    Newton on det(T - x) runs down from guess, if that lies strictly
+    between floor and the bound max(floor, alpha_n) + beta_{n-1}
+    (Lanczos's Ritz values rise by shrinking amounts, so the last rise
+    added to floor is mostly just above the top root), else from the
+    bound, and stops at or next to the top eigenvalue, or at its lower
+    stop, which the float cannot lie below: floor, or guess once the
+    count there exits early, after which Newton runs again from the
+    bound.  Every x it passes down from has no eigenvalue >= x.  If its
+    last pass exited early, or it stopped at its lower stop, the x it
+    stopped at is the bracket's lo, else that x is hi.  Counts then
+    gallop away from it, 1, 2, 4, ... ulps at a time, and the near end
+    moves with each count on its side, so no float is counted twice;
+    the first count on the far side is the far end, else the lower stop
+    or the last x Newton passed down from (or the cap), where the
+    gallop stops.  The bisection then replays its own midpoints,
+    counting only strictly inside (lo, hi).  Under monotone rounding
+    each pivot of T - x is non-increasing in x, so the count is
+    monotone in x (Kahan; Demmel, Dhillon and Ren, ETNA 3 (1995) 116):
+    every answer taken from the bracket is the one the count gives, and
+    the float is the same.
+
+    The bound is Weyl's, above the top eigenvalue of T, only when floor
+    is at least the top eigenvalue of T's leading block, as Lanczos's
+    previous Ritz value always is.  Otherwise the float is still the
+    count's, but Newton may start below the top eigenvalue, and the
+    gallop then climbs from the bound 1 ulp at first: about 1100 passes
+    from a bound of 0."""
     beta = math.sqrt(sq_betas[-1]) if sq_betas else 0.0
     bound = min(max(floor, alphas[-1]) + beta, PERRON_THETA_MAX)
-    # hi: the cap, then each x Newton passes down from
-    hi, step = PERRON_THETA_MAX, None
+    # lo: floor, then a guess with an eigenvalue >= it; hi: the cap, then
+    # each x Newton passes down from
+    lo, hi, step = floor, PERRON_THETA_MAX, None
     for start in (guess, bound) if floor < guess < bound else (bound,):
         x = start
-        while x > floor and (step := _newton_step(alphas, sq_betas, x)) \
+        while x > lo and (step := _newton_step(alphas, sq_betas, x)) \
                 is not None and x - step < x:
-            x, hi = max(x - step, floor), x
-        if x < start:
+            x, hi = max(x - step, lo), x
+        if x < start or step is not None:
             break
-    up = x == floor or step is None  # x is lo: move hi, else x is hi: move lo
+        lo = start
+    up = x == lo or step is None  # x is lo: move hi, else x is hi: move lo
     w = math.ulp(x) if up else -math.ulp(x)
-    while floor < (end := min(max(x + w, floor), hi)) < hi \
+    while lo < (end := min(max(x + w, lo), hi)) < hi \
             and (_newton_step(alphas, sq_betas, end) is None) == up:
         x, w = end, 2 * w
     lo, hi = (x, end) if up else (end, x)

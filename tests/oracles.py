@@ -37,7 +37,10 @@ orbits and ``lattice.orbit_firsts`` are checked.  The Perron route's
 top Ritz value is checked against the plain full-width bisection of a
 Sturm count written here (``eigenvalue_at_least``, bisected by
 ``bisected_top_ritz``), where the library brackets it by Newton's
-method first and reads the count off Newton's early exit.
+method first and reads the count off Newton's early exit.  The Perron
+route's orbit tables, which the library builds from the representatives'
+rows alone, are checked against the same tables cut out of the whole
+walk table (``whole_table_orbit_tables``).
 """
 
 import math
@@ -47,7 +50,7 @@ from math import gcd
 import numpy as np
 
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
-    walk_table
+    class_offsets, orbit_firsts, walk_table
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.spectral import PERRON_THETA_MAX
 
@@ -449,6 +452,32 @@ def dense_lambda_perron(k: int, tol: float = 1e-12,
             return mu ** (1.0 / 3.0)
         mu_prev = mu
     raise RuntimeError(f"power iteration did not converge (k={k})")
+
+
+def whole_table_orbit_tables(k: int) -> tuple[list, list[int], list[int]]:
+    """The Perron route's (rows, mirror, weight) as it was built before
+    the representatives' rows were built alone: the whole
+    ``walk_table(k)``, of which, when 3 | k, each orbit representative's
+    row is looked up by its class position and re-indexed to orbits."""
+    off, pred = class_offsets(k), walk_table(k)
+    if k % 3:
+        flip = [off[0][j] + i // 3 for i in range(k + 1)
+                for j in range(i % 3, k - i + 1, 3)]
+        return pred, flip, [1] * len(flip)
+    reps = [[], [], []]
+    for i, j in orbit_firsts(k) + [(k // 3, k // 3)]:
+        reps[(2 * i + j) % 3].append((i, j))
+    index = [[len(rep)] * (at[-1] + 1) for at, rep in zip(off, reps)]
+    for at, rep, idx in zip(off, reps, index):
+        for r, (i, j) in enumerate(rep):
+            for a, b in ((i, j), (k - i - j, i), (j, k - i - j)):
+                idx[at[a] + b // 3] = r
+    rows = [[[u[a], u[b], u[c]] for a, b, c in
+             (table[at[i] + j // 3] for i, j in rep)]
+            for table, at, rep, u in zip(pred, off, reps,
+                                         index[-1:] + index[:-1])]
+    mirror = [index[0][off[0][j] + i // 3] for i, j in reps[0]]
+    return rows, mirror, [3] * (len(mirror) - 1) + [1]
 
 
 def eigenvalue_at_least(alphas: list[float], sq_betas: list[float],

@@ -164,6 +164,17 @@ def test_class_predecessor_rows_are_padded(k):
                 assert u == (prev.index(w) if edge else pad)
 
 
+@pytest.mark.parametrize("k", range(1, 65))
+def test_rows_of_given_points_are_the_whole_tables(k):
+    # every vertex, or every 2nd or 5th of each class, in class order:
+    # their rows of the whole table, whole-class positions and pads kept
+    full = walk_table(k)
+    classes = class_positions(build_lattice(k))[0]
+    for stride in (1, 2, 5):
+        points = [[(v.i, v.j) for v in cls[::stride]] for cls in classes]
+        assert walk_table(k, points) == [rows[::stride] for rows in full]
+
+
 def check_class_positions(lat, table):
     # every edge by box addition named once, at its head
     classes, pred = class_positions(lat)[0], table(lat)

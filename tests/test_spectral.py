@@ -17,7 +17,7 @@ from anyondeg.spectral import (
 
 from oracles import adjacency, bisected_top_ritz, canonical_positions, \
     class_positions, dense_lambda_perron, dense_perron_block, \
-    eigenvalue_at_least, rotate
+    eigenvalue_at_least, rotate, whole_table_orbit_tables
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -310,6 +310,28 @@ class TestOrbits:
         # Ritz value over the whole bracket (theta_prev, PERRON_THETA_MAX)
         assert lambda_perron(k).hex() == bits
 
+    def test_float_of_the_whole_table_route(self):
+        # recorded from the orbit route while it still cut its rows out of
+        # the whole walk table
+        assert lambda_perron(99).hex() == "0x1.7f83b322f44ebp+1"
+
+    @pytest.mark.parametrize("k", range(1, 100))
+    def test_tables_are_the_whole_table_cut_to_orbits(self, k):
+        assert _perron_tables(k) == whole_table_orbit_tables(k)
+
+    @pytest.mark.parametrize("k", [3, 48, 63])
+    def test_never_builds_the_whole_table(self, k, monkeypatch):
+        # when 3 | k only the representatives' rows are built
+        lam = lambda_perron(k)
+
+        def rows_only(k, points=None):
+            if points is None:
+                raise AssertionError(f"whole walk_table({k}) built")
+            return walk_table(k, points)
+
+        monkeypatch.setattr(anyondeg.spectral, "walk_table", rows_only)
+        assert lambda_perron(k) == lam
+
 
 def _ritz_calls(k: int, tol: float, monkeypatch) -> list[tuple]:
     """(alphas, sq_betas, theta_prev, theta) of every Lanczos step of
@@ -406,6 +428,24 @@ class TestTopRitz:
         assert _top_ritz(*case, 1.0).hex() == bisected_top_ritz(*case).hex()
         assert passes
         assert len(set(passes)) == len(passes)
+
+    def test_a_failed_guess_is_newtons_lower_stop(self, monkeypatch):
+        # T has the eigenvalue 1.0 = guess: the count there exits early,
+        # and Newton, run again from the bound, stops at the guess
+        # rather than counting it a second time
+        passes = _counted_passes(monkeypatch)
+        case = ([1.0, 0.999999, 1.0], [0.0, 1e-24], 0.0)
+        assert _top_ritz(*case, 1.0).hex() == bisected_top_ritz(*case).hex()
+        assert passes[0] == 1.0
+        assert len(set(passes)) == len(passes)
+
+    def test_floor_below_the_leading_block(self):
+        # floor 0 < 5, the leading block's top eigenvalue, so the bound
+        # max(floor, alpha_n) + beta = 0 is no Weyl bound: Newton starts
+        # below the top eigenvalue and the gallop climbs from 0, one ulp
+        # at first (about 1100 passes), to the count's float all the same
+        case = ([5.0, -1.0], [0.0], 0.0)
+        assert _top_ritz(*case, 0.5).hex() == bisected_top_ritz(*case).hex()
 
     @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     def test_newton_step_is_det_over_its_derivative(self, x):
