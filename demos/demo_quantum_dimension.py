@@ -33,9 +33,5 @@ for k in (2, 4):
         print(f"level {k}, n={n:>4}: count^(1/n) = {est:.6f} "
               f"(target {lam:.6f}, rel err {abs(est - lam) / lam:.2e})")
 
-# The smallest-root diagnostic rho * k^(2/3) stays near 1, showing the
-# root shrinks like k^(-2/3).
 print()
-print("rho * k^(2/3):",
-      [round(spectral_report(k).rho_scaled, 3) for k in range(1, 9)])
 print("adjacency eigenvalue alone, level 6:", lambda_perron(6))

@@ -25,7 +25,11 @@ in Q(zeta), zeta of order 3(k + 3).  D is squarefree and splits over Q
 into one irreducible factor F_O per Galois orbit O of the chi_mu^3.
 ``_orbit_factors`` builds every F_O mod primes p = 1 mod 3(k + 3)
 below 2^30, lifts it by CRT and checks the lift mod one further prime;
-D is their product.
+D is their product.  chi_mu^3 = omega^(-|l|) (sum_j omega^(l_j))^3 lies
+in Q(omega), omega = zeta^3 of order k + 3, so sigma_a(chi_mu^3) depends
+on a mod k + 3 alone, in Z[zeta] and so mod p: one unit per class of
+(Z/(k + 3))^x gives every Galois image.  ``_cube`` and ``_s_entry``
+read l_3 = 0, as ``_label`` gives.
 Below 2^30 a residue is one CPython digit and a three-base Miller-Rabin
 test is proven, so the prime search costs little; the lift only takes
 more primes where the bound on F_O's coefficients needs them.  The
@@ -54,12 +58,13 @@ from .poly import IntPoly, RationalFn
 
 # Miller-Rabin with the bases 2, 7, 61 is deterministic for every
 # n < 4 759 123 141 (Jaeschke, Math. Comp. 61 (1993) 915), and
-# _is_prime answers for n < 2^32 only.  Trial division first rejects most
-# composites for less than one modular power, and leaves n > 97, so no
-# base is 0 mod n.
+# _is_prime answers for n < 2^32 only.  Trial division, one gcd with the
+# product of the odd primes below 100, first rejects most composites for
+# less than one modular power, and leaves n > 97, so no base is 0 mod n.
 _MR_BASES = (2, 7, 61)
 _SMALL_PRIMES = tuple(q for q in range(3, 100, 2)
                       if all(q % r for r in range(3, q, 2)))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def _is_prime(n: int) -> bool:
@@ -69,9 +74,8 @@ def _is_prime(n: int) -> bool:
         raise ValueError(f"_is_prime is proven for n < 2^32, got {n}")
     if n < 2 or n % 2 == 0:
         return n == 2
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
@@ -122,19 +126,28 @@ def _cube(ell: tuple[int, ...], powers: list[int], p: int,
           a: int = 1) -> int:
     """sigma_a(chi)^3 mod p for chi = sum_j zeta^(3 l_j - |l|), ``ell``
     the l_j and ``powers`` the powers of zeta mod p; sigma_a maps zeta to
-    zeta^a."""
-    return pow(sum(powers[a * (3 * x - sum(ell)) % len(powers)]
-                   for x in ell), 3, p)
+    zeta^a.  It reads l_3 = 0, as ``_label`` gives, so the exponents are
+    2 l_1 - l_2, 2 l_2 - l_1 and -(l_1 + l_2).  Every exponent is
+    -|l| mod 3, so the value is omega^(-a|l|) (sum_j omega^(a l_j))^3 with
+    omega = zeta^3 of order k + 3: chi^3 lies in Q(omega), and the value
+    depends on a mod k + 3 alone, for any integer a, in Z[zeta] and so
+    mod p too."""
+    n, (l1, l2, _) = len(powers), ell
+    return pow(sum([powers[a * (2 * l1 - l2) % n],
+                    powers[a * (2 * l2 - l1) % n],
+                    powers[-a * (l1 + l2) % n]]), 3, p)
 
 
 def _s_entry(ell: tuple, rep: tuple, powers: list[int], p: int) -> int:
     """The alternant det[omega^(l^v_a l^mu_b)] mod p, omega = zeta^3 read
     from the powers of zeta, for l^v = ``ell`` and l^mu = ``rep``.  It is
     S_{v mu} up to a nonzero factor and complex conjugation, so it is 0
-    exactly when S_{v mu} is.  With l_3 = 0 on both sides it is
-    ad - a - bc + b + c - d on the four entries of its top-left block."""
-    a, b, c, d = (powers[3 * x * y % len(powers)]
-                  for x in ell[:2] for y in rep[:2])
+    exactly when S_{v mu} is.  It reads l_3 = 0 on both sides, as
+    ``_label`` gives, where it is ad - a - bc + b + c - d on the four
+    entries of its top-left block."""
+    n, (x1, x2, _), (y1, y2, _) = len(powers), ell, rep
+    a, b = powers[3 * x1 * y1 % n], powers[3 * x1 * y2 % n]
+    c, d = powers[3 * x2 * y1 % n], powers[3 * x2 * y2 % n]
     return (a * d - a - b * c + b + c - d) % p
 
 
@@ -172,12 +185,14 @@ def _orbit_factors(k: int) -> tuple[int, list[int],
     if len(where) < len(values) or 0 in where:
         raise ArithmeticError(
             f"the character cubes are not distinct and nonzero mod {p}")
+    # one a per unit class mod k + 3: _cube at a is sigma_b for every
+    # unit b = a mod k + 3
+    units = [a for a in range(1, k + 3) if gcd(a, k + 3) == 1]
     orbits, done = [], set()
     for r, ell in enumerate(reps):
         if r in done:
             continue
-        images = {_cube(ell, powers, p, a)
-                  for a in range(1, order) if gcd(a, order) == 1}
+        images = {_cube(ell, powers, p, a) for a in units}
         if not where.keys() >= images:
             raise ArithmeticError(
                 "a Galois conjugate of a character cube is not one")
@@ -268,11 +283,12 @@ def solve_system(k: int) -> dict[Vertex, RationalFn]:
     steps = list(_sweep(walk_table(k), 3 * n0 + 2, det.coeffs))
     if any(map(any, steps[3 * n0:])):
         raise ArithmeticError(f"a numerator has a nonzero s^{n0} coefficient")
+    # per class, each position's numerator coefficients, transposed once
+    columns = [list(zip(*steps[g:3 * n0:3])) for g in range(3)]
     solutions = {}
     for v in build_lattice(k).vertices:
         g = (2 * v.i + v.j) % 3
-        r = off[g][v.i] + v.j // 3
-        num = IntPoly([step[r] for step in steps[g:3 * n0:3]])
+        num = IntPoly(columns[g][off[g][v.i] + v.j // 3])
         num, kept = _lowest_terms(num, v, factors, p, powers)
         if kept not in dens:
             dens[kept] = prod((factors[pos][0] for pos in kept),

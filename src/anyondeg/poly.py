@@ -28,7 +28,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [index(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -374,7 +374,6 @@ class SpectralReport:
     rho_root: float
     lambda_from_root: float
     agreement_gap: float
-    rho_scaled: float  # rho * k^(2/3), diagnostic for the k^(-2/3) law
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -395,7 +394,6 @@ def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
         rho_root=rho,
         lambda_from_root=from_root,
         agreement_gap=gap,
-        rho_scaled=rho * k ** (2.0 / 3.0),
     )
 
 

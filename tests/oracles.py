@@ -40,7 +40,11 @@ Sturm count written here (``eigenvalue_at_least``, bisected by
 method first and reads the count off Newton's early exit.  The Perron
 route's orbit tables, which the library builds from the representatives'
 rows alone, are checked against the same tables cut out of the whole
-walk table (``whole_table_orbit_tables``).
+walk table (``whole_table_orbit_tables``).  The determinant's Galois
+orbits, whose images the library takes over one unit per class mod
+k + 3 with a closed-form cube, are checked against the images over every
+unit mod 3(k + 3), each cube summed over all three l_j, with primes of
+its own search (``every_unit_orbit_factors``).
 """
 
 import math
@@ -636,6 +640,76 @@ def residue_lowest_terms(num: IntPoly, factors: list[tuple[IntPoly, int]],
                 pass
         kept.append(pos)
     return num, tuple(kept)
+
+
+def _unit_roots_below_2_30(order: int):
+    """(p, powers) for the primes p = 1 (mod order) below 2^30,
+    descending, by trial division: powers lists zeta^0 .. zeta^(order-1)
+    mod p for zeta = g^((p - 1) / order), g the least base from 2 that
+    gives exact order ``order``."""
+    factors = [q for q in range(2, order + 1)
+               if order % q == 0 and all(q % r for r in range(2, q))]
+    for p in range((2 ** 30 - 2) // order * order + 1, order, -order):
+        if not all(p % q for q in range(2, math.isqrt(p) + 1)):
+            continue
+        g = 2
+        while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+            g += 1
+        zeta = pow(g, (p - 1) // order, p)
+        yield p, [pow(zeta, e, p) for e in range(order)]
+
+
+def every_unit_orbit_factors(k: int) -> tuple[int, list[int],
+                                              list[tuple[IntPoly, tuple]]]:
+    """D's factors over Q, one per Galois orbit of the chi^3, as
+    (p, powers, [(F_O, l of the orbit's first member)]), with the Galois
+    images of each cube taken over every unit a mod 3(k + 3): sigma_a(chi)
+    = sum_j zeta^(a (3 l_j - |l|)) over all three l_j.  Each F_O is built
+    mod primes below 2^30, lifted by CRT to twice 28^(largest orbit) and
+    checked mod the next prime."""
+    order = 3 * (k + 3)
+    reps = [(v.i + v.j + 2, v.i + 1, 0) for v in rotation_orbit_firsts(k)]
+    units = [a for a in range(1, order) if gcd(a, order) == 1]
+
+    def cube(ell, powers, p, a=1):
+        return pow(sum(powers[a * (3 * x - sum(ell)) % order] for x in ell),
+                   3, p)
+
+    def factor_mod(values, orbit, p):
+        poly = [1]
+        for r in orbit:
+            poly = [(c - values[r] * d) % p
+                    for c, d in zip(poly + [0], [0] + poly)]
+        return poly
+
+    roots = _unit_roots_below_2_30(order)
+    first = p, powers = next(roots)
+    values = [cube(ell, powers, p) for ell in reps]
+    where = {x: r for r, x in enumerate(values)}
+    if len(where) < len(values) or 0 in where:
+        raise ArithmeticError(f"the cubes are not distinct and nonzero mod {p}")
+    orbits = []
+    for r, ell in enumerate(reps):
+        if not any(r in orbit for orbit in orbits):
+            images = {cube(ell, powers, p, a) for a in units}
+            orbits.append(sorted(where[x] for x in images))
+    bound = 2 * 28 ** max(map(len, orbits))
+    modulus, lifts = 1, [[0] * (len(orbit) + 1) for orbit in orbits]
+    while modulus <= bound:
+        inverse = pow(modulus, -1, p)
+        for lift, orbit in zip(lifts, orbits):
+            lift[:] = [c + modulus * ((d - c) * inverse % p)
+                       for c, d in zip(lift, factor_mod(values, orbit, p))]
+        modulus *= p
+        p, powers = next(roots)
+        values = [cube(ell, powers, p) for ell in reps]
+    factors = []
+    for lift, orbit in zip(lifts, orbits):
+        coeffs = [c - modulus if 2 * c > modulus else c for c in lift]
+        if [c % p for c in coeffs] != factor_mod(values, orbit, p):
+            raise ArithmeticError(f"an orbit factor fails mod {p}")
+        factors.append((IntPoly(coeffs), reps[orbit[0]]))
+    return *first, factors
 
 
 def determinant_degree(k: int) -> int:

@@ -432,7 +432,7 @@ class TestCaps:
                             lambda k, tol: 1.0)
         monkeypatch.setattr(anyondeg.cli, "root_rho", lambda k, tol: 1.0)
         monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k, tol:
-                            SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0))
+                            SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0))
         monkeypatch.setattr(anyondeg.cli, "audit_published_formula",
                             lambda n_max: {})
 

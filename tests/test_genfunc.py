@@ -21,6 +21,7 @@ from anyondeg.reference import (
 
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
+    every_unit_orbit_factors, \
     full_system_solution, graded_bareiss_solution, graded_system, \
     j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
     residue_lowest_terms, rotate, rotation_orbit_firsts, \
@@ -322,6 +323,33 @@ class TestGaloisFactors:
             == determinant_degree(k) // 3
         assert all(f[0] == 1 for f, _ in factors)
         assert {_cube(ell, powers, p) for _, ell in factors} <= set(cubes)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_orbit_factors_match_every_unit_images(self, k):
+        # the library takes one unit per class mod k + 3; the oracle loops
+        # over every unit mod 3(k + 3), with its own primes and cube
+        p, powers, factors = _orbit_factors(k)
+        q, q_powers, expected = every_unit_orbit_factors(k)
+        assert (p, powers, factors) == (q, q_powers, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.integers(0, k).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(0, k - i))),
+        st.integers(0, 3 * (k + 3) - 1), st.integers(0, 2))))
+    @example((5, (1, 2), 7, 1))  # the units 7 and 15 mod 24
+    @example((4, (0, 3), 3, 1))  # 3, no unit mod 21, stands for 10
+    def test_cube_depends_on_a_mod_k_plus_3(self, case):
+        # sigma_a(chi^3) = sigma_b(chi^3) mod p for units a = b mod k + 3,
+        # and _orbit_factors passes a in 1 .. k + 2, a unit mod k + 3 that
+        # need not be one mod 3(k + 3), for those units
+        k, (i, j), a, shift = case
+        order = 3 * (k + 3)
+        b = (a + shift * (k + 3)) % order
+        p, powers = next(_unit_roots(order))
+        ell = (i + j + 2, i + 1, 0)
+        assert _cube(ell, powers, p, a) == _cube(ell, powers, p, b)
 
     @pytest.mark.parametrize("k", [*range(1, 22), 28])
     def test_product_is_the_determinant(self, k):

@@ -63,9 +63,12 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("coeffs", [
         [0.5], [1.9, 2], [2.0], ['7'], [Fraction(3)], [1, Fraction(1, 2)],
+        iter([3, 2.0]), (c for c in (1, 0, 0.0)),
     ])
     def test_non_integer_coefficients_rejected(self, coeffs):
-        # coefficients are coerced by operator.index: nothing truncates
+        # coefficients are coerced by operator.index, mapped over any
+        # iterable, a one-shot one too: nothing truncates, and a bad
+        # coefficient past the last nonzero one is not dropped unread
         with pytest.raises(TypeError):
             IntPoly(coeffs)
 

@@ -660,7 +660,7 @@ class TestReport:
         d = spectral_report(2).to_dict()
         assert d["k"] == 2
         assert set(d) == {"k", "lambda_trig", "lambda_perron", "rho_root",
-                          "lambda_from_root", "agreement_gap", "rho_scaled"}
+                          "lambda_from_root", "agreement_gap"}
 
 
 class TestGrowthRate:
