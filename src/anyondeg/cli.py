@@ -30,9 +30,10 @@ from .syt import Shape3, audit_published_formula, brute_force_count, \
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
 # The lower caps keep one call to about 30 s on a 2-vCPU host; the
-# measured times are in README's "Resource caps" paragraph.
-CAP_K_VERIFY = 26
-CAP_N_VERIFY = 3000
+# measured times are in README's "Resource caps" paragraph.  verify
+# takes the default step cap: it stops at its proof length, so its cost
+# does not grow with n past that.
+CAP_K_VERIFY = 30
 CAP_N_TABLE = 3000
 # qdim's tolerance when --tol is not given: --method all keeps the
 # spectral report's own, the single methods a looser one.
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_cap(p, "n", CAP_N_VERIFY)
+    add_cap(p, "n", DEFAULT_CAP_N)
     add_cap(p, "k", CAP_K_VERIFY)
     p.set_defaults(func=_cmd_verify, parser=p)
 

@@ -319,12 +319,27 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     comes and dropped, so only deg(den) coefficients per vertex are
     kept.  At step n the vertices outside class n mod 3 are compared
     with 0.
+
+    The sweep ends at the proof length: with no mismatch by step
+    stop = max over v of 3 n0 + max(deg D, deg N + 1) - 1, N / D the
+    function of v in t and n0 = |C0|, the two agree at every n.  The
+    walk series of a class-g vertex is t^g P(t^3) / Delta(t^3) with
+    Delta(s) = det(I - s B^T), and Cramer's rule on the n0 x n0 class-0
+    system gives deg Delta <= n0 and deg P <= n0 - 1.  Let L = 3 n0 +
+    max(deg D, deg N + 1).  If N / D agrees with the walk series on
+    t^0 .. t^(L - 1), then t^g P(t^3) D - N Delta(t^3) vanishes mod t^L,
+    and its degree is below L, so it is 0 and the series are equal.
+    After a mismatch the sweep runs on to n_max, so the list is the
+    whole one.  The proof takes ``series`` as correct; L reads only the
+    candidates' own degrees, not ``solve_system``'s D.
     """
     if n_max < 0:  # before the costly solve
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     sol = solve_system(k)
     classes = list(map(build_lattice(k).grade_class, range(3)))
     series = [[sol[v].series() for v in cls] for cls in classes]
+    stop = 3 * class_offsets(k)[0][-1] - 1 + max(
+        max(fn.den.degree, fn.num.degree + 1) for fn in sol.values())
     mismatches = []
     for n, counts in enumerate(_sweep(walk_table(k), n_max)):
         for g, cls in enumerate(classes):
@@ -333,5 +348,7 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
                 c, dp = next(coeffs), counts[r] if on_grade else 0
                 if c != dp:
                     mismatches.append((v, n, c, dp))
+        if n == stop and not mismatches:
+            break
     mismatches.sort(key=lambda m: m[:2])  # (i, j) order is canonical
     return mismatches

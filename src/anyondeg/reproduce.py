@@ -45,7 +45,10 @@ def _check_corollary() -> Iterator[dict]:
                 yield {"k": k, "vertex": [v.i, v.j]}
 
 
-SERIES_N_MAX = 45  # the last Taylor coefficient the series item compares
+# The series item's n_max.  verify_series stops at its proof length
+# (step 5 to 57 for k = 1..6), where a match holds at every n, or at
+# n_max if that comes first; after a mismatch it runs on to n_max.
+SERIES_N_MAX = 45
 
 
 def _check_series() -> Iterator[dict]:

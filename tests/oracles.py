@@ -27,7 +27,10 @@ golden tables, to any endpoint, are checked mod primes by the Verlinde
 formula over the SU(3)_k spectrum, which uses no walk at all; its
 characters are Schur polynomials by Jacobi-Trudi, where the library
 takes S-matrix entries as alternants.  Past level 32 it checks the
-generating functions too, by their series mod p (``series_mod_p``).  The
+generating functions too, by their series mod p (``series_mod_p``).
+``verify_series``, which stops at a proof length, is checked against
+the comparison run to n_max (``full_length_mismatches``), with one
+``origin_history`` sweep per vertex.  The
 closed forms the counts and determinants are checked against, the
 Fibonacci and 3-dimensional Catalan sequences and the determinant degree
 law, live here too, and the simple current J (``rotate``), written from
@@ -55,6 +58,7 @@ import numpy as np
 
 from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
     class_offsets, orbit_firsts, walk_table
+from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.spectral import PERRON_THETA_MAX
 
@@ -607,6 +611,23 @@ def series_mod_p(fn: RationalFn, n_max: int, p: int) -> list[int]:
         out.append((fn.num[n] - sum(d * out[n - m] for m, d in den
                                     if m <= n)) % p)
     return out
+
+
+def full_length_mismatches(k: int, n_max: int,
+                           solutions: dict[Vertex, RationalFn]
+                           ) -> list[tuple[Vertex, int, int, int]]:
+    """Every (vertex, n, series value, dp value) with n <= n_max where
+    the Taylor coefficient of ``solutions[vertex]`` differs from the walk
+    count, in canonical vertex order, then by n: every coefficient is
+    compared, with no proof length, against one ``origin_history`` sweep
+    per vertex."""
+    mismatches = []
+    for v in sorted(solutions):  # (i, j) order is canonical
+        history = origin_history(k, n_max, v)
+        mismatches += [(v, n, c, dp) for n, (c, dp)
+                       in enumerate(zip(solutions[v].series(), history))
+                       if c != dp]
+    return mismatches
 
 
 def _residue(coeffs: tuple[int, ...], x: int, p: int) -> int:

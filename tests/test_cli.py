@@ -15,8 +15,8 @@ import anyondeg.reproduce
 import anyondeg.spectral
 import anyondeg.syt
 from anyondeg import reference
-from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, CAP_N_VERIFY, \
-    DEFAULT_CAP_K, build_parser, main
+from anyondeg.cli import CAP_K_VERIFY, CAP_N_TABLE, DEFAULT_CAP_K, \
+    DEFAULT_CAP_N, build_parser, main
 from anyondeg.genfunc import solve_system
 from anyondeg.lattice import Vertex, build_lattice
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
@@ -24,7 +24,8 @@ from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NoRootError, SpectralReport, lambda_trig
 
-from oracles import class_positions, primes_1_mod, verlinde_counts
+from oracles import class_positions, full_length_mismatches, \
+    primes_1_mod, verlinde_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -236,6 +237,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--k", "4", "--n", "21")
         assert code == 0 and out.startswith("ok")
 
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("k", [3, 5, 9, 12])
+    def test_output_is_the_full_length_routes(self, capsys, monkeypatch, k,
+                                              planted):
+        # n = 200 lies past the proof length of every k here (183 at
+        # k = 12); the planted faults double three numerators, and every
+        # mismatch of the route run to n, past the proof length too, is
+        # printed
+        n_max = 200
+        wrong = {Vertex(0, 1), Vertex(0, 2), Vertex(1, 1)} if planted \
+            else set()
+        solutions = {v: RationalFn(fn.num + fn.num, fn.den) if v in wrong
+                     else fn for v, fn in solve_system(k).items()}
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system",
+                            lambda k: solutions)
+        mismatches = full_length_mismatches(k, n_max, solutions)
+        assert bool(mismatches) == planted
+        expected = (1, "", "".join(
+            f"MISMATCH vertex=({v.i},{v.j}) n={n} series={c} dp={dp}\n"
+            for v, n, c, dp in mismatches)) if planted else (
+            0, f"ok: series coefficients match walk counts for k={k}, "
+               f"n<={n_max}\n", "")
+        assert run(capsys, "verify", "--k", str(k), "--n", str(n_max)) \
+            == expected
+
 
     def test_negative_n_exits_2_before_solving(self, capsys, monkeypatch):
         def no_solve(k):
@@ -408,7 +434,7 @@ CAP_CORNERS = [
     ("qdim --method all --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("genfunc --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("verify --n 3 --k {}", CAP_K_VERIFY, "--cap-k"),
-    ("verify --k 2 --n {}", CAP_N_VERIFY, "--cap-n"),
+    ("verify --k 2 --n {}", DEFAULT_CAP_N, "--cap-n"),
     ("qdim --method eig --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("qdim --method trig --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("count --n 3 --k {}", DEFAULT_CAP_K, "--cap-k"),

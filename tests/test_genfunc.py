@@ -21,7 +21,7 @@ from anyondeg.reference import (
 
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
-    every_unit_orbit_factors, \
+    every_unit_orbit_factors, full_length_mismatches, \
     full_system_solution, graded_bareiss_solution, graded_system, \
     j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
     residue_lowest_terms, rotate, rotation_orbit_firsts, \
@@ -560,6 +560,41 @@ class TestSolveClass0:
         assert (det, numerators) == _bareiss(graded_system(matrix), rhs)
 
 
+# vertices in classes 1, 2 and 0 whose numerators the fault tests double
+DOUBLED = [Vertex(0, 1), Vertex(0, 2), Vertex(1, 1)]
+
+
+def _class0_size(k):
+    return len(class_positions(build_lattice(k))[0][0])
+
+
+def _proof_stop(k):
+    """The last step ``verify_series`` compares when nothing differs:
+    3 |C0| + max(deg den, deg num + 1) - 1 over the vertices, in t."""
+    return 3 * _class0_size(k) - 1 + max(
+        max(fn.den.degree, fn.num.degree + 1)
+        for fn in anyondeg.genfunc.solve_system(k).values())
+
+
+def _doubled_numerators(k):
+    return {v: RationalFn(fn.num + fn.num, fn.den) if v in DOUBLED else fn
+            for v, fn in solve_system(k).items()}
+
+
+def _count_sweep_steps(monkeypatch):
+    """Wrap ``genfunc._sweep`` so that every step it yields is appended
+    to the returned list; solves cached before the wrap do not count."""
+    real, steps = anyondeg.genfunc._sweep, []
+
+    def counted(*args):
+        for counts in real(*args):
+            steps.append(len(steps))
+            yield counts
+
+    monkeypatch.setattr(anyondeg.genfunc, "_sweep", counted)
+    return steps
+
+
 class TestSeriesConsistency:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_series_equals_dp(self, k):
@@ -571,15 +606,12 @@ class TestSeriesConsistency:
         # (0, 1), (0, 2), (1, 1) lie in classes 1, 2, 0, so the sweep meets
         # (1, 1) first; doubled numerators make every nonzero term wrong
         k, n_max = 3, 20
-        wrong = [Vertex(0, 1), Vertex(0, 2), Vertex(1, 1)]
-        sol = solve_system(k)
-        solutions = {v: RationalFn(fn.num + fn.num, fn.den) if v in wrong
-                     else fn for v, fn in sol.items()}
+        solutions = _doubled_numerators(k)
         monkeypatch.setattr(anyondeg.genfunc, "solve_system",
                             lambda k: solutions)
-        expected = [(v, n, 2 * c, c) for v in wrong
+        expected = [(v, n, 2 * c, c) for v in DOUBLED
                     for n, c in enumerate(origin_history(k, n_max, v)) if c]
-        assert {v for v, *_ in expected} == set(wrong)
+        assert {v for v, *_ in expected} == set(DOUBLED)
         assert verify_series(k, n_max) == expected
 
     @pytest.mark.parametrize("k,distinct", [(33, 22), (37, 19), (45, 29)])
@@ -597,20 +629,76 @@ class TestSeriesConsistency:
             series = series_mod_p(fn, ns[-1], p)
             assert [series[n] for n in ns] == verlinde_counts(k, ns, p, v)
 
-    def test_memory_grows_linearly_in_n(self):
-        # each coefficient has O(n) bits, and only deg(den) of them are
-        # kept per vertex, so doubling n about doubles the peak; holding
-        # every series would make it about four times
-        solve_system(6)
-        peaks = []
+    def test_memory_and_work_flat_past_the_stop(self, monkeypatch):
+        # n = 1500 and 3000 both stop at step 57 at k = 6, so the sweep
+        # takes the same steps and the peak does not grow with n; the
+        # full-length route kept deg(den) coefficients of O(n) bits per
+        # vertex, which grew the peak about linearly
+        assert _proof_stop(6) == 57
+        steps = _count_sweep_steps(monkeypatch)
+        peaks, counts = [], []
         for n in (1500, 3000):
+            steps.clear()
             tracemalloc.start()
             try:
                 assert verify_series(6, n) == []
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 2.5 * peaks[0]
+            counts.append(len(steps))
+        assert counts == [58, 58]
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_the_full_length_route(self, k):
+        stop, sol = _proof_stop(k), solve_system(k)
+        for n_max in (0, stop - 1, stop, stop + 1, 3 * stop):
+            assert verify_series(k, n_max) \
+                == full_length_mismatches(k, n_max, sol) == []
+
+    @pytest.mark.parametrize("k", [3, 5, 9, 12])
+    def test_planted_faults_match_the_full_length_route(self, monkeypatch,
+                                                        k):
+        # the doubled numerators of the canonical-order test; a mismatch
+        # before the stop runs the sweep on to n_max
+        solutions = _doubled_numerators(k)
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system",
+                            lambda k: solutions)
+        stop = _proof_stop(k)
+        n_max = stop + 30
+        expected = full_length_mismatches(k, n_max, solutions)
+        assert {v for v, *_ in expected} == set(DOUBLED)
+        assert max(n for _, n, *_ in expected) > stop
+        assert verify_series(k, n_max) == expected
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_sweep_stops_at_the_proof_length(self, monkeypatch, k):
+        stop = _proof_stop(k)
+        steps = _count_sweep_steps(monkeypatch)
+        for n_max in (0, stop - 1, stop, stop + 1, 3 * stop):
+            steps.clear()
+            assert verify_series(k, n_max) == []
+            assert len(steps) == min(n_max, stop) + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_planted_coefficient_is_reported_alone(self, data):
+        # (N + c t^m D) / D has the series of N / D plus c t^m, so only
+        # step m is wrong, at any m below the vertex's proof length L
+        k = data.draw(st.integers(1, 8), label="k")
+        sol = solve_system(k)
+        v = data.draw(st.sampled_from(list(sol)), label="vertex")
+        fn, n0 = sol[v], _class0_size(k)
+        length = 3 * n0 + max(fn.den.degree, fn.num.degree + 1)
+        m = data.draw(st.integers(0, length - 1), label="m")
+        c = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(bool), label="c")
+        n_max = m + data.draw(st.integers(0, 30), label="n_max - m")
+        solutions = {**sol, v: RationalFn(
+            fn.num + P({m: c}) * fn.den, fn.den)}
+        dp = origin_history(k, m, v)[m]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anyondeg.genfunc, "solve_system", lambda k: solutions)
+            assert verify_series(k, n_max) == [(v, m, dp + c, dp)]
 
     def test_generating_function_accessor(self):
         fn = generating_function(2, Vertex(1, 1))

@@ -629,6 +629,11 @@ class TestRootFinding:
         assert _descartes(q.coeffs, a, b, den) == count
 
 
+def _scaled_root_excess(k):
+    """(rho - 1/3)(k + 3)^2 for the smallest positive root rho of D."""
+    return (smallest_positive_root(system_det(k)) - 1 / 3) * (k + 3) ** 2
+
+
 class TestReport:
     def test_level_one(self):
         rep = spectral_report(1)
@@ -651,10 +656,17 @@ class TestReport:
         # the benchmark's Perron levels, up to the det cap
         assert spectral_report(k).agreement_gap < 1e-6
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", range(1, 31))
     def test_root_scaling_band(self, k):
-        rho = smallest_positive_root(system_det(k))
-        assert 0.5 <= rho * k ** (2.0 / 3.0) <= 2.0
+        # rho = 1/lambda_k with lambda_k = 1 + 2 cos x, x = 2 pi/(k + 3),
+        # so f(k) = (rho - 1/3)(k + 3)^2 = 4 pi^2/9 (1 + pi^2/(k + 3)^2
+        # + ...) falls strictly towards 4 pi^2/9; the scaled excess
+        # (k + 3)^2 (f/(4 pi^2/9) - 1) reads 22.91 at k = 1, 9.95 at 30
+        limit = 4 * math.pi ** 2 / 9
+        f = _scaled_root_excess(k)
+        assert limit < f <= limit * (1 + 23 / (k + 3) ** 2)
+        if k > 1:
+            assert f < _scaled_root_excess(k - 1)
 
     def test_to_dict_round_trips_fields(self):
         d = spectral_report(2).to_dict()
