@@ -4,7 +4,8 @@ Polynomials live in Z[t] with dense coefficient storage and Python's
 arbitrary-precision integers.  A rational function holds the pair its
 caller gives, in lowest terms, with the denominator's sign normalized
 to a positive constant term; no polynomial gcd runs here.  Its Taylor
-series comes from the denominator's recurrence.  No floating point
+series comes from the denominator's recurrence, run in s = t^m on the
+residue classes mod m that the numerator touches.  No floating point
 anywhere in this module.
 """
 
@@ -14,6 +15,7 @@ import re
 from collections import deque
 from collections.abc import Iterator
 from itertools import count, islice
+from math import gcd
 from operator import index
 
 
@@ -215,19 +217,31 @@ class RationalFn:
         """The Taylor coefficients c_0, c_1, ... at t = 0, exact, without end.
 
         Uses the linear recurrence induced by the denominator,
-        c_n = num_n - sum_{m>=1} den_m * c_{n-m}, and keeps only the
-        deg(den) latest coefficients.  Every library denominator is a
-        product of Galois-orbit factors, each with constant term 1, so
-        den(0) must be 1 (ValueError otherwise) and every c_n is an int.
+        c_n = num_n - sum_{j>=1} den_j * c_{n-j}.  Every library
+        denominator is a product of Galois-orbit factors in s = t^3, each
+        with constant term 1, so den(0) must be 1 (ValueError otherwise)
+        and every c_n is an int.  den lies in Z[t^m], m the gcd of its
+        exponents, so the recurrence links only the c_n of one residue
+        class of n mod m: it runs on each class that num has a term in,
+        keeping that class's deg(den) / m latest coefficients, and every
+        other class is 0, yielded with no arithmetic.
         """
         if self.den[0] != 1:
             raise ValueError(f"series needs den(0) = 1, got {self.den[0]}")
-        terms = [(-m, d) for m, d in enumerate(self.den.coeffs) if m and d]
-        # c_{n - deg} .. c_{n - 1}; the coefficients before c_0 are 0
-        recent = deque([0] * self.den.degree, maxlen=self.den.degree)
+        den = self.den.coeffs
+        m = gcd(*(e for e, d in enumerate(den) if d and e)) or 1
+        terms = [(-j, d) for j, d in enumerate(den[::m]) if j and d]
+        size = self.den.degree // m
+        # per class, its c_{n - size m} .. c_{n - m}; those before c_0 are 0
+        recent = {e % m: deque([0] * size, maxlen=size)
+                  for e, c in enumerate(self.num.coeffs) if c}
         for n in count():
-            c = self.num[n] - sum(d * recent[m] for m, d in terms)
-            recent.append(c)
+            cls = recent.get(n % m)
+            if cls is None:
+                yield 0
+                continue
+            c = self.num[n] - sum(d * cls[j] for j, d in terms)
+            cls.append(c)
             yield c
 
     def series_coeffs(self, n_max: int) -> list[int]:

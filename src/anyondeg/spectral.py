@@ -18,32 +18,42 @@ The asymptotic growth factor (the total quantum dimension) is
     passes a step (the count is monotone in x under IEEE rounding, so
     the float is the same, bit for bit),
   * the reciprocal of the smallest positive root of the system
-    determinant, isolated in s = t^3 and certified by Descartes' rule
-    of signs.
+    determinant, 1/lambda^3 in s = t^3, a root of the trivial weight's
+    Galois-orbit factor alone, isolated on it from a float Newton
+    guess that exact signs and one Descartes count accept or turn down
+    (then a grid scan), and certified by Descartes' rule of signs on
+    every other factor.
 
 This is the only module that touches floating point, and it needs only
 the standard library.  Its numerical limits are module constants: the
-root scan's SEARCH_LIMIT and GRID, and the Ritz values' cap
-PERRON_THETA_MAX.  Lanczos has no step cap: its dimension bounds it.
+root grid's SEARCH_LIMIT and GRID, the guess's NEWTON_STEPS and
+NEWTON_STOP, and the Ritz values' cap PERRON_THETA_MAX.  Lanczos has no
+step cap: its dimension bounds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, count
+from itertools import count
 from operator import mul
 
-from .genfunc import system_det
-from .lattice import class_offsets, orbit_firsts, step, walk_table
+from .genfunc import _label, _orbit_factors
+from .lattice import ORIGIN, class_offsets, orbit_firsts, step, walk_table
 from .pathcount import degeneracy
 from .poly import IntPoly
 
 
-# smallest_positive_root scans t in (0, SEARCH_LIMIT] for the first sign
-# change, in steps of 1/GRID in u = t^g up to u = 1 and in t beyond.
+# The root's grid: steps of 1/GRID in u = t^g up to u = 1 and in t
+# beyond, up to t = SEARCH_LIMIT.  The steps are scanned in order for the
+# first sign change only where exact signs turn the float guess down;
+# the guess takes at most NEWTON_STEPS Newton steps.
 SEARCH_LIMIT = 1.5
 GRID = 1024
+NEWTON_STEPS = 64
+# Newton stops after a step below sqrt(float epsilon) times x: where it
+# converges quadratically, the error left is at float resolution
+NEWTON_STOP = math.ulp(1.0) ** 0.5
 PERRON_THETA_MAX = 54.0  # B + B^T >= 0 has row sums <= 2 * 3^3
 ROWS = 3  # the N of SU(N): tableaux have three rows
 
@@ -292,57 +302,120 @@ def _descartes(q: tuple[int, ...], a: int, b: int, den: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
-    """Smallest positive real root of p, which must be positive at 0.
+def _newton_guess(q: tuple[int, ...]) -> float:
+    """A float guess at the smallest positive root of q, given by its
+    coefficients: Newton's method from 0 in floats, up to NEWTON_STEPS
+    steps, stopping after a step below NEWTON_STOP times x; nan where a
+    coefficient overflows or the derivative vanishes.  It never reads
+    the trig or Perron routes, and only exact checks decide its use."""
+    try:
+        coeffs = [float(c) for c in reversed(q)]
+        x = 0.0
+        for _ in range(NEWTON_STEPS):
+            f = df = 0.0
+            for c in coeffs:
+                f, df = f * x + c, df * x + f
+            step = f / df
+            x -= step
+            if abs(step) <= x * NEWTON_STOP:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    return x
 
-    p(t) = q(t^g), g the gcd of its exponents (3 for det(M_k)), and the
-    root is isolated in u = t^g: the grid scan above, then bisection,
-    with exact signs at rational points, until the bracket in t is at
-    most tol (positive and finite) or at float resolution; an exact zero
-    gives the exact float.  Descartes' rule then proves that no root
-    hides in (0, lo) below the bracket, as two in one scan step would.
-    For D(s) that count is always 0: by Perron-Frobenius every root has
-    modulus at least rho_s > lo.  Otherwise (0, lo) is split until each
-    piece counts 0 or 1, which ends for a squarefree q, and the first
-    piece with one root is bisected instead.
+
+def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
+    """(lo, hi, den): the smallest positive root of q lies in
+    [lo / den, hi / den], lo == hi on an exact zero, in u = t^g, the
+    bracket in t at most tol (positive and finite) wide or at float
+    resolution; q must be positive at 0.
+
+    The bracket is the scan's: the first grid step (module constants)
+    whose top sign is not positive, bisected with exact signs at
+    rational points.  A float Newton guess (``_newton_guess``) names a
+    step first.  If q is positive at its bottom and negative at its top,
+    and Descartes counts one root of q in (0, top), that root is the
+    only one up to the top, so the scan stops at this step and the
+    bisection follows the root down; if q vanishes at the top and the
+    count is 0, the scan stops there.  The bisection is then replayed
+    along the guess with no sign taken, and the leaf it ends on, if q is
+    positive at its bottom and negative at its top, holds the root and
+    is the bisection's.  A step the checks turn down is scanned for from
+    0, a leaf they turn down is bisected from its step.
+
+    Below a scanned bracket Descartes' rule proves that no root hides in
+    (0, lo), as two in one grid step would.  For D(s) that count is
+    always 0: by Perron-Frobenius every root has modulus at least
+    rho_s > lo.  Otherwise (0, lo) is split until each piece counts 0
+    or 1, which ends for a squarefree q, and the first piece with one
+    root is bisected instead.  Below a guessed bracket the count is 0
+    with no second count: it is at most the step's (subdividing an
+    interval does not add sign variations) and even, as (0, lo) holds
+    no root, so the float is the scan's in every case.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if p.sign_at(0, 1) <= 0:
+    if q.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
-    g = math.gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
-    q = IntPoly(p.coeffs[::g])
-    grid = chain(((m, GRID) for m in range(1, GRID + 1)),
-                 ((m ** g, GRID ** g) for m in
-                  range(GRID + 1, math.ceil(SEARCH_LIMIT * GRID) + 1)))
-    last = (0, 1)
-    for hi, den in grid:
-        if (sign := q.sign_at(hi, den)) <= 0:
-            break
-        last = (hi, den)
-    else:
-        raise NoRootError(
-            f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
+    steps = math.ceil(SEARCH_LIMIT * GRID)
+
+    def grid_step(m: int) -> tuple[int, int, int]:
+        """The m-th grid step as (bottom, top, den), 1 <= m <= steps."""
+        e = 1 if m <= GRID else g
+        return (m - 1) ** e, m ** e, GRID ** e
 
     def resolved(lo: int, hi: int, den: int) -> bool:
         t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
         return t_hi - t_lo <= tol or t_lo == t_hi
 
-    def bisect(lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    def bisect(lo: int, hi: int, den: int,
+               sign_at=q.sign_at) -> tuple[int, int, int]:
         """Narrow (lo, hi) / den, q(lo) > 0 and q < 0 just below hi,
         to tol in t; lo == hi on an exact zero."""
         while lo < hi and not resolved(lo, hi, den):
             lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
-            sign = q.sign_at(mid, den)
+            sign = sign_at(mid, den)
             if sign == 0:
                 return mid, mid, den
             lo, hi = (mid, hi) if sign > 0 else (lo, mid)
         return lo, hi, den
 
-    lo = hi if sign == 0 else last[0] * den // last[1]
-    lo, hi, den = bracket = bisect(lo, hi, den)
-    pieces = [(0, lo, den)] if _descartes(q.coeffs, 0, lo, den) else []
-    while pieces:  # open intervals, and zeros as (x, x, den); last first
+    def guessed() -> tuple[int, int, int] | None:
+        """The scan's bracket, from the grid step and leaf the float guess
+        names, or None where the exact checks turn the step down."""
+        guess = _newton_guess(q.coeffs)
+        if not 0 < guess < math.inf:
+            return None
+        m = math.ceil((guess if guess <= 1 else guess ** (1 / g)) * GRID)
+        if m > steps:
+            return None
+        lo, hi, den = grid_step(m)
+        sign = q.sign_at(hi, den)
+        if sign > 0 or sign and q.sign_at(lo, den) <= 0 \
+                or _descartes(q.coeffs, 0, hi, den) != (1 if sign else 0):
+            return None
+        if not sign:
+            return hi, hi, den
+        num, div = guess.as_integer_ratio()  # compared exactly
+        a, b, d = bisect(lo, hi, den,
+                         lambda mid, d: 1 if mid * div < num * d else -1)
+        if q.sign_at(a, d) > 0 > q.sign_at(b, d):
+            return a, b, d
+        return bisect(lo, hi, den)
+
+    pieces = []  # open intervals, and zeros as (x, x, den); last first
+    if (bracket := guessed()) is None:
+        for m in range(1, steps + 1):
+            lo, hi, den = grid_step(m)
+            if (sign := q.sign_at(hi, den)) <= 0:
+                break
+        else:
+            raise NoRootError(
+                f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
+        lo, hi, den = bracket = bisect(hi if sign == 0 else lo, hi, den)
+        if _descartes(q.coeffs, 0, lo, den):
+            pieces.append((0, lo, den))
+    while pieces:
         a, b, den = pieces.pop()
         count = 1 if a == b else _descartes(q.coeffs, a, b, den)
         if count == 1:
@@ -356,14 +429,54 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
             if q.sign_at(mid, 2 * den) == 0:
                 pieces.append((mid, mid, 2 * den))
             pieces.append((2 * a, mid, 2 * den))
-    lo, hi, den = bracket
+    return bracket
+
+
+def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
+    """Smallest positive real root of p, which must be positive at 0.
+
+    p(t) = q(t^g), g the gcd of its exponents (3 for det(M_k)), and the
+    root is isolated in u = t^g by ``_root_bracket``: a float Newton
+    guess of its grid step and of its bisection's leaf, each checked by
+    two exact signs and the step by one Descartes count, else a scan of
+    the grid and bisection, with exact signs at rational points, until
+    the bracket in t is at most tol (positive and finite) or at float
+    resolution; an exact zero gives the exact float.  Either way the
+    bracket, and so the float, is the scan's, and Descartes' rule proves
+    that no root hides below it.
+    """
+    g = math.gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
+    lo, hi, den = _root_bracket(IntPoly(p.coeffs[::g]), g, tol)
     return _exact_root(lo + hi, 2 * den, g)
 
 
 def root_rho(k: int, tol: float = 1e-12) -> float:
     """Smallest positive root rho of det(M_k), bracketed to 2 tol / ROWS^2
-    so that 1/rho is within tol of lambda < ROWS: d lambda = lambda^2 d rho."""
-    return smallest_positive_root(system_det(k), tol=2 * tol / ROWS ** 2)
+    so that 1/rho is within tol of lambda < ROWS: d lambda = lambda^2 d rho.
+    That width is clamped to the least positive float, so every positive
+    finite tol is taken, and below float resolution none changes the value.
+
+    D(s) = det(M_k) at s = t^3 is the product of its Galois-orbit factors
+    (``genfunc._orbit_factors``), and rho^3 = 1/lambda^3 is a root of the
+    trivial weight's alone, the orbit of the origin's label, whose chi is
+    lambda; it comes first, as ``orbit_firsts`` starts at the origin.
+    The root is isolated in s on that factor, and Descartes' rule proves
+    every other factor free of roots in (0, lo) below the bracket:
+    ArithmeticError if the first factor is not the origin's or any count
+    is not 0, rather than another root.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    *_, ((trivial, label), *others) = _orbit_factors(k)
+    if label != _label(*ORIGIN):
+        raise ArithmeticError("the first Galois-orbit factor is not the "
+                              "trivial weight's")
+    lo, hi, den = _root_bracket(trivial, 3,
+                                max(tol / ROWS ** 2 * 2, math.ulp(0.0)))
+    if any(_descartes(f.coeffs, 0, lo, den) for f, _ in others):
+        raise ArithmeticError("a Galois-orbit factor may have a root below "
+                              "the trivial weight's")
+    return _exact_root(lo + hi, 2 * den, 3)
 
 
 @dataclass(frozen=True)

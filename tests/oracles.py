@@ -47,11 +47,19 @@ walk table (``whole_table_orbit_tables``).  The determinant's Galois
 orbits, whose images the library takes over one unit per class mod
 k + 3 with a closed-form cube, are checked against the images over every
 unit mod 3(k + 3), each cube summed over all three l_j, with primes of
-its own search (``every_unit_orbit_factors``).
+its own search (``every_unit_orbit_factors``).  The root route, which
+takes a float guess of its grid cell and of its bisection's leaf and
+checks both by exact signs, is checked against the plain scan of the
+grid, one exact sign per point, and bisection of the step it stops on
+(``scanned_smallest_positive_root``), as the library took it before.
+``RationalFn.series``, which runs its recurrence in
+s = t^m on the residue classes mod m that the numerator touches, is
+checked against the plain recurrence in t (``plain_series``).
 """
 
 import math
 from collections import Counter
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -60,7 +68,8 @@ from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
     class_offsets, orbit_firsts, walk_table
 from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn
-from anyondeg.spectral import PERRON_THETA_MAX
+from anyondeg.spectral import GRID, PERRON_THETA_MAX, SEARCH_LIMIT, \
+    NoRootError
 
 
 def _bareiss(mat: list[list[IntPoly]], rhs: list[IntPoly] | None):
@@ -517,6 +526,106 @@ def bisected_top_ritz(alphas: list[float], sq_betas: list[float],
     return lo
 
 
+def _taylor_shift(c: list[int], shift: int) -> None:
+    """Replace the coefficients c of f(x) by those of f(x + shift); by
+    additions alone when shift is 1, the shift of every count."""
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1] if shift == 1 else shift * c[j + 1]
+
+
+def descartes_count(q: tuple[int, ...], a: int, b: int, den: int) -> int:
+    """Sign variations of (1 + x)^d q((a x + b) / (den (1 + x))),
+    d = deg q: the Descartes bound on the roots of q in (a / den, b / den),
+    by Taylor shifts, as the root route took it before its float guess."""
+    d = len(q) - 1
+    c = [x * den ** (d - i) for i, x in enumerate(q)]
+    if a:
+        _taylor_shift(c, a)
+    c = [x * (b - a) ** j for j, x in enumerate(c)][::-1]
+    _taylor_shift(c, 1)
+    signs = [x > 0 for x in c if x]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _power_root(num: int, den: int, g: int) -> float:
+    """(num / den)^(1/g) for num, den >= 1: the exact float when both
+    parts of the reduced fraction are g-th powers, else the float power."""
+    d = gcd(num, den)
+    parts = []
+    for n in (num // d, den // d):
+        lo, hi = 0, 1 << (n.bit_length() // g + 1)  # floor(n^(1/g)), bisected
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** g <= n else (lo, mid - 1)
+        parts.append(lo if lo ** g == n else None)
+    if None in parts:
+        return (num / den) ** (1 / g)
+    return parts[0] / parts[1]
+
+
+def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
+    """``smallest_positive_root`` as it was before it took a float guess:
+    q(u) = p(t), u = t^g, g the gcd of p's exponents, is scanned at every
+    grid point in order, 1/GRID apart in u up to u = 1 and in t beyond,
+    up to t = SEARCH_LIMIT, until its sign is not positive; that step is
+    bisected, one exact sign per midpoint, until the bracket in t is at
+    most tol wide or at float resolution, an exact zero ending it.  Where
+    Descartes counts roots of q in (0, lo) below it, (0, lo) is split,
+    the last pieces first, until a piece counts one root, which is
+    bisected instead; a piece that still counts more at float resolution
+    raises ArithmeticError."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if p.sign_at(0, 1) <= 0:
+        raise ValueError("polynomial must be positive at 0")
+    g = gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
+    q = IntPoly(p.coeffs[::g])
+    grid = chain(((m, GRID) for m in range(1, GRID + 1)),
+                 ((m ** g, GRID ** g) for m in
+                  range(GRID + 1, math.ceil(SEARCH_LIMIT * GRID) + 1)))
+    last = (0, 1)
+    for hi, den in grid:
+        if (sign := q.sign_at(hi, den)) <= 0:
+            break
+        last = (hi, den)
+    else:
+        raise NoRootError("no sign change in the search range")
+
+    def resolved(lo, hi, den):
+        t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
+        return t_hi - t_lo <= tol or t_lo == t_hi
+
+    def bisect(lo, hi, den):
+        while lo < hi and not resolved(lo, hi, den):
+            lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+            sign = q.sign_at(mid, den)
+            if sign == 0:
+                return mid, mid, den
+            lo, hi = (mid, hi) if sign > 0 else (lo, mid)
+        return lo, hi, den
+
+    lo = hi if sign == 0 else last[0] * den // last[1]
+    lo, hi, den = bracket = bisect(lo, hi, den)
+    pieces = [(0, lo, den)] if descartes_count(q.coeffs, 0, lo, den) else []
+    while pieces:
+        a, b, den = pieces.pop()
+        count = 1 if a == b else descartes_count(q.coeffs, a, b, den)
+        if count == 1:
+            bracket = bisect(a, b, den)
+            break
+        if count:
+            if resolved(a, b, den):
+                raise ArithmeticError("roots closer than float resolution")
+            mid = a + b
+            pieces.append((mid, 2 * b, 2 * den))
+            if q.sign_at(mid, 2 * den) == 0:
+                pieces.append((mid, mid, 2 * den))
+            pieces.append((2 * a, mid, 2 * den))
+    lo, hi, den = bracket
+    return _power_root(lo + hi, 2 * den, g)
+
+
 def primes_1_mod(modulus: int, count: int) -> list[int]:
     """The ``count`` largest primes p = 1 (mod modulus) below 2^31, by
     trial division."""
@@ -610,6 +719,19 @@ def series_mod_p(fn: RationalFn, n_max: int, p: int) -> list[int]:
     for n in range(n_max + 1):
         out.append((fn.num[n] - sum(d * out[n - m] for m, d in den
                                     if m <= n)) % p)
+    return out
+
+
+def plain_series(fn: RationalFn, n_max: int) -> list[int]:
+    """The Taylor coefficients c_0 .. c_(n_max) of fn, for den(0) = 1,
+    by the recurrence c_n = num_n - sum_(m >= 1) den_m c_(n - m) in t,
+    at every n and over every term of den."""
+    if fn.den[0] != 1:
+        raise ValueError("den(0) must be 1")
+    den = [(m, d) for m, d in enumerate(fn.den.coeffs) if m and d]
+    out = []
+    for n in range(n_max + 1):
+        out.append(fn.num[n] - sum(d * out[n - m] for m, d in den if m <= n))
     return out
 
 

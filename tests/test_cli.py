@@ -316,14 +316,30 @@ class TestQdim:
         (method, tol) for method in ("eig", "root", "all")
         for tol in ("0", "-1e-6", "nan", "inf")])
     def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
+        # neither the determinant nor the factors root_rho reads are built
         def no_det(k):
-            raise AssertionError("system_det ran")
+            raise AssertionError("system_det or _orbit_factors ran")
 
         monkeypatch.setattr(anyondeg.cli, "system_det", no_det)
-        monkeypatch.setattr(anyondeg.spectral, "system_det", no_det)
+        monkeypatch.setattr(anyondeg.spectral, "_orbit_factors", no_det)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
                              "--tol", tol)
         assert code == 2 and out == "" and "tol" in err
+
+
+    @pytest.mark.parametrize("method", ["root", "all"])
+    @pytest.mark.parametrize("tol", ["1e308", "1.7976931348623157e308",
+                                     "5e-324"])
+    def test_tol_at_the_float_limits(self, capsys, method, tol):
+        # 2 tol / 9 once overflowed to inf, or underflowed to 0, and a
+        # valid tol exited 2; below float resolution the output is the
+        # same as at 1e-300
+        code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
+                             "--tol", tol)
+        assert code == 0 and err == ""
+        if tol == "5e-324":
+            assert out == run(capsys, "qdim", "--k", "2", "--method", method,
+                              "--tol", "1e-300")[1]
 
 
 class TestSyt:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from anyondeg.genfunc import solve_system
 from anyondeg.poly import (
     IntPoly, RationalFn, poly_from_text, poly_to_json, poly_to_text,
 )
 
-from oracles import poly_gcd, reduced
+from oracles import plain_series, poly_gcd, reduced
 
 
 def P(*coeffs):
@@ -234,6 +235,48 @@ class TestSeries:
         coeffs = fn.series_coeffs(12)
         assert all(type(c) is int for c in coeffs)
         assert coeffs == fraction_series(fn, 12)
+
+
+@st.composite
+def classed_functions(draw):
+    """(num, den, m): den = 1 + (a polynomial in s) at s = t^m, m in 1, 2,
+    3, 6, and num with terms in one to three residue classes mod m."""
+    m = draw(st.sampled_from([1, 2, 3, 6]))
+    tail = draw(st.lists(st.integers(-9, 9), max_size=6))
+    den = (IntPoly.one() + IntPoly(tail) * IntPoly.monomial(1, 1)) \
+        .substitute_power(m)
+    classes = draw(st.lists(st.integers(0, m - 1), min_size=1,
+                            max_size=min(m, 3), unique=True))
+    num = IntPoly.from_terms(
+        (r + m * e, draw(st.integers(-9, 9).filter(bool)))
+        for r in classes for e in draw(st.lists(
+            st.integers(0, 5), min_size=1, max_size=3, unique=True)))
+    return num, den, m
+
+
+class TestClassedSeries:
+    """``series`` on each residue class mod m that num touches, against
+    the plain recurrence in t (``oracles.plain_series``)."""
+
+    @given(classed_functions())
+    def test_matches_the_plain_recurrence(self, case):
+        num, den, m = case
+        fn = RationalFn(num, den)
+        coeffs = fn.series_coeffs(60)
+        assert coeffs == plain_series(fn, 60)
+        touched = {e % m for e, c in enumerate(num.coeffs) if c}
+        assert all(c == 0 for n, c in enumerate(coeffs) if n % m not in touched)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 9])
+    def test_library_functions(self, k):
+        # every class-g function is t^g N(t^3) / D(t^3): one class mod 3
+        for fn in solve_system(k).values():
+            assert fn.series_coeffs(90) == plain_series(fn, 90)
+
+    def test_constant_denominator(self):
+        # no term of den past den(0): the series is num itself
+        fn = RationalFn(P(3, 0, -2), P(1))
+        assert fn.series_coeffs(5) == [3, 0, -2, 0, 0, 0]
 
 
 class TestSerialization:

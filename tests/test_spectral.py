@@ -1,23 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import anyondeg.spectral
-from anyondeg.genfunc import system_det
+from anyondeg.genfunc import _orbit_factors, system_det
 from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
     GRID, PERRON_THETA_MAX, NoRootError, _descartes,
-    _newton_step, _perron_apply, _perron_tables, _three_steps, _top_ritz,
-    growth_rate_estimate, lambda_perron, lambda_trig,
-    smallest_positive_root, spectral_report,
+    _newton_step, _perron_apply, _perron_tables, _root_bracket,
+    _three_steps, _top_ritz, growth_rate_estimate, lambda_perron,
+    lambda_trig, root_rho, smallest_positive_root, spectral_report,
 )
 
 from oracles import adjacency, bisected_top_ritz, canonical_positions, \
     class_positions, dense_lambda_perron, dense_perron_block, \
-    eigenvalue_at_least, rotate, whole_table_orbit_tables
+    eigenvalue_at_least, rotate, scanned_smallest_positive_root, \
+    whole_table_orbit_tables
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -596,7 +598,13 @@ class TestRootFinding:
     @pytest.mark.parametrize("k", range(1, 31))
     def test_determinant_certificate_is_one_count(self, k, monkeypatch):
         # every root of D(s) has modulus at least rho_s, so the count
-        # below the bracket is 0 and nothing is split
+        # below the bracket is 0 and nothing is split.  One count is made:
+        # 0 below the scan's bracket, or 1 on (0, top) of the grid step
+        # the guess names, which bounds the count below the bracket from
+        # above; that count is even, as no root lies there, so 0 too
+        q = IntPoly(system_det(k).coeffs[::3])
+        lo, _, den = _root_bracket(q, 3, 1e-12)
+        assert _descartes(q.coeffs, 0, lo, den) == 0
         counts = []
 
         def counted(*args):
@@ -605,7 +613,7 @@ class TestRootFinding:
 
         monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
         rho = smallest_positive_root(system_det(k))
-        assert counts == [0]
+        assert counts in ([0], [1])
         assert abs(1 / rho - lambda_trig(k)) < 1e-10
 
     def test_double_root_below_the_bracket_raises(self):
@@ -627,6 +635,185 @@ class TestRootFinding:
         for r in roots:
             q = q * P({0: -r, 1: 2})  # root r/2
         assert _descartes(q.coeffs, a, b, den) == count
+
+
+# the root route's tolerances: the library default, root_rho's bracket
+# at its default (2 tol / 9) and qdim's single-method default
+ROOT_TOLS = (1e-12, 2e-12 / 9, 1e-6)
+_SCANNED = {}
+
+
+def _scanned(k: int, tol: float) -> float:
+    """The plain scan's root of system_det(k) at tol, computed once."""
+    if (k, tol) not in _SCANNED:
+        _SCANNED[k, tol] = scanned_smallest_positive_root(system_det(k), tol)
+    return _SCANNED[k, tol]
+
+
+def _sign_calls(monkeypatch) -> list[tuple[int, int]]:
+    """The (num, den) of every ``IntPoly.sign_at`` call from here on."""
+    calls = []
+    real = IntPoly.sign_at
+
+    def counted(self, num, den):
+        calls.append((num, den))
+        return real(self, num, den)
+
+    monkeypatch.setattr(IntPoly, "sign_at", counted)
+    return calls
+
+
+def _outcome(route, p: IntPoly, tol: float):
+    """The float a root route returns, or the class of what it raises."""
+    try:
+        return route(p, tol)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@st.composite
+def real_rooted(draw):
+    """(p, tol): distinct linear factors a - b t, roots a/b in (0, 1.5],
+    times up to two quadratics with no real root, all positive at 0,
+    in t or in u = t^3."""
+    roots = draw(st.lists(
+        st.fractions(Fraction(1, 10 ** 4), Fraction(3, 2),
+                     max_denominator=10 ** 4),
+        min_size=1, max_size=5, unique=True))
+    p = IntPoly.one()
+    for r in roots:
+        p = p * IntPoly((r.numerator, -r.denominator))
+    for _ in range(draw(st.integers(0, 2))):
+        c0, c2 = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+        c1 = draw(st.integers(-100, 100).filter(
+            lambda c: c * c < 4 * c0 * c2))
+        p = p * IntPoly((c0, c1, c2))
+    g = draw(st.sampled_from([1, 3]))
+    return p.substitute_power(g), draw(st.sampled_from(ROOT_TOLS + (1e-14,)))
+
+
+def _three_close_roots(a: int, b: int, c: int) -> IntPoly:
+    """-(10000 t - a)(10000 t - b)(10000 t - c), positive at 0."""
+    return -(P({0: -a, 1: 10000}) * P({0: -b, 1: 10000})
+             * P({0: -c, 1: 10000}))
+
+
+# roots 0.0997 and 0.1003 in the grid step (102, 103] / 1024, and 1/2
+TWO_IN_ONE_STEP = -(P({0: -997, 1: 10000}) * P({0: -1003, 1: 10000})
+                    * P({0: -1, 1: 2}))
+
+
+class TestGuessedRoot:
+    """The root route's float guess against ``oracles.scanned_smallest_
+    positive_root``, the plain scan and bisection it replaces: the same
+    float, or the same failure, from a few exact signs."""
+
+    @pytest.mark.parametrize("tol", ROOT_TOLS)
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_determinant_roots_are_the_scans(self, k, tol):
+        assert smallest_positive_root(system_det(k), tol) == _scanned(k, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(real_rooted())
+    # two roots in one grid step, and three with the guess on the first,
+    # where a leaf that holds the root is not the bisection's
+    @example((TWO_IN_ONE_STEP, 1e-12))
+    @example((_three_close_roots(5001, 5003, 5005), 1e-6))
+    @example((_three_close_roots(9971, 9973, 9975), 1e-14))
+    @example((P({0: 3, 2: -2}), 1e-12))
+    def test_real_rooted_polynomials(self, case):
+        p, tol = case
+        assert _outcome(smallest_positive_root, p, tol) \
+            == _outcome(scanned_smallest_positive_root, p, tol)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_few_signs_at_small_levels(self, k, monkeypatch):
+        # p(0), the grid step's two ends and the leaf's, where the scan
+        # and bisection took 80 to 1025
+        expected = _scanned(k, 1e-12)
+        calls = _sign_calls(monkeypatch)
+        assert smallest_positive_root(system_det(k)) == expected
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("p", [system_det(33), TWO_IN_ONE_STEP])
+    def test_rejected_guesses_scan(self, p, monkeypatch):
+        # at k = 33 the float guess misses D's root (its coefficients
+        # cancel in floats); the guess 0.0997 names a step whose top is
+        # positive: the scan runs and the float is its own
+        expected = scanned_smallest_positive_root(p)
+        calls = _sign_calls(monkeypatch)
+        assert smallest_positive_root(p) == expected
+        assert len(calls) > 2 * 5
+
+    def test_three_roots_in_the_guessed_step(self, monkeypatch):
+        # 0.5001, 0.5003 and 0.5005 lie in the step (512, 513] / 1024,
+        # whose ends have opposite signs, and the guess's leaf holds
+        # 0.5001, but the bisection turns right at the step's middle,
+        # 0.50049, and ends at 0.5005: Descartes counts 3 roots below the
+        # step's top, and the scan's float is kept
+        p = _three_close_roots(5001, 5003, 5005)
+        counts = []
+
+        def counted(*args):
+            counts.append(_descartes(*args))
+            return counts[-1]
+
+        expected = scanned_smallest_positive_root(p, 1e-6)
+        monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
+        assert smallest_positive_root(p, 1e-6) == expected
+        assert counts[0] == 3
+
+
+class TestRootOnTheTrivialFactor:
+    """``root_rho`` isolates the root on the trivial weight's Galois-orbit
+    factor alone, and certifies every other factor below the bracket."""
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_the_determinants_root(self, k):
+        # bit for bit the scan's on the whole determinant, and the route's
+        # own on the first factor at t^3
+        rho = root_rho(k)
+        trivial = _orbit_factors(k)[2][0][0]
+        assert rho == _scanned(k, 2e-12 / 9)
+        assert rho == smallest_positive_root(trivial.substitute_power(3),
+                                             2e-12 / 9)
+
+    @pytest.mark.parametrize("reorder", [
+        lambda factors: factors[1:] + factors[:1],
+        lambda factors: factors[1:]])
+    def test_first_factor_not_the_trivial_weights_raises(
+            self, reorder, monkeypatch):
+        # k = 7 has four factors; F_O0 moved last, or missing
+        p, powers, factors = _orbit_factors(7)
+        assert len(factors) > 1
+        monkeypatch.setattr(anyondeg.spectral, "_orbit_factors",
+                            lambda k: (p, powers, reorder(factors)))
+        with pytest.raises(ArithmeticError, match="trivial weight"):
+            root_rho(7)
+
+    def test_factor_with_a_root_below_raises(self, monkeypatch):
+        # 1 - 10 s has its root 0.1 below rho^3 = 0.236 at k = 2
+        p, powers, factors = _orbit_factors(2)
+        low = (IntPoly((1, -10)), (9, 5, 0))
+        monkeypatch.setattr(anyondeg.spectral, "_orbit_factors",
+                            lambda k: (p, powers, factors + [low]))
+        with pytest.raises(ArithmeticError, match="below"):
+            root_rho(2)
+
+    @pytest.mark.parametrize("tol", [1e308, 1.7976931348623157e308,
+                                     5e-324, 1e-300])
+    def test_every_positive_finite_tol_is_taken(self, tol):
+        # 2 tol / 9 overflows above 8.99e307 and vanishes below 2e-323;
+        # below float resolution the value is the same
+        rho = root_rho(2, tol)
+        assert abs(1 / rho - lambda_trig(2)) < 1e-2
+        if tol < 1e-299:
+            assert rho == root_rho(2, 1e-300)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError):
+            root_rho(2, tol)
 
 
 def _scaled_root_excess(k):
