@@ -534,7 +534,7 @@ def _taylor_shift(c: list[int], shift: int) -> None:
             c[j] += c[j + 1] if shift == 1 else shift * c[j + 1]
 
 
-def descartes_count(q: tuple[int, ...], a: int, b: int, den: int) -> int:
+def _descartes_count(q: tuple[int, ...], a: int, b: int, den: int) -> int:
     """Sign variations of (1 + x)^d q((a x + b) / (den (1 + x))),
     d = deg q: the Descartes bound on the roots of q in (a / den, b / den),
     by Taylor shifts, as the root route took it before its float guess."""
@@ -607,10 +607,10 @@ def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
 
     lo = hi if sign == 0 else last[0] * den // last[1]
     lo, hi, den = bracket = bisect(lo, hi, den)
-    pieces = [(0, lo, den)] if descartes_count(q.coeffs, 0, lo, den) else []
+    pieces = [(0, lo, den)] if _descartes_count(q.coeffs, 0, lo, den) else []
     while pieces:
         a, b, den = pieces.pop()
-        count = 1 if a == b else descartes_count(q.coeffs, a, b, den)
+        count = 1 if a == b else _descartes_count(q.coeffs, a, b, den)
         if count == 1:
             bracket = bisect(a, b, den)
             break
