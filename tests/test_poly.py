@@ -265,7 +265,8 @@ class TestClassedSeries:
         coeffs = fn.series_coeffs(60)
         assert coeffs == plain_series(fn, 60)
         touched = {e % m for e, c in enumerate(num.coeffs) if c}
-        assert all(c == 0 for n, c in enumerate(coeffs) if n % m not in touched)
+        assert all(c == 0 for n, c in enumerate(coeffs)
+                   if n % m not in touched)
 
     @pytest.mark.parametrize("k", [1, 2, 6, 9])
     def test_library_functions(self, k):
