@@ -145,7 +145,7 @@ def _cmd_qdim(args) -> int:
     elif args.method == "root":
         print(repr(1.0 / root_rho(args.k, tol=tol)))
     else:
-        print(json.dumps(spectral_report(args.k, tol=tol).to_dict()))
+        print(json.dumps(spectral_report(args.k, tol=tol)._asdict()))
     return 0
 
 

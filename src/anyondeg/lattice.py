@@ -18,7 +18,6 @@ adjacency matrix is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -43,8 +42,7 @@ def check_vertex(v: Vertex, k: int) -> None:
         raise ValueError(f"vertex {tuple(v)} not in the level-{k} lattice")
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Level-k lattice with its canonical vertex order.
 
     The canonical order lists (0,0),(0,1),...,(0,k),(1,0),...,(k,0);

@@ -28,6 +28,7 @@ from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
     class_offsets, in_vertex_set, step, walk_table
 
 
+# a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class CountTable:
     """Walk counts from the origin after n steps, one entry per vertex."""
@@ -144,6 +145,7 @@ def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
             for n, counts in enumerate(_sweep(pred, n_max))]
 
 
+# a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class CountGrid:
     """Rectangular grid of counts: one row per level, one column per n."""

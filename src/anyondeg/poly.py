@@ -267,8 +267,9 @@ def poly_to_text(p: IntPoly) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)(?:\*t\^(?P<power>\d+))?$")
+# a pattern string, not a compiled pattern: re compiles and caches it on
+# the first parse, so importing the CLI, which parses no polynomial, does not
+_TERM = r"(?P<coeff>\d+)(?:\*t\^(?P<power>\d+))?"
 
 
 def poly_from_text(s: str) -> IntPoly:
@@ -282,7 +283,7 @@ def poly_from_text(s: str) -> IntPoly:
         if tok[0] in "+-":
             sign = -1 if tok[0] == "-" else 1
             tok = tok[1:]
-        m = _TERM_RE.match(tok)
+        m = re.fullmatch(_TERM, tok)
         if not m:
             raise ValueError(f"bad polynomial term: {tok!r}")
         power = int(m.group("power") or 0)

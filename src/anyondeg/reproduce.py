@@ -62,7 +62,7 @@ def _check_qdim() -> Iterator[dict]:
     for k in range(1, 9):
         rep = spectral_report(k)
         if rep.agreement_gap >= 1e-6:
-            yield rep.to_dict()
+            yield rep._asdict()
     # exact anchors: det(M_1) and det(M_3) have smallest roots 1 and 1/2,
     # so the growth factors at levels 1 and 3 are exactly 1 and 2
     for k, den in ((1, 1), (3, 2)):

@@ -34,9 +34,9 @@ step cap: its dimension bounds it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from itertools import count
 from operator import mul
+from typing import NamedTuple
 
 from .genfunc import _label, _orbit_factors
 from .lattice import ORIGIN, class_offsets, orbit_firsts, step, walk_table
@@ -479,17 +479,13 @@ def root_rho(k: int, tol: float = 1e-12) -> float:
     return _exact_root(lo + hi, 2 * den, 3)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     k: int
     lambda_trig: float
     lambda_perron: float
     rho_root: float
     lambda_from_root: float
     agreement_gap: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:

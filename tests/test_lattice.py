@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anyondeg.lattice import (
-    _STEPS, ORIGIN, Vertex, build_lattice, check_vertex, class_offsets,
-    in_vertex_set, walk_table,
+    _STEPS, ORIGIN, Lattice, Vertex, build_lattice, check_vertex,
+    class_offsets, in_vertex_set, walk_table,
 )
 
 from oracles import adjacency, canonical_positions, class_positions, \
@@ -37,6 +37,29 @@ def test_build_lattice_k1_is_three_cycle():
 @pytest.mark.parametrize("k,count", [(1, 3), (2, 6), (3, 10), (8, 45)])
 def test_vertex_count(k, count):
     assert build_lattice(k).dim == count
+
+
+def test_lattice_fields_cannot_be_assigned():
+    lat = build_lattice(3)
+    for name in ("k", "vertices"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, None)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lattice_record_repr_eq_and_hash(k):
+    # repr names every field in order; == and hash are the fields' tuple
+    lat = build_lattice(k)
+    assert repr(lat) == f"Lattice(k={k}, vertices={lat.vertices!r})"
+    assert lat == Lattice(k, lat.vertices) == build_lattice(k)
+    assert lat != build_lattice(k + 1)
+    assert hash(lat) == hash((k, lat.vertices))
+
+
+def test_lattice_repr_at_level_one():
+    assert repr(build_lattice(1)) == (
+        "Lattice(k=1, vertices=(Vertex(i=0, j=0), Vertex(i=0, j=1), "
+        "Vertex(i=1, j=0)))")
 
 
 @pytest.mark.parametrize("k", [0, -3])

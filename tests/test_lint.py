@@ -57,6 +57,12 @@ call it.  J's image ``k - i - j`` is computed only where
 ``orbit_firsts`` supplies the points, so no module maps every class
 position under J and searches that map for representatives.
 
+Two dataclasses: ``@dataclass`` decorates only ``pathcount.CountTable``
+and ``pathcount.CountGrid``, because ``perfbench/test_bench_checks.py``
+rebuilds them with ``dataclasses.replace``.  Every other record is a
+``NamedTuple``: a dataclass compiles its generated methods at every
+import, which costs several times what a NamedTuple class does.
+
 Two caches: ``lru_cache`` decorates ``system_det`` and ``solve_system``
 alone, the two caches a caller can clear, so no hidden per-k memo keeps
 a cleared solve warm.
@@ -422,6 +428,34 @@ def test_lru_cache_only_on_the_two_clearable_solvers():
                  node, (ast.Name, ast.Attribute)) and _name(node) in memo)}
     assert found == {("genfunc.py", "system_det"),
                      ("genfunc.py", "solve_system")}
+
+
+def _dataclass_findings(trees):
+    """(module, class) for every class that a ``dataclass`` decorator,
+    bare, called or read as ``dataclasses.dataclass``, decorates."""
+    return sorted((name, node.name) for name, tree in trees
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for dec in node.decorator_list
+                  if _name(getattr(dec, "func", dec)) == "dataclass")
+
+
+def test_dataclass_only_on_the_two_replaced_records():
+    assert _dataclass_findings(_trees()) == [("pathcount.py", "CountGrid"),
+                                             ("pathcount.py", "CountTable")]
+
+
+def test_dataclass_rule_flags_a_third_record():
+    # a called and an attribute-read decorator are both reported; a
+    # NamedTuple record is not
+    lattice = ast.parse(
+        "@dataclass(frozen=True)\nclass Lattice:\n    k: int\n"
+        "@dataclasses.dataclass\nclass Report:\n    k: int\n"
+        "class Shape3(NamedTuple):\n    r1: int\n")
+    pathcount = ast.parse("@dataclass\nclass CountTable:\n    k: int\n")
+    found = _dataclass_findings([("lattice.py", lattice),
+                                 ("pathcount.py", pathcount)])
+    assert found == [("lattice.py", "Lattice"), ("lattice.py", "Report"),
+                     ("pathcount.py", "CountTable")]
 
 
 def test_no_polynomial_gcd_in_the_library():

@@ -1,16 +1,21 @@
+import re
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anyondeg.genfunc import solve_system
 from anyondeg.poly import (
-    IntPoly, RationalFn, poly_from_text, poly_to_json, poly_to_text,
+    _TERM, IntPoly, RationalFn, poly_from_text, poly_to_json, poly_to_text,
 )
 
 from oracles import plain_series, poly_gcd, reduced
+
+
+# _TERM anchored at both ends: a full match must take the same tokens
+ANCHORED_TERM = re.compile(r"^(?P<coeff>\d+)(?:\*t\^(?P<power>\d+))?$")
 
 
 def P(*coeffs):
@@ -297,6 +302,15 @@ class TestSerialization:
     def test_text_rejects_what_is_never_printed(self, text):
         with pytest.raises(ValueError):
             poly_from_text(text)
+
+    @given(st.text("0123456789*t^+-", max_size=10))
+    @example("12*t^3")
+    @example("7")
+    def test_term_pattern_parses_as_the_anchored_match(self, tok):
+        # poly_from_text's tokens hold no whitespace, where ^...$ and a
+        # full match could differ (a trailing newline)
+        m, anchored = re.fullmatch(_TERM, tok), ANCHORED_TERM.match(tok)
+        assert (m and m.groupdict()) == (anchored and anchored.groupdict())
 
     def test_text_ignores_surrounding_whitespace(self):
         assert poly_from_text("  1 - 4*t^3\n") == P(1, 0, 0, -4)

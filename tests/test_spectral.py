@@ -10,7 +10,7 @@ from anyondeg.genfunc import _orbit_factors, system_det
 from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, PERRON_THETA_MAX, NoRootError, _descartes,
+    GRID, PERRON_THETA_MAX, NoRootError, SpectralReport, _descartes,
     _newton_step, _perron_apply, _perron_tables, _root_bracket,
     _three_steps, _top_ritz, growth_rate_estimate, lambda_perron,
     lambda_trig, root_rho, smallest_positive_root, spectral_report,
@@ -22,6 +22,8 @@ from oracles import adjacency, bisected_top_ritz, canonical_positions, \
     whole_table_orbit_tables
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+REPORT_FIELDS = ("k", "lambda_trig", "lambda_perron", "rho_root",
+                 "lambda_from_root", "agreement_gap")
 
 
 def P(terms):
@@ -855,11 +857,31 @@ class TestReport:
         if k > 1:
             assert f < _scaled_root_excess(k - 1)
 
-    def test_to_dict_round_trips_fields(self):
-        d = spectral_report(2).to_dict()
+    def test_asdict_keys_in_field_order(self):
+        rep = spectral_report(2)
+        d = rep._asdict()
+        assert list(d) == list(REPORT_FIELDS)
         assert d["k"] == 2
-        assert set(d) == {"k", "lambda_trig", "lambda_perron", "rho_root",
-                          "lambda_from_root", "agreement_gap"}
+        assert tuple(d.values()) == tuple(rep)
+
+    def test_fields_cannot_be_assigned(self):
+        rep = spectral_report(2)
+        for name in REPORT_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(rep, name, 0)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_record_repr_eq_and_hash(self, k):
+        # repr names every field in order; == and hash are the fields'
+        # tuple
+        rep = spectral_report(k)
+        fields = ", ".join(f"{name}={getattr(rep, name)!r}"
+                           for name in REPORT_FIELDS)
+        assert repr(rep) == f"SpectralReport({fields})"
+        values = tuple(getattr(rep, name) for name in REPORT_FIELDS)
+        assert rep == SpectralReport(*values) \
+            == SpectralReport(**dict(zip(REPORT_FIELDS, values)))
+        assert hash(rep) == hash(values)
 
 
 class TestGrowthRate:
