@@ -35,9 +35,6 @@ DEFAULT_CAP_K = 64
 # does not grow with n past that.
 CAP_K_VERIFY = 30
 CAP_N_TABLE = 3000
-# qdim's tolerance when --tol is not given: --method all keeps the
-# spectral report's own, the single methods a looser one.
-DEFAULT_TOL = {"all": 1e-12, "eig": 1e-6, "root": 1e-6}
 
 
 class UsageError(Exception):
@@ -135,17 +132,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_qdim(args) -> int:
     _check_caps(args, k=args.k)
-    if args.tol is not None and not 0 < args.tol < math.inf:  # before det
+    if not 0 < args.tol < math.inf:  # before det
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-    tol = DEFAULT_TOL.get(args.method) if args.tol is None else args.tol
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))
     elif args.method == "eig":
-        print(repr(lambda_perron(args.k, tol=tol)))
+        print(repr(lambda_perron(args.k, tol=args.tol)))
     elif args.method == "root":
-        print(repr(1.0 / root_rho(args.k, tol=tol)))
+        print(repr(1.0 / root_rho(args.k, tol=args.tol)))
     else:
-        print(json.dumps(spectral_report(args.k, tol=tol)._asdict()))
+        print(json.dumps(spectral_report(args.k, tol=args.tol)._asdict()))
     return 0
 
 
@@ -235,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("trig", "eig", "root", "all"),
                    default="all")
-    p.add_argument("--tol", type=float, default=None,
-                   help="convergence tolerance (default 1e-6, or 1e-12 "
-                        "for --method all)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="convergence tolerance (default 1e-12)")
     add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_qdim, parser=p)
 

@@ -95,7 +95,7 @@ def test_criterion_06_catalan_diagonal():
 
 
 def test_criterion_07_hook_length_oracle():
-    with criterion(7, "hook lengths vs brute force", budget_seconds=60.0):
+    with criterion(7, "hook lengths vs walk counts", budget_seconds=60.0):
         assert_reproduces("hooks")
 
 

@@ -23,6 +23,7 @@ from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
 from anyondeg.spectral import NoRootError, SpectralReport, lambda_trig
+from anyondeg.syt import shapes
 
 from oracles import class_positions, full_length_mismatches, \
     primes_1_mod, verlinde_counts
@@ -305,6 +306,15 @@ class TestQdim:
         coarse = run(capsys, "qdim", "--k", "5", "--tol", "0.1")
         assert coarse[0] == 0 and coarse[1] != default[1]
 
+    @pytest.mark.parametrize("k", [*range(1, 9), 33, 64])
+    def test_single_methods_print_the_report_fields(self, capsys, k):
+        # one default tolerance: eig and root print the floats of --method all
+        report = json.loads(run(capsys, "qdim", "--k", str(k))[1])
+        for method, field in (("eig", "lambda_perron"),
+                              ("root", "lambda_from_root")):
+            assert run(capsys, "qdim", "--k", str(k), "--method", method) \
+                == (0, f"{report[field]!r}\n", "")
+
     @pytest.mark.parametrize("k", range(1, 35))
     def test_root_tol_bounds_lambda(self, capsys, k):
         # tol bounds the printed lambda = 1/rho, not the bracket on rho
@@ -313,7 +323,7 @@ class TestQdim:
         assert code == 0 and abs(float(out) - lambda_trig(k)) <= 1e-6
 
     @pytest.mark.parametrize("method,tol", [
-        (method, tol) for method in ("eig", "root", "all")
+        (method, tol) for method in ("trig", "eig", "root", "all")
         for tol in ("0", "-1e-6", "nan", "inf")])
     def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
         # neither the determinant nor the factors root_rho reads are built
@@ -408,7 +418,7 @@ CORRUPTIONS = {
         lambda c, *args: (x + (n == SERIES_N_MAX) for n, x in enumerate(c))),
     "qdim": lambda mp: _wrap(mp, anyondeg.spectral, "lambda_perron",
                              lambda lam, *args: lam + 1e-3),
-    "hooks": lambda mp: _wrap(mp, anyondeg.reproduce, "hook_count",
+    "hooks": lambda mp: _wrap(mp, anyondeg.syt, "hook_count",
                               lambda c, shape: c + (shape == (2, 2, 2))),
     "audit": lambda mp: _wrap(mp, anyondeg.syt, "hook_count",
                               lambda c, shape: c + (shape == (3, 3, 3))),
@@ -428,6 +438,15 @@ class TestReproduce:
         obj = json.loads(out)
         assert code == 0
         assert [item["name"] for item in obj["items"]] == ["table1"]
+
+    def test_hooks_item_covers_every_shape_to_twelve_boxes(self,
+                                                           monkeypatch):
+        seen = []
+        _wrap(monkeypatch, anyondeg.syt, "hook_count",
+              lambda c, shape: seen.append(shape) or c)
+        assert reproduce(only="hooks")["ok"] is True
+        assert len(set(shapes(12))) == 102
+        assert set(seen) == set(shapes(12))
 
     @pytest.mark.parametrize("item", list(_ITEMS))
     def test_corrupted_input_fails(self, capsys, monkeypatch, item):

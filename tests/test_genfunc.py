@@ -18,6 +18,7 @@ from anyondeg.reference import (
     LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_poly,
     genfunc_rational,
 )
+from anyondeg.reproduce import SERIES_N_MAX
 
 from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     class_positions, closed_walk_det, coprime_mod_p, determinant_degree, \
@@ -679,6 +680,14 @@ class TestSeriesConsistency:
             steps.clear()
             assert verify_series(k, n_max) == []
             assert len(steps) == min(n_max, stop) + 1
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_series_item_reaches_the_proof_length(self, monkeypatch, k):
+        # reproduce's series item proves agreement at every n for each k
+        stop = _proof_stop(k)
+        steps = _count_sweep_steps(monkeypatch)
+        assert verify_series(k, SERIES_N_MAX) == []
+        assert len(steps) == stop + 1 <= SERIES_N_MAX + 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

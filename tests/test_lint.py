@@ -67,6 +67,11 @@ Two caches: ``lru_cache`` decorates ``system_det`` and ``solve_system``
 alone, the two caches a caller can clear, so no hidden per-k memo keeps
 a cleared solve warm.
 
+One tableau count: the exponential enumeration
+``syt.brute_force_count`` runs only when a user asks for it, by
+``syt --oracle``, so ``cli._cmd_syt`` is its one caller in the library
+and no golden check or other route runs it beside ``hook_count``.
+
 No polynomial gcd: lowest terms come from the determinant's
 Galois-orbit factors, each kept or divided out by one S-matrix entry
 per vertex, and the primitive-PRS ``poly_gcd`` with its ``_pseudo_rem``
@@ -284,6 +289,12 @@ def test_reflection_sum_called_only_by_degeneracy():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "_reflection_count")}
     assert callers == {("pathcount.py", "degeneracy")}
+
+
+def test_brute_force_count_called_only_by_syt_oracle():
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "brute_force_count")}
+    assert callers == {("cli.py", "_cmd_syt")}
 
 
 def _pivot_loop_findings(trees):
