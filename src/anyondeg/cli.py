@@ -6,26 +6,18 @@ stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error
 the library's one family of numeric failures).  When the reader of
 stdout closes early, the next write ends the process by SIGPIPE, with
 nothing on stderr.  Big integers are emitted as decimal strings in JSON
-output.
+output.  Each subcommand imports its own route when it runs, so a process
+loads only the modules it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import signal
 import sys
 
-from .genfunc import generating_function, solve_system, system_det, \
-    verify_series
 from .lattice import Vertex
-from .pathcount import degeneracy, table
-from .poly import poly_to_json, poly_to_text
-from .reproduce import reproduce
-from .spectral import lambda_perron, lambda_trig, root_rho, spectral_report
-from .syt import Shape3, audit_published_formula, brute_force_count, \
-    hook_count, shape_for_vertex, unrestricted_count
 
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
@@ -62,12 +54,16 @@ def _check_caps(args, k: int | None = None, n: int | None = None) -> None:
 
 
 def _cmd_count(args) -> int:
+    from .pathcount import degeneracy
+
     _check_caps(args, k=args.k, n=args.n)
     print(degeneracy(args.k, args.n, _parse(args.vertex, Vertex, "vertex")))
     return 0
 
 
 def _cmd_table(args) -> int:
+    from .pathcount import table
+
     _check_caps(args, k=args.max_k, n=args.max_n)
     grid = table(args.max_k, args.max_n, _parse(args.vertex, Vertex, "vertex"),
                  all_columns=args.all_columns)
@@ -76,6 +72,8 @@ def _cmd_table(args) -> int:
         for k in sorted(grid.rows):
             print(f"{k}," + ",".join(str(c) for c in grid.rows[k]))
     else:
+        import json
+
         print(json.dumps({
             "vertex": list(grid.vertex),
             "columns": list(grid.columns),
@@ -86,6 +84,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_genfunc(args) -> int:
+    import json
+
+    from .genfunc import generating_function, solve_system
+    from .poly import poly_to_json, poly_to_text
+
     _check_caps(args, k=args.k)
     if args.vertex:
         v = _parse(args.vertex, Vertex, "vertex")
@@ -112,12 +115,17 @@ def _cmd_genfunc(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from .genfunc import system_det
+    from .poly import poly_to_text
+
     _check_caps(args, k=args.k)
     print(poly_to_text(system_det(args.k)))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .genfunc import verify_series
+
     _check_caps(args, k=args.k, n=args.n)
     mismatches = verify_series(args.k, args.n)
     if mismatches:
@@ -131,6 +139,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
+    from .spectral import lambda_perron, lambda_trig, root_rho, \
+        spectral_report
+
     _check_caps(args, k=args.k)
     if not 0 < args.tol < math.inf:  # before det
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
@@ -141,14 +152,21 @@ def _cmd_qdim(args) -> int:
     elif args.method == "root":
         print(repr(1.0 / root_rho(args.k, tol=args.tol)))
     else:
+        import json
+
         print(json.dumps(spectral_report(args.k, tol=args.tol)._asdict()))
     return 0
 
 
 def _cmd_syt(args) -> int:
+    from .syt import Shape3, audit_published_formula, brute_force_count, \
+        hook_count, shape_for_vertex, unrestricted_count
+
     if args.cap_n is None:
         args.cap_n = CAP_N_TABLE if args.paper_formula else DEFAULT_CAP_N
     if args.paper_formula:
+        import json
+
         _check_caps(args, n=args.n)
         print(json.dumps(audit_published_formula(n_max=args.n)))
         return 0
@@ -172,6 +190,10 @@ def _cmd_syt(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    import json
+
+    from .reproduce import reproduce
+
     report = reproduce(only=args.only)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1

@@ -282,10 +282,11 @@ def _exact_root(num: int, den: int, g: int) -> float:
 
 
 def _taylor_shift(c: list[int], shift: int) -> None:
-    """Replace the coefficients c of f(x) by those of f(x + shift)."""
+    """Replace the coefficients c of f(x) by those of f(x + shift); by
+    additions alone when shift is 1, the shift every count ends on."""
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
-            c[j] += shift * c[j + 1]
+            c[j] += c[j + 1] if shift == 1 else shift * c[j + 1]
 
 
 def _descartes(q: tuple[int, ...], a: int, b: int, den: int) -> int:

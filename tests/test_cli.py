@@ -292,7 +292,7 @@ class TestQdim:
         def no_root(k, tol):
             raise NoRootError("no sign change in (0, 1.5]")
 
-        monkeypatch.setattr(anyondeg.cli, "root_rho", no_root)
+        monkeypatch.setattr(anyondeg.spectral, "root_rho", no_root)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", "root")
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: no sign change in (0, 1.5]"]
@@ -330,7 +330,7 @@ class TestQdim:
         def no_det(k):
             raise AssertionError("system_det or _orbit_factors ran")
 
-        monkeypatch.setattr(anyondeg.cli, "system_det", no_det)
+        monkeypatch.setattr(anyondeg.genfunc, "system_det", no_det)
         monkeypatch.setattr(anyondeg.spectral, "_orbit_factors", no_det)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
                              "--tol", tol)
@@ -484,17 +484,20 @@ class TestCaps:
     def stub_heavy_routes(self, monkeypatch):
         """Replace the exact-algebra and Perron routes by instant stubs, so
         a call at the cap runs only the cap check and the printing."""
-        monkeypatch.setattr(anyondeg.cli, "system_det",
+        monkeypatch.setattr(anyondeg.genfunc, "system_det",
                             lambda k: IntPoly((1, -1)))
-        monkeypatch.setattr(anyondeg.cli, "solve_system",
+        monkeypatch.setattr(anyondeg.genfunc, "solve_system",
                             lambda k: {})
-        monkeypatch.setattr(anyondeg.cli, "verify_series", lambda k, n: [])
-        monkeypatch.setattr(anyondeg.cli, "lambda_perron",
+        monkeypatch.setattr(anyondeg.genfunc, "verify_series",
+                            lambda k, n: [])
+        monkeypatch.setattr(anyondeg.spectral, "lambda_perron",
                             lambda k, tol: 1.0)
-        monkeypatch.setattr(anyondeg.cli, "root_rho", lambda k, tol: 1.0)
-        monkeypatch.setattr(anyondeg.cli, "spectral_report", lambda k, tol:
+        monkeypatch.setattr(anyondeg.spectral, "root_rho",
+                            lambda k, tol: 1.0)
+        monkeypatch.setattr(anyondeg.spectral, "spectral_report",
+                            lambda k, tol:
                             SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0))
-        monkeypatch.setattr(anyondeg.cli, "audit_published_formula",
+        monkeypatch.setattr(anyondeg.syt, "audit_published_formula",
                             lambda n_max: {})
 
     @pytest.mark.parametrize("command,cap,flag", CAP_CORNERS)
@@ -510,7 +513,6 @@ class TestCaps:
         def no_solve(k):
             raise AssertionError("solve_system ran")
 
-        monkeypatch.setattr(anyondeg.cli, "solve_system", no_solve)
         monkeypatch.setattr(anyondeg.genfunc, "solve_system", no_solve)
         code, out, err = run(capsys, "genfunc", "--k", "2", "--vertex", "3,0")
         assert code == 2 and out == ""

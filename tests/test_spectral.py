@@ -16,10 +16,10 @@ from anyondeg.spectral import (
     lambda_trig, root_rho, smallest_positive_root, spectral_report,
 )
 
-from oracles import adjacency, bisected_top_ritz, canonical_positions, \
-    class_positions, dense_lambda_perron, dense_perron_block, \
-    eigenvalue_at_least, rotate, scanned_smallest_positive_root, \
-    whole_table_orbit_tables
+from oracles import _descartes_count, adjacency, bisected_top_ritz, \
+    canonical_positions, class_positions, dense_lambda_perron, \
+    dense_perron_block, eigenvalue_at_least, rotate, \
+    scanned_smallest_positive_root, whole_table_orbit_tables
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 REPORT_FIELDS = ("k", "lambda_trig", "lambda_perron", "rho_root",
@@ -764,6 +764,43 @@ class TestGuessedRoot:
         monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
         assert smallest_positive_root(p, 1e-6) == expected
         assert counts[0] == 3
+
+
+def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
+    """The arguments of every ``_descartes`` call that
+    ``smallest_positive_root(p, tol)`` makes, the grid intervals (0, 1],
+    (0, 1/2], (1/4, 1/2] and (1/2, 3/2] of p after them."""
+    calls = [(p.coeffs, a, b, GRID) for a, b in (
+        (0, GRID), (0, GRID // 2), (GRID // 4, GRID // 2),
+        (GRID // 2, 3 * GRID // 2))]
+
+    def recorded(*args):
+        calls.append(args)
+        return _descartes(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anyondeg.spectral, "_descartes", recorded)
+        _outcome(smallest_positive_root, p, tol)
+    return calls
+
+
+class TestDescartesCount:
+    """``_descartes``, whose last Taylor shift, by 1, adds, against the
+    oracles' ``_descartes_count``: every count the root route takes, and
+    four grid intervals."""
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_determinants(self, k):
+        calls = _descartes_calls(system_det(k), 1e-12)
+        assert [_descartes(*args) for args in calls] \
+            == [_descartes_count(*args) for args in calls]
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_rooted())
+    def test_real_rooted_polynomials(self, case):
+        calls = _descartes_calls(*case)
+        assert [_descartes(*args) for args in calls] \
+            == [_descartes_count(*args) for args in calls]
 
 
 class TestRootOnTheTrivialFactor:

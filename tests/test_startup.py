@@ -3,6 +3,11 @@ subcommand, the Perron route and the full reproduce included.  Nor does
 importing the CLI load ``fractions``: the exact kernel is integer only,
 and every CLI process would pay for its import.
 
+Each process loads only the route it runs: ``import anyondeg`` loads no
+submodule, since the package resolves its names on first read;
+``import anyondeg.cli`` loads ``lattice`` alone beside ``cli``; and a
+subcommand loads its own route's modules, not the other routes'.
+
 Each case runs in a fresh interpreter, so what earlier tests imported
 into this process does not count.
 """
@@ -13,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import anyondeg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,16 +32,29 @@ assert code == 0, code
 """
 
 
-def module_loaded(body: str, module: str = "numpy") -> bool:
-    """Run body in a fresh interpreter; whether module is loaded after it."""
+def _last_line(code: str) -> str:
+    """Run code in a fresh interpreter; the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = body + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1]
+
+
+def module_loaded(body: str, module: str = "numpy") -> bool:
+    """Run body in a fresh interpreter; whether module is loaded after it."""
+    return _last_line(body + f"\nimport sys\n"
+                             f"print({module!r} in sys.modules)\n") == "True"
+
+
+def submodules_loaded(body: str) -> set[str]:
+    """Run body in a fresh interpreter; the ``anyondeg`` submodules loaded
+    after it, by their names in the package."""
+    return set(_last_line(body + "\nimport sys\nprint(' '.join(\n"
+                          "    name.split('.', 1)[1] for name in sys.modules\n"
+                          "    if name.startswith('anyondeg.')))\n").split())
 
 
 @pytest.mark.parametrize("module", ["anyondeg", "anyondeg.cli"])
@@ -66,3 +86,45 @@ def test_exact_subcommands_leave_numpy_unloaded(argv):
 ])
 def test_spectral_subcommands_leave_numpy_unloaded(argv):
     assert not module_loaded(_RUN_MAIN.format(argv=argv.split()))
+
+
+def test_package_import_loads_no_submodule():
+    assert submodules_loaded("import anyondeg") == set()
+
+
+def test_cli_import_loads_only_lattice():
+    assert submodules_loaded("import anyondeg.cli") == {"cli", "lattice"}
+
+
+@pytest.mark.parametrize("argv", [
+    "count --k 4 --n 12",
+    "table --max-k 3 --max-n 9",
+    "det --k 4",
+])
+def test_exact_subcommands_leave_the_other_routes_unloaded(argv):
+    loaded = submodules_loaded(_RUN_MAIN.format(argv=argv.split()))
+    assert loaded & {"spectral", "syt", "reproduce", "reference"} == set()
+
+
+def test_syt_leaves_the_walk_and_algebra_routes_unloaded():
+    loaded = submodules_loaded(_RUN_MAIN.format(
+        argv="syt --n 11 --vertex 1,0 --oracle".split()))
+    assert "syt" in loaded
+    assert loaded & {"genfunc", "spectral", "pathcount"} == set()
+
+
+def test_star_import_binds_every_exported_name():
+    names = {}
+    exec("from anyondeg import *", names)
+    assert sorted(set(anyondeg.__all__) - names.keys()) == []
+
+
+def test_dir_lists_every_exported_name():
+    assert set(anyondeg.__all__) <= set(dir(anyondeg))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        anyondeg.no_such_name
+    assert not hasattr(anyondeg, "no_such_name")
+    assert not hasattr(anyondeg, "syt.shape_for_vertex")
