@@ -15,10 +15,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Lattice", "ORIGIN", "Vertex", "build_lattice",
-    "CountGrid", "CountTable", "count_paths", "degeneracy", "table",
+    "CountGrid", "CountTable", "count_paths", "degeneracy",
+    "growth_rate_estimate", "table",
     "IntPoly", "RationalFn", "poly_from_text", "poly_to_text",
     "generating_function", "solve_system", "system_det", "verify_series",
-    "SpectralReport", "growth_rate_estimate", "lambda_perron", "lambda_trig",
+    "SpectralReport", "lambda_perron", "lambda_trig",
     "smallest_positive_root", "spectral_report",
     "Shape3", "audit_published_formula", "brute_force_count", "hook_count",
     "shape_for_vertex", "unrestricted_count",
@@ -32,14 +33,14 @@ _HOMES = {
     "build_lattice": "lattice",
     "CountGrid": "pathcount", "CountTable": "pathcount",
     "count_paths": "pathcount", "degeneracy": "pathcount",
-    "table": "pathcount",
+    "growth_rate_estimate": "pathcount", "table": "pathcount",
     "IntPoly": "poly", "RationalFn": "poly", "poly_from_text": "poly",
     "poly_to_text": "poly",
     "generating_function": "genfunc", "solve_system": "genfunc",
     "system_det": "genfunc", "verify_series": "genfunc",
-    "SpectralReport": "spectral", "growth_rate_estimate": "spectral",
-    "lambda_perron": "spectral", "lambda_trig": "spectral",
-    "smallest_positive_root": "spectral", "spectral_report": "spectral",
+    "SpectralReport": "spectral", "lambda_perron": "spectral",
+    "lambda_trig": "spectral", "smallest_positive_root": "spectral",
+    "spectral_report": "spectral",
     "Shape3": "syt", "audit_published_formula": "syt",
     "brute_force_count": "syt", "hook_count": "syt",
     "shape_for_vertex": "syt", "unrestricted_count": "syt",

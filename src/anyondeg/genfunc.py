@@ -51,8 +51,7 @@ from itertools import count
 from math import gcd, prod
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    class_offsets, orbit_firsts, walk_table
-from .pathcount import _sweep
+    class_offsets, orbit_firsts, sweep
 from .poly import IntPoly, RationalFn
 
 
@@ -280,7 +279,7 @@ def solve_system(k: int) -> dict[Vertex, RationalFn]:
     det = prod((f for f, _ in factors), start=IntPoly.one())
     # kept positions -> their product in t, one object shared by vertices
     dens = {tuple(range(len(factors))): det.substitute_power(3)}
-    steps = list(_sweep(walk_table(k), 3 * n0 + 2, det.coeffs))
+    steps = list(sweep(k, 3 * n0 + 2, det.coeffs))
     if any(map(any, steps[3 * n0:])):
         raise ArithmeticError(f"a numerator has a nonzero s^{n0} coefficient")
     # per class, each position's numerator coefficients, transposed once
@@ -341,7 +340,7 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     stop = 3 * class_offsets(k)[0][-1] - 1 + max(
         max(fn.den.degree, fn.num.degree + 1) for fn in sol.values())
     mismatches = []
-    for n, counts in enumerate(_sweep(walk_table(k), n_max)):
+    for n, counts in enumerate(sweep(k, n_max)):
         for g, cls in enumerate(classes):
             on_grade = g == n % 3
             for r, (v, coeffs) in enumerate(zip(cls, series[g])):

@@ -1,4 +1,4 @@
-"""The restricted overhang lattice: vertices, the edge rule, the walk table.
+"""The restricted overhang lattice: vertices, the edge rule, the walk.
 
 A vertex (i, j) records the two row-length overhangs of a 3-row Young
 diagram; level k restricts i + j <= k.  Adding one box moves the state
@@ -6,18 +6,21 @@ along a directed edge, so n-step walks from the origin count the
 admissible tableaux.  The edge rule is ``_STEPS``, and ``walk_table``,
 its one reader, builds the one padded per-class table from it by
 position arithmetic (``class_offsets``), with no vertex object or dict:
-every vertex's row, or given points' rows alone.  Every walk, the Perron
-route's block B and the numerator sweep too, reads that table, the
-Perron route only its orbit representatives' rows when 3 | k, and
-``step`` is the one loop that takes a step along it.  The simple
-current J, (i, j) -> (k - i - j, i), has one rule for its orbit
-representatives, ``orbit_firsts``, which the determinant's factors and
-the Perron tables both read.  Pure Python; no dense
-adjacency matrix is built.
+every vertex's row, or given points' rows alone.  Every walk and the
+Perron route's block B read that table, the Perron route only its orbit
+representatives' rows when 3 | k, and ``step`` is the one loop that
+takes a step along it.  ``sweep(k, n_max)`` is the walk: it builds the
+level's table and steps from the origin one grade class at a time, and
+every walk count, the numerators of ``genfunc`` too, comes from it but
+the reflection sum of ``pathcount``.  The simple current J,
+(i, j) -> (k - i - j, i), has one rule for its orbit representatives,
+``orbit_firsts``, which the determinant's factors and the Perron tables
+both read.  Pure Python; no dense adjacency matrix is built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 
@@ -135,3 +138,27 @@ def step(rows: list[list[int]], x: list) -> list:
     y = [x[a] + x[b] + x[c] for a, b, c in rows]
     y.append(0)
     return y
+
+
+def sweep(k: int, n_max: int, source: tuple[int, ...] = (1,)
+          ) -> Iterator[list[int]]:
+    """Counts after n = 0..n_max steps of walks from the origin on the
+    level-k lattice, where source[m] walks start at step 3m; step n
+    covers class n mod 3 only.
+
+    For source the coefficients of S(s), step 3m + g holds the s^m
+    coefficient of S G_v at each class-g vertex v, G_v its walk series
+    in s = t^3.  It builds the level's ``walk_table`` itself.  Each list
+    is flat over class n mod 3 in class order, plus the trailing 0 slot
+    of ``step``.
+    """
+    if n_max < 0:
+        raise ValueError(f"step count n must be >= 0, got {n_max}")
+    pred = walk_table(k)
+    counts = [source[0]] + [0] * len(pred[0])
+    yield counts
+    for n in range(1, n_max + 1):
+        counts = step(pred[n % 3], counts)
+        if n % 3 == 0 and n < 3 * len(source):
+            counts[0] += source[n // 3]
+        yield counts

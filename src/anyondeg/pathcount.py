@@ -7,25 +7,26 @@ Dynamic programming over the predecessor recurrence
 with out-of-range terms zero.  Every step raises the grade (2i + j) mod 3
 by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
-g - 1.  One sweep keeps one flat list per step, over class n mod 3 in
-canonical order, and fills it from the previous step's list by
-``lattice.step`` over the class's rows of ``lattice.walk_table``; it
-serves every query, the numerators of ``genfunc`` too, but one:
+g - 1.  The walk itself is ``lattice.sweep``, one flat list per step
+over class n mod 3; this module reads it for every query but one:
 ``degeneracy`` from level ``REFLECTION_MIN_K`` up, which wants a single
 count and takes it from the affine reflection sum of
 ``_reflection_count``, about n (k + 3) additions instead of the sweep's
-n (k + 1)(k + 2) / 6.  Everything is a Python int; no floats.
+n (k + 1)(k + 2) / 6.  ``growth_rate_estimate`` reads one count.
+Everything but that estimate is a Python int; no floats.  Only ``cli``,
+in its ``count`` and ``table`` subcommands, and ``reproduce`` import
+this module.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add
 
 from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    class_offsets, in_vertex_set, step, walk_table
+    class_offsets, in_vertex_set, sweep
 
 
 # a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it
@@ -38,33 +39,10 @@ class CountTable:
     counts: dict[Vertex, int]
 
 
-def _sweep(pred: list[list[list[int]]], n_max: int,
-           source: tuple[int, ...] = (1,)) -> Iterator[list[int]]:
-    """Counts after n = 0..n_max steps of walks from the origin, where
-    source[m] walks start at step 3m; step n covers class n mod 3 only.
-
-    For source the coefficients of S(s), step 3m + g holds the s^m
-    coefficient of S G_v at each class-g vertex v, G_v its walk series
-    in s = t^3.  ``pred`` is the table of ``walk_table``.  Each list is
-    flat over class n mod 3 in class order, plus the trailing 0 slot of
-    ``step``.
-    """
-    if n_max < 0:
-        raise ValueError(f"step count n must be >= 0, got {n_max}")
-    counts = [0] * (len(pred[0]) + 1)
-    counts[0] = source[0]
-    yield counts
-    for n in range(1, n_max + 1):
-        counts = step(pred[n % 3], counts)
-        if n % 3 == 0 and n < 3 * len(source):
-            counts[0] += source[n // 3]
-        yield counts
-
-
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
     lat = build_lattice(k)
-    last = deque(_sweep(walk_table(k), n), maxlen=1).pop()
+    last = deque(sweep(k, n), maxlen=1).pop()
     counts = dict.fromkeys(lat.vertices, 0)
     counts.update(zip(lat.grade_class(n % 3), last))
     return CountTable(k=k, n=n, counts=counts)
@@ -130,19 +108,27 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
         return 0  # every step raises 2i + j by 1 (mod 3)
     if k >= REFLECTION_MIN_K:
         return _reflection_count(k, n, v)
-    last = deque(_sweep(walk_table(k), n), maxlen=1).pop()
+    last = deque(sweep(k, n), maxlen=1).pop()
     return last[class_offsets(k)[n % 3][v.i] + v.j // 3]
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
     """degeneracy(k, n, v) for every n = 0..n_max in one DP sweep; 0 at
     the steps whose class is not v's."""
-    pred, v = walk_table(k), Vertex(*v)
+    v = Vertex(*v)
     check_vertex(v, k)
     g = (2 * v.i + v.j) % 3
     r = class_offsets(k)[g][v.i] + v.j // 3
     return [counts[r] if n % 3 == g else 0
-            for n, counts in enumerate(_sweep(pred, n_max))]
+            for n, counts in enumerate(sweep(k, n_max))]
+
+
+def growth_rate_estimate(k: int, n: int) -> float:
+    """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
+    if n < 3:
+        raise ValueError(f"step count n must be >= 3, got {n}")
+    n3 = n - n % 3  # origin counts vanish off multiples of 3
+    return 2.0 ** (math.log2(degeneracy(k, n3)) / n3)
 
 
 # a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it

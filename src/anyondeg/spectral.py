@@ -24,11 +24,12 @@ The asymptotic growth factor (the total quantum dimension) is
     (then a grid scan), and certified by Descartes' rule of signs on
     every other factor.
 
-This is the only module that touches floating point, and it needs only
-the standard library.  Its numerical limits are module constants: the
-root grid's SEARCH_LIMIT and GRID, the guess's NEWTON_STEPS and
-NEWTON_STOP, and the Ritz values' cap PERRON_THETA_MAX.  Lanczos has no
-step cap: its dimension bounds it.
+Beside the counts' own f(n)^(1/n), ``pathcount.growth_rate_estimate``,
+this is the only module that touches floating point, and it needs only
+the standard library; it counts no walk.  Its numerical limits are
+module constants: the root grid's SEARCH_LIMIT and GRID, the guess's
+NEWTON_STEPS and NEWTON_STOP, and the Ritz values' cap
+PERRON_THETA_MAX.  Lanczos has no step cap: its dimension bounds it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import NamedTuple
 
 from .genfunc import _label, _orbit_factors
 from .lattice import ORIGIN, class_offsets, orbit_firsts, step, walk_table
-from .pathcount import degeneracy
 from .poly import IntPoly
 
 
@@ -106,7 +106,7 @@ def _perron_tables(k: int) -> tuple[list, list[int], list[int]]:
 
 def _three_steps(pred: list[list[list[int]]], x: list[float]) -> list[float]:
     """B^T x, plus the trailing zero slot: x carried three steps along a
-    walk table's rows by ``step``, as ``pathcount._sweep`` carries counts."""
+    walk table's rows by ``step``, as ``lattice.sweep`` carries counts."""
     x = x + [0.0]  # the slot the table's pads point to
     for g in (1, 2, 0):
         x = step(pred[g], x)
@@ -505,11 +505,3 @@ def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
         lambda_from_root=from_root,
         agreement_gap=gap,
     )
-
-
-def growth_rate_estimate(k: int, n: int) -> float:
-    """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
-    if n < 3:
-        raise ValueError(f"step count n must be >= 3, got {n}")
-    n3 = n - n % 3  # origin counts vanish off multiples of 3
-    return 2.0 ** (math.log2(degeneracy(k, n3)) / n3)

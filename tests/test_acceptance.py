@@ -13,10 +13,10 @@ from contextlib import contextmanager
 
 from anyondeg.cli import main as cli_main
 from anyondeg.genfunc import solve_system, system_det
-from anyondeg.pathcount import degeneracy
+from anyondeg.pathcount import degeneracy, growth_rate_estimate
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import reproduce
-from anyondeg.spectral import growth_rate_estimate, lambda_trig
+from anyondeg.spectral import lambda_trig
 
 from oracles import catalan3d, determinant_degree, fibonacci
 

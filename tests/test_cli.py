@@ -162,12 +162,12 @@ class TestGenfunc:
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # doubled sweep lists double every numerator, which breaks "the
         # origin series starts at 1"
-        real = anyondeg.genfunc._sweep
+        real = anyondeg.genfunc.sweep
 
         def doubled(*args):
             return ([2 * c for c in counts] for counts in real(*args))
 
-        monkeypatch.setattr(anyondeg.genfunc, "_sweep", doubled)
+        monkeypatch.setattr(anyondeg.genfunc, "sweep", doubled)
         anyondeg.genfunc.solve_system.cache_clear()
         try:
             code, out, err = run(capsys, "genfunc", "--k", "2")
@@ -183,16 +183,16 @@ class TestGenfunc:
         # in the class
         classes = class_positions(build_lattice(4))[0]
         last, pos = 3 * len(classes[0]) + 2, len(classes[2]) - 1
-        real = anyondeg.genfunc._sweep
+        real = anyondeg.genfunc.sweep
 
-        def bumped(pred, n_max, source=(1,)):
-            for n, counts in enumerate(real(pred, n_max, source)):
+        def bumped(k, n_max, source=(1,)):
+            for n, counts in enumerate(real(k, n_max, source)):
                 if n == last:
                     counts = counts.copy()
                     counts[pos] += 1
                 yield counts
 
-        monkeypatch.setattr(anyondeg.genfunc, "_sweep", bumped)
+        monkeypatch.setattr(anyondeg.genfunc, "sweep", bumped)
         anyondeg.genfunc.solve_system.cache_clear()
         try:
             code, out, err = run(capsys, "genfunc", "--k", "4")

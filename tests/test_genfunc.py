@@ -11,8 +11,8 @@ from anyondeg.genfunc import (
     _cube, _is_prime, _orbit_factors,
     _unit_roots, generating_function, solve_system, system_det, verify_series,
 )
-from anyondeg.lattice import Vertex, build_lattice, orbit_firsts, walk_table
-from anyondeg.pathcount import _sweep, origin_history
+from anyondeg.lattice import Vertex, build_lattice, orbit_firsts, sweep
+from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn
 from anyondeg.reference import (
     LEVEL1_GENFUNCS, LEVEL2_GENFUNCS, ORIGIN_GENFUNCS, determinant_poly,
@@ -398,10 +398,10 @@ class TestGaloisFactors:
     def test_kept_sets_match_the_residue_route(self, k):
         # each unreduced N_v from the fed sweep, reduced by its residues at
         # the factors' roots, where the library reads S_{v mu}
-        classes, pred = class_positions(build_lattice(k))[0], walk_table(k)
+        classes = class_positions(build_lattice(k))[0]
         p, powers, factors = _orbit_factors(k)
         det = prod((f for f, _ in factors), start=IntPoly.one())
-        steps = list(_sweep(pred, 3 * len(classes[0]) - 1, det.coeffs))
+        steps = list(sweep(k, 3 * len(classes[0]) - 1, det.coeffs))
         roots = [(f, _cube(ell, powers, p)) for f, ell in factors]
         sol, dens = solve_system(k), {}
         for g, cls in enumerate(classes):
@@ -517,9 +517,9 @@ class TestNumeratorSweep:
         # the sweep fed D at the origin holds (D G_v) to s^n0 at every
         # vertex, its s^n0 coefficient 0; here D G_v is multiplied out
         # from each vertex's own walk counts
-        classes, pred = class_positions(build_lattice(k))[0], walk_table(k)
+        classes = class_positions(build_lattice(k))[0]
         n0, det = len(classes[0]), _det_s(k).coeffs
-        steps = list(_sweep(pred, 3 * n0 + 2, det))
+        steps = list(sweep(k, 3 * n0 + 2, det))
         for g, cls in enumerate(classes):
             for r, v in enumerate(cls):
                 series = origin_history(k, 3 * n0 + 2, v)[g::3]
@@ -583,16 +583,16 @@ def _doubled_numerators(k):
 
 
 def _count_sweep_steps(monkeypatch):
-    """Wrap ``genfunc._sweep`` so that every step it yields is appended
+    """Wrap ``genfunc.sweep`` so that every step it yields is appended
     to the returned list; solves cached before the wrap do not count."""
-    real, steps = anyondeg.genfunc._sweep, []
+    real, steps = anyondeg.genfunc.sweep, []
 
     def counted(*args):
         for counts in real(*args):
             steps.append(len(steps))
             yield counts
 
-    monkeypatch.setattr(anyondeg.genfunc, "_sweep", counted)
+    monkeypatch.setattr(anyondeg.genfunc, "sweep", counted)
     return steps
 
 

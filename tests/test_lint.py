@@ -32,7 +32,7 @@ or a ``Vertex``, so its set-up cost cannot come back unnoticed.
 
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  Every walk count comes from
-``pathcount._sweep`` stepping along that table but one: the single
+``lattice.sweep`` stepping along that table but one: the single
 count ``degeneracy`` returns from level ``REFLECTION_MIN_K`` up, which
 comes from the affine reflection sum ``pathcount._reflection_count``,
 and ``degeneracy`` is that sum's one caller, so every other quantity
@@ -51,8 +51,16 @@ bracket that Newton's passes found.  So a second count loop beside
 Newton's, or a caller that bisects the whole bracket (theta_prev,
 PERRON_THETA_MAX) one count per midpoint, cannot come back unnoticed.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
-factors of the spectrum, and no call it makes, however deep, reaches a
-sweep or any other ``pathcount`` function.
+factors of the spectrum, and no call it makes, however deep, reaches
+``lattice.sweep`` or any ``pathcount`` function.  ``solve_system`` does
+reach ``lattice.sweep``, so a renamed sweep fails the rule rather than
+leaving it nothing to check.
+
+One walk home: the sweep lives in ``lattice`` beside the table and the
+step, and among library modules only ``cli`` and ``reproduce`` import
+``pathcount``, the walk-count queries, at any level and in any form.
+So the determinant, series and spectral routes do not load it, or the
+``dataclasses`` its two records need.
 
 One rotation-orbit rule: the first points of the 3-point orbits of the
 simple current J, (i, j) -> (k - i - j, i), come from the closed form
@@ -427,8 +435,47 @@ def _reached(root):
 def test_system_det_reaches_no_walk_sweep():
     reached = _reached("system_det")
     assert ("genfunc.py", "_orbit_factors") in reached
-    assert {(name, func) for name, func in reached
-            if name == "pathcount.py" or func == "_sweep"} == set()
+    assert {(name, func) for name, func in reached if name == "pathcount.py"
+            or (name, func) == ("lattice.py", "sweep")} == set()
+    # the numerators do walk: a renamed sweep fails here
+    assert ("lattice.py", "sweep") in _reached("solve_system")
+
+
+def _pathcount_importers(trees):
+    """The library modules with an import of ``pathcount`` anywhere:
+    ``from .pathcount import …``, ``from . import pathcount`` or an
+    absolute ``anyondeg.pathcount``."""
+    found = set()
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            modules = _imported(node)
+            if isinstance(node, ast.ImportFrom):
+                modules += [f"{node.module or ''}.{a.name}"
+                            for a in node.names]
+            if any("pathcount" in m.split(".") for m in modules):
+                found.add(name)
+    return sorted(found)
+
+
+def test_only_cli_and_reproduce_import_pathcount():
+    assert _pathcount_importers(_trees()) == ["cli.py", "reproduce.py"]
+
+
+def test_pathcount_rule_flags_other_importers():
+    # a relative, a package-level and an absolute import, at module top
+    # or in a function, are reported; an import of lattice.sweep is not
+    genfunc = ast.parse("from .pathcount import _sweep\n")
+    spectral = ast.parse(
+        "def growth_rate_estimate(k, n):\n    from . import pathcount\n")
+    syt = ast.parse("import anyondeg.pathcount as pc\n")
+    poly = ast.parse("from .lattice import sweep\n"
+                     "from anyondeg import lattice\n")
+    cli = ast.parse("def _cmd_count(args):\n"
+                    "    from .pathcount import degeneracy\n")
+    found = _pathcount_importers([
+        ("cli.py", cli), ("genfunc.py", genfunc), ("poly.py", poly),
+        ("spectral.py", spectral), ("syt.py", syt)])
+    assert found == ["cli.py", "genfunc.py", "spectral.py", "syt.py"]
 
 
 def test_perron_route_builds_no_lattice_or_vertex():

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
 from anyondeg.genfunc import system_det
-from anyondeg.lattice import ORIGIN, Vertex, build_lattice, walk_table
+from anyondeg.lattice import ORIGIN, Vertex, build_lattice, sweep
 from anyondeg.pathcount import (
-    REFLECTION_MIN_K, _reflection_count, _sweep, count_paths, degeneracy,
+    REFLECTION_MIN_K, _reflection_count, count_paths, degeneracy,
     origin_history, table,
 )
 from anyondeg.reference import ORIGIN_COUNTS
@@ -60,7 +60,7 @@ class TestSweep:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_step_covers_one_class_plus_zero_slot(self, k):
         sizes = [len(c) for c in class_positions(build_lattice(k))[0]]
-        for n, counts in enumerate(_sweep(walk_table(k), 20)):
+        for n, counts in enumerate(sweep(k, 20)):
             assert len(counts) == sizes[n % 3] + 1 and counts[-1] == 0
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -69,7 +69,6 @@ class TestSweep:
         # sum_j D_j (row 0 of B^(m - j)) at step 3m; B is sliced out of
         # the dense adjacency matrix, not counted, and from m = |C0| on
         # the sum is 0 (Cayley-Hamilton)
-        pred = walk_table(k)
         det = system_det(k).coeffs[::3]
         block = [[round(x) for x in row] for row in dense_perron_block(k)]
         n0 = len(block)
@@ -77,7 +76,7 @@ class TestSweep:
         for _ in range(n0 + 1):
             rows.append([sum(x * block[z][c] for z, x in enumerate(rows[-1]))
                          for c in range(n0)])
-        steps = list(_sweep(pred, 3 * n0 + 3, det))
+        steps = list(sweep(k, 3 * n0 + 3, det))
         for m in range(n0 + 2):
             expected = [sum(d * rows[m - j][c]
                             for j, d in enumerate(det[:m + 1]))
@@ -129,7 +128,7 @@ class TestDegeneracy:
         def no_route(*args):
             raise AssertionError("a count forced to 0 ran a route")
 
-        monkeypatch.setattr(anyondeg.pathcount, "_sweep", no_route)
+        monkeypatch.setattr(anyondeg.pathcount, "sweep", no_route)
         monkeypatch.setattr(anyondeg.pathcount, "_reflection_count", no_route)
         assert degeneracy(64, 10000) == 0
         assert degeneracy(5, 4, (1, 1)) == 0
@@ -139,7 +138,7 @@ class TestDegeneracy:
                 degeneracy(k, n, v)
 
     @pytest.mark.parametrize("k,route", [
-        (1, "_sweep"), (REFLECTION_MIN_K - 1, "_sweep"),
+        (1, "sweep"), (REFLECTION_MIN_K - 1, "sweep"),
         (REFLECTION_MIN_K, "_reflection_count"), (64, "_reflection_count")])
     def test_level_picks_the_route(self, monkeypatch, k, route):
         expected, calls = count_paths(k, 30).counts[ORIGIN], []

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 import anyondeg.spectral
 from anyondeg.genfunc import _orbit_factors, system_det
 from anyondeg.lattice import Vertex, build_lattice, walk_table
+from anyondeg.pathcount import growth_rate_estimate
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
     GRID, PERRON_THETA_MAX, NoRootError, SpectralReport, _descartes,
     _newton_step, _perron_apply, _perron_tables, _root_bracket,
-    _three_steps, _top_ritz, growth_rate_estimate, lambda_perron,
-    lambda_trig, root_rho, smallest_positive_root, spectral_report,
+    _three_steps, _top_ritz, lambda_perron, lambda_trig, root_rho,
+    smallest_positive_root, spectral_report,
 )
 
 from oracles import _descartes_count, adjacency, bisected_top_ritz, \

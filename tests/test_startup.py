@@ -6,7 +6,10 @@ and every CLI process would pay for its import.
 Each process loads only the route it runs: ``import anyondeg`` loads no
 submodule, since the package resolves its names on first read;
 ``import anyondeg.cli`` loads ``lattice`` alone beside ``cli``; and a
-subcommand loads its own route's modules, not the other routes'.
+subcommand loads its own route's modules, not the other routes'.  The
+walk itself is ``lattice.sweep``, so ``det``, ``genfunc``, ``verify``
+and ``qdim`` load neither ``pathcount``, the walk-count queries, nor
+the ``dataclasses`` its records need.
 
 Each case runs in a fresh interpreter, so what earlier tests imported
 into this process does not count.
@@ -104,6 +107,18 @@ def test_cli_import_loads_only_lattice():
 def test_exact_subcommands_leave_the_other_routes_unloaded(argv):
     loaded = submodules_loaded(_RUN_MAIN.format(argv=argv.split()))
     assert loaded & {"spectral", "syt", "reproduce", "reference"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    "det --k 4",
+    "genfunc --k 3",
+    "verify --k 3 --n 12",
+    "qdim --k 3 --method all",
+])
+def test_algebra_subcommands_leave_pathcount_unloaded(argv):
+    body = _RUN_MAIN.format(argv=argv.split())
+    assert "pathcount" not in submodules_loaded(body)
+    assert not module_loaded(body, "dataclasses")
 
 
 def test_syt_leaves_the_walk_and_algebra_routes_unloaded():
