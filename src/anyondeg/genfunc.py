@@ -334,19 +334,17 @@ def verify_series(k: int, n_max: int) -> list[tuple[Vertex, int, int, int]]:
     """
     if n_max < 0:  # before the costly solve
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    sol = solve_system(k)
-    classes = list(map(build_lattice(k).grade_class, range(3)))
-    series = [[sol[v].series() for v in cls] for cls in classes]
-    stop = 3 * class_offsets(k)[0][-1] - 1 + max(
+    sol, off = solve_system(k), class_offsets(k)
+    entries = [(v, g, off[g][v.i] + v.j // 3, fn.series())
+               for v, fn in sol.items() for g in [(2 * v.i + v.j) % 3]]
+    stop = 3 * off[0][-1] - 1 + max(
         max(fn.den.degree, fn.num.degree + 1) for fn in sol.values())
     mismatches = []
     for n, counts in enumerate(sweep(k, n_max)):
-        for g, cls in enumerate(classes):
-            on_grade = g == n % 3
-            for r, (v, coeffs) in enumerate(zip(cls, series[g])):
-                c, dp = next(coeffs), counts[r] if on_grade else 0
-                if c != dp:
-                    mismatches.append((v, n, c, dp))
+        for v, g, r, coeffs in entries:
+            c, dp = next(coeffs), counts[r] if g == n % 3 else 0
+            if c != dp:
+                mismatches.append((v, n, c, dp))
         if n == stop and not mismatches:
             break
     mismatches.sort(key=lambda m: m[:2])  # (i, j) order is canonical

@@ -59,10 +59,6 @@ class Lattice(NamedTuple):
     def dim(self) -> int:
         return len(self.vertices)
 
-    def grade_class(self, g: int) -> list[Vertex]:
-        """The vertices of grade (2i + j) = g (mod 3), in class order."""
-        return [v for v in self.vertices if (2 * v.i + v.j - g) % 3 == 0]
-
 
 def build_lattice(k: int) -> Lattice:
     """All (k+1)(k+2)/2 vertices in canonical order."""

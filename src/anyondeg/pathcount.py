@@ -41,10 +41,10 @@ class CountTable:
 
 def count_paths(k: int, n: int) -> CountTable:
     """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
-    lat = build_lattice(k)
+    off, g = class_offsets(k), n % 3  # k is checked before n
     last = deque(sweep(k, n), maxlen=1).pop()
-    counts = dict.fromkeys(lat.vertices, 0)
-    counts.update(zip(lat.grade_class(n % 3), last))
+    counts = {v: last[off[g][v.i] + v.j // 3] if (2 * v.i + v.j) % 3 == g
+              else 0 for v in build_lattice(k).vertices}
     return CountTable(k=k, n=n, counts=counts)
 
 

@@ -11,12 +11,13 @@ The asymptotic growth factor (the total quantum dimension) is
     so it applies (I + P) B^T: one pass of ``lattice.step`` per step,
     and it ends within as many steps as there are orbits, the Krylov
     dimension; each step's top Ritz value is the float a full-width
-    bisection of the Sturm count ends on, replayed inside a bracket
-    that Newton's method finds on the LDL^T pivots of T - x, stopping
-    at the previous Ritz value at the lowest: one pivot pass, one
-    count, so Newton's own passes bound the bracket, in about five
-    passes a step (the count is monotone in x under IEEE rounding, so
-    the float is the same, bit for bit),
+    bisection of the Sturm count ends on, found in two phases, about
+    five passes a step: Newton's method on the LDL^T pivots of T - x
+    brackets it, stopping at the previous Ritz value at the lowest (one
+    pivot pass, one count, so Newton's own passes bound the bracket),
+    and a bisection of that bracket closes it (the count is monotone in
+    x under IEEE rounding, so the float where it changes is unique, and
+    any bisection of a bracket that holds it ends on it, bit for bit),
   * the reciprocal of the smallest positive root of the system
     determinant, 1/lambda^3 in s = t^3, a root of the trivial weight's
     Galois-orbit factor alone, isolated on it from a float Newton
@@ -154,22 +155,24 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
     between floor and the bound max(floor, alpha_n) + beta_{n-1}
     (Lanczos's Ritz values rise by shrinking amounts, so the last rise
     added to floor is mostly just above the top root), else from the
-    bound, and stops at or next to the top eigenvalue, or at its lower
-    stop, which the float cannot lie below: floor, or guess once the
-    count there exits early, after which Newton runs again from the
-    bound.  Every x it passes down from has no eigenvalue >= x.  If its
-    last pass exited early, or it stopped at its lower stop, the x it
-    stopped at is the bracket's lo, else that x is hi.  Counts then
-    gallop away from it, 1, 2, 4, ... ulps at a time, and the near end
-    moves with each count on its side, so no float is counted twice;
-    the first count on the far side is the far end, else the lower stop
-    or the last x Newton passed down from (or the cap), where the
-    gallop stops.  The bisection then replays its own midpoints,
-    counting only strictly inside (lo, hi).  Under monotone rounding
-    each pivot of T - x is non-increasing in x, so the count is
-    monotone in x (Kahan; Demmel, Dhillon and Ren, ETNA 3 (1995) 116):
-    every answer taken from the bracket is the one the count gives, and
-    the float is the same.
+    bound, which is kept strictly below the cap, and stops at or next
+    to the top eigenvalue, or at its lower stop, which the float cannot
+    lie below: floor, or guess once the count there exits early, after
+    which Newton runs again from the bound.  Every x it passes down
+    from has no eigenvalue >= x.  If its last pass exited early, or it
+    stopped at its lower stop, the x it stopped at is the bracket's lo,
+    else that x is hi.  Counts then gallop away from it, 1, 2, 4, ...
+    ulps at a time, and the near end moves with each count on its side,
+    so no float is counted twice; the first count on the far side is
+    the far end, else the lower stop or the last x Newton passed down
+    from (or the cap), where the gallop stops.  A bisection of (lo, hi)
+    then closes the bracket.  Under monotone rounding each pivot of
+    T - x is non-increasing in x, so the count is monotone in x (Kahan;
+    Demmel, Dhillon and Ren, ETNA 3 (1995) 116): the float where it
+    changes is unique, and any bisection of a bracket that holds it
+    ends on it, the full-width one included.  Every count lies strictly
+    inside (floor, PERRON_THETA_MAX), as the full-width bisection's do,
+    so a top eigenvalue at or above the cap gives the float below it.
 
     The bound is Weyl's, above the top eigenvalue of T, only when floor
     is at least the top eigenvalue of T's leading block, as Lanczos's
@@ -178,7 +181,8 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
     gallop then climbs from the bound 1 ulp at first: about 1100 passes
     from a bound of 0."""
     beta = math.sqrt(sq_betas[-1]) if sq_betas else 0.0
-    bound = min(max(floor, alphas[-1]) + beta, PERRON_THETA_MAX)
+    bound = min(max(floor, alphas[-1]) + beta,
+                math.nextafter(PERRON_THETA_MAX, 0.0))
     # lo: floor, then a guess with an eigenvalue >= it; hi: the cap, then
     # each x Newton passes down from
     lo, hi, step = floor, PERRON_THETA_MAX, None
@@ -196,14 +200,12 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
             and (_newton_step(alphas, sq_betas, end) is None) == up:
         x, w = end, 2 * w
     lo, hi = (x, end) if up else (end, x)
-    a, b = floor, PERRON_THETA_MAX
-    while a < (mid := (a + b) / 2) < b:
-        if mid <= lo or mid < hi \
-                and _newton_step(alphas, sq_betas, mid) is None:
-            a = mid
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _newton_step(alphas, sq_betas, mid) is None:
+            lo = mid
         else:
-            b = mid
-    return a
+            hi = mid
+    return lo
 
 
 def lambda_perron(k: int, tol: float = 1e-12) -> float:
@@ -217,8 +219,8 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     that cube.  theta is the top Ritz value of the Lanczos tridiagonal
     T: the float that bisecting the Sturm count (``_newton_step`` is
     None) from (previous theta, PERRON_THETA_MAX) to float resolution
-    ends on.  ``_top_ritz`` finds that float, bit for bit, from a
-    bracket that Newton's method finds: one pivot pass, one count, so
+    ends on.  ``_top_ritz`` finds that float, bit for bit, by bisecting
+    a bracket that Newton's method finds: one pivot pass, one count, so
     about five LDL^T passes a step; Newton first tries theta plus its
     last rise.  The loop stops once (theta / 2)^(1/3) moves by less
     than tol, which must be positive and finite, or when the Krylov

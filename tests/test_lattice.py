@@ -131,7 +131,6 @@ def test_box_addition_oracle_reverses_predecessors(k):
 def test_grade_classes(k):
     lat = build_lattice(k)
     classes, pos = class_positions(lat)
-    assert [lat.grade_class(g) for g in range(3)] == classes
     assert classes[0][0] == ORIGIN
     assert sorted(v for c in classes for v in c) == list(lat.vertices)
     assert len(pos) == lat.dim

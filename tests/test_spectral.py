@@ -411,11 +411,24 @@ class TestTopRitz:
     @example(([-0.5, -0.5], [4.0], 0.0, 0.0))
     @example(([-0.5, -2.0, -1.0], [4.0, 1.0], 0.5, 1.0))
     @example(([2.0, 3.0], [1.0], 0.5, 0.501))
+    # the top eigenvalue at the cap: the full-width bisection never
+    # counts there, so its float is the one below 54
+    @example(([54.0], [], 0.0, 0.0))
     def test_fuzzed_tridiagonals(self, case):
         # the guess moves where Newton starts, never the float
         alphas, sq_betas, floor, guess = case
         assert _top_ritz(alphas, sq_betas, floor, guess).hex() \
             == bisected_top_ritz(alphas, sq_betas, floor).hex()
+
+    @pytest.mark.parametrize("tol,budget", [
+        (1e-12, 3777), (1e-6, 3303), (1e-300, 3888)])
+    def test_pass_budget(self, tol, budget, monkeypatch):
+        # LDL^T passes over every Lanczos step of k = 1..64: at most the
+        # totals made while the bracket replayed the full-width bisection
+        passes = _counted_passes(monkeypatch)
+        for k in range(1, 65):
+            lambda_perron(k, tol)
+        assert len(passes) <= budget
 
     def test_newton_stops_at_floor(self, monkeypatch):
         # T = 0 has the triple eigenvalue 0 below floor, where Newton
@@ -426,8 +439,8 @@ class TestTopRitz:
         assert len(passes) <= 2
 
     def test_no_float_counted_twice(self, monkeypatch):
-        # the gallop moves its near end, so the replay cannot count
-        # again a float the gallop already counted on that side
+        # the gallop moves its near end, so the bisection of its bracket
+        # cannot count again a float the gallop already counted
         passes = _counted_passes(monkeypatch)
         case = ([-0.5, -2.0, -1.0], [4.0, 1.0], 0.5)
         assert _top_ritz(*case, 1.0).hex() == bisected_top_ritz(*case).hex()
