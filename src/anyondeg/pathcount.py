@@ -9,10 +9,10 @@ by 1, so after n steps only the vertices of class n mod 3 can hold a
 nonzero count, and every predecessor of a class-g vertex lies in class
 g - 1.  The walk itself is ``lattice.sweep``, one flat list per step
 over class n mod 3; this module reads it for every query but one:
-``degeneracy`` from level ``REFLECTION_MIN_K`` up, which wants a single
-count and takes it from the affine reflection sum of
-``_reflection_count``, about n (k + 3) additions instead of the sweep's
-n (k + 1)(k + 2) / 6.  ``growth_rate_estimate`` reads one count.
+``degeneracy``, which wants a single count and takes it, at every
+level, from the affine reflection sum of ``_reflection_count``, about
+n (k + 3) additions instead of the sweep's n (k + 1)(k + 2) / 6.
+``growth_rate_estimate`` reads one count.
 Everything but that estimate is a Python int; no floats.  Only ``cli``,
 in its ``count`` and ``table`` subcommands, and ``reproduce`` import
 this module.
@@ -47,12 +47,6 @@ def count_paths(k: int, n: int) -> CountTable:
               else 0 for v in build_lattice(k).vertices}
     return CountTable(k=k, n=n, counts=counts)
 
-
-# The lowest level from which ``degeneracy`` takes the reflection sum:
-# on a 2-vCPU host, in process, the sum is nowhere slower than the sweep
-# there for n <= 10000 (the CLI cap); at k = 10, n = 9999 it lost a
-# quarter of 14 alternating pairs (see CHANGES.md).
-REFLECTION_MIN_K = 11
 
 # The six permutations sigma of S3 as (sign, sigma(1), sigma(2)), 0-based.
 _S3 = ((1, 0, 1), (-1, 1, 0), (-1, 0, 2), (1, 1, 2), (1, 2, 0), (-1, 2, 1))
@@ -94,9 +88,8 @@ def _reflection_count(k: int, n: int, v: Vertex) -> int:
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     """Number of n-step walks from the origin ending at v.
 
-    0 at once off v's grade class; otherwise one DP sweep below level
-    ``REFLECTION_MIN_K`` and the reflection sum of ``_reflection_count``
-    from it up, the faster route there for every n up to 10000.
+    0 at once off v's grade class; otherwise the reflection sum of
+    ``_reflection_count``, at every level.
     """
     v = Vertex(*v)
     if k < 1:
@@ -106,10 +99,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
-    if k >= REFLECTION_MIN_K:
-        return _reflection_count(k, n, v)
-    last = deque(sweep(k, n), maxlen=1).pop()
-    return last[class_offsets(k)[n % 3][v.i] + v.j // 3]
+    return _reflection_count(k, n, v)
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:

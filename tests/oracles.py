@@ -51,7 +51,9 @@ its own search (``every_unit_orbit_factors``).  The root route, which
 takes a float guess of its grid cell and of its bisection's leaf and
 checks both by exact signs, is checked against the plain scan of the
 grid, one exact sign per point, and bisection of the step it stops on
-(``scanned_smallest_positive_root``), as the library took it before.
+(``scanned_smallest_positive_root``), as the library took it before;
+``scanned_smallest_positive_roots`` gives that float at several tols
+from one scan and bisection.
 ``RationalFn.series``, which runs its recurrence in
 s = t^m on the residue classes mod m that the numerator touches, is
 checked against the plain recurrence in t (``plain_series``).
@@ -564,19 +566,12 @@ def _power_root(num: int, den: int, g: int) -> float:
     return parts[0] / parts[1]
 
 
-def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
-    """``smallest_positive_root`` as it was before it took a float guess:
-    q(u) = p(t), u = t^g, g the gcd of p's exponents, is scanned at every
-    grid point in order, 1/GRID apart in u up to u = 1 and in t beyond,
-    up to t = SEARCH_LIMIT, until its sign is not positive; that step is
-    bisected, one exact sign per midpoint, until the bracket in t is at
-    most tol wide or at float resolution, an exact zero ending it.  Where
-    Descartes counts roots of q in (0, lo) below it, (0, lo) is split,
-    the last pieces first, until a piece counts one root, which is
-    bisected instead; a piece that still counts more at float resolution
-    raises ArithmeticError."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+def _scanned_step(p: IntPoly) -> tuple[IntPoly, int, tuple[int, int, int]]:
+    """(q, g, (lo, hi, den)): q(u) = p(t), u = t^g, g the gcd of p's
+    exponents, and the grid step (lo / den, hi / den] in u where the scan
+    of q, at every grid point in order, 1/GRID apart in u up to u = 1 and
+    in t beyond, up to t = SEARCH_LIMIT, first finds a sign that is not
+    positive; lo = hi at an exact zero."""
     if p.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
     g = gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
@@ -591,31 +586,58 @@ def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
         last = (hi, den)
     else:
         raise NoRootError("no sign change in the search range")
+    return q, g, (hi if sign == 0 else last[0] * den // last[1], hi, den)
 
-    def resolved(lo, hi, den):
-        t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
-        return t_hi - t_lo <= tol or t_lo == t_hi
 
-    def bisect(lo, hi, den):
-        while lo < hi and not resolved(lo, hi, den):
-            lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
-            sign = q.sign_at(mid, den)
-            if sign == 0:
-                return mid, mid, den
+def _stops(lo: int, hi: int, den: int, g: int, tol: float) -> bool:
+    """Whether the bisection stops at (lo / den, hi / den] in u: at an
+    exact zero, or where the bracket in t is at most tol wide or at float
+    resolution."""
+    if lo >= hi:
+        return True
+    t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
+    return t_hi - t_lo <= tol or t_lo == t_hi
+
+
+def _bisection(q: IntPoly, g: int, lo: int, hi: int, den: int, tol: float):
+    """Every bracket (lo, hi, den) the bisection of q on (lo / den,
+    hi / den] passes through, one exact sign per midpoint, the one it
+    stops at last."""
+    yield lo, hi, den
+    while not _stops(lo, hi, den, g, tol):
+        lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+        sign = q.sign_at(mid, den)
+        if sign == 0:
+            lo = hi = mid
+        else:
             lo, hi = (mid, hi) if sign > 0 else (lo, mid)
-        return lo, hi, den
+        yield lo, hi, den
 
-    lo = hi if sign == 0 else last[0] * den // last[1]
-    lo, hi, den = bracket = bisect(lo, hi, den)
+
+def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
+    """``smallest_positive_root`` as it was before it took a float guess:
+    q(u) = p(t), u = t^g, is scanned at every grid point in order until
+    its sign is not positive (``_scanned_step``); that step is bisected,
+    one exact sign per midpoint, until the bracket in t is at most tol
+    wide or at float resolution, an exact zero ending it.  Where
+    Descartes counts roots of q in (0, lo) below it, (0, lo) is split,
+    the last pieces first, until a piece counts one root, which is
+    bisected instead; a piece that still counts more at float resolution
+    raises ArithmeticError."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    q, g, step = _scanned_step(p)
+    *_, bracket = _bisection(q, g, *step, tol)
+    lo, _, den = bracket
     pieces = [(0, lo, den)] if _descartes_count(q.coeffs, 0, lo, den) else []
     while pieces:
         a, b, den = pieces.pop()
         count = 1 if a == b else _descartes_count(q.coeffs, a, b, den)
         if count == 1:
-            bracket = bisect(a, b, den)
+            *_, bracket = _bisection(q, g, a, b, den, tol)
             break
         if count:
-            if resolved(a, b, den):
+            if _stops(a, b, den, g, tol):
                 raise ArithmeticError("roots closer than float resolution")
             mid = a + b
             pieces.append((mid, 2 * b, 2 * den))
@@ -624,6 +646,39 @@ def scanned_smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
             pieces.append((2 * a, mid, 2 * den))
     lo, hi, den = bracket
     return _power_root(lo + hi, 2 * den, g)
+
+
+def scanned_smallest_positive_roots(p: IntPoly,
+                                    tols: tuple[float, ...]) -> list[float]:
+    """``scanned_smallest_positive_root(p, tol)`` for each tol, in order,
+    from one scan, one bisection to the finest tol and one Descartes
+    count below its bracket; where that count is not 0, each tol takes
+    the plain route on its own.
+
+    The scan does not read tol, and neither do the bisection's midpoints
+    or signs: tol only decides the bracket it stops at, the first that is
+    an exact zero or at most tol wide in t (or at float resolution).  The
+    bracket where the finest tol stops meets every coarser tol too, so a
+    coarser run stops at a bracket the finest run passes through.  The
+    brackets' lower ends only rise, so that bracket's lower end a is at
+    most the finest one's, b.  The count below a, V(0, a), is the number
+    of sign variations of r_a(x) = (1 + x)^d q(a / (1 + x)), d = deg q,
+    and r_a(x) = (a / b)^d r_b(lam + b x / a), lam = (b - a) / a >= 0: a
+    Taylor shift of r_b by lam, which by Budan's theorem adds no sign
+    variation, then a positive scaling of x, which keeps every sign (at
+    a = 0, r_0 = q(0) (1 + x)^d has none).  So V(0, a) <= V(0, b), and
+    V(0, b) = 0 leaves no root below any coarser bracket either: each tol
+    returns the middle of its own stopping bracket, as the plain route
+    does when its count is 0."""
+    if not all(0 < tol < math.inf for tol in tols):
+        raise ValueError("tol must be positive and finite")
+    q, g, step = _scanned_step(p)
+    brackets = list(_bisection(q, g, *step, min(tols)))
+    lo, _, den = brackets[-1]
+    if _descartes_count(q.coeffs, 0, lo, den):
+        return [scanned_smallest_positive_root(p, tol) for tol in tols]
+    stops = (next(x for x in brackets if _stops(*x, g, tol)) for tol in tols)
+    return [_power_root(lo + hi, 2 * den, g) for lo, hi, den in stops]
 
 
 def primes_1_mod(modulus: int, count: int) -> list[int]:

@@ -280,9 +280,14 @@ class TestGaloisFactors:
             with pytest.raises(ValueError):
                 _is_prime(n)
 
-    def test_is_prime_matches_twelve_bases_below_a_million(self):
+    def test_is_prime_matches_a_sieve_below_a_million(self):
+        # the sieve of Eratosthenes, exact with no primality test of its own
+        sieve = bytearray([0, 0]) + bytearray([1]) * (10 ** 6 - 2)
+        for q in range(2, 1001):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, 10 ** 6, q)))
         assert [n for n in range(10 ** 6) if _is_prime(n)] \
-            == [n for n in range(10 ** 6) if _is_prime_12_bases(n)]
+            == [n for n, prime in enumerate(sieve) if prime]
 
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

@@ -33,10 +33,10 @@ or a ``Vertex``, so its set-up cost cannot come back unnoticed.
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  Every walk count comes from
 ``lattice.sweep`` stepping along that table but one: the single
-count ``degeneracy`` returns from level ``REFLECTION_MIN_K`` up, which
-comes from the affine reflection sum ``pathcount._reflection_count``,
-and ``degeneracy`` is that sum's one caller, so every other quantity
-keeps the sweep as its one production route.  Every numerator of
+count ``degeneracy`` returns, at every level, which comes from the
+affine reflection sum ``pathcount._reflection_count`` and from no
+sweep, and ``degeneracy`` is that sum's one caller, so every other
+quantity keeps the sweep as its one production route.  Every numerator of
 ``solve_system`` comes from one sweep fed the determinant's
 coefficients at the origin; ``spectral._three_steps`` takes the same
 steps on float vectors, to apply the transpose of the Perron block B
@@ -439,6 +439,13 @@ def test_system_det_reaches_no_walk_sweep():
             or (name, func) == ("lattice.py", "sweep")} == set()
     # the numerators do walk: a renamed sweep fails here
     assert ("lattice.py", "sweep") in _reached("solve_system")
+
+
+def test_degeneracy_reaches_no_walk_sweep():
+    # one route at every level: the reflection sum, and no sweep beside it
+    reached = _reached("degeneracy")
+    assert ("pathcount.py", "_reflection_count") in reached
+    assert ("lattice.py", "sweep") not in reached
 
 
 def _pathcount_importers(trees):

@@ -20,7 +20,8 @@ from anyondeg.spectral import (
 from oracles import _descartes_count, adjacency, bisected_top_ritz, \
     canonical_positions, class_positions, dense_lambda_perron, \
     dense_perron_block, eigenvalue_at_least, rotate, \
-    scanned_smallest_positive_root, whole_table_orbit_tables
+    scanned_smallest_positive_root, scanned_smallest_positive_roots, \
+    whole_table_orbit_tables
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 REPORT_FIELDS = ("k", "lambda_trig", "lambda_perron", "rho_root",
@@ -660,10 +661,12 @@ _SCANNED = {}
 
 
 def _scanned(k: int, tol: float) -> float:
-    """The plain scan's root of system_det(k) at tol, computed once."""
-    if (k, tol) not in _SCANNED:
-        _SCANNED[k, tol] = scanned_smallest_positive_root(system_det(k), tol)
-    return _SCANNED[k, tol]
+    """The plain scan's root of system_det(k) at tol, one of ROOT_TOLS,
+    all three computed once, from one shared scan and bisection."""
+    if k not in _SCANNED:
+        _SCANNED[k] = dict(zip(ROOT_TOLS, scanned_smallest_positive_roots(
+            system_det(k), ROOT_TOLS)))
+    return _SCANNED[k][tol]
 
 
 def _sign_calls(monkeypatch) -> list[tuple[int, int]]:
@@ -778,6 +781,32 @@ class TestGuessedRoot:
         monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
         assert smallest_positive_root(p, 1e-6) == expected
         assert counts[0] == 3
+
+
+class TestSharedScan:
+    """``oracles.scanned_smallest_positive_roots``, one scan, bisection
+    and Descartes count for every tol, against the plain scan per tol:
+    the same floats, or the first tol's failure."""
+
+    @staticmethod
+    def _check(p, tols):
+        plain = [_outcome(scanned_smallest_positive_root, p, tol)
+                 for tol in tols]
+        failed = [x for x in plain if isinstance(x, type)]
+        assert _outcome(scanned_smallest_positive_roots, p, tols) \
+            == (failed[0] if failed else plain)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_determinants(self, k):
+        self._check(system_det(k), ROOT_TOLS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(real_rooted())
+    # two roots in one grid step, below the bracket: the plain route runs
+    @example((TWO_IN_ONE_STEP, 1e-12))
+    @example((_three_close_roots(9971, 9973, 9975), 1e-14))
+    def test_real_rooted_polynomials(self, case):
+        self._check(case[0], ROOT_TOLS + (1e-14,))
 
 
 def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
