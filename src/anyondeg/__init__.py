@@ -13,53 +13,39 @@ dimension) three independent ways.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Lattice", "ORIGIN", "Vertex", "build_lattice",
-    "CountGrid", "CountTable", "count_paths", "degeneracy",
-    "growth_rate_estimate", "table",
-    "IntPoly", "RationalFn", "poly_from_text", "poly_to_text",
-    "generating_function", "solve_system", "system_det", "verify_series",
-    "SpectralReport", "lambda_perron", "lambda_trig",
-    "smallest_positive_root", "spectral_report",
-    "Shape3", "audit_published_formula", "brute_force_count", "hook_count",
-    "shape_for_vertex", "unrestricted_count",
-]
-
-# public name -> the module that defines it, imported on first read, so
+# submodule -> the public names it defines, in `__all__`'s order.  A
+# submodule or a name is imported on first read and then bound here, so
 # `import anyondeg` loads no submodule and a CLI process loads only its
-# subcommand's route
+# subcommand's route; no other attribute resolves
 _HOMES = {
-    "Lattice": "lattice", "ORIGIN": "lattice", "Vertex": "lattice",
-    "build_lattice": "lattice",
-    "CountGrid": "pathcount", "CountTable": "pathcount",
-    "count_paths": "pathcount", "degeneracy": "pathcount",
-    "growth_rate_estimate": "pathcount", "table": "pathcount",
-    "IntPoly": "poly", "RationalFn": "poly", "poly_from_text": "poly",
-    "poly_to_text": "poly",
-    "generating_function": "genfunc", "solve_system": "genfunc",
-    "system_det": "genfunc", "verify_series": "genfunc",
-    "SpectralReport": "spectral", "lambda_perron": "spectral",
-    "lambda_trig": "spectral", "smallest_positive_root": "spectral",
-    "spectral_report": "spectral",
-    "Shape3": "syt", "audit_published_formula": "syt",
-    "brute_force_count": "syt", "hook_count": "syt",
-    "shape_for_vertex": "syt", "unrestricted_count": "syt",
+    "lattice": ("Lattice", "ORIGIN", "Vertex", "build_lattice"),
+    "pathcount": ("CountGrid", "CountTable", "count_paths", "degeneracy",
+                  "growth_rate_estimate", "table"),
+    "poly": ("IntPoly", "RationalFn", "poly_from_text", "poly_to_text"),
+    "genfunc": ("generating_function", "solve_system", "system_det",
+                "verify_series"),
+    "spectral": ("SpectralReport", "lambda_perron", "lambda_trig",
+                 "smallest_positive_root", "spectral_report"),
+    "syt": ("Shape3", "audit_published_formula", "brute_force_count",
+            "hook_count", "shape_for_vertex", "unrestricted_count"),
+    "reference": (), "reproduce": (), "cli": (),
 }
+
+__all__ = [name for names in _HOMES.values() for name in names]
 
 
 def __getattr__(name: str):
-    """A public name from its home module, or a submodule by its name
-    (``anyondeg.syt``), imported on first read and then bound here."""
-    from importlib import import_module, util
+    """A listed submodule by its name (``anyondeg.syt``) or a public name
+    from its submodule, imported on first read and then bound here."""
+    from importlib import import_module
 
-    home = _HOMES.get(name)
-    if home is None and not (name.isidentifier()
-                             and util.find_spec(f"{__name__}.{name}")):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{home or name}", __name__)
-    value = getattr(module, name) if home else module
-    globals()[name] = value
-    return value
+    for home, names in _HOMES.items():
+        if name == home or name in names:
+            module = import_module(f".{home}", __name__)
+            value = module if name == home else getattr(module, name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

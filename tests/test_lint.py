@@ -17,9 +17,12 @@ an unknown name, as the attribute protocol asks.
 Imports sit at module top, with two exceptions, so that a process loads
 only the route it runs: a ``cli._cmd_*`` function imports its own
 route, ``.``-relative library modules and ``json``, and the package's
-module ``__getattr__`` imports ``importlib`` to resolve a name on its
-first read.  No module imports numpy, at any level: the library runs on
-the standard library alone, and numpy is left to the test oracles.
+module ``__getattr__`` imports ``import_module`` from ``importlib``, and
+nothing else from it, to resolve a name on its first read.  So no
+file-system probe such as ``importlib.util.find_spec`` decides what
+resolves: a directory under the package is not a module.  No module
+imports numpy, at any level: the library runs on the standard library
+alone, and numpy is left to the test oracles.
 
 One edge table: the step deltas ``lattice._STEPS`` are read only in
 ``lattice.walk_table``, which builds the padded per-class table that
@@ -95,14 +98,15 @@ Library code only: every module-level function, class or constant
 (dunder names aside) is named somewhere else in the library or
 exported in ``anyondeg.__all__``, so a fixture or a reference value
 only the tests read lives in ``tests/oracles.py`` or is used where the
-library checks against it.  Every ``__all__`` name has a home module in
-the lazy table of ``__init__.py``, and the table names nothing that
-``__all__`` does not export.  The same holds for class members: every
-method, property and classmethod is read as an attribute, ``x.name``,
-in the library outside its own definition, in ``perfbench/*.py`` or in
-``demos/*.py``, so a member only the tests call leaves the library;
-every dunder a class defines or assigns is on ``PROTOCOL`` with the
-caller that needs it.
+library checks against it.  The package's surface is one table,
+``_HOMES`` in ``__init__.py``, keyed by every submodule and by nothing
+else, with the public names each defines; ``__all__`` is derived from
+it, so each exported name is listed once, under one submodule, and is
+no key.  The same holds for class members: every method, property and
+classmethod is read as an attribute, ``x.name``, in the library outside
+its own definition, in ``perfbench/*.py`` or in ``demos/*.py``, so a
+member only the tests call leaves the library; every dunder a class
+defines or assigns is on ``PROTOCOL`` with the caller that needs it.
 
 The clients resolve: every name ``perfbench/*.py`` and ``demos/*.py``
 import from ``anyondeg``, and every attribute chain they read on an
@@ -236,7 +240,8 @@ def _imported(node):
 def _late_import_findings(trees):
     """(module, function, imported) for every import inside a function
     but a ``cli._cmd_*`` function's of a ``.``-relative library module or
-    ``json``, and the package ``__getattr__``'s of ``importlib``."""
+    ``json``, and the package ``__getattr__``'s
+    ``from importlib import import_module``."""
     found = []
     for name, tree in trees:
         for func in ast.walk(tree):
@@ -248,8 +253,9 @@ def _late_import_findings(trees):
                     if name == "cli.py" and func.name.startswith("_cmd_") \
                             and (relative or module == "json"):
                         continue
-                    if (name, func.name, module) \
-                            == ("__init__.py", "__getattr__", "importlib"):
+                    if (name, func.name, ast.unparse(node)) \
+                            == ("__init__.py", "__getattr__",
+                                "from importlib import import_module"):
                         continue
                     found.append((name, func.name, module))
     return found
@@ -262,8 +268,9 @@ def test_imports_at_module_top():
 def test_import_rule_flags_other_late_imports():
     # a non-library import inside a _cmd_* function, an absolute library
     # import there, a route import outside _cmd_* or outside cli, and an
-    # import in another package dunder are reported; a _cmd_* function's
-    # relative and json imports and __getattr__'s importlib are not
+    # import in another package dunder are reported, and so is any other
+    # import from importlib in __getattr__; a _cmd_* function's relative
+    # and json imports and __getattr__'s import_module are not
     cli = ast.parse(
         "def _cmd_count(args):\n"
         "    import json\n"
@@ -278,11 +285,13 @@ def test_import_rule_flags_other_late_imports():
         "def root_rho(k):\n    from .genfunc import system_det\n")
     init = ast.parse(
         "def __getattr__(name):\n    from importlib import import_module\n"
+        "    from importlib import import_module, util\n"
         "    import json\n"
         "def __dir__():\n    import sys\n")
     found = _late_import_findings([("__init__.py", init), ("cli.py", cli),
                                    ("spectral.py", spectral)])
-    assert found == [("__init__.py", "__getattr__", "json"),
+    assert found == [("__init__.py", "__getattr__", "importlib"),
+                     ("__init__.py", "__getattr__", "json"),
                      ("__init__.py", "__dir__", "sys"),
                      ("cli.py", "_cmd_count", "numpy"),
                      ("cli.py", "_cmd_count", "anyondeg.genfunc"),
@@ -615,12 +624,18 @@ def test_oracles_import_no_private_library_name():
     assert found == []
 
 
-def _exported():
-    """The names ``__init__.py`` lists in ``__all__``."""
+def _homes():
+    """The table ``__init__.py`` binds to ``_HOMES``: submodule -> the
+    public names it defines."""
     tree = ast.parse(INIT.read_text(), str(INIT))
     return next(ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)
-                and [_name(t) for t in node.targets] == ["__all__"])
+                and [_name(t) for t in node.targets] == ["_HOMES"])
+
+
+def _exported():
+    """The names ``__all__`` exports: the table's names, in its order."""
+    return [name for names in _homes().values() for name in names]
 
 
 def _defined(stmt):
@@ -655,16 +670,14 @@ def test_every_definition_is_used_in_the_library_or_exported():
 
 
 def test_all_is_bound_and_covers_every_public_import():
-    # every __all__ name has a home in the lazy table, and the table
-    # names nothing outside __all__
-    tree = ast.parse(INIT.read_text(), str(INIT))
-    homes = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and [_name(t) for t in node.targets] == ["_HOMES"])
+    # the table is keyed by every submodule and by nothing else, and
+    # lists each exported name once, under one key and never as a key
+    homes = _homes()
     exported = _exported()
     assert len(set(exported)) == len(exported)
-    assert sorted(set(exported) - homes.keys()) == []
-    assert sorted(homes.keys() - set(exported)) == []
+    assert sorted(set(exported) & homes.keys()) == []
+    assert sorted(homes) == sorted(path.stem for path in SRC.glob("*.py")
+                                   if path.stem != "__init__")
 
 
 def _dunder(name):

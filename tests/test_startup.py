@@ -16,6 +16,7 @@ into this process does not count.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,13 +36,15 @@ assert code == 0, code
 """
 
 
-def _last_line(code: str) -> str:
-    """Run code in a fresh interpreter; the last line it prints."""
+def _last_line(code: str, src: Path = ROOT / "src", *options: str) -> str:
+    """Run code in a fresh interpreter, with the package imported from
+    src and the given interpreter options; the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *options, "-c", code], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -143,3 +146,24 @@ def test_unknown_name_raises_attribute_error():
         anyondeg.no_such_name
     assert not hasattr(anyondeg, "no_such_name")
     assert not hasattr(anyondeg, "syt.shape_for_vertex")
+
+
+def test_only_listed_submodules_resolve(tmp_path):
+    # a directory beside the modules, such as __pycache__, is no module
+    # of the package, and resolving a name probes no file system, so
+    # without site importlib.util stays unloaded
+    package = tmp_path / "anyondeg"
+    package.mkdir()
+    for module in (ROOT / "src" / "anyondeg").glob("*.py"):
+        shutil.copy(module, package)
+    (package / "__pycache__").mkdir()
+    (package / "stray").mkdir()
+    line = _last_line(
+        "import sys\nimport anyondeg\n"
+        "print(anyondeg.__file__.startswith({root!r}),\n"
+        "      [hasattr(anyondeg, name) or name in dir(anyondeg)\n"
+        "       for name in ('__pycache__', 'stray')],\n"
+        "      anyondeg.syt.__name__, anyondeg.build_lattice.__name__,\n"
+        "      'importlib.util' in sys.modules)\n".format(root=str(tmp_path)),
+        tmp_path, "-S")
+    assert line == "True [False, False] anyondeg.syt build_lattice False"
