@@ -10,9 +10,10 @@ every vertex's row, or given points' rows alone.  Every walk and the
 Perron route's block B read that table, the Perron route only its orbit
 representatives' rows when 3 | k, and ``step`` is the one loop that
 takes a step along it.  ``sweep(k, n_max)`` is the walk: it builds the
-level's table and steps from the origin one grade class at a time, and
-every walk count, the numerators of ``genfunc`` too, comes from it but
-the reflection sum of ``pathcount``.  The simple current J,
+level's table and steps from the origin one grade class at a time.
+Every history and grid of walk counts, the numerators of ``genfunc``
+too, comes from it; the endpoint counts at one step come from the
+reflection sum of ``pathcount``.  The simple current J,
 (i, j) -> (k - i - j, i), has one rule for its orbit representatives,
 ``orbit_firsts``, which the determinant's factors and the Perron tables
 both read.  Pure Python; no dense adjacency matrix is built.

@@ -1,17 +1,18 @@
 """Exact counting of n-step walks from the origin on the level-k lattice.
 
-Dynamic programming over the predecessor recurrence
+Every step raises the grade (2i + j) mod 3 by 1, so after n steps only
+the vertices of class n mod 3 can hold a nonzero count.  The endpoint
+counts at one step, ``degeneracy``'s one vertex and ``count_paths``'s
+whole class, come from the affine reflection sum of
+``_reflection_counts``: one pass of about n (k + 3) additions, which no
+vertex changes, and about 3 n / (k + 3) big products per vertex, against
+the sweep's n (k + 1)(k + 2) / 6 additions.  The histories and grids,
+``origin_history`` and ``table``, read ``lattice.sweep``, the dynamic
+programme over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
-with out-of-range terms zero.  Every step raises the grade (2i + j) mod 3
-by 1, so after n steps only the vertices of class n mod 3 can hold a
-nonzero count, and every predecessor of a class-g vertex lies in class
-g - 1.  The walk itself is ``lattice.sweep``, one flat list per step
-over class n mod 3; this module reads it for every query but one:
-``degeneracy``, which wants a single count and takes it, at every
-level, from the affine reflection sum of ``_reflection_count``, about
-n (k + 3) additions instead of the sweep's n (k + 1)(k + 2) / 6.
+with out-of-range terms zero, one flat list per step over class n mod 3.
 ``growth_rate_estimate`` reads one count.
 Everything but that estimate is a Python int; no floats.  Only ``cli``,
 in its ``count`` and ``table`` subcommands, and ``reproduce`` import
@@ -21,7 +22,6 @@ this module.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from operator import add
 
@@ -40,21 +40,27 @@ class CountTable:
 
 
 def count_paths(k: int, n: int) -> CountTable:
-    """All endpoint counts for n-step walks from (0,0) on the level-k lattice."""
-    off, g = class_offsets(k), n % 3  # k is checked before n
-    last = deque(sweep(k, n), maxlen=1).pop()
-    counts = {v: last[off[g][v.i] + v.j // 3] if (2 * v.i + v.j) % 3 == g
-              else 0 for v in build_lattice(k).vertices}
+    """All endpoint counts for n-step walks from (0,0) on the level-k
+    lattice, in canonical order: 0 off grade class n mod 3, and on it
+    one reflection sum of ``_reflection_counts`` over the whole class.
+
+    The sum is cheaper than ``lattice.sweep`` up to about n = 40 (k + 3)
+    at k >= 16 and n = 8 (k + 3) at k <= 4; past that its products cost
+    more than the sweep's additions.  No caller in the package goes
+    there (README, Walk counts)."""
+    vertices = build_lattice(k).vertices  # k is checked before n
+    if n < 0:
+        raise ValueError(f"step count n must be >= 0, got {n}")
+    reached = [v for v in vertices if (n - 2 * v.i - v.j) % 3 == 0]
+    counts = dict.fromkeys(vertices, 0)
+    counts.update(zip(reached, _reflection_counts(k, n, reached)))
     return CountTable(k=k, n=n, counts=counts)
 
 
-# The six permutations sigma of S3 as (sign, sigma(1), sigma(2)), 0-based.
-_S3 = ((1, 0, 1), (-1, 1, 0), (-1, 0, 2), (1, 1, 2), (1, 2, 0), (-1, 2, 1))
-
-
-def _reflection_count(k: int, n: int, v: Vertex) -> int:
-    """Number of n-step walks from the origin ending at v, by the affine
-    reflection principle (Gessel-Zeilberger; Grabiner).
+def _reflection_counts(k: int, n: int, vertices: list[Vertex]
+                       ) -> list[int]:
+    """Number of n-step walks from the origin ending at each of vertices,
+    by the affine reflection principle (Gessel-Zeilberger; Grabiner).
 
     A walk is a 3-row tableau; in b = (r1 + 2, r2 + 1, r3) it starts at
     (2, 1, 0), adds 1 to one coordinate per step and stays in the alcove
@@ -64,32 +70,36 @@ def _reflection_count(k: int, n: int, v: Vertex) -> int:
     c2 = b_sigma2 - 1 (mod m):  sum_sigma sgn sigma sum_c1 C(n, c1)
     S(n - c1, b_sigma2 - 1), where S(q, r) sums C(q, c) over c = r
     (mod m).  S(q) steps up from q = 0 by S(q + 1, r) = S(q, r) +
-    S(q, r - 1), m additions a step, in lockstep with C(n, n - q); the
-    two sigma with the same sigma(1) have opposite signs and share one
-    product.  Needs n = 2i + j (mod 3).
+    S(q, r - 1), m additions a step, in lockstep with C(n, n - q), and
+    neither depends on the vertex, so one pass serves them all.  The two
+    sigma with the same sigma(1) = x have opposite signs and share one
+    product: the cyclic sigma(2) = x + 1 adds, x + 2 subtracts.  The b_x
+    are distinct mod m, so a vertex's three keys b_x - 2 never collide.
+    Needs n = 2i + j (mod 3) at every vertex.
     """
     m = k + 3
-    r3 = (n - 2 * v.i - v.j) // 3
-    b = (r3 + v.i + v.j + 2, r3 + v.i + 1, r3)
-    pairs = {}  # c1 mod m -> [c2 mod m of the + sigma, of the - sigma]
-    for sign, s1, s2 in _S3:
-        pairs.setdefault((b[s1] - 2) % m, [0, 0])[sign < 0] = (b[s2] - 1) % m
-    s, c, total = [1] + [0] * (m - 1), 1, 0  # S(0), C(n, n)
+    hits = {}  # c1 mod m -> [(vertex index, c2 mod m of + sigma, of -)]
+    for t, (i, j) in enumerate(vertices):
+        r3 = (n - 2 * i - j) // 3
+        b = (r3 + i + j + 2, r3 + i + 1, r3)
+        for x in range(3):
+            hits.setdefault((b[x] - 2) % m, []).append(
+                (t, (b[x - 2] - 1) % m, (b[x - 1] - 1) % m))
+    s, c, totals = [1] + [0] * (m - 1), 1, [0] * len(vertices)  # S(0), C(n, n)
     for q in range(n + 1):
         if q:
             s = [s[0] + s[-1], *map(add, s[1:], s)]
             c = c * (n - q + 1) // q
-        pair = pairs.get((n - q) % m)
-        if pair:
-            total += c * (s[pair[0]] - s[pair[1]])
-    return total
+        for t, plus, minus in hits.get((n - q) % m, ()):
+            totals[t] += c * (s[plus] - s[minus])
+    return totals
 
 
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     """Number of n-step walks from the origin ending at v.
 
     0 at once off v's grade class; otherwise the reflection sum of
-    ``_reflection_count``, at every level.
+    ``_reflection_counts`` over [v], at every level.
     """
     v = Vertex(*v)
     if k < 1:
@@ -99,7 +109,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
-    return _reflection_count(k, n, v)
+    return _reflection_counts(k, n, [v])[0]
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:

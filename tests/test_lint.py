@@ -34,18 +34,21 @@ only: no call ``lambda_perron`` makes, however deep, builds the lattice
 or a ``Vertex``, so its set-up cost cannot come back unnoticed.
 
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
-written only in ``lattice.step``.  Every walk count comes from
-``lattice.sweep`` stepping along that table but one: the single
-count ``degeneracy`` returns, at every level, which comes from the
-affine reflection sum ``pathcount._reflection_count`` and from no
-sweep, and ``degeneracy`` is that sum's one caller, so every other
-quantity keeps the sweep as its one production route.  Every numerator of
-``solve_system`` comes from one sweep fed the determinant's
-coefficients at the origin; ``spectral._three_steps`` takes the same
-steps on float vectors, to apply the transpose of the Perron block B
-once per Lanczos step, as (I + P) B^T on the mirror-symmetric Krylov
-vectors.  The test oracles keep their own loops: ``tests/oracles.py``
-imports no ``_``-prefixed library name.
+written only in ``lattice.step``.  One route per quantity, where the
+counts at one step are one quantity: the endpoint counts at one step,
+the one that ``degeneracy`` returns and the class-wide table of
+``count_paths``, come from the affine reflection sum
+``pathcount._reflection_counts``, at every level and from no sweep, and
+those two are that sum's only callers.  Every history and grid
+(``origin_history``, ``table``) comes from ``lattice.sweep`` stepping
+along the edge table, and ``origin_history`` does reach it, so a
+renamed sweep fails the rule rather than leaving it nothing to check.
+Every numerator of ``solve_system`` comes from one sweep fed the
+determinant's coefficients at the origin; ``spectral._three_steps``
+takes the same steps on float vectors, to apply the transpose of the
+Perron block B once per Lanczos step, as (I + P) B^T on the
+mirror-symmetric Krylov vectors.  The test oracles keep their own
+loops: ``tests/oracles.py`` imports no ``_``-prefixed library name.
 One pivot loop: the LDL^T pivots of T - x, ``zip(alphas[1:],
 sq_betas)``, are iterated in one loop, in ``spectral._newton_step``,
 whose early exit at the first nonnegative pivot is the Sturm count, and
@@ -364,10 +367,11 @@ def test_one_step_loop():
     assert found == {("lattice.py", "step")}
 
 
-def test_reflection_sum_called_only_by_degeneracy():
+def test_reflection_sum_called_only_by_the_one_step_counts():
     callers = {(name, func) for name, tree in _trees()
-               for func in _callers(tree, "_reflection_count")}
-    assert callers == {("pathcount.py", "degeneracy")}
+               for func in _callers(tree, "_reflection_counts")}
+    assert callers == {("pathcount.py", "degeneracy"),
+                       ("pathcount.py", "count_paths")}
 
 
 def test_brute_force_count_called_only_by_syt_oracle():
@@ -451,10 +455,14 @@ def test_system_det_reaches_no_walk_sweep():
 
 
 def test_degeneracy_reaches_no_walk_sweep():
-    # one route at every level: the reflection sum, and no sweep beside it
-    reached = _reached("degeneracy")
-    assert ("pathcount.py", "_reflection_count") in reached
-    assert ("lattice.py", "sweep") not in reached
+    # one route for the counts at one step, at every level: the
+    # reflection sum, and no sweep beside it
+    for root in ("degeneracy", "count_paths"):
+        reached = _reached(root)
+        assert ("pathcount.py", "_reflection_counts") in reached, root
+        assert ("lattice.py", "sweep") not in reached, root
+    # the histories do walk: a renamed sweep fails here
+    assert ("lattice.py", "sweep") in _reached("origin_history")
 
 
 def _pathcount_importers(trees):

@@ -1,11 +1,13 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import anyondeg.pathcount
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
-    in_vertex_set, sweep
-from anyondeg.pathcount import _reflection_count, count_paths, \
+    class_offsets, in_vertex_set, sweep
+from anyondeg.pathcount import _reflection_counts, count_paths, \
     degeneracy, origin_history, table
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
@@ -50,9 +52,51 @@ class TestCountPaths:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_counts_in_canonical_order(self, k):
-        # the sweep's lists are class-wise; the dict is canonical again
+        # the sum runs over one class; the dict is canonical again
         for n in (0, 1, 2, 9, 31):
             assert list(count_paths(k, n).counts) == list(build_lattice(k).vertices)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_the_sweep_at_every_vertex(self, k):
+        # values and key order, every step to n = 60
+        for n, counts in enumerate(sweep(k, 60)):
+            assert list(count_paths(k, n).counts.items()) \
+                == _sweep_items(k, n, counts)
+
+    @pytest.mark.parametrize("k,n", [(16, 210), (28, 280), (64, 300)])
+    def test_matches_the_sweep_at_benchmark_sizes(self, k, n):
+        counts = deque(sweep(k, n), maxlen=1).pop()
+        assert list(count_paths(k, n).counts.items()) \
+            == _sweep_items(k, n, counts)
+
+    def test_matches_verlinde_past_the_sweep_sizes(self):
+        # class 2000 mod 3 = 2, the corners (0, 62) and (64, 0) too
+        counts = count_paths(64, 2000).counts
+        vertices = list(map(Vertex._make, [
+            (0, 2), (1, 0), (10, 12), (20, 22), (0, 62), (64, 0)]))
+        for p in primes_1_mod(6 * 67, 2):
+            for v in vertices:
+                assert counts[v].bit_length() > 1000
+                assert verlinde_counts(64, [2000], p, v) == [counts[v] % p]
+
+    def test_runs_no_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(anyondeg.pathcount, "sweep", no_sweep)
+        assert count_paths(3, 9).counts[ORIGIN] == 42
+        # the histories do sweep, and the patch catches them
+        with pytest.raises(AssertionError, match="a sweep ran"):
+            origin_history(3, 9)
+
+
+def _sweep_items(k, n, counts):
+    """(vertex, count) in canonical order from the sweep's step-n list
+    ``counts``, read at ``class_offsets`` positions; 0 off class n mod 3."""
+    off, g = class_offsets(k), n % 3
+    return [(v, counts[off[g][v.i] + v.j // 3]
+             if (2 * v.i + v.j) % 3 == g else 0)
+            for v in build_lattice(k).vertices]
 
 
 class TestSweep:
@@ -128,7 +172,7 @@ class TestDegeneracy:
             raise AssertionError("a count forced to 0 ran a route")
 
         monkeypatch.setattr(anyondeg.pathcount, "sweep", no_route)
-        monkeypatch.setattr(anyondeg.pathcount, "_reflection_count", no_route)
+        monkeypatch.setattr(anyondeg.pathcount, "_reflection_counts", no_route)
         assert degeneracy(64, 10000) == 0
         assert degeneracy(5, 4, (1, 1)) == 0
         # one step on, the reflection sum runs and the patch catches it
@@ -139,21 +183,25 @@ class TestDegeneracy:
     @pytest.mark.parametrize("k", [1, 10, 11, 64])
     def test_level_picks_the_route(self, monkeypatch, k):
         # one reflection sum and no sweep, below level 11 and from it up
-        expected, calls = count_paths(k, 30).counts[ORIGIN], []
-        for route in ("sweep", "_reflection_count"):
+        expected, calls = origin_history(k, 30)[30], []
+        for route in ("sweep", "_reflection_counts"):
             real = getattr(anyondeg.pathcount, route)
             monkeypatch.setattr(
                 anyondeg.pathcount, route, lambda *args, route=route,
                 real=real: calls.append(route) or real(*args))
         assert degeneracy(k, 30) == expected
-        assert calls == ["_reflection_count"]
+        assert calls == ["_reflection_counts"]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_congruence(self, k):
+        # the zeros that degeneracy returns at once come from the matrix
+        # power too, which knows no grade rule; the sweep and the reflection
+        # sum hold class n mod 3 alone, so their zeros would hold by design
         for n in range(12):
-            for v, c in count_paths(k, n).counts.items():
+            walks = counts_by_matrix_power(k, n)
+            for v in build_lattice(k).vertices:
                 if (2 * v.i + v.j) % 3 != n % 3:
-                    assert c == 0
+                    assert walks[v] == degeneracy(k, n, v) == 0
 
     def test_monotone_in_level(self):
         # the reflection sum at level k against level k + 1, at every
@@ -179,19 +227,24 @@ class TestDegeneracy:
 class TestReflectionCount:
     @pytest.mark.parametrize("k", range(1, 21))
     def test_matches_the_sweep_at_every_vertex(self, k):
-        # every vertex of class n mod 3, those with no n-box shape too
-        for n in range(46):
-            for v, count in count_paths(k, n).counts.items():
-                if (n - 2 * v.i - v.j) % 3 == 0:
-                    assert _reflection_count(k, n, v) == count
+        # every vertex of class n mod 3, those with no n-box shape too,
+        # the whole class in one sum and each vertex alone
+        off = class_offsets(k)
+        for n, counts in enumerate(sweep(k, 45)):
+            cls = [v for v in build_lattice(k).vertices
+                   if (n - 2 * v.i - v.j) % 3 == 0]
+            expected = [counts[off[n % 3][v.i] + v.j // 3] for v in cls]
+            assert _reflection_counts(k, n, cls) == expected
+            assert [_reflection_counts(k, n, [v])[0] for v in cls] \
+                == expected
 
     @pytest.mark.parametrize("k", [20, 45, 64])
     def test_hook_lengths_where_the_level_is_inert(self, k):
         for n in range(k - 8, k + 1):
             for v in build_lattice(k).vertices:
                 if (n - 2 * v.i - v.j) % 3 == 0:
-                    assert _reflection_count(k, n, v) \
-                        == unrestricted_count(n, v)
+                    assert _reflection_counts(k, n, [v]) \
+                        == [unrestricted_count(n, v)]
 
 
 class TestVerlindeOracle:
