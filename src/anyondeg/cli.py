@@ -143,7 +143,7 @@ def _cmd_qdim(args) -> int:
         spectral_report
 
     _check_caps(args, k=args.k)
-    if not 0 < args.tol < math.inf:  # before det
+    if not 0 < args.tol < math.inf:  # before any route runs
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))

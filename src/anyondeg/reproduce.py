@@ -11,7 +11,7 @@ from .genfunc import solve_system, system_det, verify_series
 from .lattice import Vertex
 from .pathcount import count_paths, table
 from .poly import poly_to_text
-from .spectral import lambda_trig, smallest_positive_root, spectral_report
+from .spectral import lambda_trig, spectral_report
 from .syt import audit_published_formula, unrestricted_count
 
 
@@ -59,15 +59,15 @@ def _check_series() -> Iterator[dict]:
 
 
 def _check_qdim() -> Iterator[dict]:
-    for k in range(1, 9):
-        rep = spectral_report(k)
+    reports = [spectral_report(k) for k in range(1, 9)]
+    for rep in reports:
         if rep.agreement_gap >= 1e-6:
             yield rep._asdict()
     # exact anchors: det(M_1) and det(M_3) have smallest roots 1 and 1/2,
     # so the growth factors at levels 1 and 3 are exactly 1 and 2
     for k, den in ((1, 1), (3, 2)):
-        det = system_det(k)
-        if det.sign_at(1, den) != 0 or smallest_positive_root(det) != 1 / den:
+        if system_det(k).sign_at(1, den) != 0 \
+                or reports[k - 1].rho_root != 1 / den:
             yield {"k": k, "reason": f"determinant root is not 1/{den}"}
         if abs(lambda_trig(k) - den) >= 1e-12:
             yield {"k": k, "reason": "trig anchor"}

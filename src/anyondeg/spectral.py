@@ -28,9 +28,9 @@ The asymptotic growth factor (the total quantum dimension) is
 Beside the counts' own f(n)^(1/n), ``pathcount.growth_rate_estimate``,
 this is the only module that touches floating point, and it needs only
 the standard library; it counts no walk.  Its numerical limits are
-module constants: the root grid's SEARCH_LIMIT and GRID, the guess's
-NEWTON_STEPS and NEWTON_STOP, and the Ritz values' cap
-PERRON_THETA_MAX.  Lanczos has no step cap: its dimension bounds it.
+module constants: the root grid's GRID, the guess's NEWTON_STEPS and
+NEWTON_STOP, and the Ritz values' cap PERRON_THETA_MAX.  Lanczos has no
+step cap: its dimension bounds it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .lattice import ORIGIN, class_offsets, orbit_firsts, step, walk_table
 from .poly import IntPoly
 
 
-# The root's grid: steps of 1/GRID in u = t^g up to u = 1 and in t
-# beyond, up to t = SEARCH_LIMIT.  The steps are scanned in order for the
-# first sign change only where exact signs turn the float guess down;
-# the guess takes at most NEWTON_STEPS Newton steps.
-SEARCH_LIMIT = 1.5
+# The root's grid: steps of 1/GRID in u = t^g up to u = 1, where the
+# root 1/lambda^3 <= 1 of det(M_k) lies.  The steps are scanned in order
+# for the first sign change only where exact signs turn the float guess
+# down; the guess takes at most NEWTON_STEPS Newton steps.
 GRID = 1024
 NEWTON_STEPS = 64
 # Newton stops after a step below sqrt(float epsilon) times x: where it
@@ -283,24 +282,21 @@ def _exact_root(num: int, den: int, g: int) -> float:
     return (num / den) ** (1 / g)
 
 
-def _taylor_shift(c: list[int], shift: int) -> None:
-    """Replace the coefficients c of f(x) by those of f(x + shift); by
-    additions alone when shift is 1, the shift every count ends on."""
+def _taylor_shift(c: list[int]) -> None:
+    """Replace the coefficients c of f(x) by those of f(x + 1), by
+    additions alone."""
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
-            c[j] += c[j + 1] if shift == 1 else shift * c[j + 1]
+            c[j] += c[j + 1]
 
 
-def _descartes(q: tuple[int, ...], a: int, b: int, den: int) -> int:
-    """Sign variations of (1 + x)^d q((a x + b) / (den (1 + x))), d = deg q:
-    a bound of the same parity on the roots of q in (a / den, b / den),
-    so 0 proves none and 1 exactly one (Collins-Akritas)."""
+def _descartes(q: tuple[int, ...], b: int, den: int) -> int:
+    """Sign variations of (1 + x)^d q(b / (den (1 + x))), d = deg q:
+    a bound of the same parity on the roots of q in (0, b / den), so 0
+    proves none and 1 exactly one (Collins-Akritas)."""
     d = len(q) - 1
-    c = [x * den ** (d - i) for i, x in enumerate(q)]  # den^d q(y / den)
-    if a:
-        _taylor_shift(c, a)
-    c = [x * (b - a) ** j for j, x in enumerate(c)][::-1]
-    _taylor_shift(c, 1)
+    c = [x * den ** (d - i) * b ** i for i, x in enumerate(q)][::-1]
+    _taylor_shift(c)
     signs = [x > 0 for x in c if x]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
@@ -333,39 +329,35 @@ def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
     bracket in t at most tol (positive and finite) wide or at float
     resolution; q must be positive at 0.
 
-    The bracket is the scan's: the first grid step (module constants)
-    whose top sign is not positive, bisected with exact signs at
-    rational points.  A float Newton guess (``_newton_guess``) names a
-    step first.  If q is positive at its bottom and negative at its top,
-    and Descartes counts one root of q in (0, top), that root is the
-    only one up to the top, so the scan stops at this step and the
-    bisection follows the root down; if q vanishes at the top and the
-    count is 0, the scan stops there.  The bisection is then replayed
-    along the guess with no sign taken, and the leaf it ends on, if q is
-    positive at its bottom and negative at its top, holds the root and
-    is the bisection's.  A step the checks turn down is scanned for from
-    0, a leaf they turn down is bisected from its step.
+    q is D(s) = det(M_k) in u = t^g or one of its Galois-orbit factors,
+    whose smallest positive root rho_s = 1/lambda^3 is at most 1, as
+    lambda >= 1.  The bracket is the scan's: the first grid step
+    (m - 1, m] / GRID, m <= GRID, whose top sign is not positive,
+    bisected with exact signs at rational points; NoRootError if q keeps
+    its sign up to u = 1.  A float Newton guess (``_newton_guess``) in
+    (0, 1] names a step first.  If q is positive at its bottom and
+    negative at its top, and Descartes counts one root of q in (0, top),
+    that root is the only one up to the top, so the scan stops at this
+    step and the bisection follows the root down; if q vanishes at the
+    top and the count is 0, the scan stops there.  The bisection is then
+    replayed along the guess with no sign taken, and the leaf it ends on,
+    if q is positive at its bottom and negative at its top, holds the
+    root and is the bisection's.  A step the checks turn down is scanned
+    for from 0, a leaf they turn down is bisected from its step.
 
     Below a scanned bracket Descartes' rule proves that no root hides in
     (0, lo), as two in one grid step would.  For D(s) that count is
     always 0: by Perron-Frobenius every root has modulus at least
-    rho_s > lo.  Otherwise (0, lo) is split until each piece counts 0
-    or 1, which ends for a squarefree q, and the first piece with one
-    root is bisected instead.  Below a guessed bracket the count is 0
-    with no second count: it is at most the step's (subdividing an
-    interval does not add sign variations) and even, as (0, lo) holds
-    no root, so the float is the scan's in every case.
+    rho_s > lo.  Any other count raises ArithmeticError.  Below a
+    guessed bracket the count is 0 with no second count: it is at most
+    the step's (subdividing an interval does not add sign variations)
+    and even, as (0, lo) holds no root, so the float is the scan's in
+    every case.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if q.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
-    steps = math.ceil(SEARCH_LIMIT * GRID)
-
-    def grid_step(m: int) -> tuple[int, int, int]:
-        """The m-th grid step as (bottom, top, den), 1 <= m <= steps."""
-        e = 1 if m <= GRID else g
-        return (m - 1) ** e, m ** e, GRID ** e
 
     def resolved(lo: int, hi: int, den: int) -> bool:
         t_lo, t_hi = ((x / den) ** (1 / g) for x in (lo, hi))
@@ -387,56 +379,40 @@ def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
         """The scan's bracket, from the grid step and leaf the float guess
         names, or None where the exact checks turn the step down."""
         guess = _newton_guess(q.coeffs)
-        if not 0 < guess < math.inf:
+        if not 0 < guess <= 1:
             return None
-        m = math.ceil((guess if guess <= 1 else guess ** (1 / g)) * GRID)
-        if m > steps:
-            return None
-        lo, hi, den = grid_step(m)
-        sign = q.sign_at(hi, den)
-        if sign > 0 or sign and q.sign_at(lo, den) <= 0 \
-                or _descartes(q.coeffs, 0, hi, den) != (1 if sign else 0):
+        m = math.ceil(guess * GRID)
+        sign = q.sign_at(m, GRID)
+        if sign > 0 or sign and q.sign_at(m - 1, GRID) <= 0 \
+                or _descartes(q.coeffs, m, GRID) != (1 if sign else 0):
             return None
         if not sign:
-            return hi, hi, den
+            return m, m, GRID
         num, div = guess.as_integer_ratio()  # compared exactly
-        a, b, d = bisect(lo, hi, den,
+        a, b, d = bisect(m - 1, m, GRID,
                          lambda mid, d: 1 if mid * div < num * d else -1)
         if q.sign_at(a, d) > 0 > q.sign_at(b, d):
             return a, b, d
-        return bisect(lo, hi, den)
+        return bisect(m - 1, m, GRID)
 
-    pieces = []  # open intervals, and zeros as (x, x, den); last first
-    if (bracket := guessed()) is None:
-        for m in range(1, steps + 1):
-            lo, hi, den = grid_step(m)
-            if (sign := q.sign_at(hi, den)) <= 0:
-                break
-        else:
-            raise NoRootError(
-                f"no sign change in (0, {SEARCH_LIMIT}] at grid step 1/{GRID}")
-        lo, hi, den = bracket = bisect(hi if sign == 0 else lo, hi, den)
-        if _descartes(q.coeffs, 0, lo, den):
-            pieces.append((0, lo, den))
-    while pieces:
-        a, b, den = pieces.pop()
-        count = 1 if a == b else _descartes(q.coeffs, a, b, den)
-        if count == 1:
-            bracket = bisect(a, b, den)
+    if (bracket := guessed()) is not None:
+        return bracket
+    for m in range(1, GRID + 1):
+        if (sign := q.sign_at(m, GRID)) <= 0:
             break
-        if count:
-            if resolved(a, b, den):
-                raise ArithmeticError("roots closer than float resolution")
-            mid = a + b
-            pieces.append((mid, 2 * b, 2 * den))
-            if q.sign_at(mid, 2 * den) == 0:
-                pieces.append((mid, mid, 2 * den))
-            pieces.append((2 * a, mid, 2 * den))
+    else:
+        raise NoRootError(f"no sign change in (0, 1] at grid step 1/{GRID}")
+    lo, hi, den = bracket = bisect(m if sign == 0 else m - 1, m, GRID)
+    if _descartes(q.coeffs, lo, den):
+        raise ArithmeticError("a root may lie below the scanned bracket")
     return bracket
 
 
 def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
-    """Smallest positive real root of p, which must be positive at 0.
+    """Smallest positive root of p = det(M_k), or of p(t) = F(t^3) for a
+    Galois-orbit factor F of D(s): p must be positive at 0, and its
+    smallest positive root at most 1, where every other root is at
+    least as large in modulus (Perron-Frobenius).
 
     p(t) = q(t^g), g the gcd of its exponents (3 for det(M_k)), and the
     root is isolated in u = t^g by ``_root_bracket``: a float Newton
@@ -446,7 +422,9 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     the bracket in t is at most tol (positive and finite) or at float
     resolution; an exact zero gives the exact float.  Either way the
     bracket, and so the float, is the scan's, and Descartes' rule proves
-    that no root hides below it.
+    that no root hides below it.  Outside that domain it raises
+    NoRootError where p keeps its sign on (0, 1], and ArithmeticError
+    where Descartes' rule cannot rule out a root below the bracket.
     """
     g = math.gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
     lo, hi, den = _root_bracket(IntPoly(p.coeffs[::g]), g, tol)
@@ -476,7 +454,7 @@ def root_rho(k: int, tol: float = 1e-12) -> float:
                               "trivial weight's")
     lo, hi, den = _root_bracket(trivial, 3,
                                 max(tol / ROWS ** 2 * 2, math.ulp(0.0)))
-    if any(_descartes(f.coeffs, 0, lo, den) for f, _ in others):
+    if any(_descartes(f.coeffs, lo, den) for f, _ in others):
         raise ArithmeticError("a Galois-orbit factor may have a root below "
                               "the trivial weight's")
     return _exact_root(lo + hi, 2 * den, 3)

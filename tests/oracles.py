@@ -52,6 +52,9 @@ takes a float guess of its grid cell and of its bisection's leaf and
 checks both by exact signs, is checked against the plain scan of the
 grid, one exact sign per point, and bisection of the step it stops on
 (``scanned_smallest_positive_root``), as the library took it before;
+that scan runs on past u = 1 and splits (0, lo) below a bracket that
+Descartes' rule cannot certify, where the library, which serves only
+det(M_k) and its factors, stops at u = 1 and raises;
 ``scanned_smallest_positive_roots`` gives that float at several tols
 from one scan and bisection.
 ``RationalFn.series``, which runs its recurrence in
@@ -70,8 +73,11 @@ from anyondeg.lattice import ORIGIN, Lattice, Vertex, build_lattice, \
     class_offsets, orbit_firsts, walk_table
 from anyondeg.pathcount import origin_history
 from anyondeg.poly import IntPoly, RationalFn
-from anyondeg.spectral import GRID, PERRON_THETA_MAX, SEARCH_LIMIT, \
-    NoRootError
+from anyondeg.spectral import GRID, PERRON_THETA_MAX, NoRootError
+
+# The general scan's reach in t past u = 1; the library's grid stops at
+# u = 1, where the smallest root of det(M_k) lies
+SEARCH_LIMIT = 1.5
 
 
 def _bareiss(mat: list[list[IntPoly]], rhs: list[IntPoly] | None):

@@ -290,12 +290,12 @@ class TestQdim:
 
     def test_numeric_failure_exits_3(self, capsys, monkeypatch):
         def no_root(k, tol):
-            raise NoRootError("no sign change in (0, 1.5]")
+            raise NoRootError("no sign change in (0, 1]")
 
         monkeypatch.setattr(anyondeg.spectral, "root_rho", no_root)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", "root")
         assert code == 3 and out == ""
-        assert err.splitlines() == ["error: no sign change in (0, 1.5]"]
+        assert err.splitlines() == ["error: no sign change in (0, 1]"]
 
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2

@@ -374,6 +374,14 @@ def test_reflection_sum_called_only_by_the_one_step_counts():
                        ("pathcount.py", "count_paths")}
 
 
+def test_no_library_module_calls_smallest_positive_root():
+    # the library reads rho from root_rho alone; smallest_positive_root
+    # stays for det(M_k) as a whole, which only clients pass it
+    callers = {(name, func) for name, tree in _trees()
+               for func in _callers(tree, "smallest_positive_root")}
+    assert callers == set()
+
+
 def test_brute_force_count_called_only_by_syt_oracle():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "brute_force_count")}

@@ -17,9 +17,9 @@ from anyondeg.spectral import (
     smallest_positive_root, spectral_report,
 )
 
-from oracles import _descartes_count, adjacency, bisected_top_ritz, \
-    canonical_positions, class_positions, dense_lambda_perron, \
-    dense_perron_block, eigenvalue_at_least, rotate, \
+from oracles import _bisection, _descartes_count, _scanned_step, adjacency, \
+    bisected_top_ritz, canonical_positions, class_positions, \
+    dense_lambda_perron, dense_perron_block, eigenvalue_at_least, rotate, \
     scanned_smallest_positive_root, scanned_smallest_positive_roots, \
     whole_table_orbit_tables
 
@@ -563,47 +563,51 @@ class TestRootFinding:
 
     def test_two_roots_in_one_grid_step(self):
         # 0.0997 and 0.1003 share the step (102/1024, 103/1024], so the
-        # sign stays positive at every grid point below the root 1/2
+        # sign stays positive at every grid point below the root 1/2;
+        # Descartes counts both below that bracket, which no root of
+        # det(M_k) allows
         p = -(P({0: -997, 1: 10000}) * P({0: -1003, 1: 10000})
               * P({0: -1, 1: 2}))
         assert all(p.sign_at(m, GRID) > 0 for m in range(GRID // 2))
-        assert abs(smallest_positive_root(p) - 0.0997) <= 1e-12
+        with pytest.raises(ArithmeticError, match="below the scanned"):
+            smallest_positive_root(p)
 
     def test_three_roots_in_one_grid_step(self):
-        # the scan's sign change holds all three: the bracket's
-        # certificate sends the search back to the first
+        # the scan's sign change holds all three, and the bisection ends
+        # above the first: Descartes counts it below the bracket
         roots = [P({0: -r, 1: 10000}) for r in (9971, 9973, 9975)]
         p = -(roots[0] * roots[1] * roots[2])
-        assert abs(smallest_positive_root(p, tol=1e-14) - 0.9971) <= 1e-14
+        with pytest.raises(ArithmeticError, match="below the scanned"):
+            smallest_positive_root(p, tol=1e-14)
 
     @pytest.mark.parametrize("p", [
         system_det(2), system_det(5), system_det(9),
         P({0: 1, 2: -5, 4: 3}), P({0: 7, 6: -2, 12: -1})])
     def test_power_substitution_keeps_the_root(self, p):
         # p(t) = q(t^g) is solved in u = t^g; times 1 + t, which adds no
-        # positive root, it has g = 1 and is solved in t
+        # positive root, it has g = 1 and is solved in t.  The last p has
+        # its root (2^(3/2) - 1)^(1/6) = 1.106 past 1, in t and in u:
+        # NoRootError either way
         expanded = p * P({0: 1, 1: 1})
-        assert abs(smallest_positive_root(p)
-                   - smallest_positive_root(expanded)) <= 1e-12
+        got, want = (_outcome(smallest_positive_root, x, 1e-12)
+                     for x in (p, expanded))
+        if scanned_smallest_positive_root(p) > 1:
+            assert got == want == NoRootError
+        else:
+            assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("p,root", [
         (P({0: 3, 2: -2}), 1.5 ** 0.5), (P({0: 2 ** 58, 100: -1}), 2 ** 0.58)])
     def test_roots_past_one_are_scanned_in_t(self, p, root, monkeypatch):
-        # past u = 1 the scan steps by 1/GRID in t, so it never takes more
-        # than the parent's SEARCH_LIMIT * GRID points, however large g is
-        calls = 0
-        real = IntPoly.sign_at
-
-        def counted(self, num, den):
-            nonlocal calls
-            calls += 1
-            return real(self, num, den)
-
-        monkeypatch.setattr(IntPoly, "sign_at", counted)
-        assert abs(smallest_positive_root(p) - root) <= 1e-12
-        with pytest.raises(NoRootError):
-            smallest_positive_root(P({0: 1, 100: 1}))
-        assert calls <= 2 * (1 + math.ceil(1.5 * GRID)) + 64
+        # the root of det(M_k) is at most 1, so the scan stops at u = 1,
+        # however large g is: a root past it, which the oracle's scan in
+        # t finds, is NoRootError after p(0) and at most GRID signs
+        assert abs(scanned_smallest_positive_root(p) - root) <= 1e-12
+        calls = _sign_calls(monkeypatch)
+        for q in (p, P({0: 1, 100: 1})):
+            with pytest.raises(NoRootError, match=r"\(0, 1\]"):
+                smallest_positive_root(q)
+        assert len(calls) <= 2 * (1 + GRID)
 
     @pytest.mark.parametrize("p,root", [
         (system_det(1), 1.0), (system_det(3), 0.5),
@@ -615,13 +619,14 @@ class TestRootFinding:
     @pytest.mark.parametrize("k", range(1, 31))
     def test_determinant_certificate_is_one_count(self, k, monkeypatch):
         # every root of D(s) has modulus at least rho_s, so the count
-        # below the bracket is 0 and nothing is split.  One count is made:
+        # below the bracket is 0 and nothing raises.  One count is made:
         # 0 below the scan's bracket, or 1 on (0, top) of the grid step
         # the guess names, which bounds the count below the bracket from
         # above; that count is even, as no root lies there, so 0 too
         q = IntPoly(system_det(k).coeffs[::3])
         lo, _, den = _root_bracket(q, 3, 1e-12)
-        assert _descartes(q.coeffs, 0, lo, den) == 0
+        assert _descartes(q.coeffs, lo, den) \
+            == _descartes_count(q.coeffs, 0, lo, den) == 0
         counts = []
 
         def counted(*args):
@@ -635,23 +640,24 @@ class TestRootFinding:
 
     def test_double_root_below_the_bracket_raises(self):
         # the scan steps over the double root 1/10 and stops at the zero
-        # 1/2; below it the count stays 2 down to float resolution
+        # 1/2, below which Descartes counts 2
         p = P({0: -1, 1: 10}) * P({0: -1, 1: 10}) * P({0: 1, 1: -2})
-        with pytest.raises(ArithmeticError, match="float resolution"):
+        with pytest.raises(ArithmeticError, match="below the scanned"):
             smallest_positive_root(p)
 
-    @pytest.mark.parametrize("roots,a,b,den,count", [
-        ((1, 2, 3), 0, 4, 1, 3),     # all three of 1/2, 1, 3/2
-        ((1, 2, 3), 3, 5, 4, 1),     # 1 alone in (3/4, 5/4)
-        ((1, 2, 3), 0, 1, 4, 0),     # below every root
-        ((1, 2, 3), 5, 7, 4, 1),     # 3/2 alone in (5/4, 7/4)
-        ((5, 5, 7), 2, 3, 1, 2),     # the double root 5/2 counts twice
+    @pytest.mark.parametrize("roots,b,den,count", [
+        ((1, 2, 3), 4, 1, 3),     # all three of 1/2, 1, 3/2
+        ((1, 2, 3), 5, 4, 2),     # 1/2 and 1 in (0, 5/4)
+        ((1, 2, 3), 1, 4, 0),     # below every root
+        ((1, 2, 3), 7, 4, 3),     # all three in (0, 7/4)
+        ((5, 5, 7), 3, 1, 2),     # the double root 5/2 counts twice
     ])
-    def test_descartes_counts(self, roots, a, b, den, count):
+    def test_descartes_counts(self, roots, b, den, count):
         q = IntPoly.one()
         for r in roots:
             q = q * P({0: -r, 1: 2})  # root r/2
-        assert _descartes(q.coeffs, a, b, den) == count
+        assert _descartes(q.coeffs, b, den) \
+            == _descartes_count(q.coeffs, 0, b, den) == count
 
 
 # the root route's tolerances: the library default, root_rho's bracket
@@ -722,10 +728,29 @@ TWO_IN_ONE_STEP = -(P({0: -997, 1: 10000}) * P({0: -1003, 1: 10000})
                     * P({0: -1, 1: 2}))
 
 
+def _contract(p: IntPoly, tol: float):
+    """What the root route returns on p, or the class of what it raises,
+    by the oracles' general scan: NoRootError where the scan's first sign
+    that is not positive lies past u = 1, ArithmeticError where Descartes
+    counts roots of q below the bracket it bisects to (two real roots
+    below it, or two complex ones near (0, lo)), else the scan's float."""
+    try:
+        q, g, (lo, hi, den) = _scanned_step(p)
+    except NoRootError:
+        return NoRootError
+    if hi > den:
+        return NoRootError
+    *_, (lo, _, den) = _bisection(q, g, lo, hi, den, tol)
+    if _descartes_count(q.coeffs, 0, lo, den):
+        return ArithmeticError
+    return scanned_smallest_positive_root(p, tol)
+
+
 class TestGuessedRoot:
     """The root route's float guess against ``oracles.scanned_smallest_
     positive_root``, the plain scan and bisection it replaces: the same
-    float, or the same failure, from a few exact signs."""
+    float from a few exact signs, or, outside the route's domain (a root
+    past u = 1, or a root below the scanned bracket), its error."""
 
     @pytest.mark.parametrize("tol", ROOT_TOLS)
     @pytest.mark.parametrize("k", range(1, 65))
@@ -735,15 +760,23 @@ class TestGuessedRoot:
     @settings(max_examples=200, deadline=None)
     @given(real_rooted())
     # two roots in one grid step, and three with the guess on the first,
-    # where a leaf that holds the root is not the bisection's
+    # where a leaf that holds the root is not the bisection's; a root
+    # past u = 1; one real root, 1/2, with the complex pair 0.14 +- 0.02i
+    # counted below it; three roots in one step, the bisection ending on
+    # the first (the float); and 0.30001 and 0.3003 in one step below 1,
+    # 1.2 past it (NoRootError, where the oracle finds 0.30001)
     @example((TWO_IN_ONE_STEP, 1e-12))
     @example((_three_close_roots(5001, 5003, 5005), 1e-6))
     @example((_three_close_roots(9971, 9973, 9975), 1e-14))
     @example((P({0: 3, 2: -2}), 1e-12))
+    @example((P({0: 1, 1: -2}) * P({0: 1, 1: -14, 2: 50}), 1e-12))
+    @example((P({0: 50001, 1: -100000}) * P({0: 5004, 1: -10000})
+              * P({0: 10009, 1: -20000}), 1e-12))
+    @example((P({0: 30001, 1: -100000}) * P({0: 3003, 1: -10000})
+              * P({0: 6, 1: -5}), 1e-12))
     def test_real_rooted_polynomials(self, case):
         p, tol = case
-        assert _outcome(smallest_positive_root, p, tol) \
-            == _outcome(scanned_smallest_positive_root, p, tol)
+        assert _outcome(smallest_positive_root, p, tol) == _contract(p, tol)
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_few_signs_at_small_levels(self, k, monkeypatch):
@@ -757,11 +790,12 @@ class TestGuessedRoot:
     @pytest.mark.parametrize("p", [system_det(33), TWO_IN_ONE_STEP])
     def test_rejected_guesses_scan(self, p, monkeypatch):
         # at k = 33 the float guess misses D's root (its coefficients
-        # cancel in floats); the guess 0.0997 names a step whose top is
-        # positive: the scan runs and the float is its own
-        expected = scanned_smallest_positive_root(p)
+        # cancel in floats): the scan runs and the float is its own; the
+        # guess 0.0997 names a step whose top is positive, and the scan
+        # stops at the zero 1/2 with both roots below it: ArithmeticError
+        expected = _contract(p, 1e-12)
         calls = _sign_calls(monkeypatch)
-        assert smallest_positive_root(p) == expected
+        assert _outcome(smallest_positive_root, p, 1e-12) == expected
         assert len(calls) > 2 * 5
 
     def test_three_roots_in_the_guessed_step(self, monkeypatch):
@@ -769,7 +803,8 @@ class TestGuessedRoot:
         # whose ends have opposite signs, and the guess's leaf holds
         # 0.5001, but the bisection turns right at the step's middle,
         # 0.50049, and ends at 0.5005: Descartes counts 3 roots below the
-        # step's top, and the scan's float is kept
+        # step's top, which turns the guess down, and 2 below the scan's
+        # bracket, which raises
         p = _three_close_roots(5001, 5003, 5005)
         counts = []
 
@@ -777,10 +812,10 @@ class TestGuessedRoot:
             counts.append(_descartes(*args))
             return counts[-1]
 
-        expected = scanned_smallest_positive_root(p, 1e-6)
         monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
-        assert smallest_positive_root(p, 1e-6) == expected
-        assert counts[0] == 3
+        with pytest.raises(ArithmeticError, match="below the scanned"):
+            smallest_positive_root(p, 1e-6)
+        assert counts == [3, 2]
 
 
 class TestSharedScan:
@@ -812,10 +847,9 @@ class TestSharedScan:
 def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
     """The arguments of every ``_descartes`` call that
     ``smallest_positive_root(p, tol)`` makes, the grid intervals (0, 1],
-    (0, 1/2], (1/4, 1/2] and (1/2, 3/2] of p after them."""
-    calls = [(p.coeffs, a, b, GRID) for a, b in (
-        (0, GRID), (0, GRID // 2), (GRID // 4, GRID // 2),
-        (GRID // 2, 3 * GRID // 2))]
+    (0, 1/2], (0, 1/4] and (0, 3/2] of p after them."""
+    calls = [(p.coeffs, b, GRID) for b in (
+        GRID, GRID // 2, GRID // 4, 3 * GRID // 2)]
 
     def recorded(*args):
         calls.append(args)
@@ -828,22 +862,22 @@ def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
 
 
 class TestDescartesCount:
-    """``_descartes``, whose last Taylor shift, by 1, adds, against the
-    oracles' ``_descartes_count``: every count the root route takes, and
-    four grid intervals."""
+    """``_descartes`` on (0, b), whose Taylor shift by 1 adds, against the
+    oracles' ``_descartes_count`` on (0, b): every count the root route
+    takes, and four grid intervals."""
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_determinants(self, k):
         calls = _descartes_calls(system_det(k), 1e-12)
         assert [_descartes(*args) for args in calls] \
-            == [_descartes_count(*args) for args in calls]
+            == [_descartes_count(q, 0, b, den) for q, b, den in calls]
 
     @settings(max_examples=100, deadline=None)
     @given(real_rooted())
     def test_real_rooted_polynomials(self, case):
         calls = _descartes_calls(*case)
         assert [_descartes(*args) for args in calls] \
-            == [_descartes_count(*args) for args in calls]
+            == [_descartes_count(q, 0, b, den) for q, b, den in calls]
 
 
 class TestRootOnTheTrivialFactor:
