@@ -19,6 +19,9 @@ import sys
 
 from .lattice import Vertex
 
+# The caps are fixed, with no flag to raise them, so the CLI accepts only
+# inputs it can finish and print; the library has no caps, and a caller
+# who needs a larger size calls it directly.
 DEFAULT_CAP_N = 10_000
 DEFAULT_CAP_K = 64
 # The lower caps keep one call to about 30 s on a 2-vCPU host; the
@@ -46,17 +49,18 @@ def _parse(text: str, kind: type, name: str):
     return kind(*values)
 
 
-def _check_caps(args, k: int | None = None, n: int | None = None) -> None:
-    if k is not None and k > args.cap_k:
-        raise UsageError(f"k={k} exceeds the cap {args.cap_k} (--cap-k to raise)")
-    if n is not None and n > args.cap_n:
-        raise UsageError(f"n={n} exceeds the cap {args.cap_n} (--cap-n to raise)")
+def _check_caps(k: int | None = None, n: int | None = None,
+                cap_k: int = DEFAULT_CAP_K, cap_n: int = DEFAULT_CAP_N) -> None:
+    if k is not None and k > cap_k:
+        raise UsageError(f"k={k} exceeds the cap {cap_k}")
+    if n is not None and n > cap_n:
+        raise UsageError(f"n={n} exceeds the cap {cap_n}")
 
 
 def _cmd_count(args) -> int:
     from .pathcount import degeneracy
 
-    _check_caps(args, k=args.k, n=args.n)
+    _check_caps(k=args.k, n=args.n)
     print(degeneracy(args.k, args.n, _parse(args.vertex, Vertex, "vertex")))
     return 0
 
@@ -64,7 +68,7 @@ def _cmd_count(args) -> int:
 def _cmd_table(args) -> int:
     from .pathcount import table
 
-    _check_caps(args, k=args.max_k, n=args.max_n)
+    _check_caps(k=args.max_k, n=args.max_n, cap_n=CAP_N_TABLE)
     grid = table(args.max_k, args.max_n, _parse(args.vertex, Vertex, "vertex"),
                  all_columns=args.all_columns)
     if args.format == "csv":
@@ -89,7 +93,7 @@ def _cmd_genfunc(args) -> int:
     from .genfunc import generating_function, solve_system
     from .poly import poly_to_json, poly_to_text
 
-    _check_caps(args, k=args.k)
+    _check_caps(k=args.k)
     if args.vertex:
         v = _parse(args.vertex, Vertex, "vertex")
         sol = {v: generating_function(args.k, v)}
@@ -118,7 +122,7 @@ def _cmd_det(args) -> int:
     from .genfunc import system_det
     from .poly import poly_to_text
 
-    _check_caps(args, k=args.k)
+    _check_caps(k=args.k)
     print(poly_to_text(system_det(args.k)))
     return 0
 
@@ -126,7 +130,7 @@ def _cmd_det(args) -> int:
 def _cmd_verify(args) -> int:
     from .genfunc import verify_series
 
-    _check_caps(args, k=args.k, n=args.n)
+    _check_caps(k=args.k, n=args.n, cap_k=CAP_K_VERIFY)
     mismatches = verify_series(args.k, args.n)
     if mismatches:
         for v, n, series, dp in mismatches:
@@ -142,7 +146,7 @@ def _cmd_qdim(args) -> int:
     from .spectral import lambda_perron, lambda_trig, root_rho, \
         spectral_report
 
-    _check_caps(args, k=args.k)
+    _check_caps(k=args.k)
     if not 0 < args.tol < math.inf:  # before any route runs
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     if args.method == "trig":
@@ -162,20 +166,20 @@ def _cmd_syt(args) -> int:
     from .syt import Shape3, audit_published_formula, brute_force_count, \
         hook_count, shape_for_vertex, unrestricted_count
 
-    if args.cap_n is None:
-        args.cap_n = CAP_N_TABLE if args.paper_formula else DEFAULT_CAP_N
     if args.paper_formula:
         import json
 
-        _check_caps(args, n=args.n)
+        if args.oracle:
+            raise UsageError("--oracle does not apply to --paper-formula")
+        _check_caps(n=args.n, cap_n=CAP_N_TABLE)
         print(json.dumps(audit_published_formula(n_max=args.n)))
         return 0
     if args.shape:
         shape = _parse(args.shape, Shape3, "shape")
-        _check_caps(args, n=shape.n)
+        _check_caps(n=shape.n)
         count = hook_count(shape)
     else:
-        _check_caps(args, n=args.n)
+        _check_caps(n=args.n)
         v = _parse(args.vertex, Vertex, "vertex")
         count = unrestricted_count(args.n, v)
         shape = shape_for_vertex(args.n, v)
@@ -206,17 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "rates for level-restricted 3-row tableaux.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_cap(p, var, default):  # only bounds _check_caps gets
-        p.add_argument(f"--cap-{var}", type=int, default=default,
-                       help=f"refuse {var} above this bound "
-                            f"(default {default})")
-
     p = sub.add_parser("count", help="number of n-step walks to a vertex")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vertex", default="0,0")
-    add_cap(p, "n", DEFAULT_CAP_N)
-    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_count, parser=p)
 
     p = sub.add_parser("table", help="grid of walk counts")
@@ -226,27 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-columns", action="store_true",
                    help="include columns with 3 not dividing n")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_cap(p, "n", CAP_N_TABLE)
-    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_table, parser=p)
 
     p = sub.add_parser("genfunc", help="exact generating function(s)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertex", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_genfunc, parser=p)
 
     p = sub.add_parser("det", help="system determinant polynomial")
     p.add_argument("--k", type=int, required=True)
-    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_det, parser=p)
 
     p = sub.add_parser("verify", help="cross-check series vs walk counts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_cap(p, "n", DEFAULT_CAP_N)
-    add_cap(p, "k", CAP_K_VERIFY)
     p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("qdim", help="total quantum dimension")
@@ -255,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--tol", type=float, default=1e-12,
                    help="convergence tolerance (default 1e-12)")
-    add_cap(p, "k", DEFAULT_CAP_K)
     p.set_defaults(func=_cmd_qdim, parser=p)
 
     p = sub.add_parser("syt", help="standard-tableau counts")
@@ -265,11 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shape", default=None)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force enumeration")
-    p.add_argument("--paper-formula", action="store_true",
-                   help="audit the printed closed form against hook lengths")
-    p.add_argument("--cap-n", type=int, default=None,
-                   help=f"refuse n above this bound (default {DEFAULT_CAP_N}, "
-                        f"or {CAP_N_TABLE} with --paper-formula)")
+    group.add_argument("--paper-formula", action="store_true",
+                       help="audit the printed formula against hook lengths")
     p.set_defaults(func=_cmd_syt, parser=p)
 
     p = sub.add_parser("reproduce", help="run the full golden suite")

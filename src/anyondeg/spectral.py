@@ -23,7 +23,10 @@ The asymptotic growth factor (the total quantum dimension) is
     Galois-orbit factor alone, isolated on it from a float Newton
     guess that exact signs and one Descartes count accept or turn down
     (then a grid scan), and certified by Descartes' rule of signs on
-    every other factor.
+    every other factor.  In exact arithmetic this route's rho is
+    1/lambda_trig: that factor is the product of the
+    1 - s (1 + 2cos(2 pi a/(k + 3)))^3 over the units a mod k + 3 up to
+    sign, whose smallest positive root is at a = 1.
 
 Beside the counts' own f(n)^(1/n), ``pathcount.growth_rate_estimate``,
 this is the only module that touches floating point, and it needs only

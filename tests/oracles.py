@@ -47,7 +47,11 @@ walk table (``whole_table_orbit_tables``).  The determinant's Galois
 orbits, whose images the library takes over one unit per class mod
 k + 3 with a closed-form cube, are checked against the images over every
 unit mod 3(k + 3), each cube summed over all three l_j, with primes of
-its own search (``every_unit_orbit_factors``).  The root route, which
+its own search (``every_unit_orbit_factors``).  The first of them, the
+trivial weight's, is checked against the trig product
+prod_a (1 - s (1 + 2cos(2 pi a/(k + 3)))^3), built in integers from
+Ramanujan sums and Newton's identities (``trig_trivial_factor``), where
+the library lifts it from character cubes mod primes.  The root route, which
 takes a float guess of its grid cell and of its bisection's leaf and
 checks both by exact signs, is checked against the plain scan of the
 grid, one exact sign per point, and bisection of the step it stops on
@@ -914,6 +918,47 @@ def every_unit_orbit_factors(k: int) -> tuple[int, list[int],
             raise ArithmeticError(f"an orbit factor fails mod {p}")
         factors.append((IntPoly(coeffs), reps[orbit[0]]))
     return *first, factors
+
+
+def _mobius(n: int) -> int:
+    sign, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if n > 1 else sign
+
+
+def ramanujan_sum(m: int, e: int) -> int:
+    """c_m(e), the sum of zeta_m^(a e) over the units a mod m, as the
+    integer sum of mu(m / d) d over the divisors d of gcd(m, e)."""
+    g = gcd(m, e)
+    return sum(_mobius(m // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def trig_trivial_factor(k: int) -> IntPoly:
+    """F_0(s) = prod_a (1 - s (1 + 2 cos(2 pi a / m))^3), m = k + 3, over
+    the units a mod m up to sign, in exact integers: no float, no prime.
+    With 2 cos(2 pi a / m) = z + 1/z at z = zeta_m^a, the power sum of
+    the j-th powers over all units is sum_e T(e) c_m(e), where T(e) is
+    the coefficient of z^e in (1 + z + 1/z)^(3j); half of it is the sum
+    up to sign, and Newton's identities turn the sums into F_0.  Its
+    smallest root is 1 / lambda_trig(k)^3 (a = 1)."""
+    m = k + 3
+    c = [ramanujan_sum(m, e) for e in range(m)]  # c_m(e) depends on e mod m
+    row, sums = [1], []  # (1 + z + 1/z)^(3j), z^e at index e + 3j
+    for j in range(1, c[0] // 2 + 1):  # c_m(0) = phi(m) units
+        for _ in range(3):
+            row = [a + b + d for a, b, d in
+                   zip([0, 0] + row, [0] + row + [0], row + [0, 0])]
+        total = sum(t * c[(e - 3 * j) % m] for e, t in enumerate(row))
+        if total % 2:
+            raise ArithmeticError(f"odd power sum at j = {j}")
+        sums.append(total // 2)
+    return _newton(sums)
 
 
 def determinant_degree(k: int) -> int:

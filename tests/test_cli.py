@@ -61,11 +61,6 @@ class TestCount:
         code, _, err = run(capsys, "count", "--k", "100", "--n", "3")
         assert code == 2 and "cap" in err
 
-    def test_cap_override(self, capsys):
-        code, out, _ = run(capsys, "count", "--k", "70", "--n", "3",
-                           "--cap-k", "70")
-        assert code == 0 and out == "1\n"
-
     def test_prints_more_than_4300_digits(self, capsys):
         code, out, _ = run(capsys, "count", "--k", "12", "--n", "9999")
         assert code == 0
@@ -372,9 +367,7 @@ class TestSyt:
         assert code == 2 and out == ""
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == \
-            ["error: n=10001 exceeds the cap 10000 (--cap-n to raise)"]
-        assert run(capsys, "syt", "--shape", "10001,0,0",
-                   "--cap-n", "10001")[:2] == (0, "1\n")
+            ["error: n=10001 exceeds the cap 10000"]
 
     @pytest.mark.parametrize("argv", [
         "syt --n -1 --vertex 0,0", "syt --n -3 --paper-formula"])
@@ -386,6 +379,12 @@ class TestSyt:
         code, out, err = run(capsys, "syt", "--n", "9", "--vertex=-1,0")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        "--shape 1,1,1", "--vertex 0,0", "--oracle"])
+    def test_formula_audit_refuses_the_query_flags(self, capsys, flags):
+        code, out, err = run(capsys, "syt", "--paper-formula", *flags.split())
+        assert code == 2 and out == "" and "error:" in err
 
     def test_formula_audit_mode(self, capsys):
         code, out, _ = run(capsys, "syt", "--n", "27", "--paper-formula")
@@ -461,8 +460,8 @@ class TestReproduce:
             assert code == 1 and json.loads(out)["ok"] is False
 
 
-# (command with the capped value left open, its default cap, the flag that
-# raises the cap)
+# (command with the capped value left open, its fixed cap, the cap flag
+# that the command refuses: no cap can be raised)
 CAP_CORNERS = [
     ("det --k {}", DEFAULT_CAP_K, "--cap-k"),
     ("qdim --method root --k {}", DEFAULT_CAP_K, "--cap-k"),
@@ -506,7 +505,17 @@ class TestCaps:
         over = command.format(cap + 1).split()
         code, _, err = run(capsys, *over)
         assert code == 2 and f"={cap + 1} exceeds the cap {cap}" in err
-        assert run(capsys, *over, flag, str(cap + 1))[0] == 0
+        code, out, err = run(capsys, *command.format(cap).split(), flag,
+                             str(cap + 1))
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", sorted({
+        command for command, _, _ in CAP_CORNERS} | {
+        "count --k 3 --n {}", "syt --n {}", "syt --shape {},0,0"}))
+    def test_huge_values_exit_2(self, capsys, stub_heavy_routes, command):
+        code, out, err = run(capsys, *command.format(10 ** 20).split())
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"={10 ** 20} exceeds the cap " in err
 
     def test_genfunc_rejects_foreign_vertex_before_solving(
             self, capsys, monkeypatch):
@@ -519,20 +528,21 @@ class TestCaps:
         assert err.startswith("error: ") and "not in the level-2 lattice" in err
 
 
-# Every flag of every subcommand (without --help).  A cap flag appears only
-# where the handler checks that bound.
+# Every flag of every subcommand (without --help).  No flag raises a cap.
 FLAGS = {
-    "count": {"--k", "--n", "--vertex", "--cap-n", "--cap-k"},
-    "table": {"--max-k", "--max-n", "--vertex", "--all-columns", "--format",
-              "--cap-n", "--cap-k"},
-    "genfunc": {"--k", "--vertex", "--format", "--cap-k"},
-    "det": {"--k", "--cap-k"},
-    "verify": {"--k", "--n", "--cap-n", "--cap-k"},
-    "qdim": {"--k", "--method", "--tol", "--cap-k"},
-    "syt": {"--n", "--vertex", "--shape", "--oracle", "--paper-formula",
-            "--cap-n"},
+    "count": {"--k", "--n", "--vertex"},
+    "table": {"--max-k", "--max-n", "--vertex", "--all-columns", "--format"},
+    "genfunc": {"--k", "--vertex", "--format"},
+    "det": {"--k"},
+    "verify": {"--k", "--n"},
+    "qdim": {"--k", "--method", "--tol"},
+    "syt": {"--n", "--vertex", "--shape", "--oracle", "--paper-formula"},
     "reproduce": {"--only"},
 }
+# A valid call of each subcommand, to which an unknown flag is appended.
+SMALL_CALLS = ["count --k 1 --n 3", "table --max-k 1 --max-n 3",
+               "genfunc --k 1", "det --k 1", "verify --k 1 --n 3",
+               "qdim --k 1", "syt --n 3", "reproduce"]
 
 
 class TestSurface:
@@ -544,11 +554,11 @@ class TestSurface:
                         if opt not in ("-h", "--help")]
                  for name, p in sub.choices.items()}
         assert {name: set(opts) for name, opts in flags.items()} == FLAGS
-        assert sum(len(opts) for opts in flags.values()) == 33
+        assert sum(len(opts) for opts in flags.values()) == 23
 
     @pytest.mark.parametrize("argv", [
-        "det --k 1 --cap-n 1", "genfunc --k 1 --cap-n 1",
-        "qdim --k 1 --cap-n 1", "syt --n 3 --cap-k 1"])
+        f"{call} {flag} 1" for call in SMALL_CALLS
+        for flag in ("--cap-k", "--cap-n")])
     def test_removed_cap_flags_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == "" and "unrecognized arguments" in err

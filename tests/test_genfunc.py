@@ -26,7 +26,8 @@ from oracles import _bareiss, _newton, adjacency, block_det_mod_p, \
     full_system_solution, graded_bareiss_solution, graded_system, \
     j_matrix, paper_block_system, poly_gcd, primes_1_mod, reduced, \
     residue_lowest_terms, rotate, rotation_orbit_firsts, \
-    schur_at_alcove_point, series_mod_p, transfer_det_mod_p, verlinde_counts
+    schur_at_alcove_point, series_mod_p, transfer_det_mod_p, \
+    trig_trivial_factor, verlinde_counts
 
 
 def P(terms):
@@ -337,6 +338,13 @@ class TestGaloisFactors:
         p, powers, factors = _orbit_factors(k)
         q, q_powers, expected = every_unit_orbit_factors(k)
         assert (p, powers, factors) == (q, q_powers, expected)
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_trivial_factor_is_the_trig_product(self, k):
+        # the first factor is the trivial weight's, with roots the
+        # 1 / (1 + 2 cos(2 pi a / (k + 3)))^3; the oracle builds it from
+        # Ramanujan sums, with no prime and no character cube
+        assert _orbit_factors(k)[2][0][0] == trig_trivial_factor(k)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 64).flatmap(lambda k: st.tuples(
