@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # subcommand's route; no other attribute resolves
 _HOMES = {
     "lattice": ("Lattice", "ORIGIN", "Vertex", "build_lattice"),
-    "pathcount": ("CountGrid", "CountTable", "count_paths", "degeneracy",
-                  "growth_rate_estimate", "table"),
+    "pathcount": ("degeneracy", "growth_rate_estimate"),
+    "records": ("CountGrid", "CountTable", "count_paths", "table"),
     "poly": ("IntPoly", "RationalFn", "poly_from_text", "poly_to_text"),
     "genfunc": ("generating_function", "solve_system", "system_det",
                 "verify_series"),

@@ -66,24 +66,25 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .pathcount import table
+    from .pathcount import grid_rows
 
     _check_caps(k=args.max_k, n=args.max_n, cap_n=CAP_N_TABLE)
-    grid = table(args.max_k, args.max_n, _parse(args.vertex, Vertex, "vertex"),
-                 all_columns=args.all_columns)
+    v = _parse(args.vertex, Vertex, "vertex")
+    columns, rows = grid_rows(args.max_k, args.max_n, v, args.all_columns)
+    # each level's row is printed as its sweep ends
     if args.format == "csv":
-        print("k\\n," + ",".join(str(n) for n in grid.columns))
-        for k in sorted(grid.rows):
-            print(f"{k}," + ",".join(str(c) for c in grid.rows[k]))
-    else:
+        print("k\\n," + ",".join(str(n) for n in columns))
+        for k, row in rows:
+            print(f"{k}," + ",".join(str(c) for c in row))
+    else:  # item by item, the bytes json.dumps gives the whole
         import json
 
-        print(json.dumps({
-            "vertex": list(grid.vertex),
-            "columns": list(grid.columns),
-            "rows": [{"k": k, "counts": [str(c) for c in row]}
-                     for k, row in sorted(grid.rows.items())],
-        }))
+        print(f'{{"vertex": {json.dumps(list(v))}, '
+              f'"columns": {json.dumps(list(columns))}, "rows": [', end="")
+        for k, row in rows:
+            print(", " * (k > 1) + json.dumps(
+                {"k": k, "counts": [str(c) for c in row]}), end="")
+        print("]}")
     return 0
 
 

@@ -2,59 +2,34 @@
 
 Every step raises the grade (2i + j) mod 3 by 1, so after n steps only
 the vertices of class n mod 3 can hold a nonzero count.  The endpoint
-counts at one step, ``degeneracy``'s one vertex and ``count_paths``'s
-whole class, come from the affine reflection sum of
-``_reflection_counts``: one pass of about n (k + 3) additions, which no
-vertex changes, and about 3 n / (k + 3) big products per vertex, against
-the sweep's n (k + 1)(k + 2) / 6 additions.  The histories and grids,
-``origin_history`` and ``table``, read ``lattice.sweep``, the dynamic
-programme over the predecessor recurrence
+counts at one step, ``degeneracy``'s one vertex and
+``records.count_paths``'s whole class, come from the affine reflection
+sum of ``_reflection_counts``: one pass of about n (k + 3) additions,
+which no vertex changes, and about 3 n / (k + 3) big products per
+vertex, against the sweep's n (k + 1)(k + 2) / 6 additions.  The
+histories and grid rows, ``origin_history`` and ``grid_rows``, read
+``lattice.sweep``, the dynamic programme over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
 with out-of-range terms zero, one flat list per step over class n mod 3.
 ``growth_rate_estimate`` reads one count.
-Everything but that estimate is a Python int; no floats.  Only ``cli``,
-in its ``count`` and ``table`` subcommands, and ``reproduce`` import
-this module.
+Everything but that estimate is a Python int; no floats, and no
+records: the two records, ``CountTable`` and ``CountGrid``, live in
+``records``, so the ``count`` and ``table`` subcommands, which print
+plain ints, load neither it nor ``dataclasses``.  Only ``cli`` and
+``records`` import this module; ``reproduce`` reads it through
+``records``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from operator import add
 
-from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
-    class_offsets, in_vertex_set, sweep
-
-
-# a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it
-@dataclass(frozen=True)
-class CountTable:
-    """Walk counts from the origin after n steps, one entry per vertex."""
-
-    k: int
-    n: int
-    counts: dict[Vertex, int]
-
-
-def count_paths(k: int, n: int) -> CountTable:
-    """All endpoint counts for n-step walks from (0,0) on the level-k
-    lattice, in canonical order: 0 off grade class n mod 3, and on it
-    one reflection sum of ``_reflection_counts`` over the whole class.
-
-    The sum is cheaper than ``lattice.sweep`` up to about n = 40 (k + 3)
-    at k >= 16 and n = 8 (k + 3) at k <= 4; past that its products cost
-    more than the sweep's additions.  No caller in the package goes
-    there (README, Walk counts)."""
-    vertices = build_lattice(k).vertices  # k is checked before n
-    if n < 0:
-        raise ValueError(f"step count n must be >= 0, got {n}")
-    reached = [v for v in vertices if (n - 2 * v.i - v.j) % 3 == 0]
-    counts = dict.fromkeys(vertices, 0)
-    counts.update(zip(reached, _reflection_counts(k, n, reached)))
-    return CountTable(k=k, n=n, counts=counts)
+from .lattice import ORIGIN, Vertex, check_vertex, class_offsets, \
+    in_vertex_set, sweep
 
 
 def _reflection_counts(k: int, n: int, vertices: list[Vertex]
@@ -131,37 +106,33 @@ def growth_rate_estimate(k: int, n: int) -> float:
     return 2.0 ** (math.log2(degeneracy(k, n3)) / n3)
 
 
-# a dataclass: perfbench/test_bench_checks.py calls dataclasses.replace on it
-@dataclass(frozen=True)
-class CountGrid:
-    """Rectangular grid of counts: one row per level, one column per n."""
+def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
+              all_columns: bool = False) -> tuple[tuple[int, ...], Iterator]:
+    """(columns, rows) of the count grid at v for k = 1..k_max,
+    n = 0..n_max: the n of the columns, and a lazy iterator of
+    (k, counts aligned with the columns), one level's sweep per row.
 
-    vertex: Vertex
-    columns: tuple[int, ...]
-    rows: dict[int, tuple[int, ...]]  # level -> counts, aligned with columns
-
-
-def table(k_max: int, n_max: int, v: Vertex = ORIGIN,
-          all_columns: bool = False) -> CountGrid:
-    """Counts at v for k = 1..k_max, n = 0..n_max.
-
-    At the origin only the n with 3 | n are emitted (the rest vanish by
+    At the origin only the n with 3 | n are columns (the rest vanish by
     the congruence invariant) unless all_columns is set.  v must lie in
     the level-k_max lattice; the rows of the levels below it hold 0.
+    The arguments are checked here, before any sweep, so a caller that
+    prints each row as it comes prints nothing for a bad one.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     v = Vertex(*v)
-    check_vertex(v, k_max)  # before any sweep
+    check_vertex(v, k_max)
     stride3 = v == ORIGIN and not all_columns
     columns = tuple(n for n in range(n_max + 1) if not stride3 or n % 3 == 0)
-    rows = {}
-    for k in range(1, k_max + 1):
-        if not in_vertex_set(v, k):
-            rows[k] = tuple(0 for _ in columns)
-            continue
-        history = origin_history(k, n_max, v)
-        rows[k] = tuple(history[n] for n in columns)
-    return CountGrid(vertex=v, columns=columns, rows=rows)
+
+    def rows():
+        for k in range(1, k_max + 1):
+            if not in_vertex_set(v, k):
+                yield k, tuple(0 for _ in columns)
+                continue
+            history = origin_history(k, n_max, v)
+            yield k, tuple(history[n] for n in columns)
+
+    return columns, rows()

@@ -9,8 +9,8 @@ from collections.abc import Iterator
 from . import reference
 from .genfunc import solve_system, system_det, verify_series
 from .lattice import Vertex
-from .pathcount import count_paths, table
 from .poly import poly_to_text
+from .records import count_paths, table
 from .spectral import lambda_trig, spectral_report
 from .syt import audit_published_formula, unrestricted_count
 

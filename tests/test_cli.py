@@ -11,6 +11,7 @@ import pytest
 import anyondeg.cli
 import anyondeg.genfunc
 import anyondeg.pathcount
+import anyondeg.records
 import anyondeg.reproduce
 import anyondeg.spectral
 import anyondeg.syt
@@ -113,6 +114,72 @@ class TestTable:
                              f"--vertex={vertex}")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv,message", [
+        ("--max-k 3 --max-n 6 --vertex 9,9", "not in the level-3 lattice"),
+        ("--max-k 3 --max-n -1", "n_max must be >= 0")])
+    def test_bad_arguments_print_no_header(self, capsys, monkeypatch, fmt,
+                                           argv, message):
+        # the rows stream, so the arguments are checked before the header
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        code, out, err = run(capsys, "table", *argv.split(), "--format", fmt)
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        "--max-k 8 --max-n 27",
+        "--max-k 6 --max-n 20 --all-columns",
+        "--max-k 7 --max-n 21 --vertex 2,3"])  # rows of 0 to level 4
+    def test_streamed_output_matches_the_collected_grid(self, capsys, fmt,
+                                                        argv):
+        # the rendering of the whole records.table grid at once
+        args = build_parser().parse_args(["table", *argv.split()])
+        grid = anyondeg.records.table(
+            args.max_k, args.max_n, Vertex(*map(int, args.vertex.split(","))),
+            all_columns=args.all_columns)
+        if fmt == "csv":
+            expected = "".join(
+                [f"k\\n,{','.join(map(str, grid.columns))}\n"]
+                + [f"{k},{','.join(map(str, row))}\n"
+                   for k, row in sorted(grid.rows.items())])
+        else:
+            expected = json.dumps({
+                "vertex": list(grid.vertex),
+                "columns": list(grid.columns),
+                "rows": [{"k": k, "counts": [str(c) for c in row]}
+                         for k, row in sorted(grid.rows.items())]}) + "\n"
+        assert (not any(grid.rows[1])) == ("--vertex" in argv)
+        code, out, _ = run(capsys, "table", *argv.split(), "--format", fmt)
+        assert code == 0 and out == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_at_the_last_level_keeps_the_rows_printed(
+            self, capsys, monkeypatch, fmt):
+        real = anyondeg.pathcount.origin_history
+
+        def fails_at_four(k, *args):
+            if k == 4:
+                raise ValueError("level 4 failed")
+            return real(k, *args)
+
+        monkeypatch.setattr(anyondeg.pathcount, "origin_history",
+                            fails_at_four)
+        code, out, err = run(capsys, "table", "--max-k", "4", "--max-n", "9",
+                             "--format", fmt)
+        assert code == 2 and err == "error: level 4 failed\n"
+        rows = {k: ORIGIN_COUNTS[k][:4] for k in (1, 2, 3)}
+        if fmt == "csv":
+            assert out.splitlines() == ["k\\n,0,3,6,9", *(
+                f"{k},{','.join(map(str, row))}" for k, row in rows.items())]
+        else:  # the whole document but its closing "]}"
+            assert out == json.dumps({
+                "vertex": [0, 0], "columns": [0, 3, 6, 9],
+                "rows": [{"k": k, "counts": [str(c) for c in row]}
+                         for k, row in rows.items()]})[:-2]
 
 
 class TestGenfunc:

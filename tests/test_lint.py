@@ -36,13 +36,14 @@ or a ``Vertex``, so its set-up cost cannot come back unnoticed.
 One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  One route per quantity, where the
 counts at one step are one quantity: the endpoint counts at one step,
-the one that ``degeneracy`` returns and the class-wide table of
-``count_paths``, come from the affine reflection sum
+the one that ``pathcount.degeneracy`` returns and the class-wide table
+of ``records.count_paths``, come from the affine reflection sum
 ``pathcount._reflection_counts``, at every level and from no sweep, and
 those two are that sum's only callers.  Every history and grid
-(``origin_history``, ``table``) comes from ``lattice.sweep`` stepping
-along the edge table, and ``origin_history`` does reach it, so a
-renamed sweep fails the rule rather than leaving it nothing to check.
+(``origin_history``, ``grid_rows`` and so ``table``) comes from
+``lattice.sweep`` stepping along the edge table, and ``origin_history``
+does reach it, so a renamed sweep fails the rule rather than leaving it
+nothing to check.
 Every numerator of ``solve_system`` comes from one sweep fed the
 determinant's coefficients at the origin; ``spectral._three_steps``
 takes the same steps on float vectors, to apply the transpose of the
@@ -58,15 +59,18 @@ Newton's, or a caller that bisects the whole bracket (theta_prev,
 PERRON_THETA_MAX) one count per midpoint, cannot come back unnoticed.
 The determinant does not walk: ``system_det`` multiplies the Galois-orbit
 factors of the spectrum, and no call it makes, however deep, reaches
-``lattice.sweep`` or any ``pathcount`` function.  ``solve_system`` does
-reach ``lattice.sweep``, so a renamed sweep fails the rule rather than
-leaving it nothing to check.
+``lattice.sweep`` or any ``pathcount`` or ``records`` function.
+``solve_system`` does reach ``lattice.sweep``, so a renamed sweep fails
+the rule rather than leaving it nothing to check.
 
 One walk home: the sweep lives in ``lattice`` beside the table and the
-step, and among library modules only ``cli`` and ``reproduce`` import
-``pathcount``, the walk-count queries, at any level and in any form.
-So the determinant, series and spectral routes do not load it, or the
-``dataclasses`` its two records need.
+step, and among library modules only ``cli`` and ``records`` import
+``pathcount``, the walk-count queries, at any level and in any form;
+only ``reproduce`` imports ``records``, the two count records, and reads
+``pathcount`` through it.  So the determinant, series and spectral
+routes load neither, and the ``count`` and ``table`` subcommands, which
+print ``pathcount``'s plain ints, do not load ``records`` or the
+``dataclasses`` its records need.
 
 One rotation-orbit rule: the first points of the 3-point orbits of the
 simple current J, (i, j) -> (k - i - j, i), come from the closed form
@@ -76,8 +80,8 @@ call it.  J's image ``k - i - j`` is computed only where
 ``orbit_firsts`` supplies the points, so no module maps every class
 position under J and searches that map for representatives.
 
-Two dataclasses: ``@dataclass`` decorates only ``pathcount.CountTable``
-and ``pathcount.CountGrid``, because ``perfbench/test_bench_checks.py``
+Two dataclasses: ``@dataclass`` decorates only ``records.CountTable``
+and ``records.CountGrid``, because ``perfbench/test_bench_checks.py``
 rebuilds them with ``dataclasses.replace``.  Every other record is a
 ``NamedTuple``: a dataclass compiles its generated methods at every
 import, which costs several times what a NamedTuple class does.
@@ -371,7 +375,7 @@ def test_reflection_sum_called_only_by_the_one_step_counts():
     callers = {(name, func) for name, tree in _trees()
                for func in _callers(tree, "_reflection_counts")}
     assert callers == {("pathcount.py", "degeneracy"),
-                       ("pathcount.py", "count_paths")}
+                       ("records.py", "count_paths")}
 
 
 def test_no_library_module_calls_smallest_positive_root():
@@ -456,7 +460,8 @@ def _reached(root):
 def test_system_det_reaches_no_walk_sweep():
     reached = _reached("system_det")
     assert ("genfunc.py", "_orbit_factors") in reached
-    assert {(name, func) for name, func in reached if name == "pathcount.py"
+    assert {(name, func) for name, func in reached
+            if name in ("pathcount.py", "records.py")
             or (name, func) == ("lattice.py", "sweep")} == set()
     # the numerators do walk: a renamed sweep fails here
     assert ("lattice.py", "sweep") in _reached("solve_system")
@@ -473,8 +478,8 @@ def test_degeneracy_reaches_no_walk_sweep():
     assert ("lattice.py", "sweep") in _reached("origin_history")
 
 
-def _pathcount_importers(trees):
-    """The library modules with an import of ``pathcount`` anywhere:
+def _importers(trees, module="pathcount"):
+    """The library modules with an import of module anywhere:
     ``from .pathcount import …``, ``from . import pathcount`` or an
     absolute ``anyondeg.pathcount``."""
     found = set()
@@ -484,13 +489,17 @@ def _pathcount_importers(trees):
             if isinstance(node, ast.ImportFrom):
                 modules += [f"{node.module or ''}.{a.name}"
                             for a in node.names]
-            if any("pathcount" in m.split(".") for m in modules):
+            if any(module in m.split(".") for m in modules):
                 found.add(name)
     return sorted(found)
 
 
-def test_only_cli_and_reproduce_import_pathcount():
-    assert _pathcount_importers(_trees()) == ["cli.py", "reproduce.py"]
+def test_only_cli_and_records_import_pathcount():
+    assert _importers(_trees()) == ["cli.py", "records.py"]
+
+
+def test_only_reproduce_imports_records():
+    assert _importers(_trees(), "records") == ["reproduce.py"]
 
 
 def test_pathcount_rule_flags_other_importers():
@@ -504,10 +513,16 @@ def test_pathcount_rule_flags_other_importers():
                      "from anyondeg import lattice\n")
     cli = ast.parse("def _cmd_count(args):\n"
                     "    from .pathcount import degeneracy\n")
-    found = _pathcount_importers([
+    found = _importers([
         ("cli.py", cli), ("genfunc.py", genfunc), ("poly.py", poly),
         ("spectral.py", spectral), ("syt.py", syt)])
     assert found == ["cli.py", "genfunc.py", "spectral.py", "syt.py"]
+    # the records rule: cli reading the records, in each of the three
+    # forms, is reported; a pathcount import is not
+    for source in ("def _cmd_table(args):\n    from .records import table\n",
+                   "from . import records\n", "import anyondeg.records\n"):
+        assert _importers([("cli.py", ast.parse(source)), ("poly.py", poly),
+                           ("syt.py", syt)], "records") == ["cli.py"]
 
 
 def test_perron_route_builds_no_lattice_or_vertex():
@@ -592,8 +607,8 @@ def _dataclass_findings(trees):
 
 
 def test_dataclass_only_on_the_two_replaced_records():
-    assert _dataclass_findings(_trees()) == [("pathcount.py", "CountGrid"),
-                                             ("pathcount.py", "CountTable")]
+    assert _dataclass_findings(_trees()) == [("records.py", "CountGrid"),
+                                             ("records.py", "CountTable")]
 
 
 def test_dataclass_rule_flags_a_third_record():

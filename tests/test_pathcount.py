@@ -7,8 +7,9 @@ import anyondeg.pathcount
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_offsets, in_vertex_set, sweep
-from anyondeg.pathcount import _reflection_counts, count_paths, \
-    degeneracy, origin_history, table
+from anyondeg.pathcount import _reflection_counts, degeneracy, \
+    grid_rows, origin_history
+from anyondeg.records import count_paths, table
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
 
@@ -352,8 +353,38 @@ class TestTable:
             raise AssertionError("a sweep ran")
 
         monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
-        with pytest.raises(ValueError, match="not in the level-3 lattice"):
-            table(3, 6, v)
+        for route in (grid_rows, table):
+            with pytest.raises(ValueError, match="not in the level-3 lattice"):
+                route(3, 6, v)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, -1, Vertex(9, 9)), "k_max must be >= 1"),
+        ((3, -1, Vertex(9, 9)), "n_max must be >= 0")])
+    def test_rows_check_their_arguments_in_order_before_any_sweep(
+            self, monkeypatch, args, message):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        for route in (grid_rows, table):
+            with pytest.raises(ValueError, match=message):
+                route(*args)
+
+    def test_rows_sweep_one_level_per_row(self, monkeypatch):
+        # nothing runs until a row is read, and each row is one sweep;
+        # the levels below v's hold 0 and run none
+        swept = []
+        real = anyondeg.pathcount.origin_history
+        monkeypatch.setattr(anyondeg.pathcount, "origin_history",
+                            lambda k, *args: swept.append(k) or real(k, *args))
+        columns, rows = grid_rows(4, 9, Vertex(1, 1))
+        assert columns == tuple(range(10)) and swept == []
+        assert next(rows) == (1, (0,) * 10) and swept == []
+        assert next(rows)[0] == 2 and swept == [2]
+        rest = dict(rows)
+        assert swept == [2, 3, 4]
+        assert rest == {k: row for k, row
+                        in table(4, 9, Vertex(1, 1)).rows.items() if k > 2}
 
     def test_all_columns_flag(self):
         grid = table(2, 6, all_columns=True)

@@ -9,7 +9,10 @@ submodule, since the package resolves its names on first read;
 subcommand loads its own route's modules, not the other routes'.  The
 walk itself is ``lattice.sweep``, so ``det``, ``genfunc``, ``verify``
 and ``qdim`` load neither ``pathcount``, the walk-count queries, nor
-the ``dataclasses`` its records need.
+``records``, the two count records, nor the ``dataclasses`` those
+records need.  ``count`` and ``table`` print ``pathcount``'s plain ints
+and rows, so they load ``pathcount`` but not ``records`` or
+``dataclasses``.
 
 Each case runs in a fresh interpreter, so what earlier tests imported
 into this process does not count.
@@ -120,7 +123,19 @@ def test_exact_subcommands_leave_the_other_routes_unloaded(argv):
 ])
 def test_algebra_subcommands_leave_pathcount_unloaded(argv):
     body = _RUN_MAIN.format(argv=argv.split())
-    assert "pathcount" not in submodules_loaded(body)
+    assert submodules_loaded(body) & {"pathcount", "records"} == set()
+    assert not module_loaded(body, "dataclasses")
+
+
+@pytest.mark.parametrize("argv", [
+    "count --k 4 --n 12",
+    "table --max-k 3 --max-n 9",
+    "table --max-k 3 --max-n 9 --format json",
+])
+def test_count_subcommands_leave_the_records_unloaded(argv):
+    body = _RUN_MAIN.format(argv=argv.split())
+    loaded = submodules_loaded(body)
+    assert "pathcount" in loaded and "records" not in loaded
     assert not module_loaded(body, "dataclasses")
 
 

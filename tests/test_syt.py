@@ -1,7 +1,8 @@
 import pytest
 
 from anyondeg.lattice import Vertex
-from anyondeg.pathcount import count_paths, degeneracy
+from anyondeg.pathcount import degeneracy
+from anyondeg.records import count_paths
 from anyondeg.syt import (
     Shape3, audit_published_formula, brute_force_count, hook_count,
     published_formula_count, shape_for_vertex, shapes, unrestricted_count,
