@@ -3,9 +3,12 @@
 Output on stdout is deterministic (no timestamps); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification mismatch, 2 usage error
 (or a ValueError), 3 internal or numeric failure (an ArithmeticError,
-the library's one family of numeric failures).  When the reader of
-stdout closes early, the next write ends the process by SIGPIPE, with
-nothing on stderr.  Big integers are emitted as decimal strings in JSON
+the library's one family of numeric failures, or a MemoryError), and 3
+too when the output cannot be written: an OSError from a write or the
+final flush, as on a full disk, or a process started with stdout closed,
+which exits before any work; each prints one ``error:`` line on stderr.
+When the reader of stdout closes early, the next write ends the process
+by SIGPIPE, with nothing on stderr.  Big integers are emitted as decimal strings in JSON
 output.  Each subcommand imports its own route when it runs, so a process
 loads only the modules it needs.
 """
@@ -71,7 +74,7 @@ def _cmd_table(args) -> int:
     _check_caps(k=args.max_k, n=args.max_n, cap_n=CAP_N_TABLE)
     v = _parse(args.vertex, Vertex, "vertex")
     columns, rows = grid_rows(args.max_k, args.max_n, v, args.all_columns)
-    # each level's row is printed as its sweep ends
+    # each level's row is printed as soon as it is done
     if args.format == "csv":
         print("k\\n," + ",".join(str(n) for n in columns))
         for k, row in rows:
@@ -273,12 +276,17 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact counts may exceed 4300 digits
+    if sys.stdout is None:  # started with fd 1 closed: nowhere to print
+        print("error: no standard output", file=sys.stderr)
+        return 3
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a full disk shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.parser.print_usage(sys.stderr)
@@ -289,6 +297,13 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except OSError as exc:  # writing stdout failed
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 3
+
 
 
 if __name__ == "__main__":

@@ -7,12 +7,20 @@ counts at one step, ``degeneracy``'s one vertex and
 sum of ``_reflection_counts``: one pass of about n (k + 3) additions,
 which no vertex changes, and about 3 n / (k + 3) big products per
 vertex, against the sweep's n (k + 1)(k + 2) / 6 additions.  The
-histories and grid rows, ``origin_history`` and ``grid_rows``, read
-``lattice.sweep``, the dynamic programme over the predecessor recurrence
+reflection principle itself, a vertex's three keys and the binomial
+residue sums, is written once, in ``_reflection_keys`` and
+``_residue_sums``.  ``origin_history`` reads ``lattice.sweep``, the
+dynamic programme over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
 with out-of-range terms zero, one flat list per step over class n mod 3.
+``grid_rows`` takes each level's row from one of the two: the
+reflection sum at every n of v's class when n_max <= REFLECT_SPAN
+(k + 3), about n_max (k + 3) additions and n_max^2 / (2 (k + 3))
+products a level, with the binomial rows of v's class built once per
+grid; past that, the sweep.  Per level the two cross near k = 8 at
+n_max = 60, k = 12 at 200 and k = 18 at 600 (README, Walk counts).
 ``growth_rate_estimate`` reads one count.
 Everything but that estimate is a Python int; no floats, and no
 records: the two records, ``CountTable`` and ``CountGrid``, live in
@@ -31,39 +39,66 @@ from operator import add
 from .lattice import ORIGIN, Vertex, check_vertex, class_offsets, \
     in_vertex_set, sweep
 
+# A grid row at level k comes from the reflection sum when
+# n_max <= REFLECT_SPAN (k + 3), and from the sweep past that.  10, not
+# the crossover's 13 at n_max = 200, keeps the largest reflected grid the
+# CLI allows, (64, 670), under 32 MB (README, Walk counts).
+REFLECT_SPAN = 10
 
-def _reflection_counts(k: int, n: int, vertices: list[Vertex]
-                       ) -> list[int]:
-    """Number of n-step walks from the origin ending at each of vertices,
-    by the affine reflection principle (Gessel-Zeilberger; Grabiner).
+
+def _reflection_keys(k: int, n: int, vertices: list[Vertex]
+                     ) -> Iterator[tuple[int, int, int, int]]:
+    """The affine reflection principle (Gessel-Zeilberger; Grabiner) at
+    each of vertices after n steps: (t, c1, plus, minus) mod m, m = k + 3,
+    for each of the three keys of vertices[t].
 
     A walk is a 3-row tableau; in b = (r1 + 2, r2 + 1, r3) it starts at
     (2, 1, 0), adds 1 to one coordinate per step and stays in the alcove
-    b1 > b2 > b3 > b1 - m, m = k + 3.  So the count is the signed sum
-    over sigma in S3 and the translations by m of the unrestricted
+    b1 > b2 > b3 > b1 - m.  So the count at v is the signed sum over
+    sigma in S3 and the translations by m of the unrestricted
     multinomials C(n, c1) C(n - c1, c2), c1 = b_sigma1 - 2 and
     c2 = b_sigma2 - 1 (mod m):  sum_sigma sgn sigma sum_c1 C(n, c1)
     S(n - c1, b_sigma2 - 1), where S(q, r) sums C(q, c) over c = r
-    (mod m).  S(q) steps up from q = 0 by S(q + 1, r) = S(q, r) +
-    S(q, r - 1), m additions a step, in lockstep with C(n, n - q), and
-    neither depends on the vertex, so one pass serves them all.  The two
-    sigma with the same sigma(1) = x have opposite signs and share one
-    product: the cyclic sigma(2) = x + 1 adds, x + 2 subtracts.  The b_x
-    are distinct mod m, so a vertex's three keys b_x - 2 never collide.
-    Needs n = 2i + j (mod 3) at every vertex.
+    (mod m) (``_residue_sums``).  The two sigma with the same
+    sigma(1) = x have opposite signs and share one product: the cyclic
+    sigma(2) = x + 1 adds, x + 2 subtracts, so the count is the sum over
+    the keys and over q = n - c1 (mod m) of C(n, q) (S(q, plus) -
+    S(q, minus)).  The b_x are distinct mod m, so a vertex's three c1
+    never collide.  Needs n = 2i + j (mod 3) at every vertex.
     """
     m = k + 3
-    hits = {}  # c1 mod m -> [(vertex index, c2 mod m of + sigma, of -)]
     for t, (i, j) in enumerate(vertices):
         r3 = (n - 2 * i - j) // 3
         b = (r3 + i + j + 2, r3 + i + 1, r3)
         for x in range(3):
-            hits.setdefault((b[x] - 2) % m, []).append(
-                (t, (b[x - 2] - 1) % m, (b[x - 1] - 1) % m))
-    s, c, totals = [1] + [0] * (m - 1), 1, [0] * len(vertices)  # S(0), C(n, n)
-    for q in range(n + 1):
+            yield t, (b[x] - 2) % m, (b[x - 2] - 1) % m, (b[x - 1] - 1) % m
+
+
+def _residue_sums(m: int, q_max: int) -> Iterator[list[int]]:
+    """S(q, r) for r = 0..m - 1, q = 0..q_max: the sum of C(q, c) over
+    c = r (mod m).  S(q) steps up from S(0) = (1, 0, ..) by S(q + 1, r)
+    = S(q, r) + S(q, r - 1), m additions a step, and no vertex changes
+    it."""
+    s = [1] + [0] * (m - 1)
+    yield s
+    for _ in range(q_max):
+        s = [s[0] + s[-1], *map(add, s[1:], s)]
+        yield s
+
+
+def _reflection_counts(k: int, n: int, vertices: list[Vertex]
+                       ) -> list[int]:
+    """Number of n-step walks from the origin ending at each of vertices,
+    the reflection sum of ``_reflection_keys``: one pass of S(q), with
+    C(n, q) stepped in lockstep, serves them all.  Needs n = 2i + j
+    (mod 3) at every vertex."""
+    m = k + 3
+    hits = {}  # c1 mod m -> [(vertex index, plus, minus)]
+    for t, c1, plus, minus in _reflection_keys(k, n, vertices):
+        hits.setdefault(c1, []).append((t, plus, minus))
+    c, totals = 1, [0] * len(vertices)  # C(n, 0)
+    for q, s in enumerate(_residue_sums(m, n)):
         if q:
-            s = [s[0] + s[-1], *map(add, s[1:], s)]
             c = c * (n - q + 1) // q
         for t, plus, minus in hits.get((n - q) % m, ()):
             totals[t] += c * (s[plus] - s[minus])
@@ -98,6 +133,40 @@ def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
             for n, counts in enumerate(sweep(k, n_max))]
 
 
+def _class_binomials(n_max: int, g: int) -> list[list[int]]:
+    """The rows C(n, 0..n) of Pascal's triangle for n = g, g + 3, ..
+    <= n_max, the steps of grade class g; the rows between are built and
+    dropped."""
+    row, rows = [1], []
+    for n in range(n_max + 1):
+        if n:
+            row = [1, *map(add, row, row[1:]), 1]
+        if n % 3 == g:
+            rows.append(row)
+    return rows
+
+
+def _grid_history(k: int, n_max: int, v: Vertex,
+                  binomials: list[list[int]] | None) -> list[int]:
+    """origin_history(k, n_max, v) for one grid row: the sweep when
+    binomials is None, else the reflection sum of ``_reflection_keys``
+    at each step n of v's class, binomials[n // 3] = C(n, 0..n) from
+    ``_class_binomials``.  S(q, r) is built for q <= n_max at this level
+    and dropped with it; each key takes C(n, q) (S(q, plus) -
+    S(q, minus)) over q = n - c1 (mod m), about 3n / m products."""
+    if binomials is None:
+        return origin_history(k, n_max, v)
+    m, g = k + 3, (2 * v.i + v.j) % 3
+    sums = list(_residue_sums(m, n_max))
+    history = [0] * (n_max + 1)
+    for n, row in zip(range(g, n_max + 1, 3), binomials):
+        for _, c1, plus, minus in _reflection_keys(k, n, [v]):
+            q = (n - c1) % m
+            history[n] += sum([c * (s[plus] - s[minus])
+                               for c, s in zip(row[q::m], sums[q::m])])
+    return history
+
+
 def growth_rate_estimate(k: int, n: int) -> float:
     """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
     if n < 3:
@@ -110,13 +179,15 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
               all_columns: bool = False) -> tuple[tuple[int, ...], Iterator]:
     """(columns, rows) of the count grid at v for k = 1..k_max,
     n = 0..n_max: the n of the columns, and a lazy iterator of
-    (k, counts aligned with the columns), one level's sweep per row.
+    (k, counts aligned with the columns), one ``_grid_history`` per row:
+    the reflection sum from the first level with n_max <= REFLECT_SPAN
+    (k + 3) up, which builds v's class binomial rows, and the sweep below.
 
     At the origin only the n with 3 | n are columns (the rest vanish by
     the congruence invariant) unless all_columns is set.  v must lie in
     the level-k_max lattice; the rows of the levels below it hold 0.
-    The arguments are checked here, before any sweep, so a caller that
-    prints each row as it comes prints nothing for a bad one.
+    The arguments are checked here, before any level runs, so a caller
+    that prints each row as it comes prints nothing for a bad one.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -128,11 +199,14 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
     columns = tuple(n for n in range(n_max + 1) if not stride3 or n % 3 == 0)
 
     def rows():
+        binomials = None  # v's class rows, from the first level that reflects
         for k in range(1, k_max + 1):
             if not in_vertex_set(v, k):
                 yield k, tuple(0 for _ in columns)
                 continue
-            history = origin_history(k, n_max, v)
+            if binomials is None and n_max <= REFLECT_SPAN * (k + 3):
+                binomials = _class_binomials(n_max, (2 * v.i + v.j) % 3)
+            history = _grid_history(k, n_max, v, binomials)
             yield k, tuple(history[n] for n in columns)
 
     return columns, rows()

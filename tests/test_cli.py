@@ -38,14 +38,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cli_process(argv: str) -> subprocess.Popen:
-    """An ``anyondeg`` process on this checkout's sources, with pipes."""
+def _child_env() -> dict:
+    """This environment, with this checkout's sources on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def cli_process(argv: str) -> subprocess.Popen:
+    """An ``anyondeg`` process on this checkout's sources, with pipes."""
     return subprocess.Popen(
         [sys.executable, "-m", "anyondeg.cli", *argv.split()],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        cwd=ROOT, env=_child_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
 
 
 class TestCount:
@@ -123,9 +129,9 @@ class TestTable:
                                            argv, message):
         # the rows stream, so the arguments are checked before the header
         def no_sweep(*args):
-            raise AssertionError("a sweep ran")
+            raise AssertionError("a level ran")
 
-        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history", no_sweep)
         code, out, err = run(capsys, "table", *argv.split(), "--format", fmt)
         assert code == 2 and out == "" and message in err
 
@@ -133,40 +139,46 @@ class TestTable:
     @pytest.mark.parametrize("argv", [
         "--max-k 8 --max-n 27",
         "--max-k 6 --max-n 20 --all-columns",
-        "--max-k 7 --max-n 21 --vertex 2,3"])  # rows of 0 to level 4
+        "--max-k 7 --max-n 21 --vertex 2,3",  # rows of 0 to level 4
+        "--max-k 24 --max-n 200",  # levels 1-16 sweep, 17 and up reflect
+        "--max-k 9 --max-n 61 --vertex 2,3"])  # levels 4 and 5 sweep
     def test_streamed_output_matches_the_collected_grid(self, capsys, fmt,
                                                         argv):
-        # the rendering of the whole records.table grid at once
+        # the rendering of the whole grid at once, each row one
+        # origin_history sweep, whatever route the streamed rows took
         args = build_parser().parse_args(["table", *argv.split()])
-        grid = anyondeg.records.table(
-            args.max_k, args.max_n, Vertex(*map(int, args.vertex.split(","))),
-            all_columns=args.all_columns)
+        v = Vertex(*map(int, args.vertex.split(",")))
+        columns = [n for n in range(args.max_n + 1)
+                   if args.all_columns or v != (0, 0) or n % 3 == 0]
+        rows = {k: [anyondeg.pathcount.origin_history(k, args.max_n, v)[n]
+                    if sum(v) <= k else 0 for n in columns]
+                for k in range(1, args.max_k + 1)}
         if fmt == "csv":
             expected = "".join(
-                [f"k\\n,{','.join(map(str, grid.columns))}\n"]
+                [f"k\\n,{','.join(map(str, columns))}\n"]
                 + [f"{k},{','.join(map(str, row))}\n"
-                   for k, row in sorted(grid.rows.items())])
+                   for k, row in rows.items()])
         else:
             expected = json.dumps({
-                "vertex": list(grid.vertex),
-                "columns": list(grid.columns),
+                "vertex": list(v), "columns": columns,
                 "rows": [{"k": k, "counts": [str(c) for c in row]}
-                         for k, row in sorted(grid.rows.items())]}) + "\n"
-        assert (not any(grid.rows[1])) == ("--vertex" in argv)
+                         for k, row in rows.items()]}) + "\n"
+        assert (not any(rows[1])) == ("--vertex" in argv)
         code, out, _ = run(capsys, "table", *argv.split(), "--format", fmt)
         assert code == 0 and out == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_at_the_last_level_keeps_the_rows_printed(
             self, capsys, monkeypatch, fmt):
-        real = anyondeg.pathcount.origin_history
+        # every row, swept or reflected, passes through _grid_history
+        real = anyondeg.pathcount._grid_history
 
         def fails_at_four(k, *args):
             if k == 4:
                 raise ValueError("level 4 failed")
             return real(k, *args)
 
-        monkeypatch.setattr(anyondeg.pathcount, "origin_history",
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history",
                             fails_at_four)
         code, out, err = run(capsys, "table", "--max-k", "4", "--max-n", "9",
                              "--format", fmt)
@@ -660,6 +672,53 @@ class TestUsageErrors:
         lines = err.splitlines()
         assert lines[0] == f"error: bad shape {shape!r}; expected R1,R2,R3"
         assert lines[1].startswith("usage: anyondeg syt")
+
+
+def python_run(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """A finished ``python args`` child on this checkout's sources."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=_child_env(),
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+class TestOutputFailure:
+    # each exits 3 with one error line on stderr and no traceback
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [
+        "table --max-k 8 --max-n 27",  # one buffer: fails at the flush
+        "table --max-k 20 --max-n 600 --format json",  # fails mid-table
+        "count --k 3 --n 3", "reproduce"])
+    def test_full_disk_exits_3(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = python_run(["-m", "anyondeg.cli", *argv.split()],
+                              stdout=full)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"error: cannot write the output: ")
+        assert proc.stderr.count(b"\n") == 1
+        assert b"No space left on device" in proc.stderr
+
+    def test_memory_failure_exits_3(self):
+        code = ("import sys, anyondeg.pathcount as p\n"
+                "def fail(*args): raise MemoryError\n"
+                "p.degeneracy = fail\n"
+                "from anyondeg.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = python_run(["-c", code, "count", "--k", "3", "--n", "3"],
+                          stdout=subprocess.PIPE)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr == b"error: out of memory\n"
+
+    @pytest.mark.parametrize("argv", [
+        "count --k 3 --n 3",
+        "count --k 999 --n 3"])  # past the cap: exits 3, before parsing
+    def test_closed_stdout_exits_3_before_any_work(self, argv):
+        # fd 1 is closed before the interpreter starts
+        code = ("import os, sys\nos.close(1)\n"
+                "os.execv(sys.executable, [sys.executable, '-m', "
+                "'anyondeg.cli', *sys.argv[1:]])\n")
+        proc = python_run(["-c", code, *argv.split()])
+        assert proc.returncode == 3
+        assert proc.stderr == b"error: no standard output\n"
 
 
 class TestClosedStdout:

@@ -39,11 +39,16 @@ counts at one step are one quantity: the endpoint counts at one step,
 the one that ``pathcount.degeneracy`` returns and the class-wide table
 of ``records.count_paths``, come from the affine reflection sum
 ``pathcount._reflection_counts``, at every level and from no sweep, and
-those two are that sum's only callers.  Every history and grid
-(``origin_history``, ``grid_rows`` and so ``table``) comes from
-``lattice.sweep`` stepping along the edge table, and ``origin_history``
-does reach it, so a renamed sweep fails the rule rather than leaving it
-nothing to check.
+those two are that sum's only callers.  The reflection principle lives
+in ``pathcount._reflection_keys`` and ``_residue_sums``, whose only
+callers are that sum and ``pathcount._grid_history``, which builds one
+grid row (``grid_rows`` and so ``table``).  A row reflects when
+n_max <= REFLECT_SPAN (k + 3), 10 (k + 3); the two routes cross per
+level near k = 8 at n_max = 60, k = 12 at 200 and k = 18 at 600.  Past
+the rule a row comes, like every history (``origin_history``), from
+``lattice.sweep`` stepping along the edge table.  ``origin_history``
+does reach the sweep, so a renamed sweep fails the rule rather than
+leaving it nothing to check.
 Every numerator of ``solve_system`` comes from one sweep fed the
 determinant's coefficients at the origin; ``spectral._three_steps``
 takes the same steps on float vectors, to apply the transpose of the
@@ -371,11 +376,39 @@ def test_one_step_loop():
     assert found == {("lattice.py", "step")}
 
 
+def _reflection_callers(trees):
+    """{callee: its (module, function) callers} for the reflection sum
+    and its two steps."""
+    return {callee: {(name, func) for name, tree in trees
+                     for func in _callers(tree, callee)}
+            for callee in ("_reflection_counts", "_reflection_keys",
+                           "_residue_sums")}
+
+
 def test_reflection_sum_called_only_by_the_one_step_counts():
-    callers = {(name, func) for name, tree in _trees()
-               for func in _callers(tree, "_reflection_counts")}
-    assert callers == {("pathcount.py", "degeneracy"),
-                       ("records.py", "count_paths")}
+    # the counts at one step call the sum; the sum and the grid rows that
+    # reflect are the only readers of the keys and the residue sums
+    readers = {("pathcount.py", "_reflection_counts"),
+               ("pathcount.py", "_grid_history")}
+    assert _reflection_callers(_trees()) == {
+        "_reflection_counts": {("pathcount.py", "degeneracy"),
+                               ("records.py", "count_paths")},
+        "_reflection_keys": readers, "_residue_sums": readers}
+
+
+def test_reflection_rule_flags_other_callers():
+    # a history of its own, and a count past the one-step routes
+    tree = ast.parse(
+        "def origin_history(k, n_max, v):\n"
+        "    return [_reflection_keys(k, n, v) for n in range(n_max)]\n"
+        "def growth_rate_estimate(k, n):\n"
+        "    return _reflection_counts(k, n, [(0, 0)])[0]\n"
+        "def _grid_history(k, n_max, v, binomials):\n"
+        "    return list(_residue_sums(k + 3, n_max))\n")
+    assert _reflection_callers([("pathcount.py", tree)]) == {
+        "_reflection_counts": {("pathcount.py", "growth_rate_estimate")},
+        "_reflection_keys": {("pathcount.py", "origin_history")},
+        "_residue_sums": {("pathcount.py", "_grid_history")}}
 
 
 def test_no_library_module_calls_smallest_positive_root():
@@ -474,8 +507,11 @@ def test_degeneracy_reaches_no_walk_sweep():
         reached = _reached(root)
         assert ("pathcount.py", "_reflection_counts") in reached, root
         assert ("lattice.py", "sweep") not in reached, root
-    # the histories do walk: a renamed sweep fails here
+    # the histories do walk: a renamed sweep fails here; the grid rows
+    # take either route
     assert ("lattice.py", "sweep") in _reached("origin_history")
+    assert {("lattice.py", "sweep"), ("pathcount.py", "_reflection_keys")} \
+        <= set(_reached("grid_rows"))
 
 
 def _importers(trees, module="pathcount"):

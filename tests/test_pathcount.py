@@ -7,8 +7,8 @@ import anyondeg.pathcount
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_offsets, in_vertex_set, sweep
-from anyondeg.pathcount import _reflection_counts, degeneracy, \
-    grid_rows, origin_history
+from anyondeg.pathcount import REFLECT_SPAN, _reflection_counts, \
+    degeneracy, grid_rows, origin_history
 from anyondeg.records import count_paths, table
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
@@ -350,9 +350,10 @@ class TestTable:
     @pytest.mark.parametrize("v", [Vertex(-1, 0), Vertex(9, 9)])
     def test_rejects_vertex_outside_the_top_level(self, monkeypatch, v):
         def no_sweep(*args):
-            raise AssertionError("a sweep ran")
+            raise AssertionError("a level ran")
 
-        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        # every row, swept or reflected, passes through _grid_history
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history", no_sweep)
         for route in (grid_rows, table):
             with pytest.raises(ValueError, match="not in the level-3 lattice"):
                 route(3, 6, v)
@@ -363,28 +364,75 @@ class TestTable:
     def test_rows_check_their_arguments_in_order_before_any_sweep(
             self, monkeypatch, args, message):
         def no_sweep(*args):
-            raise AssertionError("a sweep ran")
+            raise AssertionError("a level ran")
 
-        monkeypatch.setattr(anyondeg.pathcount, "origin_history", no_sweep)
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history", no_sweep)
         for route in (grid_rows, table):
             with pytest.raises(ValueError, match=message):
                 route(*args)
 
     def test_rows_sweep_one_level_per_row(self, monkeypatch):
-        # nothing runs until a row is read, and each row is one sweep;
-        # the levels below v's hold 0 and run none
-        swept = []
-        real = anyondeg.pathcount.origin_history
-        monkeypatch.setattr(anyondeg.pathcount, "origin_history",
-                            lambda k, *args: swept.append(k) or real(k, *args))
-        columns, rows = grid_rows(4, 9, Vertex(1, 1))
-        assert columns == tuple(range(10)) and swept == []
-        assert next(rows) == (1, (0,) * 10) and swept == []
-        assert next(rows)[0] == 2 and swept == [2]
+        # nothing runs until a row is read, and each row is one call of
+        # _grid_history, the seam of both routes; the levels below v's
+        # hold 0 and run none.  At n_max = REFLECT_SPAN (3 + 3) level 2
+        # sweeps (binomials None) and levels 3 and 4 reflect
+        swept, n_max = [], REFLECT_SPAN * 6
+        real = anyondeg.pathcount._grid_history
+        monkeypatch.setattr(
+            anyondeg.pathcount, "_grid_history", lambda k, n, v, binomials:
+            swept.append((k, binomials is None)) or real(k, n, v, binomials))
+        columns, rows = grid_rows(4, n_max, Vertex(1, 1))
+        assert columns == tuple(range(n_max + 1)) and swept == []
+        assert next(rows) == (1, (0,) * (n_max + 1)) and swept == []
+        assert next(rows)[0] == 2 and swept == [(2, True)]
         rest = dict(rows)
-        assert swept == [2, 3, 4]
-        assert rest == {k: row for k, row
-                        in table(4, 9, Vertex(1, 1)).rows.items() if k > 2}
+        assert swept == [(2, True), (3, False), (4, False)]
+        assert rest == {k: tuple(origin_history(k, n_max, Vertex(1, 1)))
+                        for k in (3, 4)}
+
+    @pytest.mark.parametrize("i", range(13))
+    def test_reflected_rows_match_the_sweep_at_every_vertex(self, i):
+        # every vertex of level 12, row i of the lattice: at
+        # n_max = REFLECT_SPAN (1 + 3) every level reflects, and each row
+        # equals the sweep's history, 0 off v's class and below v's level
+        n_max = REFLECT_SPAN * 4
+        for j in range(13 - i):
+            v = Vertex(i, j)
+            columns, rows = grid_rows(12, n_max, v, all_columns=True)
+            assert dict(rows) == {
+                k: tuple(origin_history(k, n_max, v)) if i + j <= k
+                else (0,) * (n_max + 1) for k in range(1, 13)}
+
+    @pytest.mark.parametrize("v", [(0, 0), (1, 0), (0, 1), (5, 7), (21, 0),
+                                   (0, 64), (64, 0), (20, 21)])
+    def test_reflected_rows_match_the_sweep_up_to_level_64(self, v):
+        # sampled vertices of each class, corners too, on a level-64 grid
+        # at n_max = 150: levels 12 and up reflect, the rest sweep; the
+        # sweep's history is the oracle at every seventh level and the top
+        n_max, v = 150, Vertex(*v)
+        for k, row in grid_rows(64, n_max, v, all_columns=True)[1]:
+            if k % 7 == 0 or k >= 63:
+                assert row == (tuple(origin_history(k, n_max, v))
+                               if sum(v) <= k else (0,) * (n_max + 1)), k
+
+    @pytest.mark.parametrize("past", [0, 1])
+    @pytest.mark.parametrize("k", [1, 5, 17, 64])
+    @pytest.mark.parametrize("corner", ["top", "left"])
+    def test_the_rule_edge_picks_the_route(self, monkeypatch, past, k,
+                                           corner):
+        # at n_max = REFLECT_SPAN (k + 3) level k reflects, one step past
+        # it sweeps; a corner of level k lies in no level below it, so
+        # its grid runs level k alone
+        v = Vertex(0, k) if corner == "top" else Vertex(k, 0)
+        n_max, routes = REFLECT_SPAN * (k + 3) + past, []
+        real = anyondeg.pathcount._grid_history
+        monkeypatch.setattr(
+            anyondeg.pathcount, "_grid_history", lambda k, n, v, binomials:
+            routes.append(binomials is None) or real(k, n, v, binomials))
+        rows = dict(grid_rows(k, n_max, v, all_columns=True)[1])
+        assert routes == [past == 1]
+        assert rows[k] == tuple(origin_history(k, n_max, v))
+        assert not any(c for level in range(1, k) for c in rows[level])
 
     def test_all_columns_flag(self):
         grid = table(2, 6, all_columns=True)
