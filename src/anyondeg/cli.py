@@ -8,15 +8,16 @@ too when the output cannot be written: an OSError from a write or the
 final flush, as on a full disk, or a process started with stdout closed,
 which exits before any work; each prints one ``error:`` line on stderr.
 When the reader of stdout closes early, the next write ends the process
-by SIGPIPE, with nothing on stderr.  Big integers are emitted as decimal strings in JSON
-output.  Each subcommand imports its own route when it runs, so a process
-loads only the modules it needs.
+by SIGPIPE, with nothing on stderr.  Big integers are emitted as decimal
+strings in JSON output.  Each subcommand imports its own route when it
+runs, so a process loads only the modules it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import signal
 import sys
 
@@ -302,8 +303,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:  # writing stdout failed
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        # what stays in stdout's buffer would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
-
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ representatives' rows when 3 | k, and ``step`` is the one loop that
 takes a step along it.  ``sweep(k, n_max)`` is the walk: it builds the
 level's table and steps from the origin one grade class at a time.
 Every history of walk counts, the numerators of ``genfunc`` too, comes
-from it, and so do the grid rows of ``pathcount.grid_rows`` with
-n_max > REFLECT_SPAN (k + 3); the endpoint counts at one step, and the
-grid rows up to that bound, come from the reflection sum of
-``pathcount``.  The simple current J,
-(i, j) -> (k - i - j, i), has one rule for its orbit representatives,
-``orbit_firsts``, which the determinant's factors and the Perron tables
-both read.  Pure Python; no dense adjacency matrix is built.
+from it, and so do the grid rows of ``pathcount.grid_rows`` at the
+levels where the sweep costs less; the endpoint counts at one step, and
+the other grid rows, come from the reflection sum of ``pathcount``.
+The simple current J, (i, j) -> (k - i - j, i), has one rule for its
+orbit representatives, ``orbit_firsts``, which the determinant's factors
+and the Perron tables both read.  Pure Python; no dense adjacency matrix
+is built.
 """
 
 from __future__ import annotations

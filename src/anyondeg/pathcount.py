@@ -15,14 +15,16 @@ dynamic programme over the predecessor recurrence
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
 with out-of-range terms zero, one flat list per step over class n mod 3.
-``grid_rows`` takes each level's row from one of the two: the
-reflection sum at every n of v's class when n_max <= REFLECT_SPAN
-(k + 3), about n_max (k + 3) additions and n_max^2 / (2 (k + 3))
-products a level, with the binomial rows of v's class built once per
-grid; past that, the sweep.  Per level the two cross near k = 8 at
-n_max = 60, k = 12 at 200 and k = 18 at 600 (README, Walk counts).
+``grid_rows`` takes each level's row from one of the two, by cost: the
+sweep's n_max (k + 1)(k + 2) / 6 additions a level against the
+reflection sum at every n of v's class, about n_max (k + 3) additions
+and n_max^2 / (2 (k + 3)) products a level, with the binomial rows of
+v's class built once per grid (``_first_reflected_level``).  Per level
+the two cross near k = 9 at n_max = 60, k = 12 at 200, k = 15 at 400
+and k = 20 at 670 (README, Walk counts), so small grids stay on the
+sweep.
 ``growth_rate_estimate`` reads one count.
-Everything but that estimate is a Python int; no floats, and no
+Every count is a Python int, with no floats, and there are no
 records: the two records, ``CountTable`` and ``CountGrid``, live in
 ``records``, so the ``count`` and ``table`` subcommands, which print
 plain ints, load neither it nor ``dataclasses``.  Only ``cli`` and
@@ -39,11 +41,16 @@ from operator import add
 from .lattice import ORIGIN, Vertex, check_vertex, class_offsets, \
     in_vertex_set, sweep
 
-# A grid row at level k comes from the reflection sum when
-# n_max <= REFLECT_SPAN (k + 3), and from the sweep past that.  10, not
-# the crossover's 13 at n_max = 200, keeps the largest reflected grid the
-# CLI allows, (64, 670), under 32 MB (README, Walk counts).
-REFLECT_SPAN = 10
+# The route rule of ``grid_rows`` (README, Walk counts), in sweep cell
+# updates a step: the sweep of level k costs (k + 1)(k + 2) / 6, the
+# reflection sum k + 3 additions and n_max / (2 (k + 3)) products of
+# PRODUCT_COST each, and v's class binomial rows n_max / 4 once a grid.
+# With 3 these put the crossing of the routes' per-level times within
+# one level of where it was measured, at n_max = 27..670.  Past
+# REFLECT_MAX_N every row sweeps, so the largest reflected grid the CLI
+# allows, (64, 600), stays near 23 MB.
+PRODUCT_COST = 3
+REFLECT_MAX_N = 600
 
 
 def _reflection_keys(k: int, n: int, vertices: list[Vertex]
@@ -167,6 +174,24 @@ def _grid_history(k: int, n_max: int, v: Vertex,
     return history
 
 
+def _first_reflected_level(k_lo: int, k_max: int, n_max: int) -> int:
+    """The first of the levels k_lo..k_max whose grid row comes from the
+    reflection sum, or k_max + 1 for none.  The sweep's cost less the
+    reflection sum's grows with k from k = 2 up, so the levels where it is
+    positive run up to k_max; they reflect if their gains together
+    outweigh building the binomial rows, and n_max <= REFLECT_MAX_N."""
+    first, total = k_max + 1, 0.0
+    if n_max > REFLECT_MAX_N:
+        return first
+    for k in range(k_max, k_lo - 1, -1):
+        m = k + 3
+        gain = (k + 1) * (k + 2) / 6 - m - PRODUCT_COST * n_max / (2 * m)
+        if gain <= 0:
+            break
+        first, total = k, total + gain
+    return first if total > n_max / 4 else k_max + 1
+
+
 def growth_rate_estimate(k: int, n: int) -> float:
     """f(n)^(1/n) at the origin, from the exact count (log-domain)."""
     if n < 3:
@@ -180,8 +205,8 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
     """(columns, rows) of the count grid at v for k = 1..k_max,
     n = 0..n_max: the n of the columns, and a lazy iterator of
     (k, counts aligned with the columns), one ``_grid_history`` per row:
-    the reflection sum from the first level with n_max <= REFLECT_SPAN
-    (k + 3) up, which builds v's class binomial rows, and the sweep below.
+    the reflection sum from ``_first_reflected_level`` up, which builds
+    v's class binomial rows, and the sweep below.
 
     At the origin only the n with 3 | n are columns (the rest vanish by
     the congruence invariant) unless all_columns is set.  v must lie in
@@ -199,12 +224,13 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
     columns = tuple(n for n in range(n_max + 1) if not stride3 or n % 3 == 0)
 
     def rows():
-        binomials = None  # v's class rows, from the first level that reflects
+        first = _first_reflected_level(max(v.i + v.j, 1), k_max, n_max)
+        binomials = None  # v's class rows, from the first reflected level
         for k in range(1, k_max + 1):
             if not in_vertex_set(v, k):
                 yield k, tuple(0 for _ in columns)
                 continue
-            if binomials is None and n_max <= REFLECT_SPAN * (k + 3):
+            if k == first:
                 binomials = _class_binomials(n_max, (2 * v.i + v.j) % 3)
             history = _grid_history(k, n_max, v, binomials)
             yield k, tuple(history[n] for n in columns)

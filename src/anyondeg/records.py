@@ -3,8 +3,8 @@
 ``count_paths`` gives a ``CountTable``, the endpoint counts of one step
 over the whole lattice, from the reflection sum, and ``table`` a
 ``CountGrid``, the counts at one vertex for every level and step up to
-a bound, each level's row from the reflection sum or the sweep by
-``pathcount.REFLECT_SPAN``.  Both read ``pathcount``,
+a bound, each level's row from the reflection sum or the sweep,
+whichever ``pathcount`` reckons cheaper.  Both read ``pathcount``,
 which counts in plain ints.  This is the one library module that imports
 ``dataclasses``, which costs a process about 10 ms to load, so the
 ``count`` and ``table`` subcommands, which print ``pathcount``'s ints
@@ -64,7 +64,6 @@ def table(k_max: int, n_max: int, v: Vertex = ORIGIN,
     """Counts at v for k = 1..k_max, n = 0..n_max, as one grid: the rows
     of ``pathcount.grid_rows``, which checks the arguments and holds its
     rules (the origin's stride-3 columns, zero rows below v's level, and
-    the reflection sum at the levels with n_max <= REFLECT_SPAN (k + 3),
-    the sweep at the rest)."""
+    each row's route, the reflection sum or the sweep, by their costs)."""
     columns, rows = grid_rows(k_max, n_max, v, all_columns)
     return CountGrid(vertex=Vertex(*v), columns=columns, rows=dict(rows))

@@ -140,8 +140,9 @@ class TestTable:
         "--max-k 8 --max-n 27",
         "--max-k 6 --max-n 20 --all-columns",
         "--max-k 7 --max-n 21 --vertex 2,3",  # rows of 0 to level 4
-        "--max-k 24 --max-n 200",  # levels 1-16 sweep, 17 and up reflect
-        "--max-k 9 --max-n 61 --vertex 2,3"])  # levels 4 and 5 sweep
+        "--max-k 24 --max-n 200",  # levels 1-12 sweep, 13 and up reflect
+        # rows of 0 to level 4, levels 5-9 sweep, 10-12 reflect
+        "--max-k 12 --max-n 61 --vertex 2,3"])
     def test_streamed_output_matches_the_collected_grid(self, capsys, fmt,
                                                         argv):
         # the rendering of the whole grid at once, each row one

@@ -42,11 +42,12 @@ of ``records.count_paths``, come from the affine reflection sum
 those two are that sum's only callers.  The reflection principle lives
 in ``pathcount._reflection_keys`` and ``_residue_sums``, whose only
 callers are that sum and ``pathcount._grid_history``, which builds one
-grid row (``grid_rows`` and so ``table``).  A row reflects when
-n_max <= REFLECT_SPAN (k + 3), 10 (k + 3); the two routes cross per
-level near k = 8 at n_max = 60, k = 12 at 200 and k = 18 at 600.  Past
-the rule a row comes, like every history (``origin_history``), from
-``lattice.sweep`` stepping along the edge table.  ``origin_history``
+grid row (``grid_rows`` and so ``table``).  A row reflects where that
+costs less than the sweep (``pathcount._first_reflected_level``): per
+level the two cross near k = 9 at n_max = 60, k = 12 at 200 and k = 20
+at 670, and no row reflects past n_max = 600.  The other rows come, like
+every history (``origin_history``), from ``lattice.sweep`` stepping
+along the edge table.  ``origin_history``
 does reach the sweep, so a renamed sweep fails the rule rather than
 leaving it nothing to check.
 Every numerator of ``solve_system`` comes from one sweep fed the

@@ -7,7 +7,8 @@ import anyondeg.pathcount
 from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_offsets, in_vertex_set, sweep
-from anyondeg.pathcount import REFLECT_SPAN, _reflection_counts, \
+from anyondeg.pathcount import REFLECT_MAX_N, _class_binomials, \
+    _first_reflected_level, _grid_history, _reflection_counts, \
     degeneracy, grid_rows, origin_history
 from anyondeg.records import count_paths, table
 from anyondeg.reference import ORIGIN_COUNTS
@@ -374,34 +375,34 @@ class TestTable:
     def test_rows_sweep_one_level_per_row(self, monkeypatch):
         # nothing runs until a row is read, and each row is one call of
         # _grid_history, the seam of both routes; the levels below v's
-        # hold 0 and run none.  At n_max = REFLECT_SPAN (3 + 3) level 2
-        # sweeps (binomials None) and levels 3 and 4 reflect
-        swept, n_max = [], REFLECT_SPAN * 6
+        # hold 0 and run none.  At (12, 27) levels 2-7 sweep (binomials
+        # None) and levels 8-12 reflect
+        swept, n_max = [], 27
         real = anyondeg.pathcount._grid_history
         monkeypatch.setattr(
             anyondeg.pathcount, "_grid_history", lambda k, n, v, binomials:
             swept.append((k, binomials is None)) or real(k, n, v, binomials))
-        columns, rows = grid_rows(4, n_max, Vertex(1, 1))
+        columns, rows = grid_rows(12, n_max, Vertex(1, 1))
         assert columns == tuple(range(n_max + 1)) and swept == []
         assert next(rows) == (1, (0,) * (n_max + 1)) and swept == []
         assert next(rows)[0] == 2 and swept == [(2, True)]
         rest = dict(rows)
-        assert swept == [(2, True), (3, False), (4, False)]
+        assert swept == [(k, k < 8) for k in range(2, 13)]
         assert rest == {k: tuple(origin_history(k, n_max, Vertex(1, 1)))
-                        for k in (3, 4)}
+                        for k in range(3, 13)}
 
     @pytest.mark.parametrize("i", range(13))
     def test_reflected_rows_match_the_sweep_at_every_vertex(self, i):
-        # every vertex of level 12, row i of the lattice: at
-        # n_max = REFLECT_SPAN (1 + 3) every level reflects, and each row
-        # equals the sweep's history, 0 off v's class and below v's level
-        n_max = REFLECT_SPAN * 4
+        # every vertex of level 12, row i of the lattice, at every level
+        # that holds it, whichever route the rule picks there: the
+        # reflection sum's history equals the sweep's, 0 off v's class
+        n_max = 40
         for j in range(13 - i):
             v = Vertex(i, j)
-            columns, rows = grid_rows(12, n_max, v, all_columns=True)
-            assert dict(rows) == {
-                k: tuple(origin_history(k, n_max, v)) if i + j <= k
-                else (0,) * (n_max + 1) for k in range(1, 13)}
+            binomials = _class_binomials(n_max, (2 * i + j) % 3)
+            for k in range(max(i + j, 1), 13):
+                assert _grid_history(k, n_max, v, binomials) \
+                    == origin_history(k, n_max, v), (k, v)
 
     @pytest.mark.parametrize("v", [(0, 0), (1, 0), (0, 1), (5, 7), (21, 0),
                                    (0, 64), (64, 0), (20, 21)])
@@ -410,29 +411,44 @@ class TestTable:
         # at n_max = 150: levels 12 and up reflect, the rest sweep; the
         # sweep's history is the oracle at every seventh level and the top
         n_max, v = 150, Vertex(*v)
+        assert _first_reflected_level(max(sum(v), 1), 64, n_max) \
+            == max(sum(v), 12)
         for k, row in grid_rows(64, n_max, v, all_columns=True)[1]:
             if k % 7 == 0 or k >= 63:
                 assert row == (tuple(origin_history(k, n_max, v))
                                if sum(v) <= k else (0,) * (n_max + 1)), k
 
-    @pytest.mark.parametrize("past", [0, 1])
-    @pytest.mark.parametrize("k", [1, 5, 17, 64])
-    @pytest.mark.parametrize("corner", ["top", "left"])
-    def test_the_rule_edge_picks_the_route(self, monkeypatch, past, k,
-                                           corner):
-        # at n_max = REFLECT_SPAN (k + 3) level k reflects, one step past
-        # it sweeps; a corner of level k lies in no level below it, so
-        # its grid runs level k alone
-        v = Vertex(0, k) if corner == "top" else Vertex(k, 0)
-        n_max, routes = REFLECT_SPAN * (k + 3) + past, []
+    @pytest.mark.parametrize("k_max,n_max,v,first", [
+        (6, 21, (0, 0), None),  # the largest table grid of cli_golden
+        (8, 27, (0, 0), None),  # reproduce's Table 1
+        (15, 200, (0, 0), None),  # 13-15 gain less than the binomials cost
+        (24, 200, (0, 0), 13),  # large_k's table job
+        (12, 61, (2, 3), 10),
+        (17, 100, (0, 17), 17),  # a corner runs its own level alone
+        (64, REFLECT_MAX_N, (0, 64), 64),  # the memory bound, and one past
+        (64, REFLECT_MAX_N + 1, (0, 64), None)])
+    def test_the_rule_picks_the_route(self, monkeypatch, k_max, n_max, v,
+                                      first):
+        # the levels from first up reflect, those below sweep, read at the
+        # seam; every row equals the sweep's
+        v, routes = Vertex(*v), {}
         real = anyondeg.pathcount._grid_history
-        monkeypatch.setattr(
-            anyondeg.pathcount, "_grid_history", lambda k, n, v, binomials:
-            routes.append(binomials is None) or real(k, n, v, binomials))
-        rows = dict(grid_rows(k, n_max, v, all_columns=True)[1])
-        assert routes == [past == 1]
-        assert rows[k] == tuple(origin_history(k, n_max, v))
-        assert not any(c for level in range(1, k) for c in rows[level])
+
+        def seam(k, n, v, binomials):
+            routes[k] = binomials is None
+            return real(k, n, v, binomials)
+
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history", seam)
+        rows = dict(grid_rows(k_max, n_max, v, all_columns=True)[1])
+        low = max(sum(v), 1)
+        assert routes == {k: first is None or k < first
+                          for k in range(low, k_max + 1)}
+        assert rows == {k: tuple(origin_history(k, n_max, v)) if k >= low
+                        else (0,) * (n_max + 1) for k in range(1, k_max + 1)}
+
+    def test_the_capped_grid_sweeps(self):
+        # table --max-k 64 --max-n 3000, the CLI's largest grid
+        assert _first_reflected_level(1, 64, 3000) == 65
 
     def test_all_columns_flag(self):
         grid = table(2, 6, all_columns=True)
