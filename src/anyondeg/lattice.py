@@ -24,6 +24,7 @@ is built.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import repeat
 from typing import NamedTuple
 
 
@@ -64,11 +65,14 @@ class Lattice(NamedTuple):
 
 
 def build_lattice(k: int) -> Lattice:
-    """All (k+1)(k+2)/2 vertices in canonical order."""
+    """All (k+1)(k+2)/2 vertices in canonical order, each made as
+    ``Vertex._make`` makes it, by ``tuple.__new__`` from a pair, with no
+    Python-level call per vertex."""
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
-    vertices = tuple(Vertex(i, j)
-                     for i in range(k + 1) for j in range(k + 1 - i))
+    vertices = tuple(map(tuple.__new__, repeat(Vertex),
+                         [(i, j) for i in range(k + 1)
+                          for j in range(k + 1 - i)]))
     return Lattice(k=k, vertices=vertices)
 
 

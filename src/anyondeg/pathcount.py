@@ -2,15 +2,18 @@
 
 Every step raises the grade (2i + j) mod 3 by 1, so after n steps only
 the vertices of class n mod 3 can hold a nonzero count.  The endpoint
-counts at one step, ``degeneracy``'s one vertex and
-``records.count_paths``'s whole class, come from the affine reflection
-sum of ``_reflection_counts``: one pass of about n (k + 3) additions,
-which no vertex changes, and about 3 n / (k + 3) big products per
-vertex, against the sweep's n (k + 1)(k + 2) / 6 additions.  The
-reflection principle itself, a vertex's three keys and the binomial
-residue sums, is written once, in ``_reflection_keys`` and
-``_residue_sums``.  ``origin_history`` reads ``lattice.sweep``, the
-dynamic programme over the predecessor recurrence
+counts at one step come from the affine reflection sum, whose binomial
+residue sums take one pass of about n (k + 3) additions that no vertex
+changes, against the sweep's n (k + 1)(k + 2) / 6 additions.
+``degeneracy``'s one vertex (``_reflection_count``) adds about
+3 n / (k + 3) big products.  ``records.count_paths``'s whole class
+(``_class_counts``) reads six entries a vertex from the symmetric
+trinomial residue table of ``_residue_table``, which the same pass
+builds with about n (k + 3) / 6 products, a third of what the class's
+keys would take one by one.  The reflection principle itself, a
+vertex's keys and the binomial residue sums, is written once, in
+``_reflection_keys`` and ``_residue_sums``.  ``origin_history`` reads
+``lattice.sweep``, the dynamic programme over the predecessor recurrence
 
     f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
 
@@ -54,10 +57,10 @@ REFLECT_MAX_N = 600
 
 
 def _reflection_keys(k: int, n: int, vertices: list[Vertex]
-                     ) -> Iterator[tuple[int, int, int, int]]:
+                     ) -> list[tuple[int, int, int]]:
     """The affine reflection principle (Gessel-Zeilberger; Grabiner) at
-    each of vertices after n steps: (t, c1, plus, minus) mod m, m = k + 3,
-    for each of the three keys of vertices[t].
+    each of vertices after n steps: its keys, as the residues
+    (x, y, z) = b - (1, 1, 1) mod m, m = k + 3.
 
     A walk is a 3-row tableau; in b = (r1 + 2, r2 + 1, r3) it starts at
     (2, 1, 0), adds 1 to one coordinate per step and stays in the alcove
@@ -67,18 +70,17 @@ def _reflection_keys(k: int, n: int, vertices: list[Vertex]
     c2 = b_sigma2 - 1 (mod m):  sum_sigma sgn sigma sum_c1 C(n, c1)
     S(n - c1, b_sigma2 - 1), where S(q, r) sums C(q, c) over c = r
     (mod m) (``_residue_sums``).  The two sigma with the same
-    sigma(1) = x have opposite signs and share one product: the cyclic
-    sigma(2) = x + 1 adds, x + 2 subtracts, so the count is the sum over
-    the keys and over q = n - c1 (mod m) of C(n, q) (S(q, plus) -
-    S(q, minus)).  The b_x are distinct mod m, so a vertex's three c1
-    never collide.  Needs n = 2i + j (mod 3) at every vertex.
+    sigma(1) have opposite signs and share one product: the cyclic
+    successor adds and the other subtracts.  So the count is the sum
+    over the three keys (c1, plus, minus), the cyclic turns
+    (x - 1, y, z), (y - 1, z, x) and (z - 1, x, y), and over
+    q = n - c1 (mod m), of C(n, q) (S(q, plus) - S(q, minus)).  The b
+    are distinct mod m, so a vertex's three c1 never collide.  Needs
+    n = 2i + j (mod 3) at every vertex.
     """
     m = k + 3
-    for t, (i, j) in enumerate(vertices):
-        r3 = (n - 2 * i - j) // 3
-        b = (r3 + i + j + 2, r3 + i + 1, r3)
-        for x in range(3):
-            yield t, (b[x] - 2) % m, (b[x - 2] - 1) % m, (b[x - 1] - 1) % m
+    return [((r3 + i + j + 1) % m, (r3 + i) % m, (r3 - 1) % m)
+            for i, j in vertices for r3 in ((n - 2 * i - j) // 3,)]
 
 
 def _residue_sums(m: int, q_max: int) -> Iterator[list[int]]:
@@ -93,22 +95,72 @@ def _residue_sums(m: int, q_max: int) -> Iterator[list[int]]:
         yield s
 
 
-def _reflection_counts(k: int, n: int, vertices: list[Vertex]
-                       ) -> list[int]:
-    """Number of n-step walks from the origin ending at each of vertices,
-    the reflection sum of ``_reflection_keys``: one pass of S(q), with
-    C(n, q) stepped in lockstep, serves them all.  Needs n = 2i + j
-    (mod 3) at every vertex."""
+def _reflection_count(k: int, n: int, v: Vertex) -> int:
+    """Number of n-step walks from the origin ending at v, the reflection
+    sum of ``_reflection_keys``: one pass of S(q), with C(n, q) stepped
+    in lockstep, and a product at each q that one of v's three keys
+    reads.  Needs n = 2i + j (mod 3)."""
     m = k + 3
-    hits = {}  # c1 mod m -> [(vertex index, plus, minus)]
-    for t, c1, plus, minus in _reflection_keys(k, n, vertices):
-        hits.setdefault(c1, []).append((t, plus, minus))
-    c, totals = 1, [0] * len(vertices)  # C(n, 0)
+    (x, y, z), = _reflection_keys(k, n, [v])
+    keys = {(x - 1) % m: (y, z), (y - 1) % m: (z, x), (z - 1) % m: (x, y)}
+    c, total = 1, 0  # C(n, 0)
     for q, s in enumerate(_residue_sums(m, n)):
         if q:
             c = c * (n - q + 1) // q
-        for t, plus, minus in hits.get((n - q) % m, ()):
-            totals[t] += c * (s[plus] - s[minus])
+        key = keys.get((n - q) % m)
+        if key:
+            total += c * (s[key[0]] - s[key[1]])
+    return total
+
+
+def _residue_table(k: int, n: int) -> list[list[int]]:
+    """T[a][b], a, b = 0..m - 1, m = k + 3: the sum of C(n, q) S(q, b)
+    over q = n - a (mod m), the number of words of length n over three
+    letters whose letter counts are a, b and n - a - b mod m.
+
+    So T is symmetric under permuting its three residues, and the one
+    pass of ``_residue_sums`` builds it on the domain a <= b <= c =
+    n - a - b mod m alone, about m^2 / 6 entries: at each q, row
+    a = n - q (mod m) takes C(n, q) times its run of S(q), the b in
+    a..(a + c0) // 2 and, where c has wrapped past 0, a + c0 + 1..
+    (a + c0 + m) // 2, c0 = n - 2a mod m.  That is about n m / 6
+    products in all.  The entries are then mirrored to all six orders
+    of their residues."""
+    m = k + 3
+    runs = []  # row a's two runs of b, as slice bounds
+    for a in range(m):
+        c0 = (n - 2 * a) % m
+        runs.append((a, (a + c0) // 2 + 1, a + c0 + 1, (a + c0 + m) // 2 + 1))
+    domain = [[*range(lo, hi), *range(lo2, hi2)] for lo, hi, lo2, hi2 in runs]
+    rows = [[0] * len(bs) for bs in domain]
+    c = 1  # C(n, 0)
+    for q, s in enumerate(_residue_sums(m, n)):
+        if q:
+            c = c * (n - q + 1) // q
+        a = (n - q) % m
+        if rows[a]:  # about a quarter of the rows hold no entry
+            lo, hi, lo2, hi2 = runs[a]
+            rows[a] = [*map(add, rows[a],
+                            map(c.__mul__, s[lo:hi] + s[lo2:hi2]))]
+    table = [[0] * m for _ in range(m)]
+    for a, bs in enumerate(domain):
+        for b, t in zip(bs, rows[a]):
+            r = (n - a - b) % m
+            table[a][b] = table[b][a] = table[a][r] = table[r][a] \
+                = table[b][r] = table[r][b] = t
+    return table
+
+
+def _class_counts(k: int, n: int, vertices: list[Vertex]) -> list[int]:
+    """Number of n-step walks from the origin ending at each of vertices,
+    the reflection sum of ``_reflection_keys`` read from
+    ``_residue_table``: the sum over q of a key (c1, plus, minus) is
+    T[c1][plus] - T[c1][minus], so a vertex (x, y, z) reads six entries.
+    Needs n = 2i + j (mod 3) at every vertex."""
+    table, totals = _residue_table(k, n), []
+    for x, y, z in _reflection_keys(k, n, vertices):
+        a, b, c = table[x - 1], table[y - 1], table[z - 1]
+        totals.append(a[y] - a[z] + b[z] - b[x] + c[x] - c[y])
     return totals
 
 
@@ -116,7 +168,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     """Number of n-step walks from the origin ending at v.
 
     0 at once off v's grade class; otherwise the reflection sum of
-    ``_reflection_counts`` over [v], at every level.
+    ``_reflection_count``, at every level.
     """
     v = Vertex(*v)
     if k < 1:
@@ -126,7 +178,7 @@ def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
     check_vertex(v, k)
     if (n - 2 * v.i - v.j) % 3:
         return 0  # every step raises 2i + j by 1 (mod 3)
-    return _reflection_counts(k, n, [v])[0]
+    return _reflection_count(k, n, v)
 
 
 def origin_history(k: int, n_max: int, v: Vertex = ORIGIN) -> list[int]:
@@ -167,7 +219,8 @@ def _grid_history(k: int, n_max: int, v: Vertex,
     sums = list(_residue_sums(m, n_max))
     history = [0] * (n_max + 1)
     for n, row in zip(range(g, n_max + 1, 3), binomials):
-        for _, c1, plus, minus in _reflection_keys(k, n, [v]):
+        (x, y, z), = _reflection_keys(k, n, [v])
+        for c1, plus, minus in ((x - 1, y, z), (y - 1, z, x), (z - 1, x, y)):
             q = (n - c1) % m
             history[n] += sum([c * (s[plus] - s[minus])
                                for c, s in zip(row[q::m], sums[q::m])])

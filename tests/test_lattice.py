@@ -68,11 +68,14 @@ def test_build_lattice_rejects_bad_level(k):
         build_lattice(k)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 64])
 def test_canonical_order_and_index_formula(k):
+    # the vertices are made by tuple.__new__, and are Vertex records still
     lat = build_lattice(k)
     expected = [Vertex(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
     assert list(lat.vertices) == expected
+    assert lat == Lattice(k, tuple(expected))
+    assert all(type(v) is Vertex for v in lat.vertices)
     for pos, v in enumerate(lat.vertices):
         # 1-based published index: i(2k - i + 3)/2 + j + 1
         assert v.i * (2 * k - v.i + 3) // 2 + v.j + 1 == pos + 1

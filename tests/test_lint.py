@@ -37,12 +37,15 @@ One step loop: the padded three-entry sum ``x[a] + x[b] + x[c]`` is
 written only in ``lattice.step``.  One route per quantity, where the
 counts at one step are one quantity: the endpoint counts at one step,
 the one that ``pathcount.degeneracy`` returns and the class-wide table
-of ``records.count_paths``, come from the affine reflection sum
-``pathcount._reflection_counts``, at every level and from no sweep, and
-those two are that sum's only callers.  The reflection principle lives
-in ``pathcount._reflection_keys`` and ``_residue_sums``, whose only
-callers are that sum and ``pathcount._grid_history``, which builds one
-grid row (``grid_rows`` and so ``table``).  A row reflects where that
+of ``records.count_paths``, come from the affine reflection sum, at
+every level and from no sweep: ``degeneracy`` alone calls its one-vertex
+form ``pathcount._reflection_count``, and ``count_paths`` alone calls
+its class form ``pathcount._class_counts``, the one reader of the
+residue table ``_residue_table``.  The reflection principle lives in
+``pathcount._reflection_keys`` and ``_residue_sums``, whose only callers
+are those two sums (the class sum through the table) and
+``pathcount._grid_history``, which builds one grid row (``grid_rows``
+and so ``table``).  A row reflects where that
 costs less than the sweep (``pathcount._first_reflected_level``): per
 level the two cross near k = 9 at n_max = 60, k = 12 at 200 and k = 20
 at 670, and no row reflects past n_max = 600.  The other rows come, like
@@ -378,38 +381,50 @@ def test_one_step_loop():
 
 
 def _reflection_callers(trees):
-    """{callee: its (module, function) callers} for the reflection sum
-    and its two steps."""
+    """{callee: its (module, function) callers} for the reflection sums,
+    the residue table and the two steps they share."""
     return {callee: {(name, func) for name, tree in trees
                      for func in _callers(tree, callee)}
-            for callee in ("_reflection_counts", "_reflection_keys",
+            for callee in ("_reflection_count", "_class_counts",
+                           "_residue_table", "_reflection_keys",
                            "_residue_sums")}
 
 
 def test_reflection_sum_called_only_by_the_one_step_counts():
-    # the counts at one step call the sum; the sum and the grid rows that
+    # the counts at one step call the sums, degeneracy the one-vertex sum
+    # and count_paths the class sum; the sums and the grid rows that
     # reflect are the only readers of the keys and the residue sums
-    readers = {("pathcount.py", "_reflection_counts"),
-               ("pathcount.py", "_grid_history")}
+    grid = ("pathcount.py", "_grid_history")
     assert _reflection_callers(_trees()) == {
-        "_reflection_counts": {("pathcount.py", "degeneracy"),
-                               ("records.py", "count_paths")},
-        "_reflection_keys": readers, "_residue_sums": readers}
+        "_reflection_count": {("pathcount.py", "degeneracy")},
+        "_class_counts": {("records.py", "count_paths")},
+        "_residue_table": {("pathcount.py", "_class_counts")},
+        "_reflection_keys": {("pathcount.py", "_reflection_count"),
+                             ("pathcount.py", "_class_counts"), grid},
+        "_residue_sums": {("pathcount.py", "_reflection_count"),
+                          ("pathcount.py", "_residue_table"), grid}}
 
 
 def test_reflection_rule_flags_other_callers():
-    # a history of its own, and a count past the one-step routes
+    # a history and a grid of their own, and counts past the one-step
+    # routes
     tree = ast.parse(
         "def origin_history(k, n_max, v):\n"
-        "    return [_reflection_keys(k, n, v) for n in range(n_max)]\n"
+        "    return [_reflection_keys(k, n, [v]) for n in range(n_max)]\n"
         "def growth_rate_estimate(k, n):\n"
-        "    return _reflection_counts(k, n, [(0, 0)])[0]\n"
+        "    return _reflection_count(k, n, (0, 0))\n"
+        "def degeneracy(k, n, v):\n"
+        "    return _class_counts(k, n, [v])[0]\n"
         "def _grid_history(k, n_max, v, binomials):\n"
-        "    return list(_residue_sums(k + 3, n_max))\n")
+        "    return [_residue_table(k, n) for n in range(n_max)]\n"
+        "def table(k_max, n_max, v):\n"
+        "    return list(_residue_sums(k_max + 3, n_max))\n")
     assert _reflection_callers([("pathcount.py", tree)]) == {
-        "_reflection_counts": {("pathcount.py", "growth_rate_estimate")},
+        "_reflection_count": {("pathcount.py", "growth_rate_estimate")},
+        "_class_counts": {("pathcount.py", "degeneracy")},
+        "_residue_table": {("pathcount.py", "_grid_history")},
         "_reflection_keys": {("pathcount.py", "origin_history")},
-        "_residue_sums": {("pathcount.py", "_grid_history")}}
+        "_residue_sums": {("pathcount.py", "table")}}
 
 
 def test_no_library_module_calls_smallest_positive_root():
@@ -504,9 +519,10 @@ def test_system_det_reaches_no_walk_sweep():
 def test_degeneracy_reaches_no_walk_sweep():
     # one route for the counts at one step, at every level: the
     # reflection sum, and no sweep beside it
-    for root in ("degeneracy", "count_paths"):
+    for root, route in (("degeneracy", "_reflection_count"),
+                        ("count_paths", "_class_counts")):
         reached = _reached(root)
-        assert ("pathcount.py", "_reflection_counts") in reached, root
+        assert ("pathcount.py", route) in reached, root
         assert ("lattice.py", "sweep") not in reached, root
     # the histories do walk: a renamed sweep fails here; the grid rows
     # take either route

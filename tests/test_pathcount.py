@@ -1,4 +1,5 @@
 from collections import deque
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,9 @@ from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_offsets, in_vertex_set, sweep
 from anyondeg.pathcount import REFLECT_MAX_N, _class_binomials, \
-    _first_reflected_level, _grid_history, _reflection_counts, \
-    degeneracy, grid_rows, origin_history
+    _class_counts, _first_reflected_level, _grid_history, \
+    _reflection_count, _residue_table, degeneracy, grid_rows, \
+    origin_history
 from anyondeg.records import count_paths, table
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
@@ -174,7 +176,7 @@ class TestDegeneracy:
             raise AssertionError("a count forced to 0 ran a route")
 
         monkeypatch.setattr(anyondeg.pathcount, "sweep", no_route)
-        monkeypatch.setattr(anyondeg.pathcount, "_reflection_counts", no_route)
+        monkeypatch.setattr(anyondeg.pathcount, "_reflection_count", no_route)
         assert degeneracy(64, 10000) == 0
         assert degeneracy(5, 4, (1, 1)) == 0
         # one step on, the reflection sum runs and the patch catches it
@@ -186,13 +188,13 @@ class TestDegeneracy:
     def test_level_picks_the_route(self, monkeypatch, k):
         # one reflection sum and no sweep, below level 11 and from it up
         expected, calls = origin_history(k, 30)[30], []
-        for route in ("sweep", "_reflection_counts"):
+        for route in ("sweep", "_reflection_count"):
             real = getattr(anyondeg.pathcount, route)
             monkeypatch.setattr(
                 anyondeg.pathcount, route, lambda *args, route=route,
                 real=real: calls.append(route) or real(*args))
         assert degeneracy(k, 30) == expected
-        assert calls == ["_reflection_counts"]
+        assert calls == ["_reflection_count"]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_congruence(self, k):
@@ -227,26 +229,52 @@ class TestDegeneracy:
 
 
 class TestReflectionCount:
-    @pytest.mark.parametrize("k", range(1, 21))
+    @pytest.mark.parametrize("k", [*range(1, 41), 48, 64])
     def test_matches_the_sweep_at_every_vertex(self, k):
-        # every vertex of class n mod 3, those with no n-box shape too,
-        # the whole class in one sum and each vertex alone
-        off = class_offsets(k)
-        for n, counts in enumerate(sweep(k, 45)):
+        # every vertex of class n mod 3, those with no n-box shape too: the
+        # whole class from the residue table, and each vertex alone, at
+        # every n <= 45 up to k = 20 and where the level starts to bite
+        # from k = 21 up; at samples up to n = 40 (k + 3) the class from
+        # the table, and the corners and the middle of the class alone
+        m, off = k + 3, class_offsets(k)
+        small = set(range(46)) if k <= 20 else {0, 1, 2, k + 2, k + 3, k + 4}
+        steps = small | {7 * m + 1, 20 * m + 2, 40 * m}
+        for n, counts in enumerate(sweep(k, max(steps))):
+            if n not in steps:
+                continue
             cls = [v for v in build_lattice(k).vertices
                    if (n - 2 * v.i - v.j) % 3 == 0]
             expected = [counts[off[n % 3][v.i] + v.j // 3] for v in cls]
-            assert _reflection_counts(k, n, cls) == expected
-            assert [_reflection_counts(k, n, [v])[0] for v in cls] \
-                == expected
+            assert _class_counts(k, n, cls) == expected
+            alone = range(len(cls)) if n in small \
+                else (0, len(cls) // 2, len(cls) - 1)
+            for t in alone:
+                assert _reflection_count(k, n, cls[t]) == expected[t]
 
     @pytest.mark.parametrize("k", [20, 45, 64])
     def test_hook_lengths_where_the_level_is_inert(self, k):
         for n in range(k - 8, k + 1):
             for v in build_lattice(k).vertices:
                 if (n - 2 * v.i - v.j) % 3 == 0:
-                    assert _reflection_counts(k, n, [v]) \
-                        == [unrestricted_count(n, v)]
+                    assert _reflection_count(k, n, v) \
+                        == unrestricted_count(n, v)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_residue_table_counts_words_by_residue(self, k):
+        # T[a][b] against the trinomials C(n, c1) C(n - c1, c2) summed by
+        # (c1, c2) mod m, and T's symmetry under permuting its residues
+        m = k + 3
+        for n in range(21):
+            words = [[0] * m for _ in range(m)]
+            for c1 in range(n + 1):
+                for c2 in range(n - c1 + 1):
+                    words[c1 % m][c2 % m] += comb(n, c1) * comb(n - c1, c2)
+            table = _residue_table(k, n)
+            assert table == words
+            for a in range(m):
+                for b in range(m):
+                    assert table[a][b] == table[b][a] \
+                        == table[a][(n - a - b) % m]
 
 
 class TestVerlindeOracle:
