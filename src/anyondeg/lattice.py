@@ -14,7 +14,8 @@ level's table and steps from the origin one grade class at a time.
 Every history of walk counts, the numerators of ``genfunc`` too, comes
 from it, and so do the grid rows of ``pathcount.grid_rows`` at the
 levels where the sweep costs less; the endpoint counts at one step, and
-the other grid rows, come from the reflection sum of ``pathcount``.
+the other grid rows, come from the reflection sum of ``pathcount``,
+whose module docstring states each route's cost.
 The simple current J, (i, j) -> (k - i - j, i), has one rule for its
 orbit representatives, ``orbit_firsts``, which the determinant's factors
 and the Perron tables both read.  Pure Python; no dense adjacency matrix

@@ -1,38 +1,60 @@
 """Exact counting of n-step walks from the origin on the level-k lattice.
 
 Every step raises the grade (2i + j) mod 3 by 1, so after n steps only
-the vertices of class n mod 3 can hold a nonzero count.  The endpoint
-counts at one step come from the affine reflection sum, whose binomial
-residue sums take one pass of about n (k + 3) additions that no vertex
-changes, against the sweep's n (k + 1)(k + 2) / 6 additions.
-``degeneracy``'s one vertex (``_reflection_count``) adds about
-3 n / (k + 3) big products.  ``records.count_paths``'s whole class
-(``_class_counts``) reads six entries a vertex from the symmetric
-trinomial residue table of ``_residue_table``, which the same pass
-builds with about n (k + 3) / 6 products, a third of what the class's
-keys would take one by one.  The reflection principle itself, a
-vertex's keys and the binomial residue sums, is written once, in
-``_reflection_keys`` and ``_residue_sums``.  ``origin_history`` reads
-``lattice.sweep``, the dynamic programme over the predecessor recurrence
+the vertices of class n mod 3 can hold a nonzero count.  Every
+walk-count route is decided in this module, and here is what each one
+costs, with m = k + 3:
 
-    f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
+* The sweep, ``lattice.sweep``, the dynamic programme over the
+  predecessor recurrence
 
-with out-of-range terms zero, one flat list per step over class n mod 3.
-``grid_rows`` takes each level's row from one of the two, by cost: the
-sweep's n_max (k + 1)(k + 2) / 6 additions a level against the
-reflection sum at every n of v's class, about n_max (k + 3) additions
-and n_max^2 / (2 (k + 3)) products a level, with the binomial rows of
-v's class built once per grid (``_first_reflected_level``).  Per level
-the two cross near k = 9 at n_max = 60, k = 12 at 200, k = 15 at 400
-and k = 20 at 670 (README, Walk counts), so small grids stay on the
-sweep.
-``growth_rate_estimate`` reads one count.
-Every count is a Python int, with no floats, and there are no
-records: the two records, ``CountTable`` and ``CountGrid``, live in
-``records``, so the ``count`` and ``table`` subcommands, which print
-plain ints, load neither it nor ``dataclasses``.  Only ``cli`` and
-``records`` import this module; ``reproduce`` reads it through
-``records``.
+      f[(i,j)](n) = f[(i+1,j)](n-1) + f[(i-1,j+1)](n-1) + f[(i,j-1)](n-1)
+
+  with out-of-range terms zero, one flat list per step over class
+  n mod 3: about n (k + 1)(k + 2) / 6 additions to step n.
+  ``origin_history`` reads it, every step of one vertex.
+* The affine reflection sum at one vertex (``degeneracy``, by
+  ``_reflection_count``): one pass of the binomial residue sums
+  (``_residue_sums``), about n m additions that no vertex changes, and
+  about 3 n / m big products.  The reflection principle itself, a
+  vertex's keys and the residue sums, is written once, in
+  ``_reflection_keys`` and ``_residue_sums``.
+* The whole class n mod 3 (``_class_counts``, which
+  ``records.count_paths`` wraps): the same pass builds the symmetric
+  trinomial residue table of ``_residue_table`` with about n m / 6
+  products, a third of what the class's keys would take one by one,
+  and each vertex reads six entries.  From k = 16 up this is cheaper
+  than the sweep, up to about n = 100 m at k = 16 and past n = 3000 at
+  k = 28 and 64.  At k <= 8 the sweep is cheaper at every n, by 1.2x at
+  (8, 60) up to 6x at (4, 3000); no size rule sends those calls to the
+  sweep, as the package's one caller there, ``reproduce``'s hooks item
+  at k = n <= 12, pays about 0.1 ms for it in all.
+* A grid row, v's count at every n <= n_max on one level
+  (``grid_rows``, one ``_grid_history`` a level): the sweep's
+  n_max (k + 1)(k + 2) / 6 additions, or the reflection sum at every n
+  of v's class, about n_max m additions and n_max^2 / (2 m) products
+  with the binomial rows C(n, .) of v's class (``_class_binomials``),
+  which are built once a grid, about n_max^2 / 4 additions' worth.
+  ``_reflects`` weighs a product as ``PRODUCT_COST`` additions and
+  reflects each level where the sweep costs more a step,
+  (k + 1)(k + 2) / 6 > m + PRODUCT_COST n_max / (2 m), so long as
+  n_max <= ``REFLECT_MAX_N``.  Per level the two routes cross, in
+  process at the origin with the binomial rows apart, near k = 7 at
+  n_max = 27, k = 9 at 60, k = 11 at 120, k = 12 at 200, k = 15 at 400
+  and k = 20 at 670, and the cost comparison puts the crossing at 8,
+  10, 12, 13, 16 and 19, always within one level.  The binomial rows
+  are left out of the test.  Where their cost would tip a run of levels
+  back to the sweep, the loss is small: level 8 of ``reproduce``'s grid
+  (8, 27) takes the same time by either route, and levels 13-15 of
+  (15, 200), which no caller runs, take about 0.4 ms more than their
+  sweeps' 2.3 ms.
+
+``growth_rate_estimate`` reads one count.  Every count is a Python int,
+with no floats, and there are no records: the two records,
+``CountTable`` and ``CountGrid``, live in ``records``, so the ``count``
+and ``table`` subcommands, which print plain ints, load neither it nor
+``dataclasses``.  Only ``cli`` and ``records`` import this module;
+``reproduce`` reads it through ``records``.
 """
 
 from __future__ import annotations
@@ -41,17 +63,14 @@ import math
 from collections.abc import Iterator
 from operator import add
 
-from .lattice import ORIGIN, Vertex, check_vertex, class_offsets, \
-    in_vertex_set, sweep
+from .lattice import ORIGIN, Vertex, build_lattice, check_vertex, \
+    class_offsets, in_vertex_set, sweep
 
-# The route rule of ``grid_rows`` (README, Walk counts), in sweep cell
-# updates a step: the sweep of level k costs (k + 1)(k + 2) / 6, the
-# reflection sum k + 3 additions and n_max / (2 (k + 3)) products of
-# PRODUCT_COST each, and v's class binomial rows n_max / 4 once a grid.
-# With 3 these put the crossing of the routes' per-level times within
-# one level of where it was measured, at n_max = 27..670.  Past
-# REFLECT_MAX_N every row sweeps, so the largest reflected grid the CLI
-# allows, (64, 600), stays near 23 MB.
+# The weight of a big product, in additions, in the route test of
+# ``_reflects`` (module docstring): with 3 the test's crossing lies within
+# one level of the measured one at n_max = 27..670.  Past REFLECT_MAX_N
+# every row sweeps, so the largest reflected grid the CLI allows,
+# (64, 600), stays near 23 MB.
 PRODUCT_COST = 3
 REFLECT_MAX_N = 600
 
@@ -151,17 +170,28 @@ def _residue_table(k: int, n: int) -> list[list[int]]:
     return table
 
 
-def _class_counts(k: int, n: int, vertices: list[Vertex]) -> list[int]:
-    """Number of n-step walks from the origin ending at each of vertices,
+def _class_counts(k: int, n: int) -> dict[Vertex, int]:
+    """All endpoint counts of n-step walks from the origin on the level-k
+    lattice, in canonical order: 0 off grade class n mod 3, and on it
     the reflection sum of ``_reflection_keys`` read from
     ``_residue_table``: the sum over q of a key (c1, plus, minus) is
-    T[c1][plus] - T[c1][minus], so a vertex (x, y, z) reads six entries.
-    Needs n = 2i + j (mod 3) at every vertex."""
+    T[c1][plus] - T[c1][minus], so a vertex (x, y, z) reads six
+    entries."""
+    vertices = build_lattice(k).vertices  # k is checked before n
+    if n < 0:
+        raise ValueError(f"step count n must be >= 0, got {n}")
+    # row i of the canonical order starts at i (2k - i + 3) / 2, and its
+    # class-n vertices are every third one from j = n - 2i mod 3
+    reached = [v for i in range(k + 1)
+               for v in vertices[i * (2 * k - i + 3) // 2 + (n - 2 * i) % 3:
+                                 (i + 1) * (2 * k - i + 2) // 2:3]]
     table, totals = _residue_table(k, n), []
-    for x, y, z in _reflection_keys(k, n, vertices):
+    for x, y, z in _reflection_keys(k, n, reached):
         a, b, c = table[x - 1], table[y - 1], table[z - 1]
         totals.append(a[y] - a[z] + b[z] - b[x] + c[x] - c[y])
-    return totals
+    counts = dict.fromkeys(vertices, 0)
+    counts.update(zip(reached, totals))
+    return counts
 
 
 def degeneracy(k: int, n: int, v: Vertex = ORIGIN) -> int:
@@ -227,22 +257,16 @@ def _grid_history(k: int, n_max: int, v: Vertex,
     return history
 
 
-def _first_reflected_level(k_lo: int, k_max: int, n_max: int) -> int:
-    """The first of the levels k_lo..k_max whose grid row comes from the
-    reflection sum, or k_max + 1 for none.  The sweep's cost less the
-    reflection sum's grows with k from k = 2 up, so the levels where it is
-    positive run up to k_max; they reflect if their gains together
-    outweigh building the binomial rows, and n_max <= REFLECT_MAX_N."""
-    first, total = k_max + 1, 0.0
-    if n_max > REFLECT_MAX_N:
-        return first
-    for k in range(k_max, k_lo - 1, -1):
-        m = k + 3
-        gain = (k + 1) * (k + 2) / 6 - m - PRODUCT_COST * n_max / (2 * m)
-        if gain <= 0:
-            break
-        first, total = k, total + gain
-    return first if total > n_max / 4 else k_max + 1
+def _reflects(k: int, n_max: int) -> bool:
+    """Whether level k of a grid up to n_max takes its row from the
+    reflection sum: n_max <= REFLECT_MAX_N, and the sweep's cost a step
+    exceeds the reflection sum's.  The sweep's cost less the reflection
+    sum's never falls as k grows, so the levels that pass run up to the
+    top of the grid, and ``grid_rows`` builds the binomial rows once, at
+    the first of them."""
+    m = k + 3
+    return n_max <= REFLECT_MAX_N \
+        and (k + 1) * (k + 2) / 6 > m + PRODUCT_COST * n_max / (2 * m)
 
 
 def growth_rate_estimate(k: int, n: int) -> float:
@@ -258,8 +282,9 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
     """(columns, rows) of the count grid at v for k = 1..k_max,
     n = 0..n_max: the n of the columns, and a lazy iterator of
     (k, counts aligned with the columns), one ``_grid_history`` per row:
-    the reflection sum from ``_first_reflected_level`` up, which builds
-    v's class binomial rows, and the sweep below.
+    the reflection sum at the levels that ``_reflects`` passes, a run up
+    to k_max, whose first level builds v's class binomial rows, and the
+    sweep below.
 
     At the origin only the n with 3 | n are columns (the rest vanish by
     the congruence invariant) unless all_columns is set.  v must lie in
@@ -277,13 +302,12 @@ def grid_rows(k_max: int, n_max: int, v: Vertex = ORIGIN,
     columns = tuple(n for n in range(n_max + 1) if not stride3 or n % 3 == 0)
 
     def rows():
-        first = _first_reflected_level(max(v.i + v.j, 1), k_max, n_max)
         binomials = None  # v's class rows, from the first reflected level
         for k in range(1, k_max + 1):
             if not in_vertex_set(v, k):
                 yield k, tuple(0 for _ in columns)
                 continue
-            if k == first:
+            if binomials is None and _reflects(k, n_max):
                 binomials = _class_binomials(n_max, (2 * v.i + v.j) % 3)
             history = _grid_history(k, n_max, v, binomials)
             yield k, tuple(history[n] for n in columns)

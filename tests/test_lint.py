@@ -39,18 +39,22 @@ counts at one step are one quantity: the endpoint counts at one step,
 the one that ``pathcount.degeneracy`` returns and the class-wide table
 of ``records.count_paths``, come from the affine reflection sum, at
 every level and from no sweep: ``degeneracy`` alone calls its one-vertex
-form ``pathcount._reflection_count``, and ``count_paths`` alone calls
-its class form ``pathcount._class_counts``, the one reader of the
-residue table ``_residue_table``.  The reflection principle lives in
-``pathcount._reflection_keys`` and ``_residue_sums``, whose only callers
-are those two sums (the class sum through the table) and
-``pathcount._grid_history``, which builds one grid row (``grid_rows``
-and so ``table``).  A row reflects where that
-costs less than the sweep (``pathcount._first_reflected_level``): per
-level the two cross near k = 9 at n_max = 60, k = 12 at 200 and k = 20
-at 670, and no row reflects past n_max = 600.  The other rows come, like
-every history (``origin_history``), from ``lattice.sweep`` stepping
-along the edge table.  ``origin_history``
+form ``pathcount._reflection_count``, and ``records.count_paths`` alone
+calls its class form ``pathcount._class_counts``, which builds the
+lattice, picks class n mod 3 and fills the rest with 0, and is the one
+reader of the residue table ``_residue_table``.  So ``records`` only
+wraps ``pathcount``: it imports nothing from ``lattice`` but ``ORIGIN``
+and ``Vertex``, and every walk-count route is decided in ``pathcount``.
+The reflection principle lives in ``pathcount._reflection_keys`` and
+``_residue_sums``, whose only callers are those two sums (the class sum
+through the table) and ``pathcount._grid_history``, which builds one
+grid row (``grid_rows`` and so ``table``).  A row reflects where that
+costs less than the sweep, by one test per level, ``pathcount._reflects``,
+which only the row loop of ``grid_rows`` calls, and no row reflects past
+n_max = 600; that loop alone builds v's class binomial rows
+(``_class_binomials``), once, at the first level that reflects.  The
+other rows come, like every history (``origin_history``), from
+``lattice.sweep`` stepping along the edge table.  ``origin_history``
 does reach the sweep, so a renamed sweep fails the rule rather than
 leaving it nothing to check.
 Every numerator of ``solve_system`` comes from one sweep fed the
@@ -382,19 +386,22 @@ def test_one_step_loop():
 
 def _reflection_callers(trees):
     """{callee: its (module, function) callers} for the reflection sums,
-    the residue table and the two steps they share."""
+    the residue table, the two steps they share, the grid rule and the
+    grid's binomial rows."""
     return {callee: {(name, func) for name, tree in trees
                      for func in _callers(tree, callee)}
             for callee in ("_reflection_count", "_class_counts",
                            "_residue_table", "_reflection_keys",
-                           "_residue_sums")}
+                           "_residue_sums", "_reflects", "_class_binomials")}
 
 
 def test_reflection_sum_called_only_by_the_one_step_counts():
     # the counts at one step call the sums, degeneracy the one-vertex sum
     # and count_paths the class sum; the sums and the grid rows that
-    # reflect are the only readers of the keys and the residue sums
-    grid = ("pathcount.py", "_grid_history")
+    # reflect are the only readers of the keys and the residue sums; the
+    # row loop of grid_rows alone tests each level and builds the
+    # binomial rows
+    grid, rows = ("pathcount.py", "_grid_history"), ("pathcount.py", "rows")
     assert _reflection_callers(_trees()) == {
         "_reflection_count": {("pathcount.py", "degeneracy")},
         "_class_counts": {("records.py", "count_paths")},
@@ -402,29 +409,73 @@ def test_reflection_sum_called_only_by_the_one_step_counts():
         "_reflection_keys": {("pathcount.py", "_reflection_count"),
                              ("pathcount.py", "_class_counts"), grid},
         "_residue_sums": {("pathcount.py", "_reflection_count"),
-                          ("pathcount.py", "_residue_table"), grid}}
+                          ("pathcount.py", "_residue_table"), grid},
+        "_reflects": {rows},
+        "_class_binomials": {rows}}
 
 
 def test_reflection_rule_flags_other_callers():
-    # a history and a grid of their own, and counts past the one-step
-    # routes
+    # a history and a grid of their own, counts past the one-step
+    # routes, and a grid that tests its levels and builds its binomial
+    # rows outside the row loop
     tree = ast.parse(
         "def origin_history(k, n_max, v):\n"
         "    return [_reflection_keys(k, n, [v]) for n in range(n_max)]\n"
         "def growth_rate_estimate(k, n):\n"
         "    return _reflection_count(k, n, (0, 0))\n"
         "def degeneracy(k, n, v):\n"
-        "    return _class_counts(k, n, [v])[0]\n"
+        "    return _class_counts(k, n)[v]\n"
         "def _grid_history(k, n_max, v, binomials):\n"
         "    return [_residue_table(k, n) for n in range(n_max)]\n"
         "def table(k_max, n_max, v):\n"
-        "    return list(_residue_sums(k_max + 3, n_max))\n")
+        "    return list(_residue_sums(k_max + 3, n_max))\n"
+        "def grid_rows(k_max, n_max, v):\n"
+        "    first = min(k for k in range(1, k_max + 1)\n"
+        "                if _reflects(k, n_max))\n"
+        "    return first, _class_binomials(n_max, 0)\n")
     assert _reflection_callers([("pathcount.py", tree)]) == {
         "_reflection_count": {("pathcount.py", "growth_rate_estimate")},
         "_class_counts": {("pathcount.py", "degeneracy")},
         "_residue_table": {("pathcount.py", "_grid_history")},
         "_reflection_keys": {("pathcount.py", "origin_history")},
-        "_residue_sums": {("pathcount.py", "table")}}
+        "_residue_sums": {("pathcount.py", "table")},
+        "_reflects": {("pathcount.py", "grid_rows")},
+        "_class_binomials": {("pathcount.py", "grid_rows")}}
+
+
+def _lattice_names(tree):
+    """The names a module imports from ``lattice``, at any level: those of
+    ``from .lattice import …``, and ``lattice`` itself for
+    ``from . import lattice`` or an absolute ``anyondeg.lattice``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[-1] == "lattice":
+            found |= {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {"lattice" for m in _imported(node) + [
+                a.name for a in node.names] if "lattice" in m.split(".")}
+    return found
+
+
+def test_records_reads_only_origin_and_vertex_from_lattice():
+    # records wraps pathcount: the lattice build and the class pick of
+    # count_paths live in pathcount._class_counts
+    assert _lattice_names(dict(_trees())["records.py"]) \
+        <= {"ORIGIN", "Vertex"}
+
+
+def test_records_lattice_rule_flags_other_names():
+    # a third name, the module itself, and a late import are reported
+    for source, names in (
+            ("from .lattice import ORIGIN, Vertex, build_lattice\n",
+             {"ORIGIN", "Vertex", "build_lattice"}),
+            ("from . import lattice\n", {"lattice"}),
+            ("import anyondeg.lattice as lat\n", {"lattice"}),
+            ("def count_paths(k, n):\n"
+             "    from anyondeg.lattice import class_offsets\n",
+             {"class_offsets"})):
+        assert _lattice_names(ast.parse(source)) == names, source
 
 
 def test_no_library_module_calls_smallest_positive_root():

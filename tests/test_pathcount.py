@@ -9,9 +9,8 @@ from anyondeg.genfunc import system_det
 from anyondeg.lattice import ORIGIN, Vertex, build_lattice, \
     class_offsets, in_vertex_set, sweep
 from anyondeg.pathcount import REFLECT_MAX_N, _class_binomials, \
-    _class_counts, _first_reflected_level, _grid_history, \
-    _reflection_count, _residue_table, degeneracy, grid_rows, \
-    origin_history
+    _class_counts, _grid_history, _reflection_count, _reflects, \
+    _residue_table, degeneracy, grid_rows, origin_history
 from anyondeg.records import count_paths, table
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.syt import unrestricted_count
@@ -245,7 +244,9 @@ class TestReflectionCount:
             cls = [v for v in build_lattice(k).vertices
                    if (n - 2 * v.i - v.j) % 3 == 0]
             expected = [counts[off[n % 3][v.i] + v.j // 3] for v in cls]
-            assert _class_counts(k, n, cls) == expected
+            got = _class_counts(k, n)
+            assert [got[v] for v in cls] == expected
+            assert sum(got.values()) == sum(expected)  # 0 off the class
             alone = range(len(cls)) if n in small \
                 else (0, len(cls) // 2, len(cls) - 1)
             for t in alone:
@@ -439,8 +440,8 @@ class TestTable:
         # at n_max = 150: levels 12 and up reflect, the rest sweep; the
         # sweep's history is the oracle at every seventh level and the top
         n_max, v = 150, Vertex(*v)
-        assert _first_reflected_level(max(sum(v), 1), 64, n_max) \
-            == max(sum(v), 12)
+        assert [k for k in range(max(sum(v), 1), 65) if _reflects(k, n_max)] \
+            == list(range(max(sum(v), 12), 65))
         for k, row in grid_rows(64, n_max, v, all_columns=True)[1]:
             if k % 7 == 0 or k >= 63:
                 assert row == (tuple(origin_history(k, n_max, v))
@@ -448,8 +449,8 @@ class TestTable:
 
     @pytest.mark.parametrize("k_max,n_max,v,first", [
         (6, 21, (0, 0), None),  # the largest table grid of cli_golden
-        (8, 27, (0, 0), None),  # reproduce's Table 1
-        (15, 200, (0, 0), None),  # 13-15 gain less than the binomials cost
+        (8, 27, (0, 0), 8),  # reproduce's Table 1, its top level alone
+        (15, 200, (0, 0), 13),  # the binomial rows do not enter the test
         (24, 200, (0, 0), 13),  # large_k's table job
         (12, 61, (2, 3), 10),
         (17, 100, (0, 17), 17),  # a corner runs its own level alone
@@ -475,8 +476,52 @@ class TestTable:
                         else (0,) * (n_max + 1) for k in range(1, k_max + 1)}
 
     def test_the_capped_grid_sweeps(self):
-        # table --max-k 64 --max-n 3000, the CLI's largest grid
-        assert _first_reflected_level(1, 64, 3000) == 65
+        # table --max-k 64 --max-n 3000, the CLI's largest grid, and every
+        # grid past the memory bound
+        for n_max in (REFLECT_MAX_N + 1, 3000):
+            assert not any(_reflects(k, n_max) for k in range(1, 65))
+
+    @pytest.mark.parametrize("n_max,first", [
+        (0, 6), (27, 8), (200, 13), (REFLECT_MAX_N, 19)])
+    def test_the_reflected_levels_run_up_to_the_top(self, n_max, first):
+        # grid_rows builds the binomial rows once, at the first level that
+        # passes, so every level above it must pass too, at every k_max
+        passed = [k for k in range(1, 65) if _reflects(k, n_max)]
+        assert passed == list(range(first, 65))
+
+    @pytest.mark.parametrize("k_max,n_max,v,builds", [
+        (24, 200, (0, 0), 1),  # large_k's table job
+        (64, REFLECT_MAX_N, (0, 64), 1),
+        (64, REFLECT_MAX_N + 1, (0, 64), 0),
+        (6, 21, (0, 0), 0)])  # the largest table grid of cli_golden
+    def test_the_binomial_rows_are_built_once_a_grid(
+            self, monkeypatch, k_max, n_max, v, builds):
+        calls = []
+        real = anyondeg.pathcount._class_binomials
+        monkeypatch.setattr(
+            anyondeg.pathcount, "_class_binomials", lambda n_max, g:
+            calls.append(g) or real(n_max, g))
+        for _ in grid_rows(k_max, n_max, Vertex(*v))[1]:
+            pass
+        assert len(calls) == builds
+
+    def test_a_reflected_grid_with_no_step_of_the_class(self, monkeypatch):
+        # v = (0, 2) is of class 2, so no n <= 1 is a step of it: the
+        # binomial rows are empty, and levels 6-20 reflect them to rows of 0
+        v, routes = Vertex(0, 2), {}
+        assert _class_binomials(1, 2) == []
+        real = anyondeg.pathcount._grid_history
+
+        def seam(k, n, v, binomials):
+            routes[k] = binomials
+            return real(k, n, v, binomials)
+
+        monkeypatch.setattr(anyondeg.pathcount, "_grid_history", seam)
+        rows = dict(grid_rows(20, 1, v)[1])
+        assert routes == {k: None if k < 6 else [] for k in range(2, 21)}
+        assert rows == {k: (0, 0) for k in range(1, 21)}
+        assert all(rows[k] == tuple(origin_history(k, 1, v))
+                   for k in range(2, 21))
 
     def test_all_columns_flag(self):
         grid = table(2, 6, all_columns=True)
