@@ -16,7 +16,6 @@ runs, so a process loads only the modules it needs.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import signal
 import sys
@@ -152,18 +151,16 @@ def _cmd_qdim(args) -> int:
         spectral_report
 
     _check_caps(k=args.k)
-    if not 0 < args.tol < math.inf:  # before any route runs
-        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     if args.method == "trig":
         print(repr(lambda_trig(args.k)))
     elif args.method == "eig":
-        print(repr(lambda_perron(args.k, tol=args.tol)))
+        print(repr(lambda_perron(args.k)))
     elif args.method == "root":
-        print(repr(1.0 / root_rho(args.k, tol=args.tol)))
+        print(repr(1.0 / root_rho(args.k)))
     else:
         import json
 
-        print(json.dumps(spectral_report(args.k, tol=args.tol)._asdict()))
+        print(json.dumps(spectral_report(args.k)._asdict()))
     return 0
 
 
@@ -249,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("trig", "eig", "root", "all"),
                    default="all")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="convergence tolerance (default 1e-12)")
     p.set_defaults(func=_cmd_qdim, parser=p)
 
     p = sub.add_parser("syt", help="standard-tableau counts")

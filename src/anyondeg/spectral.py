@@ -31,9 +31,10 @@ The asymptotic growth factor (the total quantum dimension) is
 Beside the counts' own f(n)^(1/n), ``pathcount.growth_rate_estimate``,
 this is the only module that touches floating point, and it needs only
 the standard library; it counts no walk.  Its numerical limits are
-module constants: the root grid's GRID, the guess's NEWTON_STEPS and
-NEWTON_STOP, and the Ritz values' cap PERRON_THETA_MAX.  Lanczos has no
-step cap: its dimension bounds it.
+module constants: the tolerance TOL on lambda of the Perron and root
+routes, the root grid's GRID, the guess's NEWTON_STEPS and NEWTON_STOP,
+and the Ritz values' cap PERRON_THETA_MAX.  Lanczos has no step cap:
+its dimension bounds it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .lattice import ORIGIN, class_offsets, orbit_firsts, step, walk_table
 from .poly import IntPoly
 
 
+# Lanczos stops once lambda moves by less than TOL, and the root is
+# bracketed so that 1/rho lies within TOL of lambda
+TOL = 1e-12
 # The root's grid: steps of 1/GRID in u = t^g up to u = 1, where the
 # root 1/lambda^3 <= 1 of det(M_k) lies.  The steps are scanned in order
 # for the first sign change only where exact signs turn the float guess
@@ -210,7 +214,7 @@ def _top_ritz(alphas: list[float], sq_betas: list[float], floor: float,
     return lo
 
 
-def lambda_perron(k: int, tol: float = 1e-12) -> float:
+def lambda_perron(k: int) -> float:
     """Dominant adjacency eigenvalue by Lanczos on B + B^T.
 
     Every step raises the grade (2i + j) mod 3 by 1, so A is 3-cyclic
@@ -225,10 +229,9 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     a bracket that Newton's method finds: one pivot pass, one count, so
     about five LDL^T passes a step; Newton first tries theta plus its
     last rise.  The loop stops once (theta / 2)^(1/3) moves by less
-    than tol, which must be positive and finite, or when the Krylov
-    space runs out: a zero residual, or as many steps as it has
-    dimensions, one per orbit.  That dimension bounds Lanczos, so it
-    has no step cap of its own.
+    than TOL, or when the Krylov space runs out: a zero residual, or
+    as many steps as it has dimensions, one per orbit.  That dimension
+    bounds Lanczos, so it has no step cap of its own.
 
     The rotations that keep the classes commute with A, so Lanczos runs
     on one entry per orbit (``_perron_tables``), inner products weighted
@@ -240,8 +243,6 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
     ``_perron_apply``'s y[r] + y[P r] is one float at r and P r), so
     (B + B^T) q = P B^T P q + B^T q is (I + P) B^T q: one B^T pass.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     rows, mirror, weight = _perron_tables(k)
     n, top = len(weight), max(weight)
     light = [(r, s / top - 1) for r, s in enumerate(weight) if s < top]
@@ -259,7 +260,7 @@ def lambda_perron(k: int, tol: float = 1e-12) -> float:
         beta = math.hypot(*w)
         for r, c in light:
             beta = math.sqrt(beta * beta + c * w[r] * w[r])
-        if abs(lam - lam_prev) < tol or beta == 0 or step == n:
+        if abs(lam - lam_prev) < TOL or beta == 0 or step == n:
             return lam
         sq_betas.append(beta * beta)
         q_prev, q = q, [a / beta for a in w]
@@ -329,8 +330,8 @@ def _newton_guess(q: tuple[int, ...]) -> float:
 def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
     """(lo, hi, den): the smallest positive root of q lies in
     [lo / den, hi / den], lo == hi on an exact zero, in u = t^g, the
-    bracket in t at most tol (positive and finite) wide or at float
-    resolution; q must be positive at 0.
+    bracket in t at most tol wide or at float resolution; q must be
+    positive at 0.
 
     q is D(s) = det(M_k) in u = t^g or one of its Galois-orbit factors,
     whose smallest positive root rho_s = 1/lambda^3 is at most 1, as
@@ -357,8 +358,6 @@ def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
     and even, as (0, lo) holds no root, so the float is the scan's in
     every case.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     if q.sign_at(0, 1) <= 0:
         raise ValueError("polynomial must be positive at 0")
 
@@ -411,7 +410,7 @@ def _root_bracket(q: IntPoly, g: int, tol: float) -> tuple[int, int, int]:
     return bracket
 
 
-def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
+def smallest_positive_root(p: IntPoly) -> float:
     """Smallest positive root of p = det(M_k), or of p(t) = F(t^3) for a
     Galois-orbit factor F of D(s): p must be positive at 0, and its
     smallest positive root at most 1, where every other root is at
@@ -422,23 +421,21 @@ def smallest_positive_root(p: IntPoly, tol: float = 1e-12) -> float:
     guess of its grid step and of its bisection's leaf, each checked by
     two exact signs and the step by one Descartes count, else a scan of
     the grid and bisection, with exact signs at rational points, until
-    the bracket in t is at most tol (positive and finite) or at float
-    resolution; an exact zero gives the exact float.  Either way the
-    bracket, and so the float, is the scan's, and Descartes' rule proves
-    that no root hides below it.  Outside that domain it raises
+    the bracket in t is at most TOL or at float resolution; an exact
+    zero gives the exact float.  Either way the bracket, and so the
+    float, is the scan's, and Descartes' rule proves that no root hides
+    below it.  Outside that domain it raises
     NoRootError where p keeps its sign on (0, 1], and ArithmeticError
     where Descartes' rule cannot rule out a root below the bracket.
     """
     g = math.gcd(*(e for e, c in enumerate(p.coeffs) if c)) or 1
-    lo, hi, den = _root_bracket(IntPoly(p.coeffs[::g]), g, tol)
+    lo, hi, den = _root_bracket(IntPoly(p.coeffs[::g]), g, TOL)
     return _exact_root(lo + hi, 2 * den, g)
 
 
-def root_rho(k: int, tol: float = 1e-12) -> float:
-    """Smallest positive root rho of det(M_k), bracketed to 2 tol / ROWS^2
-    so that 1/rho is within tol of lambda < ROWS: d lambda = lambda^2 d rho.
-    That width is clamped to the least positive float, so every positive
-    finite tol is taken, and below float resolution none changes the value.
+def root_rho(k: int) -> float:
+    """Smallest positive root rho of det(M_k), bracketed to 2 TOL / ROWS^2
+    so that 1/rho is within TOL of lambda < ROWS: d lambda = lambda^2 d rho.
 
     D(s) = det(M_k) at s = t^3 is the product of its Galois-orbit factors
     (``genfunc._orbit_factors``), and rho^3 = 1/lambda^3 is a root of the
@@ -449,14 +446,11 @@ def root_rho(k: int, tol: float = 1e-12) -> float:
     ArithmeticError if the first factor is not the origin's or any count
     is not 0, rather than another root.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     *_, ((trivial, label), *others) = _orbit_factors(k)
     if label != _label(*ORIGIN):
         raise ArithmeticError("the first Galois-orbit factor is not the "
                               "trivial weight's")
-    lo, hi, den = _root_bracket(trivial, 3,
-                                max(tol / ROWS ** 2 * 2, math.ulp(0.0)))
+    lo, hi, den = _root_bracket(trivial, 3, TOL / ROWS ** 2 * 2)
     if any(_descartes(f.coeffs, lo, den) for f, _ in others):
         raise ArithmeticError("a Galois-orbit factor may have a root below "
                               "the trivial weight's")
@@ -472,11 +466,11 @@ class SpectralReport(NamedTuple):
     agreement_gap: float
 
 
-def spectral_report(k: int, tol: float = 1e-12) -> SpectralReport:
+def spectral_report(k: int) -> SpectralReport:
     """All three growth-factor routes plus their maximum pairwise gap."""
     trig = lambda_trig(k)
-    perron = lambda_perron(k, tol=tol)
-    rho = root_rho(k, tol=tol)
+    perron = lambda_perron(k)
+    rho = root_rho(k)
     from_root = 1.0 / rho
     values = (trig, perron, from_root)
     gap = max(abs(a - b) for a in values for b in values)

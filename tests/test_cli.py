@@ -23,7 +23,7 @@ from anyondeg.lattice import Vertex, build_lattice
 from anyondeg.poly import IntPoly, RationalFn, poly_to_json, poly_to_text
 from anyondeg.reference import ORIGIN_COUNTS
 from anyondeg.reproduce import SERIES_N_MAX, _ITEMS, reproduce
-from anyondeg.spectral import NoRootError, SpectralReport, lambda_trig
+from anyondeg.spectral import TOL, NoRootError, SpectralReport, lambda_trig
 from anyondeg.syt import shapes
 
 from oracles import class_positions, full_length_mismatches, \
@@ -364,7 +364,7 @@ class TestQdim:
             assert float(out) == pytest.approx(1.618033988749895, abs=1e-6)
 
     def test_numeric_failure_exits_3(self, capsys, monkeypatch):
-        def no_root(k, tol):
+        def no_root(k):
             raise NoRootError("no sign change in (0, 1]")
 
         monkeypatch.setattr(anyondeg.spectral, "root_rho", no_root)
@@ -375,56 +375,33 @@ class TestQdim:
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2
 
-    def test_all_method_honours_tol(self, capsys):
-        default = run(capsys, "qdim", "--k", "5")
-        assert run(capsys, "qdim", "--k", "5", "--tol", "1e-12") == default
-        coarse = run(capsys, "qdim", "--k", "5", "--tol", "0.1")
-        assert coarse[0] == 0 and coarse[1] != default[1]
-
-    @pytest.mark.parametrize("k", [*range(1, 9), 33, 64])
-    def test_single_methods_print_the_report_fields(self, capsys, k):
-        # one default tolerance: eig and root print the floats of --method all
-        report = json.loads(run(capsys, "qdim", "--k", str(k))[1])
-        for method, field in (("eig", "lambda_perron"),
-                              ("root", "lambda_from_root")):
-            assert run(capsys, "qdim", "--k", str(k), "--method", method) \
-                == (0, f"{report[field]!r}\n", "")
-
-    @pytest.mark.parametrize("k", range(1, 35))
-    def test_root_tol_bounds_lambda(self, capsys, k):
-        # tol bounds the printed lambda = 1/rho, not the bracket on rho
-        code, out, _ = run(capsys, "qdim", "--k", str(k), "--method", "root",
-                           "--tol", "1e-6")
-        assert code == 0 and abs(float(out) - lambda_trig(k)) <= 1e-6
-
-    @pytest.mark.parametrize("method,tol", [
-        (method, tol) for method in ("trig", "eig", "root", "all")
-        for tol in ("0", "-1e-6", "nan", "inf")])
-    def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
-        # neither the determinant nor the factors root_rho reads are built
+    @pytest.mark.parametrize("method", ["trig", "eig", "root", "all"])
+    def test_tol_flag_is_gone(self, capsys, monkeypatch, method):
+        # the tolerance is spectral.TOL: --tol is refused before the
+        # determinant or the factors root_rho reads are built
         def no_det(k):
             raise AssertionError("system_det or _orbit_factors ran")
 
         monkeypatch.setattr(anyondeg.genfunc, "system_det", no_det)
         monkeypatch.setattr(anyondeg.spectral, "_orbit_factors", no_det)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
-                             "--tol", tol)
-        assert code == 2 and out == "" and "tol" in err
+                             "--tol", "1e-6")
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("k", [*range(1, 9), 33, 64])
+    def test_single_methods_print_the_report_fields(self, capsys, k):
+        # one tolerance: eig and root print the floats of --method all
+        report = json.loads(run(capsys, "qdim", "--k", str(k))[1])
+        for method, field in (("eig", "lambda_perron"),
+                              ("root", "lambda_from_root")):
+            assert run(capsys, "qdim", "--k", str(k), "--method", method) \
+                == (0, f"{report[field]!r}\n", "")
 
-    @pytest.mark.parametrize("method", ["root", "all"])
-    @pytest.mark.parametrize("tol", ["1e308", "1.7976931348623157e308",
-                                     "5e-324"])
-    def test_tol_at_the_float_limits(self, capsys, method, tol):
-        # 2 tol / 9 once overflowed to inf, or underflowed to 0, and a
-        # valid tol exited 2; below float resolution the output is the
-        # same as at 1e-300
-        code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
-                             "--tol", tol)
-        assert code == 0 and err == ""
-        if tol == "5e-324":
-            assert out == run(capsys, "qdim", "--k", "2", "--method", method,
-                              "--tol", "1e-300")[1]
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_root_tol_bounds_lambda(self, capsys, k):
+        # TOL bounds the printed lambda = 1/rho, not the bracket on rho
+        code, out, _ = run(capsys, "qdim", "--k", str(k), "--method", "root")
+        assert code == 0 and abs(float(out) - lambda_trig(k)) <= TOL
 
 
 class TestSyt:
@@ -570,11 +547,11 @@ class TestCaps:
         monkeypatch.setattr(anyondeg.genfunc, "verify_series",
                             lambda k, n: [])
         monkeypatch.setattr(anyondeg.spectral, "lambda_perron",
-                            lambda k, tol: 1.0)
+                            lambda k: 1.0)
         monkeypatch.setattr(anyondeg.spectral, "root_rho",
-                            lambda k, tol: 1.0)
+                            lambda k: 1.0)
         monkeypatch.setattr(anyondeg.spectral, "spectral_report",
-                            lambda k, tol:
+                            lambda k:
                             SpectralReport(k, 1.0, 1.0, 1.0, 1.0, 0.0))
         monkeypatch.setattr(anyondeg.syt, "audit_published_formula",
                             lambda n_max: {})
@@ -615,7 +592,7 @@ FLAGS = {
     "genfunc": {"--k", "--vertex", "--format"},
     "det": {"--k"},
     "verify": {"--k", "--n"},
-    "qdim": {"--k", "--method", "--tol"},
+    "qdim": {"--k", "--method"},
     "syt": {"--n", "--vertex", "--shape", "--oracle", "--paper-formula"},
     "reproduce": {"--only"},
 }
@@ -634,7 +611,7 @@ class TestSurface:
                         if opt not in ("-h", "--help")]
                  for name, p in sub.choices.items()}
         assert {name: set(opts) for name, opts in flags.items()} == FLAGS
-        assert sum(len(opts) for opts in flags.values()) == 23
+        assert sum(len(opts) for opts in flags.values()) == 22
 
     @pytest.mark.parametrize("argv", [
         f"{call} {flag} 1" for call in SMALL_CALLS

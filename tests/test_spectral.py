@@ -11,7 +11,7 @@ from anyondeg.lattice import Vertex, build_lattice, walk_table
 from anyondeg.pathcount import growth_rate_estimate
 from anyondeg.poly import IntPoly
 from anyondeg.spectral import (
-    GRID, PERRON_THETA_MAX, NoRootError, SpectralReport, _descartes,
+    GRID, PERRON_THETA_MAX, TOL, NoRootError, SpectralReport, _descartes,
     _newton_step, _perron_apply, _perron_tables, _root_bracket,
     _three_steps, _top_ritz, lambda_perron, lambda_trig, root_rho,
     smallest_positive_root, spectral_report,
@@ -155,7 +155,7 @@ class TestPerron:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 63, 64])
     def test_stops_at_float_resolution(self, k, monkeypatch):
-        # tol below float resolution: the value stops moving, or the
+        # TOL below float resolution: the value stops moving, or the
         # Krylov space runs out (k = 1, 2, 3), within as many Lanczos
         # steps as there are orbit representatives
         steps = 0
@@ -166,19 +166,21 @@ class TestPerron:
             return _perron_apply(*args)
 
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
-        lam = lambda_perron(k, tol=1e-300)
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-300)
+        lam = lambda_perron(k)
         assert abs(lam - lambda_trig(k)) < 1e-13
         assert steps <= len(_perron_tables(k)[2])
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 56, 64])
     def test_bit_identical_to_two_passes(self, k, tol, monkeypatch):
         # every Lanczos vector is mirror-symmetric, so one B^T pass
         # gives the floats of two, and the same value to the last bit
-        lam = lambda_perron(k, tol)
+        monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
+        lam = lambda_perron(k)
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply",
                             _two_pass_apply)
-        assert lambda_perron(k, tol) == lam
+        assert lambda_perron(k) == lam
 
     @pytest.mark.parametrize("k", [2, 12, 33, 64])
     def test_lanczos_vectors_are_mirror_symmetric(self, k, monkeypatch):
@@ -191,7 +193,8 @@ class TestPerron:
             return _perron_apply(*args)
 
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", recorded)
-        lambda_perron(k, tol=1e-300)
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-300)
+        lambda_perron(k)
         assert seen
         assert all(x == [x[m] for m in mirror] for x in seen)
 
@@ -229,15 +232,11 @@ class TestPerron:
 
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
         n = len(_perron_tables(k)[2])
-        for tol in (1e-12, 1e-6, 1e-300):
+        for tol in (1e-12, 1e-300):
             applies = 0
-            lambda_perron(k, tol)
+            monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
+            lambda_perron(k)
             assert 0 < applies <= n
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError):
-            lambda_perron(2, tol=tol)
 
 
 class TestOrbits:
@@ -341,7 +340,8 @@ class TestOrbits:
 
 def _ritz_calls(k: int, tol: float, monkeypatch) -> list[tuple]:
     """(alphas, sq_betas, theta_prev, theta) of every Lanczos step of
-    ``lambda_perron(k, tol)``, as ``_top_ritz`` was called and answered."""
+    ``lambda_perron(k)`` at TOL = tol, as ``_top_ritz`` was called and
+    answered."""
     seen = []
 
     def recorded(alphas, sq_betas, floor, guess):
@@ -350,7 +350,8 @@ def _ritz_calls(k: int, tol: float, monkeypatch) -> list[tuple]:
         return theta
 
     monkeypatch.setattr(anyondeg.spectral, "_top_ritz", recorded)
-    lambda_perron(k, tol)
+    monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
+    lambda_perron(k)
     return seen
 
 
@@ -395,7 +396,7 @@ class TestTopRitz:
     full-width bisection of the Sturm count: the same float, from a few
     counts per Lanczos step."""
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
     @pytest.mark.parametrize("k", range(1, 65))
     def test_every_step_is_the_plain_bisection(self, k, tol, monkeypatch):
         seen = _ritz_calls(k, tol, monkeypatch)
@@ -421,14 +422,14 @@ class TestTopRitz:
         assert _top_ritz(alphas, sq_betas, floor, guess).hex() \
             == bisected_top_ritz(alphas, sq_betas, floor).hex()
 
-    @pytest.mark.parametrize("tol,budget", [
-        (1e-12, 3777), (1e-6, 3303), (1e-300, 3888)])
+    @pytest.mark.parametrize("tol,budget", [(1e-12, 3777), (1e-300, 3888)])
     def test_pass_budget(self, tol, budget, monkeypatch):
         # LDL^T passes over every Lanczos step of k = 1..64: at most the
         # totals made while the bracket replayed the full-width bisection
         passes = _counted_passes(monkeypatch)
+        monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
         for k in range(1, 65):
-            lambda_perron(k, tol)
+            lambda_perron(k)
         assert len(passes) <= budget
 
     def test_newton_stops_at_floor(self, monkeypatch):
@@ -496,8 +497,8 @@ class TestTopRitz:
     def test_few_counts_per_lanczos_step(self, k, monkeypatch):
         # the full-width bisection made about 47 Sturm counts a step at
         # these levels; one LDL^T pass is one count, and measured here:
-        # 4.94 passes a step on average and at most 8 in any step of
-        # k = 1..64 at tol 1e-12, 1e-6 and 1e-300 (at most 6 at 48, 64)
+        # 4.91 passes a step on average and at most 8 in any step of
+        # k = 1..64 at TOL (at most 6 at 48, 64)
         steps = []
 
         def counted_apply(*args):
@@ -538,14 +539,9 @@ class TestRootFinding:
         with pytest.raises(ValueError):
             smallest_positive_root(IntPoly.from_terms({0: -1, 1: 1}))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-    def test_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError):
-            smallest_positive_root(IntPoly.from_terms({0: 1, 3: -1}), tol=tol)
-
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # below float resolution the returned value cannot change, so a
-        # tiny tol costs no more steps than the float needs
+        # tiny TOL costs no more steps than the float needs
         calls = 0
         real = IntPoly.sign_at
 
@@ -555,8 +551,8 @@ class TestRootFinding:
             return real(self, num, den)
 
         monkeypatch.setattr(IntPoly, "sign_at", counted)
-        rho = smallest_positive_root(IntPoly.from_terms({0: 1, 2: -2}),
-                                     tol=1e-300)
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-300)
+        rho = smallest_positive_root(IntPoly.from_terms({0: 1, 2: -2}))
         grid_scan = 1 + math.ceil(GRID / math.sqrt(2))  # p(0), then m/GRID
         assert calls <= grid_scan + 64
         assert abs(rho - 1 / math.sqrt(2)) <= math.ulp(1 / math.sqrt(2))
@@ -572,13 +568,14 @@ class TestRootFinding:
         with pytest.raises(ArithmeticError, match="below the scanned"):
             smallest_positive_root(p)
 
-    def test_three_roots_in_one_grid_step(self):
+    def test_three_roots_in_one_grid_step(self, monkeypatch):
         # the scan's sign change holds all three, and the bisection ends
         # above the first: Descartes counts it below the bracket
         roots = [P({0: -r, 1: 10000}) for r in (9971, 9973, 9975)]
         p = -(roots[0] * roots[1] * roots[2])
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-14)
         with pytest.raises(ArithmeticError, match="below the scanned"):
-            smallest_positive_root(p, tol=1e-14)
+            smallest_positive_root(p)
 
     @pytest.mark.parametrize("p", [
         system_det(2), system_det(5), system_det(9),
@@ -589,8 +586,7 @@ class TestRootFinding:
         # its root (2^(3/2) - 1)^(1/6) = 1.106 past 1, in t and in u:
         # NoRootError either way
         expanded = p * P({0: 1, 1: 1})
-        got, want = (_outcome(smallest_positive_root, x, 1e-12)
-                     for x in (p, expanded))
+        got, want = (_outcome(_root_at, x, TOL) for x in (p, expanded))
         if scanned_smallest_positive_root(p) > 1:
             assert got == want == NoRootError
         else:
@@ -624,7 +620,7 @@ class TestRootFinding:
         # the guess names, which bounds the count below the bracket from
         # above; that count is even, as no root lies there, so 0 too
         q = IntPoly(system_det(k).coeffs[::3])
-        lo, _, den = _root_bracket(q, 3, 1e-12)
+        lo, _, den = _root_bracket(q, 3, TOL)
         assert _descartes(q.coeffs, lo, den) \
             == _descartes_count(q.coeffs, 0, lo, den) == 0
         counts = []
@@ -660,15 +656,15 @@ class TestRootFinding:
             == _descartes_count(q.coeffs, 0, b, den) == count
 
 
-# the root route's tolerances: the library default, root_rho's bracket
-# at its default (2 tol / 9) and qdim's single-method default
-ROOT_TOLS = (1e-12, 2e-12 / 9, 1e-6)
+# the root route's tolerances: smallest_positive_root's, TOL, and
+# root_rho's bracket, 2 TOL / 9
+ROOT_TOLS = (TOL, TOL / 9 * 2)
 _SCANNED = {}
 
 
 def _scanned(k: int, tol: float) -> float:
     """The plain scan's root of system_det(k) at tol, one of ROOT_TOLS,
-    all three computed once, from one shared scan and bisection."""
+    both computed once, from one shared scan and bisection."""
     if k not in _SCANNED:
         _SCANNED[k] = dict(zip(ROOT_TOLS, scanned_smallest_positive_roots(
             system_det(k), ROOT_TOLS)))
@@ -686,6 +682,13 @@ def _sign_calls(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(IntPoly, "sign_at", counted)
     return calls
+
+
+def _root_at(p: IntPoly, tol: float) -> float:
+    """``smallest_positive_root(p)`` with ``spectral.TOL`` set to tol."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anyondeg.spectral, "TOL", tol)
+        return smallest_positive_root(p)
 
 
 def _outcome(route, p: IntPoly, tol: float):
@@ -752,10 +755,9 @@ class TestGuessedRoot:
     float from a few exact signs, or, outside the route's domain (a root
     past u = 1, or a root below the scanned bracket), its error."""
 
-    @pytest.mark.parametrize("tol", ROOT_TOLS)
     @pytest.mark.parametrize("k", range(1, 65))
-    def test_determinant_roots_are_the_scans(self, k, tol):
-        assert smallest_positive_root(system_det(k), tol) == _scanned(k, tol)
+    def test_determinant_roots_are_the_scans(self, k):
+        assert smallest_positive_root(system_det(k)) == _scanned(k, TOL)
 
     @settings(max_examples=200, deadline=None)
     @given(real_rooted())
@@ -766,7 +768,7 @@ class TestGuessedRoot:
     # the first (the float); and 0.30001 and 0.3003 in one step below 1,
     # 1.2 past it (NoRootError, where the oracle finds 0.30001)
     @example((TWO_IN_ONE_STEP, 1e-12))
-    @example((_three_close_roots(5001, 5003, 5005), 1e-6))
+    @example((_three_close_roots(5001, 5003, 5005), 1e-12))
     @example((_three_close_roots(9971, 9973, 9975), 1e-14))
     @example((P({0: 3, 2: -2}), 1e-12))
     @example((P({0: 1, 1: -2}) * P({0: 1, 1: -14, 2: 50}), 1e-12))
@@ -776,13 +778,13 @@ class TestGuessedRoot:
               * P({0: 6, 1: -5}), 1e-12))
     def test_real_rooted_polynomials(self, case):
         p, tol = case
-        assert _outcome(smallest_positive_root, p, tol) == _contract(p, tol)
+        assert _outcome(_root_at, p, tol) == _contract(p, tol)
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_few_signs_at_small_levels(self, k, monkeypatch):
         # p(0), the grid step's two ends and the leaf's, where the scan
         # and bisection took 80 to 1025
-        expected = _scanned(k, 1e-12)
+        expected = _scanned(k, TOL)
         calls = _sign_calls(monkeypatch)
         assert smallest_positive_root(system_det(k)) == expected
         assert len(calls) <= 5
@@ -793,9 +795,9 @@ class TestGuessedRoot:
         # cancel in floats): the scan runs and the float is its own; the
         # guess 0.0997 names a step whose top is positive, and the scan
         # stops at the zero 1/2 with both roots below it: ArithmeticError
-        expected = _contract(p, 1e-12)
+        expected = _contract(p, TOL)
         calls = _sign_calls(monkeypatch)
-        assert _outcome(smallest_positive_root, p, 1e-12) == expected
+        assert _outcome(_root_at, p, TOL) == expected
         assert len(calls) > 2 * 5
 
     def test_three_roots_in_the_guessed_step(self, monkeypatch):
@@ -814,7 +816,7 @@ class TestGuessedRoot:
 
         monkeypatch.setattr(anyondeg.spectral, "_descartes", counted)
         with pytest.raises(ArithmeticError, match="below the scanned"):
-            smallest_positive_root(p, 1e-6)
+            smallest_positive_root(p)
         assert counts == [3, 2]
 
 
@@ -846,7 +848,7 @@ class TestSharedScan:
 
 def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
     """The arguments of every ``_descartes`` call that
-    ``smallest_positive_root(p, tol)`` makes, the grid intervals (0, 1],
+    ``smallest_positive_root(p)`` makes at TOL = tol, the grid intervals (0, 1],
     (0, 1/2], (0, 1/4] and (0, 3/2] of p after them."""
     calls = [(p.coeffs, b, GRID) for b in (
         GRID, GRID // 2, GRID // 4, 3 * GRID // 2)]
@@ -857,7 +859,7 @@ def _descartes_calls(p: IntPoly, tol: float) -> list[tuple]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(anyondeg.spectral, "_descartes", recorded)
-        _outcome(smallest_positive_root, p, tol)
+        _outcome(_root_at, p, tol)
     return calls
 
 
@@ -868,7 +870,7 @@ class TestDescartesCount:
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_determinants(self, k):
-        calls = _descartes_calls(system_det(k), 1e-12)
+        calls = _descartes_calls(system_det(k), TOL)
         assert [_descartes(*args) for args in calls] \
             == [_descartes_count(q, 0, b, den) for q, b, den in calls]
 
@@ -886,13 +888,13 @@ class TestRootOnTheTrivialFactor:
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_the_determinants_root(self, k):
-        # bit for bit the scan's on the whole determinant, and the route's
-        # own on the first factor at t^3
+        # bit for bit the scan's at 2 TOL / 9, on the whole determinant
+        # and on the first factor at t^3
         rho = root_rho(k)
         trivial = _orbit_factors(k)[2][0][0]
-        assert rho == _scanned(k, 2e-12 / 9)
-        assert rho == smallest_positive_root(trivial.substitute_power(3),
-                                             2e-12 / 9)
+        assert rho == _scanned(k, TOL / 9 * 2)
+        assert rho == scanned_smallest_positive_root(
+            trivial.substitute_power(3), TOL / 9 * 2)
 
     @pytest.mark.parametrize("reorder", [
         lambda factors: factors[1:] + factors[:1],
@@ -915,21 +917,6 @@ class TestRootOnTheTrivialFactor:
                             lambda k: (p, powers, factors + [low]))
         with pytest.raises(ArithmeticError, match="below"):
             root_rho(2)
-
-    @pytest.mark.parametrize("tol", [1e308, 1.7976931348623157e308,
-                                     5e-324, 1e-300])
-    def test_every_positive_finite_tol_is_taken(self, tol):
-        # 2 tol / 9 overflows above 8.99e307 and vanishes below 2e-323;
-        # below float resolution the value is the same
-        rho = root_rho(2, tol)
-        assert abs(1 / rho - lambda_trig(2)) < 1e-2
-        if tol < 1e-299:
-            assert rho == root_rho(2, 1e-300)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-    def test_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError):
-            root_rho(2, tol)
 
 
 def _scaled_root_excess(k):
