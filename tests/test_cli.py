@@ -375,8 +375,8 @@ class TestQdim:
     def test_n_flag_is_gone(self, capsys):
         assert run(capsys, "qdim", "--k", "2", "--N", "5")[0] == 2
 
-    @pytest.mark.parametrize("method", ["trig", "eig", "root", "all"])
-    def test_tol_flag_is_gone(self, capsys, monkeypatch, method):
+    @staticmethod
+    def _refuses_tol(capsys, monkeypatch, method, tol):
         # the tolerance is spectral.TOL: --tol is refused before the
         # determinant or the factors root_rho reads are built
         def no_det(k):
@@ -385,8 +385,41 @@ class TestQdim:
         monkeypatch.setattr(anyondeg.genfunc, "system_det", no_det)
         monkeypatch.setattr(anyondeg.spectral, "_orbit_factors", no_det)
         code, out, err = run(capsys, "qdim", "--k", "2", "--method", method,
-                             "--tol", "1e-6")
+                             "--tol", tol)
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("method", ["trig", "eig", "root", "all"])
+    def test_tol_flag_is_gone(self, capsys, monkeypatch, method):
+        self._refuses_tol(capsys, monkeypatch, method, "1e-6")
+
+    @pytest.mark.parametrize("method,tol", [
+        (method, tol) for method in ("trig", "eig", "root", "all")
+        for tol in ("0", "-1e-6", "nan", "inf")])
+    def test_rejects_non_positive_tol(self, capsys, monkeypatch, method, tol):
+        self._refuses_tol(capsys, monkeypatch, method, tol)
+
+    def test_all_method_honours_tol(self, capsys, monkeypatch):
+        default = run(capsys, "qdim", "--k", "5")
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-12)
+        assert run(capsys, "qdim", "--k", "5") == default
+        monkeypatch.setattr(anyondeg.spectral, "TOL", 0.1)
+        coarse = run(capsys, "qdim", "--k", "5")
+        assert coarse[0] == 0 and coarse[1] != default[1]
+
+    @pytest.mark.parametrize("method", ["root", "all"])
+    @pytest.mark.parametrize("tol", ["1e308", "1.7976931348623157e308",
+                                     "5e-324"])
+    def test_tol_at_the_float_limits(self, capsys, monkeypatch, method, tol):
+        # root_rho's bracket TOL / ROWS^2 * 2 neither overflows nor, where
+        # it is 0, stops the bisection short of float resolution, where
+        # the output is the same as at 1e-300
+        monkeypatch.setattr(anyondeg.spectral, "TOL", float(tol))
+        code, out, err = run(capsys, "qdim", "--k", "2", "--method", method)
+        assert code == 0 and err == ""
+        if tol == "5e-324":
+            monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-300)
+            assert out == run(capsys, "qdim", "--k", "2",
+                              "--method", method)[1]
 
     @pytest.mark.parametrize("k", [*range(1, 9), 33, 64])
     def test_single_methods_print_the_report_fields(self, capsys, k):

@@ -171,7 +171,7 @@ class TestPerron:
         assert abs(lam - lambda_trig(k)) < 1e-13
         assert steps <= len(_perron_tables(k)[2])
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     @pytest.mark.parametrize("k", [*range(1, 31), 48, 56, 64])
     def test_bit_identical_to_two_passes(self, k, tol, monkeypatch):
         # every Lanczos vector is mirror-symmetric, so one B^T pass
@@ -232,11 +232,19 @@ class TestPerron:
 
         monkeypatch.setattr(anyondeg.spectral, "_perron_apply", counted)
         n = len(_perron_tables(k)[2])
-        for tol in (1e-12, 1e-300):
+        for tol in (1e-12, 1e-6, 1e-300):
             applies = 0
             monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
             lambda_perron(k)
             assert 0 < applies <= n
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_tol(self, tol):
+        # the tolerance is TOL: no call passes one, valid or not
+        with pytest.raises(TypeError):
+            lambda_perron(2, tol=tol)
+        with pytest.raises(TypeError):
+            spectral_report(2, tol=tol)
 
 
 class TestOrbits:
@@ -396,7 +404,7 @@ class TestTopRitz:
     full-width bisection of the Sturm count: the same float, from a few
     counts per Lanczos step."""
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     @pytest.mark.parametrize("k", range(1, 65))
     def test_every_step_is_the_plain_bisection(self, k, tol, monkeypatch):
         seen = _ritz_calls(k, tol, monkeypatch)
@@ -422,7 +430,8 @@ class TestTopRitz:
         assert _top_ritz(alphas, sq_betas, floor, guess).hex() \
             == bisected_top_ritz(alphas, sq_betas, floor).hex()
 
-    @pytest.mark.parametrize("tol,budget", [(1e-12, 3777), (1e-300, 3888)])
+    @pytest.mark.parametrize("tol,budget", [
+        (1e-12, 3777), (1e-6, 3303), (1e-300, 3888)])
     def test_pass_budget(self, tol, budget, monkeypatch):
         # LDL^T passes over every Lanczos step of k = 1..64: at most the
         # totals made while the bracket replayed the full-width bisection
@@ -538,6 +547,12 @@ class TestRootFinding:
     def test_requires_positive_at_zero(self):
         with pytest.raises(ValueError):
             smallest_positive_root(IntPoly.from_terms({0: -1, 1: 1}))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_non_positive_tol(self, tol):
+        # the tolerance is TOL: no call passes one, valid or not
+        with pytest.raises(TypeError):
+            smallest_positive_root(IntPoly.from_terms({0: 1, 3: -1}), tol=tol)
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # below float resolution the returned value cannot change, so a
@@ -656,15 +671,15 @@ class TestRootFinding:
             == _descartes_count(q.coeffs, 0, b, den) == count
 
 
-# the root route's tolerances: smallest_positive_root's, TOL, and
-# root_rho's bracket, 2 TOL / 9
-ROOT_TOLS = (TOL, TOL / 9 * 2)
+# the root route's tolerances: smallest_positive_root's, TOL, root_rho's
+# bracket, 2 TOL / 9, and a coarse one, qdim's old single-method default
+ROOT_TOLS = (TOL, TOL / 9 * 2, 1e-6)
 _SCANNED = {}
 
 
 def _scanned(k: int, tol: float) -> float:
     """The plain scan's root of system_det(k) at tol, one of ROOT_TOLS,
-    both computed once, from one shared scan and bisection."""
+    all three computed once, from one shared scan and bisection."""
     if k not in _SCANNED:
         _SCANNED[k] = dict(zip(ROOT_TOLS, scanned_smallest_positive_roots(
             system_det(k), ROOT_TOLS)))
@@ -755,9 +770,10 @@ class TestGuessedRoot:
     float from a few exact signs, or, outside the route's domain (a root
     past u = 1, or a root below the scanned bracket), its error."""
 
+    @pytest.mark.parametrize("tol", ROOT_TOLS)
     @pytest.mark.parametrize("k", range(1, 65))
-    def test_determinant_roots_are_the_scans(self, k):
-        assert smallest_positive_root(system_det(k)) == _scanned(k, TOL)
+    def test_determinant_roots_are_the_scans(self, k, tol):
+        assert _root_at(system_det(k), tol) == _scanned(k, tol)
 
     @settings(max_examples=200, deadline=None)
     @given(real_rooted())
@@ -768,7 +784,7 @@ class TestGuessedRoot:
     # the first (the float); and 0.30001 and 0.3003 in one step below 1,
     # 1.2 past it (NoRootError, where the oracle finds 0.30001)
     @example((TWO_IN_ONE_STEP, 1e-12))
-    @example((_three_close_roots(5001, 5003, 5005), 1e-12))
+    @example((_three_close_roots(5001, 5003, 5005), 1e-6))
     @example((_three_close_roots(9971, 9973, 9975), 1e-14))
     @example((P({0: 3, 2: -2}), 1e-12))
     @example((P({0: 1, 1: -2}) * P({0: 1, 1: -14, 2: 50}), 1e-12))
@@ -917,6 +933,25 @@ class TestRootOnTheTrivialFactor:
                             lambda k: (p, powers, factors + [low]))
         with pytest.raises(ArithmeticError, match="below"):
             root_rho(2)
+
+    @pytest.mark.parametrize("tol", [1e308, 1.7976931348623157e308,
+                                     5e-324, 1e-300])
+    def test_every_positive_finite_tol_is_taken(self, tol, monkeypatch):
+        # TOL / ROWS^2 * 2 divides first, so it never overflows; below
+        # 2e-323 it is 0 and the bisection stops at float resolution,
+        # where the value is the same
+        monkeypatch.setattr(anyondeg.spectral, "TOL", tol)
+        rho = root_rho(2)
+        assert abs(1 / rho - lambda_trig(2)) < 1e-2
+        if tol < 1e-299:
+            monkeypatch.setattr(anyondeg.spectral, "TOL", 1e-300)
+            assert rho == root_rho(2)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_non_positive_tol(self, tol):
+        # the tolerance is TOL: no call passes one, valid or not
+        with pytest.raises(TypeError):
+            root_rho(2, tol)
 
 
 def _scaled_root_excess(k):
